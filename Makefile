@@ -1,6 +1,6 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test check lint-clock lint-pool bench bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
+.PHONY: test check lint-clock lint-pool bench bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
 
 # Tier-1 verification: the full unit + benchmark suite at quick scale.
 test:
@@ -41,8 +41,15 @@ lint-pool:
 	fi
 
 # The full benchmark suite (set MERLIN_BENCH_SCALE=full for paper scale).
+# Every report block lands in .bench_out/results/<name>.txt (ignored by git).
 bench:
 	$(PYTEST) -q benchmarks
+
+# The repository benchmark of BENCHMARK.json (bench/README.md): every
+# workload untraced and traced, each in a fresh process, metrics printed
+# by name and recorded in .bench_out/seed1.json for bench/compare.py.
+bench-repo:
+	python3 bench/run.py --seed 1
 
 # Fast smoke: the smallest Figure 8 scaling point, one incremental
 # re-provisioning round trip, the footprint-tightening partition guard
@@ -59,14 +66,14 @@ bench-smoke:
 		benchmarks/test_telemetry_overhead.py
 
 # Figure 10b': incremental re-provisioning latency vs full recompiles
-# (writes benchmarks/results/fig10b_reprovisioning.txt).
+# (writes .bench_out/results/fig10b_reprovisioning.txt).
 bench-reprovision:
 	$(PYTEST) -q benchmarks/test_fig10b_reprovisioning.py
 
 # Churn & failure scenario replay: a seeded 200-event stream on the
 # arity-4 fat tree replayed against one transactional session, asserting
 # zero invalidations and slack-widening recovery of every cost-bound
-# infeasibility (writes benchmarks/results/churn_replay.txt).
+# infeasibility (writes .bench_out/results/churn_replay.txt).
 # MERLIN_BENCH_SCALE=full runs the 500-event arity-6 stream.
 bench-churn:
 	$(PYTEST) -q benchmarks/test_churn.py
@@ -81,14 +88,14 @@ bench-portfolio:
 # Checkpoint cost at scale: undo-journal marks vs legacy copying
 # snapshots at 1k vs 100k statements, plus a join/leave/renegotiation
 # stream sustained at the large population, one transaction per event
-# (writes benchmarks/results/checkpoint_scale.txt; pinned seed).
+# (writes .bench_out/results/checkpoint_scale.txt; pinned seed).
 # MERLIN_BENCH_SCALE=full raises the large population to 250k.
 bench-checkpoint:
 	$(PYTEST) -q benchmarks/test_checkpoint_scale.py
 
 # Telemetry overhead guard: the disabled (default) recorder's per-span
 # cost, measured on the Figure-8 smoke point, must stay under 2% of the
-# compile wall time (writes benchmarks/results/telemetry_overhead.txt).
+# compile wall time (writes .bench_out/results/telemetry_overhead.txt).
 bench-telemetry:
 	$(PYTEST) -q benchmarks/test_telemetry_overhead.py
 
@@ -96,6 +103,6 @@ bench-telemetry:
 # must be >= 3x faster than the cold sweep with byte-identical
 # allocations (every component served from the content-addressed cache),
 # and reusing one persistent SolveFabric across calls must beat per-call
-# pool spin-up (writes benchmarks/results/fabric.txt).
+# pool spin-up (writes .bench_out/results/fabric.txt).
 bench-fabric:
 	$(PYTEST) -q benchmarks/test_fabric.py

@@ -6,9 +6,10 @@ suite finishes in a few minutes; set ``MERLIN_BENCH_SCALE=full`` to run the
 paper-sized versions (hours, mostly in the MIP solver and the large
 verification sweeps).
 
-Every benchmark prints the rows/series it measured and also appends them to
-``benchmarks/results/<name>.txt`` so the numbers quoted in EXPERIMENTS.md can
-be regenerated.
+Every benchmark prints the rows/series it measured and also writes them to
+``.bench_out/results/<name>.txt`` at the repository root (ignored by git:
+the numbers are wall-clock readings of one run, so a test run must not leave
+a diff behind).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+RESULTS_DIR = pathlib.Path(__file__).parent.parent / ".bench_out" / "results"
 
 
 def bench_scale() -> str:
@@ -32,12 +33,12 @@ def is_full_scale() -> bool:
 
 @pytest.fixture
 def report():
-    """A callable that prints a report block and persists it under results/."""
+    """A callable that prints a report block and persists it under ``RESULTS_DIR``."""
 
     def _report(name: str, text: str) -> None:
         banner = f"\n=== {name} ===\n{text}\n"
         print(banner)
-        RESULTS_DIR.mkdir(exist_ok=True)
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         with open(RESULTS_DIR / f"{name}.txt", "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
 

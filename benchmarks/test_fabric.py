@@ -16,7 +16,7 @@ guaranteed tenant per pod, link-disjoint MIP components):
 
 ``make check`` runs the tier-1 suite (which includes this file at quick
 scale); ``make bench-fabric`` runs it alone and writes
-``benchmarks/results/fabric.txt``.
+``.bench_out/results/fabric.txt``.
 """
 
 import time

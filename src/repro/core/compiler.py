@@ -30,7 +30,7 @@ from .. import telemetry
 from ..codegen.generator import CodeGenerator
 from ..errors import PolicyError, ProvisioningError
 from ..predicates.ast import TRUE, PTrue, pred_and, pred_not, pred_or
-from ..predicates.sat import is_satisfiable, overlaps
+from ..predicates.sat import find_overlapping_between, is_satisfiable
 from ..regex.ast import Dot, Regex, Star, any_path
 from ..topology.graph import Topology
 from ..units import Bandwidth
@@ -1214,40 +1214,42 @@ class MerlinCompiler:
         the statement had it been part of a from-scratch compile of
         ``existing`` + the addition: reject mode checks it for overlap
         against the existing statements; priority mode narrows it by
-        subtracting every existing predicate (an appended statement has the
-        lowest priority) and rejects it when completely shadowed; trust mode
-        passes it through unchanged.
+        subtracting the existing predicates it overlaps (an appended
+        statement has the lowest priority) and rejects it when completely
+        shadowed; trust mode passes it through unchanged, as both other
+        modes do when nothing overlaps.
         """
         if self.overlap == "trust":
             return added
         statement = added.statement
+        # Only the statements the forced-equality index cannot tell apart
+        # from the addition are SAT-checked, not the whole population.
+        overlapping = [
+            existing[position]
+            for _, position in find_overlapping_between(
+                [statement.predicate], [other.predicate for other in existing]
+            )
+        ]
+        if not overlapping:
+            return added
         if self.overlap == "reject":
-            conflicts = [
-                other.identifier
-                for other in existing
-                if overlaps(statement.predicate, other.predicate)
-            ]
-            if conflicts:
-                raise PolicyError(
-                    f"statement {statement.identifier!r} overlaps existing "
-                    f"statements: {', '.join(conflicts)}; use "
-                    "overlap='priority' or recompile from scratch"
-                )
-            return added
-        # overlap == "priority": first-match-wins against everything existing.
-        if not existing:
-            return added
+            conflicts = [other.identifier for other in overlapping]
+            raise PolicyError(
+                f"statement {statement.identifier!r} overlaps existing "
+                f"statements: {', '.join(conflicts)}; use "
+                "overlap='priority' or recompile from scratch"
+            )
+        # overlap == "priority": first-match-wins.  Subtracting the
+        # statements that overlap is subtracting every existing one.
         narrowed = pred_and(
             statement.predicate,
-            pred_not(pred_or(*[other.predicate for other in existing])),
+            pred_not(pred_or(*[other.predicate for other in overlapping])),
         )
         if not is_satisfiable(narrowed):
             raise PolicyError(
                 f"statement {statement.identifier!r} is completely shadowed "
                 "by existing statements"
             )
-        if narrowed is statement.predicate:
-            return added
         return dataclasses.replace(
             added,
             statement=Statement(

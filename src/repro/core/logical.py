@@ -32,6 +32,7 @@ from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import ProvisioningError
+from ..predicates.sat import forced_equalities
 from ..regex.ast import DOT, Regex, Symbol, concat, star
 from ..regex.dfa import DFA
 from ..regex.minimize import minimize
@@ -362,26 +363,16 @@ def infer_endpoints(
 ) -> Tuple[Optional[str], Optional[str]]:
     """Infer the statement's (source, destination) hosts.
 
-    The predicate is scanned for ``eth.src``/``eth.dst`` (matched against
-    host MAC addresses) and ``ip.src``/``ip.dst`` (matched against host IP
-    addresses).  If the predicate does not pin an endpoint, the path
-    expression's first/last explicit symbols are used when they name hosts.
+    Only the equalities the predicate forces in every packet it matches
+    count (``eth.src``/``eth.dst`` against host MAC addresses, then
+    ``ip.src``/``ip.dst`` against host IP addresses): a negated test or one
+    arm of a disjunction pins nothing.  If the predicate does not pin an
+    endpoint, the path expression's first/last explicit symbols are used
+    when they name hosts.
     """
-    from ..predicates.transform import atoms
-
-    source: Optional[str] = None
-    destination: Optional[str] = None
-    for field_name, value in atoms(statement.predicate):
-        if field_name == "eth.src":
-            node = topology.host_by_mac(str(value))
-            source = node.name if node else source
-        elif field_name == "eth.dst":
-            node = topology.host_by_mac(str(value))
-            destination = node.name if node else destination
-        elif field_name == "ip.src":
-            source = _host_by_ip(topology, str(value)) or source
-        elif field_name == "ip.dst":
-            destination = _host_by_ip(topology, str(value)) or destination
+    forced = forced_equalities(statement.predicate) or {}
+    source = _pinned_host(topology, forced.get("eth.src"), forced.get("ip.src"))
+    destination = _pinned_host(topology, forced.get("eth.dst"), forced.get("ip.dst"))
     if source is None or destination is None:
         boundary = _regex_boundary_symbols(statement.path, topology)
         if source is None:
@@ -391,11 +382,14 @@ def infer_endpoints(
     return source, destination
 
 
-def _host_by_ip(topology: Topology, ip: str) -> Optional[str]:
-    for node in topology.hosts():
-        if node.ip == ip:
-            return node.name
-    return None
+def _pinned_host(
+    topology: Topology, mac: Optional[str], ip: Optional[str]
+) -> Optional[str]:
+    """The host with the forced MAC address, else the one with the forced IP."""
+    node = topology.host_by_mac(mac) if mac is not None else None
+    if node is None and ip is not None:
+        node = topology.host_by_ip(ip)
+    return node.name if node else None
 
 
 def _regex_boundary_symbols(

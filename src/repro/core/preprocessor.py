@@ -47,10 +47,14 @@ def preprocess(
     ``overlap`` selects how overlapping predicates are handled: ``"reject"``
     raises :class:`PolicyError`; ``"priority"`` subtracts each statement's
     predecessors from its predicate so that earlier statements win;
-    ``"trust"`` skips the pairwise disjointness check entirely (used for
-    machine-generated policies — e.g. all-pairs connectivity — that are
-    disjoint by construction, where the quadratic check would dominate
-    compilation time).
+    ``"trust"`` skips the disjointness check: the caller vouches that the
+    statements are disjoint (machine-generated policies such as all-pairs
+    connectivity are, by construction).  It is a statement about the
+    input, not a performance setting: statements that pin their endpoints
+    are told apart by the forced-equality index of
+    :mod:`repro.predicates.sat` without a satisfiability search, and only
+    the pairs the index cannot separate (no forced field in common) cost
+    one search each.
     """
     statements = list(policy.statements)
     rewritten: List[str] = []

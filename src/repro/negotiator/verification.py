@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..predicates.ast import Predicate, pred_or
-from ..predicates.sat import covers, implies, overlaps
+from ..predicates.sat import covers, find_overlapping_between, implies
 from ..regex.operations import counterexample, included
 from ..units import Bandwidth
 from ..core.ast import FMax, FMin, Formula, Policy, Statement, formula_clauses
@@ -86,15 +86,22 @@ def verify_refinement(original: Policy, refined: Policy) -> VerificationReport:
             changed_refined.append(candidate)
     covered_originals = set(unchanged_partner.values())
 
+    # Which changed statements overlap which original ones: decided once,
+    # through the forced-equality index, and shared by the coverage, path
+    # inclusion and bandwidth checks below.
+    overlapping = find_overlapping_between(
+        [statement.predicate for statement in original.statements],
+        [candidate.predicate for candidate in changed_refined],
+    )
+    changed_by_original: List[List[Statement]] = [[] for _ in original.statements]
+    for position, changed in overlapping:
+        changed_by_original[position].append(changed_refined[changed])
+
     # --- predicate coverage and containment -------------------------------
-    for statement in original.statements:
+    for position, statement in enumerate(original.statements):
         if statement.identifier in covered_originals:
             continue
-        matching = [
-            candidate
-            for candidate in changed_refined
-            if overlaps(candidate.predicate, statement.predicate)
-        ]
+        matching = changed_by_original[position]
         if not matching:
             violations.append(
                 Violation(
@@ -134,10 +141,8 @@ def verify_refinement(original: Policy, refined: Policy) -> VerificationReport:
             )
 
     # --- path-language inclusion on overlapping pairs ----------------------
-    for statement in original.statements:
-        for candidate in changed_refined:
-            if not overlaps(candidate.predicate, statement.predicate):
-                continue
+    for position, statement in enumerate(original.statements):
+        for candidate in changed_by_original[position]:
             checked_pairs += 1
             if not included(candidate.path, statement.path):
                 witness = counterexample(candidate.path, statement.path)
@@ -161,7 +166,13 @@ def verify_refinement(original: Policy, refined: Policy) -> VerificationReport:
     checked_clauses = 0
     original_caps, original_guarantees = _clause_tables(original)
     refined_caps, refined_guarantees = _clause_tables(refined)
-    overlap_map = _overlap_map(original, changed_refined, unchanged_partner)
+    overlap_map: Dict[str, set] = {
+        statement.identifier: {candidate.identifier for candidate in matching}
+        for statement, matching in zip(original.statements, changed_by_original)
+    }
+    # Untouched refined statements map straight onto their identical original.
+    for refined_id, original_id in unchanged_partner.items():
+        overlap_map[original_id].add(refined_id)
 
     for kind, original_table, refined_table in (
         ("max", original_caps, refined_caps),
@@ -218,25 +229,3 @@ def _clause_tables(policy: Policy):
         elif isinstance(clause, FMin):
             guarantees.append((clause.term.identifiers, clause.rate))
     return caps, guarantees
-
-
-def _overlap_map(
-    original: Policy,
-    changed_refined,
-    unchanged_partner: Dict[str, str],
-) -> Dict[str, set]:
-    """Map each original statement identifier to the refined identifiers overlapping it.
-
-    Untouched refined statements are mapped straight onto their identical
-    original; only changed statements require satisfiability checks.
-    """
-    mapping: Dict[str, set] = {
-        statement.identifier: set() for statement in original.statements
-    }
-    for refined_id, original_id in unchanged_partner.items():
-        mapping[original_id].add(refined_id)
-    for statement in original.statements:
-        for candidate in changed_refined:
-            if overlaps(candidate.predicate, statement.predicate):
-                mapping[statement.identifier].add(candidate.identifier)
-    return mapping

@@ -18,11 +18,22 @@ negated conjunctions produced by totality/coverage checks (``p0 and !p1 and
 ... and !pn``) in linear time on the policies Merlin actually generates,
 which is what lets negotiator verification scale to tens of thousands of
 statements (Figure 9).
+
+Questions about *many* predicates at once (which statements of a policy
+overlap, which refined statements touch which original ones) do not run
+that search on every pair.  :func:`forced_equalities` reads off, in one
+linear walk, the ``field = value`` tests a predicate forces in every model;
+two predicates that force different values on one field share no packet.
+The overlap index buckets the predicates on such fields, and only the pairs
+it cannot tell apart reach the exact :func:`is_disjoint` search, so the
+answers are those of the all-pairs loop while a policy whose statements pin
+their endpoints (the common case) costs a number of searches linear in its
+size.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PolicyError
 from .ast import (
@@ -192,25 +203,171 @@ def overlaps(left: Predicate, right: Predicate) -> bool:
     return not is_disjoint(left, right)
 
 
+def forced_equalities(predicate: Predicate) -> Optional[Dict[str, object]]:
+    """The ``field -> value`` equalities that hold in every model of ``predicate``.
+
+    One linear walk, with the polarity carried down instead of building the
+    negation normal form: a conjunction forces what either side forces (two
+    different values for one field leave no model), a disjunction only what
+    both sides force, and a negated test or ``true`` forces nothing.
+    Returns ``None`` when the walk itself shows there is no model.  The
+    answer is sound but not complete: seven exclusions on the 8-value
+    ``vlan.pcp`` force the eighth value, and the walk does not see it.
+    """
+    return _forced(predicate, True)
+
+
+def _forced(node: Predicate, positive: bool) -> Optional[Dict[str, object]]:
+    if isinstance(node, FieldTest):
+        return {node.field: node.value} if positive else {}
+    if isinstance(node, Not):
+        return _forced(node.operand, not positive)
+    if isinstance(node, (PTrue, PFalse)):
+        return {} if isinstance(node, PTrue) == positive else None
+    if not isinstance(node, (And, Or)):
+        raise PolicyError(f"unknown predicate node: {node!r}")
+    left = _forced(node.left, positive)
+    right = _forced(node.right, positive)
+    if isinstance(node, And) == positive:
+        # Conjunction (or a negated disjunction): both sides hold.
+        if left is None or right is None:
+            return None
+        small, large = (left, right) if len(left) <= len(right) else (right, left)
+        for name, value in small.items():
+            if large.setdefault(name, value) != value:
+                return None
+        return large
+    # Disjunction (or a negated conjunction): a side without models drops out.
+    if left is None:
+        return right
+    if right is None:
+        return left
+    return {
+        name: value
+        for name, value in left.items()
+        if name in right and right[name] == value
+    }
+
+
+#: One predicate in the overlap index: its position in the caller's sequence
+#: and the equalities it forces.
+_Entry = Tuple[int, Dict[str, object]]
+
+
+def _entries(predicates: Sequence[Predicate]) -> List[_Entry]:
+    """Index entries for the predicates the walk cannot rule out altogether."""
+    entries = []
+    for position, predicate in enumerate(predicates):
+        forced = forced_equalities(predicate)
+        if forced is not None:
+            entries.append((position, forced))
+    return entries
+
+
+def _split(
+    entries: List[_Entry], name: str
+) -> Tuple[Dict[object, List[_Entry]], List[_Entry]]:
+    """``entries`` bucketed by the value they force on ``name``, and the rest."""
+    buckets: Dict[object, List[_Entry]] = {}
+    free: List[_Entry] = []
+    for entry in entries:
+        forced = entry[1]
+        if name in forced:
+            buckets.setdefault(forced[name], []).append(entry)
+        else:
+            free.append(entry)
+    return buckets, free
+
+
+def _value_counts(entries: List[_Entry]) -> Dict[str, Dict[object, int]]:
+    """For every forced field, how many of ``entries`` force each value."""
+    counts: Dict[str, Dict[object, int]] = {}
+    for _, forced in entries:
+        for name, value in forced.items():
+            values = counts.setdefault(name, {})
+            values[value] = values.get(value, 0) + 1
+    return counts
+
+
+def _pairs_between(
+    lefts: List[_Entry], rights: List[_Entry]
+) -> Iterator[Tuple[int, int]]:
+    """Position pairs (one of ``lefts``, one of ``rights``) no forced field tells apart.
+
+    Every pair is yielded once, unless both entries force one field to
+    different values.  The entries are split on the most discriminating
+    field — the one separating the most pairs: of the pairs that both force
+    it, all but those agreeing on the value — and each part recurses on the
+    fields that are left; an entry that does not force the field meets every
+    bucket of the other side.
+    """
+    if not lefts or not rights:
+        return
+    right_counts = _value_counts(rights)
+    best_name, best_separated = None, 0
+    for name, left_values in _value_counts(lefts).items():
+        right_values = right_counts.get(name)
+        if right_values is None:
+            continue
+        separated = sum(left_values.values()) * sum(right_values.values()) - sum(
+            count * right_values.get(value, 0) for value, count in left_values.items()
+        )
+        if separated > best_separated:
+            best_name, best_separated = name, separated
+    if best_name is None:
+        for left, _ in lefts:
+            for right, _ in rights:
+                yield left, right
+        return
+    left_buckets, left_free = _split(lefts, best_name)
+    right_buckets, right_free = _split(rights, best_name)
+    for value, bucket in left_buckets.items():
+        yield from _pairs_between(bucket, right_buckets.get(value, []))
+    left_forcing = [entry for bucket in left_buckets.values() for entry in bucket]
+    yield from _pairs_between(left_forcing, right_free)
+    yield from _pairs_between(left_free, rights)
+
+
+def _overlapping(
+    lefts: Sequence[Predicate], rights: Optional[Sequence[Predicate]] = None
+) -> Iterator[Tuple[int, int]]:
+    """Yield the overlapping index pairs, in no particular order.
+
+    Pairs ``(i, j)`` with ``i < j`` inside ``lefts`` when ``rights`` is not
+    given, otherwise pairs (index into ``lefts``, index into ``rights``).
+    The index proposes, the exact search decides.
+    """
+    if not lefts or (rights is not None and not rights):
+        return
+    left_entries = _entries(lefts)
+    if rights is None:
+        # A sequence against itself proposes every pair in both orders.
+        rights = lefts
+        candidates: Iterable[Tuple[int, int]] = (
+            (i, j) for i, j in _pairs_between(left_entries, left_entries) if i < j
+        )
+    else:
+        candidates = _pairs_between(left_entries, _entries(rights))
+    for i, j in candidates:
+        if not is_disjoint(lefts[i], rights[j]):
+            yield i, j
+
+
 def pairwise_disjoint(predicates: Sequence[Predicate]) -> bool:
     """Return ``True`` when all predicates in the sequence are pairwise disjoint."""
-    items = list(predicates)
-    for index, left in enumerate(items):
-        for right in items[index + 1 :]:
-            if not is_disjoint(left, right):
-                return False
-    return True
+    return next(_overlapping(predicates), None) is None
 
 
-def find_overlapping_pairs(predicates: Sequence[Predicate]) -> List[tuple]:
-    """Return the index pairs of predicates that overlap (for error messages)."""
-    items = list(predicates)
-    pairs = []
-    for i, left in enumerate(items):
-        for j in range(i + 1, len(items)):
-            if not is_disjoint(left, items[j]):
-                pairs.append((i, j))
-    return pairs
+def find_overlapping_pairs(predicates: Sequence[Predicate]) -> List[Tuple[int, int]]:
+    """Return the index pairs ``(i, j)``, ``i < j``, of predicates that overlap, sorted."""
+    return sorted(_overlapping(predicates))
+
+
+def find_overlapping_between(
+    lefts: Sequence[Predicate], rights: Sequence[Predicate]
+) -> List[Tuple[int, int]]:
+    """Return the sorted pairs ``(i, j)`` where ``lefts[i]`` overlaps ``rights[j]``."""
+    return sorted(_overlapping(lefts, rights))
 
 
 def covers(original: Predicate, parts: Iterable[Predicate]) -> bool:

@@ -29,6 +29,10 @@ class Topology:
         self.name = name
         self._graph = nx.Graph()
         self._nodes: Dict[str, Node] = {}
+        # Address lookups for endpoint inference, maintained by add_node
+        # (the only place a node enters the topology).
+        self._hosts_by_mac: Dict[str, Node] = {}
+        self._hosts_by_ip: Dict[str, Node] = {}
         self._host_counter = itertools.count(1)
 
     # -- construction ------------------------------------------------------
@@ -39,6 +43,16 @@ class Topology:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         self._graph.add_node(node.name)
+        if node.is_host:
+            for index, address in (
+                (self._hosts_by_mac, node.mac.lower() if node.mac else None),
+                (self._hosts_by_ip, node.ip),
+            ):
+                # Hosts sharing an address resolve to the first by name.
+                if address and (
+                    address not in index or node.name < index[address].name
+                ):
+                    index[address] = node
         return node
 
     def add_host(
@@ -267,11 +281,11 @@ class Topology:
 
     def host_by_mac(self, mac: str) -> Optional[Node]:
         """Find the host with the given MAC address (``None`` if absent)."""
-        normalized = mac.lower()
-        for node in self.hosts():
-            if node.mac and node.mac.lower() == normalized:
-                return node
-        return None
+        return self._hosts_by_mac.get(mac.lower())
+
+    def host_by_ip(self, ip: str) -> Optional[Node]:
+        """Find the host with the given IP address (``None`` if absent)."""
+        return self._hosts_by_ip.get(ip)
 
     def __contains__(self, name: str) -> bool:
         return name in self._nodes

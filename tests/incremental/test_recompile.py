@@ -290,6 +290,51 @@ class TestPreprocessorSemantics:
             if statement.identifier != "w":
                 assert not overlaps(narrowed.predicate, statement.predicate)
 
+    @pytest.mark.parametrize(
+        "overlap, message",
+        [
+            (
+                "reject",
+                "statement 'w' overlaps existing statements: z; use "
+                "overlap='priority' or recompile from scratch",
+            ),
+            ("priority", "statement 'w' is completely shadowed by existing statements"),
+        ],
+    )
+    def test_added_statement_meets_the_overlap_discipline(self, overlap, message):
+        """The add path asks the forced-equality index which existing
+        statements the addition can touch: a clash reads as it always did,
+        and a disjoint addition lands exactly as a from-scratch compile
+        would place it (in priority mode too: nothing to subtract)."""
+        from repro.errors import PolicyError
+
+        topology = figure2_example(capacity=Bandwidth.gbps(2))
+        compiler = MerlinCompiler(
+            topology=topology, placements=PLACEMENTS, overlap=overlap, generate_code=False
+        )
+        compiler.compile(SOURCE)
+        clashing = Statement("w", _pair_predicate(80), parse_path_expression(".*"))
+        with pytest.raises(PolicyError) as raised:
+            compiler.recompile(PolicyDelta(add=(DeltaStatement(clashing),)))
+        assert str(raised.value) == message
+
+        disjoint = Statement("w", _pair_predicate(443), parse_path_expression(".* dpi .*"))
+        incremental = compiler.recompile(PolicyDelta(add=(DeltaStatement(disjoint),)))
+        scratch = compile_policy(
+            SOURCE.replace(
+                "nat .* ]",
+                "nat .* ; w : (eth.src = 00:00:00:00:00:01 and "
+                "eth.dst = 00:00:00:00:00:02 and tcp.dst = 443) -> .* dpi .* ]",
+            ),
+            topology,
+            PLACEMENTS,
+            overlap=overlap,
+            generate_code=False,
+        )
+        assert incremental.policy.statements == scratch.policy.statements
+        assert _paths(incremental) == _paths(scratch)
+        assert incremental.link_reservations == scratch.link_reservations
+
     def test_priority_mode_refuses_incremental_removal(self):
         topology = figure2_example(capacity=Bandwidth.gbps(2))
         compiler = MerlinCompiler(

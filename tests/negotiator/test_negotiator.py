@@ -125,6 +125,35 @@ class TestVerification:
         )
         assert verify_refinement(original, under).valid
 
+    def test_each_statement_pair_is_sat_checked_at_most_once(self, monkeypatch):
+        """Coverage, path inclusion and the bandwidth sums share one overlap
+        relation, and the index keeps pairs pinned to other hosts out of it."""
+        from repro.predicates import sat
+
+        original = parse_policy(
+            "[ a : ip.src = 10.0.0.1 -> .* ; b : ip.src = 10.0.0.2 -> .* ],"
+            "max(a, 100Mbps) and max(b, 100Mbps)"
+        )
+        refined = parse_policy(
+            "[ a1 : ip.src = 10.0.0.1 and tcp.dst = 80 -> .* ;"
+            "  a2 : ip.src = 10.0.0.1 and tcp.dst != 80 -> .* ;"
+            "  b1 : ip.src = 10.0.0.2 and tcp.dst = 80 -> .* ;"
+            "  b2 : ip.src = 10.0.0.2 and tcp.dst != 80 -> .* ],"
+            "max(a1, 50Mbps) and max(a2, 50Mbps) and max(b1, 50Mbps) and max(b2, 50Mbps)"
+        )
+        checked = []
+        is_disjoint = sat.is_disjoint
+        monkeypatch.setattr(
+            sat,
+            "is_disjoint",
+            lambda left, right: checked.append((left, right)) or is_disjoint(left, right),
+        )
+        report = verify_refinement(original, refined)
+        assert report.valid and report.checked_pairs == 4
+        by_predicate = {s.predicate: s.identifier for s in (*original.statements, *refined.statements)}
+        pairs = sorted((by_predicate[left], by_predicate[right]) for left, right in checked)
+        assert pairs == [("a", "a1"), ("a", "a2"), ("b", "b1"), ("b", "b2")]
+
 
 class TestNegotiatorTree:
     def test_delegate_and_refine(self):

@@ -80,7 +80,26 @@ class TestTopologyGraph:
         topo = single_switch(3)
         mac = topo.node("h2").mac
         assert topo.host_by_mac(mac).name == "h2"
+        assert topo.host_by_mac(mac.upper()).name == "h2"
         assert topo.host_by_mac("ff:ff:ff:ff:ff:ff") is None
+
+    def test_address_lookups_follow_every_way_of_building_a_topology(self):
+        topo = single_switch(3)
+        ip = topo.node("h3").ip
+        assert topo.host_by_ip(ip).name == "h3"
+        assert topo.host_by_ip("10.9.9.9") is None
+        # Derived topologies are built through add_node and answer alike.
+        degraded = topo.without(links=[("h3", "s1")])
+        assert degraded.host_by_ip(ip).name == "h3"
+        assert degraded.host_by_mac(topo.node("h2").mac).name == "h2"
+        assert topo.switch_subgraph().host_by_ip(ip) is None
+        # Hosts sharing an address resolve to the first by name, whatever
+        # the insertion order.
+        shared = Topology()
+        shared.add_host("hb", mac="00:00:00:00:00:aa", ip="10.0.0.7")
+        shared.add_host("ha", mac="00:00:00:00:00:AA", ip="10.0.0.7")
+        assert shared.host_by_mac("00:00:00:00:00:aa").name == "ha"
+        assert shared.host_by_ip("10.0.0.7").name == "ha"
 
     def test_attachment_switch(self):
         topo = figure2_example()
