@@ -1,6 +1,6 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test check lint-clock lint-pool bench bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
+.PHONY: test check lint-clock lint-pool lint-automaton bench bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
 
 # Tier-1 verification: the full unit + benchmark suite at quick scale.
 test:
@@ -8,11 +8,11 @@ test:
 
 # CI gate: tier-1 tests plus a byte-compile of the whole source tree
 # (catches syntax errors in modules the suite does not import), the
-# telemetry clock and process-pool lints, the disabled-overhead guard,
+# telemetry clock, process-pool and automaton lints, the disabled-overhead guard,
 # the seeded churn replay (zero session invalidations under failures),
 # and the checkpoint-scale guard (per-delta checkpoint cost stays
 # O(delta) between the 1k and 100k statement populations).
-check: lint-clock lint-pool
+check: lint-clock lint-pool lint-automaton
 	$(PYTEST) -x -q
 	python -m compileall -q src
 	$(PYTEST) -q benchmarks/test_telemetry_overhead.py
@@ -37,6 +37,21 @@ lint-clock:
 lint-pool:
 	@if grep -rn "ProcessPoolExecutor(" src/repro --include="*.py" | grep -v "^src/repro/fabric/"; then \
 		echo "bare ProcessPoolExecutor construction found; use repro.fabric.SolveFabric"; \
+		exit 1; \
+	fi
+
+# Every automaton comes out of the store in repro/regex/operations.py:
+# a DFA.from_nfa( or NFA.from_regex( anywhere in src/repro outside
+# repro/regex/ is an uncached compile, and an lru_cache in core/logical.py
+# is a second, private automaton cache (tests/telemetry/test_automaton_lint.py
+# enforces the same rule under pytest).
+lint-automaton:
+	@if grep -rn "DFA\.from_nfa(\|NFA\.from_regex(" src/repro --include="*.py" | grep -v "^src/repro/regex/"; then \
+		echo "automaton built outside repro/regex; use repro.regex.operations.compile_dfa"; \
+		exit 1; \
+	fi
+	@if grep -n "lru_cache" src/repro/core/logical.py; then \
+		echo "private cache in core/logical.py; automata are memoised by repro.regex.operations"; \
 		exit 1; \
 	fi
 

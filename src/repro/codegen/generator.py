@@ -13,7 +13,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.allocation import PathAssignment, RateAllocation
 from ..core.ast import Policy, Statement
-from ..core.sink_tree import SinkTree
+from ..core.sink_tree import SinkTree, egress_switches
 from ..topology.graph import Topology
 from .click import click_for_assignments
 from .instructions import InstructionBundle
@@ -52,9 +52,12 @@ class CodeGenerator:
         queue_allocator = QueueAllocator()
 
         # Best-effort forwarding state: one set of rules per sink tree.
+        ingress_switches = egress_switches(self.topology)
         for root in sorted(sink_trees):
             bundle.openflow.extend(
-                rules_for_sink_tree(self.topology, sink_trees[root], vlans)
+                rules_for_sink_tree(
+                    self.topology, sink_trees[root], vlans, ingress_switches
+                )
             )
 
         # Per-statement guaranteed / path-constrained forwarding state.

@@ -66,9 +66,15 @@ def rules_for_sink_tree(
     topology: Topology,
     tree: SinkTree,
     vlans: VlanAllocator,
+    ingress_switches: Sequence[str],
     statement_id: Optional[str] = None,
 ) -> List[OpenFlowRule]:
-    """Forwarding rules implementing one sink tree."""
+    """Forwarding rules implementing one sink tree.
+
+    ``ingress_switches`` is :func:`~repro.core.sink_tree.egress_switches` of
+    ``topology``: the same for every tree of one bundle, so the caller
+    computes it once.
+    """
     tag = vlans.tag_for_tree(tree.root)
     rules: List[OpenFlowRule] = []
 
@@ -99,12 +105,7 @@ def rules_for_sink_tree(
 
     # Ingress tagging rules: at every edge switch, packets destined to the
     # tree's hosts are tagged as they enter the network.
-    edge_switches = [
-        switch.name
-        for switch in topology.switches()
-        if topology.hosts_on_switch(switch.name)
-    ]
-    for ingress in edge_switches:
+    for ingress in ingress_switches:
         if ingress == tree.root:
             continue
         for host in tree.hosts:

@@ -28,15 +28,13 @@ import collections
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..errors import ProvisioningError
 from ..predicates.sat import forced_equalities
-from ..regex.ast import DOT, Regex, Symbol, concat, star
+from ..regex.ast import Regex
 from ..regex.dfa import DFA
-from ..regex.minimize import minimize
-from ..regex.nfa import NFA
+from ..regex.operations import compile_dfa, compile_pinned_dfa, shortest_accepted
 from ..regex.substitution import functions_used, substitute_functions
 from ..topology.graph import Topology
 from .ast import Statement
@@ -195,8 +193,9 @@ def build_logical_topology(
     )
     rewritten = substitute_functions(statement.path, placements, valid_names)
     if source is not None and destination is not None:
-        rewritten = _pin_endpoints(rewritten, source, destination)
-    automaton = _compiled_automaton(rewritten)
+        automaton = compile_pinned_dfa(rewritten, source, destination)
+    else:
+        automaton = compile_dfa(rewritten, minimal=True)
     live = _live_states(automaton)
     if automaton.start not in live:
         # The language is empty: no physical path can satisfy the statement.
@@ -398,8 +397,6 @@ def _regex_boundary_symbols(
     """First/last mandatory symbols of a path expression, if they are locations."""
     shortest = None
     try:
-        from ..regex.operations import shortest_accepted
-
         shortest = shortest_accepted(path)
     except Exception:  # pragma: no cover - defensive; regexes here are small
         shortest = None
@@ -408,59 +405,6 @@ def _regex_boundary_symbols(
     first = shortest[0] if topology.has_node(shortest[0]) else None
     last = shortest[-1] if topology.has_node(shortest[-1]) else None
     return first, last
-
-
-def _pin_endpoints(expression: Regex, source: str, destination: str) -> Regex:
-    """Intersect the path language with "starts at source, ends at destination".
-
-    Instead of a DFA intersection, the endpoint constraint is expressed as a
-    regex and conjoined structurally: the logical topology uses the DFA of
-    the *intersection*, computed below via the product construction.
-    """
-    endpoints = concat(Symbol(source), star(DOT), Symbol(destination))
-    return _RegexIntersection(expression, endpoints)
-
-
-@dataclass(frozen=True)
-class _RegexIntersection(Regex):
-    """Internal marker node: the intersection of two path languages.
-
-    It never appears in user-facing ASTs; :func:`_build_automaton` recognises
-    it and compiles it with the DFA product construction.  ``NFA.from_regex``
-    cannot handle it, so the logical-topology builder intercepts it first.
-    """
-
-    left: Regex
-    right: Regex
-
-    def children(self):
-        return (self.left, self.right)
-
-    def nullable(self) -> bool:
-        return self.left.nullable() and self.right.nullable()
-
-    def __str__(self) -> str:
-        return f"({self.left}) & ({self.right})"
-
-
-@lru_cache(maxsize=4096)
-def _compiled_automaton(expression: Regex) -> DFA:
-    """The minimized DFA of a path expression, memoized by regex value.
-
-    Regex nodes are frozen dataclasses, so structurally identical
-    expressions hash equal: statements sharing a path-expression shape (the
-    common case in the all-pairs scaling workloads, where every statement
-    carries the same ``.*`` before endpoint pinning) compile their automaton
-    once.  Intersection operands recurse through the cache, so even when the
-    pinned expression is unique per statement the shared unpinned side is
-    reused.  The returned DFA is shared between callers and must be treated
-    as immutable (all DFA consumers here are read-only).
-    """
-    if isinstance(expression, _RegexIntersection):
-        left = _compiled_automaton(expression.left)
-        right = _compiled_automaton(expression.right)
-        return minimize(left.intersect(right))
-    return minimize(DFA.from_nfa(NFA.from_regex(expression)))
 
 
 def _live_states(automaton: DFA) -> FrozenSet[int]:

@@ -65,9 +65,16 @@ class SinkTree:
         return len(self.next_hop) + 1
 
 
-def compute_sink_tree(topology: Topology, root_switch: str) -> SinkTree:
-    """BFS sink tree over the switch-only subgraph, rooted at ``root_switch``."""
-    switches = topology.switch_subgraph()
+def compute_sink_tree(
+    topology: Topology, root_switch: str, switches: Optional[Topology] = None
+) -> SinkTree:
+    """BFS sink tree over the switch-only subgraph, rooted at ``root_switch``.
+
+    ``switches`` is ``topology.switch_subgraph()`` when the caller already
+    holds it (one subgraph serves every root of a topology).
+    """
+    if switches is None:
+        switches = topology.switch_subgraph()
     if not switches.has_node(root_switch):
         raise TopologyError(f"{root_switch!r} is not a switch")
     next_hop: Dict[str, str] = {}
@@ -84,6 +91,15 @@ def compute_sink_tree(topology: Topology, root_switch: str) -> SinkTree:
     return SinkTree(root=root_switch, next_hop=next_hop, hosts=hosts)
 
 
+def egress_switches(topology: Topology) -> List[str]:
+    """The switches with at least one attached host, in topology order."""
+    return [
+        switch.name
+        for switch in topology.switches()
+        if topology.hosts_on_switch(switch.name)
+    ]
+
+
 def compute_sink_trees(
     topology: Topology, roots: Optional[Iterable[str]] = None
 ) -> Dict[str, SinkTree]:
@@ -93,12 +109,9 @@ def compute_sink_trees(
     hosts never need a tree of their own.
     """
     if roots is None:
-        roots = [
-            switch.name
-            for switch in topology.switches()
-            if topology.hosts_on_switch(switch.name)
-        ]
-    return {root: compute_sink_tree(topology, root) for root in roots}
+        roots = egress_switches(topology)
+    switches = topology.switch_subgraph()
+    return {root: compute_sink_tree(topology, root, switches) for root in roots}
 
 
 def host_path(topology: Topology, tree: SinkTree, source_host: str, destination_host: str) -> List[str]:

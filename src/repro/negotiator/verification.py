@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..predicates.ast import Predicate, pred_or
 from ..predicates.sat import covers, find_overlapping_between, implies
-from ..regex.operations import counterexample, included
+from ..regex.ast import Regex
+from ..regex.operations import counterexample
 from ..units import Bandwidth
 from ..core.ast import FMax, FMin, Formula, Policy, Statement, formula_clauses
 
@@ -126,26 +127,33 @@ def verify_refinement(original: Policy, refined: Policy) -> VerificationReport:
                 )
             )
 
-    original_union = pred_or(*[s.predicate for s in original.statements])
-    for candidate in changed_refined:
-        if not implies(candidate.predicate, original_union):
-            violations.append(
-                Violation(
-                    kind="scope",
-                    message=(
-                        f"refined statement {candidate.identifier!r} matches packets "
-                        "outside the delegated policy"
-                    ),
-                    refined_statement=candidate.identifier,
+    if changed_refined:
+        original_union = pred_or(*[s.predicate for s in original.statements])
+        for candidate in changed_refined:
+            if not implies(candidate.predicate, original_union):
+                violations.append(
+                    Violation(
+                        kind="scope",
+                        message=(
+                            f"refined statement {candidate.identifier!r} matches packets "
+                            "outside the delegated policy"
+                        ),
+                        refined_statement=candidate.identifier,
+                    )
                 )
-            )
 
     # --- path-language inclusion on overlapping pairs ----------------------
+    # One question per distinct (refined path, original path) pair: the
+    # witness (or its absence) answers every statement pair of that shape.
+    witnesses: Dict[Tuple[Regex, Regex], Optional[Tuple[str, ...]]] = {}
     for position, statement in enumerate(original.statements):
         for candidate in changed_by_original[position]:
             checked_pairs += 1
-            if not included(candidate.path, statement.path):
-                witness = counterexample(candidate.path, statement.path)
+            shape = (candidate.path, statement.path)
+            if shape not in witnesses:
+                witnesses[shape] = counterexample(*shape)
+            witness = witnesses[shape]
+            if witness is not None:
                 witness_text = (
                     f" (e.g. path {' '.join(witness)})" if witness else ""
                 )

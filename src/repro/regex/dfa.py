@@ -19,7 +19,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .nfa import NFA
+from .nfa import Label, NFA
+
+#: Placeholder witnessing a default transition in a shortest accepted sequence.
+_ANY_SYMBOL = "<any>"
 
 
 @dataclass
@@ -75,8 +78,24 @@ class DFA:
 
     @classmethod
     def from_nfa(cls, nfa: NFA) -> "DFA":
-        """Subset construction, tracking only the NFA's relevant symbols."""
-        start_set = nfa.epsilon_closure({nfa.start})
+        """Subset construction, tracking only the NFA's relevant symbols.
+
+        Every interned subset is epsilon-closed, so a successor subset is
+        the union of the closures of the matching edges' destinations; each
+        NFA state's closure is computed once, on first use.
+        """
+        closures: Dict[int, FrozenSet[int]] = {}
+
+        def closed(destinations: Iterable[int]) -> FrozenSet[int]:
+            parts = []
+            for state in destinations:
+                closure = closures.get(state)
+                if closure is None:
+                    closure = closures[state] = nfa.epsilon_closure((state,))
+                parts.append(closure)
+            return frozenset().union(*parts)
+
+        start_set = closed((nfa.start,))
         index: Dict[FrozenSet[int], int] = {start_set: 0}
         explicit: Dict[int, Dict[str, int]] = {}
         default: Dict[int, int] = {}
@@ -87,26 +106,37 @@ class DFA:
             current_id = index[current]
             if current & nfa.accepts:
                 accepting.add(current_id)
+            edges = [
+                edge for state in current for edge in nfa.transitions.get(state, ())
+            ]
             relevant: Set[str] = set()
-            has_other = False
-            for state in current:
-                for label, _ in nfa.transitions.get(state, ()):
-                    relevant |= label.relevant
-                    has_other = has_other or label.matches_other()
+            mentioning: Dict[str, List[Tuple[Label, int]]] = {}
+            for edge in edges:
+                symbols = edge[0].relevant
+                relevant |= symbols
+                for symbol in symbols:
+                    mentioning.setdefault(symbol, []).append(edge)
             # Default successor: transitions whose label matches a symbol
             # outside every relevant set (i.e., CoLabels).
-            other_targets: Set[int] = set()
-            if has_other:
-                for state in current:
-                    for label, destination in nfa.transitions.get(state, ()):
-                        if label.matches_other():
-                            other_targets.add(destination)
-            default_set = nfa.epsilon_closure(other_targets) if other_targets else frozenset()
+            default_set = closed(
+                {destination for label, destination in edges if label.matches_other()}
+            )
             default_id = _intern(default_set, index, queue)
             default[current_id] = default_id
             table: Dict[str, int] = {}
             for symbol in relevant:
-                successor = nfa.step(current, symbol)
+                # An edge that does not mention the symbol treats it like any
+                # other location, so unless a mentioning edge excludes it the
+                # successor is the default one plus what those edges add.
+                mentions = mentioning[symbol]
+                excluded = any(
+                    label.matches_other() and not label.matches(symbol)
+                    for label, _ in mentions
+                )
+                scanned, base = (edges, frozenset()) if excluded else (mentions, default_set)
+                successor = base | closed(
+                    {destination for label, destination in scanned if label.matches(symbol)}
+                )
                 successor_id = _intern(successor, index, queue)
                 if successor_id != default_id:
                     table[symbol] = successor_id
@@ -186,24 +216,41 @@ class DFA:
 
         Default transitions are witnessed with a fresh placeholder symbol
         (``"<any>"``), representing "any location not explicitly mentioned".
+        Moves are explored in sorted-symbol order with the default last, so
+        the witness does not depend on the process's string hashing.
         """
-        if self.start in self.accepting:
-            return ()
-        visited = {self.start}
-        queue: deque = deque([(self.start, ())])
-        while queue:
-            state, path = queue.popleft()
-            moves: List[Tuple[str, int]] = list(self._explicit.get(state, {}).items())
-            moves.append(("<any>", self._default[state]))
-            for symbol, successor in moves:
-                if successor in visited:
-                    continue
-                next_path = path + (symbol,)
-                if successor in self.accepting:
-                    return next_path
-                visited.add(successor)
-                queue.append((successor, next_path))
-        return None
+
+        def moves(state: int) -> List[Tuple[str, int]]:
+            explicit = sorted(self._explicit.get(state, {}).items())
+            return [*explicit, (_ANY_SYMBOL, self._default[state])]
+
+        return _shortest_witness(self.start, self.accepting.__contains__, moves)
+
+    def shortest_in_product(self, other: "DFA", accept_rule) -> Optional[Tuple[str, ...]]:
+        """What ``self.product(other, accept_rule).shortest_accepted()`` returns.
+
+        The product is explored pair by pair and never materialised: the
+        search stops at the first accepting pair, which for a failed
+        inclusion check is usually a few moves from the start.
+        """
+
+        def accepting(pair: Tuple[int, int]) -> bool:
+            return accept_rule(pair[0] in self.accepting, pair[1] in other.accepting)
+
+        def moves(pair: Tuple[int, int]) -> List[Tuple[str, Tuple[int, int]]]:
+            left, right = pair
+            default_pair = (self._default[left], other._default[right])
+            symbols = set(self._explicit.get(left, ())) | set(other._explicit.get(right, ()))
+            explicit = [
+                (symbol, (self.step(left, symbol), other.step(right, symbol)))
+                for symbol in sorted(symbols)
+            ]
+            return [
+                *(move for move in explicit if move[1] != default_pair),
+                (_ANY_SYMBOL, default_pair),
+            ]
+
+        return _shortest_witness((self.start, other.start), accepting, moves)
 
     def reachable_states(self) -> Set[int]:
         """States reachable from the start state."""
@@ -218,6 +265,27 @@ class DFA:
                     visited.add(successor)
                     queue.append(successor)
         return visited
+
+
+def _shortest_witness(start, accepting, moves) -> Optional[Tuple[str, ...]]:
+    """Breadth-first search for a shortest symbol sequence from ``start`` to
+    a state satisfying ``accepting``; ``moves(state)`` lists ``(symbol,
+    successor)`` in the order they are to be tried."""
+    if accepting(start):
+        return ()
+    visited = {start}
+    queue: deque = deque([(start, ())])
+    while queue:
+        state, path = queue.popleft()
+        for symbol, successor in moves(state):
+            if successor in visited:
+                continue
+            next_path = path + (symbol,)
+            if accepting(successor):
+                return next_path
+            visited.add(successor)
+            queue.append((successor, next_path))
+    return None
 
 
 def _intern(subset: FrozenSet[int], index: Dict[FrozenSet[int], int], queue: deque) -> int:

@@ -272,10 +272,11 @@ def _thompson(nfa: NFA, expression: Regex) -> Tuple[int, int]:
 
 def _thompson_complement(nfa: NFA, operand: Regex) -> Tuple[int, int]:
     """Splice the complement of ``operand`` into ``nfa`` as a fragment."""
-    # Imported here to avoid a circular module dependency (dfa imports nfa).
-    from .dfa import DFA
+    # Imported here to avoid a circular module dependency (operations
+    # imports nfa).
+    from .operations import compile_dfa
 
-    complemented = DFA.from_nfa(NFA.from_regex(operand)).complement()
+    complemented = compile_dfa(operand).complement()
     mapping: Dict[int, int] = {}
     for state in complemented.states():
         mapping[state] = nfa.new_state()

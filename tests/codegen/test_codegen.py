@@ -4,6 +4,7 @@ iptables, Click, and the orchestrating generator."""
 import pytest
 
 from repro.codegen import VlanAllocator
+from repro.codegen.generator import CodeGenerator
 from repro.codegen.click import click_for_assignments
 from repro.codegen.instructions import InstructionBundle, OpenFlowRule
 from repro.codegen.openflow import match_from_predicate, rules_for_path, rules_for_sink_tree
@@ -13,10 +14,11 @@ from repro.codegen.iptables import drop_rule_for_statement
 from repro.errors import CodegenError
 from repro.core import compile_policy, compute_sink_trees
 from repro.core.allocation import PathAssignment, RateAllocation
-from repro.core.ast import Statement
+from repro.core.sink_tree import egress_switches
+from repro.core.ast import Policy, Statement
 from repro.predicates import parse_predicate
 from repro.regex import parse_path_expression
-from repro.topology.generators import figure2_example, single_switch
+from repro.topology.generators import fat_tree, figure2_example, single_switch
 from repro.units import Bandwidth
 from tests.conftest import RUNNING_EXAMPLE_SOURCE
 
@@ -70,12 +72,31 @@ class TestOpenFlow:
         topology = figure2_example()
         trees = compute_sink_trees(topology)
         vlans = VlanAllocator()
-        rules = rules_for_sink_tree(topology, trees["s2"], vlans)
+        rules = rules_for_sink_tree(topology, trees["s2"], vlans, egress_switches(topology))
         switches_with_rules = {rule.switch for rule in rules}
         assert "s1" in switches_with_rules and "s2" in switches_with_rules
         # Egress rule strips the VLAN tag and delivers by MAC.
         egress = [r for r in rules if "strip_vlan" in r.actions]
         assert egress and egress[0].switch == "s2"
+
+    def test_bundle_sink_tree_rules_equal_a_fabric_scan_per_tree(self):
+        """``generate`` finds the edge switches once for all trees; the rules
+        are those of a fresh scan of the fabric for every tree."""
+        whole = fat_tree(4)
+        for topology in (whole, whole.without(links=[("a0_0", "c0_0")], nodes=["a1_1"])):
+            trees = compute_sink_trees(topology)
+            bundle = CodeGenerator(topology).generate(Policy(statements=()), {}, {}, trees)
+            vlans = VlanAllocator()
+            expected = []
+            for root in sorted(trees):
+                scanned = [
+                    switch.name
+                    for switch in topology.switches()
+                    if topology.hosts_on_switch(switch.name)
+                ]
+                expected.extend(rules_for_sink_tree(topology, trees[root], vlans, scanned))
+            assert bundle.openflow == expected
+            assert len({rule.switch for rule in expected if rule.priority == 50}) == len(trees)
 
     def test_path_rules_tag_and_strip(self):
         topology = figure2_example()

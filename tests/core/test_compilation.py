@@ -274,6 +274,18 @@ class TestSinkTrees:
             path = tree.path_from(switch)
             assert path[-1] == tree.root
 
+    def test_trees_from_one_shared_subgraph_equal_one_subgraph_per_root(self, small_fat_tree):
+        degraded = small_fat_tree.without(links=[("a0_0", "c0_0")], nodes=["a1_1"])
+        for topology in (small_fat_tree, degraded):
+            trees = compute_sink_trees(topology)
+            assert list(trees) == [
+                name for name in topology.switch_names() if topology.hosts_on_switch(name)
+            ]
+            for root, tree in trees.items():
+                alone = compute_sink_tree(topology, root)  # builds its own subgraph
+                assert (tree.root, tree.hosts) == (alone.root, alone.hosts)
+                assert list(tree.next_hop.items()) == list(alone.next_hop.items())
+
     def test_trees_only_for_edge_switches(self, small_fat_tree):
         trees = compute_sink_trees(small_fat_tree)
         for root in trees:

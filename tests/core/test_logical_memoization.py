@@ -2,25 +2,35 @@
 
 Statements sharing a (path expression, endpoint pair) shape compile to
 identical product graphs, so the compiler reuses the built graph (rebadged
-under the new statement identifier) and the automaton cache reuses the
+under the new statement identifier) and the automaton store reuses the
 minimized DFA of structurally equal path expressions.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.compiler import MerlinCompiler
-from repro.core.logical import _compiled_automaton, build_logical_topology
+from repro.core.logical import build_logical_topology, infer_endpoints
 from repro.core.parser import parse_policy
+from repro.regex.operations import compile_dfa
 from repro.regex.parser import parse_path_expression
-from repro.topology.generators import figure2_example
+from repro.experiments.policy_builders import (
+    FIGURE4_PLACEMENTS,
+    all_pairs_policy,
+    combination_policy,
+    stanford_with_middleboxes,
+)
+from repro.topology.generators import fat_tree, figure2_example
 from repro.units import Bandwidth
+from tests.reference_automata import reference_minimal, reference_pinned
 
 
 def test_compiled_automaton_is_cached_by_regex_value():
     # Two separately parsed but structurally equal expressions hit the same
-    # cache entry (Regex nodes are frozen dataclasses comparing by value).
-    first = _compiled_automaton(parse_path_expression(".* s1 .*"))
-    second = _compiled_automaton(parse_path_expression(".* s1 .*"))
+    # store entry (Regex nodes are frozen dataclasses comparing by value).
+    first = compile_dfa(parse_path_expression(".* s1 .*"), minimal=True)
+    second = compile_dfa(parse_path_expression(".* s1 .*"), minimal=True)
     assert first is second
 
 
@@ -70,3 +80,47 @@ def test_compile_with_duplicate_shapes_reuses_logical_topology(monkeypatch):
     result = compiler.compile(source)
     assert len(calls) == 1, "the second statement should reuse the memoized build"
     assert result.paths["x"].path == result.paths["y"].path
+
+
+def _built(statement, topology, placements, source=None, destination=None):
+    logical = build_logical_topology(statement, topology, placements, source, destination)
+    return logical.edges, list(logical._by_link), logical.vertices
+
+
+@pytest.mark.parametrize(
+    "topology, placements, policy",
+    [
+        (
+            stanford_with_middleboxes(subnets=6),
+            FIGURE4_PLACEMENTS,
+            lambda topology: combination_policy(topology, guarantee_fraction=0.2),
+        ),
+        (fat_tree(4), {}, lambda topology: all_pairs_policy(topology, max_classes=40)),
+    ],
+    ids=["figure4-campus", "fat-tree-4"],
+)
+def test_store_automata_build_the_product_graphs_the_seed_built(
+    monkeypatch, topology, placements, policy
+):
+    """Edges, their order and the link index of ``G_i`` are what the
+    pre-store pipeline (kept in ``tests/reference_automata.py``) produced,
+    for statements pinned to their endpoints and for unpinned ones."""
+    import repro.core.logical as logical_module
+
+    statements = policy(topology).statements
+    endpoints = [infer_endpoints(statement, topology) for statement in statements]
+    assert all(source and destination for source, destination in endpoints)
+    stored = [
+        (_built(s, topology, placements, *pair), _built(s, topology, placements))
+        for s, pair in zip(statements, endpoints)
+    ]
+    monkeypatch.setattr(
+        logical_module, "compile_dfa", lambda expression, minimal: reference_minimal(expression)
+    )
+    monkeypatch.setattr(logical_module, "compile_pinned_dfa", reference_pinned)
+    seed = [
+        (_built(s, topology, placements, *pair), _built(s, topology, placements))
+        for s, pair in zip(statements, endpoints)
+    ]
+    assert stored == seed
+    assert any(pinned[0] for pinned, _ in stored)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DelegationError, VerificationError
 from repro.core import parse_policy
-from repro.core.ast import formula_clauses
+from repro.core.ast import Policy, Statement, formula_clauses
 from repro.negotiator import (
     AimdAllocator,
     MaxMinFairAllocator,
@@ -15,6 +15,7 @@ from repro.negotiator import (
     verify_refinement,
 )
 from repro.predicates import parse_predicate
+from repro.predicates.ast import FieldTest, pred_and, pred_not, pred_or
 from repro.regex import parse_path_expression
 from repro.units import Bandwidth
 from tests.conftest import DELEGATION_ORIGINAL_SOURCE, DELEGATION_REFINED_SOURCE
@@ -334,3 +335,97 @@ class TestAimdTraceAlignment:
         assert len(aggregate) == len(trace.times)
         # The late joiner contributed nothing before it existed.
         assert all(value == 0.0 for value in trace.series("b")[:4])
+
+
+class TestVerificationAutomata:
+    """Path inclusion asks the automaton store once per distinct pair of
+    path expressions, and a verdict compiles each expression once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        from repro.regex import operations
+        from repro.regex.dfa import DFA
+
+        monkeypatch.setattr(operations, "_STORE", operations.AutomatonStore(4096))
+        counts = {"subset constructions": 0, "products": 0}
+
+        def counted(key, function):
+            def wrapper(*args):
+                counts[key] += 1
+                return function(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            DFA, "from_nfa", staticmethod(counted("subset constructions", DFA.from_nfa))
+        )
+        monkeypatch.setattr(DFA, "product", counted("products", DFA.product))
+        monkeypatch.setattr(
+            DFA, "shortest_in_product", counted("products", DFA.shortest_in_product)
+        )
+        return counts
+
+    @staticmethod
+    def port_partition(ports, path, original_path=".*"):
+        """(one statement for all TCP, one per port plus the rest), the shape
+        of the benchmark's port-partition family."""
+        tcp = FieldTest("ip.proto", 6)
+        statements = [
+            Statement(f"p{port}", pred_and(tcp, FieldTest("tcp.dst", port)), path)
+            for port in ports
+        ]
+        rest = pred_and(tcp, pred_not(pred_or(*[FieldTest("tcp.dst", port) for port in ports])))
+        statements.append(Statement("rest", rest, path))
+        return (
+            Policy(statements=(Statement("all", tcp, parse_path_expression(original_path)),)),
+            Policy(statements=tuple(statements)),
+        )
+
+    def test_port_partition_of_500_statements_needs_two_automata_and_one_product(self, counts):
+        original, refined = self.port_partition(range(1, 501), parse_path_expression(".* s1 .*"))
+        report = verify_refinement(original, refined)
+        assert report.valid and report.checked_pairs == 501
+        assert counts == {"subset constructions": 2, "products": 1}
+
+    def test_port_partition_with_untouched_paths_needs_no_automaton(self, counts):
+        original, refined = self.port_partition(range(1, 501), parse_path_expression(".*"))
+        assert verify_refinement(original, refined).valid
+        assert counts == {"subset constructions": 0, "products": 0}
+
+    @pytest.mark.parametrize("last, valid", [("extra", True), ("other", False)])
+    def test_waypoint_chain_compiles_each_expression_once(self, counts, last, valid):
+        def chain(names):
+            path = parse_path_expression(" ".join([".*", *(f"{name} .*" for name in names)]))
+            return Policy(statements=(Statement("x", FieldTest("ip.proto", 6), path),))
+
+        names = [f"f{i}" for i in range(13)]
+        refined_names = names + [last] if valid else names[:-1] + [last]
+        report = verify_refinement(chain(names), chain(refined_names))
+        assert report.valid == valid
+        assert counts == {"subset constructions": 2, "products": 1}
+        if not valid:
+            assert str(report.violations[0]).endswith(f"(e.g. path {' '.join(refined_names)})")
+
+    def test_every_pair_of_a_rejected_shape_is_reported_in_order(self, counts):
+        original, refined = self.port_partition(
+            range(1, 7), parse_path_expression(".* dpi .*"), original_path=".* log .*"
+        )
+        report = verify_refinement(original, refined)
+        assert not report.valid and report.checked_pairs == 7
+        assert [str(violation) for violation in report.violations] == [
+            f"[path] refined statement {name!r} allows paths not allowed by "
+            "original statement 'all' (e.g. path dpi)"
+            for name in ("p1", "p2", "p3", "p4", "p5", "p6", "rest")
+        ]
+        assert counts == {"subset constructions": 2, "products": 1}
+
+    def test_untouched_policy_builds_no_union_of_the_original_predicates(self, monkeypatch):
+        from repro.negotiator import verification
+
+        def refuse(*predicates):
+            raise AssertionError("pred_or over the original predicates was built")
+
+        monkeypatch.setattr(verification, "pred_or", refuse)
+        source = "[ a : tcp.dst = 80 -> .* ; b : tcp.dst = 22 -> .* ], max(a, {0}Mbps) and max(b, {0}Mbps)"
+        report = verify_refinement(parse_policy(source.format(100)), parse_policy(source.format(50)))
+        assert report.valid and report.checked_pairs == 0 and report.checked_clauses == 2
