@@ -1,6 +1,6 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test check lint-clock lint-pool lint-automaton bench bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
+.PHONY: test check lint-clock lint-pool lint-automaton lint-pipeline bench bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
 
 # Tier-1 verification: the full unit + benchmark suite at quick scale.
 test:
@@ -8,11 +8,12 @@ test:
 
 # CI gate: tier-1 tests plus a byte-compile of the whole source tree
 # (catches syntax errors in modules the suite does not import), the
-# telemetry clock, process-pool and automaton lints, the disabled-overhead guard,
+# telemetry clock, process-pool, automaton and pipeline lints, the
+# disabled-overhead guard,
 # the seeded churn replay (zero session invalidations under failures),
 # and the checkpoint-scale guard (per-delta checkpoint cost stays
 # O(delta) between the 1k and 100k statement populations).
-check: lint-clock lint-pool lint-automaton
+check: lint-clock lint-pool lint-automaton lint-pipeline
 	$(PYTEST) -x -q
 	python -m compileall -q src
 	$(PYTEST) -q benchmarks/test_telemetry_overhead.py
@@ -52,6 +53,23 @@ lint-automaton:
 	fi
 	@if grep -n "lru_cache" src/repro/core/logical.py; then \
 		echo "private cache in core/logical.py; automata are memoised by repro.regex.operations"; \
+		exit 1; \
+	fi
+
+# One provisioning pipeline: the widening solve loop is entered from the
+# incremental engine's resolve() and nowhere else (compile, recompile and
+# provision() all go through the engine), and the legacy-keyword shim and
+# the copying checkpoint stay deleted (tests/fabric/test_pipeline_lint.py
+# enforces the same rule under pytest).
+lint-pipeline:
+	@if grep -rn "solve_components_with_widening(" src/repro --include="*.py" \
+		| grep -v "^src/repro/incremental/engine.py:" \
+		| grep -v "^src/repro/incremental/solve.py:[0-9]*:def "; then \
+		echo "second entry into the solver; go through IncrementalProvisioner.resolve()"; \
+		exit 1; \
+	fi
+	@if grep -rnw "coalesce_options\|_UNSET\|EngineCheckpoint" src/repro --include="*.py"; then \
+		echo "keyword shim or copying checkpoint is back; options travel as ProvisionOptions, transactions as EngineMark"; \
 		exit 1; \
 	fi
 

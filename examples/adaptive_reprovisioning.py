@@ -70,7 +70,6 @@ def main() -> None:
     )
     policy = parse_policy(GLOBAL_POLICY, topology=topology)
     result = compiler.compile(policy)
-    compiler.prepare_incremental()  # pay session setup now, not on the first delta
     show(result, "Initial compile (full MIP)")
 
     root = Negotiator(name="administrator", policy=policy, compiler=compiler)

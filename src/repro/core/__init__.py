@@ -31,7 +31,7 @@ from .options import DEFAULT_FOOTPRINT_SLACK, MAX_WIDENED_SLACK, ProvisionOption
 from .parser import parse_policy
 from .preprocessor import preprocess
 from .provisioning import PathSelectionHeuristic, provision
-from .session import ProvisioningSession, Session
+from .session import ProvisioningSession
 from .sink_tree import SinkTree, compute_sink_tree, compute_sink_trees
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "MAX_WIDENED_SLACK",
     "ProvisionOptions",
     "ProvisioningSession",
-    "Session",
     "LocalRates",
     "localize",
     "LogicalTopology",

@@ -7,22 +7,29 @@ bandwidth allocations (provisioning via the MIP for guaranteed traffic and
 sink trees or product-graph BFS for best-effort traffic), and generating
 low-level instructions for switches, middleboxes, and end hosts.
 
-Beyond the paper's one-shot pipeline, the compiler keeps a *session* of the
-last compile — the preprocessed statements, localized rates, logical
-topologies, and partitioned provisioning solutions — so that subsequent
-policy changes can take the :meth:`MerlinCompiler.recompile` fast path: a
-:class:`~repro.incremental.delta.PolicyDelta` is applied to an
-:class:`~repro.incremental.engine.IncrementalProvisioner` seeded from the
-session, and only the link-disjoint MIP components the delta touched are
-re-solved.  The result is identical to a from-scratch ``compile()`` of the
-updated policy (both paths solve the same canonical component models), at a
-small fraction of the latency — the Figure-10b re-provisioning benchmark
-measures the ratio.
+There is one provisioning pipeline, and it is the *session*: the
+statements, localized rates, logical topologies and best-effort paths of
+the compiled policy, plus the
+:class:`~repro.incremental.engine.IncrementalProvisioner` that holds the
+guaranteed statements and their component solutions.
+:meth:`MerlinCompiler.compile` pre-processes and localizes the whole policy,
+opens an empty session, enters every statement through the same mutators a
+delta uses, and returns what the shared finalize (resolve the engine,
+generate code, package the result) returns.
+:meth:`MerlinCompiler.recompile` applies a
+:class:`~repro.incremental.delta.PolicyDelta` or
+:class:`~repro.incremental.delta.TopologyDelta` to that session inside a
+transaction and ends in the same finalize, which re-solves only the
+link-disjoint MIP components the delta touched.  A recompiled session
+therefore equals a from-scratch ``compile()`` of the updated policy by
+construction, at a small fraction of the latency — the Figure-10b
+re-provisioning benchmark measures the ratio.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -43,16 +50,13 @@ from .allocation import (
 from .ast import Policy, Statement
 from .localization import LocalRates, localize, localized_formula
 from .logical import LogicalTopology, build_logical_topology, infer_endpoints
-from .options import _UNSET, ProvisionOptions, coalesce_options
+from .options import ProvisionOptions
+from ..incremental.delta import TopologyDelta
+from ..incremental.engine import IncrementalProvisioner
 from ..incremental.journal import UndoJournal
 from .parser import parse_policy
 from .preprocessor import DEFAULT_STATEMENT_ID, preprocess
-from .provisioning import (
-    DEFAULT_FOOTPRINT_SLACK,
-    PathSelectionHeuristic,
-    ProvisioningResult,
-    provision,
-)
+from .provisioning import PathSelectionHeuristic, _assign_functions
 from .sink_tree import compute_sink_trees
 
 
@@ -63,36 +67,48 @@ def _is_unconstrained_path(path: Regex) -> bool:
 
 @dataclass
 class _CompilerSession:
-    """The live state carried from one compile to subsequent recompiles.
+    """The live state of the compiled policy: what every compile fills and
+    every recompile edits.
 
     Transactions are undo-journal based (see
-    ``repro.incremental.journal``): every mutation the recompile pipeline
-    performs on the session flows through ``self.journal`` so
-    :meth:`checkpoint` is O(1) and :meth:`restore` replays only the
-    entries the transaction touched.  The ``logical_cache`` is the one
-    deliberate exception — it is a pure content-addressed memo (key
-    determines value), so stale-free by construction and exempt from
-    exact rollback; the topology-delta path *rebinds* it (journaled), it
-    is never required to match a never-failed session entry-for-entry.
+    ``repro.incremental.journal``): every mutation the pipeline performs on
+    the session flows through ``self.journal`` so :meth:`checkpoint` is
+    O(1) and :meth:`restore` replays only the entries the transaction
+    touched.  The ``logical_cache`` is the one deliberate exception — it is
+    a pure content-addressed memo (key determines value), so stale-free by
+    construction and exempt from exact rollback; the topology-delta path
+    *rebinds* it (journaled), it is never required to match a never-failed
+    session entry-for-entry.
     """
 
-    statements: Dict[str, Statement]
-    local_rates: Dict[str, LocalRates]
-    endpoints: Dict[str, Tuple[Optional[str], Optional[str]]]
-    logical_cache: Dict[
-        Tuple[Regex, Optional[str], Optional[str]], LogicalTopology
-    ]
-    guaranteed_logical: Dict[str, LogicalTopology]
-    best_effort_paths: Dict[str, PathAssignment]
-    sink_trees: Dict
-    infeasible: List[str]
-    provisioning: ProvisioningResult
+    #: The provisioning engine holding the guaranteed statements; created
+    #: with the session, before the first statement enters.
+    engine: IncrementalProvisioner
     #: The topology the session currently compiles against: the compiler's
     #: pristine topology minus the failed elements below.  Every logical
-    #: build, endpoint inference, sink tree, and generated instruction of a
-    #: recompile uses this, so session results stay identical to a
-    #: from-scratch compile on the degraded network.
-    active_topology: Optional[Topology] = None
+    #: build, endpoint inference, sink tree, and generated instruction
+    #: uses this, so session results stay identical to a from-scratch
+    #: compile on the degraded network.
+    active_topology: Topology
+    #: Whether the session's "default" statement is the preprocessor's
+    #: generated catch-all (as opposed to a user-authored statement that
+    #: happens to carry that identifier).
+    generated_default: bool = False
+    statements: Dict[str, Statement] = field(default_factory=dict)
+    local_rates: Dict[str, LocalRates] = field(default_factory=dict)
+    endpoints: Dict[str, Tuple[Optional[str], Optional[str]]] = field(
+        default_factory=dict
+    )
+    #: Product graphs memoized on the statement's (path expression,
+    #: endpoint pair) shape: statements sharing that shape produce identical
+    #: product graphs on one topology, so duplicates reuse the built graph.
+    logical_cache: Dict[
+        Tuple[Regex, Optional[str], Optional[str]], LogicalTopology
+    ] = field(default_factory=dict)
+    guaranteed_logical: Dict[str, LogicalTopology] = field(default_factory=dict)
+    best_effort_paths: Dict[str, PathAssignment] = field(default_factory=dict)
+    sink_trees: Dict = field(default_factory=dict)
+    infeasible: List[str] = field(default_factory=list)
     failed_links: frozenset = frozenset()
     failed_nodes: frozenset = frozenset()
     #: Per-statement physical-link footprint of the *untightened* product
@@ -102,11 +118,6 @@ class _CompilerSession:
     #: statement whose pristine footprint intersects the changed links —
     #: the exact test the topology-delta path uses to skip rebuilds.
     base_footprints: Dict[str, frozenset] = field(default_factory=dict)
-    engine: Optional[object] = None  # IncrementalProvisioner, created lazily
-    #: Whether the session's "default" statement is the preprocessor's
-    #: generated catch-all (as opposed to a user-authored statement that
-    #: happens to carry that identifier).
-    generated_default: bool = False
     #: Monotonic per-statement sequence stamps.  Statement *order* is
     #: behaviorally visible (codegen allocates VLANs/queues in policy
     #: order), but journaled rollback restores dict *contents*, not
@@ -117,7 +128,7 @@ class _CompilerSession:
     next_seq: int = 0
     #: The last committed CompilationResult — what an empty/no-op delta
     #: returns without opening a transaction or touching the solver.
-    last_result: Optional[object] = None
+    last_result: Optional[CompilationResult] = None
     journal: UndoJournal = field(default_factory=UndoJournal, repr=False)
 
     def stamp(self, identifier: str) -> None:
@@ -132,32 +143,21 @@ class _CompilerSession:
     def checkpoint(self) -> "_SessionToken":
         """Open a transaction: O(1) marks on the session and engine journals."""
         return _SessionToken(
-            mark=self.journal.mark(),
-            engine_mark=(
-                self.engine.checkpoint() if self.engine is not None else None
-            ),
+            mark=self.journal.mark(), engine_mark=self.engine.checkpoint()
         )
 
     def restore(self, saved: "_SessionToken") -> None:
-        """Roll the session (and its engine) back to a :meth:`checkpoint`.
+        """Roll the session and its engine back to a :meth:`checkpoint`.
 
-        Replays O(changes since the checkpoint) undo entries.  An engine
-        created *inside* the transaction (no engine existed at checkpoint
-        time) is discarded wholesale — it is rebuilt lazily, and its
-        bookkeeping was derived from session state that just rolled back.
+        Replays O(changes since the checkpoint) undo entries.
         """
         self.journal.rollback(saved.mark)
-        if self.engine is not None:
-            if saved.engine_mark is None:
-                self.engine = None
-            else:
-                self.engine.restore(saved.engine_mark)
+        self.engine.restore(saved.engine_mark)
 
     def release(self, saved: "_SessionToken") -> None:
         """Commit: drop the marks and truncate unreachable journal entries."""
         self.journal.release(saved.mark)
-        if saved.engine_mark is not None and self.engine is not None:
-            self.engine.release(saved.engine_mark)
+        self.engine.release(saved.engine_mark)
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class _SessionToken:
     """An O(1) transaction token over a :class:`_CompilerSession`."""
 
     mark: object  # JournalMark into the session's journal
-    engine_mark: Optional[object]  # EngineMark, when an engine existed
+    engine_mark: object  # EngineMark into the engine's journal
 
 
 @dataclass
@@ -184,14 +184,10 @@ class MerlinCompiler:
     layer (``options.fabric`` worker pool, ``options.component_cache``
     content-addressed solution cache — :mod:`repro.fabric`) — live in a
     single :class:`~repro.core.options.ProvisionOptions` passed as
-    ``options`` and forwarded unchanged to :func:`provision` and the
-    incremental engine, so ``compile()`` and ``recompile()`` provably solve
-    under the same configuration, on the same worker pool, against the
-    same cache.  The legacy ``solver`` / ``max_solver_workers`` /
-    ``footprint_slack`` keyword arguments still work (they override the
-    corresponding option and emit :class:`DeprecationWarning`); after
-    construction the three attributes are re-bound to the resolved values,
-    so existing readers keep working.
+    ``options`` (``None`` means the defaults).  Each :meth:`compile` hands
+    it to the session's engine, which every later :meth:`recompile` of that
+    session solves through: one configuration, one worker pool, one cache
+    per session.
     """
 
     topology: Topology
@@ -202,36 +198,21 @@ class MerlinCompiler:
     generate_code: bool = True
     localization_weights: Optional[Mapping[str, float]] = None
     options: Optional[ProvisionOptions] = None
-    solver: Optional[object] = _UNSET
-    max_solver_workers: int = _UNSET
-    footprint_slack: Optional[int] = _UNSET
     _session: Optional[_CompilerSession] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self) -> None:
-        resolved = coalesce_options(
-            self.options,
-            owner="MerlinCompiler",
-            stacklevel=4,
-            solver=self.solver,
-            max_workers=self.max_solver_workers,
-            footprint_slack=self.footprint_slack,
-        )
-        self.options = resolved
-        self.solver = resolved.backend()
-        self.max_solver_workers = resolved.max_workers
-        self.footprint_slack = resolved.footprint_slack
 
     def compile(self, policy: Union[str, Policy]) -> CompilationResult:
         """Compile a policy (source text or AST) into a :class:`CompilationResult`.
 
         With a telemetry recorder active (``repro.telemetry``), the
         compile emits one trace: a root ``compile`` span with
-        ``logical_construction``, per-round ``partition``, per-component
-        ``component_solve`` (adopted from pool workers, backend name
-        attached), ``rateless``, and ``codegen`` children.  The reported
-        ``statistics.total_seconds`` *is* the root span's duration.
+        ``logical_construction`` / ``rateless`` (one per run of guaranteed /
+        best-effort statements in policy order), ``resolve`` with its
+        per-round ``partition`` and per-component ``component_solve``
+        (adopted from pool workers, backend name attached), and
+        ``codegen`` children.  The reported ``statistics.total_seconds``
+        *is* the root span's duration.
         """
         with telemetry.span("compile") as compile_span:
             result = self._compile(policy, compile_span)
@@ -241,7 +222,8 @@ class MerlinCompiler:
     def _compile(self, policy: Union[str, Policy], compile_span) -> CompilationResult:
         # A failed compile must not leave the previous compile's session
         # behind: recompile() against a policy the caller has since replaced
-        # would silently mix the two.
+        # would silently mix the two.  The new session is published only
+        # once it has produced its result.
         self._session = None
         if isinstance(policy, str):
             policy = parse_policy(policy, topology=self.topology)
@@ -252,167 +234,49 @@ class MerlinCompiler:
         preprocessed = preprocess_result.policy
         local_rates = localize(preprocessed, weights=self.localization_weights)
 
-        endpoints: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
-        for statement in preprocessed.statements:
-            endpoints[statement.identifier] = infer_endpoints(statement, self.topology)
-
-        guaranteed = [
-            statement
-            for statement in preprocessed.statements
-            if local_rates[statement.identifier].is_guaranteed
-        ]
-        best_effort = [
-            statement
-            for statement in preprocessed.statements
-            if not local_rates[statement.identifier].is_guaranteed
-        ]
-
-        # Logical topologies are memoized per compile on the statement's
-        # (path expression, endpoint pair) shape: statements sharing that
-        # shape produce identical product graphs (the topology and function
-        # placements are fixed for the whole compile), so duplicates reuse
-        # the built graph instead of recompiling the automaton and re-running
-        # the product construction.
-        logical_cache: Dict[
-            Tuple[Regex, Optional[str], Optional[str]], "LogicalTopology"
-        ] = {}
-
-        # --- Guaranteed traffic: logical topologies + MIP (§3.2) -------------
-        lp_construction_seconds = 0.0
-        with telemetry.span(
-            "logical_construction", statements=len(guaranteed)
-        ) as construction_span:
-            logical_topologies = {}
-            base_footprints: Dict[str, frozenset] = {}
-            for statement in guaranteed:
-                source, destination = endpoints[statement.identifier]
-                if source is None or destination is None:
-                    raise ProvisioningError(
-                        f"statement {statement.identifier!r} requests a bandwidth "
-                        "guarantee but its source/destination hosts cannot be "
-                        "determined from its predicate or path expression"
-                    )
-                logical = self._logical_for(
-                    logical_cache, statement, source, destination
-                )
-                logical_topologies[statement.identifier] = logical
-                base_footprints[statement.identifier] = frozenset(
-                    logical.physical_links_used()
-                )
-        lp_construction_seconds += construction_span.duration
-
-        provisioning = provision(
-            guaranteed,
-            logical_topologies,
-            local_rates,
-            self.topology,
-            self.placements,
-            heuristic=self.heuristic,
-            options=self.options,
-        )
-        lp_construction_seconds += provisioning.lp_construction_seconds
-
-        paths: Dict[str, PathAssignment] = dict(provisioning.paths)
-        infeasible: List[str] = []
-
-        # --- Best-effort traffic: sink trees and product-graph BFS (§3.3) ----
-        with telemetry.span(
-            "rateless", statements=len(best_effort)
-        ) as rateless_span:
-            best_effort_paths: Dict[str, PathAssignment] = {}
-            needs_sink_trees = any(
-                _is_unconstrained_path(statement.path) for statement in best_effort
-            )
-            sink_trees = compute_sink_trees(self.topology) if needs_sink_trees else {}
-            for statement in best_effort:
-                if _is_unconstrained_path(statement.path):
-                    continue
-                source, destination = endpoints[statement.identifier]
-                logical = self._logical_for(logical_cache, statement, source, destination)
-                base_footprints[statement.identifier] = frozenset(
-                    logical.physical_links_used()
-                )
-                assignment = self._best_effort_assignment(statement, logical)
-                if assignment is None:
-                    infeasible.append(statement.identifier)
-                    continue
-                best_effort_paths[statement.identifier] = assignment
-            paths.update(best_effort_paths)
-        rateless_seconds = rateless_span.duration
-
-        rates = {
-            identifier: RateAllocation.from_local_rates(local)
-            for identifier, local in local_rates.items()
-        }
-
-        # --- Code generation (§3.4) -------------------------------------------
-        codegen_seconds = 0.0
-        instructions = None
-        if self.generate_code:
-            with telemetry.span("codegen") as codegen_span:
-                instructions = CodeGenerator(topology=self.topology).generate(
-                    preprocessed,
-                    paths,
-                    rates,
-                    sink_trees,
-                    endpoints=endpoints,
-                    infeasible_statements=tuple(infeasible),
-                )
-            codegen_seconds = codegen_span.duration
-
-        compile_span.annotate(
-            statements=len(preprocessed.statements),
-            guaranteed=len(guaranteed),
-        )
-        statistics = CompilationStatistics(
-            lp_construction_seconds=lp_construction_seconds,
-            lp_solve_seconds=provisioning.lp_solve_seconds,
-            rateless_seconds=rateless_seconds,
-            codegen_seconds=codegen_seconds,
-            # Span-derived: compile() overwrites this with the root
-            # ``compile`` span's duration once the span closes.
-            total_seconds=0.0,
-            num_statements=len(preprocessed.statements),
-            num_guaranteed_statements=len(guaranteed),
-            num_mip_variables=provisioning.num_variables,
-            num_mip_constraints=provisioning.num_constraints,
-        )
-        statistics.record_provisioning(provisioning)
-
-        self._session = _CompilerSession(
-            statements={
-                statement.identifier: statement
-                for statement in preprocessed.statements
-            },
-            local_rates=dict(local_rates),
-            endpoints=endpoints,
-            logical_cache=logical_cache,
-            guaranteed_logical=logical_topologies,
-            best_effort_paths=best_effort_paths,
-            sink_trees=sink_trees,
-            infeasible=infeasible,
-            provisioning=provisioning,
+        session = _CompilerSession(
+            engine=IncrementalProvisioner(
+                self.topology,
+                self.placements,
+                heuristic=self.heuristic,
+                options=self.options,
+            ),
             active_topology=self.topology,
-            base_footprints=base_footprints,
             generated_default=preprocess_result.added_default,
-            seq={
-                statement.identifier: index
-                for index, statement in enumerate(preprocessed.statements)
-            },
-            next_seq=len(preprocessed.statements),
         )
+        # Statements enter in policy order (the sequence stamps drive
+        # VLAN/queue allocation); the guaranteed / best-effort split is
+        # only how the time is booked (§3.2 vs §3.3, Figure 7's columns).
+        seconds = {True: 0.0, False: 0.0}
+        for is_guaranteed, run in itertools.groupby(
+            preprocessed.statements,
+            key=lambda statement: local_rates[statement.identifier].is_guaranteed,
+        ):
+            run = tuple(run)
+            with telemetry.span(
+                "logical_construction" if is_guaranteed else "rateless",
+                statements=len(run),
+            ) as run_span:
+                for statement in run:
+                    self._add_statement(
+                        session, statement, local_rates[statement.identifier]
+                    )
+            seconds[is_guaranteed] += run_span.duration
+        with telemetry.span("rateless") as sink_tree_span:
+            self._refresh_sink_trees(session)
+        seconds[False] += sink_tree_span.duration
 
-        result = CompilationResult(
+        result = self._finalize(
+            session,
+            rateless_seconds=seconds[False],
+            logical_seconds=seconds[True],
             policy=preprocessed,
-            paths=paths,
-            rates=rates,
-            sink_trees=sink_trees,
-            instructions=instructions,
-            statistics=statistics,
-            link_reservations=provisioning.link_reservations,
         )
-        result.attach_link_capacities(self._link_capacities())
-        self._session.last_result = result
+        compile_span.annotate(
+            statements=result.statistics.num_statements,
+            guaranteed=result.statistics.num_guaranteed_statements,
+        )
+        self._session = session
         return result
 
     # -- the incremental fast path ------------------------------------------------
@@ -424,7 +288,7 @@ class MerlinCompiler:
         membership / rate changes) or a
         :class:`~repro.incremental.delta.TopologyDelta` (link and node
         failures / recoveries, dispatched to the topology path below).
-        Requires a prior :meth:`compile` (whose session seeds the engine);
+        Requires a prior :meth:`compile` (which opened the session);
         re-solves only the link-disjoint MIP components the delta touches
         and returns a full :class:`CompilationResult` for the updated
         policy whose paths, rates, link reservations, and instructions are
@@ -456,8 +320,6 @@ class MerlinCompiler:
             raise ProvisioningError(
                 "recompile() requires a prior compile(); no session is active"
             )
-        from ..incremental.delta import TopologyDelta
-
         if delta.is_empty():
             # No-op delta: nothing to validate, solve, or regenerate — and
             # nothing to protect, so no transaction is opened and the undo
@@ -480,24 +342,29 @@ class MerlinCompiler:
         ) as recompile_span:
             session = self._session
             prepared_adds = self._validate_delta(session, delta)
-            engine = self._ensure_engine(session)
             saved = session.checkpoint()
             telemetry.gauge("journal_depth", len(session.journal))
 
-            rateless_seconds = 0.0
             try:
                 for identifier in delta.remove:
-                    self._remove_statement(session, engine, identifier)
+                    self._remove_statement(session, identifier)
                 with telemetry.span("rateless") as rateless_span:
                     for added in prepared_adds:
-                        self._add_statement(session, engine, added)
+                        self._add_statement(
+                            session,
+                            added.statement,
+                            LocalRates(
+                                identifier=added.statement.identifier,
+                                guarantee=added.guarantee,
+                                cap=added.cap,
+                            ),
+                        )
                     for update in delta.update_rates:
-                        self._update_rates(session, engine, update)
+                        self._update_rates(session, update)
                     if delta.remove or delta.add:
                         self._refresh_catch_all(session)
                     self._refresh_sink_trees(session)
-                rateless_seconds += rateless_span.duration
-                result = self._finalize_recompile(session, rateless_seconds)
+                result = self._finalize(session, rateless_span.duration)
             except Exception:
                 # The delta was already applied to the session/engine when the
                 # failure surfaced (an infeasible solve, a code-generation
@@ -552,7 +419,7 @@ class MerlinCompiler:
             statistics=statistics,
             link_reservations=last.link_reservations,
         )
-        result.attach_link_capacities(self._link_capacities(self._active(session)))
+        result.attach_link_capacities(self._link_capacities(session.active_topology))
         return result
 
     def _recompile_topology(self, delta) -> CompilationResult:
@@ -580,7 +447,6 @@ class MerlinCompiler:
 
     def _recompile_topology_in_span(self, delta, recompile_span) -> CompilationResult:
         session = self._session
-        engine = self._ensure_engine(session)
         self._validate_topology_delta(session, delta)
         saved = session.checkpoint()
         telemetry.gauge("journal_depth", len(session.journal))
@@ -607,10 +473,8 @@ class MerlinCompiler:
                 # entries added to the fresh dict inside this transaction are
                 # simply discarded with it.
                 journal.set_attr(session, "logical_cache", {})
-                engine.set_topology(active)
-                self._rebuild_affected(
-                    session, engine, active, self._changed_links(delta)
-                )
+                session.engine.set_topology(active)
+                self._rebuild_affected(session, self._changed_links(delta))
                 if session.sink_trees:
                     # Population unchanged, so *whether* sink trees are
                     # needed is unchanged — but their routes must follow
@@ -618,7 +482,7 @@ class MerlinCompiler:
                     journal.set_attr(
                         session, "sink_trees", compute_sink_trees(active)
                     )
-            result = self._finalize_recompile(session, rateless_span.duration)
+            result = self._finalize(session, rateless_span.duration)
         except Exception:
             # Same transaction discipline as the policy path; the engine
             # journal recorded set_topology(), so restore() also reverts it.
@@ -687,9 +551,9 @@ class MerlinCompiler:
                 changed.add(tuple(sorted((name, neighbor))))
         return frozenset(changed)
 
-    def _rebuild_affected(self, session, engine, active, changed) -> None:
+    def _rebuild_affected(self, session, changed) -> None:
         """Rebuild the product graphs whose pristine footprint intersects
-        ``changed`` links, against the ``active`` topology.
+        ``changed`` links, against the session's (new) active topology.
 
         Guaranteed statements whose rebuilt edge set differs replace their
         logical in the engine (revision bump → affected components
@@ -708,10 +572,7 @@ class MerlinCompiler:
             if statement is None:
                 continue
             source, destination = session.endpoints[identifier]
-            logical = self._logical_for(
-                session.logical_cache, statement, source, destination,
-                topology=active,
-            )
+            logical = self._logical_for(session, statement, source, destination)
             if session.local_rates[identifier].is_guaranteed:
                 if logical.num_edges() == 0:
                     raise ProvisioningError(
@@ -725,10 +586,10 @@ class MerlinCompiler:
                 session.journal.set_item(
                     session.guaranteed_logical, identifier, logical
                 )
-                engine.replace_logical(identifier, logical)
+                session.engine.replace_logical(identifier, logical)
             else:
                 assignment = self._best_effort_assignment(
-                    statement, logical, topology=active
+                    statement, logical, session.active_topology
                 )
                 session.journal.del_item(session.best_effort_paths, identifier)
                 if identifier in session.infeasible:
@@ -740,18 +601,25 @@ class MerlinCompiler:
                         session.best_effort_paths, identifier, assignment
                     )
 
-    def _finalize_recompile(
-        self, session, rateless_seconds: float
+    def _finalize(
+        self,
+        session,
+        rateless_seconds: float,
+        logical_seconds: float = 0.0,
+        policy: Optional[Policy] = None,
     ) -> CompilationResult:
-        """Solve, regenerate, and package the post-delta result.
+        """Solve, generate code, and package the session's result.
 
-        The shared tail of the policy- and topology-delta paths; runs
-        inside the caller's transaction try-block, so a raise here (an
-        infeasible solve, a codegen error) triggers the rollback.
+        The shared tail of the compile, policy-delta and topology-delta
+        paths, and the one place session state becomes a
+        :class:`CompilationResult`.  The delta paths call it inside their
+        transaction try-block, so a raise here (an infeasible solve, a
+        codegen error) triggers the rollback.  ``policy`` is the
+        pre-processed policy a compile entered; without one the policy is
+        rebuilt from the session, with the *localized* formula.
         """
-        active = session.active_topology or self.topology
+        active = session.active_topology
         provisioning = session.engine.resolve()
-        session.journal.set_attr(session, "provisioning", provisioning)
 
         paths: Dict[str, PathAssignment] = dict(provisioning.paths)
         paths.update(session.best_effort_paths)
@@ -766,12 +634,13 @@ class MerlinCompiler:
             )
             for identifier in ordered
         }
-        policy = Policy(
-            statements=tuple(session.statements[i] for i in ordered),
-            formula=localized_formula(
-                {i: session.local_rates[i] for i in ordered}
-            ),
-        )
+        if policy is None:
+            policy = Policy(
+                statements=tuple(session.statements[i] for i in ordered),
+                formula=localized_formula(
+                    {i: session.local_rates[i] for i in ordered}
+                ),
+            )
 
         codegen_seconds = 0.0
         instructions = None
@@ -793,12 +662,14 @@ class MerlinCompiler:
             if local.is_guaranteed
         ]
         statistics = CompilationStatistics(
-            lp_construction_seconds=provisioning.lp_construction_seconds,
+            lp_construction_seconds=(
+                logical_seconds + provisioning.lp_construction_seconds
+            ),
             lp_solve_seconds=provisioning.lp_solve_seconds,
             rateless_seconds=rateless_seconds,
             codegen_seconds=codegen_seconds,
-            # Span-derived: the recompile paths overwrite this with the
-            # ``recompile`` span's duration once the span closes.
+            # Span-derived: the callers overwrite this with their root
+            # ``compile`` / ``recompile`` span's duration once it closes.
             total_seconds=0.0,
             num_statements=len(session.statements),
             num_guaranteed_statements=len(guaranteed),
@@ -826,7 +697,8 @@ class MerlinCompiler:
         return self._session is not None
 
     def session(self):
-        """A :class:`~repro.core.session.Session` facade over the live session.
+        """A :class:`~repro.core.session.ProvisioningSession` facade over the
+        live session.
 
         Requires a prior :meth:`compile`.  The facade is the supported
         surface for callers that stream changes — scenario drivers, the
@@ -835,13 +707,13 @@ class MerlinCompiler:
         engine internals.  It can be used as a context manager; several
         facades over one compiler share the same underlying session.
         """
-        from .session import Session
+        from .session import ProvisioningSession
 
         if self._session is None:
             raise ProvisioningError(
                 "session() requires a prior compile(); no session is active"
             )
-        return Session(self)
+        return ProvisioningSession(self)
 
     def session_statement(self, identifier: str) -> Optional[Statement]:
         """The active session's current statement for ``identifier``.
@@ -868,61 +740,22 @@ class MerlinCompiler:
         return self._session.local_rates.get(identifier)
 
     def prepare_incremental(self) -> None:
-        """Eagerly build the incremental engine for the active session.
-
-        ``recompile`` creates the engine lazily on first use; long-running
-        controllers call this once after :meth:`compile` so the statement
-        bookkeeping and the seeding of the component-solution cache are
-        paid at session setup rather than inside the first delta's latency.
-        Session setup no longer builds the spliced live model at all — the
-        engine materializes it lazily, only if ``solve_live()`` (the
-        splice-equivalence oracle) is ever called.
-        """
+        """A checked no-op: ``compile()`` returns with the engine populated."""
         if self._session is None:
             raise ProvisioningError(
                 "prepare_incremental() requires a prior compile()"
             )
-        self._ensure_engine(self._session)
 
     # -- session internals ----------------------------------------------------------
 
-    def _active(self, session: _CompilerSession) -> Topology:
-        """The topology the session currently compiles against."""
-        return session.active_topology or self.topology
-
-    def _ensure_engine(self, session: _CompilerSession):
-        if session.engine is None:
-            from ..incremental.engine import IncrementalProvisioner
-
-            engine = IncrementalProvisioner(
-                self._active(session),
-                self.placements,
-                heuristic=self.heuristic,
-                options=self.options,
-            )
-            for identifier, logical in session.guaranteed_logical.items():
-                local = session.local_rates[identifier]
-                engine.add_statement(
-                    session.statements[identifier],
-                    local.guarantee,
-                    cap=local.cap,
-                    logical=logical,
-                )
-            engine.prime(
-                session.provisioning.partition_solutions,
-                infeasible=session.provisioning.infeasible_components,
-            )
-            session.engine = engine
-        return session.engine
-
-    def _remove_statement(self, session, engine, identifier: str) -> None:
+    def _remove_statement(self, session, identifier: str) -> None:
         if identifier not in session.statements:
             raise ProvisioningError(
                 f"cannot remove unknown statement {identifier!r}"
             )
         journal = session.journal
-        if engine.has_statement(identifier):
-            engine.remove_statement(identifier)
+        if session.engine.has_statement(identifier):
+            session.engine.remove_statement(identifier)
             journal.del_item(session.guaranteed_logical, identifier)
         journal.del_item(session.statements, identifier)
         journal.del_item(session.local_rates, identifier)
@@ -933,17 +766,15 @@ class MerlinCompiler:
         if identifier in session.infeasible:
             journal.list_remove(session.infeasible, identifier)
 
-    def _add_statement(self, session, engine, added) -> None:
-        statement = added.statement
+    def _add_statement(self, session, statement, local: LocalRates) -> None:
+        """Enter one pre-processed statement — the unit both a compile (once
+        per policy statement) and a delta's ``add`` are made of."""
         identifier = statement.identifier
         if identifier in session.statements:
             raise ProvisioningError(
                 f"statement {identifier!r} already exists; remove it first "
                 "(a changed statement appears in both remove and add)"
             )
-        local = LocalRates(
-            identifier=identifier, guarantee=added.guarantee, cap=added.cap
-        )
         journal = session.journal
         journal.set_item(session.statements, identifier, statement)
         session.stamp(identifier)
@@ -951,20 +782,14 @@ class MerlinCompiler:
         journal.set_item(
             session.endpoints,
             identifier,
-            infer_endpoints(statement, self._active(session)),
+            infer_endpoints(statement, session.active_topology),
         )
         if local.is_guaranteed:
-            self._enter_guaranteed(session, engine, statement, local)
+            self._enter_guaranteed(session, statement, local)
         else:
             self._enter_best_effort(session, statement)
-            if not _is_unconstrained_path(statement.path):
-                journal.set_item(
-                    session.base_footprints,
-                    identifier,
-                    self._base_footprint(session, statement),
-                )
 
-    def _update_rates(self, session, engine, update) -> None:
+    def _update_rates(self, session, update) -> None:
         identifier = update.identifier
         if identifier not in session.statements:
             raise ProvisioningError(
@@ -974,25 +799,26 @@ class MerlinCompiler:
         local = LocalRates(
             identifier=identifier, guarantee=update.guarantee, cap=update.cap
         )
+        engine = session.engine
         was_guaranteed = engine.has_statement(identifier)
         session.journal.set_item(session.local_rates, identifier, local)
         if local.is_guaranteed and was_guaranteed:
             engine.update_rates(identifier, local.guarantee, cap=local.cap)
         elif local.is_guaranteed and not was_guaranteed:
             # Promoted from best-effort: enters the MIP.
-            self._enter_guaranteed(session, engine, statement, local)
+            self._enter_guaranteed(session, statement, local)
         elif not local.is_guaranteed and was_guaranteed:
             # Demoted to best-effort: leaves the MIP.
             engine.remove_statement(identifier)
             session.journal.del_item(session.guaranteed_logical, identifier)
             self._enter_best_effort(session, statement)
 
-    def _enter_guaranteed(self, session, engine, statement, local) -> None:
+    def _enter_guaranteed(self, session, statement, local) -> None:
         """Put a guarantee-bearing statement into the MIP.
 
-        Shared by adds and promotions; ``_validate_delta`` already proved
-        the statement provisionable (endpoints inferable, logical topology
-        non-empty), so the raise here only guards direct misuse.
+        Shared by adds and promotions.  A delta's ``_validate_delta``
+        already proved the statement provisionable; a compile finds out
+        here (endpoints) and in ``engine.add_statement`` (empty product).
         """
         identifier = statement.identifier
         source, destination = session.endpoints[identifier]
@@ -1002,23 +828,12 @@ class MerlinCompiler:
                 "but its source/destination hosts cannot be determined "
                 "from its predicate or path expression"
             )
-        logical = self._logical_for(
-            session.logical_cache, statement, source, destination,
-            topology=self._active(session),
-        )
+        logical = self._logical_for(session, statement, source, destination)
         journal = session.journal
         journal.set_item(session.guaranteed_logical, identifier, logical)
         journal.del_item(session.best_effort_paths, identifier)
-        if identifier not in session.base_footprints:
-            # Adds record their footprint up front; this covers promotions
-            # of unconstrained best-effort statements (never tracked —
-            # sink trees serve them) into the MIP.
-            journal.set_item(
-                session.base_footprints,
-                identifier,
-                self._base_footprint(session, statement),
-            )
-        engine.add_statement(
+        self._record_base_footprint(session, statement, logical)
+        session.engine.add_statement(
             statement, local.guarantee, cap=local.cap, logical=logical
         )
 
@@ -1026,19 +841,18 @@ class MerlinCompiler:
         """Record a best-effort statement's path assignment, if any.
 
         Unconstrained paths are served by sink trees (refreshed centrally
-        after the delta applies); constrained ones take the shortest path
-        through their logical topology or are marked infeasible.
+        once the statements are in); constrained ones take the shortest
+        path through their logical topology or are marked infeasible.
         """
         if _is_unconstrained_path(statement.path):
             return
         identifier = statement.identifier
         source, destination = session.endpoints[identifier]
-        active = self._active(session)
-        logical = self._logical_for(
-            session.logical_cache, statement, source, destination,
-            topology=active,
+        logical = self._logical_for(session, statement, source, destination)
+        self._record_base_footprint(session, statement, logical)
+        assignment = self._best_effort_assignment(
+            statement, logical, session.active_topology
         )
-        assignment = self._best_effort_assignment(statement, logical, topology=active)
         if assignment is None:
             session.journal.list_append(session.infeasible, identifier)
         else:
@@ -1046,25 +860,24 @@ class MerlinCompiler:
                 session.best_effort_paths, identifier, assignment
             )
 
-    def _base_footprint(self, session, statement: Statement) -> frozenset:
-        """The statement's untightened product footprint on the *pristine*
-        topology.
+    def _record_base_footprint(self, session, statement, logical) -> None:
+        """Record the statement's untightened product footprint on the
+        *pristine* topology, once per statement (a promotion or demotion
+        keeps the one its add recorded; unconstrained best-effort
+        statements get theirs when first promoted into the MIP).
 
         The topology-delta path tests affectedness against pristine
         footprints: the product construction is monotone in the topology,
         so any active product is a subgraph of the pristine one, and a
         recovered link can only matter to statements whose pristine product
-        could use it.  When no failures are active the session cache (built
-        on the pristine topology) serves the build; during failures the
-        cache holds *active* products, so the pristine one is built
-        uncached.
+        could use it.  ``logical`` is the statement's product on the active
+        topology, already in the caller's hand; during failures that is
+        not the pristine product, which is then built uncached.
         """
-        if self._active(session) is self.topology:
-            source, destination = session.endpoints[statement.identifier]
-            logical = self._logical_for(
-                session.logical_cache, statement, source, destination
-            )
-        else:
+        identifier = statement.identifier
+        if identifier in session.base_footprints:
+            return
+        if session.active_topology is not self.topology:
             source, destination = infer_endpoints(statement, self.topology)
             logical = build_logical_topology(
                 statement,
@@ -1073,7 +886,11 @@ class MerlinCompiler:
                 source=source,
                 destination=destination,
             )
-        return frozenset(logical.physical_links_used())
+        session.journal.set_item(
+            session.base_footprints,
+            identifier,
+            frozenset(logical.physical_links_used()),
+        )
 
     def _real_statements(self, session) -> List[Statement]:
         """The session's statements minus the preprocessor's *generated*
@@ -1189,7 +1006,7 @@ class MerlinCompiler:
         mid-apply and destroying the session.  The logical build is memoized
         in the session cache, so the apply phase pays nothing extra.
         """
-        active = self._active(session)
+        active = session.active_topology
         source, destination = infer_endpoints(statement, active)
         if source is None or destination is None:
             raise ProvisioningError(
@@ -1197,10 +1014,7 @@ class MerlinCompiler:
                 "guarantee but its source/destination hosts cannot be "
                 "determined from its predicate or path expression"
             )
-        logical = self._logical_for(
-            session.logical_cache, statement, source, destination,
-            topology=active,
-        )
+        logical = self._logical_for(session, statement, source, destination)
         if logical.num_edges() == 0:
             raise ProvisioningError(
                 f"statement {statement.identifier!r} has no feasible path "
@@ -1307,7 +1121,7 @@ class MerlinCompiler:
         journal.set_item(
             session.endpoints,
             DEFAULT_STATEMENT_ID,
-            infer_endpoints(catch_all, self._active(session)),
+            infer_endpoints(catch_all, session.active_topology),
         )
         journal.set_attr(session, "generated_default", True)
 
@@ -1330,7 +1144,7 @@ class MerlinCompiler:
                 session.journal.set_attr(session, "sink_trees", {})
         elif not session.sink_trees:
             session.journal.set_attr(
-                session, "sink_trees", compute_sink_trees(self._active(session))
+                session, "sink_trees", compute_sink_trees(session.active_topology)
             )
 
     # -- shared helpers --------------------------------------------------------------
@@ -1340,27 +1154,28 @@ class MerlinCompiler:
     # ever-new path expressions does not grow resident memory monotonically.
     _LOGICAL_CACHE_LIMIT = 1024
 
-    def _logical_for(self, cache, statement, source, destination, topology=None):
-        # The cache key does not encode the topology: callers pass the
-        # session's active topology and the topology-delta path clears the
-        # session cache on every change, so entries never outlive the
-        # topology they were built on.
+    def _logical_for(self, session, statement, source, destination):
+        """The statement's product graph on the session's active topology."""
+        # The cache key does not encode the topology: the topology-delta
+        # path rebinds the session cache on every change, so entries never
+        # outlive the topology they were built on.
+        cache = session.logical_cache
+        active = session.active_topology
         key = (statement.path, source, destination)
         cached = cache.pop(key, None)
         if cached is None:
             telemetry.counter("logical_memo_misses")
             fresh = True
-            build_on = topology if topology is not None else self.topology
             cached = build_logical_topology(
                 statement,
-                build_on,
+                active,
                 self.placements,
                 source=source,
                 destination=destination,
                 # On a degraded topology, names of failed elements stay
                 # valid path-expression references (they match nothing).
                 known_locations=(
-                    None if build_on is self.topology else self.topology.locations()
+                    None if active is self.topology else self.topology.locations()
                 ),
             )
         else:
@@ -1372,10 +1187,7 @@ class MerlinCompiler:
         return cached if fresh else cached.rebadged(statement.identifier)
 
     def _best_effort_assignment(
-        self,
-        statement: Statement,
-        logical: LogicalTopology,
-        topology: Optional[Topology] = None,
+        self, statement: Statement, logical: LogicalTopology, topology: Topology
     ) -> Optional[PathAssignment]:
         found = logical.find_path()
         if found is None:
@@ -1383,36 +1195,20 @@ class MerlinCompiler:
         return PathAssignment(
             statement_id=statement.identifier,
             path=tuple(found),
-            function_placements=_best_effort_placements(
-                statement.path,
-                found,
-                self.placements,
-                topology if topology is not None else self.topology,
+            # The same greedy placement rule the MIP's paths get.
+            function_placements=_assign_functions(
+                statement.path, found, self.placements, topology
             ),
             guaranteed_rate=None,
         )
 
     def _link_capacities(
-        self, topology: Optional[Topology] = None
+        self, topology: Topology
     ) -> Dict[Tuple[str, str], Bandwidth]:
-        if topology is None:
-            topology = self.topology
         return {
             tuple(sorted((link.source, link.target))): link.capacity
             for link in topology.links()
         }
-
-
-def _best_effort_placements(
-    path_expression: Regex,
-    location_path: List[str],
-    placements: Mapping[str, Iterable[str]],
-    topology: Topology,
-) -> Dict[str, str]:
-    """Function placements for a best-effort path (same greedy rule as the MIP)."""
-    from .provisioning import _assign_functions
-
-    return _assign_functions(path_expression, location_path, placements, topology)
 
 
 def compile_policy(

@@ -1,26 +1,23 @@
 """One options surface for every provisioning entry point.
 
-Historically :func:`~repro.core.provisioning.provision`,
-:class:`~repro.core.compiler.MerlinCompiler`, and
-:class:`~repro.incremental.engine.IncrementalProvisioner` each grew their
-own drifting keyword surface (``solver`` vs ``max_workers`` vs
-``max_solver_workers``, ...).  :class:`ProvisionOptions` consolidates them:
-one frozen dataclass carrying the solver backend, partitioning switches,
-process-pool size, footprint-slack policy (base value plus whether
-infeasible components may widen it), solver limits, and the warm-start
-policy.  All entry points accept ``options=ProvisionOptions(...)``; the old
-keywords keep working for one release through :func:`coalesce_options`,
-which folds them into an options value while emitting
-:class:`DeprecationWarning`.
+:class:`ProvisionOptions` is the only way to configure how guaranteed
+traffic is provisioned: one frozen dataclass carrying the solver backend,
+partitioning switch, process-pool size, footprint-slack policy (base value
+plus whether infeasible components may widen it), solver limits, the
+warm-start policy and the solve-fabric handles.
+:class:`~repro.core.compiler.MerlinCompiler`,
+:func:`~repro.core.provisioning.provision` and
+:class:`~repro.incremental.engine.IncrementalProvisioner` each take it as
+``options=`` (``None`` means the defaults) and hand it on unchanged, so
+every solve of a session runs under the same configuration.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
-#: Default footprint tightening for the partitioned provisioning paths: keep
+#: Default footprint tightening for partitioned provisioning: keep
 #: only logical edges on some source-to-sink path of at most (optimal hops +
 #: slack) physical-link traversals (see
 #: :func:`repro.core.logical.prune_to_cost_bound`).  Tightening is what
@@ -33,7 +30,7 @@ from typing import Any, Mapping, Optional
 #: fat-tree core detour for intra-rack traffic costs 4 extra hops).
 #: The bound is a genuine restriction: a workload whose min-max optimum
 #: (or feasibility) needs a longer detour would be mis-served — which is
-#: why the partitioned paths retry infeasible components with geometrically
+#: why the engine retries infeasible components with geometrically
 #: widened slack (2 -> 4 -> 8 -> None) when ``widen_slack`` is enabled,
 #: instead of reporting a tightening artifact as a hard infeasibility.
 DEFAULT_FOOTPRINT_SLACK: Optional[int] = 2
@@ -43,11 +40,6 @@ DEFAULT_FOOTPRINT_SLACK: Optional[int] = 2
 #: tightening entirely (slack ``None``), so the final retry solves the
 #: untightened reference model and a remaining infeasibility is genuine.
 MAX_WIDENED_SLACK: int = 8
-
-#: Sentinel distinguishing "caller did not pass this legacy keyword" from
-#: every meaningful value (``None`` is meaningful for ``footprint_slack``
-#: and ``solver``).
-_UNSET: Any = object()
 
 
 def widen_slack(slack: Optional[int]) -> Optional[int]:
@@ -75,8 +67,10 @@ class ProvisionOptions:
     scipy cannot bound its search — else ``"scipy"``).
 
     ``partition`` / ``max_workers`` — whether the MIP is decomposed into
-    link-disjoint components, and the process-pool width used to solve
-    several dirty components concurrently (0/1 solves in-process).
+    link-disjoint components (``False``: every resolve, compile or delta,
+    solves the one monolithic untightened model), and the process-pool
+    width used to solve several dirty components concurrently (0/1 solves
+    in-process).
 
     ``footprint_slack`` / ``widen_slack`` — the base cost-bound tightening
     applied to every statement's logical topology (``None`` disables
@@ -144,51 +138,3 @@ class ProvisionOptions:
             time_limit_seconds=self.time_limit_seconds,
             node_limit=self.node_limit,
         )
-
-    def resolved_solver(self) -> Optional[object]:
-        """Deprecated alias for :meth:`backend`.
-
-        Historically this method owned the limit-based default selection
-        and returned ``None`` for "the default backend"; that logic now
-        lives in the backend registry, and :meth:`backend` always returns
-        a concrete instance.
-        """
-        warnings.warn(
-            "ProvisionOptions.resolved_solver() is deprecated; use "
-            "ProvisionOptions.backend() (the selection logic moved into "
-            "repro.lp.backends.resolve_backend)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.backend()
-
-
-def coalesce_options(
-    options: Optional[ProvisionOptions],
-    *,
-    owner: str,
-    stacklevel: int = 3,
-    **legacy: Any,
-) -> ProvisionOptions:
-    """Fold deprecated per-call keywords into a :class:`ProvisionOptions`.
-
-    ``legacy`` maps option field names to values, with :data:`_UNSET`
-    marking keywords the caller did not pass.  Every keyword that *was*
-    passed emits a :class:`DeprecationWarning` naming ``owner`` and
-    overrides the corresponding ``options`` field (explicit legacy keywords
-    win, matching what the old signatures did).
-    """
-    resolved = options if options is not None else ProvisionOptions()
-    overrides = {
-        name: value for name, value in legacy.items() if value is not _UNSET
-    }
-    if overrides:
-        names = ", ".join(sorted(overrides))
-        warnings.warn(
-            f"passing {names} to {owner} is deprecated; "
-            "pass options=ProvisionOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        resolved = replace(resolved, **overrides)
-    return resolved

@@ -35,17 +35,17 @@ Partitioned solving
 -------------------
 Statements are coupled only through the per-link reservation rows, so the
 MIP decomposes exactly along connected components of the "shares a physical
-link" relation.  :func:`provision` therefore partitions the statements by
-their logical topologies' link footprints (union-find, in
-:mod:`repro.incremental.partition`), builds one sub-model per component with
-:func:`build_model_for_links`, solves the components independently, and
-merges the reservations — the same decomposition the incremental
-re-provisioning engine (:mod:`repro.incremental.engine`) re-solves
-selectively at run time.  Within a component the min-max objectives are
+link" relation.  All provisioning — a full compile, a delta, a bare
+:func:`provision` call — goes through the incremental engine
+(:mod:`repro.incremental.engine`), which partitions the statements by their
+tightened link footprints, builds one sub-model per component with
+:func:`build_model_for_links`, solves the dirty components independently
+and merges the reservations.  Within a component the min-max objectives are
 unchanged; across components the merged solution minimises every
 component's bottleneck (a per-component lexicographic strengthening of the
-global min-max criterion).  Pass ``partition=False`` to solve the single
-monolithic model instead.
+global min-max criterion).  ``ProvisionOptions(partition=False)`` makes the
+engine solve the single monolithic, untightened model instead
+(:func:`solve_monolithic`).
 """
 
 from __future__ import annotations
@@ -69,12 +69,7 @@ from .ast import Statement
 from .localization import LocalRates
 from .logical import SINK, SOURCE, LogicalEdge, LogicalTopology
 
-from .options import (  # noqa: F401  (re-exported for compatibility)
-    _UNSET,
-    DEFAULT_FOOTPRINT_SLACK,
-    ProvisionOptions,
-    coalesce_options,
-)
+from .options import ProvisionOptions
 
 #: Rates are expressed in Mbps inside the MIP to keep coefficients well-scaled.
 _MBPS = 1e6
@@ -106,9 +101,9 @@ class ProvisioningResult:
     some partition stopped on a limit with an unproven incumbent, in which
     case it is ``"feasible"``), and ``solve_statistics`` carries aggregated
     MIP diagnostics (``nodes``, ``best_bound``, ``gap``, partition counts)
-    for the benchmark tables.  ``partition_solutions`` retains the
-    per-component solutions so an incremental engine can be seeded from a
-    full compile without re-solving anything.
+    for the benchmark tables.  ``partition_solutions`` are the
+    per-component solutions the result was merged from (empty for a
+    monolithic solve).
     """
 
     paths: Dict[str, PathAssignment]
@@ -125,13 +120,6 @@ class ProvisioningResult:
     partition_solutions: List["PartitionSolution"] = field(
         default_factory=list, repr=False
     )
-    #: (member ids, member slacks) combinations proven infeasible along the
-    #: slack-widening ladder; seeding an incremental engine with these (via
-    #: ``IncrementalProvisioner.prime``) lets its first resolve skip the
-    #: hopeless rungs instead of re-proving them.
-    infeasible_components: List[Tuple[Tuple[str, ...], Tuple[Optional[int], ...]]] = (
-        field(default_factory=list, repr=False)
-    )
 
 
 def provision(
@@ -142,68 +130,49 @@ def provision(
     placements: Mapping[str, Iterable[str]],
     heuristic: PathSelectionHeuristic = PathSelectionHeuristic.MIN_MAX_RATIO,
     options: Optional[ProvisionOptions] = None,
-    solver=_UNSET,
-    partition=_UNSET,
-    max_workers=_UNSET,
-    footprint_slack=_UNSET,
 ) -> ProvisioningResult:
     """Select paths and reserve bandwidth for the guaranteed statements.
 
-    ``statements`` must all have a guarantee in ``rates`` and a pre-built
-    logical topology in ``logical_topologies``.  Raises
+    A history-free run of the incremental engine: a fresh
+    :class:`~repro.incremental.engine.IncrementalProvisioner` takes every
+    statement (each needs a guarantee in ``rates`` and a pre-built logical
+    topology in ``logical_topologies``) and resolves once.  Raises
     :class:`ProvisioningError` when no assignment satisfies the constraints
     (for example, when the requested guarantees exceed every allowed path's
     capacity).
-
-    Solver and decomposition behaviour is configured through ``options``
-    (a :class:`~repro.core.options.ProvisionOptions`); the individual
-    ``solver`` / ``partition`` / ``max_workers`` / ``footprint_slack``
-    keywords are deprecated aliases for the matching option fields.
-
-    With partitioning enabled (the default) the MIP is decomposed into
-    link-disjoint components solved independently (``options.max_workers``
-    > 1 solves them in a process pool), after each statement's logical
-    topology is tightened to its cost-bounded subgraph
-    (``options.footprint_slack`` extra physical hops over the statement's
-    optimum; ``None`` disables tightening); components infeasible under
-    tightening retry with geometrically widened slack when
-    ``options.widen_slack`` is set.  ``partition=False`` keeps the single
-    monolithic, untightened model.
     """
-    options = coalesce_options(
-        options,
-        owner="provision()",
-        solver=solver,
-        partition=partition,
-        max_workers=max_workers,
-        footprint_slack=footprint_slack,
+    # Imported lazily: repro.incremental builds on this module.
+    from ..incremental.engine import IncrementalProvisioner
+
+    engine = IncrementalProvisioner(
+        topology, placements, heuristic=heuristic, options=options
     )
-    if not statements:
-        return ProvisioningResult(
-            paths={},
-            link_reservations={},
-            max_utilization=0.0,
-            max_reservation=Bandwidth(0.0),
-            lp_construction_seconds=0.0,
-            lp_solve_seconds=0.0,
-            num_variables=0,
-            num_constraints=0,
+    for statement in statements:
+        local = rates[statement.identifier]
+        engine.add_statement(
+            statement,
+            local.guarantee,
+            cap=local.cap,
+            logical=logical_topologies[statement.identifier],
         )
-    if options.partition:
-        # Imported lazily: repro.incremental builds on this module.
-        from ..incremental.solve import provision_partitioned
+    return engine.resolve()
 
-        return provision_partitioned(
-            statements,
-            logical_topologies,
-            rates,
-            topology,
-            placements,
-            heuristic=heuristic,
-            options=options,
-        )
 
-    solver = options.backend()
+def solve_monolithic(
+    statements: Sequence[Statement],
+    logical_topologies: Mapping[str, LogicalTopology],
+    rates: Mapping[str, LocalRates],
+    topology: Topology,
+    placements: Mapping[str, Iterable[str]],
+    heuristic: PathSelectionHeuristic,
+    solver,
+) -> ProvisioningResult:
+    """Solve the one undecomposed model — what ``partition=False`` means.
+
+    The reference model: ``statements`` in the order given, a reservation
+    row for every link in ``topology.links()`` order, the logical
+    topologies as supplied (the engine passes the untightened ones).
+    """
     with telemetry.span("build_model", statements=len(statements)) as build_span:
         built = build_provisioning_model(
             statements, logical_topologies, rates, topology, heuristic=heuristic
@@ -352,7 +321,11 @@ def splice_statement_rows(
                 variable
             )
     flow_rows: List[Constraint] = []
-    for vertex in logical.vertices:
+    # Rows go out in first-appearance order of ``logical.edges`` (the key
+    # order of ``outgoing``), never in the iteration order of the
+    # ``vertices`` set: that order changes with PYTHONHASHSEED, and the row
+    # order decides which of several equal-objective optima a solver returns.
+    for vertex, flow in outgoing.items():
         if vertex == SOURCE:
             balance = 1.0
         elif vertex == SINK:
@@ -361,7 +334,7 @@ def splice_statement_rows(
             balance = 0.0
         flow_rows.append(
             model.add_constraint(
-                outgoing.get(vertex, LinExpr()).equals(balance),
+                flow.equals(balance),
                 name=f"flow__{identifier}__{vertex[0]}_{vertex[1]}",
             )
         )

@@ -1,10 +1,10 @@
 """The public session facade over a live incremental compile.
 
-:meth:`MerlinCompiler.session` returns a :class:`Session`: the supported
-surface for callers that stream changes at a compiled policy — the scenario
-driver replaying churn/failure event streams, the negotiator applying
-verified refinements — without reaching into compiler session or engine
-internals.
+:meth:`MerlinCompiler.session` returns a :class:`ProvisioningSession`: the
+supported surface for callers that stream changes at a compiled policy — the
+scenario driver replaying churn/failure event streams, the negotiator
+applying verified refinements — without reaching into compiler session or
+engine internals.
 
 ``apply`` accepts any unit of change: a
 :class:`~repro.incremental.delta.PolicyDelta`, a
@@ -39,7 +39,7 @@ class ProvisioningSession:
 
     Created by :meth:`MerlinCompiler.session`; several handles over one
     compiler share the same underlying state.  Exported from the package
-    root as ``repro.ProvisioningSession`` (``Session`` remains an alias).  Usable as a context manager
+    root as ``repro.ProvisioningSession``.  Usable as a context manager
     purely for scoping — exiting does **not** discard the compiler's
     session (the compiled policy remains live for later handles).
     """
@@ -47,7 +47,8 @@ class ProvisioningSession:
     def __init__(self, compiler: "MerlinCompiler") -> None:
         if not compiler.has_session:
             raise ProvisioningError(
-                "Session requires a compiled policy; call compile() first"
+                "ProvisioningSession requires a compiled policy; call "
+                "compile() first"
             )
         self._compiler = compiler
 
@@ -76,7 +77,7 @@ class ProvisioningSession:
             to_delta = getattr(change, "to_delta", None)
             if to_delta is None:
                 raise TypeError(
-                    "Session.apply() takes a PolicyDelta, a TopologyDelta, "
+                    "ProvisioningSession.apply() takes a PolicyDelta, a TopologyDelta, "
                     "or an object with to_delta(); got "
                     f"{type(change).__name__}"
                 )
@@ -120,8 +121,7 @@ class ProvisioningSession:
     @property
     def topology(self) -> "Topology":
         """The active topology (pristine minus currently-failed elements)."""
-        session = self._session()
-        return session.active_topology or self._compiler.topology
+        return self._session().active_topology
 
     @property
     def failed_links(self) -> frozenset:
@@ -146,7 +146,3 @@ class ProvisioningSession:
                 "cleared it); compile again before using this handle"
             )
         return inner
-
-
-#: Backwards-compatible alias; new code should use ProvisioningSession.
-Session = ProvisioningSession

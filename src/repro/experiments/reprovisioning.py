@@ -252,16 +252,14 @@ def measure_reprovisioning(
     ways (``repeats`` times each; the row records each side's best time);
     the incremental path reverts its delta between repeats — also
     incrementally — so every measurement starts from the identical base
-    session.  The engine is prepared eagerly (``prepare_incremental``), as
-    a long-running controller would, so delta latencies do not include the
-    one-time session setup.
+    session.  The compile populated the session's engine, so delta
+    latencies do not include any one-time session setup.
     """
     scenario = pod_tenant_scenario(
         arity=arity, pairs_per_pod=pairs_per_pod, guarantee=guarantee
     )
     incremental_compiler = _compiler(scenario.topology)
     base = incremental_compiler.compile(scenario.policy)
-    incremental_compiler.prepare_incremental()
 
     rows: List[ReprovisionRow] = []
     for generation, delta_size in enumerate(delta_sizes):

@@ -17,9 +17,9 @@ Layout:
 * :mod:`repro.incremental.partition` — union-find decomposition of the MIP
   along shared physical links, plus footprint tightening,
 * :mod:`repro.incremental.solve` — canonical component model construction,
-  (optionally pooled) solving, and solution merging; also the back end of
-  the full compiler's partitioned ``provision()``,
-* :mod:`repro.incremental.engine` — the lazily-materialized delta engine,
+  (optionally pooled) solving, and solution merging,
+* :mod:`repro.incremental.engine` — the lazily-materialized engine every
+  compile and every delta is provisioned by,
 * :mod:`repro.incremental.delta` — :class:`PolicyDelta` and policy diffing
   for :meth:`MerlinCompiler.recompile` and the negotiator hierarchy,
 * :mod:`repro.incremental.journal` — the undo journal behind O(1)
@@ -35,7 +35,7 @@ from .delta import (
     merge_policy_deltas,
     policy_delta,
 )
-from .engine import EngineCheckpoint, EngineMark, IncrementalProvisioner
+from .engine import EngineMark, IncrementalProvisioner
 from .journal import JournalError, JournalMark, UndoJournal
 from .partition import (
     LinkKey,
@@ -51,7 +51,6 @@ from .solve import (
     build_partition_model,
     merge_partition_solutions,
     project_warm_start,
-    provision_partitioned,
     solve_components_with_widening,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "TopologyDelta",
     "merge_policy_deltas",
     "policy_delta",
-    "EngineCheckpoint",
     "EngineMark",
     "IncrementalProvisioner",
     "JournalError",
@@ -79,6 +77,5 @@ __all__ = [
     "build_partition_model",
     "merge_partition_solutions",
     "project_warm_start",
-    "provision_partitioned",
     "solve_components_with_widening",
 ]

@@ -80,8 +80,8 @@ class TopologyDelta:
     the session's failed-element sets: failing an already-failed element or
     recovering a healthy one is a validation error, so replaying a stream
     of deltas is unambiguous.  Applied by
-    :meth:`MerlinCompiler.recompile` / :meth:`Session.apply`, which derive
-    the new active topology, rebuild only the product graphs whose pristine
+    :meth:`MerlinCompiler.recompile` / :meth:`ProvisioningSession.apply`, which
+    derive the new active topology, rebuild only the product graphs whose pristine
     footprint touches the changed elements, and re-solve only the MIP
     components those statements belong to.
     """

@@ -17,8 +17,8 @@ splice work on every session setup and removal — is now *lazily
 materialized*: only :meth:`solve_live` (and the ``live_model`` /
 ``num_live_*`` introspection properties) builds it, on demand, from the
 same bookkeeping dicts, via the exact canonical constructor
-(:func:`~repro.core.provisioning.build_model_for_links`) the batch path
-uses.  ``live_materializations`` counts those builds so tests can assert
+(:func:`~repro.core.provisioning.build_model_for_links`) the component
+models use.  ``live_materializations`` counts those builds so tests can assert
 the delta path never pays for one.
 
 :meth:`resolve` re-provisions: the active statements are partitioned into
@@ -28,10 +28,14 @@ previous solve re-use their cached
 :class:`~repro.incremental.solve.PartitionSolution` verbatim, and only the
 *dirty* components are rebuilt (in canonical order) and re-solved —
 concurrently in a process pool when several are dirty, each warm-started
-from the previous incumbent projected onto its surviving variables.  The
-merged result is identical to a from-scratch ``provision()`` of the same
-statements because both paths tighten the same way and construct and solve
-exactly the same canonical component models.
+from the previous incumbent projected onto its surviving variables.  A
+full compile is the same thing with every component dirty:
+``MerlinCompiler.compile`` and ``core.provisioning.provision`` add their
+statements to a fresh engine and resolve once, so a delta history and a
+from-scratch run meet in the same canonical component models by
+construction.  With ``options.partition`` off, :meth:`resolve` instead
+solves the one monolithic untightened model every time
+(:func:`~repro.core.provisioning.solve_monolithic`).
 
 Warm-started re-solves pick the same optima as cold ones: provisioning
 models declare their tiebreaker epsilon as ``objective_resolution`` and the
@@ -47,11 +51,10 @@ Transactions are an **undo journal**, not a shadow copy: every mutator
 for exactly the entries it touches, so :meth:`checkpoint` is O(1) — it
 marks a journal position (plus a bounded snapshot of the LRU solution
 cache, see below) — :meth:`restore` replays O(delta) undo entries, and
-:meth:`release` (commit) truncates the journal.  The copying
-implementation survives as :meth:`snapshot` (returning the legacy
-:class:`EngineCheckpoint`), kept as the equivalence oracle: the
-transaction property tests run both side by side and assert the journal
-restores state byte-identical to the copies.
+:meth:`release` (commit) truncates the journal.  The transaction property
+tests capture the same fields by copying them
+(``tests/incremental/test_journal.py::_engine_state``) and assert the
+journal restores state byte-identical to the copies.
 
 The one piece *not* journaled is the component-solution cache.  Revision
 numbers are re-issued after a rollback, so a solution cached inside a
@@ -82,23 +85,21 @@ from ..core.logical import (
     infer_endpoints,
     prune_to_cost_bound,
 )
-from ..core.options import _UNSET, ProvisionOptions, coalesce_options
+from ..core.options import ProvisionOptions
 from ..core.provisioning import (
-    DEFAULT_FOOTPRINT_SLACK,
     PathSelectionHeuristic,
     ProvisioningModel,
     ProvisioningResult,
     build_model_for_links,
+    solve_monolithic,
 )
 from ..errors import ProvisioningError
 from ..topology.graph import Topology
 from ..units import Bandwidth
 from .journal import JournalMark, UndoJournal
-from .partition import PartitionSpec, partition_statements
+from .partition import PartitionSpec
 from .solve import (
     INFEASIBLE_COMPONENT,
-    ComponentKey,
-    PartitionSolution,
     merge_partition_solutions,
     record_widening_statistics,
     solve_components_with_widening,
@@ -109,34 +110,6 @@ from .solve import (
 #: each member's footprint slack (the same members at a different widening
 #: level are a different model).
 Signature = Tuple[str, Tuple[Tuple[str, int], ...], Tuple[Optional[int], ...]]
-
-
-@dataclass(frozen=True)
-class EngineCheckpoint:
-    """A full shadow snapshot of the engine's session state (legacy).
-
-    This is the pre-journal copying implementation: O(population) to
-    capture, kept as :meth:`IncrementalProvisioner.snapshot` so the
-    transaction property tests can prove the undo journal restores state
-    byte-identical to the copies.  Dict copies are shallow: every value
-    (statements, logical topologies, rates, footprints, cached solutions,
-    incumbent floats) is immutable once stored, so restoring the copies
-    reinstates the exact state.  The revision counter is captured too — a
-    rolled-back engine assigns the same revisions (and therefore the same
-    cache signatures) to future deltas as an engine that never saw the
-    failed one.
-    """
-
-    statements: Dict[str, Statement]
-    logical: Dict[str, LogicalTopology]
-    logical_full: Dict[str, LogicalTopology]
-    rates: Dict[str, LocalRates]
-    footprints: Dict[str, frozenset]
-    revisions: Dict[str, int]
-    next_revision: int
-    cache: Dict[Signature, object]
-    last_values: Dict[str, float]
-    topology: Topology
 
 
 @dataclass(frozen=True)
@@ -156,13 +129,16 @@ class EngineMark:
 class IncrementalProvisioner:
     """A lazily-materialized provisioning session: add/remove/update + resolve.
 
+    Everything about *how* to solve comes from ``options`` (``None`` means
+    the :class:`~repro.core.options.ProvisionOptions` defaults):
     ``max_workers`` > 1 enables the process pool for multi-component
-    re-solves; 0 (the default) solves dirty components in-process, which is
-    the right choice for the common single-component delta.
+    re-solves (0, the default, solves dirty components in-process, the
+    right choice for the common single-component delta);
     ``footprint_slack`` is the cost-bound tightening applied to each
     statement's logical topology (extra physical hops over its optimum;
-    ``None`` disables tightening) — it must match the value the seeding
-    full compile used for cached solutions to be adoptable.
+    ``None`` disables tightening); ``fabric`` and ``component_cache`` are
+    owned by the caller (typically the control plane) — the engine only
+    routes work through them.
     """
 
     def __init__(
@@ -171,33 +147,14 @@ class IncrementalProvisioner:
         placements: Optional[Mapping[str, Iterable[str]]] = None,
         heuristic: PathSelectionHeuristic = PathSelectionHeuristic.MIN_MAX_RATIO,
         options: Optional[ProvisionOptions] = None,
-        solver=_UNSET,
-        max_workers=_UNSET,
-        cache_limit=_UNSET,
-        footprint_slack=_UNSET,
     ) -> None:
-        options = coalesce_options(
-            options,
-            owner="IncrementalProvisioner()",
-            solver=solver,
-            max_workers=max_workers,
-            cache_limit=cache_limit,
-            footprint_slack=footprint_slack,
-        )
+        options = options if options is not None else ProvisionOptions()
         self.topology = topology
         self.placements = dict(placements or {})
         self.heuristic = heuristic
         self.options = options
         self.solver = options.backend()
-        self.max_workers = options.max_workers
         self.footprint_slack = options.footprint_slack
-        self._cache_limit = options.cache_limit
-        #: The solve fabric (persistent worker pool) and the cross-run
-        #: content-addressed component cache, both optional and both owned
-        #: by the caller (typically the control plane) — the engine only
-        #: routes work through them.
-        self._fabric = options.fabric
-        self._component_cache = options.component_cache
 
         #: Session-persistent cost-bound tightening memo, shaped
         #: ``{sid: {slack: (base, tightened, footprint)}}`` and handed to
@@ -282,33 +239,14 @@ class IncrementalProvisioner:
         """
         return EngineMark(mark=self._journal.mark(), cache=dict(self._cache))
 
-    def restore(self, saved) -> None:
-        """Reinstate a :meth:`checkpoint` (or legacy :meth:`snapshot`) exactly.
+    def restore(self, saved: EngineMark) -> None:
+        """Reinstate a :meth:`checkpoint` exactly.
 
-        For an :class:`EngineMark` this replays the undo journal back to
-        the mark and reinstates the cache snapshot — O(changes since the
-        checkpoint), not O(population).  The legacy :class:`EngineCheckpoint`
-        path rebinds full dict copies; it invalidates every outstanding
-        journal mark (the journal's undo closures reference the replaced
-        dicts), so the two styles must not be interleaved within one
-        transaction.
+        Replays the undo journal back to the mark and reinstates the cache
+        snapshot — O(changes since the checkpoint), not O(population).
         """
-        if isinstance(saved, EngineCheckpoint):
-            self._statements = dict(saved.statements)
-            self._logical = dict(saved.logical)
-            self._logical_full = dict(saved.logical_full)
-            self._rates = dict(saved.rates)
-            self._footprints = dict(saved.footprints)
-            self._revisions = dict(saved.revisions)
-            self._next_revision = saved.next_revision
-            self._cache = dict(saved.cache)
-            self._last_values = dict(saved.last_values)
-            if saved.topology is not self.topology:
-                self.set_topology(saved.topology)
-            self._journal.invalidate_all()
-        else:
-            self._journal.rollback(saved.mark)
-            self._cache = dict(saved.cache)
+        self._journal.rollback(saved.mark)
+        self._cache = dict(saved.cache)
         # Drop the memoized live model: rollback rewinds the revision
         # counter, so a post-rollback delta re-issues revision numbers and
         # a model materialized *inside* the failed transaction could
@@ -316,36 +254,13 @@ class IncrementalProvisioner:
         self._live = None
         self._live_signature = None
 
-    def release(self, saved) -> None:
+    def release(self, saved: EngineMark) -> None:
         """Commit a transaction opened by :meth:`checkpoint`.
 
         Drops the journal mark and truncates undo entries no outstanding
-        mark can reach.  Legacy :class:`EngineCheckpoint` snapshots need no
-        release (discarding them is the commit); passing one is a no-op.
+        mark can reach.
         """
-        if isinstance(saved, EngineMark):
-            self._journal.release(saved.mark)
-
-    def snapshot(self) -> EngineCheckpoint:
-        """Capture a legacy full shadow copy of the session state.
-
-        O(population).  Superseded by :meth:`checkpoint` for transactions;
-        kept as the equivalence oracle for the journal property tests and
-        for callers that want a state capture surviving arbitrary later
-        rollbacks (copies are independent, journal marks are stacked).
-        """
-        return EngineCheckpoint(
-            statements=dict(self._statements),
-            logical=dict(self._logical),
-            logical_full=dict(self._logical_full),
-            rates=dict(self._rates),
-            footprints=dict(self._footprints),
-            revisions=dict(self._revisions),
-            next_revision=self._next_revision,
-            cache=dict(self._cache),
-            last_values=dict(self._last_values),
-            topology=self.topology,
-        )
+        self._journal.release(saved.mark)
 
     # -- delta operations ---------------------------------------------------------
 
@@ -533,58 +448,15 @@ class IncrementalProvisioner:
             member_slacks,
         )
 
-    def _signature(self, spec: PartitionSpec) -> Signature:
-        base = self.footprint_slack
-        return self._signature_for(
-            spec.statement_ids, tuple(base for _ in spec.statement_ids)
-        )
-
-    def prime(
-        self,
-        solutions: Iterable[PartitionSolution],
-        infeasible: Iterable[ComponentKey] = (),
-    ) -> int:
-        """Seed the component cache from a previous full provisioning run.
-
-        Every solution whose members all exist in the session is adopted
-        under its own (members, slacks) identity — including components the
-        full compile solved at a *widened* slack level, which do not match
-        the base-slack partitioning but are exactly what ``resolve``'s
-        widening ladder will ask for.  ``infeasible`` seeds the
-        :data:`~repro.incremental.solve.INFEASIBLE_COMPONENT` markers the
-        full compile discovered on its way up the ladder, so the first
-        resolve skips those rungs instead of re-proving them.  Returns the
-        number of adopted solutions.
-        """
-        adopted = 0
-        for solution in solutions:
-            ids = solution.spec.statement_ids
-            if any(sid not in self._revisions for sid in ids):
-                continue
-            slacks = solution.member_slacks or tuple(
-                self.footprint_slack for _ in ids
-            )
-            # Cache inserts are deliberately unjournaled: the transaction
-            # token carries a full (bounded) cache snapshot instead.
-            self._cache[self._signature_for(ids, slacks)] = solution
-            self._journal.update_items(self._last_values, solution.values_by_name)
-            adopted += 1
-        for ids, slacks in infeasible:
-            if any(sid not in self._revisions for sid in ids):
-                continue
-            self._cache[self._signature_for(ids, slacks)] = INFEASIBLE_COMPONENT
-        return adopted
-
-    def _current_partitions(self) -> List[PartitionSpec]:
-        return partition_statements(self._footprints)
-
     def resolve(self) -> ProvisioningResult:
         """Re-provision the active statements, re-solving only dirty components.
 
         The returned :class:`ProvisioningResult` is identical to what a
-        from-scratch partitioned ``provision()`` of the same statements
-        would produce; ``solve_statistics`` additionally reports
-        ``partitions_dirty`` / ``partitions_reused``.
+        fresh engine holding the same statements would produce;
+        ``solve_statistics`` reports ``partitions_dirty`` /
+        ``partitions_reused``.  With ``options.partition`` off there is
+        nothing to reuse: the monolithic untightened model is solved
+        whole, statements in session order.
         """
         if not self._statements:
             return ProvisioningResult(
@@ -597,6 +469,17 @@ class IncrementalProvisioner:
                 num_variables=0,
                 num_constraints=0,
             )
+        if not self.options.partition:
+            return solve_monolithic(
+                list(self._statements.values()),
+                self._logical_full,
+                self._rates,
+                self.topology,
+                self.placements,
+                self.heuristic,
+                self.solver,
+            )
+
         def lookup(spec: PartitionSpec, slacks: Tuple[Optional[int], ...]):
             found = self._cache.get(
                 self._signature_for(spec.statement_ids, slacks)
@@ -622,15 +505,15 @@ class IncrementalProvisioner:
                 self._capacity_mbps,
                 self.heuristic,
                 solver=self.solver,
-                max_workers=self.max_workers,
+                max_workers=self.options.max_workers,
                 footprint_slack=self.footprint_slack,
                 widen=self.options.widen_slack,
                 base_tightened=self._logical,
                 warm_values=warm_values,
                 lookup=lookup,
                 tighten_cache=self._tighten_cache,
-                component_cache=self._component_cache,
-                fabric=self._fabric,
+                component_cache=self.options.component_cache,
+                fabric=self.options.fabric,
             )
             resolve_span.annotate(
                 partitions=len(outcome.specs), dirty=outcome.solver_calls
@@ -676,7 +559,7 @@ class IncrementalProvisioner:
             self._cache[signature] = solution
         for key in outcome.infeasible_keys:
             self._cache[self._signature_for(*key)] = INFEASIBLE_COMPONENT
-        while len(self._cache) > self._cache_limit:
+        while len(self._cache) > self.options.cache_limit:
             self._cache.pop(next(iter(self._cache)))
         # Content-cache adoptions carry incumbent values this session has
         # never seen; they seed warm starts exactly like fresh solves.
@@ -696,7 +579,7 @@ class IncrementalProvisioner:
         """Build (or reuse) the fully-spliced global model.
 
         Constructed from the same bookkeeping dicts ``resolve()`` reads,
-        through the same canonical constructor the batch path uses, so it
+        through the same canonical constructor the component models use, so it
         is coefficient-identical to a from-scratch
         :func:`~repro.core.provisioning.build_provisioning_model` of the
         current statements over the whole topology.  Memoized on the

@@ -114,8 +114,8 @@ class UndoJournal:
         target = self._marks.get(mark.serial)
         if target is None or target != mark.position:
             raise JournalError(
-                "stale journal mark: a rollback to an earlier mark (or a "
-                "legacy snapshot restore) already discarded this position"
+                "stale journal mark: a rollback to an earlier mark already "
+                "discarded this position"
             )
         replayed = 0
         while self.position > target:
@@ -146,12 +146,6 @@ class UndoJournal:
         if floor > self._offset:
             del self._entries[: floor - self._offset]
             self._offset = floor
-
-    def invalidate_all(self) -> None:
-        """Discard every entry and mark (legacy snapshot restore path)."""
-        self._offset += len(self._entries)
-        self._entries.clear()
-        self._marks.clear()
 
     # ------------------------------------------------------------------
     # journaled mutation helpers

@@ -1,22 +1,22 @@
-"""Partition-parallel solving of the provisioning MIP.
+"""Canonical component models, the widening solve loop, and the merge.
 
-This module is the shared back half of both provisioning paths:
+The back half of the one provisioning pipeline: the incremental engine
+(:mod:`repro.incremental.engine`) is the only caller of
+:func:`solve_components_with_widening`, whether it is resolving a full
+compile's population or a one-statement delta.  The loop partitions the
+statements, builds one sub-model per component
+(:func:`build_partition_model`) for the components the engine has no
+cached :class:`PartitionSolution` for, solves them, widens footprint slack
+where a component came back infeasible, and the engine merges the lot with
+:func:`merge_partition_solutions`.
 
-* :func:`provision_partitioned` — the full-compile path: partition the
-  statements, build one sub-model per component
-  (:func:`build_partition_model`), solve every component, and merge.
-* the incremental engine (:mod:`repro.incremental.engine`) — builds and
-  solves only the *dirty* components of a delta, re-using cached
-  :class:`PartitionSolution` objects for untouched ones, then merges with
-  the same :func:`merge_partition_solutions`.
-
-Both paths construct each component's model with the same canonical
-ordering (statements sorted by identifier, links sorted by key), so a
-component's model — and therefore the solver's answer — depends only on the
-component's content, never on how the caller arrived at it.  That is the
-property behind the engine's equivalence guarantee: a sequence of deltas
-followed by ``resolve()`` yields exactly the allocations of a from-scratch
-``compile()`` of the final policy.
+Each component's model is built in canonical order (statements sorted by
+identifier, links sorted by key), so a component's model — and therefore
+the solver's answer — depends only on the component's content, never on
+the history that led to it.  That is the property behind the engine's
+equivalence guarantee: a sequence of deltas followed by ``resolve()``
+yields exactly the allocations of a from-scratch ``compile()`` of the
+final policy.
 
 Disjoint components are independent MIPs, so they can be solved
 concurrently: ``max_workers > 1`` ships the built models to the solve
@@ -40,10 +40,9 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from .. import telemetry
 from ..core.localization import LocalRates
 from ..core.logical import LogicalTopology, prune_to_cost_bound
-from ..core.options import _UNSET, ProvisionOptions, coalesce_options, widen_slack
+from ..core.options import DEFAULT_FOOTPRINT_SLACK, widen_slack
 from ..core.provisioning import (
     _MBPS,
-    DEFAULT_FOOTPRINT_SLACK,
     PathSelectionHeuristic,
     ProvisioningModel,
     ProvisioningResult,
@@ -58,12 +57,7 @@ from ..lp.backends import backend_name, capabilities
 from ..lp.result import SolveStatus
 from ..topology.graph import Topology
 from ..units import Bandwidth
-from .partition import (
-    LinkKey,
-    PartitionSpec,
-    partition_statements,
-    tighten_logical_topologies,
-)
+from .partition import LinkKey, PartitionSpec, partition_statements
 
 #: A component's identity at one widening level: the member statement ids
 #: (sorted, as in :class:`PartitionSpec`) plus each member's slack.
@@ -119,17 +113,6 @@ class PartitionSolution:
     #: of the component's cache identity: the same members at a different
     #: widening level are a different model.
     member_slacks: Tuple[Optional[int], ...] = ()
-
-
-def link_footprints(
-    statement_ids: Iterable[str],
-    logical_topologies: Mapping[str, LogicalTopology],
-) -> Dict[str, frozenset]:
-    """Each statement's set of usable physical links (partitioning input)."""
-    return {
-        identifier: frozenset(logical_topologies[identifier].physical_links_used())
-        for identifier in statement_ids
-    }
 
 
 def topology_capacities_mbps(topology: Topology) -> Dict[LinkKey, float]:
@@ -429,13 +412,12 @@ def solve_components_with_widening(
 ) -> WideningOutcome:
     """Partition, solve, and self-heal cost-bound infeasibilities.
 
-    This is the one shared solving loop of both provisioning paths — the
-    full compile (:func:`provision_partitioned`) and the incremental
-    engine's ``resolve()`` — which is what makes slack widening
-    transactional-equivalence-safe: both paths walk the identical,
-    deterministic ladder from the same inputs, so a session that widened
-    its way through a failure ends at exactly the allocations a
-    from-scratch compile of the same statements would produce.
+    The one solving loop, entered only from the incremental engine's
+    ``resolve()``.  The ladder it walks is a deterministic function of the
+    inputs, which is what makes slack widening
+    transactional-equivalence-safe: a session that widened its way through
+    a failure ends at exactly the allocations a from-scratch compile of
+    the same statements would produce.
 
     The fixpoint loop per round:
 
@@ -852,65 +834,3 @@ def record_widening_statistics(
     used = outcome.slack_used(base_slack)
     if used is not None:
         result.solve_statistics["footprint_slack_used"] = used
-    result.infeasible_components = list(outcome.infeasible_keys)
-
-
-def provision_partitioned(
-    statements: Sequence[Statement],
-    logical_topologies: Mapping[str, LogicalTopology],
-    rates: Mapping[str, LocalRates],
-    topology: Topology,
-    placements: Mapping[str, Iterable[str]],
-    heuristic: PathSelectionHeuristic = PathSelectionHeuristic.MIN_MAX_RATIO,
-    options: Optional[ProvisionOptions] = None,
-    solver=_UNSET,
-    max_workers=_UNSET,
-    footprint_slack=_UNSET,
-) -> ProvisioningResult:
-    """The partitioned full-compile provisioning path (see module docstring).
-
-    Logical topologies are tightened to their cost-bounded subgraphs first
-    (``options.footprint_slack`` extra hops over each statement's optimum;
-    ``None`` disables tightening), so unconstrained ``.*`` paths no longer
-    collapse the partition graph into one component.  The tightened
-    topologies are used both for footprints and for the component models,
-    keeping the decomposition exact; components infeasible under the bound
-    are retried with geometrically widened slack
-    (:func:`solve_components_with_widening`) unless ``options.widen_slack``
-    is off.
-    """
-    options = coalesce_options(
-        options,
-        owner="provision_partitioned()",
-        solver=solver,
-        max_workers=max_workers,
-        footprint_slack=footprint_slack,
-    )
-    statements_by_id = {statement.identifier: statement for statement in statements}
-    capacity_mbps = topology_capacities_mbps(topology)
-
-    outcome = solve_components_with_widening(
-        statements_by_id,
-        logical_topologies,
-        rates,
-        capacity_mbps,
-        heuristic,
-        solver=options.backend(),
-        max_workers=options.max_workers,
-        footprint_slack=options.footprint_slack,
-        widen=options.widen_slack,
-        component_cache=options.component_cache,
-        fabric=options.fabric,
-    )
-    result = merge_partition_solutions(
-        outcome.solutions,
-        statements_by_id,
-        rates,
-        topology,
-        placements,
-        outcome.construction_seconds,
-        outcome.solve_seconds,
-        heuristic=heuristic,
-    )
-    record_widening_statistics(result, outcome, options.footprint_slack)
-    return result

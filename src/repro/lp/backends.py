@@ -15,8 +15,7 @@ makes that contract explicit:
   ``"heuristic"``, ``"auto"``) to backend factories, so every API that
   accepts a solver instance also accepts a name;
 * :func:`resolve_backend` — the one resolution path (names, instances, and
-  the historical ``None``-with-limits defaulting that used to live in
-  ``ProvisionOptions.resolved_solver``);
+  the ``None``-with-limits defaulting behind ``ProvisionOptions.backend``);
 * :class:`AutoSolver` — a deterministic portfolio driver racing the
   registered exact backends, seeded by the primal heuristic.
 """
@@ -165,8 +164,7 @@ def resolve_backend(
 ) -> SolverBackend:
     """Resolve a solver spec (``None`` / name / instance) to a backend.
 
-    ``None`` keeps the historical default selection that used to live in
-    ``ProvisionOptions.resolved_solver``: a node limit needs the
+    ``None`` selects the default for the limits: a node limit needs the
     branch-and-bound backend (scipy cannot bound its search), otherwise the
     scipy backend with any time limit applied.  Instances are returned by
     identity — their own configured limits win.

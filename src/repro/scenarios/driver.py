@@ -2,8 +2,8 @@
 
 :func:`replay` is the harness the churn benchmarks and the acceptance
 criterion run: compile a scenario population's base policy once, open the
-compiler's :class:`~repro.core.session.Session`, and apply every generated
-event as one transaction.  For each event it records the re-provisioning
+compiler's :class:`~repro.core.session.ProvisioningSession`, and apply every
+generated event as one transaction.  For each event it records the re-provisioning
 latency, the self-healing slack-widening counters from
 :class:`~repro.core.allocation.CompilationStatistics`, and — in lockstep —
 the guaranteed-traffic availability measured by handing the updated
@@ -226,7 +226,6 @@ def replay(
             options=options,
         )
     compiler.compile(population.policy)
-    compiler.prepare_incremental()
     session = compiler.session()
 
     report = ReplayReport()

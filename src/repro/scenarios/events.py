@@ -5,8 +5,8 @@ Every event is a frozen dataclass carrying its position in the stream
 payload needed to turn it into a delta.  ``to_delta()`` produces the
 :class:`~repro.incremental.delta.PolicyDelta` or
 :class:`~repro.incremental.delta.TopologyDelta` that
-:meth:`~repro.core.session.Session.apply` consumes, so a driver replays a
-stream with no event-type dispatch of its own.
+:meth:`~repro.core.session.ProvisioningSession.apply` consumes, so a driver
+replays a stream with no event-type dispatch of its own.
 
 ``describe()`` renders one canonical line per event;
 :func:`serialize_events` joins them.  The serialization is the determinism

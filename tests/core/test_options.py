@@ -1,11 +1,10 @@
-"""The unified ProvisionOptions surface and its legacy-keyword shim."""
+"""The unified ProvisionOptions surface."""
 
 import warnings
 
 import pytest
 
 from repro.core import DEFAULT_FOOTPRINT_SLACK, MerlinCompiler, ProvisionOptions
-from repro.core.options import coalesce_options
 from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.scipy_backend import ScipySolver
 from repro.topology.generators import figure2_example
@@ -64,50 +63,8 @@ class TestProvisionOptions:
         with pytest.raises(ValueError, match="unknown solver backend"):
             ProvisionOptions(solver="simplex2000")
 
-    def test_resolved_solver_shim_warns_and_delegates(self):
-        """The deprecated accessor keeps working (one release, like the
-        legacy keyword shim) but now warns and returns a concrete default
-        instead of ``None``."""
-        with pytest.warns(DeprecationWarning, match="resolved_solver"):
-            resolved = ProvisionOptions(node_limit=10).resolved_solver()
-        assert isinstance(resolved, BranchAndBoundSolver)
-        with pytest.warns(DeprecationWarning, match="backend"):
-            assert isinstance(ProvisionOptions().resolved_solver(), ScipySolver)
-
-
-class TestCoalesceOptions:
-    def test_no_legacy_keywords_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = coalesce_options(None, owner="test")
-        assert resolved == ProvisionOptions()
-
-    def test_legacy_keyword_warns_and_overrides(self):
-        with pytest.warns(DeprecationWarning, match="footprint_slack.*test"):
-            resolved = coalesce_options(
-                ProvisionOptions(), owner="test", footprint_slack=7
-            )
-        assert resolved.footprint_slack == 7
-
-    def test_none_is_a_meaningful_override(self):
-        with pytest.warns(DeprecationWarning):
-            resolved = coalesce_options(
-                None, owner="test", footprint_slack=None
-            )
-        assert resolved.footprint_slack is None
-
 
 class TestCompilerShim:
-    def test_legacy_compiler_keywords_warn(self):
-        with pytest.warns(DeprecationWarning, match="MerlinCompiler"):
-            compiler = MerlinCompiler(
-                topology=figure2_example(capacity=Bandwidth.gbps(2)),
-                placements=PLACEMENTS,
-                footprint_slack=3,
-            )
-        assert compiler.options.footprint_slack == 3
-        assert compiler.footprint_slack == 3
-
     def test_options_path_warns_nothing_and_binds_attributes(self):
         backend = ScipySolver()
         with warnings.catch_warnings():
@@ -118,8 +75,7 @@ class TestCompilerShim:
                 options=ProvisionOptions(solver=backend, max_workers=2),
             )
         assert compiler.options.max_workers == 2
-        assert compiler.solver is backend
-        assert compiler.max_solver_workers == 2
+        assert compiler.options.backend() is backend
 
     def test_compile_and_recompile_share_one_options_value(self):
         compiler = MerlinCompiler(
@@ -133,3 +89,4 @@ class TestCompilerShim:
         options_before = compiler.options
         compiler.compile(SOURCE)
         assert compiler.options is options_before
+        assert compiler._session.engine.options is options_before

@@ -73,7 +73,13 @@ def _reference_model(statements, logical_topologies, rates, topology, heuristic)
         for index, edge in enumerate(logical.edges):
             variables[index] = model.add_binary(f"x__{statement.identifier}__{index}")
         edge_variables[statement.identifier] = variables
-        for vertex in logical.vertices:
+        # Flow rows in first-appearance order of the edge list (the set
+        # ``logical.vertices`` iterates in a PYTHONHASHSEED-dependent order).
+        first_seen = dict.fromkeys(
+            vertex for edge in logical.edges for vertex in (edge.source, edge.target)
+        )
+        assert set(first_seen) == logical.vertices
+        for vertex in first_seen:
             outgoing = LinExpr.sum_of(
                 variables[index]
                 for index, edge in enumerate(logical.edges)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MerlinCompiler, Session
+from repro.core import MerlinCompiler, ProvisioningSession
 from repro.errors import ProvisioningError
 from repro.incremental import PolicyDelta, RateUpdate, TopologyDelta
 from repro.scenarios import allocations_match
@@ -75,7 +75,7 @@ class TestSessionLifecycle:
     def test_context_manager_scoping_keeps_compiler_session(self):
         compiler = _compiled()
         with compiler.session() as session:
-            assert isinstance(session, Session)
+            assert isinstance(session, ProvisioningSession)
         assert compiler.has_session
         # A later handle sees the same live state.
         assert set(compiler.session().statement_ids) == {"x", "z"}

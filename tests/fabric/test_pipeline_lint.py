@@ -1,0 +1,48 @@
+"""Repo lint: one way into the solver, no keyword shims.
+
+``compile()``, ``recompile()`` and ``provision()`` all provision through
+``IncrementalProvisioner.resolve()``, the only caller of
+``solve_components_with_widening``; a second call site anywhere in
+``src/repro`` is a second provisioning pipeline.  The legacy-keyword shim
+(``coalesce_options`` / ``_UNSET``) and the copying ``EngineCheckpoint``
+were deleted with the second pipeline and must not come back.  ``make
+check`` greps for the same patterns (``lint-pipeline``); this test keeps
+the rule enforced under plain pytest.
+"""
+
+import re
+from pathlib import Path
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+
+
+def test_the_widening_loop_is_entered_from_the_engine_only():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        if relative.parts == ("incremental", "engine.py"):
+            continue
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if "solve_components_with_widening(" in line and not line.startswith(
+                "def solve_components_with_widening("
+            ):
+                offenders.append(str(relative))
+    assert not offenders, (
+        "second entry into the solver (go through "
+        "IncrementalProvisioner.resolve()): %s" % ", ".join(offenders)
+    )
+
+
+def test_no_keyword_shim_or_copying_checkpoint():
+    banned = re.compile(r"\b(coalesce_options|_UNSET|EngineCheckpoint)\b")
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if banned.search(path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders, (
+        "keyword shim or copying checkpoint is back (options travel as "
+        "ProvisionOptions, transactions as EngineMark): %s" % ", ".join(offenders)
+    )

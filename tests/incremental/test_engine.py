@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.localization import localize
 from repro.core.logical import build_logical_topology, infer_endpoints
+from repro.core.options import ProvisionOptions
 from repro.core.parser import parse_policy
 from repro.core.preprocessor import preprocess
 from repro.core.provisioning import build_provisioning_model, provision
@@ -41,8 +42,8 @@ def _figure2_inputs():
     return topology, policy, rates, logical
 
 
-def _engine(topology, policy, rates, logical, **kwargs):
-    engine = IncrementalProvisioner(topology, PLACEMENTS, **kwargs)
+def _engine(topology, policy, rates, logical, options=None):
+    engine = IncrementalProvisioner(topology, PLACEMENTS, options=options)
     for statement in policy.statements:
         engine.add_statement(
             statement,
@@ -255,8 +256,12 @@ class TestCachingAndPartitions:
     def test_process_pool_matches_serial(self):
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         rates = localize(scenario.policy)
-        serial = IncrementalProvisioner(scenario.topology, max_workers=0)
-        pooled = IncrementalProvisioner(scenario.topology, max_workers=2)
+        serial = IncrementalProvisioner(
+            scenario.topology, options=ProvisionOptions(max_workers=0)
+        )
+        pooled = IncrementalProvisioner(
+            scenario.topology, options=ProvisionOptions(max_workers=2)
+        )
         for statement in scenario.policy.statements:
             serial.add_statement(statement, rates[statement.identifier].guarantee)
             pooled.add_statement(statement, rates[statement.identifier].guarantee)
@@ -264,16 +269,6 @@ class TestCachingAndPartitions:
         pooled_result = pooled.resolve()
         assert _paths(pooled_result) == _paths(serial_result)
         assert _reservations(pooled_result) == _reservations(serial_result)
-
-    def test_prime_from_full_provisioning(self):
-        topology, policy, rates, logical = _figure2_inputs()
-        full = provision(policy.statements, logical, rates, topology, PLACEMENTS)
-        engine = _engine(topology, policy, rates, logical)
-        adopted = engine.prime(full.partition_solutions)
-        assert adopted == full.num_partitions
-        result = engine.resolve()
-        assert result.solve_statistics["partitions_dirty"] == 0.0
-        assert _paths(result) == _paths(full)
 
 
 class TestIncumbentHygiene:
@@ -292,7 +287,11 @@ class TestWarmStartedResolve:
     def test_branch_and_bound_consumes_projected_incumbent(self):
         topology, policy, rates, logical = _figure2_inputs()
         engine = _engine(
-            topology, policy, rates, logical, solver=BranchAndBoundSolver()
+            topology,
+            policy,
+            rates,
+            logical,
+            options=ProvisionOptions(solver=BranchAndBoundSolver()),
         )
         engine.resolve()
         # A rate decrease keeps the previous paths feasible: the projected

@@ -13,7 +13,7 @@ tightening), not a target of this contract.
 
 import pytest
 
-from repro.core import MerlinCompiler
+from repro.core import MerlinCompiler, ProvisionOptions
 from repro.core.ast import BandwidthTerm, FMin, Policy, formula_and, formula_clauses
 from repro.core.logical import (
     build_logical_topology,
@@ -139,7 +139,9 @@ class TestTighteningRegression:
         policy = _mixed_policy(scenario, unconstrained_statement(scenario))
 
         tightened = _compiler(scenario.topology).compile(policy)
-        glued = _compiler(scenario.topology, footprint_slack=None).compile(policy)
+        glued = _compiler(
+            scenario.topology, options=ProvisionOptions(footprint_slack=None)
+        ).compile(policy)
 
         # Without tightening the .* statement glues everything into one
         # component; with it the pod tenants stay partition-parallel.
@@ -162,7 +164,6 @@ class TestTighteningRegression:
         wild = unconstrained_statement(scenario)
         compiler = _compiler(scenario.topology)
         compiler.compile(scenario.policy)
-        compiler.prepare_incremental()
 
         incremental = compiler.recompile(
             PolicyDelta(add=(DeltaStatement(wild, guarantee=scenario.guarantee),))

@@ -5,10 +5,10 @@ Three layers of coverage:
 * unit tests of :class:`~repro.incremental.journal.UndoJournal` itself
   (stacked marks, stale-mark detection, truncation on release, inactive
   no-op recording, list-index-preserving undo),
-* a randomized side-by-side property test running the journal *and* the
-  legacy :class:`~repro.incremental.engine.EngineCheckpoint` shadow copy
-  over the same random delta streams and asserting the journal rollback
-  restores every engine dict byte-identical to the copies,
+* a randomized side-by-side property test running the journal *and* a
+  shadow copy of the engine's state (``_engine_state``) over the same
+  random delta streams and asserting the journal rollback restores every
+  engine dict byte-identical to the copies,
 * nested-transaction and rollback-after-topology-delta cases through the
   compiler session / facade, where rollback must also restore statement
   *order* (sequence stamps) so regenerated instructions stay identical.
@@ -151,22 +151,6 @@ def _engine_state(engine):
     }
 
 
-def _snapshot_state(saved):
-    """The same shape, from a legacy EngineCheckpoint shadow copy."""
-    return {
-        "statements": dict(saved.statements),
-        "logical": dict(saved.logical),
-        "logical_full": dict(saved.logical_full),
-        "rates": dict(saved.rates),
-        "footprints": dict(saved.footprints),
-        "revisions": dict(saved.revisions),
-        "next_revision": saved.next_revision,
-        "cache": dict(saved.cache),
-        "last_values": dict(saved.last_values),
-        "topology": saved.topology,
-    }
-
-
 def _apply_engine_op(engine, op):
     kind = op[0]
     if kind == "add":
@@ -180,7 +164,7 @@ def _apply_engine_op(engine, op):
 @pytest.mark.parametrize("seed", range(3))
 def test_journal_rollback_matches_legacy_snapshot(seed):
     """Side by side: for random delta streams, a journal rollback restores
-    the engine byte-identical to the legacy EngineCheckpoint shadow copy
+    the engine byte-identical to the shadow copy (``_engine_state``)
     captured at the same instant (dict contents, revision counter, solution
     cache, and warm-start incumbents all included)."""
     rng = random.Random(seed)
@@ -194,7 +178,7 @@ def test_journal_rollback_matches_legacy_snapshot(seed):
 
     for _ in range(5):
         population = dict(churn.active)
-        legacy = engine.snapshot()  # the old copying checkpoint
+        legacy = _engine_state(engine)  # the copying checkpoint
         mark = engine.checkpoint()  # the journal transaction
         for _ in range(rng.randint(1, 4)):
             _apply_engine_op(engine, churn.next_op())
@@ -203,7 +187,7 @@ def test_journal_rollback_matches_legacy_snapshot(seed):
         engine.restore(mark)
         engine.release(mark)
         churn.active = population
-        assert _engine_state(engine) == _snapshot_state(legacy)
+        assert _engine_state(engine) == legacy
         # Interleave a committed op so rounds start from fresh states.
         _apply_engine_op(engine, churn.next_op())
     engine.resolve()
@@ -242,24 +226,6 @@ def test_nested_engine_transactions():
     assert _engine_state(engine) == base
 
 
-def test_legacy_snapshot_restore_invalidates_journal_marks():
-    """Restoring a legacy shadow copy rebinds the dicts the journal's undo
-    closures reference, so outstanding marks must go stale loudly."""
-    churn = _RandomPolicyChurn(7)
-    scenario = churn.scenario
-    rates = localize(scenario.policy)
-    engine = IncrementalProvisioner(scenario.topology)
-    for statement in scenario.policy.statements:
-        engine.add_statement(statement, rates[statement.identifier].guarantee)
-
-    legacy = engine.snapshot()
-    mark = engine.checkpoint()
-    engine.update_rates("p0s0", Bandwidth.mbps(10))
-    engine.restore(legacy)
-    with pytest.raises(JournalError):
-        engine.restore(mark)
-
-
 def _fresh_compiler(policy, topology):
     compiler = MerlinCompiler(
         topology=topology,
@@ -268,7 +234,6 @@ def _fresh_compiler(policy, topology):
         generate_code=True,
     )
     compiler.compile(policy)
-    compiler.prepare_incremental()
     return compiler
 
 

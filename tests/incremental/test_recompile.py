@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import MerlinCompiler, compile_policy
+from repro.core import MerlinCompiler, ProvisionOptions, compile_policy
 from repro.core.ast import (
     BandwidthTerm,
     FMin,
@@ -173,7 +173,6 @@ class TestRecompile:
         topology = figure2_example(capacity=Bandwidth.gbps(2))
         compiler = _compiler(topology, generate_code=False)
         compiler.compile(SOURCE)
-        compiler.prepare_incremental()
         engine = compiler._session.engine
         assert engine.live_materializations == 0
         compiler.recompile(
@@ -630,7 +629,11 @@ class TestSolverProtocolCompatibility:
                 return ScipySolver().solve(model)
 
         topology = figure2_example(capacity=Bandwidth.gbps(2))
-        compiler = _compiler(topology, generate_code=False, solver=LegacySolver())
+        compiler = _compiler(
+            topology,
+            generate_code=False,
+            options=ProvisionOptions(solver=LegacySolver()),
+        )
         compiler.compile(SOURCE)
         # A rate update takes the warm-started resolve path; the warm start
         # must be dropped, not passed to the legacy backend.

@@ -34,7 +34,6 @@ def test_tighten_entries_survive_recompiles_and_purge_on_removal():
     scenario = pod_tenant_scenario(arity=4, pairs_per_pod=2)
     compiler = _compiler(scenario)
     base = compiler.compile(scenario.policy)
-    compiler.prepare_incremental()
 
     wild = unconstrained_statement(scenario, "wild")
     first = compiler.recompile(
@@ -68,7 +67,6 @@ def test_mutating_a_statement_drops_only_its_entries():
     scenario = pod_tenant_scenario(arity=4, pairs_per_pod=2)
     compiler = _compiler(scenario)
     compiler.compile(scenario.policy)
-    compiler.prepare_incremental()
 
     wild = unconstrained_statement(scenario, "wild")
     compiler.recompile(

@@ -107,7 +107,6 @@ def test_failed_deltas_leave_session_equal_to_never_seeing_them(
             generate_code=True,
         )
         compiler.compile(churn.final_policy())
-        compiler.prepare_incremental()
         return compiler
 
     tested = fresh_compiler()
