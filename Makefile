@@ -58,9 +58,11 @@ lint-automaton:
 
 # One provisioning pipeline: the widening solve loop is entered from the
 # incremental engine's resolve() and nowhere else (compile, recompile and
-# provision() all go through the engine), and the legacy-keyword shim and
-# the copying checkpoint stay deleted (tests/fabric/test_pipeline_lint.py
-# enforces the same rule under pytest).
+# provision() all go through the engine); the legacy-keyword shim and the
+# copying checkpoint stay deleted; and a transaction stays one journal
+# mark over one record dict and one memo — no token classes, no second
+# tighten cache, no process-wide pool, no memo-size knob
+# (tests/fabric/test_pipeline_lint.py enforces the same rules under pytest).
 lint-pipeline:
 	@if grep -rn "solve_components_with_widening(" src/repro --include="*.py" \
 		| grep -v "^src/repro/incremental/engine.py:" \
@@ -68,8 +70,8 @@ lint-pipeline:
 		echo "second entry into the solver; go through IncrementalProvisioner.resolve()"; \
 		exit 1; \
 	fi
-	@if grep -rnw "coalesce_options\|_UNSET\|EngineCheckpoint" src/repro --include="*.py"; then \
-		echo "keyword shim or copying checkpoint is back; options travel as ProvisionOptions, transactions as EngineMark"; \
+	@if grep -rn "coalesce_options\|_UNSET\|EngineCheckpoint\|EngineMark\|_SessionToken\|tighten_cache\|base_tightened\|shared_fabric\|cache_limit" src/repro --include="*.py"; then \
+		echo "deleted machinery is back: options travel as ProvisionOptions (pool = options.fabric, memo bound = SOLUTION_MEMO_LIMIT), a transaction is one JournalMark, tightened views live on StatementRecord"; \
 		exit 1; \
 	fi
 

@@ -15,7 +15,7 @@ runs of:
 
 * ``mark`` — ``checkpoint()`` + ``release()``: the per-delta overhead the
   journal charges ("after");
-* ``snapshot`` — copying the ten fields a transaction protects, as the
+* ``snapshot`` — copying the state a transaction protects, as the
   shadow checkpoints did ("before"; the copy is the journal tests' oracle,
   ``tests/incremental/test_journal.py::_engine_state``, repeated here);
 * ``transaction`` — a full churn transaction (rate renegotiation + tenant
@@ -25,7 +25,9 @@ runs of:
 Acceptance (the O(delta) guard): the large-population mark and transaction
 costs stay within 2x of the small-population costs (plus a small absolute
 epsilon for timer noise) — i.e. checkpoint cost does not grow with the
-population.  The large population then sustains a seeded
+population.  The large engine's solution memo is filled to its bound and
+the small one's left empty, so the same guard shows a mark does not pay
+for the memo either.  The large population then sustains a seeded
 join/leave/renegotiation event stream end-to-end, every event inside a
 mark/rollback-or-commit transaction, with the journal fully truncated at
 the end.
@@ -42,6 +44,7 @@ from repro.core.ast import Statement
 from repro.core.logical import build_logical_topology
 from repro.core.options import ProvisionOptions
 from repro.incremental import IncrementalProvisioner
+from repro.incremental.solve import SOLUTION_MEMO_LIMIT
 from repro.predicates.ast import FieldTest
 from repro.regex.parser import parse_path_expression
 from repro.topology.generators import figure2_example
@@ -109,16 +112,11 @@ def _mark_cost(engine):
 def _engine_state(engine):
     """A shadow copy of every piece of engine state a transaction protects."""
     return {
-        "statements": dict(engine._statements),
-        "logical": dict(engine._logical),
-        "logical_full": dict(engine._logical_full),
-        "rates": dict(engine._rates),
-        "footprints": dict(engine._footprints),
-        "revisions": dict(engine._revisions),
-        "next_revision": engine._next_revision,
-        "cache": dict(engine._cache),
+        "records": dict(engine._records),
         "last_values": dict(engine._last_values),
         "topology": engine.topology,
+        "capacities": dict(engine._capacity_mbps),
+        "live": engine._live,
     }
 
 
@@ -206,6 +204,11 @@ def _run():
     measured = {}
     for population in (SMALL_POPULATION, large_population):
         engine, logical = _engine_with_population(population)
+        if population == large_population:
+            engine._memo.update(
+                (("filler", (index,), (None,)), object())
+                for index in range(SOLUTION_MEMO_LIMIT)
+            )
         mark = _mark_cost(engine)
         snapshot = _snapshot_cost(engine)
         transaction = _transaction_cost(engine, logical)
@@ -258,5 +261,5 @@ def test_checkpoint_cost_stays_o_delta(benchmark, report):
     # The stream ran end-to-end and the journal was truncated behind it:
     # nothing leaks between transactions.
     assert committed + rolled_back == events
-    assert not engine._journal.active
-    assert len(engine._journal) == 0
+    assert not engine.journal.active
+    assert len(engine.journal) == 0

@@ -72,13 +72,14 @@ class _CompilerSession:
 
     Transactions are undo-journal based (see
     ``repro.incremental.journal``): every mutation the pipeline performs on
-    the session flows through ``self.journal`` so :meth:`checkpoint` is
-    O(1) and :meth:`restore` replays only the entries the transaction
-    touched.  The ``logical_cache`` is the one deliberate exception — it is
-    a pure content-addressed memo (key determines value), so stale-free by
-    construction and exempt from exact rollback; the topology-delta path
-    *rebinds* it (journaled), it is never required to match a never-failed
-    session entry-for-entry.
+    the session flows through :attr:`journal` — the engine's own — so one
+    mark covers both, taking it is O(1), and a rollback replays only the
+    entries the transaction touched, the session's and the engine's in the
+    order they happened.  The ``logical_cache`` is the one deliberate
+    exception — it is a pure content-addressed memo (key determines
+    value), so stale-free by construction and exempt from exact rollback;
+    the topology-delta path *rebinds* it (journaled), it is never required
+    to match a never-failed session entry-for-entry.
     """
 
     #: The provisioning engine holding the guaranteed statements; created
@@ -105,7 +106,6 @@ class _CompilerSession:
     logical_cache: Dict[
         Tuple[Regex, Optional[str], Optional[str]], LogicalTopology
     ] = field(default_factory=dict)
-    guaranteed_logical: Dict[str, LogicalTopology] = field(default_factory=dict)
     best_effort_paths: Dict[str, PathAssignment] = field(default_factory=dict)
     sink_trees: Dict = field(default_factory=dict)
     infeasible: List[str] = field(default_factory=list)
@@ -129,7 +129,10 @@ class _CompilerSession:
     #: The last committed CompilationResult — what an empty/no-op delta
     #: returns without opening a transaction or touching the solver.
     last_result: Optional[CompilationResult] = None
-    journal: UndoJournal = field(default_factory=UndoJournal, repr=False)
+
+    @property
+    def journal(self) -> UndoJournal:
+        return self.engine.journal
 
     def stamp(self, identifier: str) -> None:
         """Assign ``identifier`` the next insertion-order stamp (journaled)."""
@@ -139,33 +142,6 @@ class _CompilerSession:
     def ordered_ids(self) -> List[str]:
         """Statement identifiers in insertion order (rollback-stable)."""
         return sorted(self.statements, key=self.seq.__getitem__)
-
-    def checkpoint(self) -> "_SessionToken":
-        """Open a transaction: O(1) marks on the session and engine journals."""
-        return _SessionToken(
-            mark=self.journal.mark(), engine_mark=self.engine.checkpoint()
-        )
-
-    def restore(self, saved: "_SessionToken") -> None:
-        """Roll the session and its engine back to a :meth:`checkpoint`.
-
-        Replays O(changes since the checkpoint) undo entries.
-        """
-        self.journal.rollback(saved.mark)
-        self.engine.restore(saved.engine_mark)
-
-    def release(self, saved: "_SessionToken") -> None:
-        """Commit: drop the marks and truncate unreachable journal entries."""
-        self.journal.release(saved.mark)
-        self.engine.release(saved.engine_mark)
-
-
-@dataclass(frozen=True)
-class _SessionToken:
-    """An O(1) transaction token over a :class:`_CompilerSession`."""
-
-    mark: object  # JournalMark into the session's journal
-    engine_mark: object  # EngineMark into the engine's journal
 
 
 @dataclass
@@ -179,15 +155,16 @@ class MerlinCompiler:
     predicates, and ``generate_code`` can be disabled for pure provisioning
     benchmarks.
 
-    Provisioning knobs — solver backend, partitioning, worker pool,
+    Provisioning knobs — solver backend and limits, partitioning,
     footprint slack, slack widening, warm starts, and the solve-fabric
-    layer (``options.fabric`` worker pool, ``options.component_cache``
-    content-addressed solution cache — :mod:`repro.fabric`) — live in a
-    single :class:`~repro.core.options.ProvisionOptions` passed as
-    ``options`` (``None`` means the defaults).  Each :meth:`compile` hands
-    it to the session's engine, which every later :meth:`recompile` of that
-    session solves through: one configuration, one worker pool, one cache
-    per session.
+    layer (``options.fabric``, the only source of a worker pool, and
+    ``options.component_cache``, the cross-session content-addressed
+    solution cache — :mod:`repro.fabric`) — live in a single
+    :class:`~repro.core.options.ProvisionOptions` passed as ``options``
+    (``None`` means the defaults: in-process solves, no content cache).
+    Each :meth:`compile` hands it to the session's engine, which every
+    later :meth:`recompile` of that session solves through: one
+    configuration, one undo journal and one solution memo per session.
     """
 
     topology: Topology
@@ -342,8 +319,9 @@ class MerlinCompiler:
         ) as recompile_span:
             session = self._session
             prepared_adds = self._validate_delta(session, delta)
-            saved = session.checkpoint()
-            telemetry.gauge("journal_depth", len(session.journal))
+            journal = session.journal
+            saved = journal.mark()
+            telemetry.gauge("journal_depth", len(journal))
 
             try:
                 for identifier in delta.remove:
@@ -370,21 +348,20 @@ class MerlinCompiler:
                 # failure surfaced (an infeasible solve, a code-generation
                 # error).  Roll back to the checkpoint: the session is restored
                 # to its exact pre-delta state — statement population, rates,
-                # sink trees, cached component solutions, incumbents, revision
-                # counter — so it keeps matching the last result the caller
-                # successfully received, and the next recompile() proceeds
-                # normally.  Callers that withdraw on error (the negotiator)
-                # need only revert their own policy.
+                # sink trees, engine records, incumbents — so it keeps matching
+                # the last result the caller successfully received, and the
+                # next recompile() proceeds normally.  Callers that withdraw on
+                # error (the negotiator) need only revert their own policy.
                 recompile_span.annotate(rolled_back=True)
                 telemetry.counter("transactions_rolled_back")
-                session.restore(saved)
+                journal.rollback(saved)
                 raise
             else:
                 telemetry.counter("transactions_committed")
             finally:
                 # Commit (or, after a rollback, retire the still-live mark):
                 # drops the checkpoint and truncates the undo journal.
-                session.release(saved)
+                journal.release(saved)
         result.statistics.total_seconds = recompile_span.duration
         return result
 
@@ -432,7 +409,7 @@ class MerlinCompiler:
         monotone in the topology, so an untouched footprint proves the
         statement's product graph — and therefore its component model —
         is unchanged).  Rebuilt statements whose edge set actually changed
-        bump their engine revision; the shared resolve then re-solves
+        get a new engine record; the shared resolve then re-solves
         exactly the affected components, widening footprint slack where a
         failure pruned away every surviving path.  The same transaction
         discipline as the policy path applies: any failure (validation,
@@ -448,8 +425,9 @@ class MerlinCompiler:
     def _recompile_topology_in_span(self, delta, recompile_span) -> CompilationResult:
         session = self._session
         self._validate_topology_delta(session, delta)
-        saved = session.checkpoint()
-        telemetry.gauge("journal_depth", len(session.journal))
+        journal = session.journal
+        saved = journal.mark()
+        telemetry.gauge("journal_depth", len(journal))
         try:
             with telemetry.span("rateless") as rateless_span:
                 failed_links = set(session.failed_links)
@@ -463,7 +441,6 @@ class MerlinCompiler:
                     if failed_links or failed_nodes
                     else self.topology
                 )
-                journal = session.journal
                 journal.set_attr(session, "active_topology", active)
                 journal.set_attr(session, "failed_links", frozenset(failed_links))
                 journal.set_attr(session, "failed_nodes", frozenset(failed_nodes))
@@ -484,16 +461,16 @@ class MerlinCompiler:
                     )
             result = self._finalize(session, rateless_span.duration)
         except Exception:
-            # Same transaction discipline as the policy path; the engine
-            # journal recorded set_topology(), so restore() also reverts it.
+            # Same transaction discipline as the policy path; the journal
+            # recorded set_topology(), so the rollback also reverts it.
             recompile_span.annotate(rolled_back=True)
             telemetry.counter("transactions_rolled_back")
-            session.restore(saved)
+            journal.rollback(saved)
             raise
         else:
             telemetry.counter("transactions_committed")
         finally:
-            session.release(saved)
+            journal.release(saved)
         return result
 
     def _validate_topology_delta(self, session, delta) -> None:
@@ -556,7 +533,7 @@ class MerlinCompiler:
         ``changed`` links, against the session's (new) active topology.
 
         Guaranteed statements whose rebuilt edge set differs replace their
-        logical in the engine (revision bump → affected components
+        logical in the engine (new record → affected components
         re-solve); an identical edge set (e.g. a recovered link no
         cost-bounded path ever used) is skipped entirely, keeping cached
         component solutions valid.  A guaranteed statement with *no*
@@ -580,12 +557,9 @@ class MerlinCompiler:
                         "satisfying its path expression on the degraded "
                         "topology"
                     )
-                previous = session.guaranteed_logical[identifier]
+                previous = session.engine.untightened_for(identifier)
                 if set(previous.edges) == set(logical.edges):
                     continue
-                session.journal.set_item(
-                    session.guaranteed_logical, identifier, logical
-                )
                 session.engine.replace_logical(identifier, logical)
             else:
                 assignment = self._best_effort_assignment(
@@ -756,7 +730,6 @@ class MerlinCompiler:
         journal = session.journal
         if session.engine.has_statement(identifier):
             session.engine.remove_statement(identifier)
-            journal.del_item(session.guaranteed_logical, identifier)
         journal.del_item(session.statements, identifier)
         journal.del_item(session.local_rates, identifier)
         journal.del_item(session.endpoints, identifier)
@@ -810,7 +783,6 @@ class MerlinCompiler:
         elif not local.is_guaranteed and was_guaranteed:
             # Demoted to best-effort: leaves the MIP.
             engine.remove_statement(identifier)
-            session.journal.del_item(session.guaranteed_logical, identifier)
             self._enter_best_effort(session, statement)
 
     def _enter_guaranteed(self, session, statement, local) -> None:
@@ -829,9 +801,7 @@ class MerlinCompiler:
                 "from its predicate or path expression"
             )
         logical = self._logical_for(session, statement, source, destination)
-        journal = session.journal
-        journal.set_item(session.guaranteed_logical, identifier, logical)
-        journal.del_item(session.best_effort_paths, identifier)
+        session.journal.del_item(session.best_effort_paths, identifier)
         self._record_base_footprint(session, statement, logical)
         session.engine.add_statement(
             statement, local.guarantee, cap=local.cap, logical=logical

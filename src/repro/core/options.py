@@ -2,9 +2,9 @@
 
 :class:`ProvisionOptions` is the only way to configure how guaranteed
 traffic is provisioned: one frozen dataclass carrying the solver backend,
-partitioning switch, process-pool size, footprint-slack policy (base value
-plus whether infeasible components may widen it), solver limits, the
-warm-start policy and the solve-fabric handles.
+partitioning switch, footprint-slack policy (base value plus whether
+infeasible components may widen it), solver limits, the warm-start policy
+and the solve-fabric handles (worker pool, content cache).
 :class:`~repro.core.compiler.MerlinCompiler`,
 :func:`~repro.core.provisioning.provision` and
 :class:`~repro.incremental.engine.IncrementalProvisioner` each take it as
@@ -66,11 +66,9 @@ class ProvisionOptions:
     for the configured limits (``"bnb"`` when ``node_limit`` is set —
     scipy cannot bound its search — else ``"scipy"``).
 
-    ``partition`` / ``max_workers`` — whether the MIP is decomposed into
-    link-disjoint components (``False``: every resolve, compile or delta,
-    solves the one monolithic untightened model), and the process-pool
-    width used to solve several dirty components concurrently (0/1 solves
-    in-process).
+    ``partition`` — whether the MIP is decomposed into link-disjoint
+    components (``False``: every resolve, compile or delta, solves the one
+    monolithic untightened model).
 
     ``footprint_slack`` / ``widen_slack`` — the base cost-bound tightening
     applied to every statement's logical topology (``None`` disables
@@ -81,30 +79,25 @@ class ProvisionOptions:
     prior incumbents whenever the backend consumes starts; ``"off"``
     disables seeding.
 
-    ``cache_limit`` — the incremental engine's component-solution LRU size.
-
-    ``fabric`` — a :class:`repro.fabric.SolveFabric` to solve dirty
-    components on, shared across compile/recompile/sweep calls (and across
-    sessions that receive the same instance).  ``None`` falls back to the
-    process-wide :func:`repro.fabric.shared_fabric` whenever
-    ``max_workers > 1`` asks for parallel solves.
+    ``fabric`` — a :class:`repro.fabric.SolveFabric` to solve several dirty
+    components on concurrently, shared across compile/recompile/sweep calls
+    (and across sessions that receive the same instance); the pool width
+    is the fabric's own.  ``None`` solves every component in-process.
 
     ``component_cache`` — a :class:`repro.fabric.ComponentSolutionCache`
     consulted (by canonical content signature) before any component model
     is built, and populated with proven-optimal solutions after fresh
     solves.  ``None`` disables cross-run content caching; the engine's
-    session-local revision cache is unaffected either way.
+    session-local solution memo is unaffected either way.
     """
 
     solver: Optional[object] = None
     partition: bool = True
-    max_workers: int = 0
     footprint_slack: Optional[int] = DEFAULT_FOOTPRINT_SLACK
     widen_slack: bool = True
     time_limit_seconds: Optional[float] = None
     node_limit: Optional[int] = None
     warm_start: str = "auto"
-    cache_limit: int = 512
     fabric: Optional[object] = None
     component_cache: Optional[object] = None
 

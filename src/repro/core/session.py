@@ -97,7 +97,7 @@ class ProvisioningSession:
         so the journal can be truncated (an outstanding mark keeps every
         subsequent undo entry alive).
         """
-        return self._session().checkpoint()
+        return self._session().journal.mark()
 
     def rollback(self, token) -> None:
         """Restore the session to a :meth:`checkpoint` token's state.
@@ -106,7 +106,7 @@ class ProvisioningSession:
         checkpoint).  The token stays valid (the unit of work can retry);
         call :meth:`commit` when done with it.
         """
-        self._session().restore(token)
+        self._session().journal.rollback(token)
 
     def commit(self, token) -> None:
         """Retire a :meth:`checkpoint` token, truncating the undo journal.
@@ -114,7 +114,7 @@ class ProvisioningSession:
         Committing an already-invalidated token (one superseded by a
         rollback to an earlier mark) is a harmless no-op.
         """
-        self._session().release(token)
+        self._session().journal.release(token)
 
     # -- introspection -------------------------------------------------------
 

@@ -13,9 +13,9 @@ tenant's name.  The fabric removes both costs:
   heuristic backend and the first finisher wins (with a proof-aware
   preference for the exact result).  Worker crashes respawn the pool once
   and finish serially if it keeps dying — a dead worker degrades latency,
-  never correctness.  :func:`shared_fabric` is the process-wide default
-  pool that ``solve_partition_models`` falls back to, so legacy
-  ``max_workers > 1`` callers get pool persistence without code changes.
+  never correctness.  A caller that wants pooled solves creates a fabric
+  and passes it as ``ProvisionOptions.fabric``; without one, components
+  solve in-process.
 
 * :class:`ComponentSolutionCache` (``cache.py``) — a content-addressed
   store of solved components keyed by the canonical signature of
@@ -31,7 +31,7 @@ here.
 """
 
 from .cache import ComponentSolutionCache
-from .pool import SolveFabric, shared_fabric, shutdown_shared_fabric
+from .pool import SolveFabric
 from .signature import (
     CanonicalComponent,
     backend_fingerprint,
@@ -50,6 +50,4 @@ __all__ = [
     "decode_solution",
     "encode_infeasible",
     "encode_solution",
-    "shared_fabric",
-    "shutdown_shared_fabric",
 ]

@@ -1,9 +1,9 @@
 """The content-addressed component-solution cache.
 
 Maps canonical component signatures (:mod:`repro.fabric.signature`) to
-stored solution records.  Unlike the incremental engine's revision-keyed
-cache — which answers "is this exact session's component unchanged since
-the last resolve?" — this cache answers "has *anyone*, in *any* session or
+stored solution records.  Unlike the incremental engine's token-keyed
+memo — which answers "is this exact session's component unchanged since
+an earlier resolve?" — this cache answers "has *anyone*, in *any* session or
 run, already solved a component with this content?", which is what lets a
 topology-zoo or fat-tree sweep solve each distinct pod/tenant shape once.
 

@@ -25,14 +25,13 @@ schedules component solves onto it:
 
 The pool is lazy: no processes exist until the first multi-payload
 ``solve``, and ``shutdown()`` reaps them while leaving the fabric usable
-(the next solve respawns).  :func:`shared_fabric` is the process-wide
-default instance used by ``solve_partition_models`` when no explicit
-fabric is configured; it is reaped at interpreter exit.
+(the next solve respawns).  A fabric belongs to whoever created it and
+reaches the solver as ``ProvisionOptions.fabric``; there is no
+process-wide instance.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import threading
 from concurrent.futures import (
@@ -47,7 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import telemetry
 
-__all__ = ["SolveFabric", "shared_fabric", "shutdown_shared_fabric"]
+__all__ = ["SolveFabric"]
 
 
 def _default_task(payload):
@@ -108,22 +107,6 @@ class SolveFabric:
     @property
     def max_workers(self) -> int:
         return self._max_workers
-
-    def ensure_workers(self, count: int) -> "SolveFabric":
-        """Grow the pool to at least ``count`` workers (never shrinks).
-
-        A live executor of the old width is discarded without waiting —
-        already-queued futures still run to completion on it — and the
-        next solve spawns at the new width.
-        """
-        stale = None
-        with self._lock:
-            if count > self._max_workers:
-                self._max_workers = count
-                stale, self._executor = self._executor, None
-        if stale is not None:
-            stale.shutdown(wait=False)
-        return self
 
     def _executor_handle(self) -> ProcessPoolExecutor:
         with self._lock:
@@ -258,33 +241,3 @@ class SolveFabric:
                     primary.cancel()
         finally:
             spares.shutdown(wait=False)
-
-
-_shared: Optional[SolveFabric] = None
-_shared_lock = threading.Lock()
-
-
-def shared_fabric(max_workers: int = 0) -> SolveFabric:
-    """The process-wide fabric behind legacy ``max_workers > 1`` callers.
-
-    Created on first use and grown (never shrunk) to the widest request
-    seen, so repeated ``solve_partition_models`` calls share one set of
-    long-lived workers instead of forking a pool per call.  Reaped at
-    interpreter exit.
-    """
-    global _shared
-    with _shared_lock:
-        if _shared is None:
-            _shared = SolveFabric(max_workers=max(1, max_workers))
-            atexit.register(shutdown_shared_fabric)
-    if max_workers > 1:
-        _shared.ensure_workers(max_workers)
-    return _shared
-
-
-def shutdown_shared_fabric() -> None:
-    """Reap the shared fabric's workers (it respawns lazily if used again)."""
-    with _shared_lock:
-        fabric = _shared
-    if fabric is not None:
-        fabric.shutdown()

@@ -35,7 +35,7 @@ from .delta import (
     merge_policy_deltas,
     policy_delta,
 )
-from .engine import EngineMark, IncrementalProvisioner
+from .engine import IncrementalProvisioner
 from .journal import JournalError, JournalMark, UndoJournal
 from .partition import (
     LinkKey,
@@ -61,7 +61,6 @@ __all__ = [
     "TopologyDelta",
     "merge_policy_deltas",
     "policy_delta",
-    "EngineMark",
     "IncrementalProvisioner",
     "JournalError",
     "JournalMark",

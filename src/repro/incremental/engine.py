@@ -1,35 +1,34 @@
 """The incremental re-provisioning engine (delta compilation).
 
 :class:`IncrementalProvisioner` owns the *session state* of a changing
-statement population — per-statement metadata only, never a live MIP:
+statement population — one :class:`~repro.incremental.solve.StatementRecord`
+per statement, never a live MIP:
 
-* :meth:`add_statement` records a statement's (cost-bound-tightened) logical
-  topology, rates, link footprint, and a fresh revision number,
-* :meth:`remove_statement` forgets them (and prunes the statement's
+* :meth:`add_statement` records a statement's product graph and rates
+  under a fresh token,
+* :meth:`remove_statement` drops the record (and prunes the statement's
   incumbent values),
-* :meth:`update_rates` rewrites the statement's rates and bumps its
-  revision.
+* :meth:`update_rates` swaps in a record with the new rates — under a new
+  token when the guarantee changed.
 
-All three are pure bookkeeping: O(statement) dictionary updates, no model
-splicing, no pass over live constraint rows.  The fully-spliced global
-model — historically maintained eagerly, putting O(total logical edges)
-splice work on every session setup and removal — is now *lazily
-materialized*: only :meth:`solve_live` (and the ``live_model`` /
-``num_live_*`` introspection properties) builds it, on demand, from the
-same bookkeeping dicts, via the exact canonical constructor
+All three are pure bookkeeping: one dictionary entry, no model splicing,
+no pass over live constraint rows.  The fully-spliced global model is
+*lazily materialized*: only :meth:`solve_live` (and the ``live_model``
+introspection property) builds it, on demand, from the same records, via
+the exact canonical constructor
 (:func:`~repro.core.provisioning.build_model_for_links`) the component
 models use.  ``live_materializations`` counts those builds so tests can assert
 the delta path never pays for one.
 
 :meth:`resolve` re-provisions: the active statements are partitioned into
 link-disjoint components (union-find over *tightened* logical link
-footprints), components whose membership and rates are unchanged since the
-previous solve re-use their cached
+footprints), components whose members are unchanged since an earlier solve
+re-use their memoized
 :class:`~repro.incremental.solve.PartitionSolution` verbatim, and only the
 *dirty* components are rebuilt (in canonical order) and re-solved —
-concurrently in a process pool when several are dirty, each warm-started
-from the previous incumbent projected onto its surviving variables.  A
-full compile is the same thing with every component dirty:
+concurrently on ``options.fabric`` when several are dirty, each
+warm-started from the previous incumbent projected onto its surviving
+variables.  A full compile is the same thing with every component dirty:
 ``MerlinCompiler.compile`` and ``core.provisioning.provision`` add their
 statements to a fresh engine and resolve once, so a delta history and a
 from-scratch run meet in the same canonical component models by
@@ -45,25 +44,27 @@ solve would return.
 
 Transactions
 ------------
-Transactions are an **undo journal**, not a shadow copy: every mutator
+A transaction is one mark in the engine's **undo journal**
+(:attr:`IncrementalProvisioner.journal`, which the compiler's session
+writes its own state through as well): every mutator
 (:meth:`add_statement` / :meth:`remove_statement` / :meth:`update_rates` /
-:meth:`replace_logical` / :meth:`set_topology`) records inverse operations
-for exactly the entries it touches, so :meth:`checkpoint` is O(1) — it
-marks a journal position (plus a bounded snapshot of the LRU solution
-cache, see below) — :meth:`restore` replays O(delta) undo entries, and
+:meth:`replace_logical` / :meth:`set_topology`) records the inverse of the
+one record it swaps, so :meth:`checkpoint` marks a journal position and
+copies nothing, :meth:`restore` replays O(delta) undo entries, and
 :meth:`release` (commit) truncates the journal.  The transaction property
 tests capture the same fields by copying them
 (``tests/incremental/test_journal.py::_engine_state``) and assert the
 journal restores state byte-identical to the copies.
 
-The one piece *not* journaled is the component-solution cache.  Revision
-numbers are re-issued after a rollback, so a solution cached inside a
-failed transaction could later collide with an identical-looking
-signature from a different population — the cache must be restored
-*exactly*, including LRU order.  Since it is bounded by
-``options.cache_limit`` (default 512) independent of population size,
-each checkpoint snapshots it outright: O(cache_limit), not
-O(population).
+The solution memo needs no rollback.  Its keys are made of record tokens,
+and the token counter is the one piece of engine state a rollback does not
+rewind: a token is never issued twice, so an entry written inside a failed
+transaction describes records that no longer exist and can simply never
+be asked for again, while every entry about the reinstated records is
+still true.  The tightened views need none either — they hang off the
+record, so the journal puts them back with it.  The memoized live model
+is cleared *through* the journal by the mutators, so a rollback reinstates
+the model that matches the records it reinstates.
 
 :meth:`MerlinCompiler.recompile` wraps every delta in one transaction, so
 a delta that fails *after* validation — an infeasible solve, a
@@ -73,8 +74,9 @@ state instead of invalidating it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import dataclasses
+import itertools
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from .. import telemetry
 from ..core.ast import Statement
@@ -83,7 +85,6 @@ from ..core.logical import (
     LogicalTopology,
     build_logical_topology,
     infer_endpoints,
-    prune_to_cost_bound,
 )
 from ..core.options import ProvisionOptions
 from ..core.provisioning import (
@@ -97,33 +98,13 @@ from ..errors import ProvisioningError
 from ..topology.graph import Topology
 from ..units import Bandwidth
 from .journal import JournalMark, UndoJournal
-from .partition import PartitionSpec
 from .solve import (
-    INFEASIBLE_COMPONENT,
+    MemoKey,
+    StatementRecord,
     merge_partition_solutions,
-    record_widening_statistics,
     solve_components_with_widening,
     topology_capacities_mbps,
 )
-
-#: A partition's cache key: heuristic, each member's (id, revision), and
-#: each member's footprint slack (the same members at a different widening
-#: level are a different model).
-Signature = Tuple[str, Tuple[Tuple[str, int], ...], Tuple[Optional[int], ...]]
-
-
-@dataclass(frozen=True)
-class EngineMark:
-    """An O(1) transaction token: a journal position + cache snapshot.
-
-    ``mark`` names the undo-journal position to rewind to; ``cache`` is
-    the bounded (``cache_limit``-capped, population-independent) snapshot
-    of the component-solution cache, restored outright on rollback —
-    see the module docstring for why the cache cannot be journaled.
-    """
-
-    mark: JournalMark
-    cache: Dict[Signature, object]
 
 
 class IncrementalProvisioner:
@@ -131,14 +112,13 @@ class IncrementalProvisioner:
 
     Everything about *how* to solve comes from ``options`` (``None`` means
     the :class:`~repro.core.options.ProvisionOptions` defaults):
-    ``max_workers`` > 1 enables the process pool for multi-component
-    re-solves (0, the default, solves dirty components in-process, the
-    right choice for the common single-component delta);
     ``footprint_slack`` is the cost-bound tightening applied to each
     statement's logical topology (extra physical hops over its optimum;
-    ``None`` disables tightening); ``fabric`` and ``component_cache`` are
-    owned by the caller (typically the control plane) — the engine only
-    routes work through them.
+    ``None`` disables tightening); ``fabric`` (the worker pool several
+    dirty components are solved on — without one they solve in-process,
+    the right choice for the common single-component delta) and
+    ``component_cache`` are owned by the caller (typically the control
+    plane) — the engine only routes work through them.
     """
 
     def __init__(
@@ -156,46 +136,25 @@ class IncrementalProvisioner:
         self.solver = options.backend()
         self.footprint_slack = options.footprint_slack
 
-        #: Session-persistent cost-bound tightening memo, shaped
-        #: ``{sid: {slack: (base, tightened, footprint)}}`` and handed to
-        #: every ``solve_components_with_widening`` call so tightening work
-        #: survives across recompiles instead of being rebuilt per delta.
-        #: Deliberately unjournaled: entries self-invalidate by identity
-        #: against the *current* untightened topology (a rollback that
-        #: restores an older ``_logical_full`` object simply misses), so a
-        #: stale entry can cost a recompute but never a wrong footprint.
-        #: Mutators that reshape a statement drop its entries outright to
-        #: bound memory (O(1) per-sid pop, keyed by statement).
-        self._tighten_cache: Dict[str, Dict[Optional[int], tuple]] = {}
-
         self._capacity_mbps = topology_capacities_mbps(topology)
-        self._statements: Dict[str, Statement] = {}
-        #: Tightened (cost-bounded) logical topologies — what partitioning,
-        #: the component models, and the lazy live model are all built from.
-        self._logical: Dict[str, LogicalTopology] = {}
-        #: The *untightened* product graphs, kept alongside: slack widening
-        #: re-tightens from these at wider bounds, and incumbent pruning on
-        #: removal must cover the widest variable range ever emitted.
-        self._logical_full: Dict[str, LogicalTopology] = {}
-        self._rates: Dict[str, LocalRates] = {}
-        # Per-statement link footprint, computed once at add time: logical
-        # topologies are immutable, and re-walking every statement's edges
-        # on each resolve would put O(total logical edges) back on the
-        # latency path this engine exists to shrink.
-        self._footprints: Dict[str, frozenset] = {}
-        self._revisions: Dict[str, int] = {}
-        self._next_revision = 1
-
-        self._cache: Dict[Signature, object] = {}
+        #: The per-statement state, all of it: mutators swap whole records
+        #: through the journal and nothing else is kept per statement.
+        self._records: Dict[str, StatementRecord] = {}
+        #: Record tokens.  Never rewound, not even by a rollback: that is
+        #: what lets the memo below outlive any transaction unharmed.
+        self._tokens = itertools.count(1)
+        #: Component solutions (and proven-infeasible rungs) by member
+        #: tokens; read, written and bounded by the solve loop.
+        self._memo: Dict[MemoKey, object] = {}
         self._last_values: Dict[str, float] = {}
 
         #: The undo journal behind O(1) checkpoints; mutators record
         #: inverse operations here whenever a transaction is open.
-        self._journal = UndoJournal()
+        self.journal = UndoJournal()
 
-        # --- the lazily-materialized live model --------------------------------
+        #: The lazily-materialized live model; ``None`` until asked for and
+        #: again after any mutation the model depends on.
         self._live: Optional[ProvisioningModel] = None
-        self._live_signature: Optional[Signature] = None
         #: How many times the spliced global model was actually built; the
         #: delta path must never increment it (counter/spy for tests).
         self.live_materializations = 0
@@ -203,17 +162,21 @@ class IncrementalProvisioner:
     # -- introspection -----------------------------------------------------------
 
     def statement_ids(self) -> List[str]:
-        return list(self._statements)
+        return list(self._records)
 
     def has_statement(self, identifier: str) -> bool:
-        return identifier in self._statements
+        return identifier in self._records
 
     def rates_for(self, identifier: str) -> LocalRates:
-        return self._rates[identifier]
+        return self._records[identifier].rates
 
     def logical_for(self, identifier: str) -> LogicalTopology:
         """The statement's *tightened* logical topology (the MIP's view)."""
-        return self._logical[identifier]
+        return self._records[identifier].view(self.footprint_slack)[0]
+
+    def untightened_for(self, identifier: str) -> LogicalTopology:
+        """The statement's whole product graph, as it was entered."""
+        return self._records[identifier].logical
 
     @property
     def live_model(self):
@@ -221,48 +184,45 @@ class IncrementalProvisioner:
         until the next delta)."""
         return self._materialize_live().model
 
-    def num_live_variables(self) -> int:
-        return self._materialize_live().model.num_variables()
-
-    def num_live_constraints(self) -> int:
-        return self._materialize_live().model.num_constraints()
-
     # -- transactions -------------------------------------------------------------
 
-    def checkpoint(self) -> EngineMark:
-        """Open a transaction: O(1) journal mark + bounded cache snapshot.
+    def checkpoint(self) -> JournalMark:
+        """Open a transaction: a journal mark, nothing copied.
 
         Rolling back via :meth:`restore` replays only the undo entries the
         transaction recorded (O(delta)); committing via :meth:`release`
         truncates them.  Marks are stacked: rolling back to an earlier
         mark invalidates later ones.
         """
-        return EngineMark(mark=self._journal.mark(), cache=dict(self._cache))
+        return self.journal.mark()
 
-    def restore(self, saved: EngineMark) -> None:
-        """Reinstate a :meth:`checkpoint` exactly.
+    def restore(self, saved: JournalMark) -> None:
+        """Reinstate a :meth:`checkpoint` exactly — O(changes since the
+        checkpoint), not O(population)."""
+        self.journal.rollback(saved)
 
-        Replays the undo journal back to the mark and reinstates the cache
-        snapshot — O(changes since the checkpoint), not O(population).
-        """
-        self._journal.rollback(saved.mark)
-        self._cache = dict(saved.cache)
-        # Drop the memoized live model: rollback rewinds the revision
-        # counter, so a post-rollback delta re-issues revision numbers and
-        # a model materialized *inside* the failed transaction could
-        # otherwise collide with the new population's signature.
-        self._live = None
-        self._live_signature = None
-
-    def release(self, saved: EngineMark) -> None:
+    def release(self, saved: JournalMark) -> None:
         """Commit a transaction opened by :meth:`checkpoint`.
 
         Drops the journal mark and truncates undo entries no outstanding
         mark can reach.
         """
-        self._journal.release(saved.mark)
+        self.journal.release(saved)
 
     # -- delta operations ---------------------------------------------------------
+
+    def _swap(self, identifier: str, record: Optional[StatementRecord]) -> None:
+        """Install a statement's record, or drop it (``None``).
+
+        The live model depends on every record, so it is cleared along —
+        journaled, so a rollback brings back the model of the records it
+        brings back.
+        """
+        if record is None:
+            self.journal.del_item(self._records, identifier)
+        else:
+            self.journal.set_item(self._records, identifier, record)
+        self.journal.set_attr(self, "_live", None)
 
     def add_statement(
         self,
@@ -276,11 +236,11 @@ class IncrementalProvisioner:
         ``logical`` may be supplied when the caller already built the
         statement's product graph (the compiler's memoized pipeline does);
         otherwise it is constructed here from the statement's inferred
-        endpoints.  Either way it is tightened to its cost-bounded subgraph
-        before being stored.  No model is built or spliced.
+        endpoints.  No model is built or spliced, and the graph is cut to
+        its cost-bounded view when a resolve first asks for it.
         """
         identifier = statement.identifier
-        if identifier in self._statements:
+        if identifier in self._records:
             raise ProvisioningError(
                 f"statement {identifier!r} is already provisioned; remove it "
                 "first or use update_rates"
@@ -309,37 +269,22 @@ class IncrementalProvisioner:
                 f"statement {identifier!r} has no feasible path satisfying "
                 "its path expression"
             )
-        full = logical
-        if self.footprint_slack is not None:
-            logical = prune_to_cost_bound(logical, self.footprint_slack)
-
-        journal = self._journal
-        journal.set_item(self._statements, identifier, statement)
-        journal.set_item(self._logical, identifier, logical)
-        journal.set_item(self._logical_full, identifier, full)
-        journal.set_item(
-            self._footprints, identifier, frozenset(logical.physical_links_used())
-        )
-        journal.set_item(
-            self._rates,
+        self._swap(
             identifier,
-            LocalRates(identifier=identifier, guarantee=guarantee, cap=cap),
+            StatementRecord(
+                statement=statement,
+                logical=logical,
+                rates=LocalRates(identifier=identifier, guarantee=guarantee, cap=cap),
+                token=next(self._tokens),
+            ),
         )
-        journal.set_item(self._revisions, identifier, self._bump_revision())
 
     def remove_statement(self, identifier: str) -> None:
         """Forget a statement (bookkeeping only — no rows to splice out)."""
-        if identifier not in self._statements:
+        if identifier not in self._records:
             raise ProvisioningError(f"unknown statement {identifier!r}")
         self._prune_incumbents(identifier)
-        self._tighten_cache.pop(identifier, None)
-        journal = self._journal
-        journal.del_item(self._statements, identifier)
-        journal.del_item(self._logical, identifier)
-        journal.del_item(self._logical_full, identifier)
-        journal.del_item(self._footprints, identifier)
-        journal.del_item(self._rates, identifier)
-        journal.del_item(self._revisions, identifier)
+        self._swap(identifier, None)
 
     def _prune_incumbents(self, identifier: str) -> None:
         """Drop a statement's incumbent values (on removal or reshaping).
@@ -354,20 +299,19 @@ class IncrementalProvisioner:
         the *untightened* edge count: widened component models emit
         variables beyond the base-tightened range.
         """
-        for index in range(self._logical_full[identifier].num_edges()):
-            self._journal.del_item(self._last_values, f"x__{identifier}__{index}")
+        for index in range(self._records[identifier].logical.num_edges()):
+            self.journal.del_item(self._last_values, f"x__{identifier}__{index}")
 
     def replace_logical(self, identifier: str, logical: LogicalTopology) -> None:
         """Swap a statement's (untightened) product graph for a new one.
 
         The compiler's topology-delta path calls this for every statement
-        whose product graph changed on the new active topology: the
-        tightened view and link footprint are recomputed, the statement's
-        revision is bumped (invalidating cached component solutions that
-        could route over vanished links), and stale incumbents over the old
-        edge indexing are pruned.
+        whose product graph changed on the new active topology: the new
+        record starts without views and under a fresh token (no memoized
+        component solution, which could route over vanished links, names
+        it), and stale incumbents over the old edge indexing are pruned.
         """
-        if identifier not in self._statements:
+        if identifier not in self._records:
             raise ProvisioningError(f"unknown statement {identifier!r}")
         if logical.num_edges() == 0:
             raise ProvisioningError(
@@ -375,19 +319,16 @@ class IncrementalProvisioner:
                 "its path expression"
             )
         self._prune_incumbents(identifier)
-        self._tighten_cache.pop(identifier, None)
-        journal = self._journal
-        journal.set_item(self._logical_full, identifier, logical)
-        tightened = (
-            logical
-            if self.footprint_slack is None
-            else prune_to_cost_bound(logical, self.footprint_slack)
+        previous = self._records[identifier]
+        self._swap(
+            identifier,
+            StatementRecord(
+                statement=previous.statement,
+                logical=logical,
+                rates=previous.rates,
+                token=next(self._tokens),
+            ),
         )
-        journal.set_item(self._logical, identifier, tightened)
-        journal.set_item(
-            self._footprints, identifier, frozenset(tightened.physical_links_used())
-        )
-        journal.set_item(self._revisions, identifier, self._bump_revision())
 
     def set_topology(self, topology: Topology) -> None:
         """Point the engine at a new (e.g. degraded) physical topology.
@@ -396,12 +337,23 @@ class IncrementalProvisioner:
         directly; per-statement logical topologies must be re-supplied by
         the caller via :meth:`replace_logical` where they changed.
         """
-        self._journal.set_attr(self, "topology", topology)
-        self._journal.set_attr(
-            self, "_capacity_mbps", topology_capacities_mbps(topology)
-        )
-        self._live = None
-        self._live_signature = None
+        capacities = topology_capacities_mbps(topology)
+        journal = self.journal
+        if any(
+            capacities.get(key, mbps) != mbps
+            for key, mbps in self._capacity_mbps.items()
+        ):
+            # A memoized solution is a fact about its members' records and
+            # the capacities of the links they can reach.  A link that
+            # vanishes or returns changes the records of the statements
+            # that can reach it; a link that merely changes capacity
+            # changes no record, so every entry is suspect.  The rebind is
+            # journaled: a rollback brings the old capacities back and the
+            # memo that was true of them.
+            journal.set_attr(self, "_memo", {})
+        journal.set_attr(self, "topology", topology)
+        journal.set_attr(self, "_capacity_mbps", capacities)
+        journal.set_attr(self, "_live", None)
 
     def update_rates(
         self,
@@ -410,43 +362,29 @@ class IncrementalProvisioner:
         cap: Optional[Bandwidth] = None,
     ) -> None:
         """Rewrite a statement's rates (bookkeeping only)."""
-        if identifier not in self._statements:
+        if identifier not in self._records:
             raise ProvisioningError(f"unknown statement {identifier!r}")
         if guarantee is None or guarantee.bps_value <= 0:
             raise ProvisioningError(
                 f"statement {identifier!r} needs a positive guarantee; remove "
                 "it instead to make it best-effort"
             )
-        previous = self._rates[identifier].guarantee
-        self._journal.set_item(
-            self._rates,
-            identifier,
-            LocalRates(identifier=identifier, guarantee=guarantee, cap=cap),
-        )
-        if previous is not None and previous.bps_value == guarantee.bps_value:
+        previous = self._records[identifier]
+        rates = LocalRates(identifier=identifier, guarantee=guarantee, cap=cap)
+        if previous.rates.guarantee.bps_value == guarantee.bps_value:
             # Cap-only change: the cap never enters the provisioning MIP, so
-            # the statement's partition stays clean (its cached solution and
-            # the memoized live model remain valid).
+            # the record keeps its token — the statement's partition stays
+            # clean — and the memoized live model remains valid.
+            self.journal.set_item(
+                self._records, identifier, dataclasses.replace(previous, rates=rates)
+            )
             return
-        self._journal.set_item(self._revisions, identifier, self._bump_revision())
-
-    def _bump_revision(self) -> int:
-        revision = self._next_revision
-        self._journal.set_attr(self, "_next_revision", revision + 1)
-        return revision
+        self._swap(
+            identifier,
+            dataclasses.replace(previous, rates=rates, token=next(self._tokens)),
+        )
 
     # -- solving -------------------------------------------------------------------
-
-    def _signature_for(
-        self,
-        statement_ids: Tuple[str, ...],
-        member_slacks: Tuple[Optional[int], ...],
-    ) -> Signature:
-        return (
-            self.heuristic.value,
-            tuple((sid, self._revisions[sid]) for sid in statement_ids),
-            member_slacks,
-        )
 
     def resolve(self) -> ProvisioningResult:
         """Re-provision the active statements, re-solving only dirty components.
@@ -458,7 +396,8 @@ class IncrementalProvisioner:
         nothing to reuse: the monolithic untightened model is solved
         whole, statements in session order.
         """
-        if not self._statements:
+        records = self._records
+        if not records:
             return ProvisioningResult(
                 paths={},
                 link_reservations={},
@@ -471,47 +410,28 @@ class IncrementalProvisioner:
             )
         if not self.options.partition:
             return solve_monolithic(
-                list(self._statements.values()),
-                self._logical_full,
-                self._rates,
+                [record.statement for record in records.values()],
+                {sid: record.logical for sid, record in records.items()},
+                {sid: record.rates for sid, record in records.items()},
                 self.topology,
                 self.placements,
                 self.heuristic,
                 self.solver,
             )
 
-        def lookup(spec: PartitionSpec, slacks: Tuple[Optional[int], ...]):
-            found = self._cache.get(
-                self._signature_for(spec.statement_ids, slacks)
-            )
-            if found is None:
-                telemetry.counter("component_cache_misses")
-            elif found is INFEASIBLE_COMPONENT:
-                telemetry.counter("component_cache_infeasible_hits")
-            else:
-                telemetry.counter("component_cache_hits")
-            return found
-
         warm_values = (
             self._last_values if self.options.warm_start != "off" else None
         )
-        with telemetry.span(
-            "resolve", statements=len(self._statements)
-        ) as resolve_span:
+        with telemetry.span("resolve", statements=len(records)) as resolve_span:
             outcome = solve_components_with_widening(
-                self._statements,
-                self._logical_full,
-                self._rates,
+                records,
                 self._capacity_mbps,
                 self.heuristic,
+                self._memo,
                 solver=self.solver,
-                max_workers=self.options.max_workers,
                 footprint_slack=self.footprint_slack,
                 widen=self.options.widen_slack,
-                base_tightened=self._logical,
                 warm_values=warm_values,
-                lookup=lookup,
-                tighten_cache=self._tighten_cache,
                 component_cache=self.options.component_cache,
                 fabric=self.options.fabric,
             )
@@ -521,8 +441,7 @@ class IncrementalProvisioner:
 
             result = merge_partition_solutions(
                 outcome.solutions,
-                self._statements,
-                self._rates,
+                records,
                 self.topology,
                 self.placements,
                 outcome.construction_seconds,
@@ -534,7 +453,7 @@ class IncrementalProvisioner:
             len(outcome.specs) - len(outcome.fresh)
         )
         # The merge sums work diagnostics over every component it was
-        # handed, cached ones included; report only the work THIS resolve
+        # handed, memoized ones included; report only the work THIS resolve
         # performed (reused components were solved by an earlier call).
         result.solve_statistics["solve_cpu_seconds"] = float(
             outcome.solve_cpu_seconds
@@ -543,67 +462,48 @@ class IncrementalProvisioner:
             result.solve_statistics["nodes"] = float(outcome.nodes)
         else:
             result.solve_statistics.pop("nodes", None)
-        record_widening_statistics(result, outcome, self.footprint_slack)
+        result.solve_statistics["slack_retries"] = float(outcome.slack_retries)
+        result.solve_statistics["footprint_slack_used"] = outcome.slack_used(
+            self.footprint_slack
+        )
 
-        # Retain previous entries (bounded, LRU): oscillating deltas — add
-        # then revert, AIMD up/down — bring back signatures solved a resolve
-        # or two ago, and those must be cache hits, not re-solves.  Markers
-        # for rungs proven infeasible on the way up the ladder are cached
-        # too, so the next resolve of the same population skips them.
-        for spec, solution in zip(outcome.specs, outcome.solutions):
-            slacks = solution.member_slacks or tuple(
-                self.footprint_slack for _ in spec.statement_ids
-            )
-            signature = self._signature_for(spec.statement_ids, slacks)
-            self._cache.pop(signature, None)
-            self._cache[signature] = solution
-        for key in outcome.infeasible_keys:
-            self._cache[self._signature_for(*key)] = INFEASIBLE_COMPONENT
-        while len(self._cache) > self.options.cache_limit:
-            self._cache.pop(next(iter(self._cache)))
         # Content-cache adoptions carry incumbent values this session has
         # never seen; they seed warm starts exactly like fresh solves.
         for solution in (*outcome.fresh, *outcome.adopted):
-            self._journal.update_items(self._last_values, solution.values_by_name)
+            self.journal.update_items(self._last_values, solution.values_by_name)
         return result
 
     # -- the live model as a (lazily built) solvable artifact ------------------------
 
-    def _population_signature(self) -> Signature:
-        return (
-            self.heuristic.value,
-            tuple(sorted(self._revisions.items())),
-        )
-
     def _materialize_live(self) -> ProvisioningModel:
         """Build (or reuse) the fully-spliced global model.
 
-        Constructed from the same bookkeeping dicts ``resolve()`` reads,
-        through the same canonical constructor the component models use, so it
-        is coefficient-identical to a from-scratch
+        Constructed from the same records ``resolve()`` reads, through the
+        same canonical constructor the component models use, so it is
+        coefficient-identical to a from-scratch
         :func:`~repro.core.provisioning.build_provisioning_model` of the
-        current statements over the whole topology.  Memoized on the
-        population signature: repeated solves without intervening deltas
-        reuse the build, any delta invalidates it implicitly, and
-        :meth:`restore` drops it explicitly (revision numbers are re-issued
-        after a rollback, so signatures alone could not be trusted).
+        current statements over the whole topology.  Kept until a mutator
+        clears it (see :meth:`_swap`), so repeated solves without
+        intervening deltas reuse the build.
         """
-        signature = self._population_signature()
-        if self._live is None or self._live_signature != signature:
+        if self._live is None:
             self.live_materializations += 1
+            records = self._records
             self._live = build_model_for_links(
-                list(self._statements.values()),
-                self._logical,
-                self._rates,
+                [record.statement for record in records.values()],
+                {
+                    sid: record.view(self.footprint_slack)[0]
+                    for sid, record in records.items()
+                },
+                {sid: record.rates for sid, record in records.items()},
                 list(self._capacity_mbps.items()),
                 heuristic=self.heuristic,
             )
-            self._live_signature = signature
         return self._live
 
     def solve_live(self, solver=None):
         """Solve the lazily-built global model directly (no partitioning,
-        no cache).
+        no memo).
 
         Exists as a correctness escape hatch and as the splice-equivalence
         oracle for the test suite; :meth:`resolve` is the fast path.  This

@@ -33,8 +33,8 @@ of the dict, so journaled rollback preserves dict *contents* but not
 insertion order.  State whose iteration order is behaviorally visible
 (e.g. the statement order that drives VLAN/queue allocation in codegen)
 must carry explicit sequence stamps and sort on use — see
-``_CompilerSession.seq`` in ``core/compiler.py``.  The engine's dicts
-are all order-insensitive (partitioning canonicalizes by sorted ids).
+``_CompilerSession.seq`` in ``core/compiler.py``.  The engine's record
+dict is order-insensitive (partitioning canonicalizes by sorted ids).
 """
 from __future__ import annotations
 

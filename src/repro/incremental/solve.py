@@ -3,11 +3,12 @@
 The back half of the one provisioning pipeline: the incremental engine
 (:mod:`repro.incremental.engine`) is the only caller of
 :func:`solve_components_with_widening`, whether it is resolving a full
-compile's population or a one-statement delta.  The loop partitions the
-statements, builds one sub-model per component
-(:func:`build_partition_model`) for the components the engine has no
-cached :class:`PartitionSolution` for, solves them, widens footprint slack
-where a component came back infeasible, and the engine merges the lot with
+compile's population or a one-statement delta.  The engine hands over its
+per-statement records (:class:`StatementRecord`) and its solution memo; the
+loop partitions the statements, builds one sub-model per component
+(:func:`build_partition_model`) for the components the memo holds no
+:class:`PartitionSolution` for, solves them, widens footprint slack where a
+component came back infeasible, and the engine merges the lot with
 :func:`merge_partition_solutions`.
 
 Each component's model is built in canonical order (statements sorted by
@@ -19,7 +20,7 @@ yields exactly the allocations of a from-scratch ``compile()`` of the
 final policy.
 
 Disjoint components are independent MIPs, so they can be solved
-concurrently: ``max_workers > 1`` ships the built models to the solve
+concurrently: with ``options.fabric`` set the built models go to the solve
 fabric (:mod:`repro.fabric` — a *persistent* worker pool shared across
 calls; models pickle cleanly and results return as name-keyed value maps).
 A worker crash degrades to a serial in-process solve, never to an error.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..core.localization import LocalRates
@@ -53,19 +54,35 @@ from ..core.provisioning import (
 from ..core.allocation import PathAssignment
 from ..core.ast import Statement
 from ..errors import ProvisioningError
+from ..fabric.signature import (
+    canonicalize_component,
+    decode_solution,
+    encode_infeasible,
+    encode_solution,
+)
 from ..lp.backends import backend_name, capabilities
 from ..lp.result import SolveStatus
 from ..topology.graph import Topology
 from ..units import Bandwidth
 from .partition import LinkKey, PartitionSpec, partition_statements
 
-#: A component's identity at one widening level: the member statement ids
-#: (sorted, as in :class:`PartitionSpec`) plus each member's slack.
-ComponentKey = Tuple[Tuple[str, ...], Tuple[Optional[int], ...]]
+#: A component's identity in the engine's solution memo: the heuristic,
+#: each member's record token (members sorted by identifier, as in
+#: :class:`PartitionSpec`) and each member's slack — the same members at a
+#: different widening level are a different model.
+MemoKey = Tuple[str, Tuple[int, ...], Tuple[Optional[int], ...]]
+
+#: A statement's tightened logical topology and the links it can use.
+View = Tuple[LogicalTopology, FrozenSet[LinkKey]]
+
+#: Entries the solution memo keeps (least recently used go first).
+#: Oscillating deltas — add then revert, AIMD up/down — bring back
+#: components solved a resolve or two ago, and those must be hits.
+SOLUTION_MEMO_LIMIT = 512
 
 
 class _InfeasibleComponent:
-    """Cache marker: a (members, slacks) component proven to have no solution."""
+    """Memo marker: a (members, slacks) component proven to have no solution."""
 
     __slots__ = ()
 
@@ -73,17 +90,66 @@ class _InfeasibleComponent:
         return "<infeasible-component>"
 
 
-#: Singleton marker cached (by the incremental engine) for component keys
-#: whose model came back infeasible, so a later resolve walking the same
-#: widening ladder skips straight past the levels already proven hopeless.
+#: Singleton marker memoized for component keys whose model came back
+#: infeasible, so a later resolve walking the same widening ladder skips
+#: straight past the levels already proven hopeless.
 INFEASIBLE_COMPONENT = _InfeasibleComponent()
+
+
+@dataclass(frozen=True)
+class StatementRecord:
+    """Everything the engine holds about one guaranteed statement.
+
+    Records are immutable and swapped whole: a mutator journals one dict
+    entry, and a rollback puts the previous record back with everything
+    that hangs off it.  ``token`` names one (statement, product graph,
+    guarantee) content for the life of the session — the engine never
+    re-issues one — and is what the solution memo keys on.  ``views``
+    memoizes the :data:`View` per slack rung; it depends on ``logical``
+    alone, so it lives and dies with the record: a rate change carries the
+    dict over to the new record, a new product graph starts an empty one.
+    """
+
+    statement: Statement
+    #: The *untightened* product graph: every view is cut from it, and
+    #: incumbent pruning must cover the widest variable range ever emitted.
+    logical: LogicalTopology
+    rates: LocalRates
+    token: int
+    views: Dict[Optional[int], View] = field(
+        default_factory=dict, compare=False, repr=False
+    )
+
+    def view(self, slack: Optional[int]) -> View:
+        """The view at ``slack`` extra hops (``None`` = untightened),
+        computed on first use."""
+        found = self.views.get(slack)
+        if found is None:
+            tightened = (
+                self.logical
+                if slack is None
+                else prune_to_cost_bound(self.logical, slack)
+            )
+            found = self.views[slack] = (
+                tightened,
+                frozenset(tightened.physical_links_used()),
+            )
+        return found
+
+
+def _memoize(memo: Dict[MemoKey, object], key: MemoKey, value: object) -> None:
+    """Make ``key -> value`` the memo's most recently used entry."""
+    memo.pop(key, None)
+    memo[key] = value
+    while len(memo) > SOLUTION_MEMO_LIMIT:
+        del memo[next(iter(memo))]
 
 
 @dataclass
 class PartitionSolution:
     """The solved state of one link-disjoint component.
 
-    Everything the merge step (and the incremental engine's cache) needs:
+    Everything the merge step (and the incremental engine's memo) needs:
     the location paths selected for each member statement, the reservation
     fraction of each component link, the raw variable assignment by name
     (the warm-start source for later re-solves), and solver diagnostics.
@@ -95,6 +161,11 @@ class PartitionSolution:
     values_by_name: Dict[str, float]
     status: str
     objective: Optional[float]
+    #: The footprint slack each member was tightened with when this
+    #: component was solved, aligned with ``spec.statement_ids`` (``None``
+    #: = untightened).  Part of the component's memo identity: the same
+    #: members at a different widening level are a different model.
+    member_slacks: Tuple[Optional[int], ...]
     statistics: Dict[str, float] = field(default_factory=dict)
     num_variables: int = 0
     num_constraints: int = 0
@@ -107,12 +178,6 @@ class PartitionSolution:
     #: ``telemetry.adopt``.  ``solve_seconds`` above is this span's
     #: duration — the wall time of the component solve.
     span: Optional[Dict[str, object]] = None
-    #: The footprint slack each member was tightened with when this
-    #: component was solved, aligned with ``spec.statement_ids`` (``None``
-    #: = untightened; empty for solutions predating slack widening).  Part
-    #: of the component's cache identity: the same members at a different
-    #: widening level are a different model.
-    member_slacks: Tuple[Optional[int], ...] = ()
 
 
 def topology_capacities_mbps(topology: Topology) -> Dict[LinkKey, float]:
@@ -125,9 +190,8 @@ def topology_capacities_mbps(topology: Topology) -> Dict[LinkKey, float]:
 
 def build_partition_model(
     spec: PartitionSpec,
-    statements_by_id: Mapping[str, Statement],
-    logical_topologies: Mapping[str, LogicalTopology],
-    rates: Mapping[str, LocalRates],
+    records: Mapping[str, StatementRecord],
+    tightened: Mapping[str, LogicalTopology],
     capacity_mbps: Mapping[LinkKey, float],
     heuristic: PathSelectionHeuristic,
 ) -> ProvisioningModel:
@@ -135,12 +199,16 @@ def build_partition_model(
 
     Statement order is the spec's (sorted) identifier order and link order
     is the spec's (sorted) key order, making the model a pure function of
-    the component's content.
+    the component's content.  ``tightened`` holds each member's logical
+    topology at the slack rung the component is being solved at.
     """
-    members = [statements_by_id[identifier] for identifier in spec.statement_ids]
     links = [(key, capacity_mbps[key]) for key in spec.links]
     return build_model_for_links(
-        members, logical_topologies, rates, links, heuristic=heuristic
+        [records[identifier].statement for identifier in spec.statement_ids],
+        tightened,
+        {identifier: records[identifier].rates for identifier in spec.statement_ids},
+        links,
+        heuristic=heuristic,
     )
 
 
@@ -241,35 +309,28 @@ def _solve_model_payload(payload):
 
 def solve_partition_models(
     built_models: Sequence[ProvisioningModel],
-    solver=None,
-    warm_starts: Optional[Sequence[Optional[Mapping[str, float]]]] = None,
-    max_workers: int = 0,
+    solver,
+    warm_starts: Sequence[Optional[Mapping[str, float]]],
     fabric=None,
 ) -> List[Tuple[str, Dict[str, float], Optional[float], Dict[str, float], Dict[str, object]]]:
     """Solve component models, in-process or on the solve fabric.
 
     Returns one ``(status, values_by_name, objective, statistics,
     span payload)`` tuple per model, in input order.  Multi-model solves go
-    to ``fabric`` (a :class:`repro.fabric.SolveFabric`) when one is
-    configured, else — with ``max_workers > 1`` — to the process-wide
-    :func:`repro.fabric.shared_fabric`, whose workers persist across
-    calls; a single dirty component (the common 1-statement delta) never
-    pays IPC.  Models are dispatched largest-first by a variables x
-    constraints estimate.  If the pool breaks beyond the fabric's own
-    respawn budget (``BrokenProcessPool``), the remaining models are solved
-    serially in-process instead of propagating the executor error.
+    to ``fabric`` (a :class:`repro.fabric.SolveFabric`, whose workers
+    persist across calls) when one is configured; without one, and for a
+    single dirty component (the common 1-statement delta), models solve
+    in-process and never pay IPC.  Models are dispatched largest-first by
+    a variables x constraints estimate.  If the pool breaks beyond the
+    fabric's own respawn budget (``BrokenProcessPool``), the remaining
+    models are solved serially in-process instead of propagating the
+    executor error.
     """
-    if warm_starts is None:
-        warm_starts = [None] * len(built_models)
     payloads = [
         (built.model, solver, warm)
         for built, warm in zip(built_models, warm_starts)
     ]
-    if len(payloads) > 1 and (fabric is not None or max_workers > 1):
-        if fabric is None:
-            from ..fabric.pool import shared_fabric
-
-            fabric = shared_fabric(max_workers)
+    if len(payloads) > 1 and fabric is not None:
         estimates = [
             float(built.model.num_variables() * built.model.num_constraints())
             for built in built_models
@@ -298,8 +359,8 @@ def extract_partition_solution(
     spec: PartitionSpec,
     built: ProvisioningModel,
     outcome: Tuple[str, Dict[str, float], Optional[float], Dict[str, float], Dict[str, object]],
-    construction_seconds: float = 0.0,
-    member_slacks: Tuple[Optional[int], ...] = (),
+    construction_seconds: float,
+    member_slacks: Tuple[Optional[int], ...],
 ) -> PartitionSolution:
     """Read a component's solve outcome into a :class:`PartitionSolution`."""
     status_value, values_by_name, objective, statistics, span_payload = outcome
@@ -349,20 +410,16 @@ class WideningOutcome:
 
     ``specs`` / ``solutions`` are the *final* partition (after any widening
     merged components) and its solutions, aligned.  ``fresh`` is the subset
-    of final solutions actually solved by this call (the rest came from the
-    caller's ``lookup``); ``adopted`` is the subset re-addressed out of the
+    of final solutions actually solved by this call (the rest came out of
+    the memo); ``adopted`` is the subset re-addressed out of the
     content-addressed component cache — no solve happened, but their
     incumbent values are new to the caller, so the incremental engine
     updates its warm-start map from ``fresh`` *and* ``adopted``.
-    ``infeasible_keys`` lists every (members, slacks) combination proven
-    infeasible along the ladder, so callers can cache the markers and skip
-    those rungs next time.
     """
 
     specs: List[PartitionSpec]
     solutions: List[PartitionSolution]
     fresh: List[PartitionSolution]
-    infeasible_keys: List[ComponentKey]
     adopted: List[PartitionSolution] = field(default_factory=list)
     slack_retries: int = 0
     solver_calls: int = 0
@@ -371,42 +428,29 @@ class WideningOutcome:
     solve_cpu_seconds: float = 0.0
     nodes: Optional[float] = None
 
-    def slack_used(
-        self, base_slack: Optional[int]
-    ) -> Optional[float]:
+    def slack_used(self, base_slack: Optional[int]) -> float:
         """The widest slack any final component was solved with.
 
         ``None``-slack (untightened) components dominate every finite one
-        and are reported as ``inf``; with no widening information recorded
-        the base slack is reported unchanged.
+        and are reported as ``inf``.
         """
-        widest: Optional[float] = (
-            float("inf") if base_slack is None else float(base_slack)
-        )
+        slacks = [base_slack]
         for solution in self.solutions:
-            for slack in solution.member_slacks:
-                value = float("inf") if slack is None else float(slack)
-                if widest is None or value > widest:
-                    widest = value
-        return widest
+            slacks.extend(solution.member_slacks)
+        return max(
+            float("inf") if slack is None else float(slack) for slack in slacks
+        )
 
 
 def solve_components_with_widening(
-    statements_by_id: Mapping[str, Statement],
-    logical_topologies: Mapping[str, LogicalTopology],
-    rates: Mapping[str, LocalRates],
+    records: Mapping[str, StatementRecord],
     capacity_mbps: Mapping[LinkKey, float],
     heuristic: PathSelectionHeuristic,
+    memo: Dict[MemoKey, object],
     solver=None,
-    max_workers: int = 0,
     footprint_slack: Optional[int] = DEFAULT_FOOTPRINT_SLACK,
     widen: bool = True,
-    base_tightened: Optional[Mapping[str, LogicalTopology]] = None,
     warm_values: Optional[Mapping[str, float]] = None,
-    lookup: Optional[
-        Callable[[PartitionSpec, Tuple[Optional[int], ...]], object]
-    ] = None,
-    tighten_cache: Optional[Dict[str, Dict[Optional[int], tuple]]] = None,
     component_cache=None,
     fabric=None,
 ) -> WideningOutcome:
@@ -421,14 +465,15 @@ def solve_components_with_widening(
 
     The fixpoint loop per round:
 
-    1. tighten every statement's *untightened* logical topology at its
-       current slack level (all statements start at ``footprint_slack``;
-       levels are per-resolve transient, never sticky across calls),
+    1. take every statement's view at its current slack level (all
+       statements start at ``footprint_slack``; levels are per-resolve
+       transient, never sticky across calls) — the tightening behind a
+       view is done once per record and rung, see :class:`StatementRecord`,
     2. re-partition the entire population — widened footprints can merge
        previously link-disjoint components, and the exactness of the
        decomposition (no link is shared across components) must be
        re-established every round,
-    3. solve the components not already known (from ``lookup``, or solved
+    3. solve the components not already known (from ``memo``, or solved
        earlier in this call), warm-started from ``warm_values`` when the
        backend consumes starts,
     4. for every component that came back infeasible, widen **all** its
@@ -436,22 +481,16 @@ def solve_components_with_widening(
        infeasible with every member untightened is genuinely infeasible
        and raises :class:`ProvisioningError`.
 
-    ``lookup`` may return a cached :class:`PartitionSolution`, the
-    :data:`INFEASIBLE_COMPONENT` marker (skip the rung without re-solving),
-    or ``None``.  With ``widen=False`` the first infeasible component
-    raises immediately (the pre-widening behaviour).
-
-    ``tighten_cache`` is the (hoistable) memo of cost-bound tightening
-    work, shaped ``{sid: {slack: (base, tightened, footprint)}}``.  Passing
-    the same dict across calls — the incremental engine passes a
-    session-owned one — makes tightening survive recompiles; entries
-    self-invalidate by identity (an entry whose recorded ``base`` is not
-    the caller's current untightened topology is recomputed), so a stale
-    dict can cost a recompute but never a wrong footprint.  ``None`` uses a
-    per-call memo, the original behaviour.
+    ``memo`` is the engine's solution memo: :data:`MemoKey` ->
+    :class:`PartitionSolution`, or the :data:`INFEASIBLE_COMPONENT` marker
+    for a rung proven hopeless (skipped without re-solving).  Hits are
+    read from it and every solve, adoption and proven infeasibility is
+    written to it as it happens, bounded at :data:`SOLUTION_MEMO_LIMIT`
+    entries.  With ``widen=False`` the first infeasible component raises
+    immediately.
 
     ``component_cache`` (a :class:`repro.fabric.ComponentSolutionCache`)
-    is consulted *after* ``lookup`` misses and *before* the model is built:
+    is consulted *after* the memo misses and *before* the model is built:
     a content hit is re-addressed to this component's statement ids and
     reported in ``WideningOutcome.adopted``; fresh proven-optimal solves
     (and proven infeasibilities) are stored back.  ``fabric`` routes
@@ -459,16 +498,15 @@ def solve_components_with_widening(
     :func:`solve_partition_models`).
     """
     slack_by_id: Dict[str, Optional[int]] = {
-        sid: footprint_slack for sid in statements_by_id
+        sid: footprint_slack for sid in records
     }
-    if tighten_cache is None:
-        tighten_cache = {}
-    local: Dict[ComponentKey, PartitionSolution] = {}
-    infeasible_local: Dict[ComponentKey, str] = {}
+    # What this call has learnt, whatever the memo evicts meanwhile: the
+    # solution of every component met so far, and the solver status of
+    # every rung found infeasible (the error text quotes it).
+    known: Dict[MemoKey, PartitionSolution] = {}
+    infeasible: Dict[MemoKey, str] = {}
     solved_keys: set = set()
     adopted_keys: set = set()
-    fresh_by_key: Dict[ComponentKey, PartitionSolution] = {}
-    discovered_infeasible: List[ComponentKey] = []
     slack_retries = 0
     solver_calls = 0
     construction_total = 0.0
@@ -478,81 +516,71 @@ def solve_components_with_widening(
     nodes_seen = False
     seed_starts = bool(warm_values) and solver_consumes_warm_starts(solver)
 
+    def key_of(spec: PartitionSpec) -> MemoKey:
+        return (
+            heuristic.value,
+            tuple(records[sid].token for sid in spec.statement_ids),
+            tuple(slack_by_id[sid] for sid in spec.statement_ids),
+        )
+
     # The ladder has at most 6 rungs per statement (0 -> 1 -> 2 -> 4 -> 8 ->
     # None); every round either terminates or widens some member, so the
     # loop is finite.  The guard is belt-and-braces.
     for _round in range(32):
-        # The partition span covers everything before the solve — tighten,
-        # re-partition, cache lookups, model building, warm-start
+        # The partition span covers everything before the solve — views,
+        # re-partition, memo lookups, model building, warm-start
         # projection — matching what ``construction_seconds`` reports.
         with telemetry.span("partition", round=_round) as partition_span:
             tightened: Dict[str, LogicalTopology] = {}
-            footprints: Dict[str, frozenset] = {}
-            for sid in statements_by_id:
-                slack = slack_by_id[sid]
-                base = logical_topologies[sid]
-                per_sid = tighten_cache.get(sid)
-                if per_sid is None:
-                    per_sid = tighten_cache[sid] = {}
-                entry = per_sid.get(slack)
-                if entry is None or entry[0] is not base:
-                    # Entry missing or stale (tightened from a different
-                    # untightened topology — e.g. after replace_logical or
-                    # a rollback): recompute.  The caller's pre-tightened
-                    # base view, when supplied, seeds the base rung.
-                    logical = None
-                    if base_tightened is not None and slack == footprint_slack:
-                        logical = base_tightened.get(sid)
-                    if logical is None:
-                        logical = (
-                            base if slack is None else prune_to_cost_bound(base, slack)
-                        )
-                    entry = (base, logical, frozenset(logical.physical_links_used()))
-                    per_sid[slack] = entry
-                tightened[sid] = entry[1]
-                footprints[sid] = entry[2]
+            footprints: Dict[str, FrozenSet[LinkKey]] = {}
+            for sid, record in records.items():
+                tightened[sid], footprints[sid] = record.view(slack_by_id[sid])
             specs = partition_statements(footprints)
 
             resolved: Dict[PartitionSpec, PartitionSolution] = {}
-            to_solve: List[Tuple[PartitionSpec, ComponentKey, object]] = []
+            to_solve: List[Tuple[PartitionSpec, MemoKey, object]] = []
             widen_specs: List[PartitionSpec] = []
             for spec in specs:
-                slacks = tuple(slack_by_id[sid] for sid in spec.statement_ids)
-                key = (spec.statement_ids, slacks)
-                if key in infeasible_local:
+                key = key_of(spec)
+                if key in infeasible:
                     widen_specs.append(spec)
                     continue
-                solution = local.get(key)
-                if solution is None and lookup is not None:
-                    found = lookup(spec, slacks)
-                    if found is INFEASIBLE_COMPONENT:
-                        infeasible_local[key] = "infeasible"
-                        widen_specs.append(spec)
-                        continue
-                    if found is not None:
-                        solution = found
-                        local[key] = solution
+                solution = known.get(key)
+                if solution is None:
+                    found = memo.get(key)
+                    if found is None:
+                        telemetry.counter("component_cache_misses")
+                    else:
+                        _memoize(memo, key, found)  # a hit renews the entry
+                        if found is INFEASIBLE_COMPONENT:
+                            telemetry.counter("component_cache_infeasible_hits")
+                            infeasible[key] = "infeasible"
+                            widen_specs.append(spec)
+                            continue
+                        telemetry.counter("component_cache_hits")
+                        solution = known[key] = found
                 canon = None
                 if solution is None and component_cache is not None:
-                    from ..fabric.signature import (
-                        canonicalize_component,
-                        decode_solution,
-                    )
-
                     canon = canonicalize_component(
-                        spec, tightened, rates, capacity_mbps,
-                        heuristic, solver, slacks,
+                        spec,
+                        tightened,
+                        {sid: records[sid].rates for sid in spec.statement_ids},
+                        capacity_mbps,
+                        heuristic,
+                        solver,
+                        key[2],
                     )
-                    record = component_cache.get(canon.signature)
-                    if record is not None:
-                        if record.get("infeasible"):
-                            infeasible_local[key] = str(
-                                record.get("status", "infeasible")
+                    stored = component_cache.get(canon.signature)
+                    if stored is not None:
+                        if stored.get("infeasible"):
+                            infeasible[key] = str(
+                                stored.get("status", "infeasible")
                             )
                             widen_specs.append(spec)
                             continue
-                        solution = decode_solution(record, canon, spec, slacks)
-                        local[key] = solution
+                        solution = decode_solution(stored, canon, spec, key[2])
+                        known[key] = solution
+                        _memoize(memo, key, solution)
                         adopted_keys.add(key)
                 if solution is not None:
                     resolved[spec] = solution
@@ -566,12 +594,7 @@ def solve_components_with_widening(
                 with telemetry.span("build_model") as build_span:
                     built_models.append(
                         build_partition_model(
-                            spec,
-                            statements_by_id,
-                            tightened,
-                            rates,
-                            capacity_mbps,
-                            heuristic,
+                            spec, records, tightened, capacity_mbps, heuristic
                         )
                     )
                 build_seconds.append(build_span.duration)
@@ -596,7 +619,6 @@ def solve_components_with_widening(
                     built_models,
                     solver=solver,
                     warm_starts=warm_starts,
-                    max_workers=max_workers,
                     fabric=fabric,
                 )
                 received = telemetry.clock()
@@ -629,15 +651,13 @@ def solve_components_with_widening(
                         nodes_total += statistics.get("nodes") or 0.0
                     if SolveStatus(status_value).has_solution:
                         solution = extract_partition_solution(
-                            spec, built, outcome, seconds, member_slacks=key[1]
+                            spec, built, outcome, seconds, member_slacks=key[2]
                         )
-                        local[key] = solution
+                        known[key] = solution
+                        _memoize(memo, key, solution)
                         solved_keys.add(key)
-                        fresh_by_key[key] = solution
                         resolved[spec] = solution
                         if component_cache is not None and canon is not None:
-                            from ..fabric.signature import encode_solution
-
                             if SolveStatus(status_value) is SolveStatus.OPTIMAL:
                                 component_cache.put(
                                     canon.signature,
@@ -650,44 +670,32 @@ def solve_components_with_widening(
                                 component_cache.bypass()
                     else:
                         if component_cache is not None and canon is not None:
-                            from ..fabric.signature import encode_infeasible
-
                             component_cache.put(
                                 canon.signature, encode_infeasible(status_value)
                             )
                         if not widen:
                             _raise_component_infeasible(spec, status_value)
                         telemetry.counter("components_infeasible")
-                        infeasible_local[key] = status_value
-                        discovered_infeasible.append(key)
+                        infeasible[key] = status_value
+                        _memoize(memo, key, INFEASIBLE_COMPONENT)
                         widen_specs.append(spec)
             solve_total += solve_span.duration
 
         if not widen_specs:
-            solutions = [resolved[spec] for spec in specs]
-            final_keys = [
-                (
-                    spec.statement_ids,
-                    tuple(slack_by_id[sid] for sid in spec.statement_ids),
-                )
-                for spec in specs
-            ]
-            fresh = [
-                resolved[spec]
-                for spec, key in zip(specs, final_keys)
-                if key in solved_keys
-            ]
-            adopted = [
-                resolved[spec]
-                for spec, key in zip(specs, final_keys)
-                if key in adopted_keys
-            ]
+            final_keys = [key_of(spec) for spec in specs]
             return WideningOutcome(
                 specs=specs,
-                solutions=solutions,
-                fresh=fresh,
-                adopted=adopted,
-                infeasible_keys=discovered_infeasible,
+                solutions=[resolved[spec] for spec in specs],
+                fresh=[
+                    resolved[spec]
+                    for spec, key in zip(specs, final_keys)
+                    if key in solved_keys
+                ],
+                adopted=[
+                    resolved[spec]
+                    for spec, key in zip(specs, final_keys)
+                    if key in adopted_keys
+                ],
                 slack_retries=slack_retries,
                 solver_calls=solver_calls,
                 construction_seconds=construction_total,
@@ -697,22 +705,11 @@ def solve_components_with_widening(
             )
 
         for spec in widen_specs:
-            slacks = tuple(slack_by_id[sid] for sid in spec.statement_ids)
-            if all(slack is None for slack in slacks):
-                # Every member already solves the untightened reference
-                # model: the infeasibility is genuine, not a tightening
-                # artifact.
-                status_value = infeasible_local.get(
-                    (spec.statement_ids, slacks), "infeasible"
-                )
-                _raise_component_infeasible(spec, status_value)
-            if not widen:
-                _raise_component_infeasible(
-                    spec,
-                    infeasible_local.get(
-                        (spec.statement_ids, slacks), "infeasible"
-                    ),
-                )
+            key = key_of(spec)
+            # With every member already on the untightened reference model
+            # the infeasibility is genuine, not a tightening artifact.
+            if not widen or all(slack is None for slack in key[2]):
+                _raise_component_infeasible(spec, infeasible[key])
             slack_retries += 1
             telemetry.counter("slack_widening_retries")
             for sid in spec.statement_ids:
@@ -725,8 +722,7 @@ def solve_components_with_widening(
 
 def merge_partition_solutions(
     solutions: Sequence[PartitionSolution],
-    statements_by_id: Mapping[str, Statement],
-    rates: Mapping[str, LocalRates],
+    records: Mapping[str, StatementRecord],
     topology: Topology,
     placements: Mapping[str, Iterable[str]],
     lp_construction_seconds: float,
@@ -745,14 +741,14 @@ def merge_partition_solutions(
     paths: Dict[str, PathAssignment] = {}
     for solution in solutions:
         for identifier, location_path in solution.location_paths.items():
-            statement = statements_by_id[identifier]
+            record = records[identifier]
             paths[identifier] = PathAssignment(
                 statement_id=identifier,
                 path=tuple(location_path),
                 function_placements=_assign_functions(
-                    statement.path, location_path, placements, topology
+                    record.statement.path, location_path, placements, topology
                 ),
-                guaranteed_rate=rates[identifier].guarantee,
+                guaranteed_rate=record.rates.guarantee,
             )
 
     fractions: Dict[LinkKey, float] = {}
@@ -822,15 +818,3 @@ def merge_partition_solutions(
         num_partitions=len(solutions),
         partition_solutions=list(solutions),
     )
-
-
-def record_widening_statistics(
-    result: ProvisioningResult,
-    outcome: WideningOutcome,
-    base_slack: Optional[int],
-) -> None:
-    """Surface the widening ladder's work in a result's solve statistics."""
-    result.solve_statistics["slack_retries"] = float(outcome.slack_retries)
-    used = outcome.slack_used(base_slack)
-    if used is not None:
-        result.solve_statistics["footprint_slack_used"] = used

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from repro.core import DEFAULT_FOOTPRINT_SLACK, MerlinCompiler, ProvisionOptions
+from repro.fabric import SolveFabric
 from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.scipy_backend import ScipySolver
 from repro.topology.generators import figure2_example
@@ -67,14 +68,15 @@ class TestProvisionOptions:
 class TestCompilerShim:
     def test_options_path_warns_nothing_and_binds_attributes(self):
         backend = ScipySolver()
+        fabric = SolveFabric(max_workers=2)  # lazy: no workers are spawned
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compiler = MerlinCompiler(
                 topology=figure2_example(capacity=Bandwidth.gbps(2)),
                 placements=PLACEMENTS,
-                options=ProvisionOptions(solver=backend, max_workers=2),
+                options=ProvisionOptions(solver=backend, fabric=fabric),
             )
-        assert compiler.options.max_workers == 2
+        assert compiler.options.fabric is fabric
         assert compiler.options.backend() is backend
 
     def test_compile_and_recompile_share_one_options_value(self):
@@ -84,7 +86,7 @@ class TestCompilerShim:
             overlap="trust",
             add_catch_all=False,
             generate_code=False,
-            options=ProvisionOptions(max_workers=0),
+            options=ProvisionOptions(),
         )
         options_before = compiler.options
         compiler.compile(SOURCE)

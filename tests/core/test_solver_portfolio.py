@@ -21,6 +21,7 @@ import pytest
 from repro.core import MerlinCompiler, ProvisionOptions
 from repro.core.ast import Statement
 from repro.experiments.reprovisioning import pod_tenant_scenario
+from repro.fabric import SolveFabric
 from repro.incremental import DeltaStatement, PolicyDelta
 from repro.lp import registered_backends
 from repro.predicates.ast import FieldTest, pred_and
@@ -160,11 +161,12 @@ class TestAutoDeterminism:
     def test_identical_picks_across_runs_and_worker_counts(self):
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         results = []
-        for max_workers in (0, 0, 2):
-            compiled = _pod_compiler(
-                scenario, "auto", max_workers=max_workers
-            ).compile(scenario.policy)
-            results.append(compiled)
+        with SolveFabric(max_workers=2) as pool:
+            for fabric in (None, None, pool):
+                compiled = _pod_compiler(
+                    scenario, "auto", fabric=fabric
+                ).compile(scenario.policy)
+                results.append(compiled)
         baseline = results[0]
         assert len(baseline.statistics.component_backends) >= 2
         for other in results[1:]:

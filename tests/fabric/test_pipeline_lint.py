@@ -5,9 +5,12 @@
 ``solve_components_with_widening``; a second call site anywhere in
 ``src/repro`` is a second provisioning pipeline.  The legacy-keyword shim
 (``coalesce_options`` / ``_UNSET``) and the copying ``EngineCheckpoint``
-were deleted with the second pipeline and must not come back.  ``make
-check`` greps for the same patterns (``lint-pipeline``); this test keeps
-the rule enforced under plain pytest.
+were deleted with the second pipeline and must not come back; neither may
+the machinery a transaction needed before record tokens stopped being
+re-issued (mark classes carrying a cache copy, a tighten cache beside the
+records) nor the two knobs that had one value in use (the process-wide
+pool, the memo size).  ``make check`` greps for the same patterns
+(``lint-pipeline``); this test keeps the rule enforced under plain pytest.
 """
 
 import re
@@ -36,13 +39,18 @@ def test_the_widening_loop_is_entered_from_the_engine_only():
 
 
 def test_no_keyword_shim_or_copying_checkpoint():
-    banned = re.compile(r"\b(coalesce_options|_UNSET|EngineCheckpoint)\b")
+    banned = re.compile(
+        r"coalesce_options|_UNSET|EngineCheckpoint|EngineMark|_SessionToken"
+        r"|tighten_cache|base_tightened|shared_fabric|cache_limit"
+    )
     offenders = [
         str(path.relative_to(SRC))
         for path in sorted(SRC.rglob("*.py"))
         if banned.search(path.read_text(encoding="utf-8"))
     ]
     assert not offenders, (
-        "keyword shim or copying checkpoint is back (options travel as "
-        "ProvisionOptions, transactions as EngineMark): %s" % ", ".join(offenders)
+        "deleted machinery is back (options travel as ProvisionOptions: pool "
+        "= options.fabric, memo bound = SOLUTION_MEMO_LIMIT; a transaction is "
+        "one JournalMark; tightened views live on StatementRecord): %s"
+        % ", ".join(offenders)
     )

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.fabric import SolveFabric, shared_fabric
+from repro.fabric import SolveFabric
 from repro.lp.backends import backend_name
 
 PARENT_PID = os.getpid()
@@ -82,20 +82,6 @@ class TestPersistence:
         assert fabric.solve([3, 4]) == [6, 8]  # lazily respawned
         assert fabric.spawned == 2
         fabric.shutdown()
-
-    def test_ensure_workers_grows_but_never_shrinks(self):
-        fabric = SolveFabric(max_workers=2, task=_double)
-        fabric.ensure_workers(4)
-        assert fabric.max_workers == 4
-        fabric.ensure_workers(1)
-        assert fabric.max_workers == 4
-        fabric.shutdown()
-
-    def test_shared_fabric_is_a_growing_singleton(self):
-        first = shared_fabric(2)
-        second = shared_fabric(3)
-        assert first is second
-        assert second.max_workers >= 3
 
     def test_rejects_nonsense_widths(self):
         with pytest.raises(ValueError):

@@ -24,5 +24,5 @@ def test_no_bare_process_pool_outside_fabric():
             offenders.append(str(relative))
     assert not offenders, (
         "bare ProcessPoolExecutor construction found (route solves through "
-        "repro.fabric.SolveFabric / shared_fabric): %s" % ", ".join(offenders)
+        "repro.fabric.SolveFabric): %s" % ", ".join(offenders)
     )

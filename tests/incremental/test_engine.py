@@ -10,9 +10,11 @@ from repro.core.preprocessor import preprocess
 from repro.core.provisioning import build_provisioning_model, provision
 from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import pod_tenant_scenario
+from repro.fabric import SolveFabric
 from repro.incremental import IncrementalProvisioner
 from repro.lp import BranchAndBoundSolver
 from repro.topology.generators import figure2_example
+from repro.topology.graph import Topology
 from repro.units import Bandwidth
 
 SOURCE = """
@@ -256,19 +258,70 @@ class TestCachingAndPartitions:
     def test_process_pool_matches_serial(self):
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         rates = localize(scenario.policy)
-        serial = IncrementalProvisioner(
-            scenario.topology, options=ProvisionOptions(max_workers=0)
-        )
-        pooled = IncrementalProvisioner(
-            scenario.topology, options=ProvisionOptions(max_workers=2)
-        )
-        for statement in scenario.policy.statements:
-            serial.add_statement(statement, rates[statement.identifier].guarantee)
-            pooled.add_statement(statement, rates[statement.identifier].guarantee)
-        serial_result = serial.resolve()
-        pooled_result = pooled.resolve()
+        serial = IncrementalProvisioner(scenario.topology)
+        with SolveFabric(max_workers=2) as fabric:
+            pooled = IncrementalProvisioner(
+                scenario.topology, options=ProvisionOptions(fabric=fabric)
+            )
+            for statement in scenario.policy.statements:
+                serial.add_statement(statement, rates[statement.identifier].guarantee)
+                pooled.add_statement(statement, rates[statement.identifier].guarantee)
+            serial_result = serial.resolve()
+            pooled_result = pooled.resolve()
+            assert fabric.tasks == 4  # the pool really solved the components
         assert _paths(pooled_result) == _paths(serial_result)
         assert _reservations(pooled_result) == _reservations(serial_result)
+
+
+    def test_a_capacity_change_is_never_answered_from_the_memo(self):
+        """``set_topology`` to a topology whose links kept their names but
+        changed capacity: no record changes, so only dropping the memo
+        keeps the old reservation fractions from being served.  A rollback
+        brings the old capacities back together with the memo that was
+        true of them; a topology that merely loses links keeps its hits."""
+        scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
+        rates = localize(scenario.policy)
+
+        def seeded(topology):
+            engine = IncrementalProvisioner(topology)
+            for statement in scenario.policy.statements:
+                engine.add_statement(
+                    statement, rates[statement.identifier].guarantee
+                )
+            return engine
+
+        halved = Topology(name="halved")
+        for node in scenario.topology.nodes():
+            halved.add_node(node)
+        for link in scenario.topology.links():
+            halved.add_link(
+                link.source, link.target, link.capacity * 0.5, link.latency_ms
+            )
+
+        engine = seeded(scenario.topology)
+        before = engine.resolve()
+        saved = engine.checkpoint()
+        engine.set_topology(halved)
+        degraded = engine.resolve()
+        fresh = seeded(halved).resolve()
+        assert degraded.solve_statistics["partitions_reused"] == 0.0
+        assert degraded.max_utilization == fresh.max_utilization
+        assert degraded.max_utilization == 2 * before.max_utilization
+        assert _reservations(degraded) == _reservations(fresh)
+
+        engine.restore(saved)
+        engine.release(saved)
+        restored = engine.resolve()
+        assert restored.solve_statistics["partitions_dirty"] == 0.0
+        assert _reservations(restored) == _reservations(before)
+
+        unused = next(
+            key
+            for key, reserved in before.link_reservations.items()
+            if reserved.bps_value == 0.0
+        )
+        engine.set_topology(scenario.topology.without(links=[unused]))
+        assert engine.resolve().solve_statistics["partitions_dirty"] == 0.0
 
 
 class TestIncumbentHygiene:

@@ -136,18 +136,19 @@ class TestUndoJournal:
 
 
 def _engine_state(engine):
-    """Every piece of engine session state a transaction must protect."""
+    """Every piece of engine session state a transaction must protect.
+
+    The solution memo and the token counter are not in it on purpose: a
+    rollback leaves both alone (tokens are never re-issued, so no memo
+    entry can be made wrong), and ``test_transactions`` checks what that
+    buys.
+    """
     return {
-        "statements": dict(engine._statements),
-        "logical": dict(engine._logical),
-        "logical_full": dict(engine._logical_full),
-        "rates": dict(engine._rates),
-        "footprints": dict(engine._footprints),
-        "revisions": dict(engine._revisions),
-        "next_revision": engine._next_revision,
-        "cache": dict(engine._cache),
+        "records": dict(engine._records),
         "last_values": dict(engine._last_values),
         "topology": engine.topology,
+        "capacities": dict(engine._capacity_mbps),
+        "live": engine._live,
     }
 
 
@@ -165,8 +166,8 @@ def _apply_engine_op(engine, op):
 def test_journal_rollback_matches_legacy_snapshot(seed):
     """Side by side: for random delta streams, a journal rollback restores
     the engine byte-identical to the shadow copy (``_engine_state``)
-    captured at the same instant (dict contents, revision counter, solution
-    cache, and warm-start incumbents all included)."""
+    captured at the same instant (every record under its old token, the
+    capacity map and the warm-start incumbents)."""
     rng = random.Random(seed)
     churn = _RandomPolicyChurn(seed + 900)
     scenario = churn.scenario
@@ -183,7 +184,7 @@ def test_journal_rollback_matches_legacy_snapshot(seed):
         for _ in range(rng.randint(1, 4)):
             _apply_engine_op(engine, churn.next_op())
         if rng.random() < 0.5:
-            engine.resolve()  # touches cache + incumbents mid-transaction
+            engine.resolve()  # touches memo + incumbents mid-transaction
         engine.restore(mark)
         engine.release(mark)
         churn.active = population

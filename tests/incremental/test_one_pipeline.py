@@ -29,7 +29,6 @@ from repro.incremental import (
     PolicyDelta,
     RateUpdate,
 )
-from repro.incremental import engine as engine_module
 from repro.incremental import solve as solve_module
 from repro.predicates.ast import FieldTest
 from repro.regex.ast import any_path
@@ -72,7 +71,7 @@ def test_first_recompile_adds_and_tightens_only_the_new_statement(monkeypatch):
 
     added, pruned = [], []
     add_statement = IncrementalProvisioner.add_statement
-    prune = engine_module.prune_to_cost_bound
+    prune = solve_module.prune_to_cost_bound
 
     def counting_add(self, statement, *args, **kwargs):
         added.append(statement.identifier)
@@ -83,7 +82,6 @@ def test_first_recompile_adds_and_tightens_only_the_new_statement(monkeypatch):
         return prune(logical, slack)
 
     monkeypatch.setattr(IncrementalProvisioner, "add_statement", counting_add)
-    monkeypatch.setattr(engine_module, "prune_to_cost_bound", counting_prune)
     monkeypatch.setattr(solve_module, "prune_to_cost_bound", counting_prune)
 
     compiler.prepare_incremental()

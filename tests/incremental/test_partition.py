@@ -16,6 +16,7 @@ def _solution(name, objective, bound, status=SolveStatus.OPTIMAL.value):
         values_by_name={},
         status=status,
         objective=objective,
+        member_slacks=(None,),
         statistics={"best_bound": bound, "gap": abs(objective - bound)},
     )
 
@@ -27,7 +28,6 @@ class TestMergedGap:
     def _merge(self, solutions, heuristic):
         return merge_partition_solutions(
             solutions,
-            {},
             {},
             figure2_example(capacity=Bandwidth.gbps(1)),
             {},

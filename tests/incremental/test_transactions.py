@@ -22,7 +22,13 @@ from repro.experiments.reprovisioning import (
     pod_tenant_scenario,
     unconstrained_statement,
 )
-from repro.incremental import DeltaStatement, IncrementalProvisioner, PolicyDelta
+from repro.incremental import (
+    DeltaStatement,
+    IncrementalProvisioner,
+    JournalMark,
+    PolicyDelta,
+)
+from repro.incremental import solve as solve_module
 from repro.units import Bandwidth
 
 from test_equivalence_property import _RandomPolicyChurn
@@ -150,14 +156,18 @@ def test_failed_deltas_leave_session_equal_to_never_seeing_them(
         delta = _delta_for(op)
         tested_result = tested.recompile(delta)
         mirror_result = mirror.recompile(delta)
+        # Whatever the failed transactions left in the memo can only help.
+        assert (
+            tested_result.statistics.dirty_partitions
+            <= mirror_result.statistics.dirty_partitions
+        )
+        _assert_byte_identical(tested_result, mirror_result)
 
     assert failures_seen > 0, "the seed produced no injected failures"
     # A final no-op recompile re-derives each session's full result.
     _assert_byte_identical(
         tested.recompile(PolicyDelta()), mirror.recompile(PolicyDelta())
     )
-    if tested_result is not None and mirror_result is not None:
-        _assert_byte_identical(tested_result, mirror_result)
 
 
 def _delta_for(op):
@@ -196,61 +206,83 @@ class TestEngineCheckpoint:
         assert _paths(after) == _paths(before)
         assert _reservations(after) == _reservations(before)
 
-    def test_restore_invalidates_live_model_memo(self):
-        """Rollback rewinds the revision counter, so a post-rollback delta
-        reuses revision numbers; a live model materialized inside the
-        failed transaction must not satisfy the new population's signature
-        (regression: solve_live served rolled-back rates)."""
+    def _roll_back_30_then_update_to_40(self, solve):
+        """A transaction sets p0s0's guarantee to 30 Mbps, solves and rolls
+        back; the next update sets it to 40.  Returns the engine and the
+        source host's access link, which every feasible path crosses and
+        which must therefore carry exactly the current guarantee."""
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         rates = localize(scenario.policy)
         engine = IncrementalProvisioner(scenario.topology)
         for statement in scenario.policy.statements:
             engine.add_statement(statement, rates[statement.identifier].guarantee)
+        solve(engine)
 
         saved = engine.checkpoint()
         engine.update_rates("p0s0", Bandwidth.mbps(30))
-        engine.solve_live()  # materialized mid-transaction
+        solve(engine)  # memoized mid-transaction
         engine.restore(saved)
-        engine.update_rates("p0s0", Bandwidth.mbps(40))  # same revision number
-        live = engine.solve_live()
-        guarantee_mbps = 40.0
-        # Host access links are on every feasible path, so they must carry
-        # exactly the (updated) guarantee.
+        engine.update_rates("p0s0", Bandwidth.mbps(40))
+        engine.release(saved)
+
         source_host = scenario.pods[0]["hosts"][0]
         (host_link,) = [
             link
             for link in engine.logical_for("p0s0").physical_links_used()
             if source_host in link
         ]
+        return engine, host_link
+
+    def test_restore_invalidates_live_model_memo(self):
+        """The live model materialized inside the failed transaction is
+        cleared through the journal, so ``solve_live`` never serves the
+        rolled-back 30 Mbps for the later 40."""
+        engine, host_link = self._roll_back_30_then_update_to_40(
+            IncrementalProvisioner.solve_live
+        )
+        live = engine.solve_live()
         r_uv = engine.live_model.variable(f"r__{host_link[0]}__{host_link[1]}")
         reserved_mbps = live.value_of(r_uv) * 1000.0  # 1 Gbps links
-        assert reserved_mbps == pytest.approx(guarantee_mbps, abs=1e-3)
+        assert reserved_mbps == pytest.approx(40.0, abs=1e-3)
 
-    def test_restored_revisions_reproduce_signatures(self):
-        """A rolled-back engine assigns the same revisions to future deltas
-        as one that never saw the failed delta, so cache signatures (and
-        hence hit/miss behavior) coincide."""
+    def test_rolled_back_rates_never_answer_for_a_later_update(self):
+        """A record token is never issued twice, so the memo entry the
+        failed transaction made for 30 Mbps cannot be mistaken for the
+        40 Mbps component, although the memo is not rolled back."""
+        engine, host_link = self._roll_back_30_then_update_to_40(
+            IncrementalProvisioner.resolve
+        )
+        resolved = engine.resolve()
+        assert resolved.solve_statistics["partitions_dirty"] == 1.0
+        assert resolved.link_reservations[host_link].bps_value == pytest.approx(
+            Bandwidth.mbps(40).bps_value
+        )
+
+    def test_checkpoint_is_a_bare_journal_mark_however_full_the_memo(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(solve_module, "SOLUTION_MEMO_LIMIT", 6)
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         rates = localize(scenario.policy)
+        engine = IncrementalProvisioner(scenario.topology)
+        for statement in scenario.policy.statements:
+            engine.add_statement(statement, rates[statement.identifier].guarantee)
+        for mbps in (10, 20, 30, 40):
+            engine.update_rates("p0s0", Bandwidth.mbps(mbps))
+            engine.resolve()
+        memo = engine._memo
+        assert len(memo) == 6  # seven components solved: filled to its bound
 
-        def seeded():
-            engine = IncrementalProvisioner(scenario.topology)
-            for statement in scenario.policy.statements:
-                engine.add_statement(
-                    statement, rates[statement.identifier].guarantee
-                )
-            return engine
-
-        rolled = seeded()
-        saved = rolled.checkpoint()
-        rolled.update_rates("p0s0", Bandwidth.mbps(10))
-        rolled.restore(saved)
-        rolled.update_rates("p0s0", Bandwidth.mbps(30))
-
-        straight = seeded()
-        straight.update_rates("p0s0", Bandwidth.mbps(30))
-
-        assert rolled._revisions == straight._revisions
+        saved = engine.checkpoint()
+        assert type(saved) is JournalMark
+        engine.update_rates("p0s0", Bandwidth.mbps(50))
+        engine.resolve()
+        engine.restore(saved)
+        engine.release(saved)
+        # One memo for the life of the engine: never copied into a mark,
+        # never swapped back by a rollback.
+        assert engine._memo is memo
+        assert engine.resolve().solve_statistics["partitions_dirty"] == 0.0
 
 
 class TestNegotiatorRollback:
