@@ -116,7 +116,6 @@ def _engine_state(engine):
         "last_values": dict(engine._last_values),
         "topology": engine.topology,
         "capacities": dict(engine._capacity_mbps),
-        "live": engine._live,
     }
 
 

@@ -96,8 +96,7 @@ class CompilationStatistics:
     component order, for per-component latency percentiles;
     ``component_backends`` names the backend that solved each component in
     the same order (the ``auto`` portfolio driver records its per-component
-    winner, so a mixed tuple is normal), with a single entry for monolithic
-    solves.
+    winner, so a mixed tuple is normal).
     """
 
     lp_construction_seconds: float = 0.0
@@ -140,14 +139,10 @@ class CompilationStatistics:
             solution.solve_seconds
             for solution in provisioning.partition_solutions
         )
-        if provisioning.partition_solutions:
-            self.component_backends = tuple(
-                str(solution.statistics.get("backend", ""))
-                for solution in provisioning.partition_solutions
-            )
-        elif "backend" in statistics:
-            # Monolithic solve: one model, one backend.
-            self.component_backends = (str(statistics["backend"]),)
+        self.component_backends = tuple(
+            str(solution.statistics.get("backend", ""))
+            for solution in provisioning.partition_solutions
+        )
 
     def as_row(self) -> Dict[str, object]:
         """The statistics as a flat dictionary (used by benchmark reporting)."""

@@ -7,9 +7,9 @@ bandwidth allocations (provisioning via the MIP for guaranteed traffic and
 sink trees or product-graph BFS for best-effort traffic), and generating
 low-level instructions for switches, middleboxes, and end hosts.
 
-There is one provisioning pipeline, and it is the *session*: the
-statements, localized rates, logical topologies and best-effort paths of
-the compiled policy, plus the
+There is one provisioning pipeline, and it is the *session*: one entry
+per statement of the compiled policy (statement, localized rates,
+endpoints, best-effort path), plus the
 :class:`~repro.incremental.engine.IncrementalProvisioner` that holds the
 guaranteed statements and their component solutions.
 :meth:`MerlinCompiler.compile` pre-processes and localizes the whole policy,
@@ -20,10 +20,13 @@ generate code, package the result) returns.
 :class:`~repro.incremental.delta.PolicyDelta` or
 :class:`~repro.incremental.delta.TopologyDelta` to that session inside a
 transaction and ends in the same finalize, which re-solves only the
-link-disjoint MIP components the delta touched.  A recompiled session
-therefore equals a from-scratch ``compile()`` of the updated policy by
-construction, at a small fraction of the latency — the Figure-10b
-re-provisioning benchmark measures the ratio.
+link-disjoint MIP components the delta touched.  The mutators are the only
+judges of a delta: one that cannot be applied is refused where the
+offending change is made, and the transaction's rollback undoes whatever
+was applied before it.  A recompiled session therefore equals a
+from-scratch ``compile()`` of the updated policy by construction, at a
+small fraction of the latency — the Figure-10b re-provisioning benchmark
+measures the ratio.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .. import telemetry
 from ..codegen.generator import CodeGenerator
@@ -65,6 +69,47 @@ def _is_unconstrained_path(path: Regex) -> bool:
     return isinstance(path, Star) and isinstance(path.operand, Dot)
 
 
+@dataclass(frozen=True)
+class _StatementEntry:
+    """Everything the session holds about one statement.
+
+    Entries are immutable and swapped whole, like the engine's records: a
+    mutator journals one dict write, and a rollback puts the previous
+    entry back with everything on it.
+    """
+
+    statement: Statement
+    rates: LocalRates
+    endpoints: Tuple[Optional[str], Optional[str]]
+    #: Insertion-order stamp.  Statement *order* is behaviorally visible
+    #: (codegen allocates VLANs/queues in policy order), but a journaled
+    #: rollback restores dict *contents*, not insertion order (undoing a
+    #: deletion re-inserts at the end), so the order is recorded here and
+    #: everything order-sensitive reads :meth:`_CompilerSession.ordered`.
+    stamp: int
+    #: Whether this is the preprocessor's generated catch-all (as opposed
+    #: to a user-authored statement that happens to be named "default").
+    generated: bool = False
+    #: Physical-link footprint of the *untightened* product graph on the
+    #: *pristine* topology (``None`` until a product graph is first built
+    #: for the statement).  Because the product construction is monotone in
+    #: the topology (a subgraph's product is a subgraph of the pristine
+    #: product), a topology change can only affect a statement whose
+    #: pristine footprint intersects the changed links — the exact test the
+    #: topology-delta path uses to skip rebuilds.
+    footprint: Optional[frozenset] = None
+    #: A constrained best-effort statement's shortest path through its
+    #: logical topology (unconstrained ones ride the sink trees instead).
+    best_effort: Optional[PathAssignment] = None
+    #: Whether a constrained best-effort statement's path expression admits
+    #: no path on the active topology.
+    infeasible: bool = False
+
+    @property
+    def identifier(self) -> str:
+        return self.statement.identifier
+
+
 @dataclass
 class _CompilerSession:
     """The live state of the compiled policy: what every compile fills and
@@ -75,11 +120,14 @@ class _CompilerSession:
     the session flows through :attr:`journal` — the engine's own — so one
     mark covers both, taking it is O(1), and a rollback replays only the
     entries the transaction touched, the session's and the engine's in the
-    order they happened.  The ``logical_cache`` is the one deliberate
-    exception — it is a pure content-addressed memo (key determines
-    value), so stale-free by construction and exempt from exact rollback;
-    the topology-delta path *rebinds* it (journaled), it is never required
-    to match a never-failed session entry-for-entry.
+    order they happened.  Two things are deliberately not rolled back.
+    The ``logical_cache`` is a pure content-addressed memo (key determines
+    value), so stale-free by construction; the topology-delta path
+    *rebinds* it (journaled), it is never required to match a never-failed
+    session entry-for-entry.  And :attr:`stamps`, like the engine's record
+    tokens, is never rewound: only the relative order of stamps is ever
+    read, and a stamp spent inside a failed transaction leaves that order
+    among the surviving entries untouched.
     """
 
     #: The provisioning engine holding the guaranteed statements; created
@@ -91,41 +139,19 @@ class _CompilerSession:
     #: uses this, so session results stay identical to a from-scratch
     #: compile on the degraded network.
     active_topology: Topology
-    #: Whether the session's "default" statement is the preprocessor's
-    #: generated catch-all (as opposed to a user-authored statement that
-    #: happens to carry that identifier).
-    generated_default: bool = False
-    statements: Dict[str, Statement] = field(default_factory=dict)
-    local_rates: Dict[str, LocalRates] = field(default_factory=dict)
-    endpoints: Dict[str, Tuple[Optional[str], Optional[str]]] = field(
-        default_factory=dict
-    )
+    #: The per-statement state, all of it, by statement identifier.
+    entries: Dict[str, _StatementEntry] = field(default_factory=dict)
+    #: Source of the entries' insertion stamps (see the class docstring).
+    stamps: Iterator[int] = field(default_factory=itertools.count)
     #: Product graphs memoized on the statement's (path expression,
     #: endpoint pair) shape: statements sharing that shape produce identical
     #: product graphs on one topology, so duplicates reuse the built graph.
     logical_cache: Dict[
         Tuple[Regex, Optional[str], Optional[str]], LogicalTopology
     ] = field(default_factory=dict)
-    best_effort_paths: Dict[str, PathAssignment] = field(default_factory=dict)
     sink_trees: Dict = field(default_factory=dict)
-    infeasible: List[str] = field(default_factory=list)
     failed_links: frozenset = frozenset()
     failed_nodes: frozenset = frozenset()
-    #: Per-statement physical-link footprint of the *untightened* product
-    #: graph on the *pristine* topology.  Because the product construction
-    #: is monotone in the topology (a subgraph's product is a subgraph of
-    #: the pristine product), a topology change can only affect a
-    #: statement whose pristine footprint intersects the changed links —
-    #: the exact test the topology-delta path uses to skip rebuilds.
-    base_footprints: Dict[str, frozenset] = field(default_factory=dict)
-    #: Monotonic per-statement sequence stamps.  Statement *order* is
-    #: behaviorally visible (codegen allocates VLANs/queues in policy
-    #: order), but journaled rollback restores dict *contents*, not
-    #: insertion order (undoing a deletion re-inserts at the end).  The
-    #: stamps record the insertion order explicitly; everything
-    #: order-sensitive sorts by them (`_ordered_ids`).
-    seq: Dict[str, int] = field(default_factory=dict)
-    next_seq: int = 0
     #: The last committed CompilationResult — what an empty/no-op delta
     #: returns without opening a transaction or touching the solver.
     last_result: Optional[CompilationResult] = None
@@ -134,14 +160,23 @@ class _CompilerSession:
     def journal(self) -> UndoJournal:
         return self.engine.journal
 
-    def stamp(self, identifier: str) -> None:
-        """Assign ``identifier`` the next insertion-order stamp (journaled)."""
-        self.journal.set_item(self.seq, identifier, self.next_seq)
-        self.journal.set_attr(self, "next_seq", self.next_seq + 1)
+    def ordered(self) -> List[_StatementEntry]:
+        """The entries in insertion order (rollback-stable)."""
+        return sorted(self.entries.values(), key=attrgetter("stamp"))
 
-    def ordered_ids(self) -> List[str]:
-        """Statement identifiers in insertion order (rollback-stable)."""
-        return sorted(self.statements, key=self.seq.__getitem__)
+    def user_entry(self, identifier: str) -> Optional[_StatementEntry]:
+        """The entry of a statement a delta may name.
+
+        The generated catch-all is not one: removing it would silently
+        no-op (the refresh recreates it) and its rates are not the
+        user's to set, so it is as unknown as any other absent identifier.
+        """
+        entry = self.entries.get(identifier)
+        return None if entry is None or entry.generated else entry
+
+    def put(self, entry: _StatementEntry) -> None:
+        """Install (or replace) a statement's entry (journaled)."""
+        self.journal.set_item(self.entries, entry.identifier, entry)
 
 
 @dataclass
@@ -219,9 +254,8 @@ class MerlinCompiler:
                 options=self.options,
             ),
             active_topology=self.topology,
-            generated_default=preprocess_result.added_default,
         )
-        # Statements enter in policy order (the sequence stamps drive
+        # Statements enter in policy order (the insertion stamps drive
         # VLAN/queue allocation); the guaranteed / best-effort split is
         # only how the time is booked (§3.2 vs §3.3, Figure 7's columns).
         seconds = {True: 0.0, False: 0.0}
@@ -236,7 +270,11 @@ class MerlinCompiler:
             ) as run_span:
                 for statement in run:
                     self._add_statement(
-                        session, statement, local_rates[statement.identifier]
+                        session,
+                        statement,
+                        local_rates[statement.identifier],
+                        generated=preprocess_result.added_default
+                        and statement.identifier == DEFAULT_STATEMENT_ID,
                     )
             seconds[is_guaranteed] += run_span.duration
         with telemetry.span("rateless") as sink_tree_span:
@@ -262,9 +300,9 @@ class MerlinCompiler:
         """Apply a policy or topology delta incrementally.
 
         Accepts a :class:`~repro.incremental.delta.PolicyDelta` (statement
-        membership / rate changes) or a
+        membership / rate changes, :meth:`_apply_policy_delta`) or a
         :class:`~repro.incremental.delta.TopologyDelta` (link and node
-        failures / recoveries, dispatched to the topology path below).
+        failures / recoveries, :meth:`_apply_topology_delta`).
         Requires a prior :meth:`compile` (which opened the session);
         re-solves only the link-disjoint MIP components the delta touches
         and returns a full :class:`CompilationResult` for the updated
@@ -274,84 +312,59 @@ class MerlinCompiler:
         session's rates: deltas describe statement-level rate changes, so
         aggregate multi-identifier clauses of the originally compiled
         formula are not preserved through recompiles.
-        Pre-processing is applied incrementally to keep that equivalence:
-        added statements pass the session's overlap discipline
-        (``"reject"`` checks them against the existing statements,
-        ``"priority"`` subtracts all existing predicates — appended
-        statements are lowest-priority; removals under ``"priority"`` are
-        refused because earlier-statement subtraction is baked into later
-        predicates), and the generated catch-all statement's remainder
-        predicate is recomputed whenever the statement population changes.
 
-        Every recompile is a *transaction*: the delta applies under an
-        undo-journal checkpoint of the session (and its engine) — O(1) to
-        open, O(delta) to roll back — commits on successful solve + code
-        generation, and rolls back on **any** failure — a delta rejected by validation (unknown identifiers,
-        overlap violations, unprovisionable guarantees), an infeasible
-        solve, or a code-generation error all leave the session usable and
-        byte-equivalent to one that never saw the delta (the error still
-        propagates, e.g. :class:`ProvisioningError` for infeasibility).
-        ``has_session`` stays True; the next recompile works normally.
+        Every recompile is a *transaction*, and this is the only place one
+        is opened: the delta applies under an undo-journal mark of the
+        session (and its engine) — O(1) to open, O(delta) to roll back —
+        commits on successful solve + code generation, and rolls back on
+        **any** failure.  There is no validation pass ahead of the apply:
+        the rollback is exact, so a mutator may refuse half-way through a
+        delta (unknown identifiers, overlap violations, unprovisionable
+        guarantees, failing what is already failed), and a refused delta,
+        an infeasible solve and a code-generation error all take the same
+        way out — the session stays usable and byte-equivalent to one that
+        never saw the delta, ``transactions_rolled_back`` counts it, and
+        the error propagates (e.g. :class:`ProvisioningError` for
+        infeasibility).  A delta with several faults reports the first in
+        application order.  ``has_session`` stays True; the next recompile
+        works normally.
         """
-        if self._session is None:
+        session = self._session
+        if session is None:
             raise ProvisioningError(
                 "recompile() requires a prior compile(); no session is active"
             )
         if delta.is_empty():
-            # No-op delta: nothing to validate, solve, or regenerate — and
+            # No-op delta: nothing to apply, solve, or regenerate — and
             # nothing to protect, so no transaction is opened and the undo
             # journal stays empty.  Control planes polling with empty
             # deltas (or coalescing batches down to nothing) pay nothing.
-            return self._noop_result(self._session)
-        if isinstance(delta, TopologyDelta):
-            return self._recompile_topology(delta)
-        if delta.remove and self.overlap == "priority":
-            raise ProvisioningError(
-                "overlap='priority' sessions cannot remove statements "
-                "incrementally: first-match-wins rewriting subtracted the "
-                "removed predicates from later statements; run a full "
-                "compile() of the updated policy instead"
-            )
+            return self._noop_result(session)
+        is_topology = isinstance(delta, TopologyDelta)
+        apply = self._apply_topology_delta if is_topology else self._apply_policy_delta
         with telemetry.span(
             "recompile",
-            kind="policy",
-            changes=delta.num_changes() if hasattr(delta, "num_changes") else 0,
+            kind="topology" if is_topology else "policy",
+            changes=delta.num_changes(),
         ) as recompile_span:
-            session = self._session
-            prepared_adds = self._validate_delta(session, delta)
             journal = session.journal
             saved = journal.mark()
             telemetry.gauge("journal_depth", len(journal))
-
             try:
-                for identifier in delta.remove:
-                    self._remove_statement(session, identifier)
                 with telemetry.span("rateless") as rateless_span:
-                    for added in prepared_adds:
-                        self._add_statement(
-                            session,
-                            added.statement,
-                            LocalRates(
-                                identifier=added.statement.identifier,
-                                guarantee=added.guarantee,
-                                cap=added.cap,
-                            ),
-                        )
-                    for update in delta.update_rates:
-                        self._update_rates(session, update)
-                    if delta.remove or delta.add:
-                        self._refresh_catch_all(session)
-                    self._refresh_sink_trees(session)
+                    apply(session, delta)
                 result = self._finalize(session, rateless_span.duration)
             except Exception:
-                # The delta was already applied to the session/engine when the
-                # failure surfaced (an infeasible solve, a code-generation
-                # error).  Roll back to the checkpoint: the session is restored
-                # to its exact pre-delta state — statement population, rates,
-                # sink trees, engine records, incumbents — so it keeps matching
-                # the last result the caller successfully received, and the
-                # next recompile() proceeds normally.  Callers that withdraw on
-                # error (the negotiator) need only revert their own policy.
+                # Part or all of the delta was applied to the session/engine
+                # when the failure surfaced (a refusal by a mutator, an
+                # infeasible solve, a code-generation error).  Roll back to
+                # the mark: the session is restored to its exact pre-delta
+                # state — statement population, rates, sink trees, failed
+                # sets, active topology, engine records, incumbents — so it
+                # keeps matching the last result the caller successfully
+                # received, and the next recompile() proceeds normally.
+                # Callers that withdraw on error (the negotiator) need only
+                # revert their own policy.
                 recompile_span.annotate(rolled_back=True)
                 telemetry.counter("transactions_rolled_back")
                 journal.rollback(saved)
@@ -360,10 +373,44 @@ class MerlinCompiler:
                 telemetry.counter("transactions_committed")
             finally:
                 # Commit (or, after a rollback, retire the still-live mark):
-                # drops the checkpoint and truncates the undo journal.
+                # drops the mark and truncates the undo journal.
                 journal.release(saved)
         result.statistics.total_seconds = recompile_span.duration
         return result
+
+    def _apply_policy_delta(self, session, delta) -> None:
+        """Apply a :class:`~repro.incremental.delta.PolicyDelta`: removes,
+        then adds, then rate updates.
+
+        Pre-processing is applied incrementally to keep the session equal
+        to a from-scratch compile: added statements pass the session's
+        overlap discipline against the statements present when they enter
+        — the session's minus this delta's removes plus its earlier adds
+        (``"reject"`` checks them, ``"priority"`` subtracts all existing
+        predicates — appended statements are lowest-priority; removals
+        under ``"priority"`` are refused because earlier-statement
+        subtraction is baked into later predicates), and the generated
+        catch-all statement's remainder predicate is recomputed whenever
+        the statement population changes.
+        """
+        for identifier in delta.remove:
+            self._remove_statement(session, identifier)
+        for added in delta.add:
+            statement = self._preprocess_added(session, added.statement)
+            self._add_statement(
+                session,
+                statement,
+                LocalRates(
+                    identifier=statement.identifier,
+                    guarantee=added.guarantee,
+                    cap=added.cap,
+                ),
+            )
+        for update in delta.update_rates:
+            self._update_rates(session, update)
+        if delta.remove or delta.add:
+            self._refresh_catch_all(session)
+        self._refresh_sink_trees(session)
 
     def _noop_result(self, session) -> CompilationResult:
         """Re-package the committed state for an empty delta.
@@ -399,7 +446,7 @@ class MerlinCompiler:
         result.attach_link_capacities(self._link_capacities(session.active_topology))
         return result
 
-    def _recompile_topology(self, delta) -> CompilationResult:
+    def _apply_topology_delta(self, session, delta) -> None:
         """Apply a :class:`~repro.incremental.delta.TopologyDelta`.
 
         The session tracks the cumulative failed-element sets; each delta
@@ -411,70 +458,7 @@ class MerlinCompiler:
         is unchanged).  Rebuilt statements whose edge set actually changed
         get a new engine record; the shared resolve then re-solves
         exactly the affected components, widening footprint slack where a
-        failure pruned away every surviving path.  The same transaction
-        discipline as the policy path applies: any failure (validation,
-        infeasible solve, codegen) rolls the session — failed sets, active
-        topology, logical topologies, engine state — back to the
-        pre-delta checkpoint.
-        """
-        with telemetry.span("recompile", kind="topology") as recompile_span:
-            result = self._recompile_topology_in_span(delta, recompile_span)
-        result.statistics.total_seconds = recompile_span.duration
-        return result
-
-    def _recompile_topology_in_span(self, delta, recompile_span) -> CompilationResult:
-        session = self._session
-        self._validate_topology_delta(session, delta)
-        journal = session.journal
-        saved = journal.mark()
-        telemetry.gauge("journal_depth", len(journal))
-        try:
-            with telemetry.span("rateless") as rateless_span:
-                failed_links = set(session.failed_links)
-                failed_links.update(delta.fail_links)
-                failed_links.difference_update(delta.recover_links)
-                failed_nodes = set(session.failed_nodes)
-                failed_nodes.update(delta.fail_nodes)
-                failed_nodes.difference_update(delta.recover_nodes)
-                active = (
-                    self.topology.without(links=failed_links, nodes=failed_nodes)
-                    if failed_links or failed_nodes
-                    else self.topology
-                )
-                journal.set_attr(session, "active_topology", active)
-                journal.set_attr(session, "failed_links", frozenset(failed_links))
-                journal.set_attr(session, "failed_nodes", frozenset(failed_nodes))
-                # Cached products were built against the previous active
-                # topology; the (path, endpoints) keys do not encode it.  The
-                # rebind is journaled (rollback reinstates the old cache dict);
-                # entries added to the fresh dict inside this transaction are
-                # simply discarded with it.
-                journal.set_attr(session, "logical_cache", {})
-                session.engine.set_topology(active)
-                self._rebuild_affected(session, self._changed_links(delta))
-                if session.sink_trees:
-                    # Population unchanged, so *whether* sink trees are
-                    # needed is unchanged — but their routes must follow
-                    # the active fabric.
-                    journal.set_attr(
-                        session, "sink_trees", compute_sink_trees(active)
-                    )
-            result = self._finalize(session, rateless_span.duration)
-        except Exception:
-            # Same transaction discipline as the policy path; the journal
-            # recorded set_topology(), so the rollback also reverts it.
-            recompile_span.annotate(rolled_back=True)
-            telemetry.counter("transactions_rolled_back")
-            journal.rollback(saved)
-            raise
-        else:
-            telemetry.counter("transactions_committed")
-        finally:
-            journal.release(saved)
-        return result
-
-    def _validate_topology_delta(self, session, delta) -> None:
-        """Reject a topology delta before any session mutation.
+        failure pruned away every surviving path.
 
         Failures and recoveries are absolute edits: failing an
         already-failed element (including twice within one delta) or
@@ -515,6 +499,28 @@ class MerlinCompiler:
                 )
             failed_nodes.discard(name)
 
+        active = (
+            self.topology.without(links=failed_links, nodes=failed_nodes)
+            if failed_links or failed_nodes
+            else self.topology
+        )
+        journal = session.journal
+        journal.set_attr(session, "active_topology", active)
+        journal.set_attr(session, "failed_links", frozenset(failed_links))
+        journal.set_attr(session, "failed_nodes", frozenset(failed_nodes))
+        # Cached products were built against the previous active
+        # topology; the (path, endpoints) keys do not encode it.  The
+        # rebind is journaled (rollback reinstates the old cache dict);
+        # entries added to the fresh dict inside this transaction are
+        # simply discarded with it.
+        journal.set_attr(session, "logical_cache", {})
+        session.engine.set_topology(active)
+        self._rebuild_affected(session, self._changed_links(delta))
+        if session.sink_trees:
+            # Population unchanged, so *whether* sink trees are needed is
+            # unchanged — but their routes must follow the active fabric.
+            journal.set_attr(session, "sink_trees", compute_sink_trees(active))
+
     def _changed_links(self, delta) -> frozenset:
         """The physical links a topology delta touches, as sorted pairs.
 
@@ -538,42 +544,33 @@ class MerlinCompiler:
         cost-bounded path ever used) is skipped entirely, keeping cached
         component solutions valid.  A guaranteed statement with *no*
         surviving path raises (and rolls the transaction back) — the
-        network can no longer carry its guarantee at all.  Constrained
-        best-effort statements re-run their product-graph BFS and may move
-        between feasible and infeasible.
+        network can no longer carry its guarantee at all.  Best-effort
+        statements are entered anew: constrained ones re-run their
+        product-graph BFS and may move between feasible and infeasible,
+        unconstrained ones (a demoted statement keeps the footprint its
+        guarantee recorded) follow the sink trees as before.
         """
-        for identifier, footprint in session.base_footprints.items():
-            if not (footprint & changed):
+        for entry in session.ordered():
+            if entry.footprint is None or not (entry.footprint & changed):
                 continue
-            statement = session.statements.get(identifier)
-            if statement is None:
+            if not entry.rates.is_guaranteed:
+                session.put(self._enter_best_effort(session, entry))
                 continue
-            source, destination = session.endpoints[identifier]
-            logical = self._logical_for(session, statement, source, destination)
-            if session.local_rates[identifier].is_guaranteed:
-                if logical.num_edges() == 0:
-                    raise ProvisioningError(
-                        f"statement {identifier!r} has no feasible path "
-                        "satisfying its path expression on the degraded "
-                        "topology"
-                    )
-                previous = session.engine.untightened_for(identifier)
-                if set(previous.edges) == set(logical.edges):
-                    continue
-                session.engine.replace_logical(identifier, logical)
-            else:
-                assignment = self._best_effort_assignment(
-                    statement, logical, session.active_topology
+            identifier = entry.identifier
+            source, destination = entry.endpoints
+            logical = self._logical_for(
+                session, entry.statement, source, destination
+            )
+            if logical.num_edges() == 0:
+                raise ProvisioningError(
+                    f"statement {identifier!r} has no feasible path "
+                    "satisfying its path expression on the degraded "
+                    "topology"
                 )
-                session.journal.del_item(session.best_effort_paths, identifier)
-                if identifier in session.infeasible:
-                    session.journal.list_remove(session.infeasible, identifier)
-                if assignment is None:
-                    session.journal.list_append(session.infeasible, identifier)
-                else:
-                    session.journal.set_item(
-                        session.best_effort_paths, identifier, assignment
-                    )
+            previous = session.engine.untightened_for(identifier)
+            if set(previous.edges) == set(logical.edges):
+                continue
+            session.engine.replace_logical(identifier, logical)
 
     def _finalize(
         self,
@@ -586,33 +583,36 @@ class MerlinCompiler:
 
         The shared tail of the compile, policy-delta and topology-delta
         paths, and the one place session state becomes a
-        :class:`CompilationResult`.  The delta paths call it inside their
-        transaction try-block, so a raise here (an infeasible solve, a
-        codegen error) triggers the rollback.  ``policy`` is the
+        :class:`CompilationResult`.  ``recompile`` calls it inside its
+        transaction, so a raise here (an infeasible solve, a codegen
+        error) triggers the rollback.  ``policy`` is the
         pre-processed policy a compile entered; without one the policy is
         rebuilt from the session, with the *localized* formula.
         """
         active = session.active_topology
         provisioning = session.engine.resolve()
 
+        # Everything below reads the entries in stamp order, not raw dict
+        # order: journaled rollback restores dict contents but can
+        # re-insert undeleted keys at the end, and statement order is
+        # byte-visible downstream (codegen allocates VLANs/queues in
+        # policy order).
+        entries = session.ordered()
         paths: Dict[str, PathAssignment] = dict(provisioning.paths)
-        paths.update(session.best_effort_paths)
-        # Iterate in sequence-stamp order, not raw dict order: journaled
-        # rollback restores dict contents but can re-insert undeleted keys
-        # at the end, and statement order is byte-visible downstream
-        # (codegen allocates VLANs/queues in policy order).
-        ordered = session.ordered_ids()
+        paths.update(
+            (entry.identifier, entry.best_effort)
+            for entry in entries
+            if entry.best_effort is not None
+        )
         rates = {
-            identifier: RateAllocation.from_local_rates(
-                session.local_rates[identifier]
-            )
-            for identifier in ordered
+            entry.identifier: RateAllocation.from_local_rates(entry.rates)
+            for entry in entries
         }
         if policy is None:
             policy = Policy(
-                statements=tuple(session.statements[i] for i in ordered),
+                statements=tuple(entry.statement for entry in entries),
                 formula=localized_formula(
-                    {i: session.local_rates[i] for i in ordered}
+                    {entry.identifier: entry.rates for entry in entries}
                 ),
             )
 
@@ -625,16 +625,15 @@ class MerlinCompiler:
                     paths,
                     rates,
                     session.sink_trees,
-                    endpoints=session.endpoints,
-                    infeasible_statements=tuple(session.infeasible),
+                    endpoints={
+                        entry.identifier: entry.endpoints for entry in entries
+                    },
+                    infeasible_statements=tuple(
+                        entry.identifier for entry in entries if entry.infeasible
+                    ),
                 )
             codegen_seconds = codegen_span.duration
 
-        guaranteed = [
-            identifier
-            for identifier, local in session.local_rates.items()
-            if local.is_guaranteed
-        ]
         statistics = CompilationStatistics(
             lp_construction_seconds=(
                 logical_seconds + provisioning.lp_construction_seconds
@@ -645,8 +644,10 @@ class MerlinCompiler:
             # Span-derived: the callers overwrite this with their root
             # ``compile`` / ``recompile`` span's duration once it closes.
             total_seconds=0.0,
-            num_statements=len(session.statements),
-            num_guaranteed_statements=len(guaranteed),
+            num_statements=len(entries),
+            num_guaranteed_statements=sum(
+                entry.rates.is_guaranteed for entry in entries
+            ),
             num_mip_variables=provisioning.num_variables,
             num_mip_constraints=provisioning.num_constraints,
         )
@@ -699,7 +700,8 @@ class MerlinCompiler:
         """
         if self._session is None:
             return None
-        return self._session.statements.get(identifier)
+        entry = self._session.entries.get(identifier)
+        return None if entry is None else entry.statement
 
     def session_rates(self, identifier: str) -> Optional[LocalRates]:
         """The active session's current localized rates for ``identifier``.
@@ -711,7 +713,8 @@ class MerlinCompiler:
         """
         if self._session is None:
             return None
-        return self._session.local_rates.get(identifier)
+        entry = self._session.entries.get(identifier)
+        return None if entry is None else entry.rates
 
     def prepare_incremental(self) -> None:
         """A checked no-op: ``compile()`` returns with the engine populated."""
@@ -723,116 +726,114 @@ class MerlinCompiler:
     # -- session internals ----------------------------------------------------------
 
     def _remove_statement(self, session, identifier: str) -> None:
-        if identifier not in session.statements:
+        if self.overlap == "priority":
+            raise ProvisioningError(
+                "overlap='priority' sessions cannot remove statements "
+                "incrementally: first-match-wins rewriting subtracted the "
+                "removed predicates from later statements; run a full "
+                "compile() of the updated policy instead"
+            )
+        if session.user_entry(identifier) is None:
             raise ProvisioningError(
                 f"cannot remove unknown statement {identifier!r}"
             )
-        journal = session.journal
         if session.engine.has_statement(identifier):
             session.engine.remove_statement(identifier)
-        journal.del_item(session.statements, identifier)
-        journal.del_item(session.local_rates, identifier)
-        journal.del_item(session.endpoints, identifier)
-        journal.del_item(session.best_effort_paths, identifier)
-        journal.del_item(session.base_footprints, identifier)
-        journal.del_item(session.seq, identifier)
-        if identifier in session.infeasible:
-            journal.list_remove(session.infeasible, identifier)
+        session.journal.del_item(session.entries, identifier)
 
-    def _add_statement(self, session, statement, local: LocalRates) -> None:
+    def _add_statement(
+        self, session, statement, local: LocalRates, generated: bool = False
+    ) -> None:
         """Enter one pre-processed statement — the unit both a compile (once
-        per policy statement) and a delta's ``add`` are made of."""
-        identifier = statement.identifier
-        if identifier in session.statements:
-            raise ProvisioningError(
-                f"statement {identifier!r} already exists; remove it first "
-                "(a changed statement appears in both remove and add)"
-            )
-        journal = session.journal
-        journal.set_item(session.statements, identifier, statement)
-        session.stamp(identifier)
-        journal.set_item(session.local_rates, identifier, local)
-        journal.set_item(
-            session.endpoints,
-            identifier,
-            infer_endpoints(statement, session.active_topology),
+        per policy statement, whose identifiers :class:`Policy` keeps
+        unique) and a delta's ``add`` (admitted by
+        :meth:`_preprocess_added`) are made of."""
+        entry = _StatementEntry(
+            statement=statement,
+            rates=local,
+            endpoints=infer_endpoints(statement, session.active_topology),
+            stamp=next(session.stamps),
+            generated=generated,
         )
         if local.is_guaranteed:
-            self._enter_guaranteed(session, statement, local)
+            entry = self._enter_guaranteed(session, entry)
         else:
-            self._enter_best_effort(session, statement)
+            entry = self._enter_best_effort(session, entry)
+        session.put(entry)
 
     def _update_rates(self, session, update) -> None:
         identifier = update.identifier
-        if identifier not in session.statements:
+        entry = session.user_entry(identifier)
+        if entry is None:
             raise ProvisioningError(
                 f"cannot update rates of unknown statement {identifier!r}"
             )
-        statement = session.statements[identifier]
         local = LocalRates(
             identifier=identifier, guarantee=update.guarantee, cap=update.cap
         )
+        entry = dataclasses.replace(entry, rates=local)
         engine = session.engine
         was_guaranteed = engine.has_statement(identifier)
-        session.journal.set_item(session.local_rates, identifier, local)
         if local.is_guaranteed and was_guaranteed:
             engine.update_rates(identifier, local.guarantee, cap=local.cap)
         elif local.is_guaranteed and not was_guaranteed:
             # Promoted from best-effort: enters the MIP.
-            self._enter_guaranteed(session, statement, local)
+            entry = self._enter_guaranteed(session, entry)
         elif not local.is_guaranteed and was_guaranteed:
             # Demoted to best-effort: leaves the MIP.
             engine.remove_statement(identifier)
-            self._enter_best_effort(session, statement)
+            entry = self._enter_best_effort(session, entry)
+        session.put(entry)
 
-    def _enter_guaranteed(self, session, statement, local) -> None:
-        """Put a guarantee-bearing statement into the MIP.
+    def _enter_guaranteed(self, session, entry: _StatementEntry) -> _StatementEntry:
+        """Put a guarantee-bearing statement into the MIP and return its
+        entry as a guaranteed one.
 
-        Shared by adds and promotions.  A delta's ``_validate_delta``
-        already proved the statement provisionable; a compile finds out
-        here (endpoints) and in ``engine.add_statement`` (empty product).
+        Shared by adds and promotions, and where both learn whether the
+        statement can be provisioned at all: endpoints here, an empty
+        product graph in ``engine.add_statement``.
         """
-        identifier = statement.identifier
-        source, destination = session.endpoints[identifier]
+        source, destination = entry.endpoints
         if source is None or destination is None:
             raise ProvisioningError(
-                f"statement {identifier!r} requests a bandwidth guarantee "
+                f"statement {entry.identifier!r} requests a bandwidth guarantee "
                 "but its source/destination hosts cannot be determined "
                 "from its predicate or path expression"
             )
-        logical = self._logical_for(session, statement, source, destination)
-        session.journal.del_item(session.best_effort_paths, identifier)
-        self._record_base_footprint(session, statement, logical)
+        logical = self._logical_for(session, entry.statement, source, destination)
+        footprint = self._pristine_footprint(session, entry, logical)
         session.engine.add_statement(
-            statement, local.guarantee, cap=local.cap, logical=logical
+            entry.statement, entry.rates.guarantee, cap=entry.rates.cap, logical=logical
+        )
+        return dataclasses.replace(
+            entry, footprint=footprint, best_effort=None, infeasible=False
         )
 
-    def _enter_best_effort(self, session, statement) -> None:
-        """Record a best-effort statement's path assignment, if any.
+    def _enter_best_effort(self, session, entry: _StatementEntry) -> _StatementEntry:
+        """Return a best-effort statement's entry with its path assignment,
+        if any.
 
         Unconstrained paths are served by sink trees (refreshed centrally
         once the statements are in); constrained ones take the shortest
         path through their logical topology or are marked infeasible.
         """
-        if _is_unconstrained_path(statement.path):
-            return
-        identifier = statement.identifier
-        source, destination = session.endpoints[identifier]
-        logical = self._logical_for(session, statement, source, destination)
-        self._record_base_footprint(session, statement, logical)
+        if _is_unconstrained_path(entry.statement.path):
+            return entry
+        source, destination = entry.endpoints
+        logical = self._logical_for(session, entry.statement, source, destination)
         assignment = self._best_effort_assignment(
-            statement, logical, session.active_topology
+            entry.statement, logical, session.active_topology
         )
-        if assignment is None:
-            session.journal.list_append(session.infeasible, identifier)
-        else:
-            session.journal.set_item(
-                session.best_effort_paths, identifier, assignment
-            )
+        return dataclasses.replace(
+            entry,
+            footprint=self._pristine_footprint(session, entry, logical),
+            best_effort=assignment,
+            infeasible=assignment is None,
+        )
 
-    def _record_base_footprint(self, session, statement, logical) -> None:
-        """Record the statement's untightened product footprint on the
-        *pristine* topology, once per statement (a promotion or demotion
+    def _pristine_footprint(self, session, entry, logical) -> frozenset:
+        """The statement's untightened product footprint on the *pristine*
+        topology, computed once per statement (a promotion or demotion
         keeps the one its add recorded; unconstrained best-effort
         statements get theirs when first promoted into the MIP).
 
@@ -844,168 +845,54 @@ class MerlinCompiler:
         topology, already in the caller's hand; during failures that is
         not the pristine product, which is then built uncached.
         """
-        identifier = statement.identifier
-        if identifier in session.base_footprints:
-            return
+        if entry.footprint is not None:
+            return entry.footprint
         if session.active_topology is not self.topology:
-            source, destination = infer_endpoints(statement, self.topology)
+            source, destination = infer_endpoints(entry.statement, self.topology)
             logical = build_logical_topology(
-                statement,
+                entry.statement,
                 self.topology,
                 self.placements,
                 source=source,
                 destination=destination,
             )
-        session.journal.set_item(
-            session.base_footprints,
-            identifier,
-            frozenset(logical.physical_links_used()),
-        )
+        return frozenset(logical.physical_links_used())
 
     def _real_statements(self, session) -> List[Statement]:
         """The session's statements minus the preprocessor's *generated*
         catch-all (a user-authored statement named "default" is real).
 
-        Sequence-stamp order, not raw dict order: the order feeds
-        priority-mode predicate narrowing and the catch-all's remainder
-        predicate, both byte-visible in the compiled policy, and dict
-        order is not rollback-stable (see ``_CompilerSession.seq``).
+        Stamp order, not raw dict order: the order feeds priority-mode
+        predicate narrowing and the catch-all's remainder predicate, both
+        byte-visible in the compiled policy, and dict order is not
+        rollback-stable (see ``_StatementEntry.stamp``).
         """
         return [
-            session.statements[identifier]
-            for identifier in session.ordered_ids()
-            if not (session.generated_default and identifier == DEFAULT_STATEMENT_ID)
+            entry.statement for entry in session.ordered() if not entry.generated
         ]
 
-    def _validate_delta(self, session, delta) -> List:
-        """Validate a whole delta before any session mutation.
+    def _preprocess_added(self, session, statement: Statement) -> Statement:
+        """Admit a delta's added statement under the session's overlap
+        discipline.
 
-        Every check that can reject a delta — unknown removals/updates,
-        identifier clashes, the overlap discipline on added statements
-        (including add-vs-add overlap within the same delta), and
-        provisionability of guarantee-bearing adds/promotions (inferable
-        endpoints, non-empty logical topology) — runs here, so a rejected
-        delta is side-effect-free.  Returns the added statements with the
-        overlap preprocessing (priority narrowing) applied, in delta order.
-        Only a provisioning infeasibility discovered later, at solve time,
-        can still invalidate the session.
+        Mirrors what building and pre-processing the policy would do to the
+        statement had it been part of a from-scratch compile of the
+        session's statements + the addition: an identifier already in use
+        is refused; reject mode checks it for overlap against the existing
+        statements; priority mode narrows it by subtracting the existing
+        predicates it overlaps (an appended statement has the lowest
+        priority) and rejects it when completely shadowed; trust mode
+        passes it through unchanged, as both other modes do when nothing
+        overlaps.
         """
-        removed = set()
-        for identifier in delta.remove:
-            if identifier not in session.statements or (
-                session.generated_default and identifier == DEFAULT_STATEMENT_ID
-            ):
-                # The generated catch-all is not a user statement: removing
-                # it would silently no-op (the refresh recreates it), so it
-                # is as unknown as any other non-real identifier.
-                raise ProvisioningError(
-                    f"cannot remove unknown statement {identifier!r}"
-                )
-            if identifier in removed:
-                raise ProvisioningError(
-                    f"statement {identifier!r} is removed twice in one delta"
-                )
-            removed.add(identifier)
-        existing = [
-            statement
-            for statement in self._real_statements(session)
-            if statement.identifier not in removed
-        ]
-        existing_ids = {statement.identifier for statement in existing}
-        prepared: List = []
-        for added in delta.add:
-            identifier = added.statement.identifier
-            if identifier in existing_ids or (
-                session.generated_default and identifier == DEFAULT_STATEMENT_ID
-            ):
-                raise ProvisioningError(
-                    f"statement {identifier!r} already exists; remove it first "
-                    "(a changed statement appears in both remove and add)"
-                )
-            preprocessed = self._preprocess_added(existing, added)
-            prepared.append(preprocessed)
-            existing.append(preprocessed.statement)
-            existing_ids.add(identifier)
-        if (
-            self.add_catch_all
-            and DEFAULT_STATEMENT_ID in existing_ids
-            and not any(isinstance(s.predicate, PTrue) for s in existing)
-        ):
-            # The post-delta statement set needs a generated catch-all but a
-            # user statement occupies its identifier — exactly the case
-            # preprocess() rejects; catch it before mutating the session.
-            raise PolicyError(
-                f"cannot add catch-all: identifier {DEFAULT_STATEMENT_ID!r} "
-                "already used"
-            )
-        prepared_by_id = {entry.statement.identifier: entry for entry in prepared}
-        for added in prepared:
-            local = LocalRates(
-                identifier=added.statement.identifier,
-                guarantee=added.guarantee,
-                cap=added.cap,
-            )
-            if local.is_guaranteed:
-                self._check_provisionable(session, added.statement)
-        for update in delta.update_rates:
-            if update.identifier not in existing_ids:
-                raise ProvisioningError(
-                    f"cannot update rates of unknown statement {update.identifier!r}"
-                )
-            local = LocalRates(
-                identifier=update.identifier,
-                guarantee=update.guarantee,
-                cap=update.cap,
-            )
-            if local.is_guaranteed:
-                entry = prepared_by_id.get(update.identifier)
-                statement = (
-                    entry.statement
-                    if entry is not None
-                    else session.statements[update.identifier]
-                )
-                self._check_provisionable(session, statement)
-        return prepared
-
-    def _check_provisionable(self, session, statement: Statement) -> None:
-        """Reject a guarantee-bearing statement that can never enter the MIP.
-
-        Both conditions — inferable endpoints and a non-empty pruned logical
-        topology — are knowable from the statement and topology alone, so
-        they are checked during delta validation rather than surfacing
-        mid-apply and destroying the session.  The logical build is memoized
-        in the session cache, so the apply phase pays nothing extra.
-        """
-        active = session.active_topology
-        source, destination = infer_endpoints(statement, active)
-        if source is None or destination is None:
+        if statement.identifier in session.entries:
             raise ProvisioningError(
-                f"statement {statement.identifier!r} requests a bandwidth "
-                "guarantee but its source/destination hosts cannot be "
-                "determined from its predicate or path expression"
+                f"statement {statement.identifier!r} already exists; remove it "
+                "first (a changed statement appears in both remove and add)"
             )
-        logical = self._logical_for(session, statement, source, destination)
-        if logical.num_edges() == 0:
-            raise ProvisioningError(
-                f"statement {statement.identifier!r} has no feasible path "
-                "satisfying its path expression"
-            )
-
-    def _preprocess_added(self, existing: List[Statement], added):
-        """Apply the session's overlap discipline to an added statement.
-
-        Mirrors what :func:`~repro.core.preprocessor.preprocess` would do to
-        the statement had it been part of a from-scratch compile of
-        ``existing`` + the addition: reject mode checks it for overlap
-        against the existing statements; priority mode narrows it by
-        subtracting the existing predicates it overlaps (an appended
-        statement has the lowest priority) and rejects it when completely
-        shadowed; trust mode passes it through unchanged, as both other
-        modes do when nothing overlaps.
-        """
         if self.overlap == "trust":
-            return added
-        statement = added.statement
+            return statement
+        existing = self._real_statements(session)
         # Only the statements the forced-equality index cannot tell apart
         # from the addition are SAT-checked, not the whole population.
         overlapping = [
@@ -1015,7 +902,7 @@ class MerlinCompiler:
             )
         ]
         if not overlapping:
-            return added
+            return statement
         if self.overlap == "reject":
             conflicts = [other.identifier for other in overlapping]
             raise PolicyError(
@@ -1034,13 +921,10 @@ class MerlinCompiler:
                 f"statement {statement.identifier!r} is completely shadowed "
                 "by existing statements"
             )
-        return dataclasses.replace(
-            added,
-            statement=Statement(
-                identifier=statement.identifier,
-                predicate=narrowed,
-                path=statement.path,
-            ),
+        return Statement(
+            identifier=statement.identifier,
+            predicate=narrowed,
+            path=statement.path,
         )
 
     def _refresh_catch_all(self, session) -> None:
@@ -1057,18 +941,12 @@ class MerlinCompiler:
         if not self.add_catch_all:
             return
         others = self._real_statements(session)
-        journal = session.journal
-        if session.generated_default:
-            journal.del_item(session.statements, DEFAULT_STATEMENT_ID)
-            journal.del_item(session.local_rates, DEFAULT_STATEMENT_ID)
-            journal.del_item(session.endpoints, DEFAULT_STATEMENT_ID)
-            journal.del_item(session.seq, DEFAULT_STATEMENT_ID)
-            journal.set_attr(session, "generated_default", False)
+        current = session.entries.get(DEFAULT_STATEMENT_ID)
+        if current is not None and current.generated:
+            session.journal.del_item(session.entries, DEFAULT_STATEMENT_ID)
         if any(isinstance(statement.predicate, PTrue) for statement in others):
             return
-        if any(
-            statement.identifier == DEFAULT_STATEMENT_ID for statement in others
-        ):
+        if DEFAULT_STATEMENT_ID in session.entries:
             raise PolicyError(
                 f"cannot add catch-all: identifier {DEFAULT_STATEMENT_ID!r} "
                 "already used"
@@ -1078,22 +956,14 @@ class MerlinCompiler:
             if others
             else TRUE
         )
-        catch_all = Statement(
-            identifier=DEFAULT_STATEMENT_ID, predicate=remainder, path=any_path()
-        )
-        journal.set_item(session.statements, DEFAULT_STATEMENT_ID, catch_all)
-        session.stamp(DEFAULT_STATEMENT_ID)
-        journal.set_item(
-            session.local_rates,
-            DEFAULT_STATEMENT_ID,
+        self._add_statement(
+            session,
+            Statement(
+                identifier=DEFAULT_STATEMENT_ID, predicate=remainder, path=any_path()
+            ),
             LocalRates(identifier=DEFAULT_STATEMENT_ID),
+            generated=True,
         )
-        journal.set_item(
-            session.endpoints,
-            DEFAULT_STATEMENT_ID,
-            infer_endpoints(catch_all, session.active_topology),
-        )
-        journal.set_attr(session, "generated_default", True)
 
     def _refresh_sink_trees(self, session) -> None:
         """Keep ``session.sink_trees`` consistent with the statement set.
@@ -1105,9 +975,9 @@ class MerlinCompiler:
         instructions a from-scratch compile would not produce.
         """
         needed = any(
-            not session.local_rates[identifier].is_guaranteed
-            and _is_unconstrained_path(statement.path)
-            for identifier, statement in session.statements.items()
+            not entry.rates.is_guaranteed
+            and _is_unconstrained_path(entry.statement.path)
+            for entry in session.entries.values()
         )
         if not needed:
             if session.sink_trees:

@@ -67,8 +67,10 @@ class ProvisionOptions:
     scipy cannot bound its search — else ``"scipy"``).
 
     ``partition`` — whether the MIP is decomposed into link-disjoint
-    components (``False``: every resolve, compile or delta, solves the one
-    monolithic untightened model).
+    components (``False``: every resolve, compile or delta, treats all
+    statements as one untightened component over every link — the same
+    canonical build, solve, memo and decode as any component, so
+    ``footprint_slack`` / ``widen_slack`` have nothing to act on).
 
     ``footprint_slack`` / ``widen_slack`` — the base cost-bound tightening
     applied to every statement's logical topology (``None`` disables

@@ -44,8 +44,11 @@ and merges the reservations.  Within a component the min-max objectives are
 unchanged; across components the merged solution minimises every
 component's bottleneck (a per-component lexicographic strengthening of the
 global min-max criterion).  ``ProvisionOptions(partition=False)`` makes the
-engine solve the single monolithic, untightened model instead
-(:func:`solve_monolithic`).
+engine treat the whole population as one untightened component over every
+link — the undecomposed model, built and solved by the same code as any
+other component.  :func:`build_provisioning_model` is that model in the
+caller's statement order and ``topology.links()`` order: the reference
+builder the equivalence tests compare against.
 """
 
 from __future__ import annotations
@@ -54,9 +57,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .. import telemetry
 from ..errors import ProvisioningError
-from ..lp.backends import backend_name
 from ..lp.constraint import Constraint
 from ..lp.expr import LinExpr, Variable
 from ..lp.model import Model, Objective
@@ -73,16 +74,6 @@ from .options import ProvisionOptions
 
 #: Rates are expressed in Mbps inside the MIP to keep coefficients well-scaled.
 _MBPS = 1e6
-
-
-def _stamp_backend(statistics: Dict[str, float], solver) -> Dict[str, float]:
-    """Record which backend produced a solve's statistics.
-
-    The ``auto`` portfolio driver stamps its winner itself; fixed backends
-    get their declared capability-protocol name.
-    """
-    statistics.setdefault("backend", backend_name(solver))
-    return statistics
 
 
 class PathSelectionHeuristic(enum.Enum):
@@ -102,8 +93,7 @@ class ProvisioningResult:
     case it is ``"feasible"``), and ``solve_statistics`` carries aggregated
     MIP diagnostics (``nodes``, ``best_bound``, ``gap``, partition counts)
     for the benchmark tables.  ``partition_solutions`` are the
-    per-component solutions the result was merged from (empty for a
-    monolithic solve).
+    per-component solutions the result was merged from.
     """
 
     paths: Dict[str, PathAssignment]
@@ -158,97 +148,13 @@ def provision(
     return engine.resolve()
 
 
-def solve_monolithic(
-    statements: Sequence[Statement],
-    logical_topologies: Mapping[str, LogicalTopology],
-    rates: Mapping[str, LocalRates],
-    topology: Topology,
-    placements: Mapping[str, Iterable[str]],
-    heuristic: PathSelectionHeuristic,
-    solver,
-) -> ProvisioningResult:
-    """Solve the one undecomposed model — what ``partition=False`` means.
-
-    The reference model: ``statements`` in the order given, a reservation
-    row for every link in ``topology.links()`` order, the logical
-    topologies as supplied (the engine passes the untightened ones).
-    """
-    with telemetry.span("build_model", statements=len(statements)) as build_span:
-        built = build_provisioning_model(
-            statements, logical_topologies, rates, topology, heuristic=heuristic
-        )
-        model = built.model
-        edge_variables = built.edge_variables
-        reservation_fraction = built.reservation_fraction
-        links = topology.links()
-    lp_construction_seconds = build_span.duration
-
-    with telemetry.span("monolithic_solve") as solve_span:
-        result = model.solve(solver)
-        solve_span.annotate(
-            backend=str(result.statistics.get("backend", backend_name(solver))),
-            status=result.status.value,
-        )
-    lp_solve_seconds = solve_span.duration
-    if not result.status.has_solution:
-        raise ProvisioningError(
-            "bandwidth provisioning is infeasible: the requested guarantees "
-            f"cannot be satisfied (solver status: {result.status.value})"
-        )
-
-    paths: Dict[str, PathAssignment] = {}
-    for statement in statements:
-        logical = logical_topologies[statement.identifier]
-        selected = [
-            logical.edges[index]
-            for index, variable in edge_variables[statement.identifier].items()
-            if result.value_of(variable) > 0.5
-        ]
-        location_path = _extract_path(selected)
-        placements_for_statement = _assign_functions(
-            statement.path, location_path, placements, topology
-        )
-        paths[statement.identifier] = PathAssignment(
-            statement_id=statement.identifier,
-            path=tuple(location_path),
-            function_placements=placements_for_statement,
-            guaranteed_rate=rates[statement.identifier].guarantee,
-        )
-
-    link_reservations: Dict[Tuple[str, str], Bandwidth] = {}
-    max_utilization = 0.0
-    max_reservation = Bandwidth(0.0)
-    for link in links:
-        key = tuple(sorted((link.source, link.target)))
-        fraction = result.value_of(reservation_fraction[key])
-        reserved = Bandwidth(max(0.0, fraction) * link.capacity.bps_value)
-        link_reservations[key] = reserved
-        max_utilization = max(max_utilization, fraction)
-        if reserved.bps_value > max_reservation.bps_value:
-            max_reservation = reserved
-
-    return ProvisioningResult(
-        paths=paths,
-        link_reservations=link_reservations,
-        max_utilization=max_utilization,
-        max_reservation=max_reservation,
-        lp_construction_seconds=lp_construction_seconds,
-        lp_solve_seconds=lp_solve_seconds,
-        num_variables=model.num_variables(),
-        num_constraints=model.num_constraints(),
-        solve_status=result.status.value,
-        solve_statistics=_stamp_backend(dict(result.statistics), solver),
-        num_partitions=1,
-    )
-
-
 @dataclass
 class ProvisioningModel:
     """The assembled MIP plus the variable indexes needed to read a solution.
 
-    ``reserve_rows`` keeps the Equation-2 constraint handle of every link so
-    incremental callers can splice statement terms in and out of the rows,
-    and ``logical_topologies`` records each member statement's product graph
+    ``reserve_rows`` keeps the Equation-2 constraint handle of every link
+    (warm-start projection recomputes each reservation from its row), and
+    ``logical_topologies`` records each member statement's product graph
     so a solution can be decoded into location paths without re-supplying
     the construction inputs.
     """
@@ -271,10 +177,11 @@ def build_provisioning_model(
 ) -> ProvisioningModel:
     """Assemble the full provisioning MIP over every physical link.
 
-    This is the monolithic entry point: reservation rows are emitted for the
-    whole topology in ``topology.links()`` order.  The partitioned pipeline
-    calls :func:`build_model_for_links` directly with each component's link
-    subset instead.
+    The reference builder: statements in the order given, reservation rows
+    for the whole topology in ``topology.links()`` order.  The engine never
+    calls it — every model it solves comes from :func:`build_model_for_links`
+    over a component's sorted members and links — and the equivalence tests
+    hold the two against each other.
     """
     links = [
         (
@@ -293,12 +200,11 @@ def splice_statement_rows(
 ) -> Tuple[Dict[int, Variable], List[Constraint], Dict[Tuple[str, str], List[Variable]]]:
     """Create one statement's binary edge variables and Equation-1 flow rows.
 
-    The single per-statement construction shared by the batch builder
-    (:func:`build_model_for_links`) and the incremental engine's lazy
-    live-model materialization: variable naming (``x__{id}__{index}``),
-    flow-row naming (``flow__{id}__{vertex}``), and emission order must
-    stay identical for the splice-equivalence guarantee (and
-    cached-component reuse) to hold.  The edge-variable name format is
+    The per-statement construction inside :func:`build_model_for_links`:
+    variable naming (``x__{id}__{index}``), flow-row naming
+    (``flow__{id}__{vertex}``), and emission order are what the primal
+    heuristic decodes and what makes a rebuilt component byte-identical to
+    the memoized one.  The edge-variable name format is
     also relied on by ``IncrementalProvisioner.remove_statement``, which
     prunes a removed statement's warm-start incumbents by reconstructing
     these names — change the format in both places or stale incumbents
@@ -436,13 +342,9 @@ def emit_link_rows(
     """Create ``r_max`` / ``R_max`` and every link's Equation 2-4 rows.
 
     ``link_terms`` maps a link key to its ``(edge variable, guarantee Mbps)``
-    pairs — the indexed construction's per-link buckets (empty for the
-    incremental engine's initially statement-free live model; its splice
-    operations grow the returned rows in place afterwards).  Returns
+    pairs — the indexed construction's per-link buckets.  Returns
     ``(r_max, R_max, reservation fractions, reservation row handles,
-    largest link capacity in Mbps)``.  Both the one-shot build and the live
-    model emit their rows through this single function, so the two can
-    never drift apart in naming or shape.
+    largest link capacity in Mbps)``.
     """
     reservation_fraction: Dict[Tuple[str, str], Variable] = {}
     reserve_rows: Dict[Tuple[str, str], Constraint] = {}
@@ -484,12 +386,7 @@ def set_provisioning_objective(
     heuristic: PathSelectionHeuristic,
     max_capacity_mbps: float,
 ) -> None:
-    """(Re)set the path-selection objective on a provisioning model.
-
-    Shared between the one-shot build and the incremental engine's live
-    model, whose tiebreaker magnitudes must be refreshed after deltas (both
-    the per-edge epsilon and the guarantee quantum depend on the statement
-    population).
+    """Set the path-selection objective on a provisioning model.
 
     For the min-max heuristics the per-edge tiebreaker epsilon is also
     published as :attr:`~repro.lp.model.Model.objective_resolution` — the

@@ -13,7 +13,8 @@ engine internals.
 :class:`~repro.core.allocation.CompilationResult` a from-scratch compile of
 the updated policy on the current active topology would produce.  Every
 ``apply`` is a transaction (see :meth:`MerlinCompiler.recompile`): on any
-failure the session rolls back to its pre-delta state and the error
+failure — a change the session refuses as much as one the solver cannot
+honour — the session rolls back to its pre-delta state and the error
 propagates, so a driver can record the rejection and keep replaying.
 
 ``checkpoint()`` / ``rollback()`` / ``commit()`` expose the same
@@ -135,8 +136,9 @@ class ProvisioningSession:
 
     @property
     def statement_ids(self) -> tuple:
-        """Identifiers of the statements currently in the session."""
-        return tuple(self._session().statements)
+        """Identifiers of the statements currently in the session, in
+        policy order (the order of ``result.policy.statements``)."""
+        return tuple(entry.identifier for entry in self._session().ordered())
 
     def _session(self):
         inner = self._compiler._session

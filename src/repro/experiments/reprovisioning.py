@@ -10,9 +10,9 @@ link-disjoint).  A delta of ``d`` statements — new guaranteed traffic in
 
 * **full**: a from-scratch ``MerlinCompiler.compile()`` of the extended
   policy (what the seed code base had to do), and
-* **incremental**: ``MerlinCompiler.recompile(delta)`` — splice the new
-  statements into the live provisioning model and re-solve only the ``d``
-  dirty pod components, re-using the other pods' cached solutions.
+* **incremental**: ``MerlinCompiler.recompile(delta)`` — enter the new
+  statements into the live session and re-solve only the ``d`` dirty pod
+  components, re-using the other pods' cached solutions.
 
 Both produce identical paths and reservations (asserted per row); the
 interesting output is the latency ratio as a function of delta size.

@@ -78,7 +78,7 @@ class TopologyDelta:
     Link keys are undirected (u, v) name pairs and are normalized to sorted
     order on construction.  Failures and recoveries are *absolute* edits to
     the session's failed-element sets: failing an already-failed element or
-    recovering a healthy one is a validation error, so replaying a stream
+    recovering a healthy one is refused, so replaying a stream
     of deltas is unambiguous.  Applied by
     :meth:`MerlinCompiler.recompile` / :meth:`ProvisioningSession.apply`, which
     derive the new active topology, rebuild only the product graphs whose pristine

@@ -12,13 +12,10 @@ per statement, never a live MIP:
   token when the guarantee changed.
 
 All three are pure bookkeeping: one dictionary entry, no model splicing,
-no pass over live constraint rows.  The fully-spliced global model is
-*lazily materialized*: only :meth:`solve_live` (and the ``live_model``
-introspection property) builds it, on demand, from the same records, via
-the exact canonical constructor
-(:func:`~repro.core.provisioning.build_model_for_links`) the component
-models use.  ``live_materializations`` counts those builds so tests can assert
-the delta path never pays for one.
+no pass over live constraint rows.  No model outlives a solve: the only
+models ever built are the component models of a :meth:`resolve`, each
+from the records of its members through the one canonical constructor
+(:func:`~repro.core.provisioning.build_model_for_links`).
 
 :meth:`resolve` re-provisions: the active statements are partitioned into
 link-disjoint components (union-find over *tightened* logical link
@@ -32,9 +29,10 @@ variables.  A full compile is the same thing with every component dirty:
 ``MerlinCompiler.compile`` and ``core.provisioning.provision`` add their
 statements to a fresh engine and resolve once, so a delta history and a
 from-scratch run meet in the same canonical component models by
-construction.  With ``options.partition`` off, :meth:`resolve` instead
-solves the one monolithic untightened model every time
-(:func:`~repro.core.provisioning.solve_monolithic`).
+construction.  With ``options.partition`` off the same loop runs over one
+component — every statement, untightened, over every link, in the same
+canonical order — so the answer is as independent of the session's
+history as any other component's, and memoized the same way.
 
 Warm-started re-solves pick the same optima as cold ones: provisioning
 models declare their tiebreaker epsilon as ``objective_resolution`` and the
@@ -62,14 +60,12 @@ rewind: a token is never issued twice, so an entry written inside a failed
 transaction describes records that no longer exist and can simply never
 be asked for again, while every entry about the reinstated records is
 still true.  The tightened views need none either — they hang off the
-record, so the journal puts them back with it.  The memoized live model
-is cleared *through* the journal by the mutators, so a rollback reinstates
-the model that matches the records it reinstates.
+record, so the journal puts them back with it.
 
 :meth:`MerlinCompiler.recompile` wraps every delta in one transaction, so
-a delta that fails *after* validation — an infeasible solve, a
-code-generation error — rolls the session back to its precise pre-delta
-state instead of invalidating it.
+a delta that fails — refused by a mutator half-way through, an infeasible
+solve, a code-generation error — rolls the session back to its precise
+pre-delta state instead of invalidating it.
 """
 
 from __future__ import annotations
@@ -89,10 +85,7 @@ from ..core.logical import (
 from ..core.options import ProvisionOptions
 from ..core.provisioning import (
     PathSelectionHeuristic,
-    ProvisioningModel,
     ProvisioningResult,
-    build_model_for_links,
-    solve_monolithic,
 )
 from ..errors import ProvisioningError
 from ..topology.graph import Topology
@@ -108,7 +101,7 @@ from .solve import (
 
 
 class IncrementalProvisioner:
-    """A lazily-materialized provisioning session: add/remove/update + resolve.
+    """A provisioning session of per-statement records: add/remove/update + resolve.
 
     Everything about *how* to solve comes from ``options`` (``None`` means
     the :class:`~repro.core.options.ProvisionOptions` defaults):
@@ -134,7 +127,10 @@ class IncrementalProvisioner:
         self.heuristic = heuristic
         self.options = options
         self.solver = options.backend()
-        self.footprint_slack = options.footprint_slack
+        # Tightening exists to keep components apart; with partitioning
+        # off there is one component whatever the footprints, so the MIP
+        # sees every statement's whole product graph.
+        self.footprint_slack = options.footprint_slack if options.partition else None
 
         self._capacity_mbps = topology_capacities_mbps(topology)
         #: The per-statement state, all of it: mutators swap whole records
@@ -151,13 +147,6 @@ class IncrementalProvisioner:
         #: The undo journal behind O(1) checkpoints; mutators record
         #: inverse operations here whenever a transaction is open.
         self.journal = UndoJournal()
-
-        #: The lazily-materialized live model; ``None`` until asked for and
-        #: again after any mutation the model depends on.
-        self._live: Optional[ProvisioningModel] = None
-        #: How many times the spliced global model was actually built; the
-        #: delta path must never increment it (counter/spy for tests).
-        self.live_materializations = 0
 
     # -- introspection -----------------------------------------------------------
 
@@ -177,12 +166,6 @@ class IncrementalProvisioner:
     def untightened_for(self, identifier: str) -> LogicalTopology:
         """The statement's whole product graph, as it was entered."""
         return self._records[identifier].logical
-
-    @property
-    def live_model(self):
-        """The spliced global model, materialized on demand (and memoized
-        until the next delta)."""
-        return self._materialize_live().model
 
     # -- transactions -------------------------------------------------------------
 
@@ -210,19 +193,6 @@ class IncrementalProvisioner:
         self.journal.release(saved)
 
     # -- delta operations ---------------------------------------------------------
-
-    def _swap(self, identifier: str, record: Optional[StatementRecord]) -> None:
-        """Install a statement's record, or drop it (``None``).
-
-        The live model depends on every record, so it is cleared along —
-        journaled, so a rollback brings back the model of the records it
-        brings back.
-        """
-        if record is None:
-            self.journal.del_item(self._records, identifier)
-        else:
-            self.journal.set_item(self._records, identifier, record)
-        self.journal.set_attr(self, "_live", None)
 
     def add_statement(
         self,
@@ -269,7 +239,8 @@ class IncrementalProvisioner:
                 f"statement {identifier!r} has no feasible path satisfying "
                 "its path expression"
             )
-        self._swap(
+        self.journal.set_item(
+            self._records,
             identifier,
             StatementRecord(
                 statement=statement,
@@ -284,7 +255,7 @@ class IncrementalProvisioner:
         if identifier not in self._records:
             raise ProvisioningError(f"unknown statement {identifier!r}")
         self._prune_incumbents(identifier)
-        self._swap(identifier, None)
+        self.journal.del_item(self._records, identifier)
 
     def _prune_incumbents(self, identifier: str) -> None:
         """Drop a statement's incumbent values (on removal or reshaping).
@@ -320,7 +291,8 @@ class IncrementalProvisioner:
             )
         self._prune_incumbents(identifier)
         previous = self._records[identifier]
-        self._swap(
+        self.journal.set_item(
+            self._records,
             identifier,
             StatementRecord(
                 statement=previous.statement,
@@ -333,9 +305,9 @@ class IncrementalProvisioner:
     def set_topology(self, topology: Topology) -> None:
         """Point the engine at a new (e.g. degraded) physical topology.
 
-        Only the capacity map and the memoized live model depend on it
-        directly; per-statement logical topologies must be re-supplied by
-        the caller via :meth:`replace_logical` where they changed.
+        Only the capacity map depends on it directly; per-statement logical
+        topologies must be re-supplied by the caller via
+        :meth:`replace_logical` where they changed.
         """
         capacities = topology_capacities_mbps(topology)
         journal = self.journal
@@ -353,7 +325,6 @@ class IncrementalProvisioner:
             journal.set_attr(self, "_memo", {})
         journal.set_attr(self, "topology", topology)
         journal.set_attr(self, "_capacity_mbps", capacities)
-        journal.set_attr(self, "_live", None)
 
     def update_rates(
         self,
@@ -371,17 +342,17 @@ class IncrementalProvisioner:
             )
         previous = self._records[identifier]
         rates = LocalRates(identifier=identifier, guarantee=guarantee, cap=cap)
-        if previous.rates.guarantee.bps_value == guarantee.bps_value:
-            # Cap-only change: the cap never enters the provisioning MIP, so
-            # the record keeps its token — the statement's partition stays
-            # clean — and the memoized live model remains valid.
-            self.journal.set_item(
-                self._records, identifier, dataclasses.replace(previous, rates=rates)
-            )
-            return
-        self._swap(
+        # A cap-only change keeps the token: the cap never enters the
+        # provisioning MIP, so the statement's partition stays clean.
+        token = (
+            previous.token
+            if previous.rates.guarantee.bps_value == guarantee.bps_value
+            else next(self._tokens)
+        )
+        self.journal.set_item(
+            self._records,
             identifier,
-            dataclasses.replace(previous, rates=rates, token=next(self._tokens)),
+            dataclasses.replace(previous, rates=rates, token=token),
         )
 
     # -- solving -------------------------------------------------------------------
@@ -392,9 +363,8 @@ class IncrementalProvisioner:
         The returned :class:`ProvisioningResult` is identical to what a
         fresh engine holding the same statements would produce;
         ``solve_statistics`` reports ``partitions_dirty`` /
-        ``partitions_reused``.  With ``options.partition`` off there is
-        nothing to reuse: the monolithic untightened model is solved
-        whole, statements in session order.
+        ``partitions_reused``.  With ``options.partition`` off the
+        population is one untightened component.
         """
         records = self._records
         if not records:
@@ -408,17 +378,6 @@ class IncrementalProvisioner:
                 num_variables=0,
                 num_constraints=0,
             )
-        if not self.options.partition:
-            return solve_monolithic(
-                [record.statement for record in records.values()],
-                {sid: record.logical for sid, record in records.items()},
-                {sid: record.rates for sid, record in records.items()},
-                self.topology,
-                self.placements,
-                self.heuristic,
-                self.solver,
-            )
-
         warm_values = (
             self._last_values if self.options.warm_start != "off" else None
         )
@@ -430,6 +389,7 @@ class IncrementalProvisioner:
                 self._memo,
                 solver=self.solver,
                 footprint_slack=self.footprint_slack,
+                partition=self.options.partition,
                 widen=self.options.widen_slack,
                 warm_values=warm_values,
                 component_cache=self.options.component_cache,
@@ -472,41 +432,3 @@ class IncrementalProvisioner:
         for solution in (*outcome.fresh, *outcome.adopted):
             self.journal.update_items(self._last_values, solution.values_by_name)
         return result
-
-    # -- the live model as a (lazily built) solvable artifact ------------------------
-
-    def _materialize_live(self) -> ProvisioningModel:
-        """Build (or reuse) the fully-spliced global model.
-
-        Constructed from the same records ``resolve()`` reads, through the
-        same canonical constructor the component models use, so it is
-        coefficient-identical to a from-scratch
-        :func:`~repro.core.provisioning.build_provisioning_model` of the
-        current statements over the whole topology.  Kept until a mutator
-        clears it (see :meth:`_swap`), so repeated solves without
-        intervening deltas reuse the build.
-        """
-        if self._live is None:
-            self.live_materializations += 1
-            records = self._records
-            self._live = build_model_for_links(
-                [record.statement for record in records.values()],
-                {
-                    sid: record.view(self.footprint_slack)[0]
-                    for sid, record in records.items()
-                },
-                {sid: record.rates for sid, record in records.items()},
-                list(self._capacity_mbps.items()),
-                heuristic=self.heuristic,
-            )
-        return self._live
-
-    def solve_live(self, solver=None):
-        """Solve the lazily-built global model directly (no partitioning,
-        no memo).
-
-        Exists as a correctness escape hatch and as the splice-equivalence
-        oracle for the test suite; :meth:`resolve` is the fast path.  This
-        is the only place the spliced model's construction cost is paid.
-        """
-        return self._materialize_live().model.solve(solver or self.solver)

@@ -32,8 +32,8 @@ Ordering caveat: undoing a dict deletion re-inserts the key at the *end*
 of the dict, so journaled rollback preserves dict *contents* but not
 insertion order.  State whose iteration order is behaviorally visible
 (e.g. the statement order that drives VLAN/queue allocation in codegen)
-must carry explicit sequence stamps and sort on use — see
-``_CompilerSession.seq`` in ``core/compiler.py``.  The engine's record
+must carry explicit insertion stamps and sort on use — see
+``_StatementEntry.stamp`` in ``core/compiler.py``.  The engine's record
 dict is order-insensitive (partitioning canonicalizes by sorted ids).
 """
 from __future__ import annotations

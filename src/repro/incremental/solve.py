@@ -449,6 +449,7 @@ def solve_components_with_widening(
     memo: Dict[MemoKey, object],
     solver=None,
     footprint_slack: Optional[int] = DEFAULT_FOOTPRINT_SLACK,
+    partition: bool = True,
     widen: bool = True,
     warm_values: Optional[Mapping[str, float]] = None,
     component_cache=None,
@@ -488,6 +489,14 @@ def solve_components_with_widening(
     written to it as it happens, bounded at :data:`SOLUTION_MEMO_LIMIT`
     entries.  With ``widen=False`` the first infeasible component raises
     immediately.
+
+    With ``partition=False`` the population is not decomposed: every round
+    has one component — all statements over every link of
+    ``capacity_mbps`` (the engine passes ``footprint_slack=None`` with it,
+    so untightened and with no rung to widen to) — in the same sorted
+    order as any other component, so it is built, solved, memoized and
+    decoded by the same code and is as independent of the order the
+    records were entered in.
 
     ``component_cache`` (a :class:`repro.fabric.ComponentSolutionCache`)
     is consulted *after* the memo misses and *before* the model is built:
@@ -535,7 +544,16 @@ def solve_components_with_widening(
             footprints: Dict[str, FrozenSet[LinkKey]] = {}
             for sid, record in records.items():
                 tightened[sid], footprints[sid] = record.view(slack_by_id[sid])
-            specs = partition_statements(footprints)
+            specs = (
+                partition_statements(footprints)
+                if partition
+                else [
+                    PartitionSpec(
+                        statement_ids=tuple(sorted(records)),
+                        links=tuple(sorted(capacity_mbps)),
+                    )
+                ]
+            )
 
             resolved: Dict[PartitionSpec, PartitionSolution] = {}
             to_solve: List[Tuple[PartitionSpec, MemoKey, object]] = []

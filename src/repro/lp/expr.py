@@ -125,34 +125,6 @@ class LinExpr:
         self.constant += float(value)
         return self
 
-    def set_term(self, variable: Variable, coefficient: Number) -> "LinExpr":
-        """Set the coefficient of ``variable`` in place and return ``self``.
-
-        A zero coefficient deletes the term entirely (rather than storing an
-        explicit zero), so expressions spliced by the incremental
-        provisioning engine stay as sparse as freshly built ones.
-        """
-        if coefficient == 0.0:
-            self.coefficients.pop(variable, None)
-        else:
-            self.coefficients[variable] = float(coefficient)
-        return self
-
-    def remove_term(self, variable: Variable) -> "LinExpr":
-        """Delete ``variable``'s term in place (no-op when absent); return ``self``.
-
-        This is the splice-out primitive of incremental model updates: when a
-        statement is retracted, its edge variables are removed from every
-        reservation row they appear in before the variables themselves are
-        dropped from the model.
-        """
-        self.coefficients.pop(variable, None)
-        return self
-
-    def has_term(self, variable: Variable) -> bool:
-        """Whether the expression carries a (non-zero) term for ``variable``."""
-        return variable in self.coefficients
-
     def add(self, other: Union["LinExpr", Variable, Number]) -> "LinExpr":
         """Add another expression/variable/number in place and return ``self``."""
         if isinstance(other, Variable):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -107,25 +107,6 @@ class Model:
         except KeyError:
             raise SolverError(f"unknown variable {name!r}") from None
 
-    def remove_variable(self, variable: Union[Variable, str]) -> None:
-        """Unregister a variable (by object or name), freeing its name.
-
-        The caller is responsible for splicing the variable out of every
-        constraint and the objective first (see
-        :meth:`~repro.lp.expr.LinExpr.remove_term`); a dangling reference is
-        caught by :meth:`to_standard_form`, which refuses to export
-        constraints over unknown variables.
-        """
-        name = variable.name if isinstance(variable, Variable) else variable
-        if name not in self._variables:
-            raise SolverError(f"unknown variable {name!r}")
-        del self._variables[name]
-
-    def remove_variables(self, variables: Iterable[Union[Variable, str]]) -> None:
-        """Unregister several variables at once."""
-        for variable in variables:
-            self.remove_variable(variable)
-
     def num_variables(self) -> int:
         return len(self._variables)
 
@@ -144,34 +125,6 @@ class Model:
             constraint.name = name
         self._constraints.append(constraint)
         return constraint
-
-    def remove_constraint(self, constraint: Constraint) -> None:
-        """Unregister one constraint (matched by object identity)."""
-        for position, existing in enumerate(self._constraints):
-            if existing is constraint:
-                del self._constraints[position]
-                return
-        raise SolverError(
-            f"constraint {constraint.name or str(constraint)!r} is not in the model"
-        )
-
-    def remove_constraints(self, constraints: Iterable[Constraint]) -> None:
-        """Unregister several constraints in one pass over the row list.
-
-        Removal is by object identity, so callers that kept the handles
-        returned by :meth:`add_constraint` can retract a group of rows in
-        O(total rows) rather than O(rows removed x total rows).  Note the
-        provisioning pipeline itself treats models as immutable once built
-        (the incremental engine's checkpoint/restore relies on that); this
-        editing API serves ad-hoc model surgery by library users.
-        """
-        doomed = {id(constraint) for constraint in constraints}
-        if not doomed:
-            return
-        kept = [c for c in self._constraints if id(c) not in doomed]
-        if len(kept) != len(self._constraints) - len(doomed):
-            raise SolverError("some constraints to remove are not in the model")
-        self._constraints = kept
 
     def constraints(self) -> List[Constraint]:
         return list(self._constraints)

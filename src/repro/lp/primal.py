@@ -109,10 +109,10 @@ def _shape_error(detail: str) -> SolverError:
 def _decode_provisioning_model(model: Model) -> _DecodedProblem:
     """Recover the path-assignment structure from a provisioning model.
 
-    Decoding relies only on the canonical constructions shared by the batch
-    builder and the live model (``splice_statement_rows`` /
-    ``emit_link_rows``): every decoded fact is cross-checked, and any
-    deviation raises :class:`SolverError` rather than guessing.
+    Decoding relies only on the canonical constructions of the one model
+    builder (``splice_statement_rows`` / ``emit_link_rows``): every decoded
+    fact is cross-checked, and any deviation raises :class:`SolverError`
+    rather than guessing.
     """
     # Keyed by variable *name*: the model enforces name uniqueness, and
     # strings cache their hash where the frozen dataclass recomputes it on

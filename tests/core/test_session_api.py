@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import MerlinCompiler, ProvisioningSession
 from repro.errors import ProvisioningError
-from repro.incremental import PolicyDelta, RateUpdate, TopologyDelta
+from repro.experiments.reprovisioning import pod_tenant_scenario
+from repro.incremental import DeltaStatement, PolicyDelta, RateUpdate, TopologyDelta
 from repro.scenarios import allocations_match
 from repro.topology.generators import dumbbell, figure2_example
 from repro.units import Bandwidth
@@ -79,6 +80,32 @@ class TestSessionLifecycle:
         assert compiler.has_session
         # A later handle sees the same live state.
         assert set(compiler.session().statement_ids) == {"x", "z"}
+
+
+    def test_statement_ids_keep_policy_order_after_a_rolled_back_removal(self):
+        """A rollback re-inserts an un-deleted entry at the end of the
+        session's dict; the handle reports insertion order all the same."""
+        scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
+        compiler = MerlinCompiler(
+            topology=scenario.topology,
+            overlap="trust",
+            add_catch_all=False,
+            generate_code=False,
+        )
+        compiled = compiler.compile(scenario.policy)
+        session = compiler.session()
+        in_policy_order = ("p0s0", "p1s0", "p2s0", "p3s0")
+        assert session.statement_ids == in_policy_order
+
+        oversized = DeltaStatement(
+            compiler.session_statement("p0s0"), guarantee=Bandwidth.gbps(1000)
+        )
+        with pytest.raises(ProvisioningError, match="infeasible"):
+            session.apply(PolicyDelta(remove=("p0s0",), add=(oversized,)))
+        assert session.statement_ids == in_policy_order
+        assert session.statement_ids == tuple(
+            statement.identifier for statement in compiled.policy.statements
+        )
 
 
 class TestApply:

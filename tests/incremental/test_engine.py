@@ -7,11 +7,12 @@ from repro.core.logical import build_logical_topology, infer_endpoints
 from repro.core.options import ProvisionOptions
 from repro.core.parser import parse_policy
 from repro.core.preprocessor import preprocess
-from repro.core.provisioning import build_provisioning_model, provision
+from repro.core.provisioning import build_model_for_links, provision
 from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import pod_tenant_scenario
 from repro.fabric import SolveFabric
 from repro.incremental import IncrementalProvisioner
+from repro.incremental.solve import topology_capacities_mbps
 from repro.lp import BranchAndBoundSolver
 from repro.topology.generators import figure2_example
 from repro.topology.graph import Topology
@@ -60,33 +61,6 @@ def _paths(result):
 
 def _reservations(result):
     return {key: value.bps_value for key, value in result.link_reservations.items()}
-
-
-def _canonical(model):
-    constraints = {}
-    for constraint in model.constraints():
-        constraints[constraint.name] = (
-            tuple(
-                sorted(
-                    (variable.name, coefficient)
-                    for variable, coefficient in constraint.expression.coefficients.items()
-                )
-            ),
-            constraint.expression.constant,
-            constraint.sense.value,
-        )
-    objective = tuple(
-        sorted(
-            (variable.name, coefficient)
-            for variable, coefficient in model.objective.coefficients.items()
-        )
-    )
-    variables = tuple(
-        sorted(
-            (v.name, v.lower, v.upper, v.is_integer) for v in model.variables()
-        )
-    )
-    return constraints, objective, variables
 
 
 class TestDeltaOperations:
@@ -167,65 +141,25 @@ class TestDeltaOperations:
 
 
 class TestLazyLiveModel:
-    def test_live_model_equals_fresh_build(self):
-        """After any delta history the (lazily materialized) live model must
-        be coefficient-identical (up to row/column order) to a from-scratch
-        build of the engine's current statements and topologies."""
-        topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(topology, policy, rates, logical)
-        # Churn: remove, re-add, update rates.
-        engine.remove_statement("z")
-        engine.add_statement(
-            policy.statements[1], rates["z"].guarantee, logical=logical["z"]
-        )
-        engine.update_rates("x", Bandwidth.mb_per_sec(40))
-
-        current_rates = {
-            identifier: engine.rates_for(identifier)
-            for identifier in engine.statement_ids()
-        }
-        current_logical = {
-            identifier: engine.logical_for(identifier)
-            for identifier in engine.statement_ids()
-        }
-        fresh = build_provisioning_model(
-            list(policy.statements), current_logical, current_rates, topology
-        )
-        assert _canonical(engine.live_model) == _canonical(fresh.model)
-
     def test_solve_live_agrees_with_resolve(self):
+        """The partitioned resolve loses nothing against the one global
+        model over the same tightened topologies: the merged maximum
+        utilisation equals that model's ``r_max``."""
         topology, policy, rates, logical = _figure2_inputs()
         engine = _engine(topology, policy, rates, logical)
         resolved = engine.resolve()
-        live = engine.solve_live()
-        assert live.status.has_solution
-        # The live (monolithic) model's r_max equals the merged maximum.
-        assert live.value_of(
-            engine.live_model.variable("r_max")
-        ) == pytest.approx(resolved.max_utilization, abs=1e-6)
-
-    def test_delta_path_never_materializes_the_live_model(self):
-        """The counter/spy acceptance test: session setup and deltas are
-        bookkeeping only — the spliced global model is built exactly when
-        solve_live() asks for it, and memoized until the next delta."""
-        topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(topology, policy, rates, logical)
-        assert engine.live_materializations == 0
-        engine.resolve()
-        engine.update_rates("x", Bandwidth.mb_per_sec(40))
-        engine.remove_statement("z")
-        engine.add_statement(
-            policy.statements[1], rates["z"].guarantee, logical=logical["z"]
+        identifiers = engine.statement_ids()
+        whole = build_model_for_links(
+            list(policy.statements),
+            {identifier: engine.logical_for(identifier) for identifier in identifiers},
+            {identifier: engine.rates_for(identifier) for identifier in identifiers},
+            sorted(topology_capacities_mbps(topology).items()),
         )
-        engine.resolve()
-        assert engine.live_materializations == 0
-        engine.solve_live()
-        assert engine.live_materializations == 1
-        engine.solve_live()  # no intervening delta: memoized
-        assert engine.live_materializations == 1
-        engine.update_rates("x", Bandwidth.mb_per_sec(30))
-        engine.solve_live()  # the delta invalidated the memo
-        assert engine.live_materializations == 2
+        live = whole.model.solve()
+        assert live.status.has_solution
+        assert live.value_of(whole.r_max) == pytest.approx(
+            resolved.max_utilization, abs=1e-6
+        )
 
 
 class TestCachingAndPartitions:

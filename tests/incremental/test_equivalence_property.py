@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.core import MerlinCompiler, compile_policy
+from repro.core import MerlinCompiler, ProvisionOptions, compile_policy
 from repro.core.ast import BandwidthTerm, FMin, Policy, formula_and
 from repro.core.localization import localize
 from repro.experiments.reprovisioning import (
@@ -140,15 +140,18 @@ def test_engine_delta_sequences_match_from_scratch_compile(seed):
     _assert_same_allocations(incremental, scratch)
 
 
+@pytest.mark.parametrize("partition", (True, False), ids=("partitioned", "unpartitioned"))
 @pytest.mark.parametrize("seed", range(3))
-def test_compiler_recompile_sequences_match_from_scratch_compile(seed):
+def test_compiler_recompile_sequences_match_from_scratch_compile(seed, partition):
     """Compiler layer: random recompile deltas == compile of the final policy."""
     churn = _RandomPolicyChurn(seed + 100)
+    options = ProvisionOptions(partition=partition)
     compiler = MerlinCompiler(
         topology=churn.scenario.topology,
         overlap="trust",
         add_catch_all=False,
         generate_code=False,
+        options=options,
     )
     compiler.compile(churn.final_policy())
     for _ in range(6):
@@ -168,5 +171,6 @@ def test_compiler_recompile_sequences_match_from_scratch_compile(seed):
         overlap="trust",
         add_catch_all=False,
         generate_code=False,
+        options=options,
     )
     _assert_same_allocations(incremental, scratch)

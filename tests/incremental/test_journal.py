@@ -148,7 +148,6 @@ def _engine_state(engine):
         "last_values": dict(engine._last_values),
         "topology": engine.topology,
         "capacities": dict(engine._capacity_mbps),
-        "live": engine._live,
     }
 
 
@@ -279,7 +278,7 @@ def test_rollback_after_topology_delta_is_byte_identical():
 
 def test_statement_order_survives_rollback():
     """Undoing a mid-dict deletion re-inserts at the dict's end; the
-    sequence stamps must still regenerate instructions in the original
+    insertion stamps must still regenerate instructions in the original
     statement order (VLAN/queue allocation is order-sensitive)."""
     churn = _RandomPolicyChurn(23)
     scenario = churn.scenario

@@ -18,6 +18,7 @@ import repro
 from repro.codegen.generator import CodeGenerator
 from repro.core import MerlinCompiler, ProvisionOptions
 from repro.core.ast import BandwidthTerm, FMin, Policy, Statement, formula_and
+from repro.core.provisioning import build_provisioning_model
 from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import (
     pod_tenant_scenario,
@@ -208,6 +209,96 @@ def test_partition_false_is_honoured_by_every_resolve():
     assert (
         updated.statistics.num_mip_constraints
         == fresh.statistics.num_mip_constraints
+    )
+
+
+def test_partition_false_does_not_depend_on_rollback_history():
+    """A journal rollback re-inserts an un-deleted record at the end of the
+    engine's dict; the undecomposed model used to take its rows in that
+    order, so after two rolled-back removals the solver broke ties
+    differently than on a session that never saw them."""
+    scenario = pod_tenant_scenario(arity=6, pairs_per_pod=2)
+    options = ProvisionOptions(partition=False)
+    update = PolicyDelta(update_rates=(RateUpdate("p5s1", Bandwidth.mbps(60)),))
+
+    def compiled_session():
+        compiler = _compiler(scenario.topology, options=options)
+        compiler.compile(scenario.policy)
+        return compiler
+
+    rolled = compiled_session()
+    for identifier in ("p0s0", "p0s1"):
+        oversized = DeltaStatement(
+            rolled.session_statement(identifier), guarantee=Bandwidth.gbps(1000)
+        )
+        with pytest.raises(ProvisioningError, match="infeasible"):
+            rolled.recompile(PolicyDelta(remove=(identifier,), add=(oversized,)))
+    after_rollbacks = rolled.recompile(update)
+    never_failed = compiled_session().recompile(update)
+    fresh = _compiler(scenario.topology, options=options).compile(
+        _policy(scenario, p5s1=Bandwidth.mbps(60))
+    )
+    assert after_rollbacks.statistics.num_partitions == 1
+    assert allocations_match(after_rollbacks, never_failed)
+    assert allocations_match(after_rollbacks, fresh)
+
+
+def test_partition_false_solves_the_reference_model_through_the_component_path(
+    monkeypatch,
+):
+    """With partitioning off the loop's one component is the undecomposed
+    model — the rows of ``build_provisioning_model``, in canonical order —
+    and it is memoized like any component: a cap-only update re-solves
+    nothing."""
+    scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
+    built = []
+    build = solve_module.build_partition_model
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(solve_module, "build_partition_model", spy)
+    compiler = _compiler(
+        scenario.topology, options=ProvisionOptions(partition=False)
+    )
+    compiler.compile(scenario.policy)
+    assert len(built) == 1
+
+    engine = compiler._session.engine
+    identifiers = engine.statement_ids()
+    reference = build_provisioning_model(
+        [compiler.session_statement(identifier) for identifier in identifiers],
+        {identifier: engine.untightened_for(identifier) for identifier in identifiers},
+        {identifier: engine.rates_for(identifier) for identifier in identifiers},
+        scenario.topology,
+    )
+    assert _rows(built[0].model) == _rows(reference.model)
+
+    capped = compiler.recompile(
+        PolicyDelta(
+            update_rates=(
+                RateUpdate("p0s0", scenario.guarantee, cap=Bandwidth.gbps(1)),
+            )
+        )
+    )
+    assert len(built) == 1
+    assert capped.statistics.dirty_partitions == 0
+    assert capped.rates["p0s0"].cap == Bandwidth.gbps(1)
+
+
+def _rows(model):
+    """A model's rows, columns and objective, without their order."""
+    def terms(expression):
+        return tuple(sorted((v.name, c) for v, c in expression.coefficients.items()))
+
+    return (
+        {
+            row.name: (terms(row.expression), row.expression.constant, row.sense.value)
+            for row in model.constraints()
+        },
+        terms(model.objective),
+        sorted((v.name, v.lower, v.upper, v.is_integer) for v in model.variables()),
     )
 
 

@@ -13,7 +13,11 @@ from repro.core.ast import (
 )
 from repro.core.parser import parse_policy
 from repro.errors import ProvisioningError
-from repro.incremental import DeltaStatement, PolicyDelta, RateUpdate
+from repro.experiments.reprovisioning import (
+    pod_tenant_scenario,
+    unconstrained_statement,
+)
+from repro.incremental import DeltaStatement, PolicyDelta, RateUpdate, TopologyDelta
 from repro.negotiator.negotiator import Negotiator
 from repro.predicates.ast import FieldTest, pred_and
 from repro.regex.parser import parse_path_expression
@@ -166,24 +170,6 @@ class TestRecompile:
         compiler = _compiler(figure2_example(capacity=Bandwidth.gbps(2)))
         with pytest.raises(ProvisioningError):
             compiler.prepare_incremental()
-
-    def test_session_setup_never_builds_the_live_model(self):
-        """Acceptance spy: neither engine setup nor recompiles materialize
-        the spliced live model — only solve_live() ever pays for it."""
-        topology = figure2_example(capacity=Bandwidth.gbps(2))
-        compiler = _compiler(topology, generate_code=False)
-        compiler.compile(SOURCE)
-        engine = compiler._session.engine
-        assert engine.live_materializations == 0
-        compiler.recompile(
-            PolicyDelta(
-                update_rates=(RateUpdate("z", guarantee=Bandwidth.mb_per_sec(40)),)
-            )
-        )
-        compiler.recompile(PolicyDelta(remove=("z",)))
-        assert engine.live_materializations == 0
-        engine.solve_live()
-        assert engine.live_materializations == 1
 
     def test_unknown_removal_rejected(self):
         topology = figure2_example(capacity=Bandwidth.gbps(2))
@@ -591,6 +577,43 @@ class TestSinkTreeMaintenance:
         compiler.recompile(PolicyDelta(update_rates=(RateUpdate("w"),)))
         assert compiler._session.sink_trees  # demoted: default forwarding
 
+    def test_demoted_unconstrained_statement_rides_sink_trees_through_a_failure(
+        self,
+    ):
+        """A demoted ``.*`` statement keeps the footprint its guarantee
+        recorded; a failure on that footprint used to hand it a private
+        product-graph path, which a statement that was best-effort all
+        along never gets."""
+        scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
+        wild = unconstrained_statement(scenario)
+        fabric_link = next(
+            (link.source, link.target)
+            for link in scenario.topology.links()
+            if not scenario.topology.node(link.source).is_host
+            and not scenario.topology.node(link.target).is_host
+        )
+        failure = TopologyDelta(fail_links=(fabric_link,))
+
+        def session_with(*deltas):
+            compiler = MerlinCompiler(
+                topology=scenario.topology, overlap="trust", add_catch_all=False
+            )
+            compiler.compile(scenario.policy)
+            for delta in deltas:
+                result = compiler.recompile(delta)
+            return result
+
+        demoted = session_with(
+            PolicyDelta(add=(DeltaStatement(wild, guarantee=Bandwidth.mbps(10)),)),
+            PolicyDelta(update_rates=(RateUpdate("wild"),)),
+            failure,
+        )
+        always_best_effort = session_with(
+            PolicyDelta(add=(DeltaStatement(wild),)), failure
+        )
+        assert "wild" not in demoted.paths
+        assert demoted.instructions == always_best_effort.instructions
+
     def test_catch_all_reappearance_restores_sink_trees(self):
         from repro.predicates.ast import TRUE
 
@@ -614,7 +637,7 @@ class TestSinkTreeMaintenance:
         assert not compiler._session.sink_trees
         # Removing it brings the catch-all (and its sink trees) back.
         compiler.recompile(PolicyDelta(remove=("w",)))
-        assert compiler._session.generated_default
+        assert compiler._session.entries["default"].generated
         assert compiler._session.sink_trees
 
 
