@@ -20,67 +20,22 @@ check: lint-clock lint-pool lint-automaton lint-pipeline
 	$(PYTEST) -q benchmarks/test_churn.py benchmarks/test_checkpoint_scale.py
 	$(PYTEST) -q benchmarks/test_ablation_design_choices.py -k "portfolio"
 
-# All timing must flow through the injectable telemetry clock: a bare
-# time.perf_counter() anywhere in src/repro outside the telemetry package
-# dodges clock injection (tests/telemetry/test_clock_lint.py enforces the
-# same rule under pytest).
+# The repo lints, each written once, as a pytest file (so tier-1 runs them
+# too): all timing flows through the injectable telemetry clock; the solve
+# fabric is the only process pool; every automaton comes out of the store
+# in repro/regex/operations.py; there is one way into the solver, one
+# grammar, and the machinery and options earlier PRs deleted stay deleted.
 lint-clock:
-	@if grep -rn "time\.perf_counter" src/repro --include="*.py" | grep -v "^src/repro/telemetry/"; then \
-		echo "bare time.perf_counter() found; use repro.telemetry.clock()"; \
-		exit 1; \
-	fi
+	$(PYTEST) -q tests/telemetry/test_clock_lint.py
 
-# Component solves must run on the persistent solve fabric: a bare
-# ProcessPoolExecutor anywhere in src/repro outside repro/fabric/
-# reintroduces per-call worker spin-up and dodges the fabric's crash
-# containment (tests/fabric/test_pool_lint.py enforces the same rule
-# under pytest).
 lint-pool:
-	@if grep -rn "ProcessPoolExecutor(" src/repro --include="*.py" | grep -v "^src/repro/fabric/"; then \
-		echo "bare ProcessPoolExecutor construction found; use repro.fabric.SolveFabric"; \
-		exit 1; \
-	fi
+	$(PYTEST) -q tests/fabric/test_pool_lint.py
 
-# Every automaton comes out of the store in repro/regex/operations.py:
-# a DFA.from_nfa( or NFA.from_regex( anywhere in src/repro outside
-# repro/regex/ is an uncached compile, and an lru_cache in core/logical.py
-# is a second, private automaton cache (tests/telemetry/test_automaton_lint.py
-# enforces the same rule under pytest).
 lint-automaton:
-	@if grep -rn "DFA\.from_nfa(\|NFA\.from_regex(" src/repro --include="*.py" | grep -v "^src/repro/regex/"; then \
-		echo "automaton built outside repro/regex; use repro.regex.operations.compile_dfa"; \
-		exit 1; \
-	fi
-	@if grep -n "lru_cache" src/repro/core/logical.py; then \
-		echo "private cache in core/logical.py; automata are memoised by repro.regex.operations"; \
-		exit 1; \
-	fi
+	$(PYTEST) -q tests/telemetry/test_automaton_lint.py
 
-# One provisioning pipeline: the widening solve loop is entered from the
-# incremental engine's resolve() and nowhere else (compile, recompile and
-# provision() all go through the engine); the legacy-keyword shim and the
-# copying checkpoint stay deleted; and a transaction stays one journal
-# mark over one record dict and one memo — no token classes, no second
-# tighten cache, no process-wide pool, no memo-size knob; a delta is
-# judged by the mutators that apply it (no validation pass ahead of the
-# transaction), partition=False is a component of the one solve loop, and
-# no model outlives a solve, so nothing splices rows in or out of one
-# (tests/fabric/test_pipeline_lint.py enforces the same rules under pytest).
 lint-pipeline:
-	@if grep -rn "solve_components_with_widening(" src/repro --include="*.py" \
-		| grep -v "^src/repro/incremental/engine.py:" \
-		| grep -v "^src/repro/incremental/solve.py:[0-9]*:def "; then \
-		echo "second entry into the solver; go through IncrementalProvisioner.resolve()"; \
-		exit 1; \
-	fi
-	@if grep -rn "coalesce_options\|_UNSET\|EngineCheckpoint\|EngineMark\|_SessionToken\|tighten_cache\|base_tightened\|shared_fabric\|cache_limit" src/repro --include="*.py"; then \
-		echo "deleted machinery is back: options travel as ProvisionOptions (pool = options.fabric, memo bound = SOLUTION_MEMO_LIMIT), a transaction is one JournalMark, tightened views live on StatementRecord"; \
-		exit 1; \
-	fi
-	@if grep -rn "_validate_delta\|_check_provisionable\|solve_monolithic\|solve_live\|live_materializations\|_materialize_live\|remove_constraint\|remove_variable\|remove_term" src/repro --include="*.py"; then \
-		echo "deleted machinery is back: the session's mutators are the only validators (the journal rolls a refused delta back), partition=False is one canonical component of the solve loop, no model outlives a solve"; \
-		exit 1; \
-	fi
+	$(PYTEST) -q tests/fabric/test_pipeline_lint.py
 
 # The full benchmark suite (set MERLIN_BENCH_SCALE=full for paper scale).
 # Every report block lands in .bench_out/results/<name>.txt (ignored by git).

@@ -2,9 +2,8 @@
 
 :class:`ProvisionOptions` is the only way to configure how guaranteed
 traffic is provisioned: one frozen dataclass carrying the solver backend,
-partitioning switch, footprint-slack policy (base value plus whether
-infeasible components may widen it), solver limits, the warm-start policy
-and the solve-fabric handles (worker pool, content cache).
+partitioning switch, base footprint slack, solver limits and the
+solve-fabric handles (worker pool, content cache).
 :class:`~repro.core.compiler.MerlinCompiler`,
 :func:`~repro.core.provisioning.provision` and
 :class:`~repro.incremental.engine.IncrementalProvisioner` each take it as
@@ -31,7 +30,7 @@ from typing import Optional
 #: The bound is a genuine restriction: a workload whose min-max optimum
 #: (or feasibility) needs a longer detour would be mis-served — which is
 #: why the engine retries infeasible components with geometrically
-#: widened slack (2 -> 4 -> 8 -> None) when ``widen_slack`` is enabled,
+#: widened slack (2 -> 4 -> 8 -> None; see :func:`widen_slack`)
 #: instead of reporting a tightening artifact as a hard infeasibility.
 DEFAULT_FOOTPRINT_SLACK: Optional[int] = 2
 
@@ -70,16 +69,18 @@ class ProvisionOptions:
     components (``False``: every resolve, compile or delta, treats all
     statements as one untightened component over every link — the same
     canonical build, solve, memo and decode as any component, so
-    ``footprint_slack`` / ``widen_slack`` have nothing to act on).
+    ``footprint_slack`` has nothing to act on).
 
-    ``footprint_slack`` / ``widen_slack`` — the base cost-bound tightening
-    applied to every statement's logical topology (``None`` disables
-    tightening) and whether components that come back infeasible under it
-    are retried with geometrically widened slack instead of failing.
+    ``footprint_slack`` — the base cost-bound tightening applied to every
+    statement's logical topology (``None`` disables tightening).  A
+    component that comes back infeasible under it is always retried with
+    geometrically widened slack (:func:`widen_slack`) before it fails: the
+    tightening is a heuristic, so its artifacts must not surface as
+    infeasibility.
 
-    ``warm_start`` — ``"auto"`` seeds incremental re-solves from projected
-    prior incumbents whenever the backend consumes starts; ``"off"``
-    disables seeding.
+    Incremental re-solves are seeded from projected prior incumbents
+    whenever the backend declares ``consumes_warm_starts``: what a backend
+    can use is a fact about the backend, so its capability is the switch.
 
     ``fabric`` — a :class:`repro.fabric.SolveFabric` to solve several dirty
     components on concurrently, shared across compile/recompile/sweep calls
@@ -96,18 +97,12 @@ class ProvisionOptions:
     solver: Optional[object] = None
     partition: bool = True
     footprint_slack: Optional[int] = DEFAULT_FOOTPRINT_SLACK
-    widen_slack: bool = True
     time_limit_seconds: Optional[float] = None
     node_limit: Optional[int] = None
-    warm_start: str = "auto"
     fabric: Optional[object] = None
     component_cache: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.warm_start not in ("auto", "off"):
-            raise ValueError(
-                f"warm_start must be 'auto' or 'off', got {self.warm_start!r}"
-            )
         if isinstance(self.solver, str):
             from ..lp.backends import registered_backends
 

@@ -16,16 +16,27 @@ and the syntactic-sugar form of §2.1::
 Parsing yields a :class:`ParsedProgram`; :mod:`repro.core.sugar` expands the
 sugar into the core :class:`~repro.core.ast.Policy` form.  Use
 :func:`parse_policy` for the one-call path from source text to a policy.
+
+Only the policy's own rules live here — program, set bindings, ``foreach``,
+statements, rate annotations and bandwidth formulas.  Where a statement's
+predicate and path stand, the parser calls
+:func:`repro.predicates.parser.predicate` and
+:func:`repro.regex.parser.path_expression` on the same
+:class:`~repro.lexer.TokenCursor`, so a predicate or path means inside a
+policy exactly what ``parse_predicate`` / ``parse_path_expression`` say it
+means alone — the property delegation verification rests on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
-from ..errors import ParseError
-from ..predicates.ast import FALSE, TRUE, FieldTest, Predicate, pred_and, pred_not, pred_or
-from ..regex.ast import DOT, Regex, Symbol, concat, star, union, Negate
+from ..lexer import VALUE_KINDS, TokenCursor, error_at, tokenize
+from ..predicates.ast import Predicate
+from ..predicates.parser import predicate
+from ..regex.ast import Regex
+from ..regex.parser import path_expression
 from ..units import Bandwidth
 from .ast import (
     BandwidthTerm,
@@ -38,7 +49,6 @@ from .ast import (
     FTrue,
     Policy,
 )
-from .lexer import Token, tokenize
 
 # ---------------------------------------------------------------------------
 # Intermediate ("parsed but not yet desugared") representation
@@ -116,382 +126,192 @@ class ParsedProgram:
 
 
 # ---------------------------------------------------------------------------
-# The parser
+# The policy's own rules
 # ---------------------------------------------------------------------------
 
-_VALUE_KINDS = frozenset({"MAC", "IP", "HEX", "NUMBER", "IDENT"})
+
+def _program(cursor: TokenCursor) -> ParsedProgram:
+    bindings: List[SetBinding] = []
+    while cursor.check("IDENT") and cursor.check("ASSIGN", offset=1):
+        bindings.append(_binding(cursor))
+
+    items: List[ProgramItem] = []
+    bracketed = cursor.match("LBRACKET")
+    while not cursor.at_end():
+        if bracketed and cursor.check("RBRACKET"):
+            break
+        if not bracketed and cursor.check("COMMA"):
+            break
+        items.append(_item(cursor))
+        cursor.match("SEMI")
+    if bracketed:
+        cursor.expect("RBRACKET")
+
+    formula: Formula = FTrue()
+    if cursor.match("COMMA"):
+        formula = _formula(cursor)
+    cursor.expect_end()
+    return ParsedProgram(bindings=tuple(bindings), items=tuple(items), formula=formula)
 
 
-class PolicyParser:
-    """Recursive-descent parser over the token stream."""
+# -- bindings and sets ---------------------------------------------------------
 
-    def __init__(self, tokens: Sequence[Token], source: str = "") -> None:
-        self._tokens = list(tokens)
-        self._source = source
-        self._index = 0
 
-    # -- token utilities -----------------------------------------------------
+def _binding(cursor: TokenCursor) -> SetBinding:
+    name = cursor.expect("IDENT").text
+    cursor.expect("ASSIGN")
+    return SetBinding(name=name, expression=_set_expression(cursor))
 
-    def _peek(self, offset: int = 0) -> Optional[Token]:
-        index = self._index + offset
-        if index < len(self._tokens):
-            return self._tokens[index]
-        return None
 
-    def _at_end(self) -> bool:
-        return self._index >= len(self._tokens)
+def _set_expression(cursor: TokenCursor) -> SetExpression:
+    if cursor.match("LBRACE"):
+        values: List[Tuple[str, str]] = []
+        if not cursor.check("RBRACE"):
+            values.append(_set_value(cursor))
+            while cursor.match("COMMA"):
+                values.append(_set_value(cursor))
+        cursor.expect("RBRACE")
+        return SetLiteral(values=tuple(values))
+    if cursor.match("KEYWORD", "cross"):
+        cursor.expect("LPAREN")
+        left = _set_expression(cursor)
+        cursor.expect("COMMA")
+        right = _set_expression(cursor)
+        cursor.expect("RPAREN")
+        return CrossExpr(left=left, right=right)
+    return SetRef(name=cursor.expect("IDENT").text)
 
-    def _advance(self) -> Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of policy source")
-        self._index += 1
-        return token
 
-    def _expect(self, kind: str, text: Optional[str] = None) -> Token:
-        token = self._advance()
-        if token.kind != kind or (text is not None and token.text != text):
-            expected = text if text is not None else kind
-            raise ParseError(
-                f"expected {expected!r} but found {token.text!r}",
-                line=token.line,
-                column=token.column,
-            )
-        return token
+def _set_value(cursor: TokenCursor) -> Tuple[str, str]:
+    token = cursor.advance()
+    if token.kind not in VALUE_KINDS:
+        raise error_at(token, f"expected a set element but found {token.text!r}")
+    return (token.kind, token.text)
 
-    def _check(self, kind: str, text: Optional[str] = None, offset: int = 0) -> bool:
-        token = self._peek(offset)
-        if token is None:
-            return False
-        if token.kind != kind:
-            return False
-        return text is None or token.text == text
 
-    def _match(self, kind: str, text: Optional[str] = None) -> bool:
-        if self._check(kind, text):
-            self._advance()
-            return True
-        return False
+# -- items ---------------------------------------------------------------------
 
-    # -- program --------------------------------------------------------------
 
-    def parse_program(self) -> ParsedProgram:
-        """Parse a complete policy source file."""
-        bindings: List[SetBinding] = []
-        while self._check("IDENT") and self._check("ASSIGN", offset=1):
-            bindings.append(self._binding())
+def _item(cursor: TokenCursor) -> ProgramItem:
+    if cursor.check("KEYWORD", "foreach"):
+        return _foreach(cursor)
+    return _statement(cursor)
 
-        items: List[ProgramItem] = []
-        bracketed = self._match("LBRACKET")
-        while not self._at_end():
-            if bracketed and self._check("RBRACKET"):
-                break
-            if not bracketed and self._check("COMMA"):
-                break
-            items.append(self._item())
-            self._match("SEMI")
-        if bracketed:
-            self._expect("RBRACKET")
 
-        formula: Formula = FTrue()
-        if self._match("COMMA"):
-            formula = self._formula()
-        if not self._at_end():
-            trailing = self._advance()
-            raise ParseError(
-                f"unexpected trailing input {trailing.text!r}",
-                line=trailing.line,
-                column=trailing.column,
-            )
-        return ParsedProgram(
-            bindings=tuple(bindings), items=tuple(items), formula=formula
-        )
+def _foreach(cursor: TokenCursor) -> ForeachBlock:
+    cursor.expect("KEYWORD", "foreach")
+    cursor.expect("LPAREN")
+    source_var = cursor.expect("IDENT").text
+    cursor.expect("COMMA")
+    destination_var = cursor.expect("IDENT").text
+    cursor.expect("RPAREN")
+    cursor.expect("KEYWORD", "in")
+    pairs = _set_expression(cursor)
+    cursor.expect("COLON")
+    template = _statement(cursor, allow_identifier=False)
+    return ForeachBlock(
+        source_var=source_var,
+        destination_var=destination_var,
+        pairs=pairs,
+        template=template,
+    )
 
-    # -- bindings and sets ------------------------------------------------------
 
-    def _binding(self) -> SetBinding:
-        name = self._expect("IDENT").text
-        self._expect("ASSIGN")
-        return SetBinding(name=name, expression=self._set_expression())
+def _statement(cursor: TokenCursor, allow_identifier: bool = True) -> RawStatement:
+    identifier: Optional[str] = None
+    if allow_identifier and cursor.check("IDENT") and cursor.check("COLON", offset=1):
+        identifier = cursor.advance().text
+        cursor.advance()  # the colon
+    statement_predicate = predicate(cursor)
+    cursor.expect("ARROW")
+    path = path_expression(cursor)
+    rate_specs: List[Tuple[str, Bandwidth]] = []
+    if cursor.match("KEYWORD", "at"):
+        rate_specs.append(_rate_spec(cursor))
+        while cursor.match("KEYWORD", "and"):
+            rate_specs.append(_rate_spec(cursor))
+    return RawStatement(
+        identifier=identifier,
+        predicate=statement_predicate,
+        path=path,
+        rate_specs=tuple(rate_specs),
+    )
 
-    def _set_expression(self) -> SetExpression:
-        if self._match("LBRACE"):
-            values: List[Tuple[str, str]] = []
-            if not self._check("RBRACE"):
-                values.append(self._set_value())
-                while self._match("COMMA"):
-                    values.append(self._set_value())
-            self._expect("RBRACE")
-            return SetLiteral(values=tuple(values))
-        if self._check("KEYWORD", "cross"):
-            self._advance()
-            self._expect("LPAREN")
-            left = self._set_expression()
-            self._expect("COMMA")
-            right = self._set_expression()
-            self._expect("RPAREN")
-            return CrossExpr(left=left, right=right)
-        token = self._expect("IDENT")
-        return SetRef(name=token.text)
 
-    def _set_value(self) -> Tuple[str, str]:
-        token = self._advance()
-        if token.kind not in _VALUE_KINDS:
-            raise ParseError(
-                f"expected a set element but found {token.text!r}",
-                line=token.line,
-                column=token.column,
-            )
-        return (token.kind, token.text)
+def _rate_spec(cursor: TokenCursor) -> Tuple[str, Bandwidth]:
+    token = cursor.advance()
+    if token.kind != "KEYWORD" or token.text not in ("max", "min"):
+        raise error_at(token, f"expected 'max' or 'min' after 'at' but found {token.text!r}")
+    cursor.expect("LPAREN")
+    rate = _rate(cursor)
+    cursor.expect("RPAREN")
+    return (token.text, rate)
 
-    # -- items -------------------------------------------------------------------
 
-    def _item(self) -> ProgramItem:
-        if self._check("KEYWORD", "foreach"):
-            return self._foreach()
-        return self._statement()
+def _rate(cursor: TokenCursor) -> Bandwidth:
+    token = cursor.advance()
+    if token.kind in ("RATE", "NUMBER"):
+        return Bandwidth.parse(token.text.replace(" ", ""))
+    raise error_at(token, f"expected a rate literal but found {token.text!r}")
 
-    def _foreach(self) -> ForeachBlock:
-        self._expect("KEYWORD", "foreach")
-        self._expect("LPAREN")
-        source_var = self._expect("IDENT").text
-        self._expect("COMMA")
-        destination_var = self._expect("IDENT").text
-        self._expect("RPAREN")
-        self._expect("KEYWORD", "in")
-        pairs = self._set_expression()
-        self._expect("COLON")
-        template = self._statement(allow_identifier=False)
-        return ForeachBlock(
-            source_var=source_var,
-            destination_var=destination_var,
-            pairs=pairs,
-            template=template,
-        )
 
-    def _statement(self, allow_identifier: bool = True) -> RawStatement:
-        identifier: Optional[str] = None
-        if (
-            allow_identifier
-            and self._check("IDENT")
-            and self._check("COLON", offset=1)
-        ):
-            identifier = self._advance().text
-            self._advance()  # the colon
-        predicate = self._predicate()
-        self._expect("ARROW")
-        path = self._path_expression()
-        rate_specs: List[Tuple[str, Bandwidth]] = []
-        if self._match("KEYWORD", "at"):
-            rate_specs.append(self._rate_spec())
-            while self._match("KEYWORD", "and"):
-                rate_specs.append(self._rate_spec())
-        return RawStatement(
-            identifier=identifier,
-            predicate=predicate,
-            path=path,
-            rate_specs=tuple(rate_specs),
-        )
+# -- formulas ------------------------------------------------------------------
 
-    def _rate_spec(self) -> Tuple[str, Bandwidth]:
-        token = self._advance()
-        if token.kind != "KEYWORD" or token.text not in ("max", "min"):
-            raise ParseError(
-                f"expected 'max' or 'min' after 'at' but found {token.text!r}",
-                line=token.line,
-                column=token.column,
-            )
-        self._expect("LPAREN")
-        rate = self._rate()
-        self._expect("RPAREN")
-        return (token.text, rate)
 
-    def _rate(self) -> Bandwidth:
-        token = self._advance()
-        if token.kind in ("RATE", "NUMBER"):
-            return Bandwidth.parse(token.text.replace(" ", ""))
-        raise ParseError(
-            f"expected a rate literal but found {token.text!r}",
-            line=token.line,
-            column=token.column,
-        )
+def _formula(cursor: TokenCursor) -> Formula:
+    result = _formula_and(cursor)
+    while cursor.match("KEYWORD", "or"):
+        result = FOr(result, _formula_and(cursor))
+    return result
 
-    # -- predicates ----------------------------------------------------------------
 
-    def _predicate(self) -> Predicate:
-        return self._pred_or()
+def _formula_and(cursor: TokenCursor) -> Formula:
+    result = _formula_unary(cursor)
+    while cursor.match("KEYWORD", "and"):
+        result = FAnd(result, _formula_unary(cursor))
+    return result
 
-    def _pred_or(self) -> Predicate:
-        operands = [self._pred_and()]
-        while self._check("KEYWORD", "or"):
-            self._advance()
-            operands.append(self._pred_and())
-        return pred_or(*operands) if len(operands) > 1 else operands[0]
 
-    def _pred_and(self) -> Predicate:
-        operands = [self._pred_unary()]
-        while self._check("KEYWORD", "and"):
-            self._advance()
-            operands.append(self._pred_unary())
-        return pred_and(*operands) if len(operands) > 1 else operands[0]
+def _formula_unary(cursor: TokenCursor) -> Formula:
+    if cursor.match("BANG"):
+        return FNot(_formula_unary(cursor))
+    return _formula_atom(cursor)
 
-    def _pred_unary(self) -> Predicate:
-        if self._match("BANG"):
-            return pred_not(self._pred_unary())
-        return self._pred_atom()
 
-    def _pred_atom(self) -> Predicate:
-        token = self._advance()
-        if token.kind == "LPAREN":
-            inner = self._predicate()
-            self._expect("RPAREN")
-            return inner
-        if token.kind == "KEYWORD" and token.text == "true":
-            return TRUE
-        if token.kind == "KEYWORD" and token.text == "false":
-            return FALSE
-        if token.kind == "FIELD":
-            return self._field_test(token)
-        raise ParseError(
-            f"expected a predicate but found {token.text!r}",
-            line=token.line,
-            column=token.column,
-        )
+def _formula_atom(cursor: TokenCursor) -> Formula:
+    token = cursor.advance()
+    if token.kind == "LPAREN":
+        inner = _formula(cursor)
+        cursor.expect("RPAREN")
+        return inner
+    if token.is_keyword("true"):
+        return FTrue()
+    if token.kind == "KEYWORD" and token.text in ("max", "min"):
+        cursor.expect("LPAREN")
+        term = _bandwidth_term(cursor)
+        cursor.expect("COMMA")
+        rate = _rate(cursor)
+        cursor.expect("RPAREN")
+        return FMax(term, rate) if token.text == "max" else FMin(term, rate)
+    raise error_at(token, f"expected a formula but found {token.text!r}")
 
-    def _field_test(self, field_token: Token) -> Predicate:
-        operator = self._advance()
-        negated = False
-        if operator.kind == "NEQ":
-            negated = True
-        elif operator.kind != "EQUALS":
-            raise ParseError(
-                f"expected '=' or '!=' after {field_token.text!r}",
-                line=operator.line,
-                column=operator.column,
-            )
-        value = self._advance()
-        if value.kind not in _VALUE_KINDS:
-            raise ParseError(
-                f"expected a value after {field_token.text!r}",
-                line=value.line,
-                column=value.column,
-            )
-        test = FieldTest(field_token.text, value.text)
-        return pred_not(test) if negated else test
 
-    # -- path expressions -------------------------------------------------------------
-
-    def _path_expression(self) -> Regex:
-        return self._path_union()
-
-    def _path_union(self) -> Regex:
-        parts = [self._path_concat()]
-        while self._match("PIPE"):
-            parts.append(self._path_concat())
-        return union(*parts) if len(parts) > 1 else parts[0]
-
-    def _path_concat(self) -> Regex:
-        factors = [self._path_factor()]
-        while self._starts_path_factor():
-            factors.append(self._path_factor())
-        return concat(*factors) if len(factors) > 1 else factors[0]
-
-    def _starts_path_factor(self) -> bool:
-        token = self._peek()
-        if token is None:
-            return False
+def _bandwidth_term(cursor: TokenCursor) -> BandwidthTerm:
+    identifiers: List[str] = []
+    constant = Bandwidth(0.0)
+    while True:
+        token = cursor.advance()
         if token.kind == "IDENT":
-            # An identifier followed by ':' begins the next statement.
-            return not self._check("COLON", offset=1)
-        return token.kind in ("DOT", "LPAREN", "BANG")
-
-    def _path_factor(self) -> Regex:
-        if self._match("BANG"):
-            return Negate(self._path_factor())
-        base = self._path_base()
-        while self._match("STAR"):
-            base = star(base)
-        return base
-
-    def _path_base(self) -> Regex:
-        token = self._advance()
-        if token.kind == "IDENT":
-            return Symbol(token.text)
-        if token.kind == "DOT":
-            return DOT
-        if token.kind == "LPAREN":
-            inner = self._path_union()
-            self._expect("RPAREN")
-            return inner
-        raise ParseError(
-            f"expected a path element but found {token.text!r}",
-            line=token.line,
-            column=token.column,
-        )
-
-    # -- formulas ------------------------------------------------------------------------
-
-    def _formula(self) -> Formula:
-        return self._formula_or()
-
-    def _formula_or(self) -> Formula:
-        result = self._formula_and()
-        while self._check("KEYWORD", "or"):
-            self._advance()
-            result = FOr(result, self._formula_and())
-        return result
-
-    def _formula_and(self) -> Formula:
-        result = self._formula_unary()
-        while self._check("KEYWORD", "and"):
-            self._advance()
-            result = FAnd(result, self._formula_unary())
-        return result
-
-    def _formula_unary(self) -> Formula:
-        if self._match("BANG"):
-            return FNot(self._formula_unary())
-        return self._formula_atom()
-
-    def _formula_atom(self) -> Formula:
-        token = self._advance()
-        if token.kind == "LPAREN":
-            inner = self._formula()
-            self._expect("RPAREN")
-            return inner
-        if token.kind == "KEYWORD" and token.text == "true":
-            return FTrue()
-        if token.kind == "KEYWORD" and token.text in ("max", "min"):
-            self._expect("LPAREN")
-            term = self._bandwidth_term()
-            self._expect("COMMA")
-            rate = self._rate()
-            self._expect("RPAREN")
-            return FMax(term, rate) if token.text == "max" else FMin(term, rate)
-        raise ParseError(
-            f"expected a formula but found {token.text!r}",
-            line=token.line,
-            column=token.column,
-        )
-
-    def _bandwidth_term(self) -> BandwidthTerm:
-        identifiers: List[str] = []
-        constant = Bandwidth(0.0)
-        while True:
-            token = self._advance()
-            if token.kind == "IDENT":
-                identifiers.append(token.text)
-            elif token.kind in ("RATE", "NUMBER"):
-                constant = constant + Bandwidth.parse(token.text.replace(" ", ""))
-            else:
-                raise ParseError(
-                    f"expected an identifier or rate in bandwidth term, found {token.text!r}",
-                    line=token.line,
-                    column=token.column,
-                )
-            if not self._match("PLUS"):
-                break
-        return BandwidthTerm(identifiers=tuple(identifiers), constant=constant)
+            identifiers.append(token.text)
+        elif token.kind in ("RATE", "NUMBER"):
+            constant = constant + Bandwidth.parse(token.text.replace(" ", ""))
+        else:
+            raise error_at(
+                token, f"expected an identifier or rate in bandwidth term, found {token.text!r}"
+            )
+        if not cursor.match("PLUS"):
+            break
+    return BandwidthTerm(identifiers=tuple(identifiers), constant=constant)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +321,7 @@ class PolicyParser:
 
 def parse_program(source: str) -> ParsedProgram:
     """Parse policy source into the surface-level :class:`ParsedProgram`."""
-    return PolicyParser(tokenize(source), source).parse_program()
+    return _program(TokenCursor(tokenize(source), "policy source"))
 
 
 def parse_policy(source: str, topology=None) -> Policy:

@@ -16,22 +16,27 @@ class UnitError(MerlinError, ValueError):
     """Raised when a bandwidth value or unit cannot be parsed."""
 
 
-class LexerError(MerlinError, SyntaxError):
-    """Raised when the policy lexer encounters an invalid character."""
-
-    def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
-
-
 class ParseError(MerlinError, SyntaxError):
-    """Raised when the policy, predicate, or path-expression parser fails."""
+    """Raised when policy, predicate, or path-expression source cannot be read.
+
+    ``line`` and ``column`` are 1-based positions in the source handed to
+    whichever of the three entry points was called; all three report them the
+    same way because all three read the same tokens through the same rules.
+    """
 
     def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+class LexerError(ParseError):
+    """Raised when the tokeniser meets a character no token starts with.
+
+    A lexical error is a parse error: ``except ParseError`` around
+    ``parse_policy``, ``parse_predicate`` or ``parse_path_expression`` catches
+    every way the source can be malformed.
+    """
 
 
 class PolicyError(MerlinError):

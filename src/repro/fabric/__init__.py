@@ -8,10 +8,9 @@ tenant's name.  The fabric removes both costs:
 * :class:`SolveFabric` (``pool.py``) — a persistent worker pool shared
   across ``compile`` / ``recompile`` / sweep calls.  Components are
   enqueued largest-first (by a variables x constraints estimate) so idle
-  workers drain the smaller tail while the big models run; stragglers past
-  an optional deadline are speculatively duplicated on the anytime
-  heuristic backend and the first finisher wins (with a proof-aware
-  preference for the exact result).  Worker crashes respawn the pool once
+  workers drain the smaller tail while the big models run, and every
+  component is answered by the backend it was sent to — never by whichever
+  of two solves the wall clock favours.  Worker crashes respawn the pool once
   and finish serially if it keeps dying — a dead worker degrades latency,
   never correctness.  A caller that wants pooled solves creates a fabric
   and passes it as ``ProvisionOptions.fabric``; without one, components

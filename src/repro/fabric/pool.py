@@ -9,17 +9,9 @@ schedules component solves onto it:
   models that dominate the makespan start immediately and idle workers
   steal the remaining smaller tail from the shared queue.
 
-* **Speculative duplicates.**  With ``speculate_after_seconds`` set, any
-  component still unfinished past the deadline is duplicated onto the
-  anytime heuristic backend (in a thread — the primal heuristic is pure
-  Python and cheap).  Whichever finishes first wins, with a proof-aware
-  preference: an exact result that is ready is always taken over the
-  heuristic's unproven incumbent.  Speculation trades determinism for tail
-  latency, so it is off by default.
-
 * **Crash containment.**  A worker death surfaces as ``BrokenExecutor`` on
   every pending future.  The fabric keeps the results it already collected,
-  respawns the pool (at most ``max_respawns`` times), resubmits only the
+  respawns the pool (at most :data:`MAX_RESPAWNS` times), resubmits only the
   unfinished payloads, and — if the pool keeps dying — finishes them
   serially in-process.  Callers never see the raw executor error.
 
@@ -28,25 +20,25 @@ The pool is lazy: no processes exist until the first multi-payload
 (the next solve respawns).  A fabric belongs to whoever created it and
 reaches the solver as ``ProvisionOptions.fabric``; there is no
 process-wide instance.
+
+Which answer a component gets never depends on the wall clock: every
+payload is solved by the backend it names and the fabric waits for it.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
-from typing import Callable, Dict, List, Optional, Sequence
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from typing import Callable, List, Optional, Sequence
 
 from .. import telemetry
 
 __all__ = ["SolveFabric"]
+
+#: How often a solve call replaces a pool whose worker died before it gives
+#: up on processes and finishes the remaining payloads in-process.
+MAX_RESPAWNS = 1
 
 
 def _default_task(payload):
@@ -56,14 +48,6 @@ def _default_task(payload):
     return _solve_model_payload(payload)
 
 
-def _speculative_payload(payload):
-    """The straggler duplicate: the same model on the anytime heuristic."""
-    from ..lp.backends import create_backend
-
-    model, _solver, warm_start = payload
-    return (model, create_backend("heuristic"), warm_start)
-
-
 class SolveFabric:
     """A persistent, crash-tolerant worker pool for component solves.
 
@@ -71,27 +55,21 @@ class SolveFabric:
     count).  ``task`` is the per-payload worker function — overridable for
     tests; the default solves ``(model, solver, warm_start)`` payloads.
     All counters (``tasks``, ``respawns``, ``serial_fallbacks``,
-    ``speculations``, ``speculation_wins``, ``spawned``) are cumulative
-    over the fabric's lifetime and mirrored into ``repro.telemetry``.
+    ``spawned``) are cumulative over the fabric's lifetime and mirrored
+    into ``repro.telemetry``.
     """
 
     def __init__(
         self,
         max_workers: Optional[int] = None,
         *,
-        speculate_after_seconds: Optional[float] = None,
-        max_respawns: int = 1,
         task: Optional[Callable] = None,
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if max_respawns < 0:
-            raise ValueError("max_respawns must be >= 0")
         self._max_workers = max_workers
-        self.speculate_after_seconds = speculate_after_seconds
-        self._max_respawns = max_respawns
         self._task = task if task is not None else _default_task
         self._lock = threading.Lock()
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -99,8 +77,6 @@ class SolveFabric:
         self.tasks = 0
         self.respawns = 0
         self.serial_fallbacks = 0
-        self.speculations = 0
-        self.speculation_wins = 0
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -165,14 +141,15 @@ class SolveFabric:
         order = sorted(range(count), key=lambda index: (-estimates[index], index))
 
         pending = list(order)
-        for _attempt in range(self._max_respawns + 1):
+        for _attempt in range(MAX_RESPAWNS + 1):
             executor = self._executor_handle()
             try:
                 futures = {
                     index: executor.submit(task, payloads[index])
                     for index in pending
                 }
-                self._collect(futures, results, payloads, task)
+                for index, future in futures.items():
+                    results[index] = future.result()
             except BrokenExecutor:
                 self._discard(executor)
                 self.respawns += 1
@@ -191,53 +168,3 @@ class SolveFabric:
             if results[index] is None:
                 results[index] = task(payloads[index])
         return results
-
-    def _collect(
-        self,
-        futures: Dict[int, Future],
-        results: List,
-        payloads: Sequence,
-        task: Callable,
-    ) -> None:
-        deadline = self.speculate_after_seconds
-        if deadline is None:
-            for index, future in futures.items():
-                results[index] = future.result()
-            return
-
-        done, _ = wait(set(futures.values()), timeout=deadline)
-        index_of = {future: index for index, future in futures.items()}
-        stragglers: Dict[int, Future] = {}
-        for index, future in futures.items():
-            if future in done:
-                results[index] = future.result()
-            else:
-                stragglers[index] = future
-        if not stragglers:
-            return
-
-        spares = ThreadPoolExecutor(
-            max_workers=len(stragglers), thread_name_prefix="fabric-speculate"
-        )
-        try:
-            duplicates = {
-                index: spares.submit(task, _speculative_payload(payloads[index]))
-                for index in stragglers
-            }
-            self.speculations += len(duplicates)
-            telemetry.counter("fabric_speculations", float(len(duplicates)))
-            for index, primary in stragglers.items():
-                duplicate = duplicates[index]
-                wait({primary, duplicate}, return_when=FIRST_COMPLETED)
-                if primary.done() and primary.exception() is None:
-                    # Proof-aware preference: a finished exact solve always
-                    # beats the heuristic's unproven incumbent.
-                    results[index] = primary.result()
-                    duplicate.cancel()
-                else:
-                    results[index] = duplicate.result()
-                    self.speculation_wins += 1
-                    telemetry.counter("fabric_speculation_wins")
-                    primary.cancel()
-        finally:
-            spares.shutdown(wait=False)

@@ -378,9 +378,6 @@ class IncrementalProvisioner:
                 num_variables=0,
                 num_constraints=0,
             )
-        warm_values = (
-            self._last_values if self.options.warm_start != "off" else None
-        )
         with telemetry.span("resolve", statements=len(records)) as resolve_span:
             outcome = solve_components_with_widening(
                 records,
@@ -390,8 +387,7 @@ class IncrementalProvisioner:
                 solver=self.solver,
                 footprint_slack=self.footprint_slack,
                 partition=self.options.partition,
-                widen=self.options.widen_slack,
-                warm_values=warm_values,
+                warm_values=self._last_values,
                 component_cache=self.options.component_cache,
                 fabric=self.options.fabric,
             )

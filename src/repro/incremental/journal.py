@@ -69,10 +69,9 @@ class UndoJournal:
 
     The journal does not own the state it protects; mutations flow
     through the helper methods (``set_item`` / ``del_item`` /
-    ``set_attr`` / ``update_items`` / ``list_append`` / ``list_remove``)
-    which perform the mutation *and* record its inverse when at least
-    one mark is outstanding.  Arbitrary inverses can be attached with
-    ``record``.
+    ``set_attr`` / ``update_items``) which perform the mutation *and*
+    record its inverse when at least one mark is outstanding.  Arbitrary
+    inverses can be attached with ``record``.
     """
 
     def __init__(self) -> None:
@@ -204,17 +203,3 @@ class UndoJournal:
 
             self._entries.append(undo)
         setattr(obj, name, value)
-
-    def list_append(self, lst: List, item: Any) -> None:
-        if self._marks:
-            self._entries.append(lst.pop)
-        lst.append(item)
-
-    def list_remove(self, lst: List, item: Any) -> None:
-        """Remove ``item``; undo re-inserts it at its original index."""
-        index = lst.index(item)
-        if self._marks:
-            def undo() -> None:
-                lst.insert(index, item)
-            self._entries.append(undo)
-        del lst[index]

@@ -450,7 +450,6 @@ def solve_components_with_widening(
     solver=None,
     footprint_slack: Optional[int] = DEFAULT_FOOTPRINT_SLACK,
     partition: bool = True,
-    widen: bool = True,
     warm_values: Optional[Mapping[str, float]] = None,
     component_cache=None,
     fabric=None,
@@ -487,8 +486,7 @@ def solve_components_with_widening(
     for a rung proven hopeless (skipped without re-solving).  Hits are
     read from it and every solve, adoption and proven infeasibility is
     written to it as it happens, bounded at :data:`SOLUTION_MEMO_LIMIT`
-    entries.  With ``widen=False`` the first infeasible component raises
-    immediately.
+    entries.
 
     With ``partition=False`` the population is not decomposed: every round
     has one component — all statements over every link of
@@ -691,8 +689,6 @@ def solve_components_with_widening(
                             component_cache.put(
                                 canon.signature, encode_infeasible(status_value)
                             )
-                        if not widen:
-                            _raise_component_infeasible(spec, status_value)
                         telemetry.counter("components_infeasible")
                         infeasible[key] = status_value
                         _memoize(memo, key, INFEASIBLE_COMPONENT)
@@ -726,7 +722,7 @@ def solve_components_with_widening(
             key = key_of(spec)
             # With every member already on the untightened reference model
             # the infeasibility is genuine, not a tightening artifact.
-            if not widen or all(slack is None for slack in key[2]):
+            if all(slack is None for slack in key[2]):
                 _raise_component_infeasible(spec, infeasible[key])
             slack_retries += 1
             telemetry.counter("slack_widening_retries")

@@ -1,0 +1,194 @@
+"""Tokeniser and token cursor for the Merlin surface syntax.
+
+Merlin is one language: a tenant's refinement is verified against the
+administrator's policy, so a predicate or a path expression must read the
+same whether it stands alone (``parse_predicate``, ``parse_path_expression``)
+or inside a policy (``parse_policy``).  This module is therefore the only
+tokeniser, and :class:`TokenCursor` the only set of token utilities, behind
+all three grammars: :mod:`repro.predicates.parser`, :mod:`repro.regex.parser`
+and :mod:`repro.core.parser` are rule functions over a cursor.  It is a leaf —
+it imports nothing but :mod:`repro.errors` — because ``predicates/`` and
+``regex/`` sit below ``core/`` and must not import upward.
+
+Rates (``50MB/s``, ``1Gbps``), MAC addresses, IPv4 addresses, and qualified
+field names (``tcp.dst``) are recognised as single tokens so that the parser
+never has to re-assemble them, and so that the lone ``.`` of path expressions
+is never confused with the dots inside addresses and field names.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
+
+from .errors import LexerError, ParseError
+
+#: Words with special meaning; they are lexed as ``KEYWORD`` tokens.  They are
+#: reserved everywhere — a standalone path expression may not name a location
+#: ``in`` or ``at`` either — because every path must be writable inside a
+#: policy, where these words delimit statements.
+KEYWORDS = frozenset(
+    {
+        "and",
+        "or",
+        "max",
+        "min",
+        "true",
+        "false",
+        "foreach",
+        "in",
+        "cross",
+        "at",
+    }
+)
+
+#: Token kinds that can stand as the value of a field test or a set element.
+VALUE_KINDS = frozenset({"MAC", "IP", "HEX", "NUMBER", "IDENT"})
+
+_TOKEN_SPEC = [
+    ("WS", r"[ \t\r\n]+"),
+    ("COMMENT", r"(#|//)[^\n]*"),
+    ("RATE", r"\d+(?:\.\d+)?\s*(?:[KMGT]?B/s|[kmgt]?bps|[KMGT]bps|[KMGT]Bps)"),
+    ("MAC", r"[0-9a-fA-F]{1,2}(?::[0-9a-fA-F]{1,2}){5}"),
+    ("IP", r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}"),
+    ("FIELD", r"[A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*"),
+    ("HEX", r"0x[0-9a-fA-F]+"),
+    ("NUMBER", r"\d+(?:\.\d+)?"),
+    ("ARROW", r"->"),
+    ("ASSIGN", r":="),
+    ("NEQ", r"!="),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_\-]*"),
+    ("LBRACKET", r"\["),
+    ("RBRACKET", r"\]"),
+    ("LPAREN", r"\("),
+    ("RPAREN", r"\)"),
+    ("LBRACE", r"\{"),
+    ("RBRACE", r"\}"),
+    ("COMMA", r","),
+    ("SEMI", r";"),
+    ("COLON", r":"),
+    ("PLUS", r"\+"),
+    ("STAR", r"\*"),
+    ("DOT", r"\."),
+    ("BANG", r"!"),
+    ("PIPE", r"\|"),
+    ("EQUALS", r"="),
+]
+
+_MASTER_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
+
+
+@dataclass(frozen=True)
+class Token:
+    """A single lexical token with source position for error reporting."""
+
+    kind: str
+    text: str
+    line: int
+    column: int
+
+    def is_keyword(self, word: str) -> bool:
+        return self.kind == "KEYWORD" and self.text == word
+
+    def __str__(self) -> str:
+        return f"{self.kind}({self.text!r})"
+
+
+def error_at(token: Token, message: str) -> ParseError:
+    """A :class:`ParseError` positioned at ``token``."""
+    return ParseError(message, line=token.line, column=token.column)
+
+
+def tokenize(source: str) -> List[Token]:
+    """Tokenise Merlin source, skipping whitespace and comments."""
+    tokens: List[Token] = []
+    line = 1
+    line_start = 0
+    position = 0
+    while position < len(source):
+        match = _MASTER_RE.match(source, position)
+        if match is None:
+            raise LexerError(
+                f"unexpected character {source[position]!r}",
+                line=line,
+                column=position - line_start + 1,
+            )
+        kind = match.lastgroup or ""
+        text = match.group()
+        column = position - line_start + 1
+        if kind in ("WS", "COMMENT"):
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = position + text.rfind("\n") + 1
+        else:
+            if kind == "IDENT" and text in KEYWORDS:
+                kind = "KEYWORD"
+            tokens.append(Token(kind=kind, text=text, line=line, column=column))
+        position = match.end()
+    return tokens
+
+
+class TokenCursor:
+    """A read position in a token list: the token utilities of every grammar.
+
+    ``what`` names the thing being read (``"policy source"``,
+    ``"predicate"``, ``"path expression"``) for the two errors that are about
+    the input as a whole: running out of it and having some left over.
+    """
+
+    def __init__(self, tokens: Sequence[Token], what: str) -> None:
+        self._tokens = tokens
+        self._index = 0
+        self._what = what
+
+    def peek(self, offset: int = 0) -> Optional[Token]:
+        index = self._index + offset
+        if index < len(self._tokens):
+            return self._tokens[index]
+        return None
+
+    def at_end(self) -> bool:
+        return self._index >= len(self._tokens)
+
+    def advance(self) -> Token:
+        token = self.peek()
+        if token is None:
+            raise ParseError(f"unexpected end of {self._what}", *self._end_position())
+        self._index += 1
+        return token
+
+    def expect(self, kind: str, text: Optional[str] = None) -> Token:
+        token = self.advance()
+        if token.kind != kind or (text is not None and token.text != text):
+            expected = text if text is not None else kind
+            raise error_at(token, f"expected {expected!r} but found {token.text!r}")
+        return token
+
+    def check(self, kind: str, text: Optional[str] = None, offset: int = 0) -> bool:
+        token = self.peek(offset)
+        if token is None or token.kind != kind:
+            return False
+        return text is None or token.text == text
+
+    def match(self, kind: str, text: Optional[str] = None) -> bool:
+        if self.check(kind, text):
+            self._index += 1
+            return True
+        return False
+
+    def expect_end(self) -> None:
+        """Refuse input left over after a complete parse."""
+        trailing = self.peek()
+        if trailing is not None:
+            raise error_at(
+                trailing, f"unexpected trailing input {trailing.text!r} in {self._what}"
+            )
+
+    def _end_position(self) -> tuple:
+        """The (line, column) just past the last token, where input ran out."""
+        if not self._tokens:
+            return (1, 1)
+        last = self._tokens[-1]
+        return (last.line, last.column + len(last.text))

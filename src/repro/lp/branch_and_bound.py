@@ -16,8 +16,7 @@ MIPs Merlin generates (binary edge variables with network-flow structure).
 Relaxations consume the model's *sparse* standard form end-to-end
 (``Model.to_standard_form(sparse=True)`` — HiGHS accepts CSR directly), so
 the solver's memory stays proportional to the constraint-matrix non-zeros
-rather than rows × columns; pass ``sparse=False`` to restore the dense
-export.
+rather than rows × columns.
 
 Pruning respects the model's declared ``objective_resolution`` (the
 tiebreaker epsilon of Merlin's min-max objectives): the effective absolute
@@ -60,6 +59,10 @@ from .result import SolveResult, SolveStatus
 _INTEGRALITY_TOLERANCE = 1e-6
 _FEASIBILITY_TOLERANCE = 1e-6
 
+#: A node is pruned once its relaxation bound is within this distance of the
+#: incumbent (scaled down per model by :meth:`BranchAndBoundSolver._effective_gap`).
+ABSOLUTE_GAP = 1e-6
+
 
 @dataclass(order=True)
 class _Node:
@@ -83,18 +86,14 @@ class BranchAndBoundSolver:
         self,
         time_limit_seconds: Optional[float] = None,
         max_nodes: int = 200_000,
-        absolute_gap: float = 1e-6,
-        sparse: bool = True,
     ) -> None:
         self.time_limit_seconds = time_limit_seconds
         self.max_nodes = max_nodes
-        self.absolute_gap = absolute_gap
-        self.sparse = sparse
 
     def _effective_gap(self, model: Model) -> float:
         """The pruning gap, scaled below the model's objective resolution.
 
-        With the default ``absolute_gap`` (1e-6) alone, a seeded incumbent
+        With :data:`ABSOLUTE_GAP` (1e-6) alone, a seeded incumbent
         prunes any node within 1e-6 of it — including the strictly better
         tie a cold solve would find whenever the model's tiebreaker epsilon
         falls below the gap (components beyond ~1000 logical edges).
@@ -103,9 +102,9 @@ class BranchAndBoundSolver:
         warm and cold solves pick identical optima.
         """
         resolution = getattr(model, "objective_resolution", None)
-        if resolution is not None and 0.0 < resolution < 2.0 * self.absolute_gap:
+        if resolution is not None and 0.0 < resolution < 2.0 * ABSOLUTE_GAP:
             return resolution / 2.0
-        return self.absolute_gap
+        return ABSOLUTE_GAP
 
     def solve(
         self, model: Model, warm_start: Optional[Mapping[str, float]] = None
@@ -118,7 +117,7 @@ class BranchAndBoundSolver:
         incumbent; an invalid start is dropped and recorded in
         ``statistics["warm_start_rejected"]``.
         """
-        form = model.to_standard_form(sparse=self.sparse)
+        form = model.to_standard_form(sparse=True)
         absolute_gap = self._effective_gap(model)
         # Bound once: the node loop below reads the clock per node, and the
         # contextvar lookup inside telemetry.clock() would be per-iteration

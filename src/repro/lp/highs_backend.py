@@ -27,6 +27,7 @@ from ..errors import SolverError
 from .branch_and_bound import BranchAndBoundSolver
 from .model import Model, StandardForm
 from .result import SolveResult, SolveStatus
+from .scipy_backend import MIP_GAP
 
 try:  # pragma: no cover - exercised only where highspy is installed
     import highspy as _highspy
@@ -58,8 +59,6 @@ class HighsSolver:
         self,
         time_limit_seconds: Optional[float] = None,
         node_limit: Optional[int] = None,
-        mip_gap: float = 1e-6,
-        sparse: bool = True,
     ) -> None:
         if _highspy is None:
             raise SolverError(
@@ -69,17 +68,15 @@ class HighsSolver:
             )
         self.time_limit_seconds = time_limit_seconds
         self.node_limit = node_limit
-        self.mip_gap = mip_gap
-        self.sparse = sparse
 
     def solve(
         self, model: Model, warm_start: Optional[Mapping[str, float]] = None
     ) -> SolveResult:
-        form = model.to_standard_form(sparse=self.sparse)
+        form = model.to_standard_form(sparse=True)
         started = telemetry.clock()
         highs = _highspy.Highs()
         highs.setOptionValue("output_flag", False)
-        highs.setOptionValue("mip_rel_gap", self.mip_gap)
+        highs.setOptionValue("mip_rel_gap", MIP_GAP)
         if self.time_limit_seconds is not None:
             highs.setOptionValue("time_limit", float(self.time_limit_seconds))
         if self.node_limit is not None:

@@ -34,11 +34,11 @@ class StandardForm:
     and per-variable bounds; ``integrality`` is 1 for integer variables.
     The objective sign is already flipped for maximisation models.
 
-    ``a_ub`` / ``a_eq`` are dense ``np.ndarray`` matrices by default, or
-    ``scipy.sparse.csr_matrix`` when the form was exported with
-    ``sparse=True`` (``is_sparse`` records which).  HiGHS accepts either
-    layout; the sparse one keeps memory linear in the number of non-zeros,
-    which is what lets large fat-tree provisioning models fit in RAM.
+    ``a_ub`` / ``a_eq`` are ``scipy.sparse.csr_matrix`` when the form was
+    exported with ``sparse=True`` — what every backend asks for: memory
+    stays linear in the number of non-zeros, which is what lets large
+    fat-tree provisioning models fit in RAM — and dense ``np.ndarray``
+    matrices otherwise, the reference layout tests compare against.
     """
 
     variables: List[Variable]
@@ -50,7 +50,6 @@ class StandardForm:
     bounds: List[Tuple[float, float]]
     integrality: np.ndarray
     maximize: bool
-    is_sparse: bool = False
 
 
 class Model:
@@ -251,7 +250,6 @@ class Model:
             bounds=bounds,
             integrality=integrality,
             maximize=maximize,
-            is_sparse=sparse,
         )
 
     # -- solving -----------------------------------------------------------------

@@ -6,7 +6,7 @@ solver, which (like the Gurobi solver used in the paper) is an exact
 branch-and-cut MIP solver, so the path assignments it produces satisfy the
 same constraint system the paper describes.
 
-The backend exports models in sparse standard form by default
+The backend exports models in sparse standard form
 (``Model.to_standard_form(sparse=True)``): HiGHS consumes CSR directly, and
 the dense export of a large fat-tree provisioning MIP is memory-bound long
 before the solver is CPU-bound.  MIP diagnostics reported by HiGHS (dual
@@ -27,11 +27,14 @@ import warnings
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize
 
 from .. import telemetry
 from .model import Model, StandardForm
 from .result import SolveResult, SolveStatus
+
+#: Relative incumbent/bound gap at which HiGHS declares a MIP optimal.
+MIP_GAP = 1e-6
 
 
 class ScipySolver:
@@ -46,15 +49,8 @@ class ScipySolver:
     supports_time_limit = True
     supports_node_limit = False
 
-    def __init__(
-        self,
-        time_limit_seconds: Optional[float] = None,
-        mip_gap: float = 1e-6,
-        sparse: bool = True,
-    ) -> None:
+    def __init__(self, time_limit_seconds: Optional[float] = None) -> None:
         self.time_limit_seconds = time_limit_seconds
-        self.mip_gap = mip_gap
-        self.sparse = sparse
         # One warning per instance, not per solve (and not per process: a
         # module-global flag made test outcomes depend on execution order).
         # A controller streaming deltas through a warm-start-blind backend
@@ -65,7 +61,7 @@ class ScipySolver:
         self, model: Model, warm_start: Optional[Mapping[str, float]] = None
     ) -> SolveResult:
         """Solve the model, returning a :class:`SolveResult`."""
-        form = model.to_standard_form(sparse=self.sparse)
+        form = model.to_standard_form(sparse=True)
         started = telemetry.clock()
         if form.integrality.any():
             result = self._solve_milp(form)
@@ -112,20 +108,18 @@ class ScipySolver:
     def _solve_milp(self, form: StandardForm) -> SolveResult:
         constraints = []
         if form.b_ub.size:
-            a_ub = form.a_ub if form.is_sparse else sparse.csr_matrix(form.a_ub)
             constraints.append(
                 optimize.LinearConstraint(
-                    a_ub, -np.inf * np.ones(len(form.b_ub)), form.b_ub
+                    form.a_ub, -np.inf * np.ones(len(form.b_ub)), form.b_ub
                 )
             )
         if form.b_eq.size:
-            a_eq = form.a_eq if form.is_sparse else sparse.csr_matrix(form.a_eq)
             constraints.append(
-                optimize.LinearConstraint(a_eq, form.b_eq, form.b_eq)
+                optimize.LinearConstraint(form.a_eq, form.b_eq, form.b_eq)
             )
         lower = np.array([bound[0] for bound in form.bounds], dtype=float)
         upper = np.array([bound[1] for bound in form.bounds], dtype=float)
-        options = {"mip_rel_gap": self.mip_gap}
+        options = {"mip_rel_gap": MIP_GAP}
         if self.time_limit_seconds is not None:
             options["time_limit"] = self.time_limit_seconds
         outcome = optimize.milp(

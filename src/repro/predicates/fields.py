@@ -45,11 +45,16 @@ def _normalize_int(width_bits: int) -> Callable[[Any], int]:
     maximum = (1 << width_bits) - 1
 
     def normalize(value: Any) -> int:
-        if isinstance(value, str):
-            text = value.strip().lower()
-            number = int(text, 16) if text.startswith("0x") else int(text)
-        else:
-            number = int(value)
+        try:
+            if isinstance(value, str):
+                text = value.strip().lower()
+                number = int(text, 16) if text.startswith("0x") else int(text)
+            else:
+                number = int(value)
+        except (TypeError, ValueError):
+            raise FieldError(
+                f"value {value!r} is not an integer, which a {width_bits}-bit field needs"
+            ) from None
         if not 0 <= number <= maximum:
             raise FieldError(
                 f"value {value!r} out of range for a {width_bits}-bit field"

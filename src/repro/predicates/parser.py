@@ -1,4 +1,4 @@
-"""Concrete-syntax parser for Merlin predicates.
+"""The predicate rules of the Merlin grammar.
 
 Grammar (precedence low to high)::
 
@@ -8,165 +8,81 @@ Grammar (precedence low to high)::
     unary  ::= '!' unary | atom
     atom   ::= '(' pred ')' | 'true' | 'false'
              | field '=' value | field '!=' value
+    field  ::= QUALIFIED.NAME | 'payload'
 
 ``field '!=' value`` is syntactic sugar for ``!(field = value)`` — the paper
 uses it in the delegation example of §4.1.  Values may be MAC addresses,
 IPv4 addresses, decimal or hexadecimal numbers, or symbolic protocol names
 (``tcp``, ``udp``, ``ip``); field-specific normalisation is applied by the
 :class:`~repro.predicates.ast.FieldTest` constructor.
+
+The rules are functions over a :class:`~repro.lexer.TokenCursor`:
+:func:`predicate` reads one predicate wherever the cursor stands, which is how
+the policy parser reads a statement's predicate, and :func:`parse_predicate`
+is the same rule applied to a whole source string.  There is no other
+definition of "a predicate", so the negotiator compares tenant and
+administrator text under one reading.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import List, Optional
-
-from ..errors import ParseError
+from ..lexer import VALUE_KINDS, Token, TokenCursor, error_at, tokenize
 from .ast import FALSE, TRUE, FieldTest, Predicate, pred_and, pred_not, pred_or
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<mac>[0-9a-fA-F]{1,2}(?::[0-9a-fA-F]{1,2}){5})
-  | (?P<ip>\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3})
-  | (?P<field>[A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<hex>0x[0-9a-fA-F]+)
-  | (?P<num>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<neq>!=)
-  | (?P<op>[()=!])
-    """,
-    re.VERBOSE,
-)
+from .fields import FIELD_CATALOG
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
+def predicate(cursor: TokenCursor) -> Predicate:
+    """Read one predicate at the cursor, leaving it on the token after."""
+    operands = [_and_expr(cursor)]
+    while cursor.match("KEYWORD", "or"):
+        operands.append(_and_expr(cursor))
+    return pred_or(*operands) if len(operands) > 1 else operands[0]
 
 
-def tokenize_predicate(source: str) -> List[_Token]:
-    """Split predicate source into tokens, raising on unrecognised input."""
-    tokens: List[_Token] = []
-    position = 0
-    while position < len(source):
-        match = _TOKEN_RE.match(source, position)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {source[position]!r} in predicate", column=position
-            )
-        kind = match.lastgroup or ""
-        if kind != "ws":
-            tokens.append(_Token(kind, match.group(), position))
-        position = match.end()
-    return tokens
+def _and_expr(cursor: TokenCursor) -> Predicate:
+    operands = [_unary(cursor)]
+    while cursor.match("KEYWORD", "and"):
+        operands.append(_unary(cursor))
+    return pred_and(*operands) if len(operands) > 1 else operands[0]
 
 
-class _PredicateParser:
-    """Recursive-descent parser over the token list."""
+def _unary(cursor: TokenCursor) -> Predicate:
+    if cursor.match("BANG"):
+        return pred_not(_unary(cursor))
+    return _atom(cursor)
 
-    def __init__(self, tokens: List[_Token], source: str) -> None:
-        self._tokens = tokens
-        self._source = source
-        self._index = 0
 
-    # -- token helpers -----------------------------------------------------
+def _atom(cursor: TokenCursor) -> Predicate:
+    token = cursor.advance()
+    if token.kind == "LPAREN":
+        inner = predicate(cursor)
+        cursor.expect("RPAREN")
+        return inner
+    if token.is_keyword("true"):
+        return TRUE
+    if token.is_keyword("false"):
+        return FALSE
+    # ``payload`` is the catalogue's one unqualified field name, so it lexes
+    # as an identifier rather than as a dotted FIELD token.
+    if token.kind == "FIELD" or (token.kind == "IDENT" and token.text in FIELD_CATALOG):
+        return _field_test(cursor, token)
+    raise error_at(token, f"expected a predicate but found {token.text!r}")
 
-    def _peek(self) -> Optional[_Token]:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
 
-    def _advance(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of predicate", column=len(self._source))
-        self._index += 1
-        return token
-
-    def _expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        token = self._advance()
-        if token.kind != kind or (text is not None and token.text != text):
-            raise ParseError(
-                f"expected {text or kind!r} but found {token.text!r}", column=token.position
-            )
-        return token
-
-    def _at_keyword(self, word: str) -> bool:
-        token = self._peek()
-        return token is not None and token.kind == "ident" and token.text == word
-
-    # -- grammar -----------------------------------------------------------
-
-    def parse(self) -> Predicate:
-        predicate = self._or_expr()
-        leftover = self._peek()
-        if leftover is not None:
-            raise ParseError(
-                f"unexpected trailing input {leftover.text!r} in predicate",
-                column=leftover.position,
-            )
-        return predicate
-
-    def _or_expr(self) -> Predicate:
-        operands = [self._and_expr()]
-        while self._at_keyword("or"):
-            self._advance()
-            operands.append(self._and_expr())
-        return pred_or(*operands) if len(operands) > 1 else operands[0]
-
-    def _and_expr(self) -> Predicate:
-        operands = [self._unary()]
-        while self._at_keyword("and"):
-            self._advance()
-            operands.append(self._unary())
-        return pred_and(*operands) if len(operands) > 1 else operands[0]
-
-    def _unary(self) -> Predicate:
-        token = self._peek()
-        if token is not None and token.kind == "op" and token.text == "!":
-            self._advance()
-            return pred_not(self._unary())
-        return self._atom()
-
-    def _atom(self) -> Predicate:
-        token = self._advance()
-        if token.kind == "op" and token.text == "(":
-            inner = self._or_expr()
-            self._expect("op", ")")
-            return inner
-        if token.kind == "ident" and token.text == "true":
-            return TRUE
-        if token.kind == "ident" and token.text == "false":
-            return FALSE
-        if token.kind == "field":
-            return self._field_test(token)
-        raise ParseError(
-            f"expected a predicate atom but found {token.text!r}", column=token.position
-        )
-
-    def _field_test(self, field_token: _Token) -> Predicate:
-        operator = self._advance()
-        negated = False
-        if operator.kind == "neq":
-            negated = True
-        elif not (operator.kind == "op" and operator.text == "="):
-            raise ParseError(
-                f"expected '=' or '!=' after field {field_token.text!r}",
-                column=operator.position,
-            )
-        value_token = self._advance()
-        if value_token.kind not in {"mac", "ip", "hex", "num", "ident"}:
-            raise ParseError(
-                f"expected a value after {field_token.text!r}", column=value_token.position
-            )
-        test = FieldTest(field_token.text, value_token.text)
-        return pred_not(test) if negated else test
+def _field_test(cursor: TokenCursor, field_token: Token) -> Predicate:
+    operator = cursor.advance()
+    if operator.kind not in ("EQUALS", "NEQ"):
+        raise error_at(operator, f"expected '=' or '!=' after {field_token.text!r}")
+    value = cursor.advance()
+    if value.kind not in VALUE_KINDS:
+        raise error_at(value, f"expected a value after {field_token.text!r}")
+    test = FieldTest(field_token.text, value.text)
+    return pred_not(test) if operator.kind == "NEQ" else test
 
 
 def parse_predicate(source: str) -> Predicate:
     """Parse predicate concrete syntax into a :class:`Predicate` AST."""
-    return _PredicateParser(tokenize_predicate(source), source).parse()
+    cursor = TokenCursor(tokenize(source), "predicate")
+    result = predicate(cursor)
+    cursor.expect_end()
+    return result

@@ -1,4 +1,4 @@
-"""Parser for Merlin path expressions.
+"""The path-expression rules of the Merlin grammar.
 
 Surface syntax examples from the paper::
 
@@ -15,131 +15,71 @@ Grammar (precedence low to high)::
     factor  ::= '!' factor | base ( '*' )*
     base    ::= '(' expr ')' | '.' | SYMBOL
 
-Symbols are location or function identifiers (letters, digits, underscores,
-dashes, and dots inside names are not allowed — ``.`` is always the wildcard).
+Symbols are location or function identifiers (letters, digits, underscores
+and dashes; dots inside names are not allowed — ``.`` is always the wildcard).
+The language's keywords are not symbols: a path expression must be writable
+inside a policy, where ``at``, ``and`` and ``in`` end it.
+
+The rules are functions over a :class:`~repro.lexer.TokenCursor`:
+:func:`path_expression` reads one expression wherever the cursor stands, which
+is how the policy parser reads a statement's path, and
+:func:`parse_path_expression` is the same rule applied to a whole source
+string.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import List, Optional
-
 from ..errors import ParseError
+from ..lexer import TokenCursor, error_at, tokenize
 from .ast import DOT, Regex, Symbol, concat, star, union, Negate
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<symbol>[A-Za-z_][A-Za-z0-9_\-]*)
-  | (?P<op>[().|*!])
-    """,
-    re.VERBOSE,
-)
+
+def path_expression(cursor: TokenCursor) -> Regex:
+    """Read one path expression at the cursor, leaving it on the token after."""
+    parts = [_term(cursor)]
+    while cursor.match("PIPE"):
+        parts.append(_term(cursor))
+    return union(*parts) if len(parts) > 1 else parts[0]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    position: int
+def _term(cursor: TokenCursor) -> Regex:
+    factors = [_factor(cursor)]
+    while _starts_factor(cursor):
+        factors.append(_factor(cursor))
+    return concat(*factors) if len(factors) > 1 else factors[0]
 
 
-def tokenize_path_expression(source: str) -> List[_Token]:
-    """Tokenise a path expression, raising on unrecognised characters."""
-    tokens: List[_Token] = []
-    position = 0
-    while position < len(source):
-        match = _TOKEN_RE.match(source, position)
-        if match is None:
-            raise ParseError(
-                f"unexpected character {source[position]!r} in path expression",
-                column=position,
-            )
-        if match.lastgroup != "ws":
-            tokens.append(_Token(match.lastgroup or "", match.group(), position))
-        position = match.end()
-    return tokens
+def _starts_factor(cursor: TokenCursor) -> bool:
+    token = cursor.peek()
+    if token is None:
+        return False
+    if token.kind == "IDENT":
+        # Inside a policy statements need no separator, so an identifier
+        # followed by ':' is the next statement's name, not a location.
+        return not cursor.check("COLON", offset=1)
+    return token.kind in ("DOT", "LPAREN", "BANG")
 
 
-class _PathExpressionParser:
-    def __init__(self, tokens: List[_Token], source: str) -> None:
-        self._tokens = tokens
-        self._source = source
-        self._index = 0
+def _factor(cursor: TokenCursor) -> Regex:
+    if cursor.match("BANG"):
+        return Negate(_factor(cursor))
+    base = _base(cursor)
+    while cursor.match("STAR"):
+        base = star(base)
+    return base
 
-    def _peek(self) -> Optional[_Token]:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
 
-    def _advance(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of path expression", column=len(self._source))
-        self._index += 1
-        return token
-
-    def parse(self) -> Regex:
-        expression = self._expr()
-        trailing = self._peek()
-        if trailing is not None:
-            raise ParseError(
-                f"unexpected trailing input {trailing.text!r} in path expression",
-                column=trailing.position,
-            )
-        return expression
-
-    def _expr(self) -> Regex:
-        parts = [self._term()]
-        while self._peek_op("|"):
-            self._advance()
-            parts.append(self._term())
-        return union(*parts) if len(parts) > 1 else parts[0]
-
-    def _term(self) -> Regex:
-        factors = [self._factor()]
-        while self._starts_factor():
-            factors.append(self._factor())
-        return concat(*factors) if len(factors) > 1 else factors[0]
-
-    def _starts_factor(self) -> bool:
-        token = self._peek()
-        if token is None:
-            return False
-        if token.kind == "symbol":
-            return True
-        return token.kind == "op" and token.text in {"(", ".", "!"}
-
-    def _factor(self) -> Regex:
-        if self._peek_op("!"):
-            self._advance()
-            return Negate(self._factor())
-        base = self._base()
-        while self._peek_op("*"):
-            self._advance()
-            base = star(base)
-        return base
-
-    def _base(self) -> Regex:
-        token = self._advance()
-        if token.kind == "symbol":
-            return Symbol(token.text)
-        if token.kind == "op" and token.text == ".":
-            return DOT
-        if token.kind == "op" and token.text == "(":
-            inner = self._expr()
-            closing = self._advance()
-            if closing.kind != "op" or closing.text != ")":
-                raise ParseError("expected ')' in path expression", column=closing.position)
-            return inner
-        raise ParseError(
-            f"unexpected token {token.text!r} in path expression", column=token.position
-        )
-
-    def _peek_op(self, text: str) -> bool:
-        token = self._peek()
-        return token is not None and token.kind == "op" and token.text == text
+def _base(cursor: TokenCursor) -> Regex:
+    token = cursor.advance()
+    if token.kind == "IDENT":
+        return Symbol(token.text)
+    if token.kind == "DOT":
+        return DOT
+    if token.kind == "LPAREN":
+        inner = path_expression(cursor)
+        cursor.expect("RPAREN")
+        return inner
+    raise error_at(token, f"expected a path element but found {token.text!r}")
 
 
 def parse_path_expression(source: str) -> Regex:
@@ -149,7 +89,9 @@ def parse_path_expression(source: str) -> Regex:
     ``.*``); the parser accepts the conventional ``.*`` form only, so the typo
     is normalised by the caller if needed.
     """
-    tokens = tokenize_path_expression(source)
-    if not tokens:
+    cursor = TokenCursor(tokenize(source), "path expression")
+    if cursor.at_end():
         raise ParseError("empty path expression")
-    return _PathExpressionParser(tokens, source).parse()
+    result = path_expression(cursor)
+    cursor.expect_end()
+    return result

@@ -63,6 +63,9 @@ __all__ = ["ControlPlane", "Ticket"]
 #: Queue sentinel: the worker processes everything ahead of it, then exits.
 _SHUTDOWN = object()
 
+#: How many queued deltas one transaction may absorb.
+MAX_BATCH = 16
+
 
 class Ticket:
     """A pending submission; ``await ticket.result()`` for the outcome.
@@ -114,6 +117,11 @@ class _Group:
         self.admission = admission
         self.revision = 0
         self.statements: Dict[str, StatementState] = statement_states(base_result)
+        # Copies, not reads through ``handle``: the live session's failed sets
+        # are edited while a topology transaction is still solving (and may
+        # yet roll back), and ``query`` must only ever show committed state.
+        self.failed_links: frozenset = self.handle.failed_links
+        self.failed_nodes: frozenset = self.handle.failed_nodes
         self.last_batch: Optional[BatchRecord] = None
         self.queue: "asyncio.Queue" = asyncio.Queue()
         self.gates: Dict[str, TenantGate] = {}
@@ -132,15 +140,16 @@ class ControlPlane:
     ``admission`` is the default :class:`AdmissionPolicy` for every group
     (overridable per group at ``open_group``); ``clock`` feeds the
     admission token buckets *and* the daemon's telemetry bundle, and
-    exists to be replaced in tests; ``max_batch`` caps how many queued
-    deltas one transaction may absorb.  Pass ``telemetry`` to trace
+    exists to be replaced in tests.  One transaction absorbs at most
+    :data:`MAX_BATCH` queued deltas.  Pass ``telemetry`` to trace
     batches too (e.g. ``Telemetry.recording(clock=clock)``); the default
     is metrics-only, queryable via :meth:`metrics`.
 
-    The plane also owns the *solve fabric* for its groups: pass a
+    The plane hands its groups a *solve fabric*: pass a
     :class:`~repro.fabric.SolveFabric` (shared with other planes or
-    sessions), or ``fabric_workers=N`` to have the plane create — and, at
-    :meth:`shutdown`, reap — its own persistent pool.  A
+    sessions) and every group's compiler solves on it.  The fabric's
+    lifecycle stays with the caller that created it — :meth:`shutdown`
+    stops the plane's workers, not the fabric's processes.  A
     :class:`~repro.fabric.ComponentSolutionCache` passed as
     ``component_cache`` is likewise injected into every group's compiler,
     so identical components across tenant groups solve once; its
@@ -153,25 +162,17 @@ class ControlPlane:
         *,
         admission: Optional[AdmissionPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
-        max_batch: int = 16,
         telemetry: Optional[Telemetry] = None,
         fabric: Optional[SolveFabric] = None,
-        fabric_workers: Optional[int] = None,
         component_cache: Optional[ComponentSolutionCache] = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self._admission = admission if admission is not None else AdmissionPolicy()
         self._clock = clock
-        self._max_batch = max_batch
         self._telemetry = (
             telemetry
             if telemetry is not None
             else Telemetry(metrics=MetricsRegistry(), clock=clock)
         )
-        self._owns_fabric = fabric is None and fabric_workers is not None
-        if self._owns_fabric:
-            fabric = SolveFabric(max_workers=fabric_workers)
         self._fabric = fabric
         self._component_cache = component_cache
         self._groups: Dict[str, _Group] = {}
@@ -201,13 +202,7 @@ class ControlPlane:
                 group.worker = asyncio.ensure_future(self._worker(group))
 
     async def shutdown(self) -> None:
-        """Process every queued delta, then stop all workers.
-
-        A fabric the plane created itself (``fabric_workers=...``) has its
-        worker processes reaped too; it respawns lazily if the plane is
-        started again.  A caller-supplied fabric is left alone — its
-        lifecycle belongs to the caller.
-        """
+        """Process every queued delta, then stop all workers."""
         self._closing = True
         workers = []
         for group in self._groups.values():
@@ -218,8 +213,6 @@ class ControlPlane:
             await group.worker
             group.worker = None
         self._started = False
-        if self._owns_fabric and self._fabric is not None:
-            await asyncio.to_thread(self._fabric.shutdown)
 
     async def open_group(
         self,
@@ -342,8 +335,8 @@ class ControlPlane:
             group=name,
             revision=group.revision,
             statements=dict(group.statements),
-            failed_links=group.handle.failed_links,
-            failed_nodes=group.handle.failed_nodes,
+            failed_links=group.failed_links,
+            failed_nodes=group.failed_nodes,
             last_batch=group.last_batch,
             tenants={
                 tenant: TenantStats(tenant=tenant, **counts)
@@ -379,7 +372,7 @@ class ControlPlane:
         while True:
             first = await group.queue.get()
             batch = [first]
-            while len(batch) < self._max_batch:
+            while len(batch) < MAX_BATCH:
                 try:
                     batch.append(group.queue.get_nowait())
                 except asyncio.QueueEmpty:
@@ -495,6 +488,8 @@ class ControlPlane:
     ) -> None:
         group.revision += 1
         group.statements = statement_states(result)
+        group.failed_links = group.handle.failed_links
+        group.failed_nodes = group.handle.failed_nodes
         _telemetry.counter("batches_committed", group=group.name)
         _telemetry.observe("batch_deltas", float(len(run)), group=group.name)
         group.last_batch = BatchRecord(

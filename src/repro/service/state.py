@@ -63,11 +63,15 @@ class BatchRecord:
 
     @property
     def backends(self) -> Tuple[str, ...]:
-        """Which solver backend handled each re-solved component.
+        """Which solver backend produced each component of the allocation.
 
-        Per-component names in the provisioning result's component order
-        (see ``CompilationStatistics.component_backends``); empty when the
-        batch re-solved nothing (e.g. a cap-only update).
+        One name per component of the committed allocation, in the
+        provisioning result's component order (see
+        ``CompilationStatistics.component_backends``) — the components this
+        batch re-solved *and* the ones it reused from the memo, which keep
+        the backend that originally solved them.  How many were re-solved is
+        ``statistics.dirty_partitions``; the tuple is empty only when the
+        group has no guaranteed statement.
         """
         return tuple(self.statistics.component_backends)
 

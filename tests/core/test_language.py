@@ -1,6 +1,7 @@
 """Tests for the Merlin policy language: lexer, parser, sugar, and policy AST."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import LexerError, ParseError, PolicyError
 from repro.core.ast import (
@@ -14,13 +15,16 @@ from repro.core.ast import (
     formula_and,
     formula_clauses,
 )
-from repro.core.lexer import tokenize
+from repro.lexer import KEYWORDS, tokenize
 from repro.core.parser import parse_policy, parse_program
-from repro.predicates import FieldTest, parse_predicate
+from repro.predicates import FieldTest, parse_predicate, pred_and, pred_not, pred_or
+from repro.predicates.ast import FALSE, TRUE
 from repro.regex import parse_path_expression
+from repro.regex.ast import Concat, Negate, Star, Union, concat, star, union
 from repro.regex.operations import equivalent as regex_equivalent
 from repro.units import Bandwidth
 from tests.conftest import RUNNING_EXAMPLE_SOURCE
+from tests.regex.test_regex_properties import _regexes
 
 
 class TestLexer:
@@ -159,6 +163,117 @@ class TestParser:
     def test_bad_formula_rejected(self):
         with pytest.raises(ParseError):
             parse_policy("[ a : true -> .* ], max(a)")
+
+
+def _spread(parts, kind):
+    """``parts`` with every ``kind`` node replaced by its operands, in order."""
+    for part in parts:
+        if isinstance(part, kind):
+            yield from _spread((part.left, part.right), kind)
+        else:
+            yield part
+
+
+def _as_parsed(node):
+    """The expression in the shape the parser builds: through the smart
+    constructors, with concatenation and union nested to the left."""
+    if isinstance(node, (Concat, Union)):
+        build = concat if isinstance(node, Concat) else union
+        operands = [_as_parsed(node.left), _as_parsed(node.right)]
+        return build(*_spread(operands, type(node)))
+    if isinstance(node, Star):
+        return star(_as_parsed(node.operand))
+    return node
+
+
+_PARSED_PATHS = _regexes().map(_as_parsed)
+_PATHS = st.one_of(_PARSED_PATHS, _PARSED_PATHS.map(Negate))
+
+_FIELD_TESTS = st.one_of(
+    st.integers(0, 65535).map(lambda port: FieldTest("tcp.dst", port)),
+    st.sampled_from(["tcp", "udp", 47]).map(lambda proto: FieldTest("ip.proto", proto)),
+    st.integers(1, 254).map(lambda host: FieldTest("ip.src", f"10.0.0.{host}")),
+    st.integers(1, 254).map(lambda host: FieldTest("eth.dst", f"00:00:00:00:00:{host:02x}")),
+    st.sampled_from(["get", "a-b", "x_1"]).map(lambda text: FieldTest("payload", text)),
+)
+
+
+def _predicates():
+    return st.recursive(
+        st.one_of(_FIELD_TESTS, st.sampled_from([TRUE, FALSE])),
+        lambda children: st.one_of(
+            st.tuples(children, children).map(lambda pair: pred_and(*pair)),
+            st.tuples(children, children).map(lambda pair: pred_or(*pair)),
+            children.map(pred_not),
+        ),
+        max_leaves=6,
+    )
+
+
+class TestOneGrammar:
+    """The three entry points read the same tokens through the same rules."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(predicate=_predicates(), path=_PATHS)
+    def test_three_entry_points_one_answer(self, predicate, path):
+        assume("ε" not in str(path))  # the empty sequence has no surface syntax
+        assert parse_predicate(str(predicate)) == predicate
+        assert parse_path_expression(str(path)) == path
+        statement = parse_policy(f"[ s : {predicate} -> {path} ]").statement("s")
+        assert (statement.predicate, statement.path) == (predicate, path)
+
+    @pytest.mark.parametrize(
+        "source", ["payload = a-b", "tcp.dst = 80 # web", "tcp.dst = 80 // web\n and ip.proto = tcp"]
+    )
+    def test_dashes_and_comments_read_alike_alone_and_embedded(self, source):
+        embedded = parse_policy(f"[ s : {source}\n -> .* ]").statement("s").predicate
+        assert parse_predicate(source) == embedded
+
+    @pytest.mark.parametrize("keyword", sorted(KEYWORDS))
+    def test_keywords_are_not_location_names_anywhere(self, keyword):
+        with pytest.raises(ParseError, match=repr(keyword)):
+            parse_path_expression(f".* {keyword} .*")
+        with pytest.raises(ParseError):
+            parse_policy(f"[ s : true -> .* {keyword} .* ]")
+
+    def test_standalone_errors_carry_one_based_line_and_column(self):
+        with pytest.raises(ParseError) as error:
+            parse_predicate("tcp.dst = 80 and\n  udp.dst 53")
+        assert (error.value.line, error.value.column) == (2, 11)
+        assert "line 2, column 11" in str(error.value)
+        with pytest.raises(ParseError) as error:
+            parse_path_expression(".*\n  | *")
+        assert (error.value.line, error.value.column) == (2, 5)
+
+    def test_standalone_errors_are_worded_like_the_policy_parser(self):
+        with pytest.raises(ParseError, match="expected a predicate but found '80'"):
+            parse_predicate("80")
+        with pytest.raises(ParseError, match=r"expected a path element but found '\*'"):
+            parse_path_expression("* a")
+        with pytest.raises(ParseError, match="unexpected trailing input 'x' in predicate"):
+            parse_predicate("true x")
+        with pytest.raises(ParseError, match=r"unexpected trailing input '\)' in path expression"):
+            parse_path_expression(".* )")
+        with pytest.raises(ParseError, match="unexpected end of predicate"):
+            parse_predicate("tcp.dst =")
+
+    @pytest.mark.parametrize(
+        "parse, source",
+        [
+            (parse_policy, "[ s : true -> .* @ ]"),
+            (parse_predicate, "tcp.dst = 80 $ true"),
+            (parse_path_expression, ".* ? .*"),
+        ],
+    )
+    def test_lexical_errors_are_parse_errors(self, parse, source):
+        with pytest.raises(ParseError) as error:
+            parse(source)
+        assert isinstance(error.value, LexerError)
+        assert error.value.line == 1 and error.value.column >= 1
+
+    def test_empty_path_expression_keeps_its_own_message(self):
+        with pytest.raises(ParseError, match="empty path expression"):
+            parse_path_expression("  # nothing here\n")
 
 
 class TestSugar:

@@ -26,16 +26,10 @@ class TestProvisionOptions:
         options = ProvisionOptions()
         assert options.partition is True
         assert options.footprint_slack == DEFAULT_FOOTPRINT_SLACK
-        assert options.widen_slack is True
-        assert options.warm_start == "auto"
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
             ProvisionOptions().partition = False
-
-    def test_invalid_warm_start_rejected(self):
-        with pytest.raises(ValueError, match="warm_start"):
-            ProvisionOptions(warm_start="sometimes")
 
     def test_backend_prefers_explicit_instance(self):
         backend = ScipySolver()

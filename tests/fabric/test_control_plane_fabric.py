@@ -1,10 +1,10 @@
-"""Control-plane ownership of the solve fabric and component cache.
+"""The control plane's solve fabric and component cache.
 
 The plane injects its fabric/cache into every group's compiler options
 (unless the group set its own), so cache traffic shows up both in the
 cache's counters and — via the plane's telemetry bundle — in
-``plane.metrics()``; a plane-created fabric (``fabric_workers=...``) is
-reaped by ``plane.shutdown()``.
+``plane.metrics()``; the fabric's lifecycle stays with the caller that
+created it.
 """
 
 import asyncio
@@ -97,19 +97,6 @@ def test_group_options_beat_the_plane_defaults():
     asyncio.run(run())
     assert group_cache.misses > 0  # the group's own cache saw the traffic
     assert plane_cache.misses == 0 and plane_cache.stores == 0
-
-
-def test_plane_owned_fabric_is_reaped_on_shutdown():
-    async def run():
-        plane = ControlPlane(fabric_workers=2)
-        fabric = plane._fabric
-        assert isinstance(fabric, SolveFabric)
-        await _open(plane)
-        await plane.shutdown()
-        return fabric
-
-    fabric = asyncio.run(run())
-    assert fabric._executor is None  # workers reaped with the plane
 
 
 def test_caller_supplied_fabric_is_left_running():

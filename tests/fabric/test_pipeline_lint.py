@@ -12,15 +12,26 @@ records) nor the two knobs that had one value in use (the process-wide
 pool, the memo size).  A delta is judged where it is applied and every
 model is a component model: the pre-validation pass, the undecomposed
 solve beside the component loop, the engine's live model and the
-row-splice API written for it stay deleted too.  ``make check`` greps for
-the same patterns (``lint-pipeline``); this test keeps the rule enforced
-under plain pytest.
+row-splice API written for it stay deleted too.
+
+The surface syntax is written once: ``repro.lexer`` holds the only
+tokeniser and the only cursor, the predicate and path rules live in
+``predicates/parser.py`` and ``regex/parser.py`` and the policy parser calls
+them, so a second tokeniser or a private parser class is a second
+definition of the language delegation verifies against.  And the options
+that had one value in use (speculative duplicates, respawn count, backend
+layout, widening and warm-start switches, a plane-owned fabric, the
+journal's list helpers) stay constants or stay gone.
+
+``make lint-pipeline`` runs this file.
 """
 
+import dataclasses
 import re
 from pathlib import Path
 
 import repro
+from repro.core.options import ProvisionOptions
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -78,3 +89,55 @@ def test_no_validation_pass_second_model_path_or_row_splicing():
         "model outlives a solve, so none is edited in place): %s"
         % ", ".join(offenders)
     )
+
+
+def test_the_surface_syntax_is_written_once():
+    banned = re.compile(
+        r"tokenize_predicate|tokenize_path_expression|_PredicateParser"
+        r"|_PathExpressionParser|_TOKEN_RE"
+    )
+    offenders = _files_mentioning(banned)
+    assert not offenders, (
+        "a second tokeniser or a private parser is back (tokens come from "
+        "repro.lexer.tokenize, rules are functions over a TokenCursor): %s"
+        % ", ".join(offenders)
+    )
+    assert not (SRC / "core" / "lexer.py").exists(), "the lexer is repro/lexer.py"
+    homes = _files_mentioning(
+        re.compile(r"^(?:class \w*Token\w*|def tokeni[sz]e\w*\()", re.MULTILINE)
+    )
+    assert homes == ["lexer.py"], (
+        "token classes and tokenise functions live in repro/lexer.py only: %s" % homes
+    )
+    upward = re.compile(r"^\s*from\s+(?:\.\.core|repro\.core)\b", re.MULTILINE)
+    offenders = [
+        name for name in _files_mentioning(upward)
+        if name.split("/")[0] in ("predicates", "regex") or name == "lexer.py"
+    ]
+    assert not offenders, (
+        "predicates/, regex/ and lexer.py sit below core/ and must not "
+        "import upward: %s" % ", ".join(offenders)
+    )
+
+
+def test_options_nobody_set_stay_constants():
+    banned = re.compile(
+        r"speculate_after_seconds|max_respawns|fabric_workers|_owns_fabric"
+        r"|is_sparse|list_append|list_remove"
+    )
+    offenders = _files_mentioning(banned)
+    assert not offenders, (
+        "a removed option is back (every payload is solved by the backend it "
+        "names; MAX_RESPAWNS, MAX_BATCH and the solver gaps are constants; "
+        "backends export sparse; a fabric belongs to its creator): %s"
+        % ", ".join(offenders)
+    )
+    assert [field.name for field in dataclasses.fields(ProvisionOptions)] == [
+        "solver",
+        "partition",
+        "footprint_slack",
+        "time_limit_seconds",
+        "node_limit",
+        "fabric",
+        "component_cache",
+    ], "ProvisionOptions grew a field (widening and warm starts are not options)"

@@ -1,19 +1,16 @@
-"""SolveFabric: pool persistence, crash containment, speculation.
+"""SolveFabric: pool persistence, crash containment.
 
 The fabric's contract is behavioural — workers persist across ``solve``
-calls, a dying pool degrades to correct serial answers rather than
-``BrokenProcessPool``, and speculative duplicates only win when the exact
-solve is not already done — so these tests drive it with small picklable
-fake tasks instead of real MIP payloads.
+calls and a dying pool degrades to correct serial answers rather than
+``BrokenProcessPool`` — so these tests drive it with small picklable fake
+tasks instead of real MIP payloads.
 """
 
 import os
-import time
 
 import pytest
 
 from repro.fabric import SolveFabric
-from repro.lp.backends import backend_name
 
 PARENT_PID = os.getpid()
 
@@ -28,23 +25,6 @@ def _crash_in_worker(payload):
     if os.getpid() != PARENT_PID:
         os._exit(1)
     return payload * 2
-
-
-def _sleepy_exact(payload):
-    _model, solver, _warm = payload
-    if backend_name(solver) == "heuristic":
-        return "heuristic"
-    time.sleep(1.5)
-    return "exact"
-
-
-def _quick_exact(payload):
-    _model, solver, _warm = payload
-    if backend_name(solver) == "heuristic":
-        time.sleep(5.0)
-        return "heuristic"
-    time.sleep(0.3)
-    return "exact"
 
 
 class TestInProcessFastPaths:
@@ -86,49 +66,16 @@ class TestPersistence:
     def test_rejects_nonsense_widths(self):
         with pytest.raises(ValueError):
             SolveFabric(max_workers=0)
-        with pytest.raises(ValueError):
-            SolveFabric(max_workers=2, max_respawns=-1)
 
 
 class TestCrashContainment:
     def test_dying_pool_degrades_to_serial_answers(self):
-        fabric = SolveFabric(max_workers=2, max_respawns=1, task=_crash_in_worker)
+        fabric = SolveFabric(max_workers=2, task=_crash_in_worker)
         try:
             # Workers exit on sight of a payload; the fabric respawns, gives
             # up, and finishes in-process — the caller still gets answers.
             assert fabric.solve([1, 2, 3]) == [2, 4, 6]
             assert fabric.respawns >= 1
             assert fabric.serial_fallbacks == 1
-        finally:
-            fabric.shutdown(wait=False)
-
-
-class TestSpeculation:
-    def test_stragglers_fall_back_to_the_heuristic_duplicate(self):
-        fabric = SolveFabric(
-            max_workers=2, speculate_after_seconds=0.05, task=_sleepy_exact
-        )
-        try:
-            payloads = [("m1", None, None), ("m2", None, None)]
-            results = fabric.solve(payloads)
-            assert results == ["heuristic", "heuristic"]
-            assert fabric.speculations == 2
-            assert fabric.speculation_wins == 2
-        finally:
-            fabric.shutdown(wait=False)
-
-    def test_finished_exact_solve_beats_the_unproven_duplicate(self):
-        fabric = SolveFabric(
-            max_workers=2, speculate_after_seconds=0.05, task=_quick_exact
-        )
-        try:
-            payloads = [("m1", None, None), ("m2", None, None)]
-            results = fabric.solve(payloads)
-            # Both payloads missed the deadline (so duplicates launched),
-            # but the exact solves finish long before the slow heuristic —
-            # proof-aware preference takes them.
-            assert results == ["exact", "exact"]
-            assert fabric.speculations == 2
-            assert fabric.speculation_wins == 0
         finally:
             fabric.shutdown(wait=False)

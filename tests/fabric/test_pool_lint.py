@@ -3,8 +3,7 @@
 A bare ``ProcessPoolExecutor(...)`` anywhere in ``src/repro`` outside
 :mod:`repro.fabric` would reintroduce per-call worker spin-up — the exact
 overhead the fabric exists to amortize — and would dodge its crash
-containment and counters.  ``make check`` greps for the same pattern
-(``lint-pool``); this test keeps the rule enforced under plain pytest too.
+containment and counters.  ``make lint-pool`` runs this file.
 """
 
 from pathlib import Path

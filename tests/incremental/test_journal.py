@@ -55,7 +55,6 @@ class TestUndoJournal:
         journal.set_item(data, "x", 1)
         journal.del_item(data, "x")
         journal.set_attr(journal, "_serial", journal._serial)
-        journal.list_append([], 1)
         assert len(journal) == 0
         assert not journal.active
 
@@ -99,17 +98,6 @@ class TestUndoJournal:
         assert data == {}
         journal.release(outer)
         assert len(journal) == 0
-
-    def test_list_undo_restores_position(self):
-        journal = UndoJournal()
-        items = ["a", "b", "c"]
-        mark = journal.mark()
-        journal.list_remove(items, "b")
-        journal.list_append(items, "d")
-        assert items == ["a", "c", "d"]
-        journal.rollback(mark)
-        assert items == ["a", "b", "c"]
-        journal.release(mark)
 
     def test_update_items_bulk_undo(self):
         journal = UndoJournal()

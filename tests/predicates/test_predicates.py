@@ -52,6 +52,23 @@ class TestFieldCatalog:
         with pytest.raises(FieldError):
             normalize_value("tcp.dst", 70000)
 
+    @pytest.mark.parametrize(
+        "field, value, width", [("tcp.dst", "tcp", 16), ("ip.tos", "1.5", 8)]
+    )
+    def test_non_integer_value_is_a_field_error_at_every_entry_point(
+        self, field, value, width
+    ):
+        from repro.core.parser import parse_policy
+
+        source = f"{field} = {value}"
+        for build in (
+            lambda: FieldTest(field, value),
+            lambda: parse_predicate(source),
+            lambda: parse_policy(f"[x : ({source}) -> .* ]"),
+        ):
+            with pytest.raises(FieldError, match=f"{value!r}.*{width}-bit"):
+                build()
+
     def test_protocol_names(self):
         assert normalize_value("ip.proto", "tcp") == 6
         assert normalize_value("ip.proto", "udp") == 17

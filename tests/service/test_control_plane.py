@@ -287,6 +287,42 @@ class TestControlPlane:
         assert recovered.failed_links == frozenset()
         assert recovered.statements["x"].path == base.statements["x"].path
 
+    def test_query_inside_a_topology_transaction_shows_committed_failures(self):
+        """``query`` never tears: while a transaction that has already edited
+        the live session's failed sets is still running (here: about to be
+        rolled back), it reports the failed sets of the last commit."""
+        inside = []
+
+        async def run():
+            plane = ControlPlane()
+            await plane.open_group(
+                "g",
+                DUMBBELL_SOURCE,
+                topology=dumbbell(),
+                overlap="trust",
+                add_catch_all=False,
+                generate_code=False,
+            )
+
+            def refuse(*args, **kwargs):
+                inside.append(plane.query("g"))
+                raise ProvisioningError("refused after the topology was edited")
+
+            plane._groups["g"].compiler._finalize = refuse
+            async with plane:
+                ticket = plane.submit(
+                    "g", TopologyDelta(fail_links=(("sa1", "sa2"),))
+                )
+                with pytest.raises(ProvisioningError):
+                    await ticket.result()
+            return plane.query("g")
+
+        after = asyncio.run(run())
+        (during,) = inside
+        assert during.revision == after.revision == 0
+        assert during.failed_links == after.failed_links == frozenset()
+        assert during.failed_nodes == after.failed_nodes == frozenset()
+
     def test_groups_are_independent(self):
         async def run():
             plane = ControlPlane()

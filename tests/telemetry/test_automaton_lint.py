@@ -4,8 +4,7 @@
 ``DFA.from_nfa(`` / ``NFA.from_regex(`` call anywhere in ``src/repro``
 outside the regex package compiles behind the store's back, and an
 ``lru_cache`` in ``core/logical.py`` would be the private automaton cache
-the store replaced.  ``make check`` greps for the same patterns
-(``lint-automaton``); this test keeps the rule enforced under plain pytest.
+the store replaced.  ``make lint-automaton`` runs this file.
 """
 
 from pathlib import Path

@@ -3,8 +3,7 @@
 A bare ``time.perf_counter()`` anywhere in ``src/repro`` outside the
 telemetry package itself would dodge clock injection — spans and derived
 statistics would disagree under a fake clock, and the overhead benchmark
-would measure the wrong thing.  ``make check`` greps for the same
-pattern; this test keeps the rule enforced under plain pytest too.
+would measure the wrong thing.  ``make lint-clock`` runs this file.
 """
 
 from pathlib import Path
