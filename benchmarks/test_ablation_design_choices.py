@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.reporting import format_table
 from repro.core import MerlinCompiler, PathSelectionHeuristic, ProvisionOptions, compile_policy
-from repro.lp import BranchAndBoundSolver, ScipySolver, highs_available
+from repro.lp import BACKENDS, BranchAndBoundSolver, ScipySolver
 from repro.simulator.engine import FlowSimulator
 from repro.simulator.flows import Flow
 from repro.simulator.network import SimulationNetwork
@@ -106,14 +106,11 @@ def _run_heuristic_ablation():
 
 
 def _run_portfolio_ablation():
-    """One row per registered backend name on the smoke fat-tree workload."""
+    """One row per backend name on the smoke fat-tree workload."""
     topology = fat_tree(4)
     policy = _guaranteed_fat_tree_policy(topology)
-    names = ["scipy", "bnb", "heuristic", "auto"]
-    if highs_available():
-        names.insert(0, "highs")
     rows = []
-    for name in names:
+    for name in BACKENDS:
         compiler = MerlinCompiler(
             topology=topology,
             overlap="trust",
@@ -126,9 +123,6 @@ def _run_portfolio_ablation():
                 "backend": name,
                 "lp_solve_ms": result.statistics.lp_solve_seconds * 1000.0,
                 "max_utilization": result.max_link_utilization(),
-                "picked": ",".join(
-                    sorted(set(result.statistics.component_backends))
-                ),
             }
         )
     return rows
@@ -138,24 +132,22 @@ def test_ablation_portfolio(benchmark, report):
     rows = benchmark.pedantic(_run_portfolio_ablation, rounds=1, iterations=1)
     report(
         "ablation_portfolio",
-        format_table(rows, ["backend", "lp_solve_ms", "max_utilization", "picked"],
-                     title="Ablation: solver portfolio on the smoke fat-tree workload"),
+        format_table(rows, ["backend", "lp_solve_ms", "max_utilization"],
+                     title="Ablation: solver backends by name on the smoke fat-tree workload"),
     )
     by_name = {row["backend"]: row for row in rows}
     # Every backend — including the anytime heuristic — stays feasible.
     assert all(row["max_utilization"] <= 1.0 + 1e-6 for row in rows)
+    # The exact backends solve the same MIP to the same optimum.
+    assert by_name["bnb"]["max_utilization"] == pytest.approx(
+        by_name["scipy"]["max_utilization"], abs=1e-6
+    )
     # Heuristic vs exact: within the stated bound of the scipy optimum.
+    # Latencies are in the report table only: a wall-clock threshold in
+    # the tier-1 gate fails under load and proves nothing when it passes.
     assert by_name["heuristic"]["max_utilization"] <= (
         by_name["scipy"]["max_utilization"] + 0.25
     )
-    # Auto vs fixed: the portfolio's short-circuit keeps its overhead small.
-    # The 25 ms absolute grace absorbs timer noise on a workload where the
-    # fixed backends themselves solve in single-digit milliseconds.
-    fixed = [
-        by_name[name] for name in ("highs", "scipy", "bnb") if name in by_name
-    ]
-    best_fixed_ms = min(row["lp_solve_ms"] for row in fixed)
-    assert by_name["auto"]["lp_solve_ms"] <= 1.25 * best_fixed_ms + 25.0
 
 
 #: The anytime demo solves one undecomposed model large enough that the

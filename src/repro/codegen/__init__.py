@@ -23,7 +23,7 @@ from .instructions import (
     QueueConfig,
     TcCommand,
 )
-from .generator import CodeGenerator, generate
+from .generator import CodeGenerator
 from .vlan import VlanAllocator
 
 __all__ = [
@@ -34,6 +34,5 @@ __all__ = [
     "QueueConfig",
     "TcCommand",
     "CodeGenerator",
-    "generate",
     "VlanAllocator",
 ]

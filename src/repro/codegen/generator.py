@@ -93,17 +93,3 @@ class CodeGenerator:
         bundle.click.extend(click_for_assignments(dict(paths)))
         return bundle
 
-
-def generate(
-    topology: Topology,
-    policy: Policy,
-    paths: Mapping[str, PathAssignment],
-    rates: Mapping[str, RateAllocation],
-    sink_trees: Mapping[str, SinkTree],
-    endpoints: Optional[Mapping[str, Tuple[Optional[str], Optional[str]]]] = None,
-    infeasible_statements: Tuple[str, ...] = (),
-) -> InstructionBundle:
-    """Module-level convenience wrapper around :class:`CodeGenerator`."""
-    return CodeGenerator(topology=topology).generate(
-        policy, paths, rates, sink_trees, endpoints, infeasible_statements
-    )

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..core.ast import Statement
-from ..predicates.ast import And, FieldTest, Predicate
+from ..predicates.ast import Predicate
+from ..predicates.transform import positive_field_tests
 from ..topology.graph import Topology
 from .instructions import IptablesRule
 
@@ -28,17 +29,11 @@ _IPTABLES_SELECTORS = {
 
 
 def _selectors(predicate: Predicate) -> Tuple[Tuple[str, str], ...]:
-    selectors = []
-
-    def walk(node: Predicate) -> None:
-        if isinstance(node, FieldTest) and node.field in _IPTABLES_SELECTORS:
-            selectors.append((_IPTABLES_SELECTORS[node.field], str(node.value)))
-        elif isinstance(node, And):
-            walk(node.left)
-            walk(node.right)
-
-    walk(predicate)
-    return tuple(selectors)
+    return tuple(
+        (_IPTABLES_SELECTORS[test.field], str(test.value))
+        for test in positive_field_tests(predicate)
+        if test.field in _IPTABLES_SELECTORS
+    )
 
 
 def drop_rule_for_statement(

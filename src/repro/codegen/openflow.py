@@ -19,7 +19,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.allocation import PathAssignment
 from ..core.sink_tree import SinkTree
-from ..predicates.ast import And, FieldTest, Not, Or, Predicate, PTrue
+from ..predicates.ast import Predicate
+from ..predicates.transform import positive_field_tests
 from ..topology.graph import Topology
 from .instructions import OpenFlowRule
 from .vlan import VlanAllocator
@@ -49,16 +50,9 @@ def match_from_predicate(predicate: Predicate) -> Tuple[Tuple[str, str], ...]:
     paper's use of VLAN tags to make forwarding robust to header rewriting.
     """
     fields: Dict[str, str] = {}
-
-    def walk(node: Predicate) -> None:
-        if isinstance(node, FieldTest) and node.field in _MATCHABLE_FIELDS:
-            fields.setdefault(_MATCHABLE_FIELDS[node.field], str(node.value))
-        elif isinstance(node, And):
-            walk(node.left)
-            walk(node.right)
-        # Or / Not / PTrue contribute nothing to a single match.
-
-    walk(predicate)
+    for test in positive_field_tests(predicate):
+        if test.field in _MATCHABLE_FIELDS:
+            fields.setdefault(_MATCHABLE_FIELDS[test.field], str(test.value))
     return tuple(sorted(fields.items()))
 
 

@@ -95,8 +95,7 @@ class CompilationStatistics:
     final component's solver wall-time, in the provisioning result's
     component order, for per-component latency percentiles;
     ``component_backends`` names the backend that solved each component in
-    the same order (the ``auto`` portfolio driver records its per-component
-    winner, so a mixed tuple is normal).
+    the same order.
     """
 
     lp_construction_seconds: float = 0.0

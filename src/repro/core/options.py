@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..lp.backends import BACKENDS, resolve_backend
+
 #: Default footprint tightening for partitioned provisioning: keep
 #: only logical edges on some source-to-sink path of at most (optimal hops +
 #: slack) physical-link traversals (see
@@ -59,11 +61,12 @@ class ProvisionOptions:
     """How guaranteed traffic is provisioned, independent of what is provisioned.
 
     ``solver`` — which LP/MIP backend solves the provisioning models: a
-    registered backend name (``"scipy"``, ``"bnb"``, ``"highs"``,
-    ``"heuristic"``, ``"auto"`` — see :mod:`repro.lp.backends`), an explicit
-    backend instance, or ``None`` to let :meth:`backend` pick the default
-    for the configured limits (``"bnb"`` when ``node_limit`` is set —
-    scipy cannot bound its search — else ``"scipy"``).
+    backend name (``"scipy"``, ``"bnb"``, ``"heuristic"`` — see
+    :mod:`repro.lp.backends`), an explicit backend instance, or ``None`` to
+    let :meth:`backend` pick the default for the configured limits
+    (``"bnb"`` when ``node_limit`` is set — scipy cannot bound its search —
+    else ``"scipy"``).  A limit is honoured or refused: a ``node_limit``
+    with a name other than ``"bnb"`` is an error here, at construction.
 
     ``partition`` — whether the MIP is decomposed into link-disjoint
     components (``False``: every resolve, compile or delta, treats all
@@ -103,14 +106,20 @@ class ProvisionOptions:
     component_cache: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.solver, str):
-            from ..lp.backends import registered_backends
-
-            if self.solver not in registered_backends():
-                raise ValueError(
-                    f"unknown solver backend {self.solver!r}; registered "
-                    f"backends: {', '.join(registered_backends())}"
-                )
+        solver = self.solver
+        if isinstance(solver, str):
+            known = solver in BACKENDS
+        else:
+            known = solver is None or callable(getattr(solver, "solve", None))
+        if not known:
+            raise ValueError(
+                f"unknown solver backend {solver!r}; backends: "
+                f"{', '.join(BACKENDS)}, or an instance with a solve(model) "
+                "method"
+            )
+        # Resolved once here, so that a limit the named backend cannot
+        # honour is refused where it is set and not in the first solve.
+        self.backend()
 
     def backend(self) -> object:
         """The backend instance to hand to ``Model.solve``.
@@ -121,8 +130,6 @@ class ProvisionOptions:
         returned by identity (their own configured limits win), and
         ``None`` selects the default backend for the limits.
         """
-        from ..lp.backends import resolve_backend
-
         return resolve_backend(
             self.solver,
             time_limit_seconds=self.time_limit_seconds,

@@ -13,10 +13,11 @@ Policy:
 * **Proof-aware stores.**  Only proven-``optimal`` solutions (and
   proven-infeasible markers) are stored; time-limited ``feasible``
   incumbents are *bypassed* — an unproven incumbent memoized across runs
-  would freeze one run's luck into every later run's answer.  Backends
-  that never prove optimality (the anytime heuristic) therefore never
-  populate the cache; see ``incremental/README.md`` for when to disable
-  caching outright.
+  would freeze one run's luck into every later run's answer, and so would
+  a solve that ran out of time before finding anything, remembered as
+  "infeasible".  Backends that never prove optimality (the anytime
+  heuristic) therefore never populate the cache; see
+  ``incremental/README.md`` for when to disable caching outright.
 * **Optional JSON-lines spill.**  With ``spill_path`` set, stores append
   ``{"signature": ..., "record": ...}`` lines and construction replays the
   file (last write wins, unreadable lines skipped), so separate sweep
@@ -109,8 +110,9 @@ class ComponentSolutionCache:
             self._append_spill(signature, record)
 
     def bypass(self) -> None:
-        """Record that a solvable component was deliberately not cached
-        (unproven incumbent — see the module docstring)."""
+        """Record that an outcome was deliberately not cached (an unproven
+        incumbent, or a no-solution status that is no proof of
+        infeasibility — see the module docstring)."""
         with self._lock:
             self.bypasses += 1
         telemetry.counter("component_signature_bypass")

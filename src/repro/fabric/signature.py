@@ -51,7 +51,7 @@ __all__ = [
 
 #: Bump when anything entering the signature or record shape changes, so a
 #: stale spill file from an older layout can never satisfy a lookup.
-SIGNATURE_VERSION = "merlin-component-v1"
+SIGNATURE_VERSION = "merlin-component-v2"
 
 _JSON = dict(sort_keys=True, separators=(",", ":"))
 
@@ -209,9 +209,9 @@ def encode_solution(solution, canon: CanonicalComponent) -> Dict[str, object]:
     }
 
 
-def encode_infeasible(status: str) -> Dict[str, object]:
+def encode_infeasible() -> Dict[str, object]:
     """Store a proven-infeasible component (so re-sweeps skip the rung)."""
-    return {"version": SIGNATURE_VERSION, "infeasible": True, "status": status}
+    return {"version": SIGNATURE_VERSION, "infeasible": True}
 
 
 def decode_solution(

@@ -60,7 +60,7 @@ from ..fabric.signature import (
     encode_infeasible,
     encode_solution,
 )
-from ..lp.backends import backend_name, capabilities
+from ..lp.backends import backend_name, consumes_warm_starts
 from ..lp.result import SolveStatus
 from ..topology.graph import Topology
 from ..units import Bandwidth
@@ -212,22 +212,6 @@ def build_partition_model(
     )
 
 
-def solver_consumes_warm_starts(solver) -> bool:
-    """Whether computing a MIP start for this backend is worthwhile.
-
-    Delegates to the backend capability protocol
-    (:func:`repro.lp.backends.capabilities`): a backend receives starts iff
-    it declares ``consumes_warm_starts = True``.  ``None`` (the default
-    backend, :class:`~repro.lp.scipy_backend.ScipySolver`) records-and-
-    ignores starts, and an unknown third-party backend that declares
-    nothing gets the one documented default — no starts — so projection
-    work is never wasted on the delta-latency path.
-    """
-    if solver is None:
-        return False
-    return capabilities(solver).consumes_warm_starts
-
-
 def project_warm_start(
     built: ProvisioningModel, previous_values: Mapping[str, float]
 ) -> Optional[Dict[str, float]]:
@@ -286,14 +270,12 @@ def _solve_model_payload(payload):
     result = model.solve(solver, warm_start=warm_start)
     duration = telemetry.clock() - started
     statistics = dict(result.statistics)
-    # Which backend produced the numbers: the portfolio driver records the
-    # winner itself; fixed backends are stamped with their declared name.
-    statistics.setdefault("backend", backend_name(solver))
+    statistics["backend"] = backend_name(solver)
     span_payload = {
         "name": "component_solve",
         "duration": duration,
         "attributes": {
-            "backend": statistics.get("backend", ""),
+            "backend": statistics["backend"],
             "status": result.status.value,
             "warm_started": warm_start is not None,
         },
@@ -346,12 +328,22 @@ def solve_partition_models(
     return [_solve_model_payload(payload) for payload in payloads]
 
 
-def _raise_component_infeasible(spec: PartitionSpec, status_value: str) -> None:
+def _raise_component_unsolved(spec: PartitionSpec, status_value: str) -> None:
+    """Fail the resolve, claiming infeasibility only where it was proven.
+
+    A solve that stopped at a limit, or a heuristic that found nothing,
+    says nothing about whether the guarantees can be met.
+    """
     members = ", ".join(spec.statement_ids)
+    if status_value == SolveStatus.INFEASIBLE.value:
+        raise ProvisioningError(
+            "bandwidth provisioning is infeasible for the statement group "
+            f"[{members}]: the requested guarantees cannot be satisfied "
+            f"(solver status: {status_value})"
+        )
     raise ProvisioningError(
-        "bandwidth provisioning is infeasible for the statement group "
-        f"[{members}]: the requested guarantees cannot be satisfied "
-        f"(solver status: {status_value})"
+        f"bandwidth provisioning failed for the statement group [{members}]: "
+        f"no solution found (solver status: {status_value})"
     )
 
 
@@ -366,7 +358,7 @@ def extract_partition_solution(
     status_value, values_by_name, objective, statistics, span_payload = outcome
     status = SolveStatus(status_value)
     if not status.has_solution:
-        _raise_component_infeasible(spec, status_value)
+        _raise_component_unsolved(spec, status_value)
     location_paths: Dict[str, Tuple[str, ...]] = {}
     for identifier in spec.statement_ids:
         logical = built.logical_topologies[identifier]
@@ -476,17 +468,21 @@ def solve_components_with_widening(
     3. solve the components not already known (from ``memo``, or solved
        earlier in this call), warm-started from ``warm_values`` when the
        backend consumes starts,
-    4. for every component that came back infeasible, widen **all** its
-       members one rung (2 -> 4 -> 8 -> ``None``) and repeat; a component
-       infeasible with every member untightened is genuinely infeasible
-       and raises :class:`ProvisioningError`.
+    4. for every component that came back without a solution, widen
+       **all** its members one rung (2 -> 4 -> 8 -> ``None``) and repeat; a
+       component still unsolved with every member untightened raises
+       :class:`ProvisioningError`.
 
     ``memo`` is the engine's solution memo: :data:`MemoKey` ->
     :class:`PartitionSolution`, or the :data:`INFEASIBLE_COMPONENT` marker
     for a rung proven hopeless (skipped without re-solving).  Hits are
     read from it and every solve, adoption and proven infeasibility is
     written to it as it happens, bounded at :data:`SOLUTION_MEMO_LIMIT`
-    entries.
+    entries.  Only ``INFEASIBLE`` is a proof: a rung that ended in any
+    other no-solution status (a limit hit without an incumbent, the
+    heuristic finding nothing) widens within this call like an infeasible
+    one but is remembered nowhere — what the wall clock decided in one
+    call must not answer the next.
 
     With ``partition=False`` the population is not decomposed: every round
     has one component — all statements over every link of
@@ -500,7 +496,8 @@ def solve_components_with_widening(
     is consulted *after* the memo misses and *before* the model is built:
     a content hit is re-addressed to this component's statement ids and
     reported in ``WideningOutcome.adopted``; fresh proven-optimal solves
-    (and proven infeasibilities) are stored back.  ``fabric`` routes
+    (and proven infeasibilities) are stored back, anything unproven is a
+    ``bypass()``.  ``fabric`` routes
     multi-component solves onto a persistent worker pool (see
     :func:`solve_partition_models`).
     """
@@ -509,9 +506,9 @@ def solve_components_with_widening(
     }
     # What this call has learnt, whatever the memo evicts meanwhile: the
     # solution of every component met so far, and the solver status of
-    # every rung found infeasible (the error text quotes it).
+    # every rung that has none (the error text quotes it).
     known: Dict[MemoKey, PartitionSolution] = {}
-    infeasible: Dict[MemoKey, str] = {}
+    unsolved: Dict[MemoKey, str] = {}
     solved_keys: set = set()
     adopted_keys: set = set()
     slack_retries = 0
@@ -521,7 +518,7 @@ def solve_components_with_widening(
     cpu_total = 0.0
     nodes_total = 0.0
     nodes_seen = False
-    seed_starts = bool(warm_values) and solver_consumes_warm_starts(solver)
+    seed_starts = bool(warm_values) and consumes_warm_starts(solver)
 
     def key_of(spec: PartitionSpec) -> MemoKey:
         return (
@@ -558,7 +555,7 @@ def solve_components_with_widening(
             widen_specs: List[PartitionSpec] = []
             for spec in specs:
                 key = key_of(spec)
-                if key in infeasible:
+                if key in unsolved:
                     widen_specs.append(spec)
                     continue
                 solution = known.get(key)
@@ -570,7 +567,7 @@ def solve_components_with_widening(
                         _memoize(memo, key, found)  # a hit renews the entry
                         if found is INFEASIBLE_COMPONENT:
                             telemetry.counter("component_cache_infeasible_hits")
-                            infeasible[key] = "infeasible"
+                            unsolved[key] = SolveStatus.INFEASIBLE.value
                             widen_specs.append(spec)
                             continue
                         telemetry.counter("component_cache_hits")
@@ -589,9 +586,7 @@ def solve_components_with_widening(
                     stored = component_cache.get(canon.signature)
                     if stored is not None:
                         if stored.get("infeasible"):
-                            infeasible[key] = str(
-                                stored.get("status", "infeasible")
-                            )
+                            unsolved[key] = SolveStatus.INFEASIBLE.value
                             widen_specs.append(spec)
                             continue
                         solution = decode_solution(stored, canon, spec, key[2])
@@ -643,6 +638,7 @@ def solve_components_with_widening(
                 ):
                     solver_calls += 1
                     status_value, _values, _objective, statistics, span_payload = outcome
+                    status = SolveStatus(status_value)
                     backend = str(statistics.get("backend", "")) or "unknown"
                     telemetry.adopt(
                         span_payload,
@@ -655,8 +651,6 @@ def solve_components_with_widening(
                         float((span_payload or {}).get("duration", 0.0)),
                         backend=backend,
                     )
-                    if backend_name(solver) == "auto":
-                        telemetry.counter("portfolio_wins", backend=backend)
                     if statistics.get("warm_start_used"):
                         telemetry.counter("warm_start_accepted")
                     if statistics.get("warm_start_rejected"):
@@ -665,7 +659,7 @@ def solve_components_with_widening(
                     if statistics.get("nodes") is not None:
                         nodes_seen = True
                         nodes_total += statistics.get("nodes") or 0.0
-                    if SolveStatus(status_value).has_solution:
+                    if status.has_solution:
                         solution = extract_partition_solution(
                             spec, built, outcome, seconds, member_slacks=key[2]
                         )
@@ -674,7 +668,7 @@ def solve_components_with_widening(
                         solved_keys.add(key)
                         resolved[spec] = solution
                         if component_cache is not None and canon is not None:
-                            if SolveStatus(status_value) is SolveStatus.OPTIMAL:
+                            if status is SolveStatus.OPTIMAL:
                                 component_cache.put(
                                     canon.signature,
                                     encode_solution(solution, canon),
@@ -685,13 +679,18 @@ def solve_components_with_widening(
                                 # run's luck into every later run.
                                 component_cache.bypass()
                     else:
+                        proven = status is SolveStatus.INFEASIBLE
+                        if proven:
+                            _memoize(memo, key, INFEASIBLE_COMPONENT)
                         if component_cache is not None and canon is not None:
-                            component_cache.put(
-                                canon.signature, encode_infeasible(status_value)
-                            )
+                            if proven:
+                                component_cache.put(
+                                    canon.signature, encode_infeasible()
+                                )
+                            else:
+                                component_cache.bypass()
                         telemetry.counter("components_infeasible")
-                        infeasible[key] = status_value
-                        _memoize(memo, key, INFEASIBLE_COMPONENT)
+                        unsolved[key] = status_value
                         widen_specs.append(spec)
             solve_total += solve_span.duration
 
@@ -721,9 +720,9 @@ def solve_components_with_widening(
         for spec in widen_specs:
             key = key_of(spec)
             # With every member already on the untightened reference model
-            # the infeasibility is genuine, not a tightening artifact.
+            # the outcome is the solver's, not a tightening artifact.
             if all(slack is None for slack in key[2]):
-                _raise_component_infeasible(spec, infeasible[key])
+                _raise_component_unsolved(spec, unsolved[key])
             slack_retries += 1
             telemetry.counter("slack_widening_retries")
             for sid in spec.statement_ids:

@@ -6,17 +6,14 @@ package provides an equivalent, self-contained substitute:
 
 * a small modelling layer (:class:`Variable`, :class:`LinExpr`,
   :class:`Constraint`, :class:`Model`) in the style of common MIP APIs,
-* a first-class backend layer (:mod:`repro.lp.backends`): the
-  :class:`SolverBackend` capability protocol and a registry that makes
-  backends addressable by string — ``"scipy"``, ``"bnb"``, ``"highs"``,
-  ``"heuristic"``, and the deterministic ``"auto"`` portfolio driver,
+* the backend layer (:mod:`repro.lp.backends`): the :class:`SolverBackend`
+  protocol and the three backends addressable by string — ``"scipy"``,
+  ``"bnb"`` and ``"heuristic"``,
 * a SciPy/HiGHS backend (:mod:`repro.lp.scipy_backend`) that solves models
   exactly through ``scipy.optimize.milp`` / ``linprog``,
 * a pure-Python branch-and-bound solver (:mod:`repro.lp.branch_and_bound`)
   over LP relaxations, usable as an independent cross-check and as a fallback
   when SciPy's MILP interface is unavailable,
-* a direct HiGHS backend with real MIP-start plumbing
-  (:mod:`repro.lp.highs_backend`, needs the optional ``highspy`` package),
 * an anytime primal heuristic (:mod:`repro.lp.primal`) that finds feasible
   provisioning allocations in milliseconds.
 
@@ -29,17 +26,13 @@ from .model import Model, Objective
 from .result import SolveResult, SolveStatus
 from .scipy_backend import ScipySolver, solve
 from .branch_and_bound import BranchAndBoundSolver
-from .highs_backend import HighsSolver, highs_available
 from .primal import PrimalHeuristicSolver
 from .backends import (
-    AutoSolver,
-    BackendCapabilities,
+    BACKENDS,
     SolverBackend,
     backend_name,
-    capabilities,
+    consumes_warm_starts,
     create_backend,
-    register_backend,
-    registered_backends,
     resolve_backend,
 )
 
@@ -54,17 +47,12 @@ __all__ = [
     "SolveStatus",
     "ScipySolver",
     "BranchAndBoundSolver",
-    "HighsSolver",
     "PrimalHeuristicSolver",
-    "AutoSolver",
     "SolverBackend",
-    "BackendCapabilities",
+    "BACKENDS",
     "backend_name",
-    "capabilities",
+    "consumes_warm_starts",
     "create_backend",
-    "register_backend",
-    "registered_backends",
     "resolve_backend",
-    "highs_available",
     "solve",
 ]

@@ -79,8 +79,6 @@ class BranchAndBoundSolver:
 
     name = "bnb"
     consumes_warm_starts = True
-    supports_time_limit = True
-    supports_node_limit = True
 
     def __init__(
         self,

@@ -260,17 +260,17 @@ class Model:
         ``warm_start`` optionally maps variable names to a known (partial)
         feasible assignment — a MIP start.  It is passed through only to
         backends that declare ``consumes_warm_starts = True`` (see
-        :func:`repro.lp.backends.capabilities`); backends without the flag
-        — including third-party ones written against the plain
+        :func:`repro.lp.backends.consumes_warm_starts`); backends without
+        the flag — including third-party ones written against the plain
         ``solve(model)`` protocol — are called without it.
         """
-        from .backends import capabilities
+        from .backends import consumes_warm_starts
 
         if solver is None:
             from .scipy_backend import ScipySolver
 
             solver = ScipySolver()
-        if warm_start is None or not capabilities(solver).consumes_warm_starts:
+        if warm_start is None or not consumes_warm_starts(solver):
             return solver.solve(self)
         return solver.solve(self, warm_start=warm_start)
 

@@ -27,9 +27,8 @@ cannot prove infeasibility).  Models that do not follow the provisioning
 naming/shape conventions raise :class:`~repro.errors.SolverError` — this
 backend is a specialist, not a general MIP solver.
 
-Used standalone (``ProvisionOptions(solver="heuristic")``) it provisions a
-fat-tree component in milliseconds; used by the ``auto`` portfolio driver
-(:mod:`repro.lp.backends`) its incumbent seeds the exact backends' search.
+``ProvisionOptions(solver="heuristic")`` provisions a fat-tree component in
+milliseconds.
 """
 
 from __future__ import annotations
@@ -371,8 +370,6 @@ class PrimalHeuristicSolver:
 
     name = "heuristic"
     consumes_warm_starts = True
-    supports_time_limit = True
-    supports_node_limit = False
 
     def __init__(
         self,

@@ -14,17 +14,14 @@ bound, node count, relative gap) are surfaced in ``SolveResult.statistics``
 under the same keys the branch-and-bound backend uses, so callers can report
 the MIP gap of ``FEASIBLE`` (time-limited) solves uniformly.
 
-``scipy.optimize.milp`` has no MIP-start plumbing, so ``warm_start`` is
-accepted for interface compatibility and recorded as ignored — with a
-one-time :class:`RuntimeWarning` so callers learn their incumbent is not
-consumed; use :class:`~repro.lp.branch_and_bound.BranchAndBoundSolver` when
-warm starts must actually seed the search.
+``scipy.optimize.milp`` has no MIP-start plumbing, so this backend takes no
+``warm_start``; use :class:`~repro.lp.branch_and_bound.BranchAndBoundSolver`
+when an incumbent must seed the search.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 from scipy import optimize
@@ -42,24 +39,15 @@ class ScipySolver:
 
     name = "scipy"
 
-    # scipy.optimize.milp has no MIP-start plumbing: a warm_start passed to
-    # solve() is recorded as ignored.  Callers that pay to *compute* starts
-    # (the incremental engine's incumbent projection) check this flag first.
+    # A start is never handed to a backend that does not declare it
+    # consumes one (Model.solve, and the solve loop before it pays for the
+    # projection), so solve() has no parameter to ignore one with.
     consumes_warm_starts = False
-    supports_time_limit = True
-    supports_node_limit = False
 
     def __init__(self, time_limit_seconds: Optional[float] = None) -> None:
         self.time_limit_seconds = time_limit_seconds
-        # One warning per instance, not per solve (and not per process: a
-        # module-global flag made test outcomes depend on execution order).
-        # A controller streaming deltas through a warm-start-blind backend
-        # hears about it once per solver it configures.
-        self._warned_ignored_warm_start = False
 
-    def solve(
-        self, model: Model, warm_start: Optional[Mapping[str, float]] = None
-    ) -> SolveResult:
+    def solve(self, model: Model) -> SolveResult:
         """Solve the model, returning a :class:`SolveResult`."""
         form = model.to_standard_form(sparse=True)
         started = telemetry.clock()
@@ -70,25 +58,6 @@ class ScipySolver:
         result.statistics["solve_seconds"] = telemetry.clock() - started
         result.statistics["num_variables"] = len(form.variables)
         result.statistics["num_integer_variables"] = int(form.integrality.sum())
-        if warm_start is not None:
-            # HiGHS-via-scipy cannot consume MIP starts; record the fact so
-            # benchmarks comparing backends can see the start was dropped.
-            result.statistics["warm_start_ignored"] = 1.0
-            # The consumes_warm_starts gate keeps this quiet once highspy
-            # start plumbing lands (a consuming subclass flips the flag).
-            if (
-                not self.consumes_warm_starts
-                and not self._warned_ignored_warm_start
-            ):
-                self._warned_ignored_warm_start = True
-                warnings.warn(
-                    "the SciPy/HiGHS backend has no MIP-start plumbing: the "
-                    "warm start was recorded but NOT consumed (statistics "
-                    "key 'warm_start_ignored'); use "
-                    "repro.lp.BranchAndBoundSolver to seed incumbents",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
         return result
 
     # -- internals -------------------------------------------------------------

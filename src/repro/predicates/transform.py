@@ -11,7 +11,7 @@ DNF conjunct reduces to simple per-field set reasoning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..errors import PolicyError
 from .ast import (
@@ -179,6 +179,25 @@ def intersect(left: Predicate, right: Predicate) -> Predicate:
 def subtract(left: Predicate, right: Predicate) -> Predicate:
     """The predicate matching packets in ``left`` but not in ``right``."""
     return pred_and(left, pred_not(right))
+
+
+def positive_field_tests(predicate: Predicate) -> Iterator[FieldTest]:
+    """The field tests reachable through ``And`` alone, left to right.
+
+    These are the conjuncts every matching packet satisfies, which is what a
+    single device match (an OpenFlow match, a ``tc`` filter, an ``iptables``
+    rule) can express; ``Or`` / ``Not`` / ``PTrue`` subtrees contribute
+    nothing.  Each code generator looks the yielded fields up in its own
+    table.
+    """
+    stack = [predicate]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, FieldTest):
+            yield node
 
 
 def atoms(predicate: Predicate) -> Set[Tuple[str, Any]]:

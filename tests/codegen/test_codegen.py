@@ -17,6 +17,7 @@ from repro.core.allocation import PathAssignment, RateAllocation
 from repro.core.sink_tree import egress_switches
 from repro.core.ast import Policy, Statement
 from repro.predicates import parse_predicate
+from repro.predicates.transform import positive_field_tests
 from repro.regex import parse_path_expression
 from repro.topology.generators import fat_tree, figure2_example, single_switch
 from repro.units import Bandwidth
@@ -171,6 +172,36 @@ class TestQueuesTcIptablesClick:
         assert len(rules) == 1
         assert rules[0].action == "DROP"
         assert "iptables" in rules[0].render()
+
+    def test_every_emitter_sees_the_same_positive_conjuncts(self):
+        """One walk (``positive_field_tests``) feeds all three selector
+        tables: tests under ``or`` / ``!`` reach none of them, tests under
+        ``and`` reach each in source order."""
+        predicate = parse_predicate(
+            "ip.src = 10.0.0.1 and (tcp.dst = 80 and !(tcp.src = 22)) and "
+            "(ip.dst = 10.0.0.2 or ip.dst = 10.0.0.3) and ip.proto = tcp"
+        )
+        conjuncts = [
+            (test.field, str(test.value)) for test in positive_field_tests(predicate)
+        ]
+        assert conjuncts == [
+            ("ip.src", "10.0.0.1"), ("tcp.dst", "80"), ("ip.proto", "6")
+        ]
+        topology = figure2_example()
+        statement = Statement("x", predicate, parse_path_expression("!(.*)"))
+        (tc,) = tc_for_statement(
+            topology, statement, RateAllocation("x", cap=Bandwidth.mbps(1)), "h1"
+        )
+        (drop,) = drop_rule_for_statement(topology, statement, "h1")
+        assert tc.match == (
+            ("ip src", "10.0.0.1"), ("ip dport", "80"), ("ip protocol", "6")
+        )
+        assert drop.match == (
+            ("source", "10.0.0.1"), ("dport", "80"), ("protocol", "6")
+        )
+        assert match_from_predicate(predicate) == (
+            ("nw_proto", "6"), ("nw_src", "10.0.0.1"), ("tp_dst", "80")
+        )
 
     def test_click_deduplicates_placements(self):
         assignments = {

@@ -13,6 +13,7 @@ from repro.topology.generators import (
     single_switch,
     stanford_campus,
 )
+from repro.lp import ScipySolver, SolveResult, SolveStatus
 from repro.units import Bandwidth
 
 #: The running example of §2 (FTP data/control capped, HTTP guaranteed).
@@ -43,6 +44,22 @@ DELEGATION_REFINED_SOURCE = """
        !(tcp.dst = 22 or tcp.dst = 80)) -> .* dpi .* ],
 max(x, 50MB/s) and max(y, 25MB/s) and max(z, 25MB/s)
 """
+
+
+class FlakyBackend:
+    """A backend whose solves end ``ERROR`` — a limit hit before any
+    incumbent — while ``failing`` is set, and which is the scipy backend
+    once it is cleared: a wall-clock outcome made repeatable."""
+
+    name = "flaky"
+
+    def __init__(self):
+        self.failing = True
+
+    def solve(self, model):
+        if self.failing:
+            return SolveResult(status=SolveStatus.ERROR)
+        return ScipySolver().solve(model)
 
 
 @pytest.fixture

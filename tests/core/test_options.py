@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from repro.core import DEFAULT_FOOTPRINT_SLACK, MerlinCompiler, ProvisionOptions
+from repro.errors import MerlinError
 from repro.fabric import SolveFabric
 from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.scipy_backend import ScipySolver
@@ -57,6 +58,33 @@ class TestProvisionOptions:
     def test_unknown_backend_name_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown solver backend"):
             ProvisionOptions(solver="simplex2000")
+
+    @pytest.mark.parametrize("name", ["auto", "highs"])
+    def test_deleted_backend_names_are_unknown(self, name):
+        with pytest.raises(ValueError, match="backends: scipy, bnb, heuristic"):
+            ProvisionOptions(solver=name)
+
+    @pytest.mark.parametrize("name", ["scipy", "heuristic"])
+    def test_node_limit_a_backend_cannot_honour_is_refused_not_dropped(self, name):
+        """Only branch-and-bound can bound its search by node count, and a
+        limit that would be discarded without a word is worse than none."""
+        with pytest.raises(MerlinError, match='solver="bnb"'):
+            ProvisionOptions(solver=name, node_limit=1)
+
+    @pytest.mark.parametrize("solver", [42, object()])
+    def test_solver_that_is_no_backend_rejected_at_construction(self, solver):
+        """Not a name and nothing with a ``solve`` method to call: refused
+        here, not by an ``AttributeError`` in the middle of the first solve."""
+        with pytest.raises((MerlinError, ValueError), match="scipy, bnb, heuristic"):
+            ProvisionOptions(solver=solver)
+
+    def test_third_party_instance_is_accepted(self):
+        class Mine:
+            def solve(self, model):
+                raise NotImplementedError
+
+        mine = Mine()
+        assert ProvisionOptions(solver=mine, node_limit=3).backend() is mine
 
 
 class TestCompilerShim:

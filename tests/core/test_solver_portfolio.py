@@ -1,12 +1,12 @@
-"""End-to-end backend selection: string names, `auto` determinism, heuristic.
+"""End-to-end backend selection: string names, the default rule, heuristic.
 
 The backend layer's contract at the compiler/service level:
 
-* every entry point that accepts a solver instance accepts a registry name
+* every entry point that accepts a solver instance accepts a backend name
   (``provision()`` via :class:`ProvisionOptions`, ``recompile()``,
   ``ControlPlane.submit()``);
-* ``auto`` picks are deterministic — identical allocation and identical
-  per-component winner across repeated runs *and* worker counts;
+* leaving ``solver`` unset is the same as naming the default backend:
+  ``"scipy"``, or ``"bnb"`` under a node limit;
 * the ``heuristic`` backend's allocation is feasible and its bottleneck
   utilisation is within a stated bound of the exact optimum;
 * the chosen backend names surface per component in
@@ -21,9 +21,8 @@ import pytest
 from repro.core import MerlinCompiler, ProvisionOptions
 from repro.core.ast import Statement
 from repro.experiments.reprovisioning import pod_tenant_scenario
-from repro.fabric import SolveFabric
 from repro.incremental import DeltaStatement, PolicyDelta
-from repro.lp import registered_backends
+from repro.lp import BACKENDS, ScipySolver
 from repro.predicates.ast import FieldTest, pred_and
 from repro.regex.parser import parse_path_expression
 from repro.service import ControlPlane
@@ -76,19 +75,17 @@ def _allocation(result):
 
 
 class TestStringBackendsEndToEnd:
-    @pytest.mark.parametrize("name", ["scipy", "bnb", "heuristic", "auto"])
+    @pytest.mark.parametrize("name", BACKENDS)
     def test_provision_with_each_registered_name(self, name):
         result = _fig2_compiler(name).compile(FIG2_SOURCE)
         assert result.max_link_utilization() <= 1.0 + 1e-6
         assert set(result.paths) == {"x", "z"}
         backends = result.statistics.component_backends
         assert backends, "per-component backend names must be recorded"
-        assert all(backend in registered_backends() for backend in backends)
-        if name != "auto":
-            assert set(backends) == {name}
+        assert set(backends) == {name}
 
     def test_recompile_threads_the_backend_through(self):
-        compiler = _fig2_compiler("auto")
+        compiler = _fig2_compiler("bnb")
         compiler.compile(FIG2_SOURCE)
         statement = Statement(
             "w",
@@ -106,9 +103,7 @@ class TestStringBackendsEndToEnd:
         )
         result = compiler.recompile(delta)
         assert "w" in result.paths
-        backends = result.statistics.component_backends
-        assert backends
-        assert all(backend in registered_backends() for backend in backends)
+        assert set(result.statistics.component_backends) == {"bnb"}
 
     def test_control_plane_submit_records_backends(self):
         async def run():
@@ -121,7 +116,7 @@ class TestStringBackendsEndToEnd:
                 overlap="trust",
                 add_catch_all=False,
                 generate_code=False,
-                options=ProvisionOptions(solver="auto"),
+                options=ProvisionOptions(solver="bnb"),
             )
             statement = Statement(
                 "w",
@@ -152,29 +147,33 @@ class TestStringBackendsEndToEnd:
 
         state = asyncio.run(run())
         assert state.last_batch is not None
-        backends = state.last_batch.backends
-        assert backends
-        assert all(backend in registered_backends() for backend in backends)
+        assert set(state.last_batch.backends) == {"bnb"}
 
 
-class TestAutoDeterminism:
-    def test_identical_picks_across_runs_and_worker_counts(self):
+class TestTheDefaultIsANamedBackend:
+    def test_unset_scipy_and_an_instance_are_the_same_solve(self):
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
-        results = []
-        with SolveFabric(max_workers=2) as pool:
-            for fabric in (None, None, pool):
-                compiled = _pod_compiler(
-                    scenario, "auto", fabric=fabric
-                ).compile(scenario.policy)
-                results.append(compiled)
+        results = [
+            _pod_compiler(scenario, solver).compile(scenario.policy)
+            for solver in (None, "scipy", ScipySolver())
+        ]
         baseline = results[0]
         assert len(baseline.statistics.component_backends) >= 2
+        assert set(baseline.statistics.component_backends) == {"scipy"}
         for other in results[1:]:
             assert _allocation(other) == _allocation(baseline)
             assert (
                 other.statistics.component_backends
                 == baseline.statistics.component_backends
             )
+
+    def test_a_node_limit_alone_means_branch_and_bound(self):
+        scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
+        result = _pod_compiler(scenario, None, node_limit=50_000).compile(
+            scenario.policy
+        )
+        assert set(result.statistics.component_backends) == {"bnb"}
+        assert result.statistics.solver_status == "optimal"
 
 
 class TestHeuristicAgainstExactOracle:

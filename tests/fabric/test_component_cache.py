@@ -14,8 +14,13 @@ import pytest
 from repro.core.ast import BandwidthTerm, FMin, Policy, Statement, formula_and
 from repro.core.compiler import MerlinCompiler
 from repro.core.options import ProvisionOptions
+from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import pod_tenant_scenario
 from repro.fabric import ComponentSolutionCache
+from repro.telemetry import Telemetry
+from repro.topology.generators import figure2_example
+from repro.units import Bandwidth
+from tests.conftest import FlakyBackend
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +125,63 @@ class TestDistinctContentMisses:
         _compile(other, cache)
         assert cache.hits == 0
         assert cache.misses == 2 * len(scenario.policy.statements)
+
+
+class TestOnlyProofsAreStored:
+    def test_a_solve_that_found_nothing_is_not_cached_as_infeasible(self, scenario):
+        """What the wall clock decided in one run must not answer the next:
+        ``ERROR`` widens within the call, then fails it, and leaves nothing
+        behind for a compiler sharing the cache to be served."""
+        cache = ComponentSolutionCache()
+        backend = FlakyBackend()
+        with pytest.raises(ProvisioningError) as raised:
+            _compile(scenario, cache, solver=backend)
+        message = str(raised.value)
+        assert "no solution found (solver status: error)" in message
+        assert "cannot be satisfied" not in message
+        assert len(cache) == 0 and cache.stores == 0
+        assert cache.bypasses > 0
+
+        backend.failing = False
+        recovered = _compile(scenario, cache, solver=backend)
+        assert cache.hits == 0
+        assert cache.stores == len(scenario.policy.statements)
+        assert _paths(recovered) == _paths(_compile(scenario, None))
+
+    def test_a_proven_infeasibility_is_cached_and_skips_the_rung(self):
+        """Two 600 Mbps statements over one 1 Gbps link: infeasible at every
+        rung, proven each time, so a second compiler sharing the cache
+        fails the same way without a single solve."""
+        topology = figure2_example(capacity=Bandwidth.gbps(1))
+        source = """
+        [ x : (eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02
+               and tcp.dst = 80) -> .* ;
+          y : (eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02
+               and tcp.dst = 81) -> .* ],
+        min(x, 600Mbps) and min(y, 600Mbps)
+        """
+        cache = ComponentSolutionCache()
+
+        def attempt():
+            compiler = MerlinCompiler(
+                topology=topology,
+                overlap="trust",
+                add_catch_all=False,
+                generate_code=False,
+                options=ProvisionOptions(component_cache=cache),
+            )
+            recording = Telemetry.recording()
+            with recording.use(), pytest.raises(
+                ProvisioningError, match="cannot be satisfied"
+            ):
+                compiler.compile(source)
+            return recording.snapshot().counter_total("solver_calls")
+
+        assert attempt() >= 1
+        rungs = cache.stores
+        assert rungs >= 1 and cache.bypasses == 0
+        assert attempt() == 0
+        assert cache.hits == rungs and cache.stores == rungs
 
 
 class TestSpill:

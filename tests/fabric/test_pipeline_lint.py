@@ -21,7 +21,10 @@ them, so a second tokeniser or a private parser class is a second
 definition of the language delegation verifies against.  And the options
 that had one value in use (speculative duplicates, respawn count, backend
 layout, widening and warm-start switches, a plane-owned fabric, the
-journal's list helpers) stay constants or stay gone.
+journal's list helpers) stay constants or stay gone.  So do the backend
+nobody here can import, the portfolio whose first candidate always won,
+the registry nobody registered with and the capability flags nobody read:
+a backend is one of ``repro.lp.BACKENDS`` or an instance.
 
 ``make lint-pipeline`` runs this file.
 """
@@ -141,3 +144,20 @@ def test_options_nobody_set_stay_constants():
         "fabric",
         "component_cache",
     ], "ProvisionOptions grew a field (widening and warm starts are not options)"
+
+
+def test_three_backends_picked_from_a_table():
+    banned = re.compile(
+        r"AutoSolver|HighsSolver|highs_available|highspy|register_backend"
+        r"|_REGISTRY|BackendCapabilities|supports_time_limit"
+        r"|supports_node_limit|solver_consumes_warm_starts"
+        r"|warm_start_ignored|portfolio_wins"
+    )
+    offenders = _files_mentioning(banned)
+    assert not offenders, (
+        "a deleted backend, registry or capability flag is back (choose by a "
+        "branch in resolve_backend; a limit is honoured or refused; a start "
+        "goes only to a backend declaring consumes_warm_starts): %s"
+        % ", ".join(offenders)
+    )
+    assert not (SRC / "lp" / "highs_backend.py").exists()

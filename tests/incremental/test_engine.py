@@ -12,11 +12,13 @@ from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import pod_tenant_scenario
 from repro.fabric import SolveFabric
 from repro.incremental import IncrementalProvisioner
-from repro.incremental.solve import topology_capacities_mbps
+from repro.incremental.solve import INFEASIBLE_COMPONENT, topology_capacities_mbps
 from repro.lp import BranchAndBoundSolver
+from repro.telemetry import Telemetry
 from repro.topology.generators import figure2_example
 from repro.topology.graph import Topology
 from repro.units import Bandwidth
+from tests.conftest import FlakyBackend
 
 SOURCE = """
 [ x : (eth.src = 00:00:00:00:00:01 and
@@ -256,6 +258,34 @@ class TestCachingAndPartitions:
         )
         engine.set_topology(scenario.topology.without(links=[unused]))
         assert engine.resolve().solve_statistics["partitions_dirty"] == 0.0
+
+
+class TestOnlyProofsAreMemoized:
+    def test_a_solve_that_found_nothing_is_retried_by_the_next_resolve(self):
+        """``ERROR`` says nothing about feasibility, so the memo keeps no
+        infeasible marker for it: the next resolve on the same engine
+        solves again instead of failing from memory."""
+        topology, policy, rates, logical = _figure2_inputs()
+        backend = FlakyBackend()
+        engine = _engine(
+            topology, policy, rates, logical, options=ProvisionOptions(solver=backend)
+        )
+        with pytest.raises(ProvisioningError) as raised:
+            engine.resolve()
+        assert "no solution found (solver status: error)" in str(raised.value)
+        assert "cannot be satisfied" not in str(raised.value)
+        assert INFEASIBLE_COMPONENT not in engine._memo.values()
+
+        backend.failing = False
+        recording = Telemetry.recording()
+        with recording.use():
+            result = engine.resolve()
+        counters = recording.snapshot()
+        assert counters.counter_total("component_cache_infeasible_hits") == 0
+        assert counters.counter_total("solver_calls") >= 1
+        assert _paths(result) == _paths(
+            _engine(topology, policy, rates, logical).resolve()
+        )
 
 
 class TestIncumbentHygiene:

@@ -1,10 +1,11 @@
-"""The solver-backend layer: protocol, registry, primal heuristic, portfolio."""
+"""The solver-backend layer: protocol, the three names, primal heuristic."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SolverError
 from repro.lp import (
-    AutoSolver,
+    BACKENDS,
     BranchAndBoundSolver,
     LinExpr,
     Model,
@@ -12,14 +13,13 @@ from repro.lp import (
     ScipySolver,
     SolverBackend,
     backend_name,
-    capabilities,
+    consumes_warm_starts,
     create_backend,
-    highs_available,
-    register_backend,
-    registered_backends,
     resolve_backend,
 )
 from repro.lp.result import SolveStatus
+from repro.topology.generators import fat_tree, figure2_example
+from repro.units import Bandwidth
 
 
 def _knapsack():
@@ -36,41 +36,54 @@ def _knapsack():
     return model
 
 
-def _provisioning_model():
-    """A real provisioning MIP (figure-2 topology, one guaranteed statement)."""
+def _provisioning_model(topology=None, demands=(("h1", "h2", 400),)):
+    """A real provisioning MIP: one guaranteed ``.*`` statement per
+    ``(source host, destination host, Mbps)`` demand, tightened at the
+    default slack as the solve loop would (figure-2 topology and one
+    50 MB/s statement by default)."""
     from repro.core.localization import localize
-    from repro.core.logical import build_logical_topology, infer_endpoints
+    from repro.core.logical import (
+        build_logical_topology,
+        infer_endpoints,
+        prune_to_cost_bound,
+    )
+    from repro.core.options import DEFAULT_FOOTPRINT_SLACK
     from repro.core.parser import parse_policy
     from repro.core.provisioning import build_provisioning_model
-    from repro.topology.generators import figure2_example
-    from repro.units import Bandwidth
 
-    topology = figure2_example(capacity=Bandwidth.gbps(2))
-    policy = parse_policy(
-        """
-        [ z : (eth.src = 00:00:00:00:00:01 and
-               eth.dst = 00:00:00:00:00:02) -> .* ],
-        min(z, 50MB/s)
-        """,
-        topology=topology,
+    if topology is None:
+        topology = figure2_example(capacity=Bandwidth.gbps(2))
+    statements = " ; ".join(
+        f"g{index} : (eth.src = {topology.node(source).mac} and "
+        f"eth.dst = {topology.node(destination).mac} and "
+        f"tcp.dst = {8000 + index}) -> .*"
+        for index, (source, destination, _mbps) in enumerate(demands)
     )
-    rates = localize(policy)
-    statement = policy.statements[0]
-    source, destination = infer_endpoints(statement, topology)
-    logical = {
-        "z": build_logical_topology(
-            statement, topology, {}, source=source, destination=destination
+    clauses = " and ".join(
+        f"min(g{index}, {Bandwidth.mbps(mbps).policy_literal()})"
+        for index, (_source, _destination, mbps) in enumerate(demands)
+    )
+    policy = parse_policy(f"[ {statements} ], {clauses}", topology=topology)
+    logical = {}
+    for statement in policy.statements:
+        source, destination = infer_endpoints(statement, topology)
+        logical[statement.identifier] = prune_to_cost_bound(
+            build_logical_topology(
+                statement, topology, {}, source=source, destination=destination
+            ),
+            DEFAULT_FOOTPRINT_SLACK,
         )
-    }
-    return build_provisioning_model([statement], logical, rates, topology)
+    return build_provisioning_model(
+        list(policy.statements), logical, localize(policy), topology
+    )
 
 
 class TestCapabilities:
     def test_registered_backends_declare_the_protocol(self):
-        for name in ("scipy", "bnb", "heuristic", "auto"):
+        for name in BACKENDS:
             backend = create_backend(name)
             assert isinstance(backend, SolverBackend)
-            assert capabilities(backend).name == name
+            assert backend.name == name
             assert backend_name(backend) == name
 
     def test_undeclared_capability_is_absent(self):
@@ -80,49 +93,43 @@ class TestCapabilities:
             def solve(self, model):
                 raise NotImplementedError
 
-        caps = capabilities(Mystery())
-        assert caps.name == "Mystery"
-        assert caps.consumes_warm_starts is False
-        assert caps.supports_time_limit is False
-        assert caps.supports_node_limit is False
+        assert backend_name(Mystery()) == "Mystery"
+        assert consumes_warm_starts(Mystery()) is False
 
     def test_none_reports_the_default_backend(self):
-        assert capabilities(None).name == "scipy"
-        assert capabilities(None).consumes_warm_starts is False
+        assert backend_name(None) == "scipy"
+        assert consumes_warm_starts(None) is False
+
+    def test_a_backend_without_start_plumbing_takes_no_start(self):
+        """Nothing above a backend hands a start to one that does not
+        declare it consumes them, so there is no parameter to drop one
+        quietly with: a direct call that tries is a ``TypeError``."""
+        assert consumes_warm_starts(ScipySolver()) is False
+        with pytest.raises(TypeError):
+            ScipySolver().solve(_knapsack(), warm_start={"x0": 1.0})
 
 
 class TestRegistry:
     def test_known_names(self):
-        assert set(registered_backends()) >= {
-            "scipy",
-            "bnb",
-            "highs",
-            "heuristic",
-            "auto",
-        }
+        assert BACKENDS == ("scipy", "bnb", "heuristic")
 
     def test_unknown_name_lists_alternatives(self):
-        with pytest.raises(SolverError, match="registered backends: .*scipy"):
+        with pytest.raises(SolverError, match="backends: scipy, bnb, heuristic"):
             create_backend("simplex2000")
-
-    def test_duplicate_registration_rejected_unless_replaced(self):
-        from repro.lp.backends import _REGISTRY
-
-        def factory(**kwargs):
-            return ScipySolver()
-
-        register_backend("test-dup", factory)
-        try:
-            with pytest.raises(SolverError, match="already registered"):
-                register_backend("test-dup", factory)
-            register_backend("test-dup", factory, replace=True)
-        finally:
-            _REGISTRY.pop("test-dup", None)
 
     def test_limits_reach_the_factory(self):
         backend = create_backend("bnb", time_limit_seconds=2.5, node_limit=99)
         assert backend.time_limit_seconds == 2.5
         assert backend.max_nodes == 99
+        for name in BACKENDS:
+            assert create_backend(name, time_limit_seconds=2.5).time_limit_seconds == 2.5
+
+    @pytest.mark.parametrize("name", ["scipy", "heuristic"])
+    def test_a_node_limit_is_refused_by_a_backend_that_cannot_bound_its_search(
+        self, name
+    ):
+        with pytest.raises(SolverError, match='solver="bnb"'):
+            create_backend(name, node_limit=1)
 
     def test_resolve_defaults_follow_the_limits(self):
         assert isinstance(resolve_backend(None), ScipySolver)
@@ -132,34 +139,62 @@ class TestRegistry:
         backend = BranchAndBoundSolver(max_nodes=7)
         assert resolve_backend(backend, node_limit=1000) is backend
 
-    def test_highs_unavailable_raises_clear_error(self):
-        if highs_available():
-            pytest.skip("highspy installed: the backend constructs fine")
-        with pytest.raises(SolverError, match="highspy"):
-            create_backend("highs")
 
-
-@pytest.mark.skipif(not highs_available(), reason="highspy is not installed")
-class TestHighsBackend:
-    def test_solves_knapsack(self):
-        result = create_backend("highs").solve(_knapsack())
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(20.0)
-
-    def test_consumes_warm_start(self):
-        model = _knapsack()
-        start = ScipySolver().solve(model).values_by_name()
-        result = create_backend("highs").solve(model, warm_start=start)
-        assert result.statistics["warm_start_used"] == 1.0
-        assert result.objective == pytest.approx(20.0)
-
-    def test_rejects_infeasible_start(self):
-        model = _knapsack()
-        result = create_backend("highs").solve(
-            model, warm_start={f"x{i}": 1.0 for i in range(4)}
+@st.composite
+def _demand_sets(draw):
+    """A topology and 1-4 guaranteed host-to-host demands on it."""
+    topology = draw(
+        st.sampled_from([figure2_example(capacity=Bandwidth.gbps(1)), fat_tree(4)])
+    )
+    hosts = topology.host_names()
+    demands = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(hosts),
+                st.sampled_from(hosts),
+                # Just past the 1 Gbps line rate: one demand can be
+                # infeasible alone, several sharing a link often are.
+                st.integers(min_value=1, max_value=41).map(lambda n: 25 * n),
+            ).filter(lambda demand: demand[0] != demand[1]),
+            min_size=1,
+            max_size=4,
         )
-        assert result.statistics["warm_start_rejected"] == 1.0
-        assert result.objective == pytest.approx(20.0)
+    )
+    return topology, demands
+
+
+class TestBackendsAgree:
+    """The three names against each other on generated provisioning models."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(drawn=_demand_sets())
+    def test_exact_backends_agree_and_the_heuristic_is_no_better(self, drawn):
+        topology, demands = drawn
+        model = _provisioning_model(topology, demands).model
+        resolution = model.objective_resolution
+        scipy, bnb, heuristic = (
+            create_backend(name).solve(model) for name in BACKENDS
+        )
+
+        assert scipy.status is bnb.status
+        assert scipy.status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
+        if scipy.status is SolveStatus.INFEASIBLE:
+            # A heuristic cannot prove infeasibility, only fail to find.
+            assert heuristic.status is SolveStatus.ERROR
+            return
+        assert abs(scipy.objective - bnb.objective) <= resolution
+
+        assert heuristic.status in (SolveStatus.FEASIBLE, SolveStatus.ERROR)
+        if heuristic.status is SolveStatus.FEASIBLE:
+            assert all(
+                constraint.satisfied(heuristic.values)
+                for constraint in model.constraints()
+            )
+            assert heuristic.objective == pytest.approx(
+                model.objective_value(heuristic.values)
+            )
+            best = min(scipy.objective, bnb.objective)
+            assert heuristic.objective >= best - resolution
 
 
 class TestPrimalHeuristic:
@@ -208,49 +243,3 @@ class TestPrimalHeuristic:
         # The start decodes to no usable path; greedy construction covers.
         assert result.statistics["warm_start_rejected"] == 1.0
         assert result.status is SolveStatus.FEASIBLE
-
-
-class TestAutoSolver:
-    def test_short_circuits_on_proven_optimum(self):
-        result = AutoSolver().solve(_knapsack())
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(20.0)
-        # scipy (first available candidate) proves optimality; no racing on.
-        assert result.statistics["backend"] == (
-            "highs" if highs_available() else "scipy"
-        )
-        assert result.statistics["auto_candidates"] == 1.0
-
-    def test_repeated_solves_pick_identically(self):
-        built = _provisioning_model()
-        outcomes = [AutoSolver().solve(built.model) for _ in range(3)]
-        picks = {outcome.statistics["backend"] for outcome in outcomes}
-        assert len(picks) == 1
-        baseline = outcomes[0].values_by_name()
-        for outcome in outcomes[1:]:
-            assert outcome.values_by_name() == baseline
-
-    def test_large_models_are_heuristic_seeded(self):
-        built = _provisioning_model()
-        assert built.model.num_integer_variables() > 0
-        driver = AutoSolver()
-        driver.seed_threshold = 0  # force the seeding path
-        result = driver.solve(built.model)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.statistics["auto_seeded"] == 1.0
-
-    def test_node_limit_restricts_candidates(self):
-        driver = AutoSolver(node_limit=50_000)
-        result = driver.solve(_knapsack())
-        # scipy cannot bound its search; only node-limit-capable backends run.
-        assert result.statistics["backend"] in ("highs", "bnb")
-        assert result.status is SolveStatus.OPTIMAL
-
-    def test_infeasible_model_short_circuits(self):
-        model = Model()
-        x = model.add_binary("x")
-        model.add_constraint(x.to_expr() >= 2.0)
-        model.minimize(x.to_expr())
-        result = AutoSolver().solve(model)
-        assert result.status is SolveStatus.INFEASIBLE
-        assert result.statistics["auto_candidates"] == 1.0

@@ -104,40 +104,6 @@ class TestWarmStart:
         )
         assert result.statistics["warm_start_rejected"] == 1.0
 
-    def test_scipy_backend_records_ignored_start(self):
-        model, _ = _knapsack()
-        result = ScipySolver().solve(model, warm_start={"x0": 1.0})
-        assert result.statistics["warm_start_ignored"] == 1.0
-        assert result.objective == pytest.approx(20.0)
-
-    def test_scipy_backend_warns_once_per_instance_about_ignored_start(self):
-        """A dropped MIP start is easy to miss in statistics alone: each
-        backend instance warns the first time (and only the first time) a
-        start is recorded-ignored.  The state is per-instance — not a
-        module global — so the outcome never depends on which test (or
-        solver) ran first.  Backends that consume starts stay silent."""
-        import warnings
-
-        model, _ = _knapsack()
-        solver = ScipySolver()
-        with pytest.warns(RuntimeWarning, match="NOT consumed"):
-            solver.solve(model, warm_start={"x0": 1.0})
-        # One-time per instance: the second ignored start is silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            solver.solve(model, warm_start={"x0": 1.0})
-        # A fresh instance has not warned yet — no cross-instance bleed.
-        with pytest.warns(RuntimeWarning, match="NOT consumed"):
-            ScipySolver().solve(model, warm_start={"x0": 1.0})
-
-        # A start-consuming subclass (highspy plumbing) is gated off.
-        class ConsumingScipy(ScipySolver):
-            consumes_warm_starts = True
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ConsumingScipy().solve(model, warm_start={"x0": 1.0})
-
     def test_warm_and_cold_solves_pick_identical_tiebreaker_optima(self):
         """The warm-start determinism fix: when the model declares its
         objective resolution (the tiebreaker epsilon) below the solver's
@@ -233,11 +199,12 @@ class TestWarmStart:
         one documented default for third-party backends: an undeclared
         capability is absent — declare ``consumes_warm_starts = True`` to
         receive starts."""
-        from repro.incremental.solve import solver_consumes_warm_starts
+        from repro.lp import PrimalHeuristicSolver, consumes_warm_starts
 
-        assert not solver_consumes_warm_starts(None)
-        assert not solver_consumes_warm_starts(ScipySolver())
-        assert solver_consumes_warm_starts(BranchAndBoundSolver())
+        assert not consumes_warm_starts(None)
+        assert not consumes_warm_starts(ScipySolver())
+        assert consumes_warm_starts(BranchAndBoundSolver())
+        assert consumes_warm_starts(PrimalHeuristicSolver())
 
         class UnknownBackend:  # third-party, declares nothing: no starts
             def solve(self, model):
@@ -246,8 +213,8 @@ class TestWarmStart:
         class DeclaringBackend(UnknownBackend):
             consumes_warm_starts = True
 
-        assert not solver_consumes_warm_starts(UnknownBackend())
-        assert solver_consumes_warm_starts(DeclaringBackend())
+        assert not consumes_warm_starts(UnknownBackend())
+        assert consumes_warm_starts(DeclaringBackend())
 
     def test_model_solve_gates_start_on_declared_capability(self):
         """``Model.solve`` consults the same capability flag (no more
@@ -264,6 +231,10 @@ class TestWarmStart:
         result = model.solve(ProbeBackend(), warm_start={"x0": 1.0})
         assert calls == {"warm_start": False}
         assert result.objective == pytest.approx(20.0)
+        # The scipy backend takes no start at all; the same gate covers it.
+        for solver in (None, ScipySolver()):
+            gated = model.solve(solver, warm_start={"x0": 1.0})
+            assert gated.objective == pytest.approx(20.0)
 
 
 class TestDangling:
