@@ -6,25 +6,22 @@ PYTEST := PYTHONPATH=src python -m pytest
 test:
 	$(PYTEST) -x -q
 
-# CI gate: tier-1 tests plus a byte-compile of the whole source tree
-# (catches syntax errors in modules the suite does not import), the
-# telemetry clock, process-pool, automaton and pipeline lints, the
-# disabled-overhead guard,
-# the seeded churn replay (zero session invalidations under failures),
-# and the checkpoint-scale guard (per-delta checkpoint cost stays
-# O(delta) between the 1k and 100k statement populations).
-check: lint-clock lint-pool lint-automaton lint-pipeline
+# CI gate: tier-1 plus a byte-compile of the whole source tree (catches
+# syntax errors in modules the suite does not import).  Tier-1 already
+# collects every lint file and every figure script under benchmarks/, so
+# each test runs exactly once here; the lint-* and bench-* targets below
+# run one of them alone.
+check:
 	$(PYTEST) -x -q
 	python -m compileall -q src
-	$(PYTEST) -q benchmarks/test_telemetry_overhead.py
-	$(PYTEST) -q benchmarks/test_churn.py benchmarks/test_checkpoint_scale.py
-	$(PYTEST) -q benchmarks/test_ablation_design_choices.py -k "portfolio"
 
 # The repo lints, each written once, as a pytest file (so tier-1 runs them
-# too): all timing flows through the injectable telemetry clock; the solve
-# fabric is the only process pool; every automaton comes out of the store
-# in repro/regex/operations.py; there is one way into the solver, one
-# grammar, and the machinery and options earlier PRs deleted stay deleted.
+# too): all timing flows through the injectable telemetry clock and nothing
+# under benchmarks/ or repro/experiments reads one or asserts on a
+# wall-clock reading; the solve fabric is the only process pool; every
+# automaton comes out of the store in repro/regex/operations.py; there is
+# one way into the solver, one grammar, and the machinery and options
+# earlier PRs deleted stay deleted.
 lint-clock:
 	$(PYTEST) -q tests/telemetry/test_clock_lint.py
 
@@ -37,8 +34,11 @@ lint-automaton:
 lint-pipeline:
 	$(PYTEST) -q tests/fabric/test_pipeline_lint.py
 
-# The full benchmark suite (set MERLIN_BENCH_SCALE=full for paper scale).
-# Every report block lands in .bench_out/results/<name>.txt (ignored by git).
+# Every figure script (set MERLIN_BENCH_SCALE=full for paper scale).  Each
+# asserts counts and structure; its latency columns are printed from the
+# program's own statistics and spans, never asserted (timing that judges
+# anything is bench-repo's).  Every report block lands in
+# .bench_out/results/<name>.txt (ignored by git).
 bench:
 	$(PYTEST) -q benchmarks
 
@@ -51,8 +51,9 @@ bench-repo:
 # Fast smoke: the smallest Figure 8 scaling point, one incremental
 # re-provisioning round trip, the footprint-tightening partition guard
 # (the pod-tenant workload plus one `.*` statement must keep >= one MIP
-# component per tenant), the seeded churn replay, and the telemetry
-# disabled-path overhead guard.
+# component per tenant), the seeded churn replay, the checkpoint-scale
+# journal counts, the backend ablation and the telemetry disabled-path
+# contract.
 bench-smoke:
 	$(PYTEST) -q benchmarks/test_fig8_scaling.py::test_fig8_smallest_point_smoke \
 		benchmarks/test_fig10b_reprovisioning.py::test_reprovision_smoke \
@@ -62,8 +63,9 @@ bench-smoke:
 		benchmarks/test_ablation_design_choices.py::test_ablation_portfolio \
 		benchmarks/test_telemetry_overhead.py
 
-# Figure 10b': incremental re-provisioning latency vs full recompiles
-# (writes .bench_out/results/fig10b_reprovisioning.txt).
+# Figure 10b': incremental re-provisioning vs full recompiles — a
+# d-statement delta makes d solver calls, the full compile one per
+# component (writes .bench_out/results/fig10b_reprovisioning.txt).
 bench-reprovision:
 	$(PYTEST) -q benchmarks/test_fig10b_reprovisioning.py
 
@@ -85,23 +87,26 @@ bench-portfolio:
 	$(PYTEST) -q benchmarks/test_ablation_design_choices.py -k "portfolio"
 
 # Checkpoint cost at scale: undo-journal marks vs legacy copying
-# snapshots at 1k vs 100k statements, plus a join/leave/renegotiation
-# stream sustained at the large population, one transaction per event
-# (writes .bench_out/results/checkpoint_scale.txt; pinned seed).
+# snapshots at 1k vs 100k statements — a mark journals nothing and a
+# transaction journals the same entries at both populations — plus a
+# join/leave/renegotiation stream sustained at the large population, one
+# transaction per event (writes .bench_out/results/checkpoint_scale.txt;
+# pinned seed).
 # MERLIN_BENCH_SCALE=full raises the large population to 250k.
 bench-checkpoint:
 	$(PYTEST) -q benchmarks/test_checkpoint_scale.py
 
-# Telemetry overhead guard: the disabled (default) recorder's per-span
-# cost, measured on the Figure-8 smoke point, must stay under 2% of the
-# compile wall time (writes .bench_out/results/telemetry_overhead.txt).
+# Telemetry overhead guard: a disabled (default) span is two clock reads
+# and a pooled object, and the Figure-8 smoke compile opens a pinned
+# number of them; the share of the compile's wall time is printed
+# (writes .bench_out/results/telemetry_overhead.txt).
 bench-telemetry:
 	$(PYTEST) -q benchmarks/test_telemetry_overhead.py
 
 # Solve-fabric guard: on the pod-tenant workload, a warm-cache re-sweep
-# must be >= 3x faster than the cold sweep with byte-identical
-# allocations (every component served from the content-addressed cache),
-# and reusing one persistent SolveFabric across calls must beat per-call
-# pool spin-up (writes .bench_out/results/fabric.txt).
+# makes zero solver calls with byte-identical allocations (every
+# component served from the content-addressed cache), and one persistent
+# SolveFabric spawns one pool for N batches where N throwaway fabrics
+# spawn N (writes .bench_out/results/fabric.txt and fabric_pool.txt).
 bench-fabric:
 	$(PYTEST) -q benchmarks/test_fabric.py

@@ -1,18 +1,17 @@
-"""Ablation benchmarks for design choices called out in DESIGN.md.
+"""Ablations of the repo's own design choices.
 
-Not part of the paper's evaluation, but they quantify the two substitutions
-and the path-selection design space:
+Not part of the paper's evaluation, but they characterise the two
+substitutions and the path-selection design space:
 
 * **Solver backends** — the SciPy/HiGHS MILP backend vs the pure-Python
   branch-and-bound backend on the same provisioning problem (both must find
-  the same optimum; HiGHS is expected to be faster).
+  the same optimum; both latencies are in the table, neither asserted).
 * **Path-selection heuristics** — the three objectives of Figure 3 on the
   dumbbell topology, characterising the trade-off each makes.
 """
 
 import pytest
 
-from repro.analysis.reporting import format_table
 from repro.core import MerlinCompiler, PathSelectionHeuristic, ProvisionOptions, compile_policy
 from repro.lp import BACKENDS, BranchAndBoundSolver, ScipySolver
 from repro.simulator.engine import FlowSimulator
@@ -20,6 +19,8 @@ from repro.simulator.flows import Flow
 from repro.simulator.network import SimulationNetwork
 from repro.topology.generators import dumbbell, fat_tree
 from repro.units import Bandwidth
+
+from conftest import format_table
 
 _FIG3_POLICY = """
 [ a : (eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02 and tcp.dst = 80) -> .* ;
@@ -68,8 +69,8 @@ def _run_solver_ablation():
     return rows
 
 
-def test_ablation_solver_backends(benchmark, report):
-    rows = benchmark.pedantic(_run_solver_ablation, rounds=1, iterations=1)
+def test_ablation_solver_backends(report):
+    rows = _run_solver_ablation()
     report(
         "ablation_solvers",
         format_table(rows, ["solver", "lp_solve_ms", "max_utilization", "paths"],
@@ -128,8 +129,8 @@ def _run_portfolio_ablation():
     return rows
 
 
-def test_ablation_portfolio(benchmark, report):
-    rows = benchmark.pedantic(_run_portfolio_ablation, rounds=1, iterations=1)
+def test_ablation_portfolio(report):
+    rows = _run_portfolio_ablation()
     report(
         "ablation_portfolio",
         format_table(rows, ["backend", "lp_solve_ms", "max_utilization"],
@@ -216,41 +217,19 @@ def _simulator_satisfies_guarantees(topology, result):
     )
 
 
-def _run_anytime_demo():
-    # Best-of-three for the heuristic so one unlucky scheduler slice does
-    # not mask its real latency in the table; the exact solve is timed once.
-    heuristic_seconds = float("inf")
-    for _ in range(3):
-        topology, heuristic = _compile_anytime("heuristic")
-        heuristic_seconds = min(
-            heuristic_seconds, heuristic.statistics.lp_solve_seconds
-        )
+def test_portfolio_anytime_heuristic_beats_exact_latency(report):
+    topology, heuristic = _compile_anytime("heuristic")
     _, exact = _compile_anytime(BranchAndBoundSolver())
-    exact_seconds = exact.statistics.lp_solve_seconds
-    return {
-        "topology": topology,
-        "heuristic": heuristic,
-        "exact": exact,
-        "heuristic_seconds": heuristic_seconds,
-        "exact_seconds": exact_seconds,
-    }
-
-
-def test_portfolio_anytime_heuristic_beats_exact_latency(benchmark, report):
-    outcome = benchmark.pedantic(_run_anytime_demo, rounds=1, iterations=1)
-    heuristic = outcome["heuristic"]
-    exact = outcome["exact"]
     rows = [
         {
-            "method": "heuristic",
-            "lp_solve_ms": outcome["heuristic_seconds"] * 1000.0,
-            "max_utilization": heuristic.max_link_utilization(),
-        },
-        {
-            "method": "exact (branch-and-bound)",
-            "lp_solve_ms": outcome["exact_seconds"] * 1000.0,
-            "max_utilization": exact.max_link_utilization(),
-        },
+            "method": method,
+            "lp_solve_ms": result.statistics.lp_solve_seconds * 1000.0,
+            "max_utilization": result.max_link_utilization(),
+        }
+        for method, result in (
+            ("heuristic", heuristic),
+            ("exact (branch-and-bound)", exact),
+        )
     ]
     report(
         "portfolio_anytime",
@@ -261,7 +240,7 @@ def test_portfolio_anytime_heuristic_beats_exact_latency(benchmark, report):
     # The heuristic's allocation is feasible and the fluid simulator
     # confirms every guarantee is actually delivered end to end.
     assert heuristic.max_link_utilization() <= 1.0 + 1e-6
-    assert _simulator_satisfies_guarantees(outcome["topology"], heuristic)
+    assert _simulator_satisfies_guarantees(topology, heuristic)
     # What separates the two backends and repeats exactly on any machine:
     # the heuristic returns an unproven incumbent without a single
     # branch-and-bound node, the exact solve proves optimality by search.
@@ -278,8 +257,8 @@ def test_portfolio_anytime_heuristic_beats_exact_latency(benchmark, report):
     )
 
 
-def test_ablation_path_selection_heuristics(benchmark, report):
-    rows = benchmark.pedantic(_run_heuristic_ablation, rounds=1, iterations=1)
+def test_ablation_path_selection_heuristics(report):
+    rows = _run_heuristic_ablation()
     report(
         "ablation_heuristics",
         format_table(rows, ["heuristic", "total_hops", "r_max", "R_max_mbps"],

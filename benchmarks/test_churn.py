@@ -37,8 +37,8 @@ def _run():
     return config, replay(scenario)
 
 
-def test_churn_replay(benchmark, report):
-    config, result = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_churn_replay(report):
+    config, result = _run()
     report(
         "churn_replay",
         f"scenario: fat-tree k={config.arity}, {config.events} events, "

@@ -1,35 +1,38 @@
-"""Solve-fabric guard: content-cache speedup and pool-reuse wins.
+"""Solve-fabric figure: what the content cache and the persistent pool save.
 
-Two contracts, both on the pod-tenant fat-tree workload (one bandwidth-
-guaranteed tenant per pod, link-disjoint MIP components):
+Two contracts, both stated as counts:
 
-* **Warm >= 3x cold.**  A re-sweep against a populated
-  :class:`~repro.fabric.ComponentSolutionCache` must run at least 3x
-  faster than the cold sweep — every component is served from the
-  content-addressed cache instead of building and solving its MIP — while
-  reproducing the cold sweep's allocations byte for byte.
+* **A warm sweep solves nothing.**  On the pod-tenant fat-tree workload
+  (one bandwidth-guaranteed tenant per pod, link-disjoint MIP components) a
+  re-sweep against a populated :class:`~repro.fabric.ComponentSolutionCache`
+  makes zero solver calls — every component the cold sweep stored is a hit —
+  and reproduces the cold sweep's allocations byte for byte.
+  (``tests/fabric/test_component_cache.py::TestHitsAndByteIdenticalAllocations``
+  makes the same check on renamed and permuted policies.)
 
-* **Persistent pool beats per-call spin-up.**  Reusing one
-  :class:`~repro.fabric.SolveFabric` across a series of multi-component
-  batches must be faster than creating and destroying a process pool per
-  batch (what ``solve_partition_models`` did before the fabric existed).
+* **A persistent pool is spawned once.**  One
+  :class:`~repro.fabric.SolveFabric` reused across N multi-component batches
+  spawns one process pool; N throwaway fabrics (what
+  ``solve_partition_models`` did before the fabric existed) spawn N.
+  (``tests/fabric/test_pool.py::TestPersistence`` pins the reuse itself.)
 
-``make check`` runs the tier-1 suite (which includes this file at quick
-scale); ``make bench-fabric`` runs it alone and writes
-``.bench_out/results/fabric.txt``.
+The latencies in the report come from each compile's
+``statistics.total_seconds`` and from one span around each batch loop; they
+are printed, not asserted.  ``make bench-fabric`` runs this file alone and
+writes ``.bench_out/results/fabric.txt``.
 """
-
-import time
 
 from conftest import is_full_scale
 
+from repro import telemetry
 from repro.core.compiler import MerlinCompiler
 from repro.core.options import ProvisionOptions
-from repro.experiments.reprovisioning import pod_tenant_scenario
+from repro.experiments.reprovisioning import (
+    counting_solver_calls,
+    pod_tenant_scenario,
+)
 from repro.fabric import ComponentSolutionCache, SolveFabric
-
-#: The warm-cache re-sweep must be at least this many times faster.
-WARM_SPEEDUP_FLOOR = 3.0
+from repro.scenarios import allocations_match
 
 _POOL_BATCHES = 4
 _POOL_PAYLOADS = 4
@@ -41,7 +44,8 @@ def _scenario():
     return pod_tenant_scenario(arity=4, pairs_per_pod=3)
 
 
-def _timed_compile(scenario, cache):
+def _compile_counting_solves(scenario, cache):
+    """Compile against ``cache``; the result and the solver calls it made."""
     compiler = MerlinCompiler(
         topology=scenario.topology,
         overlap="trust",
@@ -49,28 +53,18 @@ def _timed_compile(scenario, cache):
         generate_code=False,
         options=ProvisionOptions(component_cache=cache),
     )
-    started = time.perf_counter()
-    result = compiler.compile(scenario.policy)
-    return time.perf_counter() - started, result
+    return counting_solver_calls(lambda: compiler.compile(scenario.policy))
 
 
-def _reservations(result):
-    return {key: value.bps_value for key, value in result.link_reservations.items()}
-
-
-def test_warm_cache_sweep_is_3x_faster_and_byte_identical(report):
+def test_warm_cache_sweep_solves_nothing_and_is_byte_identical(report):
     scenario = _scenario()
     cache = ComponentSolutionCache()
-    cold_seconds, cold = _timed_compile(scenario, cache)
+    cold, cold_solves = _compile_counting_solves(scenario, cache)
     stores = cache.stores
-    warm_seconds, warm = _timed_compile(scenario, cache)
+    warm, warm_solves = _compile_counting_solves(scenario, cache)
 
-    assert stores > 0 and cache.hits == stores  # every component was served
-    assert _reservations(warm) == _reservations(cold)
-    assert {k: p.path for k, p in warm.paths.items()} == {
-        k: p.path for k, p in cold.paths.items()
-    }
-    speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
+    cold_ms = cold.statistics.total_seconds * 1000.0
+    warm_ms = warm.statistics.total_seconds * 1000.0
     report(
         "fabric",
         "\n".join(
@@ -78,64 +72,66 @@ def test_warm_cache_sweep_is_3x_faster_and_byte_identical(report):
                 f"workload: {scenario.topology.name}, "
                 f"{len(scenario.policy.statements)} guaranteed statements, "
                 f"{stores} MIP components",
-                f"cold sweep: {cold_seconds * 1000.0:.1f} ms "
-                f"({cache.misses} cache misses, {stores} stores)",
-                f"warm sweep: {warm_seconds * 1000.0:.1f} ms "
-                f"({cache.hits} cache hits, 0 solves)",
-                f"speedup: {speedup:.2f}x (floor {WARM_SPEEDUP_FLOOR}x)",
+                f"cold sweep: {cold_ms:.1f} ms "
+                f"({cache.misses} cache misses, {stores} stores, "
+                f"{cold_solves} solves)",
+                f"warm sweep: {warm_ms:.1f} ms "
+                f"({cache.hits} cache hits, {warm_solves} solves)",
+                f"speedup: {cold_ms / warm_ms:.2f}x",
                 "allocations: byte-identical",
             ]
         ),
     )
-    assert warm_seconds * WARM_SPEEDUP_FLOOR <= cold_seconds, (
-        f"warm-cache sweep only {speedup:.2f}x faster than cold "
-        f"(need >= {WARM_SPEEDUP_FLOOR}x): cold={cold_seconds:.4f}s "
-        f"warm={warm_seconds:.4f}s"
-    )
+    # The cold sweep solved and stored every component; the warm sweep was
+    # served every one of them and never reached a solver.
+    assert cold_solves == stores > 0
+    assert cache.hits == stores
+    assert warm_solves == 0
+    assert allocations_match(warm, cold, tolerance=0.0)
 
 
 def _fabric_task(payload):
     return payload + 1
 
 
-def test_persistent_pool_beats_per_call_spinup(report):
+def test_persistent_pool_spawns_once_for_every_batch(report):
     payloads = list(range(_POOL_PAYLOADS))
     expected = [payload + 1 for payload in payloads]
 
     persistent = SolveFabric(max_workers=2, task=_fabric_task)
     try:
-        assert persistent.solve(payloads) == expected  # spawn outside the clock
-        started = time.perf_counter()
-        for _ in range(_POOL_BATCHES):
-            assert persistent.solve(payloads) == expected
-        persistent_seconds = time.perf_counter() - started
-        assert persistent.spawned == 1
+        assert persistent.solve(payloads) == expected  # spawn outside the span
+        with telemetry.span("persistent_fabric") as span:
+            for _ in range(_POOL_BATCHES):
+                assert persistent.solve(payloads) == expected
+        persistent_ms = span.duration * 1000.0
+        persistent_spawns = persistent.spawned
     finally:
         persistent.shutdown()
 
-    started = time.perf_counter()
-    for _ in range(_POOL_BATCHES):
-        throwaway = SolveFabric(max_workers=2, task=_fabric_task)
-        try:
-            assert throwaway.solve(payloads) == expected
-        finally:
-            throwaway.shutdown()
-    spinup_seconds = time.perf_counter() - started
+    throwaway_spawns = 0
+    with telemetry.span("throwaway_fabrics") as span:
+        for _ in range(_POOL_BATCHES):
+            throwaway = SolveFabric(max_workers=2, task=_fabric_task)
+            try:
+                assert throwaway.solve(payloads) == expected
+            finally:
+                throwaway.shutdown()
+            throwaway_spawns += throwaway.spawned
+    spinup_ms = span.duration * 1000.0
 
     report(
         "fabric_pool",
         "\n".join(
             [
                 f"{_POOL_BATCHES} batches x {_POOL_PAYLOADS} payloads, 2 workers",
-                f"persistent fabric: {persistent_seconds * 1000.0:.1f} ms "
-                "(1 pool spawn total)",
-                f"per-call spin-up:  {spinup_seconds * 1000.0:.1f} ms "
-                f"({_POOL_BATCHES} pool spawns)",
-                f"reuse advantage: {spinup_seconds / persistent_seconds:.2f}x",
+                f"persistent fabric: {persistent_ms:.1f} ms "
+                f"({persistent_spawns} pool spawn total)",
+                f"per-call spin-up:  {spinup_ms:.1f} ms "
+                f"({throwaway_spawns} pool spawns)",
+                f"reuse advantage: {spinup_ms / persistent_ms:.2f}x",
             ]
         ),
     )
-    assert persistent_seconds < spinup_seconds, (
-        f"persistent fabric ({persistent_seconds:.4f}s) did not beat per-call "
-        f"spin-up ({spinup_seconds:.4f}s)"
-    )
+    assert persistent_spawns == 1
+    assert throwaway_spawns == _POOL_BATCHES

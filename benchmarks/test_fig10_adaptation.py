@@ -8,12 +8,13 @@ re-allocates when demands change.
 
 import pytest
 
-from repro.analysis.reporting import format_series
 from repro.experiments.adaptation import run_adaptation_experiment
 
+from conftest import format_series
 
-def test_fig10_adaptation(benchmark, report):
-    traces = benchmark.pedantic(run_adaptation_experiment, rounds=1, iterations=1)
+
+def test_fig10_adaptation(report):
+    traces = run_adaptation_experiment()
     aimd, mmfs = traces.aimd, traces.mmfs
     blocks = [
         format_series(
@@ -43,3 +44,15 @@ def test_fig10_adaptation(benchmark, report):
     assert mmfs.series("h1-h2")[15] == pytest.approx(225.0)
     assert mmfs.series("h3-h4")[15] == pytest.approx(225.0)
     assert mmfs.series("h3-h4")[-1] == pytest.approx(450.0)
+
+
+@pytest.mark.parametrize("points", [39, 70, 100])
+def test_format_series_keeps_to_max_points(points):
+    """"At most ``max_points``" rows, first and last sample included (the
+    old stride gave 39, 24 and 21 rows for these sizes)."""
+    xs = list(range(points))
+    lines = format_series(xs, {"y": xs}, max_points=20).splitlines()
+    rows = [int(line.split()[0]) for line in lines[2:]]  # header, rule, rows
+    assert len(rows) == 20
+    assert rows[0] == 0 and rows[-1] == points - 1
+    assert rows == sorted(set(rows))

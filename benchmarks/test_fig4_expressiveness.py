@@ -6,12 +6,9 @@ thousands of low-level instructions; only the bandwidth-bearing policies emit
 largest.
 """
 
-import pytest
-
-from repro.analysis.reporting import format_table
 from repro.experiments.expressiveness import run_expressiveness_experiment
 
-from conftest import is_full_scale
+from conftest import format_table, is_full_scale
 
 
 def _run():
@@ -19,25 +16,25 @@ def _run():
     return run_expressiveness_experiment(subnets=subnets, guarantee_fraction=0.10)
 
 
-def test_fig4_expressiveness(benchmark, report):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_fig4_expressiveness(report):
+    rows = _run()
     table = format_table(
-        [row.as_dict() for row in rows],
+        rows,
         ["policy", "merlin_loc", "openflow", "tc", "queues", "click", "total"],
         title="Figure 4: instruction counts per policy (Stanford-like campus)",
     )
     report("fig4_expressiveness", table)
 
-    by_name = {row.policy: row for row in rows}
+    by_name = {row["policy"]: row for row in rows}
     # Only bandwidth-bearing policies configure queues and tc.
-    assert by_name["baseline"].queues == 0 and by_name["baseline"].tc == 0
-    assert by_name["bandwidth"].queues > 0 and by_name["bandwidth"].tc > 0
-    assert by_name["combination"].queues > 0
+    assert by_name["baseline"]["queues"] == 0 and by_name["baseline"]["tc"] == 0
+    assert by_name["bandwidth"]["queues"] > 0 and by_name["bandwidth"]["tc"] > 0
+    assert by_name["combination"]["queues"] > 0
     # Middlebox policies emit Click configurations; the baseline does not.
-    assert by_name["firewall"].click > 0
-    assert by_name["monitoring"].click > 0
+    assert by_name["firewall"]["click"] > 0
+    assert by_name["monitoring"]["click"] > 0
     # Every policy expands a handful of Merlin lines into far more instructions.
     for row in rows:
-        assert row.total > 10 * row.merlin_loc
+        assert row["total"] > 10 * row["merlin_loc"]
     # The combination policy is the largest, as in the paper.
-    assert by_name["combination"].total == max(row.total for row in rows)
+    assert by_name["combination"]["total"] == max(row["total"] for row in rows)

@@ -9,12 +9,12 @@ conservation, Figure 5b).
 
 import pytest
 
-from repro.analysis.reporting import format_table
 from repro.core import compile_policy
 from repro.simulator import SimulationNetwork
 from repro.simulator.apps import RingPaxosExperiment, RingPaxosService
 from repro.topology.generators import single_switch
-from repro.units import Bandwidth
+
+from conftest import format_table
 
 CLIENT_COUNTS = [0, 10, 20, 40, 60, 80, 100, 120]
 
@@ -41,10 +41,8 @@ def _run():
     return without_merlin, with_merlin, work_conserving
 
 
-def test_fig5_ring_paxos(benchmark, report):
-    without_merlin, with_merlin, work_conserving = benchmark.pedantic(
-        _run, rounds=1, iterations=1
-    )
+def test_fig5_ring_paxos(report):
+    without_merlin, with_merlin, work_conserving = _run()
     table_a = format_table(
         without_merlin, ["clients", "ring1", "ring2", "aggregate"],
         title="Figure 5(a): throughput (Mbps) without Merlin",

@@ -4,28 +4,27 @@ Paper observation: the rateless (best-effort) solution time stays small and
 grows slowly, while LP construction and LP solution times grow quickly with
 the number of guaranteed traffic classes; guarantees for hundreds of classes
 on a 125-switch network solve in seconds, the largest configurations in
-minutes to hours.
+minutes to hours.  The growth is asserted on the size of the MIP the solver
+is handed; the three latency columns are the compiler's own statistics,
+printed and not asserted.
 """
 
-import pytest
+from repro.experiments.scaling import measure_compilation
+from repro.topology.generators import fat_tree
 
-from repro.analysis.reporting import format_table
-from repro.experiments.scaling import figure7_table
-
-from conftest import is_full_scale
+from conftest import format_table, is_full_scale
 
 
 def _run():
-    if is_full_scale():
-        return figure7_table(arities=(4, 6, 8), guarantee_fraction=0.05)
-    # Quick mode: cap the number of traffic classes so the MIP stays small.
-    return figure7_table(arities=(4, 6), guarantee_fraction=0.05, max_classes=600)
+    # Quick mode caps the number of traffic classes so the MIP stays small.
+    arities, max_classes = ((4, 6, 8), None) if is_full_scale() else ((4, 6), 600)
+    return [measure_compilation(fat_tree(arity), 0.05, max_classes) for arity in arities]
 
 
-def test_fig7_fat_tree_table(benchmark, report):
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_fig7_fat_tree_table(report):
+    rows = _run()
     table = format_table(
-        [row.as_dict() for row in rows],
+        rows,
         [
             "traffic_classes",
             "hosts",
@@ -34,14 +33,19 @@ def test_fig7_fat_tree_table(benchmark, report):
             "lp_construction_ms",
             "lp_solve_ms",
             "rateless_ms",
+            "mip_variables",
+            "mip_constraints",
         ],
         title="Figure 7: fat-tree provisioning times (5% guaranteed classes)",
     )
     report("fig7_fattree_table", table)
 
-    # Shape: larger fat trees have more classes and more expensive LP phases,
-    # while the rateless path stays comparatively cheap.
-    assert rows[-1].traffic_classes > rows[0].traffic_classes
-    assert rows[-1].lp_solve_ms >= rows[0].lp_solve_ms * 0.5
-    for row in rows:
-        assert row.rateless_ms < row.lp_construction_ms + row.lp_solve_ms
+    # Shape: larger fat trees have more classes and guarantee more of them,
+    # every point is solved to optimality, and the MIP behind the two LP
+    # columns grows strictly with the arity.
+    assert all(row["solver_status"] == "optimal" for row in rows)
+    for smaller, larger in zip(rows, rows[1:]):
+        assert larger["traffic_classes"] > smaller["traffic_classes"]
+        assert larger["guaranteed"] > smaller["guaranteed"] > 0
+        assert larger["mip_variables"] > smaller["mip_variables"] > 0
+        assert larger["mip_constraints"] > smaller["mip_constraints"] > 0

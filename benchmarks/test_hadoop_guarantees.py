@@ -7,15 +7,14 @@ simulator; the shape to reproduce is interference slowing the job by >10%
 and the guarantee recovering most of the loss.
 """
 
-import pytest
-
-from repro.analysis.reporting import format_table
 from repro.core import compile_policy
 from repro.simulator import SimulationNetwork
 from repro.simulator.apps import HadoopJob
 from repro.simulator.apps.hadoop import udp_interference
 from repro.topology.generators import single_switch
 from repro.units import Bandwidth
+
+from conftest import format_table
 
 WORKERS = ["h1", "h2", "h3", "h4"]
 INTERFERERS = [("h5", "h1"), ("h6", "h2")]
@@ -58,8 +57,8 @@ def _run():
     return baseline, interfered, guaranteed
 
 
-def test_hadoop_guarantees(benchmark, report):
-    baseline, interfered, guaranteed = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_hadoop_guarantees(report):
+    baseline, interfered, guaranteed = _run()
     rows = [
         {"configuration": "baseline (exclusive)", "paper_s": 466.0,
          "measured_s": baseline.completion_seconds,

@@ -3,94 +3,77 @@
 The repo's hot paths (compile, partitioned solve, branch-and-bound) are
 permanently instrumented; the contract that makes this acceptable is that
 the *disabled* path (no recorder, no metrics — the default bundle) costs
-two clock reads and zero allocations per span.  This benchmark pins that
-contract to the Figure-8 smoke point: the measured per-span cost times
-the number of spans a traced run of that compile actually opens must stay
-under 2% of the compile's wall time.  ``make check`` runs this via
-``make bench-telemetry``.
+two clock reads and zero allocations per span.  This script counts exactly
+that — reads of an injected counting clock, and the identity of the pooled
+span object — and pins how many spans the Figure-8 smoke compile opens, so
+neither the per-span cost nor the span count can grow unnoticed.  The
+resulting share of the compile's wall time is printed (the compile's own
+``statistics.total_seconds`` against one span around a probe loop), not
+asserted.  ``make bench-telemetry`` runs this file alone.
 """
 
-import time
-
 from repro import telemetry
-from repro.core.compiler import MerlinCompiler
-from repro.experiments.policy_builders import all_pairs_policy
+from repro.experiments.scaling import compile_all_pairs
 from repro.telemetry import Telemetry
 from repro.topology.generators import fat_tree
 
-#: Disabled instrumentation may cost at most this fraction of the smoke
-#: point's compile time.
-OVERHEAD_BUDGET = 0.02
+#: Spans one traced Figure-8 smoke compile opens; a new instrumentation
+#: site on the compile path changes this number and has to say so here.
+SMOKE_COMPILE_SPANS = 14
 
 _SPAN_PROBES = 20_000
 
 
 def _smoke_compile():
     """The Figure-8 smallest point: fat tree k=4, 5% guaranteed classes."""
-    topology = fat_tree(4)
-    policy = all_pairs_policy(
-        topology, guarantee_fraction=0.05, max_classes=60, seed=0
-    )
-    compiler = MerlinCompiler(
-        topology=topology,
-        overlap="trust",
-        add_catch_all=False,
-        generate_code=False,
-    )
-    return compiler.compile(policy)
+    return compile_all_pairs(fat_tree(4), guarantee_fraction=0.05, max_classes=60)
 
 
-def _baseline_seconds(rounds=3):
-    """Best-of-N wall time of the smoke compile with telemetry disabled."""
-    best = float("inf")
-    for _ in range(rounds):
-        started = time.perf_counter()
-        _smoke_compile()
-        best = min(best, time.perf_counter() - started)
-    return best
+class _CountingClock:
+    """An injectable clock whose reading is the number of times it was read."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __call__(self):
+        self.reads += 1
+        return float(self.reads)
 
 
-def _disabled_span_seconds():
-    """Measured per-span cost of the disabled (pooled, recorder-less) path."""
-    span = telemetry.span  # the ambient helper instrumentation sites use
-    started = time.perf_counter()
-    for _ in range(_SPAN_PROBES):
-        with span("overhead_probe"):
+def test_disabled_span_is_two_clock_reads_and_no_allocation(report):
+    clock = _CountingClock()
+    with Telemetry(clock=clock).use():  # no recorder, no metrics: disabled
+        with telemetry.span("overhead_probe") as first:
             pass
-    return (time.perf_counter() - started) / _SPAN_PROBES
+        reads_before = clock.reads
+        with telemetry.span("overhead_probe") as second:
+            pass
+    assert clock.reads - reads_before == 2
+    assert second is first  # recycled through the pool, not allocated
 
-
-def _spans_per_smoke_compile():
-    """How many spans one traced smoke compile actually opens."""
     bundle = Telemetry.recording()
     with bundle.use():
         _smoke_compile()
-    return len(bundle.recorder.spans)
+    num_spans = len(bundle.recorder.spans)
+    assert num_spans == SMOKE_COMPILE_SPANS
 
-
-def test_disabled_telemetry_overhead_within_budget(report):
-    _smoke_compile()  # warm caches and imports off the clock
-    baseline = _baseline_seconds()
-    per_span = _disabled_span_seconds()
-    num_spans = _spans_per_smoke_compile()
+    baseline = _smoke_compile().statistics.total_seconds
+    with telemetry.span("overhead_probes") as probes:
+        for _ in range(_SPAN_PROBES):
+            with telemetry.span("overhead_probe"):
+                pass
+    per_span = probes.duration / _SPAN_PROBES
     overhead = per_span * num_spans
-    fraction = overhead / baseline
     report(
         "telemetry_overhead",
         "\n".join(
             [
                 f"fig8 smoke baseline (disabled telemetry): {baseline * 1000.0:.2f}ms",
-                f"disabled span cost: {per_span * 1e9:.0f}ns over {_SPAN_PROBES} probes",
+                f"disabled span cost: {per_span * 1e9:.0f}ns over {_SPAN_PROBES} probes "
+                "(2 clock reads, 0 allocations)",
                 f"spans opened by one traced smoke compile: {num_spans}",
                 f"estimated disabled-path overhead: {overhead * 1e6:.1f}us "
-                f"({fraction * 100.0:.3f}% of baseline, budget "
-                f"{OVERHEAD_BUDGET * 100.0:.0f}%)",
+                f"({overhead / baseline * 100.0:.3f}% of baseline)",
             ]
         ),
-    )
-    assert num_spans > 0
-    assert fraction <= OVERHEAD_BUDGET, (
-        f"disabled telemetry costs {fraction * 100.0:.2f}% of the smoke "
-        f"compile ({overhead * 1e6:.1f}us of {baseline * 1000.0:.2f}ms); "
-        f"budget is {OVERHEAD_BUDGET * 100.0:.0f}%"
     )

@@ -144,23 +144,23 @@ class CompilationStatistics:
         )
 
     def as_row(self) -> Dict[str, object]:
-        """The statistics as a flat dictionary (used by benchmark reporting)."""
+        """The statistics as a flat dictionary: one row of a figure table."""
         return {
             "lp_construction_ms": self.lp_construction_seconds * 1000.0,
             "lp_solve_ms": self.lp_solve_seconds * 1000.0,
             "rateless_ms": self.rateless_seconds * 1000.0,
             "codegen_ms": self.codegen_seconds * 1000.0,
             "total_ms": self.total_seconds * 1000.0,
-            "statements": float(self.num_statements),
-            "guaranteed_statements": float(self.num_guaranteed_statements),
-            "mip_variables": float(self.num_mip_variables),
-            "mip_constraints": float(self.num_mip_constraints),
+            "statements": self.num_statements,
+            "guaranteed_statements": self.num_guaranteed_statements,
+            "mip_variables": self.num_mip_variables,
+            "mip_constraints": self.num_mip_constraints,
             "solver_status": self.solver_status,
             "mip_nodes": self.mip_nodes,
             "mip_gap": self.mip_gap if self.mip_gap is not None else "",
-            "partitions": float(self.num_partitions),
-            "dirty_partitions": float(self.dirty_partitions),
-            "slack_retries": float(self.slack_retries),
+            "partitions": self.num_partitions,
+            "dirty_partitions": self.dirty_partitions,
+            "slack_retries": self.slack_retries,
             "footprint_slack_used": (
                 self.footprint_slack_used
                 if self.footprint_slack_used is not None

@@ -4,14 +4,13 @@ For each of the five policies the driver compiles against the Stanford-like
 campus topology and reports the number of OpenFlow rules, ``tc`` commands,
 and queue configurations generated, next to the (paper-reported) number of
 Merlin source lines.  The absolute counts depend on the rule-encoding model
-(documented in DESIGN.md); the claim being reproduced is the *shape*: a
+of :mod:`repro.codegen`; the claim being reproduced is the *shape*: a
 handful of Merlin lines expands to hundreds or thousands of device-level
 instructions, and only bandwidth-bearing policies emit queues and ``tc``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.compiler import MerlinCompiler
@@ -28,37 +27,13 @@ from .policy_builders import (
 )
 
 
-@dataclass
-class ExpressivenessRow:
-    """One bar group of Figure 4."""
-
-    policy: str
-    merlin_loc: int
-    openflow: int
-    tc: int
-    queues: int
-    click: int
-    total: int
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "policy": self.policy,
-            "merlin_loc": self.merlin_loc,
-            "openflow": self.openflow,
-            "tc": self.tc,
-            "queues": self.queues,
-            "click": self.click,
-            "total": self.total,
-        }
-
-
 def run_expressiveness_experiment(
     subnets: int = 24,
     guarantee_fraction: float = 0.10,
     guarantee: Bandwidth = Bandwidth.mbps(1),
     policies: Optional[List[str]] = None,
-) -> List[ExpressivenessRow]:
-    """Compile the five Figure 4 policies and collect instruction counts."""
+) -> List[Dict[str, object]]:
+    """Compile the five Figure 4 policies; one row (bar group) per policy."""
     topology = stanford_with_middleboxes(subnets=subnets)
     builders = {
         "baseline": lambda: baseline_policy(topology),
@@ -78,20 +53,16 @@ def run_expressiveness_experiment(
         overlap="trust",
         add_catch_all=False,
     )
-    rows: List[ExpressivenessRow] = []
+    rows: List[Dict[str, object]] = []
     for name in selected:
         policy = builders[name]()
         result = compiler.compile(policy)
-        counts = result.instructions.counts()
         rows.append(
-            ExpressivenessRow(
-                policy=name,
-                merlin_loc=FIGURE4_POLICY_LOC[name],
-                openflow=counts["openflow"],
-                tc=counts["tc"],
-                queues=counts["queues"],
-                click=counts["click"],
-                total=result.instructions.total(),
-            )
+            {
+                "policy": name,
+                "merlin_loc": FIGURE4_POLICY_LOC[name],
+                **result.instructions.counts(),
+                "total": result.instructions.total(),
+            }
         )
     return rows

@@ -14,14 +14,17 @@ link-disjoint).  A delta of ``d`` statements — new guaranteed traffic in
   statements into the live session and re-solve only the ``d`` dirty pod
   components, re-using the other pods' cached solutions.
 
-Both produce identical paths and reservations (asserted per row); the
-interesting output is the latency ratio as a function of delta size.
+Both produce identical paths and reservations (asserted per row).  What
+the figure script asserts is the work each side did — MIP solver calls,
+counted by the ``solver_calls`` telemetry counter: ``d`` for the delta, one
+per component for the full compile — and what it prints beside them is each
+side's own ``statistics.total_seconds``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .. import telemetry
 from ..core.ast import (
@@ -32,10 +35,12 @@ from ..core.ast import (
     formula_and,
     formula_clauses,
 )
+from ..core.allocation import CompilationResult
 from ..core.compiler import MerlinCompiler
 from ..incremental.delta import DeltaStatement, PolicyDelta
 from ..predicates.ast import FieldTest, pred_and
 from ..regex.ast import Regex, Symbol, any_path, star, union
+from ..scenarios.driver import allocations_match
 from ..topology.generators import fat_tree
 from ..topology.graph import Topology
 from ..units import Bandwidth
@@ -49,34 +54,6 @@ class PodTenantScenario:
     policy: Policy
     pods: List[Dict[str, List[str]]]
     guarantee: Bandwidth
-
-
-@dataclass
-class ReprovisionRow:
-    """One row of the incremental-vs-full latency table."""
-
-    arity: int
-    statements: int
-    partitions: int
-    delta_size: int
-    dirty_partitions: int
-    full_ms: float
-    incremental_ms: float
-    speedup: float
-    identical: bool
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "arity": self.arity,
-            "statements": self.statements,
-            "partitions": self.partitions,
-            "delta_size": self.delta_size,
-            "dirty_partitions": self.dirty_partitions,
-            "full_ms": self.full_ms,
-            "incremental_ms": self.incremental_ms,
-            "speedup": self.speedup,
-            "identical": self.identical,
-        }
 
 
 def _fat_tree_pods(topology: Topology, arity: int) -> List[Dict[str, List[str]]]:
@@ -215,21 +192,6 @@ def _extended_policy(
     )
 
 
-def _same_allocations(left, right) -> bool:
-    if {k: p.path for k, p in left.paths.items()} != {
-        k: p.path for k, p in right.paths.items()
-    }:
-        return False
-    reservations_left = {k: v.bps_value for k, v in left.link_reservations.items()}
-    reservations_right = {k: v.bps_value for k, v in right.link_reservations.items()}
-    if set(reservations_left) != set(reservations_right):
-        return False
-    return all(
-        abs(reservations_left[key] - reservations_right[key]) <= 1e-6
-        for key in reservations_left
-    )
-
-
 def _compiler(topology: Topology) -> MerlinCompiler:
     return MerlinCompiler(
         topology=topology,
@@ -239,21 +201,31 @@ def _compiler(topology: Topology) -> MerlinCompiler:
     )
 
 
+def counting_solver_calls(
+    run: Callable[[], CompilationResult]
+) -> Tuple[CompilationResult, int]:
+    """``run()`` under a metrics-only bundle: its result and how many MIP
+    solves it made.  Spans stay on the disabled path, so the result's own
+    timing statistics are what they would be without the count."""
+    bundle = telemetry.Telemetry(metrics=telemetry.MetricsRegistry())
+    with bundle.use():
+        result = run()
+    return result, int(bundle.snapshot().counter_total("solver_calls"))
+
+
 def measure_reprovisioning(
     arity: int = 8,
     pairs_per_pod: int = 3,
     delta_sizes: Sequence[int] = (1, 2, 4),
     guarantee: Bandwidth = Bandwidth.mbps(50),
-    repeats: int = 3,
-) -> List[ReprovisionRow]:
-    """The Figure-10b' table: delta size vs incremental and full latency.
+) -> List[Dict[str, object]]:
+    """The Figure-10b' table: delta size vs incremental and full provisioning.
 
     For each delta size ``d`` the *same* extended policy is provisioned both
-    ways (``repeats`` times each; the row records each side's best time);
-    the incremental path reverts its delta between repeats — also
-    incrementally — so every measurement starts from the identical base
-    session.  The compile populated the session's engine, so delta
-    latencies do not include any one-time session setup.
+    ways; the incremental path then reverts its delta — also incrementally —
+    so every delta starts from the identical base session.  The compile
+    populated the session's engine, so a delta's statistics include no
+    one-time session setup.
     """
     scenario = pod_tenant_scenario(
         arity=arity, pairs_per_pod=pairs_per_pod, guarantee=guarantee
@@ -261,7 +233,7 @@ def measure_reprovisioning(
     incremental_compiler = _compiler(scenario.topology)
     base = incremental_compiler.compile(scenario.policy)
 
-    rows: List[ReprovisionRow] = []
+    rows: List[Dict[str, object]] = []
     for generation, delta_size in enumerate(delta_sizes):
         additions = _delta_statements(scenario, delta_size, generation)
         delta = PolicyDelta(
@@ -273,40 +245,33 @@ def measure_reprovisioning(
         revert = PolicyDelta(remove=tuple(s.identifier for s in additions))
         extended = _extended_policy(scenario, additions)
 
-        incremental_ms = float("inf")
-        full_ms = float("inf")
-        incremental = full = None
-        for _ in range(max(1, repeats)):
-            started = telemetry.clock()
-            incremental = incremental_compiler.recompile(delta)
-            incremental_ms = min(
-                incremental_ms, (telemetry.clock() - started) * 1000.0
-            )
+        incremental, incremental_calls = counting_solver_calls(
+            lambda: incremental_compiler.recompile(delta)
+        )
+        full, full_calls = counting_solver_calls(
+            lambda: _compiler(scenario.topology).compile(extended)
+        )
+        # Revert so the next delta size starts from the base policy again;
+        # exercises the removal path.
+        reverted = incremental_compiler.recompile(revert)
+        if not allocations_match(reverted, base):  # pragma: no cover
+            raise AssertionError("reverting a delta did not restore the base state")
 
-            fresh_compiler = _compiler(scenario.topology)
-            started = telemetry.clock()
-            full = fresh_compiler.compile(extended)
-            full_ms = min(full_ms, (telemetry.clock() - started) * 1000.0)
-
-            # Revert so the next repeat (and the next delta size) starts
-            # from the base policy again; exercises the removal path.
-            reverted = incremental_compiler.recompile(revert)
-            if not _same_allocations(reverted, base):  # pragma: no cover
-                raise AssertionError(
-                    "reverting a delta did not restore the base state"
-                )
-
+        full_ms = full.statistics.total_seconds * 1000.0
+        incremental_ms = incremental.statistics.total_seconds * 1000.0
         rows.append(
-            ReprovisionRow(
-                arity=arity,
-                statements=len(extended.statements),
-                partitions=incremental.statistics.num_partitions,
-                delta_size=delta_size,
-                dirty_partitions=incremental.statistics.dirty_partitions,
-                full_ms=full_ms,
-                incremental_ms=incremental_ms,
-                speedup=full_ms / incremental_ms if incremental_ms > 0 else float("inf"),
-                identical=_same_allocations(incremental, full),
-            )
+            {
+                "arity": arity,
+                "statements": len(extended.statements),
+                "partitions": incremental.statistics.num_partitions,
+                "delta_size": delta_size,
+                "dirty_partitions": incremental.statistics.dirty_partitions,
+                "solver_calls": incremental_calls,
+                "full_solver_calls": full_calls,
+                "full_ms": full_ms,
+                "incremental_ms": incremental_ms,
+                "speedup": full_ms / incremental_ms if incremental_ms > 0 else float("inf"),
+                "identical": allocations_match(incremental, full),
+            }
         )
     return rows

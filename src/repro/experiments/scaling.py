@@ -1,135 +1,69 @@
-"""Figures 7 and 8: compilation-time scaling on tree topologies.
+"""Figures 7 and 8: compilation scaling on tree topologies.
 
 The paper measures, for balanced trees and fat trees of increasing size,
 
-* the time to provide all-pairs connectivity with no guarantees (the
-  "rateless" path: sink trees), and
-* the time to provide connectivity when 5% of the traffic classes receive
-  bandwidth guarantees (LP construction plus LP solution time).
+* all-pairs connectivity with no guarantees (the "rateless" path: sink
+  trees), and
+* connectivity when 5% of the traffic classes receive bandwidth
+  guarantees (LP construction plus LP solution).
 
-Each measurement produces one row of the Figure 7 table: number of traffic
-classes, hosts, switches, LP construction time, LP solution time, and the
-rateless solution time.
-
-Construction and solve time are reported as separate columns
-(``lp_construction_ms`` vs ``lp_solve_ms``) because they scale differently:
-construction is a one-pass indexed assembly of the MIP (linear in the number
-of logical edges plus physical links), while solving is the NP-hard part
-delegated to the MIP backend.  ``mip_variables`` / ``mip_constraints`` record
-the model size so the benchmark tables show what the solver was given.
+Each point is one compile; its row is the topology's size beside the
+compiler's own ``CompilationStatistics.as_row()``.  Construction and solve
+time are separate columns (``lp_construction_ms`` vs ``lp_solve_ms``)
+because they scale differently: construction is a one-pass indexed assembly
+of the MIP (linear in the number of logical edges plus physical links),
+while solving is the NP-hard part delegated to the MIP backend.
+``mip_variables`` / ``mip_constraints`` record the model the solver was
+given — the quantity the figure scripts assert on, since it repeats exactly
+on any machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from ..core.allocation import CompilationResult
 from ..core.compiler import MerlinCompiler
-from ..core.options import ProvisionOptions
 from ..topology.generators import balanced_tree, fat_tree
 from ..topology.graph import Topology
-from ..units import Bandwidth
 from .policy_builders import all_pairs_policy
 
 
-@dataclass
-class ScalingRow:
-    """One row of the Figure 7 table (or one point of a Figure 8 curve)."""
-
-    topology: str
-    traffic_classes: int
-    hosts: int
-    switches: int
-    guaranteed_classes: int
-    lp_construction_ms: float
-    lp_solve_ms: float
-    rateless_ms: float
-    total_ms: float
-    mip_variables: int = 0
-    mip_constraints: int = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "topology": self.topology,
-            "traffic_classes": self.traffic_classes,
-            "hosts": self.hosts,
-            "switches": self.switches,
-            "guaranteed": self.guaranteed_classes,
-            "lp_construction_ms": self.lp_construction_ms,
-            "lp_solve_ms": self.lp_solve_ms,
-            "rateless_ms": self.rateless_ms,
-            "total_ms": self.total_ms,
-            "mip_variables": self.mip_variables,
-            "mip_constraints": self.mip_constraints,
-        }
-
-
-def measure_compilation(
+def compile_all_pairs(
     topology: Topology,
     guarantee_fraction: float = 0.0,
-    guarantee: Bandwidth = Bandwidth.mbps(1),
     max_classes: Optional[int] = None,
-    seed: int = 0,
-    options: Optional[ProvisionOptions] = None,
-) -> ScalingRow:
-    """Compile an all-pairs policy on ``topology`` and record the timing row.
-
-    ``options`` configures the provisioning layer — in particular a
-    :class:`~repro.fabric.SolveFabric` and/or
-    :class:`~repro.fabric.ComponentSolutionCache` shared across the points
-    of a scaling run, so fat trees full of structurally identical pods
-    solve each distinct component shape once.
-    """
+) -> CompilationResult:
+    """Compile an all-pairs policy on ``topology``, the first
+    ``max_classes`` classes of it, ``guarantee_fraction`` of them guaranteed."""
     policy = all_pairs_policy(
-        topology,
-        guarantee_fraction=guarantee_fraction,
-        guarantee=guarantee,
-        seed=seed,
-        max_classes=max_classes,
+        topology, guarantee_fraction=guarantee_fraction, max_classes=max_classes
     )
     compiler = MerlinCompiler(
         topology=topology,
         overlap="trust",
         add_catch_all=False,
         generate_code=False,
-        options=options,
     )
-    result = compiler.compile(policy)
-    statistics = result.statistics
-    return ScalingRow(
-        topology=topology.name,
-        traffic_classes=len(policy.statements),
-        hosts=topology.num_hosts(),
-        switches=topology.num_switches(),
-        guaranteed_classes=statistics.num_guaranteed_statements,
-        lp_construction_ms=statistics.lp_construction_seconds * 1000.0,
-        lp_solve_ms=statistics.lp_solve_seconds * 1000.0,
-        rateless_ms=statistics.rateless_seconds * 1000.0,
-        total_ms=statistics.total_seconds * 1000.0,
-        mip_variables=statistics.num_mip_variables,
-        mip_constraints=statistics.num_mip_constraints,
-    )
+    return compiler.compile(policy)
 
 
-def figure7_table(
-    arities: Sequence[int] = (4, 6),
-    guarantee_fraction: float = 0.05,
+def measure_compilation(
+    topology: Topology,
+    guarantee_fraction: float = 0.0,
     max_classes: Optional[int] = None,
-    options: Optional[ProvisionOptions] = None,
-) -> List[ScalingRow]:
-    """The Figure 7 table: fat trees with 5% of traffic classes guaranteed."""
-    rows = []
-    for arity in arities:
-        topology = fat_tree(arity)
-        rows.append(
-            measure_compilation(
-                topology,
-                guarantee_fraction=guarantee_fraction,
-                max_classes=max_classes,
-                options=options,
-            )
-        )
-    return rows
+) -> Dict[str, object]:
+    """One row of the Figure 7 table (or one point of a Figure 8 curve)."""
+    result = compile_all_pairs(topology, guarantee_fraction, max_classes)
+    statistics = result.statistics
+    return {
+        "topology": topology.name,
+        "traffic_classes": statistics.num_statements,
+        "hosts": topology.num_hosts(),
+        "switches": topology.num_switches(),
+        "guaranteed": statistics.num_guaranteed_statements,
+        **statistics.as_row(),
+    }
 
 
 def figure8_curves(
@@ -137,18 +71,15 @@ def figure8_curves(
     sizes: Sequence[int] = (4, 6),
     guarantee_fraction: float = 0.05,
     max_classes: Optional[int] = None,
-    options: Optional[ProvisionOptions] = None,
-) -> Dict[str, List[ScalingRow]]:
-    """The Figure 8 curves: best-effort vs 5%-guaranteed compilation times.
+) -> Dict[str, List[Dict[str, object]]]:
+    """The Figure 8 curves: best-effort vs 5%-guaranteed compilation.
 
     ``kind`` selects the topology family (``"fat-tree"`` or
     ``"balanced-tree"``); ``sizes`` are fat-tree arities or balanced-tree
     depths.  Returns two series keyed ``"best-effort"`` and ``"guaranteed"``.
-    ``options`` is shared across every point — hand it a component cache
-    to dedupe identical components along the curve.
     """
-    best_effort: List[ScalingRow] = []
-    guaranteed: List[ScalingRow] = []
+    best_effort: List[Dict[str, object]] = []
+    guaranteed: List[Dict[str, object]] = []
     for size in sizes:
         if kind == "fat-tree":
             topology = fat_tree(size)
@@ -156,20 +87,8 @@ def figure8_curves(
             topology = balanced_tree(depth=size, fanout=3, hosts_per_leaf=2)
         else:
             raise ValueError(f"unknown topology kind {kind!r}")
-        best_effort.append(
-            measure_compilation(
-                topology,
-                guarantee_fraction=0.0,
-                max_classes=max_classes,
-                options=options,
-            )
-        )
+        best_effort.append(measure_compilation(topology, 0.0, max_classes))
         guaranteed.append(
-            measure_compilation(
-                topology,
-                guarantee_fraction=guarantee_fraction,
-                max_classes=max_classes,
-                options=options,
-            )
+            measure_compilation(topology, guarantee_fraction, max_classes)
         )
     return {"best-effort": best_effort, "guaranteed": guaranteed}

@@ -1,7 +1,7 @@
 """Figure 9: negotiator verification scaling.
 
-Three sweeps, each measuring the time to verify a delegated policy against
-its parent while one dimension grows:
+Three sweeps, each verifying a delegated policy against its parent while
+one dimension grows:
 
 1. the number of (refined) predicates / statements,
 2. the complexity of the path regular expressions (AST node count),
@@ -12,42 +12,35 @@ scale linearly and stay in the millisecond range up to tens of thousands of
 items, while regular-expression verification grows roughly quadratically and
 reaches seconds only for expressions with on the order of a thousand AST
 nodes.
+
+``verify_refinement`` returns a verdict and no statistics, so each point's
+latency is the duration of one span around the call; the regex sweep also
+records the size of the automaton the inclusion check walks, the quantity
+that growth comes from and that repeats exactly on any machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from .. import telemetry
 from ..core.ast import BandwidthTerm, FMax, Policy, Statement, formula_and
 from ..negotiator.verification import verify_refinement
 from ..predicates.ast import FieldTest, pred_and, pred_not, pred_or
-from ..regex.ast import Regex, Symbol, concat, star, union
+from ..regex.ast import DOT, Regex, Symbol, concat, star
+from ..regex.operations import compile_dfa
 from ..regex.parser import parse_path_expression
 from ..units import Bandwidth
 
 
-@dataclass
-class VerificationPoint:
+def _verify(size: int, original: Policy, refined: Policy) -> Dict[str, object]:
     """One point of a Figure 9 curve."""
-
-    size: int
-    verify_ms: float
-    valid: bool
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"size": self.size, "verify_ms": self.verify_ms, "valid": self.valid}
+    with telemetry.span("verify_refinement") as span:
+        report = verify_refinement(original, refined)
+    return {"size": size, "verify_ms": span.duration * 1000.0, "valid": report.valid}
 
 
-def _timed_verification(original: Policy, refined: Policy) -> VerificationPoint:
-    start = telemetry.clock()
-    report = verify_refinement(original, refined)
-    elapsed_ms = (telemetry.clock() - start) * 1000.0
-    return VerificationPoint(size=0, verify_ms=elapsed_ms, valid=report.valid)
-
-
-def sweep_predicates(counts: Sequence[int] = (10, 100, 1000, 5000)) -> List[VerificationPoint]:
+def sweep_predicates(counts: Sequence[int] = (10, 100, 1000, 5000)) -> List[Dict[str, object]]:
     """Grow the number of refined statements partitioning one original statement.
 
     The original policy matches all TCP traffic; the refinement splits it by
@@ -59,7 +52,7 @@ def sweep_predicates(counts: Sequence[int] = (10, 100, 1000, 5000)) -> List[Veri
             Statement("all", FieldTest("ip.proto", 6), parse_path_expression(".*")),
         )
     )
-    points: List[VerificationPoint] = []
+    points: List[Dict[str, object]] = []
     for count in counts:
         ports = list(range(1, count + 1))
         statements = [
@@ -78,16 +71,12 @@ def sweep_predicates(counts: Sequence[int] = (10, 100, 1000, 5000)) -> List[Veri
             Statement("rest", remainder, parse_path_expression(".*"))
         )
         refined = Policy(statements=tuple(statements))
-        point = _timed_verification(original, refined)
-        point.size = count
-        points.append(point)
+        points.append(_verify(count, original, refined))
     return points
 
 
 def _chain_expression(nodes: int) -> Regex:
     """A path expression with roughly ``nodes`` AST nodes: ``.* f1 .* f2 ... .*``."""
-    from ..regex.ast import DOT
-
     expression: Regex = star(DOT)
     index = 0
     while expression.size() < nodes:
@@ -96,18 +85,16 @@ def _chain_expression(nodes: int) -> Regex:
     return expression
 
 
-def sweep_regex_nodes(sizes: Sequence[int] = (10, 50, 100, 250, 500)) -> List[VerificationPoint]:
+def sweep_regex_nodes(sizes: Sequence[int] = (10, 50, 100, 250, 500)) -> List[Dict[str, object]]:
     """Grow the size of the refined statement's path expression.
 
     The refined expression appends one more required waypoint to the original
     expression, so inclusion always holds and the measurement isolates the
     automata work.
     """
-    points: List[VerificationPoint] = []
+    points: List[Dict[str, object]] = []
     for size in sizes:
         original_expression = _chain_expression(size)
-        from ..regex.ast import DOT
-
         refined_expression = concat(original_expression, Symbol("extra"), star(DOT))
         original = Policy(
             statements=(Statement("x", FieldTest("ip.proto", 6), original_expression),)
@@ -115,15 +102,15 @@ def sweep_regex_nodes(sizes: Sequence[int] = (10, 50, 100, 250, 500)) -> List[Ve
         refined = Policy(
             statements=(Statement("x", FieldTest("ip.proto", 6), refined_expression),)
         )
-        point = _timed_verification(original, refined)
-        point.size = refined_expression.size()
+        point = _verify(refined_expression.size(), original, refined)
+        point["dfa_states"] = compile_dfa(refined_expression).num_states()
         points.append(point)
     return points
 
 
-def sweep_allocations(counts: Sequence[int] = (10, 100, 1000, 5000)) -> List[VerificationPoint]:
+def sweep_allocations(counts: Sequence[int] = (10, 100, 1000, 5000)) -> List[Dict[str, object]]:
     """Grow the number of bandwidth allocations in the refined policy."""
-    points: List[VerificationPoint] = []
+    points: List[Dict[str, object]] = []
     for count in counts:
         original_statements = [
             Statement(
@@ -151,7 +138,5 @@ def sweep_allocations(counts: Sequence[int] = (10, 100, 1000, 5000)) -> List[Ver
                 ]
             ),
         )
-        point = _timed_verification(original, refined)
-        point.size = count
-        points.append(point)
+        points.append(_verify(count, original, refined))
     return points

@@ -1,4 +1,4 @@
-"""Figure 6: all-pairs connectivity compilation times on the Topology Zoo.
+"""Figure 6: all-pairs connectivity compilation on the Topology Zoo.
 
 The paper compiles a pairwise-connectivity policy for each of the 262
 Internet Topology Zoo networks and reports per-topology compilation time:
@@ -8,145 +8,47 @@ offline, so the driver uses the statistically matched synthetic ensemble
 from :func:`repro.topology.generators.topology_zoo_ensemble`.
 
 Because the interesting quantity is forwarding-state computation (not the
-O(hosts²) policy enumeration), the driver measures the rateless compilation
+O(hosts²) policy enumeration), the driver runs the rateless compilation
 path directly: sink trees for every egress switch over the switch-only
 subgraph, which is exactly what the all-pairs policy compiles to.
-
-:func:`run_topology_zoo_guaranteed` is the MIP-exercising variant: a
-fraction of the traffic classes receive bandwidth guarantees, so every
-topology runs the full localize/provision pipeline.  It accepts a shared
-:class:`~repro.core.options.ProvisionOptions` so a sweep can reuse one
-:class:`~repro.fabric.SolveFabric` worker pool and one
-:class:`~repro.fabric.ComponentSolutionCache` across all ensemble members —
-repeated runs (or structurally repeated components) then skip straight from
-content signature to stored solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 from .. import telemetry
-from ..core.compiler import MerlinCompiler
-from ..core.options import ProvisionOptions
-from ..core.sink_tree import compute_sink_trees
+from ..core.sink_tree import compute_sink_trees, egress_switches
 from ..topology.generators import topology_zoo_ensemble
-from ..topology.graph import Topology
-from .policy_builders import all_pairs_policy
-
-
-@dataclass
-class ZooRow:
-    """Compilation time for one topology of the ensemble."""
-
-    name: str
-    switches: int
-    hosts: int
-    compile_ms: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "switches": self.switches,
-            "hosts": self.hosts,
-            "compile_ms": self.compile_ms,
-        }
-
-
-def compile_connectivity(topology: Topology) -> float:
-    """Time (ms) to compute all-pairs best-effort forwarding state."""
-    start = telemetry.clock()
-    compute_sink_trees(topology)
-    return (telemetry.clock() - start) * 1000.0
 
 
 def run_topology_zoo_experiment(
     count: int = 262,
     seed: int = 0,
     max_switches: int = 754,
-) -> List[ZooRow]:
-    """Compile connectivity for every topology of the synthetic Zoo ensemble."""
-    rows: List[ZooRow] = []
+) -> List[Dict[str, object]]:
+    """Compute connectivity for every topology of the synthetic Zoo ensemble.
+
+    One row per member: its size, the number of sink trees computed beside
+    the number of egress switches that each need one, and the duration of
+    the span around the computation (``compute_sink_trees`` returns no
+    statistics of its own).
+    """
+    rows: List[Dict[str, object]] = []
     for topology in topology_zoo_ensemble(
         count=count, seed=seed, max_switches=max_switches
     ):
+        with telemetry.span("zoo_connectivity") as span:
+            trees = compute_sink_trees(topology)
+        compile_ms = span.duration * 1000.0
         rows.append(
-            ZooRow(
-                name=topology.name,
-                switches=topology.num_switches(),
-                hosts=topology.num_hosts(),
-                compile_ms=compile_connectivity(topology),
-            )
-        )
-    return rows
-
-
-def compile_guaranteed(
-    topology: Topology,
-    guarantee_fraction: float = 0.05,
-    max_classes: Optional[int] = None,
-    seed: int = 0,
-    options: Optional[ProvisionOptions] = None,
-) -> float:
-    """Time (ms) to compile all-pairs connectivity with guaranteed classes.
-
-    Unlike :func:`compile_connectivity` this runs the full pipeline —
-    localization, partitioned MIP provisioning, widening — so it is the
-    entry point that exercises ``options.fabric`` and
-    ``options.component_cache``.
-    """
-    policy = all_pairs_policy(
-        topology,
-        guarantee_fraction=guarantee_fraction,
-        seed=seed,
-        max_classes=max_classes,
-    )
-    compiler = MerlinCompiler(
-        topology=topology,
-        overlap="trust",
-        add_catch_all=False,
-        generate_code=False,
-        options=options,
-    )
-    start = telemetry.clock()
-    compiler.compile(policy)
-    return (telemetry.clock() - start) * 1000.0
-
-
-def run_topology_zoo_guaranteed(
-    count: int = 16,
-    seed: int = 0,
-    max_switches: int = 64,
-    guarantee_fraction: float = 0.05,
-    max_classes: Optional[int] = 32,
-    options: Optional[ProvisionOptions] = None,
-) -> List[ZooRow]:
-    """The guaranteed-bandwidth zoo sweep: full MIP compilation per member.
-
-    ``options`` is shared across the whole ensemble, so passing a
-    ``component_cache`` (optionally spilled to disk) dedupes identical
-    component models across topologies and across repeated sweeps; passing
-    a ``fabric`` reuses one worker pool instead of spinning one up per
-    member.  Defaults are deliberately smaller than the rateless sweep —
-    each member solves MIPs, not just sink trees.
-    """
-    rows: List[ZooRow] = []
-    for topology in topology_zoo_ensemble(
-        count=count, seed=seed, max_switches=max_switches
-    ):
-        rows.append(
-            ZooRow(
-                name=topology.name,
-                switches=topology.num_switches(),
-                hosts=topology.num_hosts(),
-                compile_ms=compile_guaranteed(
-                    topology,
-                    guarantee_fraction=guarantee_fraction,
-                    max_classes=max_classes,
-                    seed=seed,
-                    options=options,
-                ),
-            )
+            {
+                "name": topology.name,
+                "switches": topology.num_switches(),
+                "hosts": topology.num_hosts(),
+                "egress_switches": len(egress_switches(topology)),
+                "sink_trees": len(trees),
+                "compile_ms": compile_ms,
+            }
         )
     return rows

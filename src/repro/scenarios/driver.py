@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry
-from ..analysis.reporting import format_percentiles, percentile
 from ..core.allocation import CompilationResult
 from ..core.compiler import MerlinCompiler
 from ..core.options import ProvisionOptions
@@ -41,6 +40,7 @@ from ..errors import MerlinError, SimulationError
 from ..simulator.engine import FlowSimulator
 from ..simulator.flows import Flow
 from ..simulator.network import SimulationNetwork
+from ..telemetry.metrics import format_percentiles, percentile
 from .events import ScenarioEvent
 from .generator import Scenario
 

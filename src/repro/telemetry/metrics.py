@@ -4,8 +4,8 @@ Metric identity is the name plus an optional label set, rendered
 Prometheus-style into a single key string (``solve_seconds{backend="bnb"}``)
 so the registry stays a flat dict and the text exposition falls out for
 free.  Histograms keep raw observations and summarize through
-:func:`repro.analysis.reporting.percentile` — the same helper the
-scenario driver and experiment tables use — so p50/p95/p99 mean the same
+:func:`percentile` below — the repo's one percentile, which the scenario
+driver and the figure scripts read too — so p50/p95/p99 mean the same
 thing everywhere in the repo.
 
 ``snapshot()`` freezes the registry into a :class:`MetricsSnapshot`, the
@@ -17,17 +17,56 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
-
-from ..analysis.reporting import format_percentiles, percentile
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "HistogramSummary",
     "MetricsRegistry",
     "MetricsSnapshot",
+    "format_percentiles",
     "metric_key",
+    "percentile",
     "split_key",
 ]
+
+
+def percentile(values: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0–100) by linear interpolation.
+
+    Matches numpy's default ("linear") method so reported p50/p95/p99
+    latencies are comparable across harnesses.  Raises ``ValueError`` on an
+    empty sequence — a percentile of nothing is a bug upstream, not a zero.
+    """
+    if not values:
+        raise ValueError("percentile() of empty sequence")
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile q must be in [0, 100], got {q}")
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return float(ordered[0])
+    rank = (q / 100.0) * (len(ordered) - 1)
+    lower = int(rank)
+    upper = min(lower + 1, len(ordered) - 1)
+    fraction = rank - lower
+    return float(ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction)
+
+
+def format_percentiles(
+    values: Sequence[float],
+    quantiles: Sequence[float] = (50.0, 95.0, 99.0),
+    unit: str = "ms",
+    float_format: str = "{:.2f}",
+) -> str:
+    """A one-line ``p50=… p95=… p99=…`` summary of a latency sample."""
+    if not values:
+        return "no samples"
+    parts = [
+        f"p{int(q) if float(q).is_integer() else q}="
+        + float_format.format(percentile(values, q))
+        + unit
+        for q in quantiles
+    ]
+    return " ".join(parts)
 
 
 def metric_key(name: str, labels: Mapping[str, Any]) -> str:

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.analysis.reporting import percentile
-from repro.analysis.stats import percentile as fraction_percentile
 from repro.telemetry import (
     HistogramSummary,
     MetricsRegistry,
@@ -12,6 +10,7 @@ from repro.telemetry import (
     split_key,
     to_prometheus,
 )
+from repro.telemetry.metrics import percentile
 
 
 class TestMetricKeys:
@@ -56,9 +55,8 @@ class TestRegistry:
         assert summary.total == sum(values)
         assert summary.minimum == 1.0
         assert summary.maximum == 100.0
-        # Exactly the repo-wide percentile helper, both scales.
+        # Exactly the repo-wide percentile helper.
         assert summary.p95 == percentile(values, 95)
-        assert summary.p95 == fraction_percentile(values, 0.95)
         assert summary.mean == pytest.approx(50.5)
 
     def test_values_returns_a_copy_and_reset_clears(self):
