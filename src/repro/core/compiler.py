@@ -191,7 +191,7 @@ class MerlinCompiler:
     benchmarks.
 
     Provisioning knobs — solver backend and limits, partitioning,
-    footprint slack, slack widening, warm starts, and the solve-fabric
+    footprint slack, slack widening, and the solve-fabric
     layer (``options.fabric``, the only source of a worker pool, and
     ``options.component_cache``, the cross-session content-addressed
     solution cache — :mod:`repro.fabric`) — live in a single
@@ -360,9 +360,9 @@ class MerlinCompiler:
                 # infeasible solve, a code-generation error).  Roll back to
                 # the mark: the session is restored to its exact pre-delta
                 # state — statement population, rates, sink trees, failed
-                # sets, active topology, engine records, incumbents — so it
-                # keeps matching the last result the caller successfully
-                # received, and the next recompile() proceeds normally.
+                # sets, active topology, engine records — so it keeps matching
+                # the last result the caller successfully received, and the
+                # next recompile() proceeds normally.
                 # Callers that withdraw on error (the negotiator) need only
                 # revert their own policy.
                 recompile_span.annotate(rolled_back=True)

@@ -81,9 +81,9 @@ class ProvisionOptions:
     tightening is a heuristic, so its artifacts must not surface as
     infeasibility.
 
-    Incremental re-solves are seeded from projected prior incumbents
-    whenever the backend declares ``consumes_warm_starts``: what a backend
-    can use is a fact about the backend, so its capability is the switch.
+    No backend is handed a MIP start: every component is solved from its
+    canonical model alone, which is what keeps a session's allocations
+    equal to a from-scratch compile's on every backend.
 
     ``fabric`` — a :class:`repro.fabric.SolveFabric` to solve several dirty
     components on concurrently, shared across compile/recompile/sweep calls

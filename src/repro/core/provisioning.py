@@ -152,8 +152,6 @@ def provision(
 class ProvisioningModel:
     """The assembled MIP plus the variable indexes needed to read a solution.
 
-    ``reserve_rows`` keeps the Equation-2 constraint handle of every link
-    (warm-start projection recomputes each reservation from its row), and
     ``logical_topologies`` records each member statement's product graph
     so a solution can be decoded into location paths without re-supplying
     the construction inputs.
@@ -164,7 +162,6 @@ class ProvisioningModel:
     reservation_fraction: Dict[Tuple[str, str], Variable]
     r_max: Variable
     big_r_max: Variable
-    reserve_rows: Dict[Tuple[str, str], "Constraint"] = field(default_factory=dict)
     logical_topologies: Dict[str, LogicalTopology] = field(default_factory=dict)
 
 
@@ -204,11 +201,7 @@ def splice_statement_rows(
     variable naming (``x__{id}__{index}``), flow-row naming
     (``flow__{id}__{vertex}``), and emission order are what the primal
     heuristic decodes and what makes a rebuilt component byte-identical to
-    the memoized one.  The edge-variable name format is
-    also relied on by ``IncrementalProvisioner.remove_statement``, which
-    prunes a removed statement's warm-start incumbents by reconstructing
-    these names — change the format in both places or stale incumbents
-    survive removal.
+    the memoized one.
     Returns ``(edge variables by index, flow-row constraints, variables
     bucketed by the undirected physical link they map onto)`` — the caller
     turns the link buckets into Equation-2 reservation terms.
@@ -298,8 +291,8 @@ def build_model_for_links(
                 )
 
     # Link reservation variables and Equations 2-5.
-    r_max, big_r_max, reservation_fraction, reserve_rows, max_capacity_mbps = (
-        emit_link_rows(model, links, link_terms)
+    r_max, big_r_max, reservation_fraction, max_capacity_mbps = emit_link_rows(
+        model, links, link_terms
     )
 
     set_provisioning_objective(
@@ -320,7 +313,6 @@ def build_model_for_links(
         reservation_fraction=reservation_fraction,
         r_max=r_max,
         big_r_max=big_r_max,
-        reserve_rows=reserve_rows,
         logical_topologies={
             statement.identifier: logical_topologies[statement.identifier]
             for statement in statements
@@ -332,22 +324,14 @@ def emit_link_rows(
     model: Model,
     links: Sequence[Tuple[Tuple[str, str], float]],
     link_terms: Mapping[Tuple[str, str], Sequence[Tuple[Variable, float]]],
-) -> Tuple[
-    Variable,
-    Variable,
-    Dict[Tuple[str, str], Variable],
-    Dict[Tuple[str, str], Constraint],
-    float,
-]:
+) -> Tuple[Variable, Variable, Dict[Tuple[str, str], Variable], float]:
     """Create ``r_max`` / ``R_max`` and every link's Equation 2-4 rows.
 
     ``link_terms`` maps a link key to its ``(edge variable, guarantee Mbps)``
     pairs — the indexed construction's per-link buckets.  Returns
-    ``(r_max, R_max, reservation fractions, reservation row handles,
-    largest link capacity in Mbps)``.
+    ``(r_max, R_max, reservation fractions, largest link capacity in Mbps)``.
     """
     reservation_fraction: Dict[Tuple[str, str], Variable] = {}
-    reserve_rows: Dict[Tuple[str, str], Constraint] = {}
     r_max = model.add_continuous("r_max", lower=0.0, upper=1.0)
     big_r_max = model.add_continuous("R_max", lower=0.0)
     max_capacity_mbps = 0.0
@@ -361,7 +345,7 @@ def emit_link_rows(
             (variable, -guarantee_mbps)
             for variable, guarantee_mbps in link_terms.get(key, ())
         ).add_term(r_uv, capacity_mbps)
-        reserve_rows[key] = model.add_constraint(
+        model.add_constraint(
             reserve.equals(0.0), name=f"reserve__{key[0]}__{key[1]}"
         )
         # Equation 3: r_max >= r_uv.
@@ -372,7 +356,7 @@ def emit_link_rows(
             name=f"Rmax__{key[0]}__{key[1]}",
         )
     # Equation 5 is expressed through the [0, 1] bound on r_max and r_uv.
-    return r_max, big_r_max, reservation_fraction, reserve_rows, max_capacity_mbps
+    return r_max, big_r_max, reservation_fraction, max_capacity_mbps
 
 
 def set_provisioning_objective(
@@ -392,11 +376,10 @@ def set_provisioning_objective(
     published as :attr:`~repro.lp.model.Model.objective_resolution` — the
     smallest objective difference that distinguishes two genuinely
     different solutions.  Solvers that prune within an absolute gap (the
-    pure-Python branch-and-bound) scale their gap below it, so a
-    warm-started re-solve seeded with an equal-``r_max`` incumbent still
-    discovers the marginally-cheaper-tiebreaker optimum a cold solve would
-    pick: warm and cold solves coincide even on components whose epsilon
-    falls under the solver's default gap (>~1000 logical edges).
+    pure-Python branch-and-bound) scale their gap below it, so an
+    equal-``r_max`` incumbent cannot prune the marginally-cheaper-tiebreaker
+    optimum, even on components whose epsilon falls under the solver's
+    default gap (>~1000 logical edges).
     """
     if heuristic is PathSelectionHeuristic.WEIGHTED_SHORTEST_PATH:
         objective = LinExpr()

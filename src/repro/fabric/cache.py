@@ -19,9 +19,14 @@ Policy:
   heuristic) therefore never populate the cache; see
   ``incremental/README.md`` for when to disable caching outright.
 * **Optional JSON-lines spill.**  With ``spill_path`` set, stores append
-  ``{"signature": ..., "record": ...}`` lines and construction replays the
-  file (last write wins, unreadable lines skipped), so separate sweep
-  *processes* dedupe against each other's work.
+  ``{"signature": ..., "digest": ..., "record": ...}`` lines and
+  construction replays the file (last write wins), so separate sweep
+  *processes* dedupe against each other's work.  The replay believes a
+  line only if it parses, its digest is that of its record, and the record
+  is a whole one of the current layout
+  (:func:`~repro.fabric.signature.record_is_readable`); any other line is
+  skipped and counted (``component_signature_spill_skipped``) — the worst
+  case is a re-solve.
 
 Counters (``hits`` / ``misses`` / ``stores`` / ``bypasses`` locally, the
 ``component_signature_*`` series in :mod:`repro.telemetry` globally) make
@@ -33,15 +38,23 @@ batches for different groups concurrently in worker threads.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 from pathlib import Path
 from typing import Dict, Mapping, Optional, Union
 
 from .. import telemetry
-from .signature import SIGNATURE_VERSION
+from .signature import record_is_readable
 
 __all__ = ["ComponentSolutionCache"]
+
+
+def _digest(record: Mapping[str, object]) -> str:
+    """SHA-256 of a record's canonical JSON text: what a spill line is
+    sealed with when written and checked against when replayed."""
+    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 class ComponentSolutionCache:
@@ -124,7 +137,9 @@ class ComponentSolutionCache:
     # -- disk spill --------------------------------------------------------------
 
     def _append_spill(self, signature: str, record: Mapping[str, object]) -> None:
-        line = json.dumps({"signature": signature, "record": record})
+        line = json.dumps(
+            {"signature": signature, "digest": _digest(record), "record": record}
+        )
         self._spill_path.parent.mkdir(parents=True, exist_ok=True)
         with self._spill_path.open("a", encoding="utf-8") as handle:
             handle.write(line + "\n")
@@ -132,11 +147,13 @@ class ComponentSolutionCache:
     def _replay_spill(self) -> None:
         """Load a spill file written by an earlier run (or another process).
 
-        Tolerant by design: a truncated trailing line (the writer died
-        mid-append) or a record from an older signature version is skipped,
-        never fatal — the worst case is a re-solve.
+        Trusts nothing it reads: a truncated line (the writer died
+        mid-append), a line whose digest is not its record's (a flipped
+        byte), a record of another signature version or one lacking a
+        field the decoder reads is skipped and counted, never fatal and
+        never believed.
         """
-        loaded = 0
+        loaded = skipped = 0
         with self._spill_path.open("r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -146,11 +163,11 @@ class ComponentSolutionCache:
                     entry = json.loads(line)
                     signature = entry["signature"]
                     record = entry["record"]
+                    intact = _digest(record) == entry["digest"]
                 except (ValueError, KeyError, TypeError):
-                    continue
-                if not isinstance(record, dict):
-                    continue
-                if record.get("version") != SIGNATURE_VERSION:
+                    intact = False
+                if not intact or not record_is_readable(record):
+                    skipped += 1
                     continue
                 with self._lock:
                     if signature in self._entries:
@@ -161,3 +178,5 @@ class ComponentSolutionCache:
                 loaded += 1
         if loaded:
             telemetry.counter("component_signature_spill_loads", float(loaded))
+        if skipped:
+            telemetry.counter("component_signature_spill_skipped", float(skipped))

@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.localization import LocalRates
 from ..core.logical import LogicalTopology
@@ -51,7 +51,7 @@ __all__ = [
 
 #: Bump when anything entering the signature or record shape changes, so a
 #: stale spill file from an older layout can never satisfy a lookup.
-SIGNATURE_VERSION = "merlin-component-v2"
+SIGNATURE_VERSION = "merlin-component-v3"
 
 _JSON = dict(sort_keys=True, separators=(",", ":"))
 
@@ -163,31 +163,6 @@ def canonicalize_component(
     )
 
 
-def _rename_values(
-    values: Mapping[str, float], mapping: Mapping[str, str]
-) -> Dict[str, float]:
-    """Re-address ``x__{id}__{index}`` variable names through ``mapping``.
-
-    Link-keyed variables (``r__{u}__{v}``, the maxima) pass through
-    untouched — they name physical links, not statements.  Longest prefix
-    wins, so an id that happens to be a prefix of another cannot capture
-    its neighbour's variables.
-    """
-    prefixes = sorted(
-        ((f"x__{old}__", f"x__{new}__") for old, new in mapping.items()),
-        key=lambda pair: -len(pair[0]),
-    )
-    renamed: Dict[str, float] = {}
-    for name, value in values.items():
-        for old_prefix, new_prefix in prefixes:
-            if name.startswith(old_prefix):
-                renamed[new_prefix + name[len(old_prefix):]] = value
-                break
-        else:
-            renamed[name] = value
-    return renamed
-
-
 def encode_solution(solution, canon: CanonicalComponent) -> Dict[str, object]:
     """Store a solved component in tenant-neutral (canonical-id) form."""
     mapping = canon.to_canonical
@@ -202,7 +177,6 @@ def encode_solution(solution, canon: CanonicalComponent) -> Dict[str, object]:
         "fractions": [
             [u, v, value] for (u, v), value in sorted(solution.fractions.items())
         ],
-        "values": _rename_values(solution.values_by_name, mapping),
         "statistics": dict(solution.statistics),
         "num_variables": solution.num_variables,
         "num_constraints": solution.num_constraints,
@@ -212,6 +186,28 @@ def encode_solution(solution, canon: CanonicalComponent) -> Dict[str, object]:
 def encode_infeasible() -> Dict[str, object]:
     """Store a proven-infeasible component (so re-sweeps skip the rung)."""
     return {"version": SIGNATURE_VERSION, "infeasible": True}
+
+
+#: The keys :func:`decode_solution` reads.
+_SOLUTION_KEYS = frozenset({
+    "status", "objective", "location_paths", "fractions",
+    "statistics", "num_variables", "num_constraints",
+})
+
+
+def record_is_readable(record: object) -> bool:
+    """Whether ``record`` is one this layout's look-up can answer from.
+
+    That is a dict of the current :data:`SIGNATURE_VERSION` that is either
+    an infeasibility marker or holds every key :func:`decode_solution`
+    reads.  The cache checks what a spill file offers with this before it
+    believes it.
+    """
+    return (
+        isinstance(record, dict)
+        and record.get("version") == SIGNATURE_VERSION
+        and (record.get("infeasible") is True or _SOLUTION_KEYS <= record.keys())
+    )
 
 
 def decode_solution(
@@ -239,7 +235,6 @@ def decode_solution(
             for cid, path in record["location_paths"].items()
         },
         fractions={(u, v): value for u, v, value in record["fractions"]},
-        values_by_name=_rename_values(record["values"], inverse),
         status=str(record["status"]),
         objective=record["objective"],
         statistics=statistics,

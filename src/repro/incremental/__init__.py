@@ -7,8 +7,8 @@ rebuilding and re-solving the whole provisioning MIP, an
 :class:`IncrementalProvisioner` keeps a transactional, lazily-materialized
 session of per-statement bookkeeping, partitions the statements into
 link-disjoint components over cost-bound-tightened footprints, and
-re-solves only the components a delta touched — in parallel, warm-started
-from the previous incumbent.  See ``README.md`` in this directory for the
+re-solves only the components a delta touched — in parallel, each from its
+canonical model alone.  See ``README.md`` in this directory for the
 session lifecycle (lazy materialization, checkpoints, commit/rollback,
 partition invariants).
 
@@ -50,7 +50,6 @@ from .solve import (
     WideningOutcome,
     build_partition_model,
     merge_partition_solutions,
-    project_warm_start,
     solve_components_with_widening,
 )
 
@@ -75,6 +74,5 @@ __all__ = [
     "WideningOutcome",
     "build_partition_model",
     "merge_partition_solutions",
-    "project_warm_start",
     "solve_components_with_widening",
 ]

@@ -6,8 +6,7 @@ per statement, never a live MIP:
 
 * :meth:`add_statement` records a statement's product graph and rates
   under a fresh token,
-* :meth:`remove_statement` drops the record (and prunes the statement's
-  incumbent values),
+* :meth:`remove_statement` drops the record,
 * :meth:`update_rates` swaps in a record with the new rates — under a new
   token when the guarantee changed.
 
@@ -23,9 +22,10 @@ footprints), components whose members are unchanged since an earlier solve
 re-use their memoized
 :class:`~repro.incremental.solve.PartitionSolution` verbatim, and only the
 *dirty* components are rebuilt (in canonical order) and re-solved —
-concurrently on ``options.fabric`` when several are dirty, each
-warm-started from the previous incumbent projected onto its surviving
-variables.  A full compile is the same thing with every component dirty:
+concurrently on ``options.fabric`` when several are dirty, each from its
+model alone: no incumbent is carried from one solve to the next, so an
+exactly tied optimum is decided by the model and never by what the session
+solved before.  A full compile is the same thing with every component dirty:
 ``MerlinCompiler.compile`` and ``core.provisioning.provision`` add their
 statements to a fresh engine and resolve once, so a delta history and a
 from-scratch run meet in the same canonical component models by
@@ -33,12 +33,6 @@ construction.  With ``options.partition`` off the same loop runs over one
 component — every statement, untightened, over every link, in the same
 canonical order — so the answer is as independent of the session's
 history as any other component's, and memoized the same way.
-
-Warm-started re-solves pick the same optima as cold ones: provisioning
-models declare their tiebreaker epsilon as ``objective_resolution`` and the
-branch-and-bound backend scales its pruning gap below it, so a seeded
-incumbent can never shadow the marginally-cheaper-tiebreaker tie a cold
-solve would return.
 
 Transactions
 ------------
@@ -142,7 +136,6 @@ class IncrementalProvisioner:
         #: Component solutions (and proven-infeasible rungs) by member
         #: tokens; read, written and bounded by the solve loop.
         self._memo: Dict[MemoKey, object] = {}
-        self._last_values: Dict[str, float] = {}
 
         #: The undo journal behind O(1) checkpoints; mutators record
         #: inverse operations here whenever a transaction is open.
@@ -254,24 +247,7 @@ class IncrementalProvisioner:
         """Forget a statement (bookkeeping only — no rows to splice out)."""
         if identifier not in self._records:
             raise ProvisioningError(f"unknown statement {identifier!r}")
-        self._prune_incumbents(identifier)
         self.journal.del_item(self._records, identifier)
-
-    def _prune_incumbents(self, identifier: str) -> None:
-        """Drop a statement's incumbent values (on removal or reshaping).
-
-        A later re-add under the same identifier reuses variable names, and
-        a projection built from a different logical topology must not
-        masquerade as a warm start (pruning also keeps the incumbent map
-        from growing without bound).  Variable names are deterministic —
-        x__{id}__{edge index}, the format splice_statement_rows emits; its
-        docstring cross-references this dependency — so the pruning costs
-        O(statement edges), not a pass over the whole model.  The range is
-        the *untightened* edge count: widened component models emit
-        variables beyond the base-tightened range.
-        """
-        for index in range(self._records[identifier].logical.num_edges()):
-            self.journal.del_item(self._last_values, f"x__{identifier}__{index}")
 
     def replace_logical(self, identifier: str, logical: LogicalTopology) -> None:
         """Swap a statement's (untightened) product graph for a new one.
@@ -280,7 +256,7 @@ class IncrementalProvisioner:
         whose product graph changed on the new active topology: the new
         record starts without views and under a fresh token (no memoized
         component solution, which could route over vanished links, names
-        it), and stale incumbents over the old edge indexing are pruned.
+        it).
         """
         if identifier not in self._records:
             raise ProvisioningError(f"unknown statement {identifier!r}")
@@ -289,7 +265,6 @@ class IncrementalProvisioner:
                 f"statement {identifier!r} has no feasible path satisfying "
                 "its path expression"
             )
-        self._prune_incumbents(identifier)
         previous = self._records[identifier]
         self.journal.set_item(
             self._records,
@@ -387,7 +362,6 @@ class IncrementalProvisioner:
                 solver=self.solver,
                 footprint_slack=self.footprint_slack,
                 partition=self.options.partition,
-                warm_values=self._last_values,
                 component_cache=self.options.component_cache,
                 fabric=self.options.fabric,
             )
@@ -422,9 +396,4 @@ class IncrementalProvisioner:
         result.solve_statistics["footprint_slack_used"] = outcome.slack_used(
             self.footprint_slack
         )
-
-        # Content-cache adoptions carry incumbent values this session has
-        # never seen; they seed warm starts exactly like fresh solves.
-        for solution in (*outcome.fresh, *outcome.adopted):
-            self.journal.update_items(self._last_values, solution.values_by_name)
         return result

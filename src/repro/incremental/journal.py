@@ -39,7 +39,7 @@ dict is order-insensitive (partitioning canonicalizes by sorted ids).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, MutableMapping, Tuple
+from typing import Any, Callable, Dict, List, MutableMapping
 
 __all__ = ["JournalError", "JournalMark", "UndoJournal"]
 
@@ -69,9 +69,9 @@ class UndoJournal:
 
     The journal does not own the state it protects; mutations flow
     through the helper methods (``set_item`` / ``del_item`` /
-    ``set_attr`` / ``update_items``) which perform the mutation *and*
-    record its inverse when at least one mark is outstanding.  Arbitrary
-    inverses can be attached with ``record``.
+    ``set_attr``) which perform the mutation *and* record its inverse when
+    at least one mark is outstanding.  Arbitrary inverses can be attached
+    with ``record``.
     """
 
     def __init__(self) -> None:
@@ -176,23 +176,6 @@ class UndoJournal:
                 mapping[key] = old
             self._entries.append(undo)
         del mapping[key]
-
-    def update_items(self, mapping: MutableMapping, items: Mapping) -> None:
-        """``mapping.update(items)`` with a single bulk undo entry."""
-        if self._marks and items:
-            saved: List[Tuple[Any, Any]] = [
-                (key, mapping.get(key, _ABSENT)) for key in items
-            ]
-
-            def undo() -> None:
-                for key, old in saved:
-                    if old is _ABSENT:
-                        mapping.pop(key, None)
-                    else:
-                        mapping[key] = old
-
-            self._entries.append(undo)
-        mapping.update(items)
 
     def set_attr(self, obj: Any, name: str, value: Any) -> None:
         if self._marks:

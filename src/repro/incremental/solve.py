@@ -24,9 +24,9 @@ concurrently: with ``options.fabric`` set the built models go to the solve
 fabric (:mod:`repro.fabric` — a *persistent* worker pool shared across
 calls; models pickle cleanly and results return as name-keyed value maps).
 A worker crash degrades to a serial in-process solve, never to an error.
-Warm starts are projected onto each component's binary edge variables and
-repaired (the dependent continuous reservation variables are recomputed)
-before being handed to the solver backend.  An optional content-addressed
+A solve is handed its model and nothing else — no incumbent from an
+earlier solve — so the answer cannot depend on what the session solved
+before.  An optional content-addressed
 :class:`~repro.fabric.ComponentSolutionCache` is consulted before any
 model is built, so identical components across tenants, sessions, and
 sweep runs solve once.
@@ -36,7 +36,17 @@ from __future__ import annotations
 
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import telemetry
 from ..core.localization import LocalRates
@@ -55,12 +65,13 @@ from ..core.allocation import PathAssignment
 from ..core.ast import Statement
 from ..errors import ProvisioningError
 from ..fabric.signature import (
+    CanonicalComponent,
     canonicalize_component,
     decode_solution,
     encode_infeasible,
     encode_solution,
 )
-from ..lp.backends import backend_name, consumes_warm_starts
+from ..lp.backends import backend_name
 from ..lp.result import SolveStatus
 from ..topology.graph import Topology
 from ..units import Bandwidth
@@ -111,8 +122,7 @@ class StatementRecord:
     """
 
     statement: Statement
-    #: The *untightened* product graph: every view is cut from it, and
-    #: incumbent pruning must cover the widest variable range ever emitted.
+    #: The *untightened* product graph: every view is cut from it.
     logical: LogicalTopology
     rates: LocalRates
     token: int
@@ -151,14 +161,12 @@ class PartitionSolution:
 
     Everything the merge step (and the incremental engine's memo) needs:
     the location paths selected for each member statement, the reservation
-    fraction of each component link, the raw variable assignment by name
-    (the warm-start source for later re-solves), and solver diagnostics.
+    fraction of each component link, and solver diagnostics.
     """
 
     spec: PartitionSpec
     location_paths: Dict[str, Tuple[str, ...]]
     fractions: Dict[LinkKey, float]
-    values_by_name: Dict[str, float]
     status: str
     objective: Optional[float]
     #: The footprint slack each member was tightened with when this
@@ -212,52 +220,17 @@ def build_partition_model(
     )
 
 
-def project_warm_start(
-    built: ProvisioningModel, previous_values: Mapping[str, float]
-) -> Optional[Dict[str, float]]:
-    """Project a prior incumbent onto a component model and repair it.
-
-    Binary edge variables take their previous values (statements absent from
-    the prior solution contribute nothing and the projection is abandoned —
-    a partial path cannot be feasible).  The dependent continuous variables
-    are recomputed from the projected edges: each link's reservation
-    fraction from its Equation-2 row, then ``r_max`` / ``R_max`` as the
-    maxima.  The solver still validates the start before seeding its
-    incumbent, so a stale projection degrades to a cold solve, never to a
-    wrong answer.
-    """
-    values: Dict[str, float] = {}
-    for variables in built.edge_variables.values():
-        for variable in variables.values():
-            previous = previous_values.get(variable.name)
-            if previous is None:
-                return None
-            values[variable.name] = previous
-    r_max = 0.0
-    big_r_max = 0.0
-    for key, r_uv in built.reservation_fraction.items():
-        # Equation 2 row: capacity * r_uv - sum(g_i * x_e) == 0.
-        reserve = built.reserve_rows[key].expression
-        reserved_mbps = 0.0
-        capacity = 0.0
-        for variable, coefficient in reserve.coefficients.items():
-            if variable == r_uv:
-                capacity = coefficient
-            else:
-                reserved_mbps += -coefficient * values.get(variable.name, 0.0)
-        fraction = reserved_mbps / capacity if capacity > 0.0 else 0.0
-        values[r_uv.name] = fraction
-        r_max = max(r_max, fraction)
-        big_r_max = max(big_r_max, reserved_mbps)
-    values[built.r_max.name] = r_max
-    values[built.big_r_max.name] = big_r_max
-    return values
+#: What a worker returns for one model: ``(status value, values by variable
+#: name, objective, statistics, span payload)``.
+_WorkerOutcome = Tuple[
+    str, Dict[str, float], Optional[float], Dict[str, float], Dict[str, object]
+]
 
 
 def _solve_model_payload(payload):
     """Process-pool worker: solve one component model.
 
-    Takes ``(model, solver, warm_start)`` and returns a picklable tuple
+    Takes ``(model, solver)`` and returns a picklable tuple
     ``(status value, values by variable name, objective, statistics,
     span payload)``.  The span payload is the worker-side
     ``component_solve`` timing in ``Span.to_payload`` form: workers have
@@ -265,9 +238,9 @@ def _solve_model_payload(payload):
     across processes), so the parent re-anchors and re-parents it via
     ``telemetry.adopt``.
     """
-    model, solver, warm_start = payload
+    model, solver = payload
     started = telemetry.clock()
-    result = model.solve(solver, warm_start=warm_start)
+    result = model.solve(solver)
     duration = telemetry.clock() - started
     statistics = dict(result.statistics)
     statistics["backend"] = backend_name(solver)
@@ -277,12 +250,11 @@ def _solve_model_payload(payload):
         "attributes": {
             "backend": statistics["backend"],
             "status": result.status.value,
-            "warm_started": warm_start is not None,
         },
     }
     return (
         result.status.value,
-        result.values_by_name(),
+        {variable.name: value for variable, value in result.values.items()},
         result.objective,
         statistics,
         span_payload,
@@ -292,26 +264,21 @@ def _solve_model_payload(payload):
 def solve_partition_models(
     built_models: Sequence[ProvisioningModel],
     solver,
-    warm_starts: Sequence[Optional[Mapping[str, float]]],
     fabric=None,
-) -> List[Tuple[str, Dict[str, float], Optional[float], Dict[str, float], Dict[str, object]]]:
+) -> List[_WorkerOutcome]:
     """Solve component models, in-process or on the solve fabric.
 
-    Returns one ``(status, values_by_name, objective, statistics,
-    span payload)`` tuple per model, in input order.  Multi-model solves go
-    to ``fabric`` (a :class:`repro.fabric.SolveFabric`, whose workers
-    persist across calls) when one is configured; without one, and for a
-    single dirty component (the common 1-statement delta), models solve
-    in-process and never pay IPC.  Models are dispatched largest-first by
+    Returns one :data:`_WorkerOutcome` per model, in input order.
+    Multi-model solves go to ``fabric`` (a :class:`repro.fabric.SolveFabric`,
+    whose workers persist across calls) when one is configured; without
+    one, and for a single dirty component (the common 1-statement delta),
+    models solve in-process and never pay IPC.  Models are dispatched largest-first by
     a variables x constraints estimate.  If the pool breaks beyond the
     fabric's own respawn budget (``BrokenProcessPool``), the remaining
     models are solved serially in-process instead of propagating the
     executor error.
     """
-    payloads = [
-        (built.model, solver, warm)
-        for built, warm in zip(built_models, warm_starts)
-    ]
+    payloads = [(built.model, solver) for built in built_models]
     if len(payloads) > 1 and fabric is not None:
         estimates = [
             float(built.model.num_variables() * built.model.num_constraints())
@@ -350,12 +317,16 @@ def _raise_component_unsolved(spec: PartitionSpec, status_value: str) -> None:
 def extract_partition_solution(
     spec: PartitionSpec,
     built: ProvisioningModel,
-    outcome: Tuple[str, Dict[str, float], Optional[float], Dict[str, float], Dict[str, object]],
+    outcome: _WorkerOutcome,
     construction_seconds: float,
     member_slacks: Tuple[Optional[int], ...],
 ) -> PartitionSolution:
-    """Read a component's solve outcome into a :class:`PartitionSolution`."""
-    status_value, values_by_name, objective, statistics, span_payload = outcome
+    """Read a component's solve outcome into a :class:`PartitionSolution`.
+
+    Paths and reservation fractions are read out of the worker's variable
+    values here and the values go no further.
+    """
+    status_value, values, objective, statistics, span_payload = outcome
     status = SolveStatus(status_value)
     if not status.has_solution:
         _raise_component_unsolved(spec, status_value)
@@ -365,18 +336,17 @@ def extract_partition_solution(
         selected = [
             logical.edges[index]
             for index, variable in built.edge_variables[identifier].items()
-            if values_by_name.get(variable.name, 0.0) > 0.5
+            if values.get(variable.name, 0.0) > 0.5
         ]
         location_paths[identifier] = tuple(_extract_path(selected))
     fractions = {
-        key: max(0.0, values_by_name.get(variable.name, 0.0))
+        key: max(0.0, values.get(variable.name, 0.0))
         for key, variable in built.reservation_fraction.items()
     }
     return PartitionSolution(
         spec=spec,
         location_paths=location_paths,
         fractions=fractions,
-        values_by_name=values_by_name,
         status=status_value,
         objective=objective,
         statistics=statistics,
@@ -402,17 +372,13 @@ class WideningOutcome:
 
     ``specs`` / ``solutions`` are the *final* partition (after any widening
     merged components) and its solutions, aligned.  ``fresh`` is the subset
-    of final solutions actually solved by this call (the rest came out of
-    the memo); ``adopted`` is the subset re-addressed out of the
-    content-addressed component cache — no solve happened, but their
-    incumbent values are new to the caller, so the incremental engine
-    updates its warm-start map from ``fresh`` *and* ``adopted``.
+    of final solutions actually solved by this call; the rest were already
+    known — to the memo, or re-addressed out of the content cache.
     """
 
-    specs: List[PartitionSpec]
-    solutions: List[PartitionSolution]
-    fresh: List[PartitionSolution]
-    adopted: List[PartitionSolution] = field(default_factory=list)
+    specs: List[PartitionSpec] = field(default_factory=list)
+    solutions: List[PartitionSolution] = field(default_factory=list)
+    fresh: List[PartitionSolution] = field(default_factory=list)
     slack_retries: int = 0
     solver_calls: int = 0
     construction_seconds: float = 0.0
@@ -434,6 +400,87 @@ class WideningOutcome:
         )
 
 
+def _look_up(
+    key: MemoKey,
+    spec: PartitionSpec,
+    known: Dict[MemoKey, PartitionSolution],
+    memo: Dict[MemoKey, object],
+    component_cache,
+    canonical: Callable[[], CanonicalComponent],
+) -> Tuple[object, Optional[CanonicalComponent]]:
+    """What is already known about the component ``key``, nearest first.
+
+    Asks this call's ``known`` solutions, then the engine's ``memo``, then
+    the content cache (under the signature ``canonical()`` computes, and
+    only if the other two miss), and answers a :class:`PartitionSolution`,
+    :data:`INFEASIBLE_COMPONENT` for a rung proven hopeless, or ``None``
+    for a miss: build the model and solve it.  A solution found further
+    out is copied inwards.  The second element is the canonical form when
+    the content cache was asked — what :func:`_remember` stores a miss's
+    outcome under.
+    """
+    solution = known.get(key)
+    if solution is not None:
+        return solution, None
+    found = memo.get(key)
+    if found is not None:
+        _memoize(memo, key, found)  # a hit renews the entry
+        if found is INFEASIBLE_COMPONENT:
+            telemetry.counter("component_cache_infeasible_hits")
+        else:
+            telemetry.counter("component_cache_hits")
+            known[key] = found
+        return found, None
+    telemetry.counter("component_cache_misses")
+    if component_cache is None:
+        return None, None
+    canon = canonical()
+    stored = component_cache.get(canon.signature)
+    if stored is None:
+        return None, canon
+    if stored.get("infeasible"):
+        return INFEASIBLE_COMPONENT, canon
+    solution = known[key] = decode_solution(stored, canon, spec, key[2])
+    _memoize(memo, key, solution)
+    return solution, canon
+
+
+def _remember(
+    key: MemoKey,
+    canon: Optional[CanonicalComponent],
+    status: SolveStatus,
+    solution: Optional[PartitionSolution],
+    known: Dict[MemoKey, PartitionSolution],
+    memo: Dict[MemoKey, object],
+    component_cache,
+) -> None:
+    """Write one fresh solve's outcome where :func:`_look_up` will find it.
+
+    A solution goes to ``known`` and the memo whatever its status (the memo
+    is this session's, and the statistics carry the status).  Only a proof
+    crosses sessions or outlives the call: the content cache stores
+    ``OPTIMAL`` solutions and ``INFEASIBLE`` markers and counts everything
+    else as a bypass, and the memo marks a rung infeasible only when that
+    was proven — an unproven incumbent must not freeze one run's luck into
+    every later run, nor a limit hit before any incumbent pass for
+    infeasibility.
+    """
+    proven = status in (SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE)
+    if solution is not None:
+        known[key] = solution
+        _memoize(memo, key, solution)
+    elif proven:
+        _memoize(memo, key, INFEASIBLE_COMPONENT)
+    if canon is None:
+        return
+    if not proven:
+        component_cache.bypass()
+    elif solution is not None:
+        component_cache.put(canon.signature, encode_solution(solution, canon))
+    else:
+        component_cache.put(canon.signature, encode_infeasible())
+
+
 def solve_components_with_widening(
     records: Mapping[str, StatementRecord],
     capacity_mbps: Mapping[LinkKey, float],
@@ -442,7 +489,6 @@ def solve_components_with_widening(
     solver=None,
     footprint_slack: Optional[int] = DEFAULT_FOOTPRINT_SLACK,
     partition: bool = True,
-    warm_values: Optional[Mapping[str, float]] = None,
     component_cache=None,
     fabric=None,
 ) -> WideningOutcome:
@@ -455,7 +501,7 @@ def solve_components_with_widening(
     a failure ends at exactly the allocations a from-scratch compile of
     the same statements would produce.
 
-    The fixpoint loop per round:
+    The ladder, per round:
 
     1. take every statement's view at its current slack level (all
        statements start at ``footprint_slack``; levels are per-resolve
@@ -465,24 +511,20 @@ def solve_components_with_widening(
        previously link-disjoint components, and the exactness of the
        decomposition (no link is shared across components) must be
        re-established every round,
-    3. solve the components not already known (from ``memo``, or solved
-       earlier in this call), warm-started from ``warm_values`` when the
-       backend consumes starts,
-    4. for every component that came back without a solution, widen
-       **all** its members one rung (2 -> 4 -> 8 -> ``None``) and repeat; a
-       component still unsolved with every member untightened raises
+    3. :func:`_look_up` every component; build, solve
+       (:func:`solve_partition_models`) and :func:`_remember` the misses,
+    4. for every component without a solution, widen **all** its members
+       one rung (2 -> 4 -> 8 -> ``None``) and repeat; a component still
+       unsolved with every member untightened raises
        :class:`ProvisioningError`.
 
     ``memo`` is the engine's solution memo: :data:`MemoKey` ->
     :class:`PartitionSolution`, or the :data:`INFEASIBLE_COMPONENT` marker
-    for a rung proven hopeless (skipped without re-solving).  Hits are
-    read from it and every solve, adoption and proven infeasibility is
-    written to it as it happens, bounded at :data:`SOLUTION_MEMO_LIMIT`
-    entries.  Only ``INFEASIBLE`` is a proof: a rung that ended in any
-    other no-solution status (a limit hit without an incumbent, the
+    for a rung proven hopeless (skipped without re-solving), bounded at
+    :data:`SOLUTION_MEMO_LIMIT` entries.  A rung that ended without a
+    solution and without that proof (a limit hit before any incumbent, the
     heuristic finding nothing) widens within this call like an infeasible
-    one but is remembered nowhere — what the wall clock decided in one
-    call must not answer the next.
+    one but is remembered nowhere, see :func:`_remember`.
 
     With ``partition=False`` the population is not decomposed: every round
     has one component — all statements over every link of
@@ -493,32 +535,18 @@ def solve_components_with_widening(
     records were entered in.
 
     ``component_cache`` (a :class:`repro.fabric.ComponentSolutionCache`)
-    is consulted *after* the memo misses and *before* the model is built:
-    a content hit is re-addressed to this component's statement ids and
-    reported in ``WideningOutcome.adopted``; fresh proven-optimal solves
-    (and proven infeasibilities) are stored back, anything unproven is a
-    ``bypass()``.  ``fabric`` routes
-    multi-component solves onto a persistent worker pool (see
-    :func:`solve_partition_models`).
+    is the look-up's outermost layer, asked *after* the memo misses and
+    *before* the model is built; a content hit is re-addressed to this
+    component's statement ids.  ``fabric`` routes multi-component solves
+    onto a persistent worker pool (see :func:`solve_partition_models`).
     """
     slack_by_id: Dict[str, Optional[int]] = {
         sid: footprint_slack for sid in records
     }
-    # What this call has learnt, whatever the memo evicts meanwhile: the
-    # solution of every component met so far, and the solver status of
-    # every rung that has none (the error text quotes it).
+    # What this call has learnt, whatever the memo evicts meanwhile.
     known: Dict[MemoKey, PartitionSolution] = {}
-    unsolved: Dict[MemoKey, str] = {}
     solved_keys: set = set()
-    adopted_keys: set = set()
-    slack_retries = 0
-    solver_calls = 0
-    construction_total = 0.0
-    solve_total = 0.0
-    cpu_total = 0.0
-    nodes_total = 0.0
-    nodes_seen = False
-    seed_starts = bool(warm_values) and consumes_warm_starts(solver)
+    outcome = WideningOutcome()
 
     def key_of(spec: PartitionSpec) -> MemoKey:
         return (
@@ -532,8 +560,8 @@ def solve_components_with_widening(
     # loop is finite.  The guard is belt-and-braces.
     for _round in range(32):
         # The partition span covers everything before the solve — views,
-        # re-partition, memo lookups, model building, warm-start
-        # projection — matching what ``construction_seconds`` reports.
+        # re-partition, look-ups, model building — matching what
+        # ``construction_seconds`` reports.
         with telemetry.span("partition", round=_round) as partition_span:
             tightened: Dict[str, LogicalTopology] = {}
             footprints: Dict[str, FrozenSet[LinkKey]] = {}
@@ -551,30 +579,19 @@ def solve_components_with_widening(
             )
 
             resolved: Dict[PartitionSpec, PartitionSolution] = {}
+            # The components of this round that have no solution, with the
+            # solver status that says so (the error text quotes it).
+            unsolved: Dict[PartitionSpec, str] = {}
             to_solve: List[Tuple[PartitionSpec, MemoKey, object]] = []
-            widen_specs: List[PartitionSpec] = []
             for spec in specs:
                 key = key_of(spec)
-                if key in unsolved:
-                    widen_specs.append(spec)
-                    continue
-                solution = known.get(key)
-                if solution is None:
-                    found = memo.get(key)
-                    if found is None:
-                        telemetry.counter("component_cache_misses")
-                    else:
-                        _memoize(memo, key, found)  # a hit renews the entry
-                        if found is INFEASIBLE_COMPONENT:
-                            telemetry.counter("component_cache_infeasible_hits")
-                            unsolved[key] = SolveStatus.INFEASIBLE.value
-                            widen_specs.append(spec)
-                            continue
-                        telemetry.counter("component_cache_hits")
-                        solution = known[key] = found
-                canon = None
-                if solution is None and component_cache is not None:
-                    canon = canonicalize_component(
+                answer, canon = _look_up(
+                    key,
+                    spec,
+                    known,
+                    memo,
+                    component_cache,
+                    lambda: canonicalize_component(
                         spec,
                         tightened,
                         {sid: records[sid].rates for sid in spec.statement_ids},
@@ -582,25 +599,17 @@ def solve_components_with_widening(
                         heuristic,
                         solver,
                         key[2],
-                    )
-                    stored = component_cache.get(canon.signature)
-                    if stored is not None:
-                        if stored.get("infeasible"):
-                            unsolved[key] = SolveStatus.INFEASIBLE.value
-                            widen_specs.append(spec)
-                            continue
-                        solution = decode_solution(stored, canon, spec, key[2])
-                        known[key] = solution
-                        _memoize(memo, key, solution)
-                        adopted_keys.add(key)
-                if solution is not None:
-                    resolved[spec] = solution
-                else:
+                    ),
+                )
+                if answer is None:
                     to_solve.append((spec, key, canon))
+                elif answer is INFEASIBLE_COMPONENT:
+                    unsolved[spec] = SolveStatus.INFEASIBLE.value
+                else:
+                    resolved[spec] = answer
 
             built_models: List[ProvisioningModel] = []
             build_seconds: List[float] = []
-            warm_starts: List[Optional[Dict[str, float]]] = []
             for spec, _key, _canon in to_solve:
                 with telemetry.span("build_model") as build_span:
                     built_models.append(
@@ -609,35 +618,21 @@ def solve_components_with_widening(
                         )
                     )
                 build_seconds.append(build_span.duration)
-            for built in built_models:
-                if not seed_starts:
-                    warm_starts.append(None)
-                    continue
-                projected = project_warm_start(built, warm_values)
-                warm_starts.append(projected)
-                telemetry.counter(
-                    "warm_start_projected" if projected is not None
-                    else "warm_start_abandoned"
-                )
             partition_span.annotate(
                 components=len(specs), to_solve=len(to_solve)
             )
-        construction_total += partition_span.duration
+        outcome.construction_seconds += partition_span.duration
 
         if to_solve:
             with telemetry.span("solve", components=len(to_solve)) as solve_span:
-                outcomes = solve_partition_models(
-                    built_models,
-                    solver=solver,
-                    warm_starts=warm_starts,
-                    fabric=fabric,
+                results = solve_partition_models(
+                    built_models, solver=solver, fabric=fabric
                 )
                 received = telemetry.clock()
-                for (spec, key, canon), built, outcome, seconds in zip(
-                    to_solve, built_models, outcomes, build_seconds
+                for (spec, key, canon), built, result, seconds in zip(
+                    to_solve, built_models, results, build_seconds
                 ):
-                    solver_calls += 1
-                    status_value, _values, _objective, statistics, span_payload = outcome
+                    status_value, _values, _objective, statistics, span_payload = result
                     status = SolveStatus(status_value)
                     backend = str(statistics.get("backend", "")) or "unknown"
                     telemetry.adopt(
@@ -651,79 +646,40 @@ def solve_components_with_widening(
                         float((span_payload or {}).get("duration", 0.0)),
                         backend=backend,
                     )
-                    if statistics.get("warm_start_used"):
-                        telemetry.counter("warm_start_accepted")
-                    if statistics.get("warm_start_rejected"):
-                        telemetry.counter("warm_start_rejected")
-                    cpu_total += statistics.get("solve_seconds", 0.0)
+                    outcome.solver_calls += 1
+                    outcome.solve_cpu_seconds += statistics.get("solve_seconds", 0.0)
                     if statistics.get("nodes") is not None:
-                        nodes_seen = True
-                        nodes_total += statistics.get("nodes") or 0.0
-                    if status.has_solution:
-                        solution = extract_partition_solution(
-                            spec, built, outcome, seconds, member_slacks=key[2]
+                        outcome.nodes = (outcome.nodes or 0.0) + (
+                            statistics.get("nodes") or 0.0
                         )
-                        known[key] = solution
-                        _memoize(memo, key, solution)
+                    solution = None
+                    if status.has_solution:
+                        solution = resolved[spec] = extract_partition_solution(
+                            spec, built, result, seconds, member_slacks=key[2]
+                        )
                         solved_keys.add(key)
-                        resolved[spec] = solution
-                        if component_cache is not None and canon is not None:
-                            if status is SolveStatus.OPTIMAL:
-                                component_cache.put(
-                                    canon.signature,
-                                    encode_solution(solution, canon),
-                                )
-                            else:
-                                # An unproven (time/node-limited or
-                                # heuristic) incumbent must not freeze one
-                                # run's luck into every later run.
-                                component_cache.bypass()
                     else:
-                        proven = status is SolveStatus.INFEASIBLE
-                        if proven:
-                            _memoize(memo, key, INFEASIBLE_COMPONENT)
-                        if component_cache is not None and canon is not None:
-                            if proven:
-                                component_cache.put(
-                                    canon.signature, encode_infeasible()
-                                )
-                            else:
-                                component_cache.bypass()
                         telemetry.counter("components_infeasible")
-                        unsolved[key] = status_value
-                        widen_specs.append(spec)
-            solve_total += solve_span.duration
+                        unsolved[spec] = status_value
+                    _remember(
+                        key, canon, status, solution, known, memo, component_cache
+                    )
+            outcome.solve_seconds += solve_span.duration
 
-        if not widen_specs:
-            final_keys = [key_of(spec) for spec in specs]
-            return WideningOutcome(
-                specs=specs,
-                solutions=[resolved[spec] for spec in specs],
-                fresh=[
-                    resolved[spec]
-                    for spec, key in zip(specs, final_keys)
-                    if key in solved_keys
-                ],
-                adopted=[
-                    resolved[spec]
-                    for spec, key in zip(specs, final_keys)
-                    if key in adopted_keys
-                ],
-                slack_retries=slack_retries,
-                solver_calls=solver_calls,
-                construction_seconds=construction_total,
-                solve_seconds=solve_total,
-                solve_cpu_seconds=cpu_total,
-                nodes=nodes_total if nodes_seen else None,
-            )
+        if not unsolved:
+            outcome.specs = specs
+            outcome.solutions = [resolved[spec] for spec in specs]
+            outcome.fresh = [
+                resolved[spec] for spec in specs if key_of(spec) in solved_keys
+            ]
+            return outcome
 
-        for spec in widen_specs:
-            key = key_of(spec)
+        for spec, status_value in unsolved.items():
             # With every member already on the untightened reference model
             # the outcome is the solver's, not a tightening artifact.
-            if all(slack is None for slack in key[2]):
-                _raise_component_unsolved(spec, unsolved[key])
-            slack_retries += 1
+            if all(slack_by_id[sid] is None for sid in spec.statement_ids):
+                _raise_component_unsolved(spec, status_value)
+            outcome.slack_retries += 1
             telemetry.counter("slack_widening_retries")
             for sid in spec.statement_ids:
                 slack_by_id[sid] = widen_slack(slack_by_id[sid])

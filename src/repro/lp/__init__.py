@@ -31,7 +31,6 @@ from .backends import (
     BACKENDS,
     SolverBackend,
     backend_name,
-    consumes_warm_starts,
     create_backend,
     resolve_backend,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "SolverBackend",
     "BACKENDS",
     "backend_name",
-    "consumes_warm_starts",
     "create_backend",
     "resolve_backend",
     "solve",

@@ -5,14 +5,13 @@ the compiler, the control-plane daemon) hands its models to "some object
 with a ``solve(model)`` method".  This module is that contract and the one
 place a backend is chosen:
 
-* :class:`SolverBackend` — the protocol: ``name``, ``consumes_warm_starts``
-  and ``solve``;
+* :class:`SolverBackend` — the protocol: ``name`` and ``solve``;
 * :data:`BACKENDS` and :func:`create_backend` — the three in-tree backends,
   addressable by string wherever an instance is accepted;
 * :func:`resolve_backend` — the one resolution path (names, instances, and
   the default rule behind ``ProvisionOptions.solver=None``);
-* :func:`backend_name` / :func:`consumes_warm_starts` — what callers may
-  ask of a backend, third-party instances included.
+* :func:`backend_name` — what callers may ask of a backend, third-party
+  instances included.
 
 A limit is honoured or refused, never dropped: only ``"bnb"`` can bound its
 search by node count, so a node limit with any other name is an error at
@@ -40,24 +39,9 @@ class SolverBackend(Protocol):
 
     #: Display name; statistics and the content cache's signature record it.
     name: str
-    #: Whether ``solve`` also takes ``warm_start=``, a mapping of variable
-    #: names to a candidate assignment.  A start is only ever handed to a
-    #: backend that declares this, so a backend without MIP-start plumbing
-    #: needs no parameter to ignore one with.
-    consumes_warm_starts: bool
 
     def solve(self, model: Model) -> SolveResult:
         ...
-
-
-def consumes_warm_starts(solver: object) -> bool:
-    """Whether ``solver`` is handed warm starts.
-
-    The one documented default for a third-party instance: undeclared means
-    absent, so a backend written against the plain ``solve(model)``
-    signature is never passed a keyword it does not take.
-    """
-    return bool(getattr(solver, "consumes_warm_starts", False))
 
 
 def backend_name(solver: Optional[object]) -> str:

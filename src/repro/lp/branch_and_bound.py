@@ -20,9 +20,8 @@ rather than rows × columns.
 
 Pruning respects the model's declared ``objective_resolution`` (the
 tiebreaker epsilon of Merlin's min-max objectives): the effective absolute
-gap is scaled below it, so a warm-started solve seeded with an
-equal-but-for-tiebreaker incumbent still discovers the tie a cold solve
-would pick — warm and cold solves select identical optima regardless of
+gap is scaled below it, so the first incumbent found cannot prune the
+equal-but-for-tiebreaker solution that is strictly better, regardless of
 component size.
 
 Incumbent bookkeeping follows standard branch-and-bound semantics: when the
@@ -31,13 +30,10 @@ incumbent exists, the incumbent is returned with
 :attr:`~repro.lp.result.SolveStatus.FEASIBLE` (not ``OPTIMAL``), and the
 smallest open relaxation bound is surfaced in ``statistics["best_bound"]``
 (with ``statistics["gap"]`` the absolute incumbent/bound gap).  ``OPTIMAL``
-is only reported once every open node is exhausted or dominated.
-
-The solver accepts a MIP start: ``solve(model, warm_start={name: value})``
-seeds the incumbent with a known feasible assignment (after validating its
-bounds, integrality, and constraints), so re-solves of a model that changed
-only slightly — the adaptation workload of Figure 10 — prune against the
-previous solution from the first node instead of rediscovering it.
+is only reported once every open node is exhausted or dominated.  A
+search interrupted before any incumbent was found proves nothing and
+reports :attr:`~repro.lp.result.SolveStatus.ERROR`, whichever limit
+stopped it.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import optimize
@@ -57,7 +53,6 @@ from .model import Model, StandardForm
 from .result import SolveResult, SolveStatus
 
 _INTEGRALITY_TOLERANCE = 1e-6
-_FEASIBILITY_TOLERANCE = 1e-6
 
 #: A node is pruned once its relaxation bound is within this distance of the
 #: incumbent (scaled down per model by :meth:`BranchAndBoundSolver._effective_gap`).
@@ -78,7 +73,6 @@ class BranchAndBoundSolver:
     """Best-first branch-and-bound over HiGHS LP relaxations."""
 
     name = "bnb"
-    consumes_warm_starts = True
 
     def __init__(
         self,
@@ -91,30 +85,20 @@ class BranchAndBoundSolver:
     def _effective_gap(self, model: Model) -> float:
         """The pruning gap, scaled below the model's objective resolution.
 
-        With :data:`ABSOLUTE_GAP` (1e-6) alone, a seeded incumbent
-        prunes any node within 1e-6 of it — including the strictly better
-        tie a cold solve would find whenever the model's tiebreaker epsilon
-        falls below the gap (components beyond ~1000 logical edges).
-        Halving the declared resolution keeps the gap strictly between
-        numerical noise and the smallest genuine objective difference, so
-        warm and cold solves pick identical optima.
+        With :data:`ABSOLUTE_GAP` (1e-6) alone, an incumbent prunes any
+        node within 1e-6 of it — including the strictly better near-tie
+        whenever the model's tiebreaker epsilon falls below the gap
+        (components beyond ~1000 logical edges).  Halving the declared
+        resolution keeps the gap strictly between numerical noise and the
+        smallest genuine objective difference.
         """
         resolution = getattr(model, "objective_resolution", None)
         if resolution is not None and 0.0 < resolution < 2.0 * ABSOLUTE_GAP:
             return resolution / 2.0
         return ABSOLUTE_GAP
 
-    def solve(
-        self, model: Model, warm_start: Optional[Mapping[str, float]] = None
-    ) -> SolveResult:
-        """Solve the model; falls back to a single LP solve when it has no integers.
-
-        ``warm_start`` maps variable names to a candidate assignment
-        (missing variables default to their lower bound).  A start that
-        passes the bounds/integrality/constraint check becomes the initial
-        incumbent; an invalid start is dropped and recorded in
-        ``statistics["warm_start_rejected"]``.
-        """
+    def solve(self, model: Model) -> SolveResult:
+        """Solve the model; falls back to a single LP solve when it has no integers."""
         form = model.to_standard_form(sparse=True)
         absolute_gap = self._effective_gap(model)
         # Bound once: the node loop below reads the clock per node, and the
@@ -130,16 +114,6 @@ class BranchAndBoundSolver:
 
         incumbent: Optional[np.ndarray] = None
         incumbent_objective = math.inf
-        warm_start_used = 0.0
-        warm_start_rejected = 0.0
-        if warm_start is not None:
-            seeded = self._validate_start(form, warm_start, lower, upper)
-            if seeded is not None:
-                incumbent = seeded
-                incumbent_objective = float(form.c @ seeded)
-                warm_start_used = 1.0
-            else:
-                warm_start_rejected = 1.0
         explored = 0
         counter = itertools.count()
 
@@ -154,15 +128,7 @@ class BranchAndBoundSolver:
 
         while heap:
             explored += 1
-            if explored > self.max_nodes:
-                if incumbent is None:
-                    raise SolverError(
-                        f"branch-and-bound exceeded the node limit ({self.max_nodes}) "
-                        "without finding a feasible solution"
-                    )
-                interrupted = True
-                break
-            if (
+            if explored > self.max_nodes or (
                 self.time_limit_seconds is not None
                 and clock() - started > self.time_limit_seconds
             ):
@@ -201,20 +167,12 @@ class BranchAndBoundSolver:
                 )
 
         elapsed = clock() - started
-        start_stats = {}
-        if warm_start_used:
-            start_stats["warm_start_used"] = warm_start_used
-        if warm_start_rejected:
-            start_stats["warm_start_rejected"] = warm_start_rejected
         if incumbent is None:
-            # The search ran to exhaustion without an integer-feasible point.
-            # (An interrupted search without an incumbent cannot conclude
-            # infeasibility, but the time-limit break above only triggers
-            # after at least the root relaxation succeeded; report the honest
-            # outcome either way.)
+            # Exhausted without an integer-feasible point: infeasible.  A
+            # search a limit interrupted first proves nothing either way.
             return SolveResult(
                 status=SolveStatus.ERROR if interrupted else SolveStatus.INFEASIBLE,
-                statistics={"nodes": explored, "solve_seconds": elapsed, **start_stats},
+                statistics={"nodes": explored, "solve_seconds": elapsed},
             )
         values = {
             variable: float(value) for variable, value in zip(form.variables, incumbent)
@@ -245,55 +203,10 @@ class BranchAndBoundSolver:
                 "solve_seconds": elapsed,
                 "best_bound": best_bound,
                 "gap": abs(objective_value - best_bound),
-                **start_stats,
             },
         )
 
     # -- internals ---------------------------------------------------------------
-
-    @staticmethod
-    def _validate_start(
-        form: StandardForm,
-        warm_start: Mapping[str, float],
-        lower: np.ndarray,
-        upper: np.ndarray,
-    ) -> Optional[np.ndarray]:
-        """Turn a named warm start into a feasible point, or ``None``.
-
-        Missing variables default to their lower bound; the candidate must
-        respect bounds, integrality, and every constraint row to become the
-        initial incumbent (an optimistic but infeasible start would silently
-        prune the true optimum otherwise).
-        """
-        point = lower.copy()
-        for position, variable in enumerate(form.variables):
-            value = warm_start.get(variable.name)
-            if value is not None:
-                point[position] = float(value)
-        if not np.all(np.isfinite(point)):
-            # A variable with an infinite lower bound missing from the start
-            # (or an explicit non-finite value) would poison the incumbent
-            # objective and disable pruning.
-            return None
-        if np.any(point < lower - _FEASIBILITY_TOLERANCE) or np.any(
-            point > upper + _FEASIBILITY_TOLERANCE
-        ):
-            return None
-        integer_mask = form.integrality.astype(bool)
-        if integer_mask.any():
-            rounded = np.round(point[integer_mask])
-            if np.max(np.abs(point[integer_mask] - rounded), initial=0.0) > _INTEGRALITY_TOLERANCE:
-                return None
-            point[integer_mask] = rounded
-        if form.b_ub.size and np.any(
-            form.a_ub @ point > form.b_ub + _FEASIBILITY_TOLERANCE
-        ):
-            return None
-        if form.b_eq.size and np.any(
-            np.abs(form.a_eq @ point - form.b_eq) > _FEASIBILITY_TOLERANCE
-        ):
-            return None
-        return point
 
     @staticmethod
     def _solve_relaxation(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class Model:
     ``objective_resolution`` optionally declares the smallest objective
     difference that distinguishes two genuinely different solutions (for
     Merlin's min-max objectives, the per-edge tiebreaker epsilon).  Gap-based
-    solvers scale their pruning tolerance below it so a seeded incumbent can
-    never shadow a strictly better tie — see
+    solvers scale their pruning tolerance below it so an incumbent can never
+    shadow a strictly better near-tie — see
     :class:`~repro.lp.branch_and_bound.BranchAndBoundSolver`.
     """
 
@@ -254,25 +254,13 @@ class Model:
 
     # -- solving -----------------------------------------------------------------
 
-    def solve(self, solver=None, warm_start: Optional[Mapping[str, float]] = None):
-        """Solve the model with the given backend (SciPy/HiGHS by default).
-
-        ``warm_start`` optionally maps variable names to a known (partial)
-        feasible assignment — a MIP start.  It is passed through only to
-        backends that declare ``consumes_warm_starts = True`` (see
-        :func:`repro.lp.backends.consumes_warm_starts`); backends without
-        the flag — including third-party ones written against the plain
-        ``solve(model)`` protocol — are called without it.
-        """
-        from .backends import consumes_warm_starts
-
+    def solve(self, solver=None):
+        """Solve the model with the given backend (SciPy/HiGHS by default)."""
         if solver is None:
             from .scipy_backend import ScipySolver
 
             solver = ScipySolver()
-        if warm_start is None or not consumes_warm_starts(solver):
-            return solver.solve(self)
-        return solver.solve(self, warm_start=warm_start)
+        return solver.solve(self)
 
     def objective_value(self, assignment) -> float:
         """Evaluate the objective under an assignment (model direction applied)."""

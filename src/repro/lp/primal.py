@@ -310,31 +310,6 @@ def _best_path(
     return path
 
 
-def _path_from_start(
-    statement: _PathStatement, warm_start: Mapping[str, float]
-) -> Optional[List[_Edge]]:
-    """Decode one statement's path from a warm start, dropping spurious cycles."""
-    by_source: Dict[int, _Edge] = {}
-    for edge in statement.edges:
-        if warm_start.get(edge.variable.name, 0.0) > 0.5:
-            if edge.source in by_source:
-                return None
-            by_source[edge.source] = edge
-    path: List[_Edge] = []
-    vertex = statement.source
-    seen = set()
-    while vertex != statement.sink:
-        if vertex in seen:
-            return None
-        seen.add(vertex)
-        edge = by_source.get(vertex)
-        if edge is None:
-            return None
-        path.append(edge)
-        vertex = edge.target
-    return path
-
-
 def _loads(
     problem: _DecodedProblem, chosen: Mapping[str, Sequence[_Edge]]
 ) -> Dict[str, float]:
@@ -369,7 +344,6 @@ class PrimalHeuristicSolver:
     """Deterministic iterated local search over per-statement path choices."""
 
     name = "heuristic"
-    consumes_warm_starts = True
 
     def __init__(
         self,
@@ -379,9 +353,7 @@ class PrimalHeuristicSolver:
         self.time_limit_seconds = time_limit_seconds
         self.max_rounds = max_rounds
 
-    def solve(
-        self, model: Model, warm_start: Optional[Mapping[str, float]] = None
-    ) -> SolveResult:
+    def solve(self, model: Model) -> SolveResult:
         """Find a feasible path assignment fast (``FEASIBLE``/``ERROR``).
 
         Raises :class:`SolverError` when the model is not a provisioning
@@ -403,16 +375,9 @@ class PrimalHeuristicSolver:
         )
         load: Dict[str, float] = {}
         chosen: Dict[str, List[_Edge]] = {}
-        seeded = 0
         for identifier in order:
             statement = problem.statements[identifier]
-            path = None
-            if warm_start:
-                path = _path_from_start(statement, warm_start)
-                if path is not None:
-                    seeded += 1
-            if path is None:
-                path = _best_path(statement, load, problem.capacity)
+            path = _best_path(statement, load, problem.capacity)
             if path is None:
                 return SolveResult(
                     status=SolveStatus.ERROR,
@@ -440,7 +405,7 @@ class PrimalHeuristicSolver:
             if not self._perturb(problem, chosen, deadline):
                 break
 
-        return self._assemble(model, problem, chosen, started, rounds, warm_start, seeded)
+        return self._assemble(model, problem, chosen, started, rounds)
 
     # -- local search -----------------------------------------------------------
 
@@ -541,8 +506,6 @@ class PrimalHeuristicSolver:
         chosen: Mapping[str, Sequence[_Edge]],
         started: float,
         rounds: int,
-        warm_start: Optional[Mapping[str, float]],
-        seeded: int,
     ) -> SolveResult:
         values: Dict[Variable, float] = {}
         for statement in problem.statements.values():
@@ -572,11 +535,6 @@ class PrimalHeuristicSolver:
             "num_integer_variables": float(model.num_integer_variables()),
             "heuristic_rounds": float(rounds),
         }
-        if warm_start is not None:
-            if seeded:
-                statistics["warm_start_used"] = 1.0
-            else:
-                statistics["warm_start_rejected"] = 1.0
         if max_fraction > 1.0 + 1e-9:
             # The constructed assignment oversubscribes a link: no feasible
             # point found (the heuristic cannot prove none exists).

@@ -13,10 +13,6 @@ before the solver is CPU-bound.  MIP diagnostics reported by HiGHS (dual
 bound, node count, relative gap) are surfaced in ``SolveResult.statistics``
 under the same keys the branch-and-bound backend uses, so callers can report
 the MIP gap of ``FEASIBLE`` (time-limited) solves uniformly.
-
-``scipy.optimize.milp`` has no MIP-start plumbing, so this backend takes no
-``warm_start``; use :class:`~repro.lp.branch_and_bound.BranchAndBoundSolver`
-when an incumbent must seed the search.
 """
 
 from __future__ import annotations
@@ -38,11 +34,6 @@ class ScipySolver:
     """Solve :class:`~repro.lp.model.Model` instances with SciPy/HiGHS."""
 
     name = "scipy"
-
-    # A start is never handed to a backend that does not declare it
-    # consumes one (Model.solve, and the solve loop before it pays for the
-    # projection), so solve() has no parameter to ignore one with.
-    consumes_warm_starts = False
 
     def __init__(self, time_limit_seconds: Optional[float] = None) -> None:
         self.time_limit_seconds = time_limit_seconds

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core import MerlinCompiler, ProvisionOptions
 from repro.core.ast import Statement
+from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import pod_tenant_scenario
 from repro.incremental import DeltaStatement, PolicyDelta
 from repro.lp import BACKENDS, ScipySolver
@@ -27,6 +28,7 @@ from repro.predicates.ast import FieldTest, pred_and
 from repro.regex.parser import parse_path_expression
 from repro.service import ControlPlane
 from repro.topology.generators import figure2_example
+from repro.topology.graph import Topology
 from repro.units import Bandwidth
 
 FIG2_SOURCE = """
@@ -174,6 +176,56 @@ class TestTheDefaultIsANamedBackend:
         )
         assert set(result.statistics.component_backends) == {"bnb"}
         assert result.statistics.solver_status == "optimal"
+
+
+class TestALimitHitBeforeAnyIncumbent:
+    """Two 1 Gbps paths between 10 Gbps host links: the relaxation splits
+    the 800 Mbps statement across both, so the search must branch once
+    before it holds an incumbent."""
+
+    SOURCE = """
+    [ z : (eth.src = 00:00:00:00:00:01 and
+           eth.dst = 00:00:00:00:00:02 and tcp.dst = 80) -> .* ],
+    min(z, 800Mbps)
+    """
+
+    @staticmethod
+    def _compiler(**options_kwargs):
+        diamond = Topology(name="diamond")
+        diamond.add_host("h1", mac="00:00:00:00:00:01")
+        diamond.add_host("h2", mac="00:00:00:00:00:02")
+        for switch in ("s1", "up", "down", "s2"):
+            diamond.add_switch(switch)
+        diamond.add_link("h1", "s1", Bandwidth.gbps(10))
+        diamond.add_link("s2", "h2", Bandwidth.gbps(10))
+        for middle in ("up", "down"):
+            diamond.add_link("s1", middle, Bandwidth.gbps(1))
+            diamond.add_link(middle, "s2", Bandwidth.gbps(1))
+        return MerlinCompiler(
+            topology=diamond,
+            overlap="trust",
+            add_catch_all=False,
+            generate_code=False,
+            options=ProvisionOptions(**options_kwargs),
+        )
+
+    def test_a_node_limit_of_one_is_no_solution_found_not_a_solver_error(self):
+        """Every rung of the ladder ends ``error`` — no solution and no
+        proof — and the compile fails the way a timed-out one does."""
+        with pytest.raises(
+            ProvisioningError,
+            match=r"statement group \[z\]: no solution found "
+            r"\(solver status: error\)",
+        ):
+            self._compiler(node_limit=1).compile(self.SOURCE)
+
+    def test_room_to_branch_finds_the_path(self):
+        result = self._compiler(node_limit=50).compile(self.SOURCE)
+        assert result.statistics.solver_status == "optimal"
+        assert result.paths["z"].path in (
+            ("h1", "s1", "up", "s2", "h2"),
+            ("h1", "s1", "down", "s2", "h2"),
+        )
 
 
 class TestHeuristicAgainstExactOracle:

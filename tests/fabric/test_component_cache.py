@@ -9,6 +9,9 @@ statements — hits every one of them, skips the model build entirely, and
 still reproduces the cold compile's allocations byte for byte.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.ast import BandwidthTerm, FMin, Policy, Statement, formula_and
@@ -208,6 +211,58 @@ class TestSpill:
             handle.write('{"signature": "t"}\n')
         second = ComponentSolutionCache(spill_path=spill)
         assert len(second) == stored  # the garbage and stale lines were skipped
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated-line", "missing-field", "flipped-character", "older-version"],
+    )
+    def test_a_line_the_replay_cannot_trust_is_skipped_and_re_solved(
+        self, scenario, tmp_path, damage
+    ):
+        """The spill is read back believing nothing: each kind of damage
+        costs one re-solve and is counted, and none reaches an answer."""
+        spill = tmp_path / "components.jsonl"
+        first = ComponentSolutionCache(spill_path=spill)
+        cold = _compile(scenario, first)
+        lines = spill.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == first.stores > 1
+
+        def resealed(entry):
+            """The line a writer of this layout would have produced."""
+            body = json.dumps(entry["record"], sort_keys=True, separators=(",", ":"))
+            entry["digest"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+            return json.dumps(entry)
+
+        entry = json.loads(lines[0])
+        if damage == "truncated-line":
+            lines[0] = lines[0][: len(lines[0]) // 2]
+        elif damage == "missing-field":
+            del entry["record"]["fractions"]
+            lines[0] = resealed(entry)
+        elif damage == "flipped-character":
+            path = next(iter(entry["record"]["location_paths"].values()))
+            path[1] = path[1][:-1] + "9"  # a switch the topology does not have
+            assert not scenario.topology.has_node(path[1])
+            lines[0] = json.dumps(entry)  # under the digest of what was written
+        else:
+            entry["record"]["version"] = "merlin-component-v2"
+            entry["record"]["values"] = {}
+            lines[0] = resealed(entry)
+        spill.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        recording = Telemetry.recording()
+        with recording.use():
+            second = ComponentSolutionCache(spill_path=spill)
+            result = _compile(scenario, second)
+        counters = recording.snapshot()
+        assert counters.counter_total("component_signature_spill_skipped") == 1
+        assert counters.counter_total("component_signature_spill_loads") == first.stores - 1
+        assert second.hits == first.stores - 1 and second.stores == 1
+        assert _reservations(result) == _reservations(cold)
+        assert _paths(result) == _paths(cold)
+        # What was re-solved went back to the spill, whole this time.
+        third = ComponentSolutionCache(spill_path=spill)
+        assert len(third) == first.stores
 
 
 class TestBounds:

@@ -20,11 +20,16 @@ tokeniser and the only cursor, the predicate and path rules live in
 them, so a second tokeniser or a private parser class is a second
 definition of the language delegation verifies against.  And the options
 that had one value in use (speculative duplicates, respawn count, backend
-layout, widening and warm-start switches, a plane-owned fabric, the
-journal's list helpers) stay constants or stay gone.  So do the backend
-nobody here can import, the portfolio whose first candidate always won,
-the registry nobody registered with and the capability flags nobody read:
-a backend is one of ``repro.lp.BACKENDS`` or an instance.
+layout, widening switches, a plane-owned fabric, the journal's list
+helpers) stay constants or stay gone.  So do the backend nobody here can
+import, the portfolio whose first candidate always won, the registry
+nobody registered with and the capability flags nobody read: a backend is
+one of ``repro.lp.BACKENDS`` or an instance.  And a solve takes a model and
+nothing else: the warm-start chain (the engine's incumbent map and its
+pruning, the projection, the start gate and capability flag, the
+name-keyed values carried on every solution and cache record) made an
+exactly tied optimum depend on what the session had solved before, so
+none of its names may return.
 
 ``make lint-pipeline`` runs this file.
 """
@@ -56,10 +61,10 @@ def test_the_widening_loop_is_entered_from_the_engine_only():
     )
 
 
-def _files_mentioning(banned):
+def _files_mentioning(banned, root=SRC, glob="*.py"):
     return [
         str(path.relative_to(SRC))
-        for path in sorted(SRC.rglob("*.py"))
+        for path in sorted(root.rglob(glob))
         if banned.search(path.read_text(encoding="utf-8"))
     ]
 
@@ -143,21 +148,44 @@ def test_options_nobody_set_stay_constants():
         "node_limit",
         "fabric",
         "component_cache",
-    ], "ProvisionOptions grew a field (widening and warm starts are not options)"
+    ], "ProvisionOptions grew a field (widening is not an option)"
 
 
 def test_three_backends_picked_from_a_table():
     banned = re.compile(
         r"AutoSolver|HighsSolver|highs_available|highspy|register_backend"
         r"|_REGISTRY|BackendCapabilities|supports_time_limit"
-        r"|supports_node_limit|solver_consumes_warm_starts"
-        r"|warm_start_ignored|portfolio_wins"
+        r"|supports_node_limit|portfolio_wins"
     )
     offenders = _files_mentioning(banned)
     assert not offenders, (
         "a deleted backend, registry or capability flag is back (choose by a "
-        "branch in resolve_backend; a limit is honoured or refused; a start "
-        "goes only to a backend declaring consumes_warm_starts): %s"
+        "branch in resolve_backend; a limit is honoured or refused): %s"
         % ", ".join(offenders)
     )
     assert not (SRC / "lp" / "highs_backend.py").exists()
+
+
+def test_a_solve_takes_a_model_and_nothing_else():
+    banned = re.compile(
+        r"warm_start|consumes_warm_starts|project_warm_start|_last_values"
+        r"|_prune_incumbents|reserve_rows|update_items|_rename_values|\.adopted"
+    )
+    offenders = _files_mentioning(banned) + _files_mentioning(banned, glob="*.md")
+    assert not offenders, (
+        "the warm-start chain is back (a component's answer is a function of "
+        "its canonical model alone, on every backend; see 'No warm starts' in "
+        "incremental/README.md for what must be shown before it returns): %s"
+        % ", ".join(offenders)
+    )
+    carried = re.compile(r"values_by_name")
+    offenders = [
+        name
+        for package in ("incremental", "fabric")
+        for name in _files_mentioning(carried, root=SRC / package)
+    ]
+    assert not offenders, (
+        "solver values travel past extract_partition_solution again (paths "
+        "and fractions are read out there and the values dropped; "
+        "values_by_name stays on SolveResult): %s" % ", ".join(offenders)
+    )

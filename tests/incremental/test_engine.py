@@ -13,7 +13,6 @@ from repro.experiments.reprovisioning import pod_tenant_scenario
 from repro.fabric import SolveFabric
 from repro.incremental import IncrementalProvisioner
 from repro.incremental.solve import INFEASIBLE_COMPONENT, topology_capacities_mbps
-from repro.lp import BranchAndBoundSolver
 from repro.telemetry import Telemetry
 from repro.topology.generators import figure2_example
 from repro.topology.graph import Topology
@@ -191,13 +190,17 @@ class TestCachingAndPartitions:
         assert result.solve_statistics["partitions_dirty"] == 1.0
         assert result.solve_statistics["partitions_reused"] == 3.0
 
-    def test_process_pool_matches_serial(self):
+    @pytest.mark.parametrize("solver", ("scipy", "bnb"))
+    def test_process_pool_matches_serial(self, solver):
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         rates = localize(scenario.policy)
-        serial = IncrementalProvisioner(scenario.topology)
+        serial = IncrementalProvisioner(
+            scenario.topology, options=ProvisionOptions(solver=solver)
+        )
         with SolveFabric(max_workers=2) as fabric:
             pooled = IncrementalProvisioner(
-                scenario.topology, options=ProvisionOptions(fabric=fabric)
+                scenario.topology,
+                options=ProvisionOptions(solver=solver, fabric=fabric),
             )
             for statement in scenario.policy.statements:
                 serial.add_statement(statement, rates[statement.identifier].guarantee)
@@ -286,36 +289,3 @@ class TestOnlyProofsAreMemoized:
         assert _paths(result) == _paths(
             _engine(topology, policy, rates, logical).resolve()
         )
-
-
-class TestIncumbentHygiene:
-    def test_removed_statement_values_pruned(self):
-        """remove_statement drops the statement's incumbent values so a
-        re-add under the same identifier can never project stale edges."""
-        topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(topology, policy, rates, logical)
-        engine.resolve()
-        assert any(name.startswith("x__z__") for name in engine._last_values)
-        engine.remove_statement("z")
-        assert not any(name.startswith("x__z__") for name in engine._last_values)
-
-
-class TestWarmStartedResolve:
-    def test_branch_and_bound_consumes_projected_incumbent(self):
-        topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(
-            topology,
-            policy,
-            rates,
-            logical,
-            options=ProvisionOptions(solver=BranchAndBoundSolver()),
-        )
-        engine.resolve()
-        # A rate decrease keeps the previous paths feasible: the projected
-        # incumbent must be accepted by the solver.
-        engine.update_rates("z", Bandwidth.mb_per_sec(80))
-        result = engine.resolve()
-        (solution,) = [
-            s for s in result.partition_solutions if "z" in s.spec.statement_ids
-        ]
-        assert solution.statistics.get("warm_start_used") == 1.0

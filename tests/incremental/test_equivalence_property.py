@@ -5,9 +5,10 @@ sequence of add / remove / update deltas, ``resolve()`` (and the compiler's
 ``recompile``) must produce allocations *identical* to a from-scratch
 ``compile()`` of the final policy.  Identity is by construction — both
 paths partition the statements the same way and solve byte-identical
-canonical component models — and this test drives randomized sequences
-through both layers to prove it holds across churn, cache reuse, and
-component merges/splits.
+canonical component models, and a solve is handed nothing but its model —
+and this test drives randomized sequences through both layers, under both
+exact backends, to prove it holds across churn, cache reuse, and component
+merges/splits.
 """
 
 import random
@@ -110,11 +111,16 @@ class _RandomPolicyChurn:
         return Policy(statements=tuple(statements), formula=formula_and(*clauses))
 
 
+EXACT_BACKENDS = ("scipy", "bnb")
+
+
+@pytest.mark.parametrize("solver", EXACT_BACKENDS)
 @pytest.mark.parametrize("seed", range(5))
-def test_engine_delta_sequences_match_from_scratch_compile(seed):
+def test_engine_delta_sequences_match_from_scratch_compile(seed, solver):
     """Engine layer: random churn + resolve == provision of the final set."""
     churn = _RandomPolicyChurn(seed)
-    engine = IncrementalProvisioner(churn.scenario.topology)
+    options = ProvisionOptions(solver=solver)
+    engine = IncrementalProvisioner(churn.scenario.topology, options=options)
     for statement, guarantee in churn.active.values():
         engine.add_statement(statement, guarantee)
     for step in range(8):
@@ -136,16 +142,18 @@ def test_engine_delta_sequences_match_from_scratch_compile(seed):
         overlap="trust",
         add_catch_all=False,
         generate_code=False,
+        options=options,
     )
     _assert_same_allocations(incremental, scratch)
 
 
+@pytest.mark.parametrize("solver", EXACT_BACKENDS)
 @pytest.mark.parametrize("partition", (True, False), ids=("partitioned", "unpartitioned"))
 @pytest.mark.parametrize("seed", range(3))
-def test_compiler_recompile_sequences_match_from_scratch_compile(seed, partition):
+def test_compiler_recompile_sequences_match_from_scratch_compile(seed, partition, solver):
     """Compiler layer: random recompile deltas == compile of the final policy."""
     churn = _RandomPolicyChurn(seed + 100)
-    options = ProvisionOptions(partition=partition)
+    options = ProvisionOptions(partition=partition, solver=solver)
     compiler = MerlinCompiler(
         topology=churn.scenario.topology,
         overlap="trust",

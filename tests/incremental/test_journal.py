@@ -99,17 +99,6 @@ class TestUndoJournal:
         journal.release(outer)
         assert len(journal) == 0
 
-    def test_update_items_bulk_undo(self):
-        journal = UndoJournal()
-        data = {"a": 1, "b": 2}
-        mark = journal.mark()
-        journal.update_items(data, {"a": 10, "c": 30})
-        assert data == {"a": 10, "b": 2, "c": 30}
-        # One journal entry per bulk update, not per key.
-        assert len(journal) == 1
-        journal.rollback(mark)
-        assert data == {"a": 1, "b": 2}
-
     def test_set_attr_undo(self):
         class Box:
             value = 1
@@ -133,7 +122,6 @@ def _engine_state(engine):
     """
     return {
         "records": dict(engine._records),
-        "last_values": dict(engine._last_values),
         "topology": engine.topology,
         "capacities": dict(engine._capacity_mbps),
     }
@@ -154,7 +142,7 @@ def test_journal_rollback_matches_legacy_snapshot(seed):
     """Side by side: for random delta streams, a journal rollback restores
     the engine byte-identical to the shadow copy (``_engine_state``)
     captured at the same instant (every record under its old token, the
-    capacity map and the warm-start incumbents)."""
+    topology and its capacity map)."""
     rng = random.Random(seed)
     churn = _RandomPolicyChurn(seed + 900)
     scenario = churn.scenario
@@ -171,7 +159,7 @@ def test_journal_rollback_matches_legacy_snapshot(seed):
         for _ in range(rng.randint(1, 4)):
             _apply_engine_op(engine, churn.next_op())
         if rng.random() < 0.5:
-            engine.resolve()  # touches memo + incumbents mid-transaction
+            engine.resolve()  # touches the memo mid-transaction
         engine.restore(mark)
         engine.release(mark)
         churn.active = population

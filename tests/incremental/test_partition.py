@@ -13,7 +13,6 @@ def _solution(name, objective, bound, status=SolveStatus.OPTIMAL.value):
         spec=PartitionSpec(statement_ids=(name,), links=()),
         location_paths={},
         fractions={},
-        values_by_name={},
         status=status,
         objective=objective,
         member_slacks=(None,),

@@ -646,7 +646,7 @@ class TestSolverProtocolCompatibility:
         from repro.lp import ScipySolver
 
         class LegacySolver:
-            """A backend written against the pre-warm-start protocol."""
+            """A third-party backend: ``solve(model)`` and nothing else."""
 
             def solve(self, model):
                 return ScipySolver().solve(model)
@@ -658,8 +658,8 @@ class TestSolverProtocolCompatibility:
             options=ProvisionOptions(solver=LegacySolver()),
         )
         compiler.compile(SOURCE)
-        # A rate update takes the warm-started resolve path; the warm start
-        # must be dropped, not passed to the legacy backend.
+        # A rate update re-solves the dirty component through the same
+        # one-argument call the compile made.
         result = compiler.recompile(
             PolicyDelta(
                 update_rates=(RateUpdate("z", guarantee=Bandwidth.mb_per_sec(40)),)

@@ -13,7 +13,6 @@ from repro.lp import (
     ScipySolver,
     SolverBackend,
     backend_name,
-    consumes_warm_starts,
     create_backend,
     resolve_backend,
 )
@@ -86,27 +85,26 @@ class TestCapabilities:
             assert backend.name == name
             assert backend_name(backend) == name
 
-    def test_undeclared_capability_is_absent(self):
-        """The one documented default for unknown third-party backends."""
+    def test_an_undeclared_name_is_the_class_name(self):
+        """A third-party backend needs ``solve(model)`` and nothing else."""
 
         class Mystery:
             def solve(self, model):
                 raise NotImplementedError
 
         assert backend_name(Mystery()) == "Mystery"
-        assert consumes_warm_starts(Mystery()) is False
 
     def test_none_reports_the_default_backend(self):
         assert backend_name(None) == "scipy"
-        assert consumes_warm_starts(None) is False
 
-    def test_a_backend_without_start_plumbing_takes_no_start(self):
-        """Nothing above a backend hands a start to one that does not
-        declare it consumes them, so there is no parameter to drop one
-        quietly with: a direct call that tries is a ``TypeError``."""
-        assert consumes_warm_starts(ScipySolver()) is False
+    def test_a_solve_takes_a_model_and_nothing_else(self):
+        """No backend has a second parameter to be handed a start through,
+        and ``Model.solve`` has none to hand one on with."""
+        for name in BACKENDS:
+            with pytest.raises(TypeError):
+                create_backend(name).solve(_knapsack(), {"x0": 1.0})
         with pytest.raises(TypeError):
-            ScipySolver().solve(_knapsack(), warm_start={"x0": 1.0})
+            _knapsack().solve(ScipySolver(), {"x0": 1.0})
 
 
 class TestRegistry:
@@ -222,24 +220,3 @@ class TestPrimalHeuristic:
         second = PrimalHeuristicSolver().solve(built.model)
         assert first.values_by_name() == second.values_by_name()
         assert first.objective == second.objective
-
-    def test_consumes_warm_start(self):
-        built = _provisioning_model()
-        exact = BranchAndBoundSolver().solve(built.model)
-        seeded = PrimalHeuristicSolver().solve(
-            built.model, warm_start=exact.values_by_name()
-        )
-        assert seeded.statistics["warm_start_used"] == 1.0
-        # Seeded from the optimum, the search can only keep or improve it.
-        assert seeded.values_by_name()["r_max"] <= (
-            exact.values_by_name()["r_max"] + 1e-9
-        )
-
-    def test_rejects_broken_warm_start(self):
-        built = _provisioning_model()
-        result = PrimalHeuristicSolver().solve(
-            built.model, warm_start={"nonsense": 1.0}
-        )
-        # The start decodes to no usable path; greedy construction covers.
-        assert result.statistics["warm_start_rejected"] == 1.0
-        assert result.status is SolveStatus.FEASIBLE

@@ -333,9 +333,14 @@ class TestSolverInterruption:
         assert limited.statistics["best_bound"] >= optimal.objective - 1e-6
         assert limited.statistics["gap"] >= 0.0
 
-    def test_node_limit_without_incumbent_raises(self):
-        with pytest.raises(SolverError):
-            BranchAndBoundSolver(max_nodes=2).solve(self._knapsack())
+    def test_node_limit_without_incumbent_is_an_error_status(self):
+        # Interrupted before any incumbent: no solution and no proof, the
+        # same outcome as the time limit below — a status, not a raise
+        # (which would cross a fabric worker as a foreign exception).
+        result = BranchAndBoundSolver(max_nodes=1).solve(self._knapsack())
+        assert result.status is SolveStatus.ERROR
+        assert not result.status.has_solution
+        assert result.statistics["nodes"] == 2
 
     def test_generous_node_limit_still_proves_optimality(self):
         result = BranchAndBoundSolver(max_nodes=200_000).solve(self._knapsack())
@@ -348,6 +353,7 @@ class TestSolverInterruption:
         result = BranchAndBoundSolver(time_limit_seconds=0.0).solve(self._knapsack())
         assert result.status is SolveStatus.ERROR
         assert not result.status.has_solution
+        assert result.statistics["nodes"] == 1
 
     def test_feasible_status_properties(self):
         assert SolveStatus.FEASIBLE.has_solution

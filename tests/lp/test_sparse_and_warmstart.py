@@ -1,4 +1,9 @@
-"""Tests for the sparse standard form, warm starts, and model row removal."""
+"""Tests for the sparse standard form, the objective resolution the
+branch-and-bound prunes by, and dangling variable references.
+
+(The file and ``TestWarmStart`` keep their names for the test ids under
+them; warm starts themselves are gone — a solve takes a model and nothing
+else.)"""
 
 import numpy as np
 import pytest
@@ -60,15 +65,11 @@ class TestSparseStandardForm:
         assert np.array_equal(sparse.a_eq.toarray(), [[1.0, 1.0]])
 
     def test_branch_and_bound_consumes_sparse_form_end_to_end(self):
-        """The B&B backend uses the sparse export for its relaxations (and
-        warm-start validation)."""
+        """The B&B backend uses the sparse export for its relaxations."""
         model, _ = _knapsack()
         sparse_result = BranchAndBoundSolver().solve(model)
+        assert sparse_result.status is SolveStatus.OPTIMAL
         assert sparse_result.objective == 20.0
-        # Warm-start validation multiplies the (sparse) matrices too.
-        start = {name: value for name, value in sparse_result.values_by_name().items()}
-        warm = BranchAndBoundSolver().solve(model, warm_start=start)
-        assert warm.statistics["warm_start_used"] == 1.0
 
     def test_milp_diagnostics_surfaced(self):
         model, _ = _knapsack()
@@ -80,57 +81,29 @@ class TestSparseStandardForm:
 
 
 class TestWarmStart:
-    def test_valid_start_seeds_incumbent(self):
-        model, _ = _knapsack()
-        optimal = ScipySolver().solve(model)
-        start = optimal.values_by_name()
-        result = BranchAndBoundSolver().solve(model, warm_start=start)
-        assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(optimal.objective)
-        assert result.statistics["warm_start_used"] == 1.0
+    """What is left under this name: the objective resolution."""
 
-    def test_infeasible_start_rejected_not_trusted(self):
-        model, _ = _knapsack()
-        # Selecting every item violates the weight budget.
-        bad = {f"x{i}": 1.0 for i in range(4)}
-        result = BranchAndBoundSolver().solve(model, warm_start=bad)
-        assert result.statistics["warm_start_rejected"] == 1.0
-        assert result.objective == pytest.approx(20.0)
-
-    def test_fractional_start_rejected_for_integers(self):
-        model, _ = _knapsack()
-        result = BranchAndBoundSolver().solve(
-            model, warm_start={"x0": 0.5, "x1": 0.0, "x2": 0.0, "x3": 0.0}
-        )
-        assert result.statistics["warm_start_rejected"] == 1.0
-
-    def test_warm_and_cold_solves_pick_identical_tiebreaker_optima(self):
-        """The warm-start determinism fix: when the model declares its
-        objective resolution (the tiebreaker epsilon) below the solver's
-        default absolute gap, a seeded incumbent that is optimal-but-for-
-        the-tiebreaker must not shadow the strictly better tie."""
-        def tie_model():
+    def test_declared_resolution_keeps_an_incumbent_from_pruning_a_better_near_tie(self):
+        """The search meets x=0 (objective 0.5 + 1e-9) before x=1 (0.5).
+        Inside the default 1e-6 gap the first incumbent prunes the better
+        one; with the resolution declared (as set_provisioning_objective
+        does for min-max models) the gap scales below it."""
+        def near_tie():
             model = Model()
             x = model.add_binary("x")
-            model.minimize(LinExpr.sum_of([1e-9 * x]))
-            return model, x
+            t = model.add_continuous("t", lower=0.0)
+            model.add_constraint(t + x >= 0.5)
+            model.add_constraint(t - x >= -0.5)
+            model.minimize(LinExpr.weighted_sum([(t, 1.0), (x, -1e-9)], constant=1e-9))
+            return model
 
-        # Without a declared resolution, the 1e-9-worse incumbent survives
-        # inside the default 1e-6 gap: warm diverges from cold.
-        model, x = tie_model()
-        stale = BranchAndBoundSolver().solve(model, warm_start={"x": 1.0})
-        assert stale.values_by_name()["x"] == 1.0
-
-        # With the resolution declared (as set_provisioning_objective does
-        # for min-max models), the gap scales below the epsilon and the
-        # warm solve finds the same optimum as a cold one.
-        model, x = tie_model()
+        model = near_tie()
+        assert BranchAndBoundSolver().solve(model).values_by_name()["x"] == 0.0
+        model = near_tie()
         model.objective_resolution = 1e-9
-        cold = BranchAndBoundSolver().solve(model)
-        warm = BranchAndBoundSolver().solve(model, warm_start={"x": 1.0})
-        assert warm.statistics["warm_start_used"] == 1.0
-        assert cold.values_by_name()["x"] == 0.0
-        assert warm.values_by_name() == cold.values_by_name()
+        result = BranchAndBoundSolver().solve(model)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.values_by_name()["x"] == 1.0
 
     def test_provisioning_models_declare_objective_resolution(self):
         """The min-max provisioning objectives publish their tiebreaker
@@ -170,71 +143,6 @@ class TestWarmStart:
         }
         assert len(tiebreaker_coefficients) == 1
         assert next(iter(tiebreaker_coefficients)) == pytest.approx(resolution)
-
-    def test_model_solve_passes_warm_start_through(self):
-        model, _ = _knapsack()
-        start = ScipySolver().solve(model).values_by_name()
-        result = model.solve(BranchAndBoundSolver(), warm_start=start)
-        assert result.statistics["warm_start_used"] == 1.0
-
-    def test_start_with_unbounded_variable_rejected(self):
-        """A warm start omitting a variable whose lower bound is -inf must
-        be rejected, not seeded as a -inf/NaN incumbent that disables
-        pruning."""
-        import math
-
-        model = Model()
-        x = model.add_binary("x")
-        y = model.add_continuous("y", lower=-math.inf)
-        model.add_constraint(y.to_expr() >= -5.0)
-        model.add_constraint(x + y <= 10.0)
-        model.minimize(y + x)
-        result = model.solve(BranchAndBoundSolver(), warm_start={"x": 1.0})
-        assert result.statistics["warm_start_rejected"] == 1.0
-        assert result.objective == pytest.approx(-5.0)
-
-    def test_warm_start_capability_flags(self):
-        """The incremental engine skips incumbent projection for backends
-        that cannot consume MIP starts (the default scipy backend).  The
-        one documented default for third-party backends: an undeclared
-        capability is absent — declare ``consumes_warm_starts = True`` to
-        receive starts."""
-        from repro.lp import PrimalHeuristicSolver, consumes_warm_starts
-
-        assert not consumes_warm_starts(None)
-        assert not consumes_warm_starts(ScipySolver())
-        assert consumes_warm_starts(BranchAndBoundSolver())
-        assert consumes_warm_starts(PrimalHeuristicSolver())
-
-        class UnknownBackend:  # third-party, declares nothing: no starts
-            def solve(self, model):
-                raise NotImplementedError
-
-        class DeclaringBackend(UnknownBackend):
-            consumes_warm_starts = True
-
-        assert not consumes_warm_starts(UnknownBackend())
-        assert consumes_warm_starts(DeclaringBackend())
-
-    def test_model_solve_gates_start_on_declared_capability(self):
-        """``Model.solve`` consults the same capability flag (no more
-        ``inspect.signature`` probing): an undeclared backend is called
-        without the keyword even when a start is supplied."""
-        model, _ = _knapsack()
-        calls = {}
-
-        class ProbeBackend:  # would crash if handed warm_start
-            def solve(self, solved_model):
-                calls["warm_start"] = False
-                return ScipySolver().solve(solved_model)
-
-        result = model.solve(ProbeBackend(), warm_start={"x0": 1.0})
-        assert calls == {"warm_start": False}
-        assert result.objective == pytest.approx(20.0)
-        # The scipy backend takes no start at all; the same gate covers it.
-        for solver in (None, ScipySolver()):
-            gated = model.solve(solver, warm_start={"x0": 1.0})
-            assert gated.objective == pytest.approx(20.0)
 
 
 class TestDangling:

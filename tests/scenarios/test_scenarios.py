@@ -18,7 +18,7 @@ from repro.scenarios import (
     replay,
     serialize_events,
 )
-from repro.core import MerlinCompiler
+from repro.core import MerlinCompiler, ProvisionOptions
 
 
 def _quick(seed: int = 0, events: int = 30) -> ScenarioConfig:
@@ -106,6 +106,18 @@ class TestReplay:
             scenario = generate_scenario(_quick(seed=seed, events=25))
             report = replay(scenario)
             assert report.final_identical is True, f"seed {seed}"
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_a_branch_and_bound_session_ends_where_a_fresh_compile_does(self, seed):
+        # An exactly tied optimum is decided by the component's model, never
+        # by what the session solved before: seeds 1, 3 and 4 diverged while
+        # re-solves were seeded with the previous incumbent.
+        scenario = generate_scenario(ScenarioConfig(seed=seed, events=60, arity=4))
+        report = replay(
+            scenario, options=ProvisionOptions(solver="bnb"), check_simulator=False
+        )
+        assert report.invalidations == 0
+        assert report.final_identical is True
 
     def test_summary_reports_the_headline_numbers(self):
         scenario = generate_scenario(_quick(seed=1, events=20))
