@@ -35,7 +35,7 @@ import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .. import telemetry
 from ..codegen.generator import CodeGenerator
@@ -53,7 +53,12 @@ from .allocation import (
 )
 from .ast import Policy, Statement
 from .localization import LocalRates, localize, localized_formula
-from .logical import LogicalTopology, build_logical_topology, infer_endpoints
+from .logical import (
+    LogicalTopology,
+    build_logical_topology,
+    infer_endpoints,
+    search_logical_topology,
+)
 from .options import ProvisionOptions
 from ..incremental.delta import TopologyDelta
 from ..incremental.engine import IncrementalProvisioner
@@ -90,16 +95,19 @@ class _StatementEntry:
     #: Whether this is the preprocessor's generated catch-all (as opposed
     #: to a user-authored statement that happens to be named "default").
     generated: bool = False
-    #: Physical-link footprint of the *untightened* product graph on the
-    #: *pristine* topology (``None`` until a product graph is first built
-    #: for the statement).  Because the product construction is monotone in
-    #: the topology (a subgraph's product is a subgraph of the pristine
-    #: product), a topology change can only affect a statement whose
-    #: pristine footprint intersects the changed links — the exact test the
-    #: topology-delta path uses to skip rebuilds.
-    footprint: Optional[frozenset] = None
-    #: A constrained best-effort statement's shortest path through its
-    #: logical topology (unconstrained ones ride the sink trees instead).
+    #: Physical-link footprint (sorted pairs) of the *untightened* product
+    #: graph on the *pristine* topology: read off the materialised graph of
+    #: a guaranteed statement, returned by the search of a constrained
+    #: best-effort one, ``None`` while neither has happened (an
+    #: unconstrained best-effort statement).  Because the product
+    #: construction is monotone in the topology (a subgraph's product is a
+    #: subgraph of the pristine product), a topology change can only affect
+    #: a statement whose pristine footprint intersects the changed links —
+    #: the exact test the topology-delta path uses to skip rebuilds.
+    footprint: Optional[FrozenSet[Tuple[str, str]]] = None
+    #: A constrained best-effort statement's breadth-first shortest path
+    #: through its product graph (unconstrained ones ride the sink trees
+    #: instead).
     best_effort: Optional[PathAssignment] = None
     #: Whether a constrained best-effort statement's path expression admits
     #: no path on the active topology.
@@ -143,11 +151,20 @@ class _CompilerSession:
     entries: Dict[str, _StatementEntry] = field(default_factory=dict)
     #: Source of the entries' insertion stamps (see the class docstring).
     stamps: Iterator[int] = field(default_factory=itertools.count)
-    #: Product graphs memoized on the statement's (path expression,
-    #: endpoint pair) shape: statements sharing that shape produce identical
-    #: product graphs on one topology, so duplicates reuse the built graph.
+    #: What the session has asked of product graphs, memoized on the
+    #: statement's (path expression, source, destination) shape plus which
+    #: of the two questions it was: statements sharing a shape have
+    #: identical product graphs on one topology.  ``(..., True)`` holds the
+    #: materialised graph a guaranteed statement's MIP reads, ``(...,
+    #: False)`` the ``(shortest path, footprint)`` a constrained
+    #: best-effort statement's search returned; a promotion materialises
+    #: under its own key.
     logical_cache: Dict[
-        Tuple[Regex, Optional[str], Optional[str]], LogicalTopology
+        Tuple[Regex, Optional[str], Optional[str], bool],
+        Union[
+            LogicalTopology,
+            Tuple[Optional[Tuple[str, ...]], FrozenSet[Tuple[str, str]]],
+        ],
     ] = field(default_factory=dict)
     sink_trees: Dict = field(default_factory=dict)
     failed_links: frozenset = frozenset()
@@ -508,8 +525,8 @@ class MerlinCompiler:
         journal.set_attr(session, "active_topology", active)
         journal.set_attr(session, "failed_links", frozenset(failed_links))
         journal.set_attr(session, "failed_nodes", frozenset(failed_nodes))
-        # Cached products were built against the previous active
-        # topology; the (path, endpoints) keys do not encode it.  The
+        # Cached products and searches were made against the previous
+        # active topology; the (path, endpoints) keys do not encode it.  The
         # rebind is journaled (rollback reinstates the old cache dict);
         # entries added to the fresh dict inside this transaction are
         # simply discarded with it.
@@ -545,8 +562,8 @@ class MerlinCompiler:
         component solutions valid.  A guaranteed statement with *no*
         surviving path raises (and rolls the transaction back) — the
         network can no longer carry its guarantee at all.  Best-effort
-        statements are entered anew: constrained ones re-run their
-        product-graph BFS and may move between feasible and infeasible,
+        statements are entered anew: constrained ones search their
+        product graph again and may move between feasible and infeasible,
         unconstrained ones (a demoted statement keeps the footprint its
         guarantee recorded) follow the sink trees as before.
         """
@@ -801,7 +818,9 @@ class MerlinCompiler:
                 "from its predicate or path expression"
             )
         logical = self._logical_for(session, entry.statement, source, destination)
-        footprint = self._pristine_footprint(session, entry, logical)
+        footprint = self._pristine_footprint(
+            session, entry, frozenset(logical.physical_links_used())
+        )
         session.engine.add_statement(
             entry.statement, entry.rates.guarantee, cap=entry.rates.cap, logical=logical
         )
@@ -814,24 +833,29 @@ class MerlinCompiler:
         if any.
 
         Unconstrained paths are served by sink trees (refreshed centrally
-        once the statements are in); constrained ones take the shortest
-        path through their logical topology or are marked infeasible.
+        once the statements are in); constrained ones take the
+        breadth-first shortest path a search of their product graph finds
+        — no graph is built for them — or are marked infeasible.
         """
         if _is_unconstrained_path(entry.statement.path):
             return entry
         source, destination = entry.endpoints
-        logical = self._logical_for(session, entry.statement, source, destination)
+        path, footprint = self._search_for(
+            session, entry.statement, source, destination
+        )
         assignment = self._best_effort_assignment(
-            entry.statement, logical, session.active_topology
+            entry.statement, path, session.active_topology
         )
         return dataclasses.replace(
             entry,
-            footprint=self._pristine_footprint(session, entry, logical),
+            footprint=self._pristine_footprint(session, entry, footprint),
             best_effort=assignment,
             infeasible=assignment is None,
         )
 
-    def _pristine_footprint(self, session, entry, logical) -> frozenset:
+    def _pristine_footprint(
+        self, session, entry, footprint: FrozenSet[Tuple[str, str]]
+    ) -> FrozenSet[Tuple[str, str]]:
         """The statement's untightened product footprint on the *pristine*
         topology, computed once per statement (a promotion or demotion
         keeps the one its add recorded; unconstrained best-effort
@@ -841,22 +865,23 @@ class MerlinCompiler:
         footprints: the product construction is monotone in the topology,
         so any active product is a subgraph of the pristine one, and a
         recovered link can only matter to statements whose pristine product
-        could use it.  ``logical`` is the statement's product on the active
-        topology, already in the caller's hand; during failures that is
-        not the pristine product, which is then built uncached.
+        could use it.  ``footprint`` is the one of the statement's product
+        on the active topology, already in the caller's hand; during
+        failures that is not the pristine product, which is then searched
+        uncached.
         """
         if entry.footprint is not None:
             return entry.footprint
         if session.active_topology is not self.topology:
             source, destination = infer_endpoints(entry.statement, self.topology)
-            logical = build_logical_topology(
+            _, footprint = search_logical_topology(
                 entry.statement,
                 self.topology,
                 self.placements,
                 source=source,
                 destination=destination,
             )
-        return frozenset(logical.physical_links_used())
+        return footprint
 
     def _real_statements(self, session) -> List[Statement]:
         """The session's statements minus the preprocessor's *generated*
@@ -989,24 +1014,47 @@ class MerlinCompiler:
 
     # -- shared helpers --------------------------------------------------------------
 
-    # Distinct (path, source, destination) product graphs kept per session;
-    # bounded (LRU) so a long-running controller streaming deltas with
-    # ever-new path expressions does not grow resident memory monotonically.
+    # Distinct product-graph answers kept per session; bounded (LRU) so a
+    # long-running controller streaming deltas with ever-new path
+    # expressions does not grow resident memory monotonically.
     _LOGICAL_CACHE_LIMIT = 1024
 
     def _logical_for(self, session, statement, source, destination):
-        """The statement's product graph on the session's active topology."""
+        """The statement's product graph on the session's active topology,
+        materialised: what a guaranteed statement hands the MIP."""
+        graph, fresh = self._memoized(
+            session, statement, source, destination, materialise=True
+        )
+        telemetry.counter("logical_memo_misses" if fresh else "logical_memo_hits")
+        return graph if fresh else graph.rebadged(statement.identifier)
+
+    def _search_for(self, session, statement, source, destination):
+        """The ``(shortest path | None, footprint)`` of the statement's
+        product graph on the session's active topology, searched and never
+        built: all a constrained best-effort statement needs of it."""
+        found, fresh = self._memoized(
+            session, statement, source, destination, materialise=False
+        )
+        if fresh:
+            telemetry.counter("logical_searches")
+        return found
+
+    def _memoized(self, session, statement, source, destination, materialise):
+        """One ``logical_cache`` lookup: the answer for the statement's
+        shape, computed on a miss, and whether it was."""
         # The cache key does not encode the topology: the topology-delta
         # path rebinds the session cache on every change, so entries never
-        # outlive the topology they were built on.
+        # outlive the topology they were made on.
         cache = session.logical_cache
         active = session.active_topology
-        key = (statement.path, source, destination)
+        key = (statement.path, source, destination, materialise)
         cached = cache.pop(key, None)
-        if cached is None:
-            telemetry.counter("logical_memo_misses")
-            fresh = True
-            cached = build_logical_topology(
+        fresh = cached is None
+        if fresh:
+            consumer = (
+                build_logical_topology if materialise else search_logical_topology
+            )
+            cached = consumer(
                 statement,
                 active,
                 self.placements,
@@ -1018,26 +1066,25 @@ class MerlinCompiler:
                     None if active is self.topology else self.topology.locations()
                 ),
             )
-        else:
-            telemetry.counter("logical_memo_hits")
-            fresh = False
         cache[key] = cached  # (re)insert as most recently used
         while len(cache) > self._LOGICAL_CACHE_LIMIT:
             cache.pop(next(iter(cache)))
-        return cached if fresh else cached.rebadged(statement.identifier)
+        return cached, fresh
 
     def _best_effort_assignment(
-        self, statement: Statement, logical: LogicalTopology, topology: Topology
+        self,
+        statement: Statement,
+        path: Optional[Tuple[str, ...]],
+        topology: Topology,
     ) -> Optional[PathAssignment]:
-        found = logical.find_path()
-        if found is None:
+        if path is None:
             return None
         return PathAssignment(
             statement_id=statement.identifier,
-            path=tuple(found),
+            path=path,
             # The same greedy placement rule the MIP's paths get.
             function_placements=_assign_functions(
-                statement.path, found, self.placements, topology
+                statement.path, path, self.placements, topology
             ),
             guaranteed_rate=None,
         )

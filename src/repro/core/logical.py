@@ -20,6 +20,15 @@ When the statement's endpoints are known (from its predicate or supplied
 explicitly), the automaton is intersected with ``src .* dst`` so that ``G_i``
 only contains paths that actually carry the statement's traffic from its
 source to its destination.
+
+The product is walked once, by :func:`_explore`, and read by two consumers.
+The MIP needs ``G_i`` as an object — Equation 1 has a variable per edge — so
+:func:`build_logical_topology` materialises a :class:`LogicalTopology` for a
+guaranteed statement, one :class:`LogicalEdge` per surviving edge.  A
+path-constrained best-effort statement only ever asks for the graph's
+breadth-first shortest path and the physical links it touches, and
+:func:`search_logical_topology` answers both from the walk without
+constructing either class.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from ..errors import ProvisioningError
 from ..predicates.sat import forced_equalities
 from ..regex.ast import Regex
-from ..regex.dfa import DFA
 from ..regex.operations import compile_dfa, compile_pinned_dfa, shortest_accepted
 from ..regex.substitution import functions_used, substitute_functions
 from ..topology.graph import Topology
@@ -107,8 +115,10 @@ class LogicalTopology:
     def find_path(self) -> Optional[List[str]]:
         """A shortest source-to-sink path, as a sequence of physical locations.
 
-        Used for best-effort statements with path constraints (no MIP needed)
-        and as a feasibility probe for guaranteed statements.
+        Breadth-first over the edges in insertion order.  The compiler's
+        best-effort statements get this path from
+        :func:`search_logical_topology` without a graph; the method serves
+        callers that hold one.
         """
         predecessors: Dict[Vertex, LogicalEdge] = {}
         queue = collections.deque([SOURCE])
@@ -184,6 +194,78 @@ def build_logical_topology(
     simply matches nothing during the product construction, so paths
     through it disappear instead of the whole expression being rejected
     as a placement error.
+
+    Edges are added in the exploration's discovery order, which is the
+    order the MIP's edge variables (and therefore its tie-breaks) follow.
+    """
+    edges, _ = _explore(
+        statement, topology, placements, source, destination, known_locations
+    )
+    logical = LogicalTopology(
+        statement_id=statement.identifier,
+        source_location=source,
+        destination_location=destination,
+    )
+    for tail, head in edges:
+        crosses = tail is not SOURCE and head is not SINK and tail[0] != head[0]
+        logical.add_edge(
+            LogicalEdge(
+                source=tail,
+                target=head,
+                location=tail[0] if head is SINK else head[0],
+                physical_link=(tail[0], head[0]) if crosses else None,
+            )
+        )
+    return logical
+
+
+def search_logical_topology(
+    statement: Statement,
+    topology: Topology,
+    placements: Mapping[str, Iterable[str]],
+    source: Optional[str] = None,
+    destination: Optional[str] = None,
+    known_locations: Optional[Iterable[str]] = None,
+) -> Tuple[Optional[Tuple[str, ...]], FrozenSet[Tuple[str, str]]]:
+    """What a best-effort statement asks of ``G_i``, without building it.
+
+    Takes :func:`build_logical_topology`'s arguments and returns the
+    locations of the path ``build_logical_topology(...).find_path()`` would
+    find (``None`` when no physical path satisfies the statement) and the
+    physical links ``physical_links_used()`` would report, as sorted pairs.
+    """
+    edges, path = _explore(
+        statement, topology, placements, source, destination, known_locations
+    )
+    crossed = {
+        (tail[0], head[0])
+        for tail, head in edges
+        if tail is not SOURCE and head is not SINK and tail[0] != head[0]
+    }
+    return path, frozenset(tuple(sorted(link)) for link in crossed)
+
+
+def _explore(
+    statement: Statement,
+    topology: Topology,
+    placements: Mapping[str, Iterable[str]],
+    source: Optional[str],
+    destination: Optional[str],
+    known_locations: Optional[Iterable[str]],
+) -> Tuple[List[Tuple[Vertex, Vertex]], Optional[Tuple[str, ...]]]:
+    """Walk automaton × topology once; return the edges of ``G_i`` and its
+    breadth-first shortest path.
+
+    The walk is breadth-first from the universal source over plain
+    ``(location, state)`` tuples and never enters a state no accepting
+    state is reachable from.  A backward sweep from the accepting vertices
+    then drops every edge into a vertex that cannot reach the sink.  The
+    surviving ``(tail, head)`` pairs come back in discovery order; the path
+    is the first-discovered accepting vertex's chain of first discoverers.
+    Trimming cannot change that chain or the relative order of what
+    survives, because every predecessor of a vertex that reaches the sink
+    reaches the sink itself — so the path is also the one a breadth-first
+    search of the trimmed graph finds.
     """
     locations = topology.locations()
     valid_names = (
@@ -196,72 +278,65 @@ def build_logical_topology(
         automaton = compile_pinned_dfa(rewritten, source, destination)
     else:
         automaton = compile_dfa(rewritten, minimal=True)
-    live = _live_states(automaton)
+    live = automaton.live_states()
     if automaton.start not in live:
         # The language is empty: no physical path can satisfy the statement.
-        return LogicalTopology(
-            statement_id=statement.identifier,
-            source_location=source,
-            destination_location=destination,
-        )
+        return [], None
 
-    logical = LogicalTopology(
-        statement_id=statement.identifier,
-        source_location=source,
-        destination_location=destination,
-    )
+    step = automaton.step
+    accepting = automaton.accepting
+    neighbors = topology.neighbors
+    edges: List[Tuple[Vertex, Vertex]] = []
+    # vertex -> the vertex it was first discovered from.
+    discoverer: Dict[Vertex, Vertex] = {}
+    # vertex -> every vertex with an edge into it (the source excepted).
+    predecessors: Dict[Vertex, List[Vertex]] = {}
+    # Discovered vertices; the loop below appends to it while reading it.
+    frontier: List[Vertex] = []
+    for location in [source] if source is not None else locations:
+        state = step(automaton.start, location)
+        if state in live:
+            vertex = (location, state)
+            edges.append((SOURCE, vertex))
+            discoverer[vertex] = SOURCE
+            frontier.append(vertex)
 
-    # Breadth-first expansion from the universal source.
-    queue: collections.deque = collections.deque()
-    seen: Set[Vertex] = set()
-
-    def push(vertex: Vertex) -> None:
-        if vertex not in seen:
-            seen.add(vertex)
-            queue.append(vertex)
-
-    start_locations = [source] if source is not None else locations
-    for location in start_locations:
-        state = automaton.step(automaton.start, location)
-        if state not in live:
-            continue
-        vertex = (location, state)
-        logical.add_edge(LogicalEdge(source=SOURCE, target=vertex, location=location))
-        push(vertex)
-
-    while queue:
-        location, state = queue.popleft()
-        vertex = (location, state)
-        if state in automaton.accepting and (
-            destination is None or location == destination
-        ):
-            logical.add_edge(
-                LogicalEdge(source=vertex, target=SINK, location=location)
-            )
-        neighbors = topology.neighbors(location)
-        for next_location in [location, *neighbors]:
-            next_state = automaton.step(state, next_location)
+    accepted: List[Vertex] = []
+    for vertex in frontier:
+        location, state = vertex
+        if state in accepting and (destination is None or location == destination):
+            edges.append((vertex, SINK))
+            accepted.append(vertex)
+        for next_location in (location, *neighbors(location)):
+            next_state = step(state, next_location)
             if next_state not in live:
                 continue
             next_vertex = (next_location, next_state)
             if next_vertex == vertex:
                 continue
-            physical_link = (
-                None
-                if next_location == location
-                else (location, next_location)
-            )
-            logical.add_edge(
-                LogicalEdge(
-                    source=vertex,
-                    target=next_vertex,
-                    location=next_location,
-                    physical_link=physical_link,
-                )
-            )
-            push(next_vertex)
-    _prune_dead_vertices(logical)
-    return logical
+            edges.append((vertex, next_vertex))
+            predecessors.setdefault(next_vertex, []).append(vertex)
+            if next_vertex not in discoverer:
+                discoverer[next_vertex] = vertex
+                frontier.append(next_vertex)
+    if not accepted:
+        return [], None
+
+    reaches_sink: Set[Vertex] = {SINK, *accepted}
+    pending = list(accepted)
+    while pending:
+        for predecessor in predecessors.get(pending.pop(), ()):
+            if predecessor not in reaches_sink:
+                reaches_sink.add(predecessor)
+                pending.append(predecessor)
+
+    path: List[str] = []
+    vertex = accepted[0]
+    while vertex is not SOURCE:
+        path.append(vertex[0])
+        vertex = discoverer[vertex]
+    path.reverse()
+    return [edge for edge in edges if edge[1] in reaches_sink], tuple(path)
 
 
 def _hop_distances(logical: LogicalTopology, reverse: bool) -> Dict[Vertex, float]:
@@ -395,69 +470,9 @@ def _regex_boundary_symbols(
     path: Regex, topology: Topology
 ) -> Tuple[Optional[str], Optional[str]]:
     """First/last mandatory symbols of a path expression, if they are locations."""
-    shortest = None
-    try:
-        shortest = shortest_accepted(path)
-    except Exception:  # pragma: no cover - defensive; regexes here are small
-        shortest = None
+    shortest = shortest_accepted(path)
     if not shortest:
         return None, None
     first = shortest[0] if topology.has_node(shortest[0]) else None
     last = shortest[-1] if topology.has_node(shortest[-1]) else None
     return first, last
-
-
-def _live_states(automaton: DFA) -> FrozenSet[int]:
-    """States from which an accepting state is reachable."""
-    reverse: Dict[int, Set[int]] = {state: set() for state in automaton.states()}
-    for state in automaton.states():
-        successors = set(automaton.explicit_transitions(state).values())
-        successors.add(automaton.default_transition(state))
-        for successor in successors:
-            reverse.setdefault(successor, set()).add(state)
-    live: Set[int] = set()
-    queue = collections.deque(automaton.accepting)
-    live |= set(automaton.accepting)
-    while queue:
-        state = queue.popleft()
-        for predecessor in reverse.get(state, ()):
-            if predecessor not in live:
-                live.add(predecessor)
-                queue.append(predecessor)
-    return frozenset(live)
-
-
-def _prune_dead_vertices(logical: LogicalTopology) -> None:
-    """Remove vertices (and their edges) that cannot reach the sink.
-
-    The forward construction only adds vertices reachable from the source;
-    a backward sweep removes those that cannot reach the sink, keeping the
-    MIP small.
-    """
-    if SINK not in logical.vertices:
-        logical.vertices.clear()
-        logical.edges.clear()
-        logical._out.clear()
-        logical._in.clear()
-        logical._by_link.clear()
-        return
-    can_reach: Set[Vertex] = {SINK}
-    queue = collections.deque([SINK])
-    while queue:
-        vertex = queue.popleft()
-        for edge in logical.in_edges(vertex):
-            if edge.source not in can_reach:
-                can_reach.add(edge.source)
-                queue.append(edge.source)
-    kept_edges = [
-        edge
-        for edge in logical.edges
-        if edge.source in can_reach and edge.target in can_reach
-    ]
-    logical.vertices.clear()
-    logical.edges.clear()
-    logical._out.clear()
-    logical._in.clear()
-    logical._by_link.clear()
-    for edge in kept_edges:
-        logical.add_edge(edge)

@@ -12,7 +12,7 @@ breadth-first search.  Two optimisations from the paper are implemented:
 
 Best-effort statements whose path expression is more constrained than ``.*``
 are routed individually with a BFS over their logical topology instead (see
-:meth:`~repro.core.logical.LogicalTopology.find_path`).
+:func:`~repro.core.logical.search_logical_topology`).
 """
 
 from __future__ import annotations

@@ -35,6 +35,10 @@ class DFA:
     _explicit: Dict[int, Dict[str, int]]
     #: _default[state] -> destination for every symbol not in _explicit[state]
     _default: Dict[int, int]
+    #: What :meth:`live_states` computed (an automaton is never edited once built).
+    _live: Optional[FrozenSet[int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # -- basic queries -----------------------------------------------------
 
@@ -59,6 +63,28 @@ class DFA:
     def step(self, state: int, symbol: str) -> int:
         """Deterministic successor of ``state`` on ``symbol``."""
         return self._explicit.get(state, {}).get(symbol, self._default[state])
+
+    def live_states(self) -> FrozenSet[int]:
+        """States from which an accepting state is reachable.
+
+        Computed on first use and kept on the instance: the automata the
+        store in ``operations.py`` hands out are shared by every product
+        construction over the same path expression.
+        """
+        if self._live is None:
+            reverse: Dict[int, Set[int]] = {}
+            for state, default in self._default.items():
+                for successor in (*self._explicit.get(state, {}).values(), default):
+                    reverse.setdefault(successor, set()).add(state)
+            live = set(self.accepting)
+            queue = deque(live)
+            while queue:
+                for predecessor in reverse.get(queue.popleft(), ()):
+                    if predecessor not in live:
+                        live.add(predecessor)
+                        queue.append(predecessor)
+            self._live = frozenset(live)
+        return self._live
 
     def accepts_sequence(self, sequence: Sequence[str]) -> bool:
         """Whether the DFA accepts the given sequence of locations."""

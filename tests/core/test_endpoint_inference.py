@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.core.ast import Statement
 from repro.core.logical import infer_endpoints
@@ -55,6 +57,19 @@ def test_ip_addresses_pin_hosts_when_macs_do_not():
         FieldTest("ip.dst", topology.node("h1").ip),
     )
     assert infer_endpoints(_statement(predicate), topology) == ("h2", "h1")
+
+
+def test_a_failing_boundary_search_is_not_reported_as_unknown_endpoints(monkeypatch):
+    """An error inside ``shortest_accepted`` used to be swallowed and read as
+    "the path expression names no endpoints"."""
+    import repro.core.logical as logical_module
+
+    def broken(path):
+        raise RuntimeError("bug in the automaton search")
+
+    monkeypatch.setattr(logical_module, "shortest_accepted", broken)
+    with pytest.raises(RuntimeError, match="bug in the automaton search"):
+        infer_endpoints(_statement(FieldTest("tcp.dst", 80), "h1 .* h2"), single_switch(3))
 
 
 _CATCH_ALL_SCRIPT = """

@@ -1,0 +1,105 @@
+"""The single-pass product walk against the two-pass construction it replaced.
+
+``tests/reference_logical.py`` keeps the old ``build_logical_topology`` body.
+Over random small topologies (pristine and degraded views), path
+expressions and endpoint pinnings, the builder must produce the reference's
+edges in the reference's order — the order feeds MIP variable order — and
+the search must return what ``find_path`` and ``physical_links_used`` read
+off the reference graph.
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core.ast import Statement
+from repro.core.logical import build_logical_topology, search_logical_topology
+from repro.predicates.ast import TRUE
+from repro.regex.ast import DOT, Concat, Negate, Star, Symbol, Union
+from repro.topology.graph import Topology
+from tests.reference_logical import reference_build_logical_topology
+
+HOSTS = ("h1", "h2", "h3")
+FABRIC = ("s1", "s2", "s3", "s4", "m1")
+NAMES = HOSTS + FABRIC
+FUNCTIONS = ("fw", "ids")
+PAIRS = tuple(itertools.combinations(NAMES, 2))
+
+
+def _topology(links):
+    topology = Topology(name="random")
+    for host in HOSTS:
+        topology.add_host(host)
+    for switch in FABRIC[:-1]:
+        topology.add_switch(switch)
+    topology.add_middlebox(FABRIC[-1])
+    for source, target in sorted(links):
+        topology.add_link(source, target)
+    return topology
+
+
+@st.composite
+def _views(draw):
+    """``(topology, known_locations)``: a pristine network, or a degraded
+    view of one beside the pristine names its expressions may still use."""
+    links = draw(st.sets(st.sampled_from(PAIRS), min_size=3, max_size=14))
+    pristine = _topology(links)
+    if not draw(st.booleans()):
+        return pristine, None
+    failed_links = draw(st.sets(st.sampled_from(sorted(links)), max_size=2))
+    failed_nodes = draw(st.sets(st.sampled_from(FABRIC), max_size=2))
+    return (
+        pristine.without(links=failed_links, nodes=failed_nodes),
+        pristine.locations(),
+    )
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([Symbol(name) for name in NAMES]),
+    st.sampled_from([Symbol(name) for name in FUNCTIONS]),
+    st.just(DOT),
+)
+
+_PATHS = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.tuples(children, children).map(lambda pair: Concat(*pair)),
+        st.tuples(children, children).map(lambda pair: Union(*pair)),
+        children.map(Star),
+        children.map(Negate),
+    ),
+    max_leaves=5,
+)
+
+_SITES = st.sets(st.sampled_from(NAMES), min_size=1, max_size=3).map(sorted)
+_ENDPOINTS = st.one_of(st.none(), st.sampled_from(HOSTS))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    view=_views(),
+    path=_PATHS,
+    firewalls=_SITES,
+    detectors=_SITES,
+    source=_ENDPOINTS,
+    destination=_ENDPOINTS,
+)
+def test_one_walk_builds_and_searches_what_the_two_passes_built(
+    view, path, firewalls, detectors, source, destination
+):
+    topology, known_locations = view
+    arguments = (
+        Statement(identifier="x", predicate=TRUE, path=path),
+        topology,
+        {"fw": firewalls, "ids": detectors},
+        source,
+        destination,
+        known_locations,
+    )
+    reference = reference_build_logical_topology(*arguments)
+    built = build_logical_topology(*arguments)
+    assert built.edges == reference.edges
+    found, footprint = search_logical_topology(*arguments)
+    expected = reference.find_path()
+    assert found == (None if expected is None else tuple(expected))
+    assert footprint == reference.physical_links_used()

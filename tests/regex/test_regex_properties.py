@@ -25,6 +25,7 @@ from repro.regex.ast import (
 )
 from repro.regex.minimize import minimize
 from repro.regex.operations import compile_dfa
+from tests.reference_logical import _live_states
 
 _ALPHABET = ["a", "b", "c"]
 
@@ -75,6 +76,14 @@ class TestAutomataProperties:
         minimal = minimize(dfa)
         for string in _all_strings(3):
             assert dfa.accepts_sequence(list(string)) == minimal.accepts_sequence(list(string))
+
+    @settings(max_examples=60, deadline=None)
+    @given(expression=_regexes())
+    def test_live_states_are_those_that_reach_acceptance(self, expression):
+        dfa = compile_dfa(expression, minimal=True)
+        assert dfa.live_states() == _live_states(dfa)
+        # Computed once per stored automaton, which nobody edits afterwards.
+        assert dfa.live_states() is dfa.live_states()
 
     @settings(max_examples=40, deadline=None)
     @given(left=_regexes(), right=_regexes())
