@@ -196,7 +196,7 @@ def build_logical_topology(
     as a placement error.
 
     Edges are added in the exploration's discovery order, which is the
-    order the MIP's edge variables (and therefore its tie-breaks) follow.
+    order the MIP's edge columns (and therefore its tie-breaks) follow.
     """
     edges, _ = _explore(
         statement, topology, placements, source, destination, known_locations

@@ -114,7 +114,7 @@ class ProvisionOptions:
         if not known:
             raise ValueError(
                 f"unknown solver backend {solver!r}; backends: "
-                f"{', '.join(BACKENDS)}, or an instance with a solve(model) "
+                f"{', '.join(BACKENDS)}, or an instance with a solve(form) "
                 "method"
             )
         # Resolved once here, so that a limit the named backend cannot
@@ -122,7 +122,7 @@ class ProvisionOptions:
         self.backend()
 
     def backend(self) -> object:
-        """The backend instance to hand to ``Model.solve``.
+        """The backend instance component models are solved with.
 
         Resolution lives in :func:`repro.lp.backends.resolve_backend`:
         names are instantiated with this options value's

@@ -15,17 +15,22 @@ a single-path multi-commodity-flow variant:
 Three optimisation criteria are supported (Figure 3): weighted shortest
 path, min-max ratio, and min-max reserved.
 
-Construction pipeline
----------------------
-The MIP is assembled in a single indexed pass (:func:`build_provisioning_model`):
-each statement's logical edges are walked exactly once, creating the binary
-edge variable, bucketing it by source/target vertex (for the Equation-1 flow
-balances) and by ``tuple(sorted(edge.physical_link))`` (for the Equation-2
-reservation rows).  Reservation constraints are then emitted per physical
-link straight from the bucket, so construction costs O(S·E + L) instead of
-the naive O(S·E·L) rescan of every statement's edges for every link.  All
-loop-grown expressions use the in-place :meth:`~repro.lp.expr.LinExpr.add_term`
-accumulation API rather than the copying ``+`` operator.
+Construction
+------------
+The MIP is built straight into the sparse standard form every backend
+solves (:class:`~repro.lp.model.StandardForm`); no ``Variable``,
+``LinExpr`` or ``Constraint`` is created on the way.  A statement's
+Equation-1 block — one binary column per logical edge, one flow-balance row
+per logical vertex, the link each edge crosses — depends on its product
+graph alone, so :func:`flow_block` indexes it once per graph, and the
+incremental engine keeps it beside the tightened view it was cut from
+(``StatementRecord.views``): a rate change reuses it, a new product graph
+starts without one.  :func:`build_model_for_links` places the members'
+blocks at their column and row offsets and appends the Equation 2-4 rows of
+every link and the objective vector, all as index arrays, in O(S·E + L).
+The object-per-term builder it replaced is kept as the tests' reference
+(``tests/reference_provisioning.py``): both must hand the solver the same
+arrays, element for element.
 
 :class:`ProvisioningResult` reports construction and solve time separately
 (``lp_construction_seconds`` / ``lp_solve_seconds``) so the Figure 8 scaling
@@ -47,20 +52,21 @@ global min-max criterion).  ``ProvisionOptions(partition=False)`` makes the
 engine treat the whole population as one untightened component over every
 link — the undecomposed model, built and solved by the same code as any
 other component.  :func:`build_provisioning_model` is that model in the
-caller's statement order and ``topology.links()`` order: the reference
-builder the equivalence tests compare against.
+caller's statement order and ``topology.links()`` order.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+from scipy import sparse as sp
+
 from ..errors import ProvisioningError
-from ..lp.constraint import Constraint
-from ..lp.expr import LinExpr, Variable
-from ..lp.model import Model, Objective
+from ..lp.model import PathLayout, StandardForm
 from ..regex.ast import Regex, Symbol
 from ..regex.substitution import functions_used
 from ..topology.graph import Topology
@@ -148,21 +154,90 @@ def provision(
     return engine.resolve()
 
 
-@dataclass
-class ProvisioningModel:
-    """The assembled MIP plus the variable indexes needed to read a solution.
+@dataclass(frozen=True)
+class FlowBlock:
+    """One statement's Equation-1 block, as arrays local to the block.
 
-    ``logical_topologies`` records each member statement's product graph
-    so a solution can be decoded into location paths without re-supplying
-    the construction inputs.
+    A function of the statement's (tightened) product graph alone — not of
+    its rates, nor of the other members of its component — so it is
+    computed once per graph (:func:`flow_block`) and placed at any column
+    and row offset.  Column ``i`` is the binary variable of ``edges[i]``;
+    the flow rows follow the first appearance of each vertex in ``edges``
+    (tail before head), never the iteration order of the vertex set, which
+    changes with ``PYTHONHASHSEED`` — and the row order decides which of
+    several equal-objective optima a solver returns.
     """
 
-    model: Model
-    edge_variables: Dict[str, Dict[int, Variable]]
-    reservation_fraction: Dict[Tuple[str, str], Variable]
-    r_max: Variable
-    big_r_max: Variable
-    logical_topologies: Dict[str, LogicalTopology] = field(default_factory=dict)
+    #: The product graph's edge list (shared, not copied): what a selected
+    #: column is read back as.
+    edges: Sequence[LogicalEdge]
+    #: The flow-row entries of each column: +1 in its edge's tail row, -1
+    #: in its head row.
+    tails: np.ndarray
+    heads: np.ndarray
+    #: Each flow row's right-hand side: 1 at the source, -1 at the sink.
+    balances: np.ndarray
+    #: The columns of the edges that cross a physical link, and for each
+    #: its link's index into ``links``.
+    linked: np.ndarray
+    slots: np.ndarray
+    #: The undirected keys of the links the edges cross.
+    links: Tuple[Tuple[str, str], ...]
+
+
+_BALANCE = {SOURCE: 1.0, SINK: -1.0}
+
+
+def flow_block(logical: LogicalTopology) -> FlowBlock:
+    """Index one product graph's edges into its Equation-1 block."""
+    row_of: Dict[object, int] = {}
+    tails: List[int] = []
+    heads: List[int] = []
+    linked: List[int] = []
+    slot_of: Dict[Tuple[str, str], int] = {}
+    slots: List[int] = []
+    for index, edge in enumerate(logical.edges):
+        tails.append(row_of.setdefault(edge.source, len(row_of)))
+        heads.append(row_of.setdefault(edge.target, len(row_of)))
+        if edge.physical_link is not None:
+            u, v = edge.physical_link
+            key = (u, v) if u <= v else (v, u)
+            linked.append(index)
+            slots.append(slot_of.setdefault(key, len(slot_of)))
+    # 32-bit indices keep blocks small: each lives as long as its record.
+    return FlowBlock(
+        edges=logical.edges,
+        tails=np.array(tails, dtype=np.int32),
+        heads=np.array(heads, dtype=np.int32),
+        # An interior row's right-hand side is -0.0: the sign the exported
+        # ``flow == 0`` row of the object builder carried, which keeps the
+        # solver's input byte for byte what it was.
+        balances=np.array(
+            [_BALANCE.get(vertex, -0.0) for vertex in row_of], dtype=float
+        ),
+        linked=np.array(linked, dtype=np.int32),
+        slots=np.array(slots, dtype=np.int32),
+        links=tuple(slot_of),
+    )
+
+
+@dataclass
+class ProvisioningModel:
+    """One component's MIP in sparse standard form, and where its answer is.
+
+    The column order is every member's edge columns (member order, each
+    block's edge order), then ``r_max`` and ``R_max``, then one reserved
+    fraction per link in ``links`` order — ``model.layout`` records the
+    member ranges and the ``r_max`` column.  ``A_eq`` holds every member's
+    flow rows and then each link's Equation-2 row; ``A_ub`` holds each
+    link's Equation-3 and Equation-4 rows in turn.
+    """
+
+    model: StandardForm
+    #: Member statement identifiers, in column order, with their blocks.
+    members: Tuple[str, ...]
+    blocks: Tuple[FlowBlock, ...]
+    links: Tuple[Tuple[str, str], ...]
 
 
 def build_provisioning_model(
@@ -174,11 +249,10 @@ def build_provisioning_model(
 ) -> ProvisioningModel:
     """Assemble the full provisioning MIP over every physical link.
 
-    The reference builder: statements in the order given, reservation rows
-    for the whole topology in ``topology.links()`` order.  The engine never
-    calls it — every model it solves comes from :func:`build_model_for_links`
-    over a component's sorted members and links — and the equivalence tests
-    hold the two against each other.
+    Statements in the order given, reservation rows for the whole topology
+    in ``topology.links()`` order.  The engine never calls it — every
+    model it solves comes from :func:`build_model_for_links` over a
+    component's sorted members and links.
     """
     links = [
         (
@@ -187,285 +261,205 @@ def build_provisioning_model(
         )
         for link in topology.links()
     ]
+    identifiers = [statement.identifier for statement in statements]
     return build_model_for_links(
-        statements, logical_topologies, rates, links, heuristic=heuristic
+        identifiers,
+        {sid: flow_block(logical_topologies[sid]) for sid in identifiers},
+        rates,
+        links,
+        heuristic=heuristic,
     )
 
 
-def splice_statement_rows(
-    model: Model, statement: Statement, logical: LogicalTopology
-) -> Tuple[Dict[int, Variable], List[Constraint], Dict[Tuple[str, str], List[Variable]]]:
-    """Create one statement's binary edge variables and Equation-1 flow rows.
-
-    The per-statement construction inside :func:`build_model_for_links`:
-    variable naming (``x__{id}__{index}``), flow-row naming
-    (``flow__{id}__{vertex}``), and emission order are what the primal
-    heuristic decodes and what makes a rebuilt component byte-identical to
-    the memoized one.
-    Returns ``(edge variables by index, flow-row constraints, variables
-    bucketed by the undirected physical link they map onto)`` — the caller
-    turns the link buckets into Equation-2 reservation terms.
-    """
-    identifier = statement.identifier
-    variables: Dict[int, Variable] = {}
-    outgoing: Dict[object, LinExpr] = {}
-    touched: Dict[Tuple[str, str], List[Variable]] = {}
-    for index, edge in enumerate(logical.edges):
-        variable = model.add_binary(f"x__{identifier}__{index}")
-        variables[index] = variable
-        outgoing.setdefault(edge.source, LinExpr()).add_term(variable, 1.0)
-        outgoing.setdefault(edge.target, LinExpr()).add_term(variable, -1.0)
-        if edge.physical_link is not None:
-            touched.setdefault(tuple(sorted(edge.physical_link)), []).append(
-                variable
-            )
-    flow_rows: List[Constraint] = []
-    # Rows go out in first-appearance order of ``logical.edges`` (the key
-    # order of ``outgoing``), never in the iteration order of the
-    # ``vertices`` set: that order changes with PYTHONHASHSEED, and the row
-    # order decides which of several equal-objective optima a solver returns.
-    for vertex, flow in outgoing.items():
-        if vertex == SOURCE:
-            balance = 1.0
-        elif vertex == SINK:
-            balance = -1.0
-        else:
-            balance = 0.0
-        flow_rows.append(
-            model.add_constraint(
-                flow.equals(balance),
-                name=f"flow__{identifier}__{vertex[0]}_{vertex[1]}",
-            )
-        )
-    return variables, flow_rows, touched
-
-
 def build_model_for_links(
-    statements: Sequence[Statement],
-    logical_topologies: Mapping[str, LogicalTopology],
+    statement_ids: Sequence[str],
+    blocks: Mapping[str, FlowBlock],
     rates: Mapping[str, LocalRates],
     links: Sequence[Tuple[Tuple[str, str], float]],
     heuristic: PathSelectionHeuristic = PathSelectionHeuristic.MIN_MAX_RATIO,
 ) -> ProvisioningModel:
-    """Assemble the provisioning MIP with a one-pass indexed construction.
+    """Assemble the provisioning MIP from its members' Equation-1 blocks.
 
-    Each statement's logical edges are enumerated exactly once; the pass
-    creates the edge's binary variable and buckets it three ways — by source
-    vertex, by target vertex (both feed the Equation-1 flow balances), and by
-    the undirected physical link it maps onto (feeding the Equation-2
-    reservation row of that link).  Emitting constraints from the buckets
-    makes construction O(S·E + L) in the number of statements S, logical
-    edges per statement E, and physical links L.
+    Each member's block is placed at its column and row offset, then the
+    Equation 2-4 rows of every link and the objective vector are appended,
+    all as index arrays; the triplets become CSR matrices in one
+    conversion each.  Construction is O(S·E + L) in the number of
+    statements S, logical edges per statement E, and physical links L.
 
     ``links`` is the sequence of ``(link key, capacity in Mbps)`` pairs to
     emit reservation rows for — the whole topology for a monolithic build,
-    or one partition's footprint for a component sub-model.  The model (and
-    hence the solver's input) is a deterministic function of the statement
+    or one partition's footprint for a component sub-model; an edge whose
+    link is not among them adds no reservation term.  The model (and hence
+    the solver's input) is a deterministic function of the statement
     order and the link order, which is what lets the incremental engine
     reuse cached component solutions: rebuilding an unchanged component in
     canonical order yields a byte-identical model.
     """
-    model = Model(name="merlin-provisioning")
-    edge_variables: Dict[str, Dict[int, Variable]] = {}
-    # (variable, guarantee_mbps) terms of each physical link's Equation 2.
-    link_terms: Dict[Tuple[str, str], List[Tuple[Variable, float]]] = {}
-
-    # Per-statement edge variables and flow conservation (Equation 1).
-    for statement in statements:
-        logical = logical_topologies[statement.identifier]
-        if logical.num_edges() == 0:
+    members = tuple(blocks[sid] for sid in statement_ids)
+    for sid, block in zip(statement_ids, members):
+        if not block.edges:
             raise ProvisioningError(
-                f"statement {statement.identifier!r} has no feasible path "
-                "satisfying its path expression"
+                f"statement {sid!r} has no feasible path satisfying its path "
+                "expression"
             )
-        guarantee = rates[statement.identifier].guarantee
-        guarantee_mbps = (
-            guarantee.bps_value / _MBPS if guarantee is not None else None
-        )
-        variables, _, touched = splice_statement_rows(model, statement, logical)
-        edge_variables[statement.identifier] = variables
-        if guarantee_mbps is not None:
-            for link_key, link_variables in touched.items():
-                link_terms.setdefault(link_key, []).extend(
-                    (variable, guarantee_mbps) for variable in link_variables
-                )
+    guarantees = [_guarantee_mbps(rates[sid]) for sid in statement_ids]
+    column_starts = np.cumsum([0] + [len(block.edges) for block in members])
+    row_starts = np.cumsum([0] + [block.balances.size for block in members])
+    num_edges = int(column_starts[-1])
+    num_flow_rows = int(row_starts[-1])
+    keys = tuple(key for key, _ in links)
+    capacities = np.array([capacity for _, capacity in links], dtype=float)
+    num_links = len(keys)
+    r_max, big_r_max, first_reservation = num_edges, num_edges + 1, num_edges + 2
+    num_columns = first_reservation + num_links
+    reservation = first_reservation + np.arange(num_links)
+    starts = list(zip(members, column_starts.tolist(), row_starts.tolist()))
 
-    # Link reservation variables and Equations 2-5.
-    r_max, big_r_max, reservation_fraction, max_capacity_mbps = emit_link_rows(
-        model, links, link_terms
-    )
+    # Equation 1: each member's flow rows at its offsets, every column's
+    # +1 entry and then every column's -1 entry.
+    eq_rows = [block.tails + row for block, _, row in starts]
+    eq_rows += [block.heads + row for block, _, row in starts]
+    eq_columns = [np.arange(num_edges), np.arange(num_edges)]
+    eq_values = [np.ones(num_edges), np.full(num_edges, -1.0)]
+    # Equation 2: r_uv * c_uv - sum of the guarantees routed over the link = 0.
+    link_row = {key: num_flow_rows + index for index, key in enumerate(keys)}
+    for (block, start, _), guarantee in zip(starts, guarantees):
+        if guarantee is None or not block.links:
+            continue
+        slot_rows = np.array([link_row.get(key, -1) for key in block.links])
+        rows = slot_rows[block.slots]
+        kept = rows >= 0
+        eq_rows.append(rows[kept])
+        eq_columns.append(block.linked[kept] + start)
+        eq_values.append(np.full(int(kept.sum()), -guarantee))
+    eq_rows.append(num_flow_rows + np.arange(num_links))
+    eq_columns.append(reservation)
+    eq_values.append(capacities)
+    # Equations 3 and 4, per link: r_uv - r_max <= 0 and r_uv * c_uv - R_max <= 0.
+    ub_columns = np.empty((num_links, 4), dtype=np.int64)
+    ub_columns[:, 0] = r_max
+    ub_columns[:, 1] = reservation
+    ub_columns[:, 2] = big_r_max
+    ub_columns[:, 3] = reservation
+    ub_values = np.empty((num_links, 4))
+    ub_values[:, 0:3] = (-1.0, 1.0, -1.0)
+    ub_values[:, 3] = capacities
 
-    set_provisioning_objective(
-        model,
-        statements,
-        logical_topologies,
-        rates,
-        edge_variables,
-        r_max,
-        big_r_max,
-        heuristic,
-        max_capacity_mbps,
-    )
-
-    return ProvisioningModel(
-        model=model,
-        edge_variables=edge_variables,
-        reservation_fraction=reservation_fraction,
-        r_max=r_max,
-        big_r_max=big_r_max,
-        logical_topologies={
-            statement.identifier: logical_topologies[statement.identifier]
-            for statement in statements
-        },
-    )
-
-
-def emit_link_rows(
-    model: Model,
-    links: Sequence[Tuple[Tuple[str, str], float]],
-    link_terms: Mapping[Tuple[str, str], Sequence[Tuple[Variable, float]]],
-) -> Tuple[Variable, Variable, Dict[Tuple[str, str], Variable], float]:
-    """Create ``r_max`` / ``R_max`` and every link's Equation 2-4 rows.
-
-    ``link_terms`` maps a link key to its ``(edge variable, guarantee Mbps)``
-    pairs — the indexed construction's per-link buckets.  Returns
-    ``(r_max, R_max, reservation fractions, largest link capacity in Mbps)``.
-    """
-    reservation_fraction: Dict[Tuple[str, str], Variable] = {}
-    r_max = model.add_continuous("r_max", lower=0.0, upper=1.0)
-    big_r_max = model.add_continuous("R_max", lower=0.0)
-    max_capacity_mbps = 0.0
-    for key, capacity_mbps in links:
-        max_capacity_mbps = max(max_capacity_mbps, capacity_mbps)
-        r_uv = model.add_continuous(f"r__{key[0]}__{key[1]}", lower=0.0, upper=1.0)
-        reservation_fraction[key] = r_uv
-        # Equation 2: r_uv * c_uv = sum of reserved guarantees on the link,
-        # emitted straight from the link's bucket.
-        reserve = LinExpr.weighted_sum(
-            (variable, -guarantee_mbps)
-            for variable, guarantee_mbps in link_terms.get(key, ())
-        ).add_term(r_uv, capacity_mbps)
-        model.add_constraint(
-            reserve.equals(0.0), name=f"reserve__{key[0]}__{key[1]}"
-        )
-        # Equation 3: r_max >= r_uv.
-        model.add_constraint(r_max - r_uv >= 0.0, name=f"rmax__{key[0]}__{key[1]}")
-        # Equation 4: R_max >= r_uv * c_uv.
-        model.add_constraint(
-            big_r_max - r_uv * capacity_mbps >= 0.0,
-            name=f"Rmax__{key[0]}__{key[1]}",
-        )
     # Equation 5 is expressed through the [0, 1] bound on r_max and r_uv.
-    return r_max, big_r_max, reservation_fraction, max_capacity_mbps
+    upper = np.ones(num_columns)
+    upper[big_r_max] = math.inf
+    integrality = np.zeros(num_columns, dtype=int)
+    integrality[:num_edges] = 1
+    c, resolution = _objective(
+        heuristic, members, column_starts.tolist(), guarantees, capacities, num_columns
+    )
+    form = StandardForm(
+        c=c,
+        a_ub=sp.coo_matrix(
+            (
+                ub_values.ravel(),
+                (np.repeat(np.arange(2 * num_links), 2), ub_columns.ravel()),
+            ),
+            shape=(2 * num_links, num_columns),
+        ).tocsr(),
+        b_ub=np.zeros(2 * num_links),
+        a_eq=sp.coo_matrix(
+            (
+                np.concatenate(eq_values),
+                (np.concatenate(eq_rows), np.concatenate(eq_columns)),
+            ),
+            shape=(num_flow_rows + num_links, num_columns),
+        ).tocsr(),
+        # Every Equation-2 row's right-hand side is -0.0, as exported before.
+        b_eq=np.concatenate(
+            [block.balances for block in members] + [np.full(num_links, -0.0)]
+        ),
+        lower=np.zeros(num_columns),
+        upper=upper,
+        integrality=integrality,
+        objective_resolution=resolution,
+        layout=PathLayout(
+            members=tuple(
+                zip(column_starts[:-1].tolist(), column_starts[1:].tolist())
+            ),
+            r_max=r_max,
+        ),
+    )
+    return ProvisioningModel(
+        model=form, members=tuple(statement_ids), blocks=members, links=keys
+    )
 
 
-def set_provisioning_objective(
-    model: Model,
-    statements: Sequence[Statement],
-    logical_topologies: Mapping[str, LogicalTopology],
-    rates: Mapping[str, LocalRates],
-    edge_variables: Mapping[str, Mapping[int, Variable]],
-    r_max: Variable,
-    big_r_max: Variable,
+def _guarantee_mbps(rates: LocalRates) -> Optional[float]:
+    guarantee = rates.guarantee
+    return guarantee.bps_value / _MBPS if guarantee is not None else None
+
+
+def _objective(
     heuristic: PathSelectionHeuristic,
-    max_capacity_mbps: float,
-) -> None:
-    """Set the path-selection objective on a provisioning model.
+    members: Sequence[FlowBlock],
+    column_starts: Sequence[int],
+    guarantees: Sequence[Optional[float]],
+    capacities: np.ndarray,
+    num_columns: int,
+) -> Tuple[np.ndarray, Optional[float]]:
+    """The path-selection objective vector and the model's objective resolution.
 
     For the min-max heuristics the per-edge tiebreaker epsilon is also
-    published as :attr:`~repro.lp.model.Model.objective_resolution` — the
-    smallest objective difference that distinguishes two genuinely
-    different solutions.  Solvers that prune within an absolute gap (the
-    pure-Python branch-and-bound) scale their gap below it, so an
-    equal-``r_max`` incumbent cannot prune the marginally-cheaper-tiebreaker
-    optimum, even on components whose epsilon falls under the solver's
-    default gap (>~1000 logical edges).
+    returned as the form's ``objective_resolution`` — the smallest
+    objective difference that distinguishes two genuinely different
+    solutions.  Solvers that prune within an absolute gap (the pure-Python
+    branch-and-bound) scale their gap below it, so an equal-``r_max``
+    incumbent cannot prune the marginally-cheaper-tiebreaker optimum, even
+    on components whose epsilon falls under the solver's default gap
+    (>~1000 logical edges).
+
+    The tiebreaker is a tiny penalty on every edge: the min-max objectives
+    are indifferent to how many edges a statement uses, so without it the
+    MIP may return a path plus spurious disconnected cycles (which satisfy
+    flow conservation).  The per-edge epsilon is ``magnitude /
+    (total_edges + 1)``, so the total penalty stays strictly below
+    ``magnitude`` even if every edge were selected; the magnitude is kept
+    below the smallest genuine objective difference (the guarantee
+    quantum).  (A fixed per-edge epsilon would grow linearly with the
+    number of selected edges and, on topologies with thousands of logical
+    edges, could exceed genuine objective differences and distort the
+    min-max optimum; an epsilon much further below the quantum would fall
+    under the solver's tolerances and stop suppressing cycles.)
     """
+    c = np.zeros(num_columns)
+    num_edges = column_starts[-1]
+    # The step size by which reservation objectives can genuinely differ.
+    quantum_mbps = min(
+        (guarantee for guarantee in guarantees if guarantee is not None), default=1.0
+    )
     if heuristic is PathSelectionHeuristic.WEIGHTED_SHORTEST_PATH:
-        objective = LinExpr()
-        for statement in statements:
-            guarantee = rates[statement.identifier].guarantee
-            weight = (guarantee.bps_value / _MBPS) if guarantee else 1.0
-            logical = logical_topologies[statement.identifier]
-            variables = edge_variables[statement.identifier]
-            for index, edge in enumerate(logical.edges):
-                if edge.physical_link is not None:
-                    objective.add_term(variables[index], weight)
-        model.minimize(objective)
-        model.objective_resolution = None
-    elif heuristic is PathSelectionHeuristic.MIN_MAX_RATIO:
+        for block, start, guarantee in zip(members, column_starts, guarantees):
+            c[block.linked + start] = guarantee if guarantee is not None else 1.0
+        return c, None
+    if heuristic is PathSelectionHeuristic.MIN_MAX_RATIO:
         # Genuine r_max optima differ by at least the smallest guarantee as
         # a fraction of the largest capacity; cap the total tiebreaker below
         # that quantum so it can never outweigh a real utilization
         # improvement (and below 1e-3 regardless, r_max being a fraction).
+        max_capacity_mbps = max(capacities.tolist(), default=0.0)
         quantum = (
-            _guarantee_quantum_mbps(statements, rates) / max_capacity_mbps
-            if max_capacity_mbps > 0.0
-            else 1.0
+            quantum_mbps / max_capacity_mbps if max_capacity_mbps > 0.0 else 1.0
         )
         magnitude = min(1e-3, quantum)
-        tiebreaker = _edge_tiebreaker(edge_variables, magnitude=magnitude)
-        model.minimize(tiebreaker.add_term(r_max, 1.0))
-        model.objective_resolution = _tiebreaker_epsilon(edge_variables, magnitude)
+        bottleneck = num_edges
     elif heuristic is PathSelectionHeuristic.MIN_MAX_RESERVED:
         # R_max is in Mbps; genuine optima differ by (combinations of) the
         # statement guarantees, so keep the total penalty three orders of
         # magnitude below the smallest one.
-        magnitude = _guarantee_quantum_mbps(statements, rates) * 1e-3
-        tiebreaker = _edge_tiebreaker(edge_variables, magnitude=magnitude)
-        model.minimize(tiebreaker.add_term(big_r_max, 1.0))
-        model.objective_resolution = _tiebreaker_epsilon(edge_variables, magnitude)
+        magnitude = quantum_mbps * 1e-3
+        bottleneck = num_edges + 1
     else:  # pragma: no cover - the enum is exhaustive
         raise ProvisioningError(f"unknown heuristic {heuristic!r}")
-
-
-def _guarantee_quantum_mbps(
-    statements: Sequence[Statement], rates: Mapping[str, LocalRates]
-) -> float:
-    """The smallest guarantee (Mbps) among the statements — the step size by
-    which reservation objectives can genuinely differ (1.0 when none)."""
-    guarantees_mbps = [
-        rates[statement.identifier].guarantee.bps_value / _MBPS
-        for statement in statements
-        if rates[statement.identifier].guarantee is not None
-    ]
-    return min(guarantees_mbps) if guarantees_mbps else 1.0
-
-
-def _tiebreaker_epsilon(
-    edge_variables: Mapping[str, Mapping[int, Variable]], magnitude: float
-) -> float:
-    """The per-edge tiebreaker coefficient — the model's objective resolution."""
-    total_edges = sum(len(variables) for variables in edge_variables.values())
-    return magnitude / (total_edges + 1)
-
-
-def _edge_tiebreaker(
-    edge_variables: Mapping[str, Mapping[int, Variable]], magnitude: float = 1e-3
-) -> LinExpr:
-    """A tiny penalty on every selected edge.
-
-    The min-max objectives are indifferent to how many edges a statement
-    uses, so without a tiebreaker the MIP may return a path plus spurious
-    disconnected cycles (which satisfy flow conservation).  A negligible
-    per-edge cost removes them without affecting the min-max optimum.
-
-    The per-edge epsilon is ``magnitude / (total_edges + 1)``
-    (:func:`_tiebreaker_epsilon`), so the total penalty stays strictly
-    below ``magnitude`` even if every edge were selected; callers pass a
-    magnitude below the smallest genuine objective difference (the
-    guarantee quantum).  (A fixed per-edge epsilon would grow linearly with
-    the number of selected edges and, on topologies with thousands of
-    logical edges, could exceed genuine objective differences and distort
-    the min-max optimum; an epsilon much further below the quantum would
-    fall under the solver's tolerances and stop suppressing cycles.)
-    """
-    epsilon = _tiebreaker_epsilon(edge_variables, magnitude)
-    return LinExpr.weighted_sum(
-        (variable, epsilon)
-        for variables in edge_variables.values()
-        for variable in variables.values()
-    )
+    epsilon = magnitude / (num_edges + 1)
+    c[:num_edges] = epsilon
+    c[bottleneck] = 1.0
+    return c, epsilon
 
 
 def _extract_path(selected_edges: Sequence[LogicalEdge]) -> List[str]:

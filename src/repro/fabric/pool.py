@@ -42,7 +42,7 @@ MAX_RESPAWNS = 1
 
 
 def _default_task(payload):
-    """Solve one ``(model, solver)`` component payload."""
+    """Solve one ``(standard form, solver)`` component payload."""
     from ..incremental.solve import _solve_model_payload
 
     return _solve_model_payload(payload)
@@ -53,7 +53,7 @@ class SolveFabric:
 
     ``max_workers`` fixes the pool width (default: the machine's core
     count).  ``task`` is the per-payload worker function — overridable for
-    tests; the default solves ``(model, solver)`` payloads.
+    tests; the default solves ``(standard form, solver)`` payloads.
     All counters (``tasks``, ``respawns``, ``serial_fallbacks``,
     ``spawned``) are cumulative over the fabric's lifetime and mirrored
     into ``repro.telemetry``.

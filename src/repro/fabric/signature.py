@@ -14,7 +14,7 @@ ranked by digest, producing a signature that is invariant under tenant
 renaming and statement permutation (and, trivially, footprint reordering —
 links are sorted).  It is **not** invariant under physical-link renaming:
 link names appear literally in capacities, footprints, and reservation
-variables, so the cache only matches components on the same topology
+keys, so the cache only matches components on the same topology
 naming.  The digest-rank order also yields a bidirectional id mapping,
 which is how :func:`encode_solution` stores a
 :class:`~repro.incremental.solve.PartitionSolution` in tenant-neutral form
@@ -81,7 +81,7 @@ def _member_digest(
     """Digest one member's identifier-free content.
 
     The tightened edge list is serialized in construction order — edge
-    index *is* part of the content (it names the member's MIP variables) —
+    index *is* part of the content (it is the member's MIP column order) —
     along with the endpoints, the bandwidth terms in bps, and the slack
     rung the member is tightened at.
     """

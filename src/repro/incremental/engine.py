@@ -154,7 +154,7 @@ class IncrementalProvisioner:
 
     def logical_for(self, identifier: str) -> LogicalTopology:
         """The statement's *tightened* logical topology (the MIP's view)."""
-        return self._records[identifier].view(self.footprint_slack)[0]
+        return self._records[identifier].view(self.footprint_slack).logical
 
     def untightened_for(self, identifier: str) -> LogicalTopology:
         """The statement's whole product graph, as it was entered."""

@@ -22,7 +22,9 @@ final policy.
 Disjoint components are independent MIPs, so they can be solved
 concurrently: with ``options.fabric`` set the built models go to the solve
 fabric (:mod:`repro.fabric` — a *persistent* worker pool shared across
-calls; models pickle cleanly and results return as name-keyed value maps).
+calls; a model travels as its sparse standard form and the answer comes
+back as the solution's column vector, which :func:`extract_partition_solution`
+reads paths and reservations out of by slicing).
 A worker crash degrades to a serial in-process solve, never to an error.
 A solve is handed its model and nothing else — no incumbent from an
 earlier solve — so the answer cannot depend on what the session solved
@@ -48,18 +50,22 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from .. import telemetry
 from ..core.localization import LocalRates
 from ..core.logical import LogicalTopology, prune_to_cost_bound
 from ..core.options import DEFAULT_FOOTPRINT_SLACK, widen_slack
 from ..core.provisioning import (
     _MBPS,
+    FlowBlock,
     PathSelectionHeuristic,
     ProvisioningModel,
     ProvisioningResult,
     _assign_functions,
     _extract_path,
     build_model_for_links,
+    flow_block,
 )
 from ..core.allocation import PathAssignment
 from ..core.ast import Statement
@@ -71,7 +77,7 @@ from ..fabric.signature import (
     encode_infeasible,
     encode_solution,
 )
-from ..lp.backends import backend_name
+from ..lp.backends import backend_name, resolve_backend
 from ..lp.result import SolveStatus
 from ..topology.graph import Topology
 from ..units import Bandwidth
@@ -83,8 +89,6 @@ from .partition import LinkKey, PartitionSpec, partition_statements
 #: different widening level are a different model.
 MemoKey = Tuple[str, Tuple[int, ...], Tuple[Optional[int], ...]]
 
-#: A statement's tightened logical topology and the links it can use.
-View = Tuple[LogicalTopology, FrozenSet[LinkKey]]
 
 #: Entries the solution memo keeps (least recently used go first).
 #: Oscillating deltas — add then revert, AIMD up/down — bring back
@@ -107,6 +111,21 @@ class _InfeasibleComponent:
 INFEASIBLE_COMPONENT = _InfeasibleComponent()
 
 
+@dataclass
+class View:
+    """A statement's product graph cut at one slack rung.
+
+    ``logical`` is the tightened topology, ``footprint`` the links it can
+    use, and ``block`` its Equation-1 block — built the first time a
+    component model needs it (:func:`build_partition_model`) and reused by
+    every later model of the same view.
+    """
+
+    logical: LogicalTopology
+    footprint: FrozenSet[LinkKey]
+    block: Optional[FlowBlock] = None
+
+
 @dataclass(frozen=True)
 class StatementRecord:
     """Everything the engine holds about one guaranteed statement.
@@ -116,9 +135,10 @@ class StatementRecord:
     that hangs off it.  ``token`` names one (statement, product graph,
     guarantee) content for the life of the session — the engine never
     re-issues one — and is what the solution memo keys on.  ``views``
-    memoizes the :data:`View` per slack rung; it depends on ``logical``
-    alone, so it lives and dies with the record: a rate change carries the
-    dict over to the new record, a new product graph starts an empty one.
+    memoizes the :class:`View` per slack rung, Equation-1 block included;
+    it depends on ``logical`` alone, so it lives and dies with the record:
+    a rate change carries the dict over to the new record, a new product
+    graph starts an empty one.
     """
 
     statement: Statement
@@ -140,9 +160,8 @@ class StatementRecord:
                 if slack is None
                 else prune_to_cost_bound(self.logical, slack)
             )
-            found = self.views[slack] = (
-                tightened,
-                frozenset(tightened.physical_links_used()),
+            found = self.views[slack] = View(
+                tightened, frozenset(tightened.physical_links_used())
             )
         return found
 
@@ -199,7 +218,7 @@ def topology_capacities_mbps(topology: Topology) -> Dict[LinkKey, float]:
 def build_partition_model(
     spec: PartitionSpec,
     records: Mapping[str, StatementRecord],
-    tightened: Mapping[str, LogicalTopology],
+    views: Mapping[str, View],
     capacity_mbps: Mapping[LinkKey, float],
     heuristic: PathSelectionHeuristic,
 ) -> ProvisioningModel:
@@ -207,40 +226,53 @@ def build_partition_model(
 
     Statement order is the spec's (sorted) identifier order and link order
     is the spec's (sorted) key order, making the model a pure function of
-    the component's content.  ``tightened`` holds each member's logical
-    topology at the slack rung the component is being solved at.
+    the component's content.  ``views`` holds each member's view at the
+    slack rung the component is being solved at; a view's Equation-1 block
+    is built here the first time and reused after that (counted on
+    ``model_blocks_built`` / ``model_blocks_reused``).
     """
-    links = [(key, capacity_mbps[key]) for key in spec.links]
+    blocks: Dict[str, FlowBlock] = {}
+    built = 0
+    for identifier in spec.statement_ids:
+        view = views[identifier]
+        if view.block is None:
+            view.block = flow_block(view.logical)
+            built += 1
+        blocks[identifier] = view.block
+    if built:
+        telemetry.counter("model_blocks_built", built)
+    if built < len(blocks):
+        telemetry.counter("model_blocks_reused", len(blocks) - built)
     return build_model_for_links(
-        [records[identifier].statement for identifier in spec.statement_ids],
-        tightened,
+        spec.statement_ids,
+        blocks,
         {identifier: records[identifier].rates for identifier in spec.statement_ids},
-        links,
+        [(key, capacity_mbps[key]) for key in spec.links],
         heuristic=heuristic,
     )
 
 
-#: What a worker returns for one model: ``(status value, values by variable
-#: name, objective, statistics, span payload)``.
+#: What a worker returns for one model: ``(status value, solution column
+#: vector or None, objective, statistics, span payload)``.
 _WorkerOutcome = Tuple[
-    str, Dict[str, float], Optional[float], Dict[str, float], Dict[str, object]
+    str, Optional[np.ndarray], Optional[float], Dict[str, float], Dict[str, object]
 ]
 
 
 def _solve_model_payload(payload):
     """Process-pool worker: solve one component model.
 
-    Takes ``(model, solver)`` and returns a picklable tuple
-    ``(status value, values by variable name, objective, statistics,
+    Takes ``(standard form, solver)`` and returns a picklable tuple
+    ``(status value, solution column vector, objective, statistics,
     span payload)``.  The span payload is the worker-side
     ``component_solve`` timing in ``Span.to_payload`` form: workers have
     no recorder (and their ``perf_counter`` origin is not comparable
     across processes), so the parent re-anchors and re-parents it via
     ``telemetry.adopt``.
     """
-    model, solver = payload
+    form, solver = payload
     started = telemetry.clock()
-    result = model.solve(solver)
+    result = resolve_backend(solver).solve(form)
     duration = telemetry.clock() - started
     statistics = dict(result.statistics)
     statistics["backend"] = backend_name(solver)
@@ -254,7 +286,7 @@ def _solve_model_payload(payload):
     }
     return (
         result.status.value,
-        {variable.name: value for variable, value in result.values.items()},
+        result.x,
         result.objective,
         statistics,
         span_payload,
@@ -323,25 +355,27 @@ def extract_partition_solution(
 ) -> PartitionSolution:
     """Read a component's solve outcome into a :class:`PartitionSolution`.
 
-    Paths and reservation fractions are read out of the worker's variable
-    values here and the values go no further.
+    Paths and reservation fractions are sliced out of the solution's
+    column vector here (see :class:`ProvisioningModel` for the column
+    order) and the vector goes no further.
     """
-    status_value, values, objective, statistics, span_payload = outcome
+    status_value, x, objective, statistics, span_payload = outcome
     status = SolveStatus(status_value)
     if not status.has_solution:
         _raise_component_unsolved(spec, status_value)
+    layout = built.model.layout
     location_paths: Dict[str, Tuple[str, ...]] = {}
-    for identifier in spec.statement_ids:
-        logical = built.logical_topologies[identifier]
+    for identifier, block, (start, stop) in zip(
+        built.members, built.blocks, layout.members
+    ):
         selected = [
-            logical.edges[index]
-            for index, variable in built.edge_variables[identifier].items()
-            if values.get(variable.name, 0.0) > 0.5
+            block.edges[index]
+            for index in np.flatnonzero(x[start:stop] > 0.5).tolist()
         ]
         location_paths[identifier] = tuple(_extract_path(selected))
     fractions = {
-        key: max(0.0, values.get(variable.name, 0.0))
-        for key, variable in built.reservation_fraction.items()
+        key: max(0.0, value)
+        for key, value in zip(built.links, x[layout.r_max + 2 :].tolist())
     }
     return PartitionSolution(
         spec=spec,
@@ -563,12 +597,14 @@ def solve_components_with_widening(
         # re-partition, look-ups, model building — matching what
         # ``construction_seconds`` reports.
         with telemetry.span("partition", round=_round) as partition_span:
-            tightened: Dict[str, LogicalTopology] = {}
-            footprints: Dict[str, FrozenSet[LinkKey]] = {}
-            for sid, record in records.items():
-                tightened[sid], footprints[sid] = record.view(slack_by_id[sid])
+            views = {
+                sid: record.view(slack_by_id[sid]) for sid, record in records.items()
+            }
+            tightened = {sid: view.logical for sid, view in views.items()}
             specs = (
-                partition_statements(footprints)
+                partition_statements(
+                    {sid: view.footprint for sid, view in views.items()}
+                )
                 if partition
                 else [
                     PartitionSpec(
@@ -614,7 +650,7 @@ def solve_components_with_widening(
                 with telemetry.span("build_model") as build_span:
                     built_models.append(
                         build_partition_model(
-                            spec, records, tightened, capacity_mbps, heuristic
+                            spec, records, views, capacity_mbps, heuristic
                         )
                     )
                 build_seconds.append(build_span.duration)

@@ -4,7 +4,9 @@ The Merlin compiler encodes bandwidth provisioning as a mixed-integer program
 (Equations 1–5 in §3.2).  The paper solves it with the Gurobi Optimizer; this
 package provides an equivalent, self-contained substitute:
 
-* a small modelling layer (:class:`Variable`, :class:`LinExpr`,
+* :class:`StandardForm`, the sparse matrices every backend solves, which
+  the provisioning MIP is built straight into,
+* a small modelling front end over it (:class:`Variable`, :class:`LinExpr`,
   :class:`Constraint`, :class:`Model`) in the style of common MIP APIs,
 * the backend layer (:mod:`repro.lp.backends`): the :class:`SolverBackend`
   protocol and the three backends addressable by string — ``"scipy"``,
@@ -22,7 +24,7 @@ See ``src/repro/lp/README.md`` for how to choose a backend.
 
 from .constraint import Constraint, Sense
 from .expr import LinExpr, Variable
-from .model import Model, Objective
+from .model import Model, Objective, StandardForm
 from .result import SolveResult, SolveStatus
 from .scipy_backend import ScipySolver, solve
 from .branch_and_bound import BranchAndBoundSolver
@@ -42,6 +44,7 @@ __all__ = [
     "Variable",
     "Model",
     "Objective",
+    "StandardForm",
     "SolveResult",
     "SolveStatus",
     "ScipySolver",

@@ -2,8 +2,9 @@
 
 Every layer above the LP package (the solve loop, the incremental engine,
 the compiler, the control-plane daemon) hands its models to "some object
-with a ``solve(model)`` method".  This module is that contract and the one
-place a backend is chosen:
+with a ``solve(form)`` method", the form being a sparse
+:class:`~repro.lp.model.StandardForm`.  This module is that contract and
+the one place a backend is chosen:
 
 * :class:`SolverBackend` — the protocol: ``name`` and ``solve``;
 * :data:`BACKENDS` and :func:`create_backend` — the three in-tree backends,
@@ -24,7 +25,7 @@ from typing import Optional, Protocol, Tuple, Union, runtime_checkable
 
 from ..errors import SolverError
 from .branch_and_bound import BranchAndBoundSolver
-from .model import Model
+from .model import StandardForm
 from .primal import PrimalHeuristicSolver
 from .result import SolveResult
 from .scipy_backend import ScipySolver
@@ -40,7 +41,7 @@ class SolverBackend(Protocol):
     #: Display name; statistics and the content cache's signature record it.
     name: str
 
-    def solve(self, model: Model) -> SolveResult:
+    def solve(self, form: StandardForm) -> SolveResult:
         ...
 
 

@@ -13,12 +13,11 @@ variables and bounding with LP relaxations solved by ``scipy.optimize.linprog``
 The solver uses best-first search on the LP relaxation bound with
 most-fractional branching, which is entirely adequate for the path-selection
 MIPs Merlin generates (binary edge variables with network-flow structure).
-Relaxations consume the model's *sparse* standard form end-to-end
-(``Model.to_standard_form(sparse=True)`` — HiGHS accepts CSR directly), so
-the solver's memory stays proportional to the constraint-matrix non-zeros
-rather than rows × columns.
+Relaxations consume the *sparse* standard form end-to-end (HiGHS accepts
+CSR directly), so the solver's memory stays proportional to the
+constraint-matrix non-zeros rather than rows × columns.
 
-Pruning respects the model's declared ``objective_resolution`` (the
+Pruning respects the form's declared ``objective_resolution`` (the
 tiebreaker epsilon of Merlin's min-max objectives): the effective absolute
 gap is scaled below it, so the first incumbent found cannot prune the
 equal-but-for-tiebreaker solution that is strictly better, regardless of
@@ -49,7 +48,7 @@ from scipy import optimize
 
 from .. import telemetry
 from ..errors import SolverError
-from .model import Model, StandardForm
+from .model import StandardForm
 from .result import SolveResult, SolveStatus
 
 _INTEGRALITY_TOLERANCE = 1e-6
@@ -82,8 +81,9 @@ class BranchAndBoundSolver:
         self.time_limit_seconds = time_limit_seconds
         self.max_nodes = max_nodes
 
-    def _effective_gap(self, model: Model) -> float:
-        """The pruning gap, scaled below the model's objective resolution.
+    @staticmethod
+    def _effective_gap(form: StandardForm) -> float:
+        """The pruning gap, scaled below the form's objective resolution.
 
         With :data:`ABSOLUTE_GAP` (1e-6) alone, an incumbent prunes any
         node within 1e-6 of it — including the strictly better near-tie
@@ -92,15 +92,14 @@ class BranchAndBoundSolver:
         resolution keeps the gap strictly between numerical noise and the
         smallest genuine objective difference.
         """
-        resolution = getattr(model, "objective_resolution", None)
+        resolution = form.objective_resolution
         if resolution is not None and 0.0 < resolution < 2.0 * ABSOLUTE_GAP:
             return resolution / 2.0
         return ABSOLUTE_GAP
 
-    def solve(self, model: Model) -> SolveResult:
-        """Solve the model; falls back to a single LP solve when it has no integers."""
-        form = model.to_standard_form(sparse=True)
-        absolute_gap = self._effective_gap(model)
+    def solve(self, form: StandardForm) -> SolveResult:
+        """Solve the form; a pure LP is settled by its root relaxation."""
+        absolute_gap = self._effective_gap(form)
         # Bound once: the node loop below reads the clock per node, and the
         # contextvar lookup inside telemetry.clock() would be per-iteration
         # overhead for no benefit.
@@ -109,8 +108,8 @@ class BranchAndBoundSolver:
         integer_indices = [
             position for position, flag in enumerate(form.integrality) if flag
         ]
-        lower = np.array([bound[0] for bound in form.bounds], dtype=float)
-        upper = np.array([bound[1] for bound in form.bounds], dtype=float)
+        lower = form.lower.copy()
+        upper = form.upper.copy()
 
         incumbent: Optional[np.ndarray] = None
         incumbent_objective = math.inf
@@ -174,12 +173,8 @@ class BranchAndBoundSolver:
                 status=SolveStatus.ERROR if interrupted else SolveStatus.INFEASIBLE,
                 statistics={"nodes": explored, "solve_seconds": elapsed},
             )
-        values = {
-            variable: float(value) for variable, value in zip(form.variables, incumbent)
-        }
-        for position in integer_indices:
-            variable = form.variables[position]
-            values[variable] = float(round(values[variable]))
+        x = np.array(incumbent, dtype=float)
+        x[integer_indices] = np.round(x[integer_indices])
         objective_value = incumbent_objective
         # The best bound is the smallest relaxation bound still open; when the
         # heap is empty (or every open node is dominated by the incumbent) the
@@ -196,7 +191,7 @@ class BranchAndBoundSolver:
             best_bound = -best_bound
         return SolveResult(
             status=SolveStatus.OPTIMAL if proven else SolveStatus.FEASIBLE,
-            values=values,
+            x=x,
             objective=objective_value,
             statistics={
                 "nodes": explored,

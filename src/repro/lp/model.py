@@ -1,8 +1,14 @@
 """The optimisation model: variables, constraints, and an objective.
 
-A :class:`Model` collects decision variables and linear constraints, exposes
-them in the dense standard form consumed by SciPy, and delegates solving to a
-backend (:class:`~repro.lp.scipy_backend.ScipySolver` by default).
+:class:`StandardForm` is what every backend solves: the matrices, bounds
+and integrality of a (mixed-integer) linear program, column by column.  The
+provisioning MIP is built straight into one
+(:func:`repro.core.provisioning.build_model_for_links`).  A :class:`Model`
+is the general modelling front end over it: it collects named decision
+variables and linear constraints, exports them with
+:meth:`Model.to_standard_form`, and :meth:`Model.solve` hands that form to
+a backend (:class:`~repro.lp.scipy_backend.ScipySolver` by default) and
+keys the answer by the model's variables.
 """
 
 from __future__ import annotations
@@ -26,41 +32,70 @@ class Objective(enum.Enum):
     MAXIMIZE = "maximize"
 
 
+@dataclass(frozen=True)
+class PathLayout:
+    """Where a provisioning form keeps its path structure.
+
+    ``members`` holds the ``(start, stop)`` range of each member
+    statement's binary edge columns, in member order; their Equation-1
+    flow rows are the first rows of ``A_eq``.  Column ``r_max`` is the
+    largest reserved fraction and ``r_max + 1`` the largest reserved
+    amount; every later column is one link's reserved fraction, and that
+    link's Equation-2 row is among the last rows of ``A_eq``, in the same
+    order.  The primal heuristic reads a form through this layout.
+    """
+
+    members: Tuple[Tuple[int, int], ...]
+    r_max: int
+
+
 @dataclass
 class StandardForm:
     """Standard-form data ready for SciPy.
 
     Minimise ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``,
-    and per-variable bounds; ``integrality`` is 1 for integer variables.
+    and ``lower <= x <= upper``; ``integrality`` is 1 for integer columns.
     The objective sign is already flipped for maximisation models.
 
-    ``a_ub`` / ``a_eq`` are ``scipy.sparse.csr_matrix`` when the form was
-    exported with ``sparse=True`` — what every backend asks for: memory
-    stays linear in the number of non-zeros, which is what lets large
-    fat-tree provisioning models fit in RAM — and dense ``np.ndarray``
-    matrices otherwise, the reference layout tests compare against.
+    ``a_ub`` / ``a_eq`` are ``scipy.sparse.csr_matrix`` in every form a
+    backend is handed: memory stays linear in the number of non-zeros,
+    which is what lets large fat-tree provisioning models fit in RAM.
+    ``Model.to_standard_form()`` without ``sparse=True`` exports dense
+    ``np.ndarray`` matrices, the reference layout tests compare against.
+
+    ``objective_resolution`` optionally declares the smallest objective
+    difference that distinguishes two genuinely different solutions (for
+    Merlin's min-max objectives, the per-edge tiebreaker epsilon).
+    Gap-based solvers scale their pruning tolerance below it so an
+    incumbent can never shadow a strictly better near-tie — see
+    :class:`~repro.lp.branch_and_bound.BranchAndBoundSolver`.  ``layout``
+    is set on provisioning forms only.
     """
 
-    variables: List[Variable]
     c: np.ndarray
     a_ub: "np.ndarray"
     b_ub: np.ndarray
     a_eq: "np.ndarray"
     b_eq: np.ndarray
-    bounds: List[Tuple[float, float]]
+    lower: np.ndarray
+    upper: np.ndarray
     integrality: np.ndarray
-    maximize: bool
+    maximize: bool = False
+    objective_resolution: Optional[float] = None
+    layout: Optional[PathLayout] = None
+
+    def num_variables(self) -> int:
+        return int(self.c.size)
+
+    def num_constraints(self) -> int:
+        return int(self.b_ub.size + self.b_eq.size)
 
 
 class Model:
     """A linear / mixed-integer optimisation model.
 
-    ``objective_resolution`` optionally declares the smallest objective
-    difference that distinguishes two genuinely different solutions (for
-    Merlin's min-max objectives, the per-edge tiebreaker epsilon).  Gap-based
-    solvers scale their pruning tolerance below it so an incumbent can never
-    shadow a strictly better near-tie — see
-    :class:`~repro.lp.branch_and_bound.BranchAndBoundSolver`.
+    ``objective_resolution`` is exported to the form's field of that name
+    (see :class:`StandardForm`).
     """
 
     def __init__(self, name: str = "model") -> None:
@@ -236,31 +271,38 @@ class Model:
             a_eq = np.zeros((len(eq_rhs), num_vars))
             if eq_coords[0]:
                 np.add.at(a_eq, (eq_coords[0], eq_coords[1]), eq_coords[2])
-        bounds = [(variable.lower, variable.upper) for variable in variables]
         integrality = np.array(
             [1 if variable.is_integer else 0 for variable in variables], dtype=int
         )
         return StandardForm(
-            variables=variables,
             c=c,
             a_ub=a_ub,
             b_ub=np.array(ub_rhs, dtype=float),
             a_eq=a_eq,
             b_eq=np.array(eq_rhs, dtype=float),
-            bounds=bounds,
+            lower=np.array([variable.lower for variable in variables], dtype=float),
+            upper=np.array([variable.upper for variable in variables], dtype=float),
             integrality=integrality,
             maximize=maximize,
+            objective_resolution=self.objective_resolution,
         )
 
     # -- solving -----------------------------------------------------------------
 
     def solve(self, solver=None):
-        """Solve the model with the given backend (SciPy/HiGHS by default)."""
+        """Solve the model with the given backend (SciPy/HiGHS by default).
+
+        The backend solves the sparse standard form; the result's
+        ``values`` key its column vector by this model's variables.
+        """
         if solver is None:
             from .scipy_backend import ScipySolver
 
             solver = ScipySolver()
-        return solver.solve(self)
+        result = solver.solve(self.to_standard_form(sparse=True))
+        if result.x is not None:
+            result.values = dict(zip(self.variables(), result.x.tolist()))
+        return result
 
     def objective_value(self, assignment) -> float:
         """Evaluate the objective under an assignment (model direction applied)."""

@@ -1,11 +1,12 @@
 """An anytime primal heuristic for the provisioning MIP.
 
 The exact backends prove optimality; this backend trades the proof for
-latency.  It decodes the *structure* of a provisioning model — one binary
-variable per logical edge (``x__{statement}__{index}``), per-statement flow
-conservation rows (``flow__*``, Equation 1), and per-link reservation rows
-(``reserve__*``, Equation 2) — and then runs an iterated two-phase local
-search over per-statement path choices:
+latency.  It reads the *structure* of a provisioning form through the
+form's :class:`~repro.lp.model.PathLayout` — each member statement's range
+of binary edge columns, whose +1 / -1 entries in the Equation-1 flow rows
+of ``A_eq`` name the edge's tail and head, and whose entry in a link's
+Equation-2 row is minus the statement's guarantee — and then runs an
+iterated two-phase local search over per-statement path choices:
 
 1. **greedy construct** — statements in decreasing-guarantee order each take
    the path minimising (bottleneck utilisation after adding their load,
@@ -18,14 +19,14 @@ search over per-statement path choices:
    keep the perturbed solution only if it is strictly better.
 
 The search is entirely deterministic — no randomness, all ties broken by
-construction order or identifier — so repeated solves of the same model
-yield byte-identical allocations.  On success the result is
+construction order, member order or link order — so repeated solves of the
+same form yield byte-identical allocations.  On success the result is
 :attr:`~repro.lp.result.SolveStatus.FEASIBLE` (an incumbent without an
 optimality proof, exactly like a time-limited exact solve); when no
 capacity-respecting assignment is found the result is ``ERROR`` (a heuristic
-cannot prove infeasibility).  Models that do not follow the provisioning
-naming/shape conventions raise :class:`~repro.errors.SolverError` — this
-backend is a specialist, not a general MIP solver.
+cannot prove infeasibility).  A form without a path layout, or whose arrays
+do not have the provisioning shape, raises :class:`~repro.errors.SolverError`
+— this backend is a specialist, not a general MIP solver.
 
 ``ProvisionOptions(solver="heuristic")`` provisions a fat-tree component in
 milliseconds.
@@ -38,11 +39,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .. import telemetry
 from ..errors import SolverError
-from .constraint import Sense
-from .expr import Variable
-from .model import Model
+from .model import StandardForm
 from .result import SolveResult, SolveStatus
 
 #: Strict-improvement threshold for the local search: a reroute must lower
@@ -56,22 +57,20 @@ _COEFFICIENT_EPSILON = 1e-9
 
 @dataclass
 class _Edge:
-    """One decoded logical edge: its binary variable and path structure."""
+    """One decoded logical edge: its column and path structure."""
 
-    variable: Variable
+    column: int
     source: int
     target: int
-    #: The physical link the edge maps onto, identified by its reservation
-    #: variable's name (``None`` for "stay" edges with no link term).
-    link: Optional[str]
+    #: The physical link the edge maps onto, as the index of the link's
+    #: reservation column among all of them (``None`` for "stay" edges).
+    link: Optional[int]
 
 
 @dataclass
 class _PathStatement:
     """One statement's routing sub-problem."""
 
-    identifier: str
-    edges: List[_Edge]
     adjacency: Dict[int, List[_Edge]]
     source: int
     sink: int
@@ -80,184 +79,127 @@ class _PathStatement:
 
 @dataclass
 class _DecodedProblem:
-    """The provisioning model re-read as a path-assignment problem."""
+    """The provisioning form re-read as a path-assignment problem, its
+    statements keyed by member index."""
 
-    statements: Dict[str, _PathStatement]
-    capacity: Dict[str, float]
-    reservation_variables: Dict[str, Variable]
-    r_max: Optional[Variable]
-    big_r_max: Optional[Variable]
-
-
-def _statement_id(variable_name: str) -> str:
-    """The statement identifier embedded in an ``x__{id}__{index}`` name.
-
-    Identifiers may themselves contain ``__``; only the trailing edge index
-    is split off.
-    """
-    return variable_name[3:].rsplit("__", 1)[0]
+    statements: Dict[int, _PathStatement]
+    capacity: Dict[int, float]
+    #: Column of ``r_max``; ``R_max`` and the link reservations follow it.
+    r_max: int
 
 
 def _shape_error(detail: str) -> SolverError:
     return SolverError(
-        "the primal heuristic only solves provisioning path models "
-        f"(x__/flow__/reserve__ conventions): {detail}"
+        f"the primal heuristic only solves provisioning path models: {detail}"
     )
 
 
-def _decode_provisioning_model(model: Model) -> _DecodedProblem:
-    """Recover the path-assignment structure from a provisioning model.
+def _decode_provisioning_form(form: StandardForm) -> _DecodedProblem:
+    """Recover the path-assignment structure from a provisioning form.
 
-    Decoding relies only on the canonical constructions of the one model
-    builder (``splice_statement_rows`` / ``emit_link_rows``): every decoded
-    fact is cross-checked, and any deviation raises :class:`SolverError`
-    rather than guessing.
+    Every decoded fact is cross-checked against the layout the one model
+    builder (``build_model_for_links``) documents, and any deviation
+    raises :class:`SolverError` rather than guessing.
     """
-    # Keyed by variable *name*: the model enforces name uniqueness, and
-    # strings cache their hash where the frozen dataclass recomputes it on
-    # every lookup (this decode is the heuristic's hot loop).
-    guarantee_of: Dict[str, float] = {}
-    link_of: Dict[str, str] = {}
-    capacity: Dict[str, float] = {}
-    reservation_variables: Dict[str, Variable] = {}
-    flow_rows = []
+    layout = form.layout
+    if layout is None:
+        raise _shape_error("the form carries no path layout")
+    num_columns = form.num_variables()
+    first_reservation = layout.r_max + 2
+    num_links = num_columns - first_reservation
+    num_flow_rows = form.b_eq.size - num_links
+    integrality = form.integrality
+    if (
+        num_links < 0
+        or num_flow_rows < 0
+        or int(integrality.sum())
+        != sum(stop - start for start, stop in layout.members)
+        or not all(integrality[start:stop].all() for start, stop in layout.members)
+    ):
+        raise _shape_error("the layout does not match the form's columns")
+    a_eq = form.a_eq.tocsc()
+    indptr = a_eq.indptr.tolist()
+    indices = a_eq.indices.tolist()
+    data = a_eq.data.tolist()
+    balance = form.b_eq.tolist()
 
-    for constraint in model.constraints():
-        name = constraint.name or ""
-        if name.startswith("reserve__"):
-            if constraint.sense is not Sense.EQUAL:
-                raise _shape_error(f"reserve row {name!r} is not an equality")
-            reservation = None
-            cap = 0.0
-            edge_terms: List[Tuple[Variable, float]] = []
-            for variable, coefficient in constraint.expression.coefficients.items():
-                if variable.is_integer:
-                    edge_terms.append((variable, coefficient))
-                else:
-                    if reservation is not None:
+    def entries(column: int) -> List[Tuple[int, float]]:
+        begin, end = indptr[column], indptr[column + 1]
+        return list(zip(indices[begin:end], data[begin:end]))
+
+    capacity: Dict[int, float] = {}
+    for link in range(num_links):
+        found = entries(first_reservation + link)
+        if len(found) != 1 or found[0][0] != num_flow_rows + link or found[0][1] <= 0.0:
+            raise _shape_error(
+                f"link {link} lacks a positive-capacity reservation term in its row"
+            )
+        capacity[link] = found[0][1]
+
+    statements: Dict[int, _PathStatement] = {}
+    for member, (start, stop) in enumerate(layout.members):
+        edges: List[_Edge] = []
+        guarantee = 0.0
+        for column in range(start, stop):
+            source = target = link = None
+            for row, coefficient in entries(column):
+                if row >= num_flow_rows:
+                    if link is not None or coefficient >= 0.0:
                         raise _shape_error(
-                            f"reserve row {name!r} has several continuous terms"
+                            f"edge column {column} has a second or a non-negative "
+                            "reservation term"
                         )
-                    reservation, cap = variable, coefficient
-            if reservation is None or cap <= 0.0:
-                raise _shape_error(
-                    f"reserve row {name!r} lacks a positive-capacity reservation term"
-                )
-            link = reservation.name
-            capacity[link] = cap
-            reservation_variables[link] = reservation
-            for variable, coefficient in edge_terms:
-                if coefficient >= 0.0:
+                    link = row - num_flow_rows
+                    guarantee = max(guarantee, -coefficient)
+                elif abs(coefficient) < _COEFFICIENT_EPSILON:
+                    continue
+                elif coefficient > 0.0 and source is None:
+                    source = row
+                elif coefficient < 0.0 and target is None:
+                    target = row
+                else:
                     raise _shape_error(
-                        f"edge term in reserve row {name!r} has a non-negative "
-                        "coefficient"
+                        f"edge column {column} appears twice with the same "
+                        "flow direction"
                     )
-                guarantee_of[variable.name] = -coefficient
-                link_of[variable.name] = link
-        elif name.startswith("flow__"):
-            if constraint.sense is not Sense.EQUAL:
-                raise _shape_error(f"flow row {name!r} is not an equality")
-            flow_rows.append(constraint)
-
-    # Flow rows are the vertices; an edge variable's +1 row is its source
-    # vertex and its -1 row its target.
-    source_row: Dict[str, int] = {}
-    target_row: Dict[str, int] = {}
-    row_balance: List[float] = []
-    for row_index, constraint in enumerate(flow_rows):
-        row_balance.append(-constraint.expression.constant)
-        for variable, coefficient in constraint.expression.coefficients.items():
-            if abs(coefficient) < _COEFFICIENT_EPSILON:
-                continue
-            if not variable.is_integer or not variable.name.startswith("x__"):
-                raise _shape_error(
-                    f"flow row references non-edge variable {variable.name!r}"
-                )
-            registry = source_row if coefficient > 0 else target_row
-            if variable.name in registry:
-                raise _shape_error(
-                    f"edge variable {variable.name!r} appears twice with the "
-                    "same flow direction"
-                )
-            registry[variable.name] = row_index
-
-    edges_by_statement: Dict[str, List[_Edge]] = {}
-    for variable in model.variables():
-        if variable.is_integer:
-            if not variable.name.startswith("x__"):
-                raise _shape_error(f"unexpected integer variable {variable.name!r}")
-            source = source_row.get(variable.name)
-            target = target_row.get(variable.name)
             if source is None or target is None:
                 raise _shape_error(
-                    f"edge variable {variable.name!r} is missing from the flow rows"
+                    f"edge column {column} is missing from the flow rows"
                 )
-            edges_by_statement.setdefault(_statement_id(variable.name), []).append(
-                _Edge(
-                    variable=variable,
-                    source=source,
-                    target=target,
-                    link=link_of.get(variable.name),
-                )
-            )
-        elif variable.name not in reservation_variables and variable.name not in (
-            "r_max",
-            "R_max",
-        ):
-            raise _shape_error(f"unexpected continuous variable {variable.name!r}")
+            edges.append(_Edge(column=column, source=source, target=target, link=link))
 
-    statements: Dict[str, _PathStatement] = {}
-    for identifier, edges in edges_by_statement.items():
         sources = set()
         sinks = set()
         adjacency: Dict[int, List[_Edge]] = {}
         for edge in edges:
             adjacency.setdefault(edge.source, []).append(edge)
             for vertex in (edge.source, edge.target):
-                balance = row_balance[vertex]
-                if balance > 0.5:
+                if balance[vertex] > 0.5:
                     sources.add(vertex)
-                elif balance < -0.5:
+                elif balance[vertex] < -0.5:
                     sinks.add(vertex)
         if len(sources) != 1 or len(sinks) != 1:
             raise _shape_error(
-                f"statement {identifier!r} does not have exactly one "
-                "source and one sink flow row"
+                f"member {member} does not have exactly one source and one "
+                "sink flow row"
             )
-        guarantee = max(
-            (guarantee_of.get(edge.variable.name, 0.0) for edge in edges),
-            default=0.0,
-        )
-        statements[identifier] = _PathStatement(
-            identifier=identifier,
-            edges=edges,
+        statements[member] = _PathStatement(
             adjacency=adjacency,
             source=next(iter(sources)),
             sink=next(iter(sinks)),
             guarantee_mbps=guarantee,
         )
     if not statements:
-        raise _shape_error("model has no edge variables")
-
-    def _optional_variable(name: str) -> Optional[Variable]:
-        try:
-            return model.variable(name)
-        except SolverError:
-            return None
-
+        raise _shape_error("the form has no edge columns")
     return _DecodedProblem(
-        statements=statements,
-        capacity=capacity,
-        reservation_variables=reservation_variables,
-        r_max=_optional_variable("r_max"),
-        big_r_max=_optional_variable("R_max"),
+        statements=statements, capacity=capacity, r_max=layout.r_max
     )
 
 
 def _best_path(
     statement: _PathStatement,
-    load: Mapping[str, float],
-    capacity: Mapping[str, float],
+    load: Mapping[int, float],
+    capacity: Mapping[int, float],
     forbidden: frozenset = frozenset(),
 ) -> Optional[List[_Edge]]:
     """The statement's best source-to-sink path on the current residual load.
@@ -311,10 +253,10 @@ def _best_path(
 
 
 def _loads(
-    problem: _DecodedProblem, chosen: Mapping[str, Sequence[_Edge]]
-) -> Dict[str, float]:
+    problem: _DecodedProblem, chosen: Mapping[int, Sequence[_Edge]]
+) -> Dict[int, float]:
     """Exact per-link reserved Mbps under the chosen paths (multiplicity-aware)."""
-    load: Dict[str, float] = {}
+    load: Dict[int, float] = {}
     for identifier, path in chosen.items():
         guarantee = problem.statements[identifier].guarantee_mbps
         if guarantee <= 0.0:
@@ -326,11 +268,12 @@ def _loads(
 
 
 def _bottleneck(
-    problem: _DecodedProblem, load: Mapping[str, float]
-) -> Tuple[float, Optional[str]]:
-    """The most-utilised link and its utilisation (deterministic tie-break)."""
+    problem: _DecodedProblem, load: Mapping[int, float]
+) -> Tuple[float, Optional[int]]:
+    """The most-utilised link and its utilisation (ties go to the first
+    link in the form's link order)."""
     best_utilization = 0.0
-    best_link: Optional[str] = None
+    best_link: Optional[int] = None
     for link in sorted(load):
         cap = problem.capacity.get(link, 0.0)
         utilization = load[link] / cap if cap > 0.0 else math.inf
@@ -353,14 +296,14 @@ class PrimalHeuristicSolver:
         self.time_limit_seconds = time_limit_seconds
         self.max_rounds = max_rounds
 
-    def solve(self, model: Model) -> SolveResult:
+    def solve(self, form: StandardForm) -> SolveResult:
         """Find a feasible path assignment fast (``FEASIBLE``/``ERROR``).
 
-        Raises :class:`SolverError` when the model is not a provisioning
+        Raises :class:`SolverError` when the form is not a provisioning
         path model — the structural decode, not the search, is what fails.
         """
         started = telemetry.clock()
-        problem = _decode_provisioning_model(model)
+        problem = _decode_provisioning_form(form)
         deadline = (
             started + self.time_limit_seconds
             if self.time_limit_seconds is not None
@@ -373,8 +316,8 @@ class PrimalHeuristicSolver:
             problem.statements,
             key=lambda sid: (-problem.statements[sid].guarantee_mbps, sid),
         )
-        load: Dict[str, float] = {}
-        chosen: Dict[str, List[_Edge]] = {}
+        load: Dict[int, float] = {}
+        chosen: Dict[int, List[_Edge]] = {}
         for identifier in order:
             statement = problem.statements[identifier]
             path = _best_path(statement, load, problem.capacity)
@@ -405,16 +348,16 @@ class PrimalHeuristicSolver:
             if not self._perturb(problem, chosen, deadline):
                 break
 
-        return self._assemble(model, problem, chosen, started, rounds)
+        return self._assemble(form, problem, chosen, started, rounds)
 
     # -- local search -----------------------------------------------------------
 
     def _bottleneck_users(
         self,
         problem: _DecodedProblem,
-        chosen: Mapping[str, Sequence[_Edge]],
-        bottleneck: str,
-    ) -> List[str]:
+        chosen: Mapping[int, Sequence[_Edge]],
+        bottleneck: int,
+    ) -> List[int]:
         """Statements loading the bottleneck link, heaviest guarantee first."""
         return [
             identifier
@@ -427,7 +370,7 @@ class PrimalHeuristicSolver:
         ]
 
     def _improve_once(
-        self, problem: _DecodedProblem, chosen: Dict[str, List[_Edge]]
+        self, problem: _DecodedProblem, chosen: Dict[int, List[_Edge]]
     ) -> bool:
         """Accept the first single-statement reroute that lowers the bottleneck."""
         load = _loads(problem, chosen)
@@ -457,7 +400,7 @@ class PrimalHeuristicSolver:
     def _perturb(
         self,
         problem: _DecodedProblem,
-        chosen: Dict[str, List[_Edge]],
+        chosen: Dict[int, List[_Edge]],
         deadline: Optional[float],
     ) -> bool:
         """Kick the heaviest bottleneck user off the bottleneck link and repair.
@@ -501,38 +444,33 @@ class PrimalHeuristicSolver:
 
     def _assemble(
         self,
-        model: Model,
+        form: StandardForm,
         problem: _DecodedProblem,
-        chosen: Mapping[str, Sequence[_Edge]],
+        chosen: Mapping[int, Sequence[_Edge]],
         started: float,
         rounds: int,
     ) -> SolveResult:
-        values: Dict[Variable, float] = {}
-        for statement in problem.statements.values():
-            for edge in statement.edges:
-                values[edge.variable] = 0.0
+        x = np.zeros(form.num_variables())
         for path in chosen.values():
             for edge in path:
-                values[edge.variable] = 1.0
+                x[edge.column] = 1.0
         load = _loads(problem, chosen)
         max_fraction = 0.0
         max_reserved = 0.0
-        for link, reservation in problem.reservation_variables.items():
-            cap = problem.capacity[link]
+        first_reservation = problem.r_max + 2
+        for link, cap in problem.capacity.items():
             reserved = load.get(link, 0.0)
-            fraction = reserved / cap if cap > 0.0 else 0.0
-            values[reservation] = fraction
+            fraction = reserved / cap
+            x[first_reservation + link] = fraction
             max_fraction = max(max_fraction, fraction)
             max_reserved = max(max_reserved, reserved)
-        if problem.r_max is not None:
-            values[problem.r_max] = max_fraction
-        if problem.big_r_max is not None:
-            values[problem.big_r_max] = max_reserved
+        x[problem.r_max] = max_fraction
+        x[problem.r_max + 1] = max_reserved
 
         statistics: Dict[str, float] = {
             "solve_seconds": telemetry.clock() - started,
-            "num_variables": float(model.num_variables()),
-            "num_integer_variables": float(model.num_integer_variables()),
+            "num_variables": float(form.num_variables()),
+            "num_integer_variables": float(form.integrality.sum()),
             "heuristic_rounds": float(rounds),
         }
         if max_fraction > 1.0 + 1e-9:
@@ -540,9 +478,15 @@ class PrimalHeuristicSolver:
             # point found (the heuristic cannot prove none exists).
             statistics["heuristic_overload"] = max_fraction
             return SolveResult(status=SolveStatus.ERROR, statistics=statistics)
+        # Summed term by term in column order, as ``LinExpr.value`` would.
+        coefficients, values = form.c.tolist(), x.tolist()
+        objective = sum(
+            coefficients[column] * values[column]
+            for column in np.flatnonzero(form.c).tolist()
+        )
         return SolveResult(
             status=SolveStatus.FEASIBLE,
-            values=values,
-            objective=model.objective_value(values),
+            x=x,
+            objective=-objective if form.maximize else objective,
             statistics=statistics,
         )

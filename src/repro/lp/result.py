@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
+
+import numpy as np
 
 from .expr import Variable
 
@@ -38,16 +40,21 @@ class SolveStatus(enum.Enum):
 class SolveResult:
     """The outcome of solving a model.
 
-    ``values`` maps every model variable to its value in the solution (empty
-    for infeasible/unbounded outcomes).  ``objective`` is the objective value
-    under that assignment.  ``statistics`` carries solver-specific metadata
-    such as node counts or solve time, used by the scalability benchmarks.
+    ``x`` is the solution's column vector, in the standard form's column
+    order (``None`` for infeasible/unbounded outcomes), with integer
+    columns rounded.  ``objective`` is the objective value under that
+    assignment.  ``statistics`` carries solver-specific metadata such as
+    node counts or solve time, used by the scalability benchmarks.
+    ``values`` maps every variable of a :class:`~repro.lp.model.Model` to
+    its value; :meth:`Model.solve <repro.lp.model.Model.solve>` fills it
+    from ``x``, and a backend handed a bare form leaves it empty.
     """
 
     status: SolveStatus
-    values: Dict[Variable, float] = field(default_factory=dict)
+    x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     statistics: Dict[str, float] = field(default_factory=dict)
+    values: Dict[Variable, float] = field(default_factory=dict)
 
     def value_of(self, variable: Variable, default: float = 0.0) -> float:
         """The solution value of a variable (``default`` when absent)."""

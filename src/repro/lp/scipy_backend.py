@@ -6,10 +6,11 @@ solver, which (like the Gurobi solver used in the paper) is an exact
 branch-and-cut MIP solver, so the path assignments it produces satisfy the
 same constraint system the paper describes.
 
-The backend exports models in sparse standard form
-(``Model.to_standard_form(sparse=True)``): HiGHS consumes CSR directly, and
+The backend solves a sparse standard form
+(:class:`~repro.lp.model.StandardForm`): HiGHS consumes CSR directly, and
 the dense export of a large fat-tree provisioning MIP is memory-bound long
-before the solver is CPU-bound.  MIP diagnostics reported by HiGHS (dual
+before the solver is CPU-bound.  A time limit reaches HiGHS on both paths.
+MIP diagnostics reported by HiGHS (dual
 bound, node count, relative gap) are surfaced in ``SolveResult.statistics``
 under the same keys the branch-and-bound backend uses, so callers can report
 the MIP gap of ``FEASIBLE`` (time-limited) solves uniformly.
@@ -31,37 +32,40 @@ MIP_GAP = 1e-6
 
 
 class ScipySolver:
-    """Solve :class:`~repro.lp.model.Model` instances with SciPy/HiGHS."""
+    """Solve standard forms with SciPy/HiGHS."""
 
     name = "scipy"
 
     def __init__(self, time_limit_seconds: Optional[float] = None) -> None:
         self.time_limit_seconds = time_limit_seconds
 
-    def solve(self, model: Model) -> SolveResult:
-        """Solve the model, returning a :class:`SolveResult`."""
-        form = model.to_standard_form(sparse=True)
+    def solve(self, form: StandardForm) -> SolveResult:
+        """Solve the form, returning a :class:`SolveResult`."""
         started = telemetry.clock()
         if form.integrality.any():
             result = self._solve_milp(form)
         else:
             result = self._solve_lp(form)
         result.statistics["solve_seconds"] = telemetry.clock() - started
-        result.statistics["num_variables"] = len(form.variables)
+        result.statistics["num_variables"] = form.num_variables()
         result.statistics["num_integer_variables"] = int(form.integrality.sum())
         return result
 
     # -- internals -------------------------------------------------------------
 
     def _solve_lp(self, form: StandardForm) -> SolveResult:
+        options = {}
+        if self.time_limit_seconds is not None:
+            options["time_limit"] = self.time_limit_seconds
         outcome = optimize.linprog(
             c=form.c,
             A_ub=form.a_ub if form.b_ub.size else None,
             b_ub=form.b_ub if form.b_ub.size else None,
             A_eq=form.a_eq if form.b_eq.size else None,
             b_eq=form.b_eq if form.b_eq.size else None,
-            bounds=form.bounds,
+            bounds=np.column_stack((form.lower, form.upper)),
             method="highs",
+            options=options,
         )
         return self._wrap(form, outcome.status, outcome.x, outcome.fun)
 
@@ -77,15 +81,13 @@ class ScipySolver:
             constraints.append(
                 optimize.LinearConstraint(form.a_eq, form.b_eq, form.b_eq)
             )
-        lower = np.array([bound[0] for bound in form.bounds], dtype=float)
-        upper = np.array([bound[1] for bound in form.bounds], dtype=float)
         options = {"mip_rel_gap": MIP_GAP}
         if self.time_limit_seconds is not None:
             options["time_limit"] = self.time_limit_seconds
         outcome = optimize.milp(
             c=form.c,
             constraints=constraints,
-            bounds=optimize.Bounds(lower, upper),
+            bounds=optimize.Bounds(form.lower, form.upper),
             integrality=form.integrality,
             options=options,
         )
@@ -118,21 +120,19 @@ class ScipySolver:
     def _wrap(form: StandardForm, status_code: int, solution, objective) -> SolveResult:
         # linprog and milp share status codes: 0 optimal, 1 iteration/time
         # limit, 2 infeasible, 3 unbounded.  A limit hit with an incumbent in
-        # hand is a usable-but-unproven solution: FEASIBLE, not OPTIMAL.
+        # hand is a usable-but-unproven solution: FEASIBLE, not OPTIMAL; one
+        # hit without (``x`` is None) proves nothing: ERROR.
         if status_code in (0, 1) and solution is not None:
-            values = {
-                variable: float(value) for variable, value in zip(form.variables, solution)
-            }
-            # Snap integer variables that HiGHS returns with tiny numerical noise.
-            for variable in form.variables:
-                if variable.is_integer:
-                    values[variable] = float(round(values[variable]))
+            x = np.array(solution, dtype=float)
+            # Snap integer columns that HiGHS returns with tiny numerical noise.
+            integer = form.integrality.astype(bool)
+            x[integer] = np.round(x[integer])
             objective_value = float(objective)
             if form.maximize:
                 objective_value = -objective_value
             return SolveResult(
                 status=SolveStatus.OPTIMAL if status_code == 0 else SolveStatus.FEASIBLE,
-                values=values,
+                x=x,
                 objective=objective_value,
             )
         if status_code == 2:
@@ -144,4 +144,4 @@ class ScipySolver:
 
 def solve(model: Model, **solver_options) -> SolveResult:
     """Convenience wrapper: solve ``model`` with a fresh :class:`ScipySolver`."""
-    return ScipySolver(**solver_options).solve(model)
+    return model.solve(ScipySolver(**solver_options))

@@ -56,10 +56,10 @@ class FlakyBackend:
     def __init__(self):
         self.failing = True
 
-    def solve(self, model):
+    def solve(self, form):
         if self.failing:
             return SolveResult(status=SolveStatus.ERROR)
-        return ScipySolver().solve(model)
+        return ScipySolver().solve(form)
 
 
 @pytest.fixture

@@ -80,7 +80,7 @@ class TestProvisionOptions:
 
     def test_third_party_instance_is_accepted(self):
         class Mine:
-            def solve(self, model):
+            def solve(self, form):
                 raise NotImplementedError
 
         mine = Mine()

@@ -1,33 +1,50 @@
-"""Equivalence of the indexed MIP construction with a reference build.
+"""The array builder against the object builder it replaced.
 
-The indexed one-pass construction in
-:func:`repro.core.provisioning.build_provisioning_model` must produce a
-model that is *coefficient-identical* to the straightforward reference
-build (the naive O(S·E·L) nested loops over statements × edges × links):
-same variables in the same order, same bounds/integrality, same constraint
-rows, same right-hand sides, and the same objective vector.
+:func:`repro.core.provisioning.build_model_for_links` builds the sparse
+standard form the solver is handed straight from per-statement Equation-1
+blocks.  It must hand over exactly what the object builder kept in
+``tests/reference_provisioning.py`` exports with
+``to_standard_form(sparse=True)`` — ``c``, ``b_ub``, ``b_eq``, the bounds,
+the integrality and ``indptr`` / ``indices`` / ``data`` of both CSR
+matrices, byte for byte — because byte-identical input is what keeps the
+solver's tie-breaks, and therefore every allocation, unchanged.  And no
+``Variable``, ``LinExpr`` or ``Constraint`` may be created on the solve
+path.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
+from types import SimpleNamespace
 
-from repro.core.localization import localize
-from repro.core.logical import SINK, SOURCE, build_logical_topology, infer_endpoints
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.compiler import MerlinCompiler
+from repro.core.localization import LocalRates, localize
+from repro.core.logical import (
+    SINK,
+    SOURCE,
+    LogicalEdge,
+    LogicalTopology,
+    build_logical_topology,
+    infer_endpoints,
+)
 from repro.core.parser import parse_policy
 from repro.core.preprocessor import preprocess
 from repro.core.provisioning import (
     PathSelectionHeuristic,
-    _MBPS,
-    _edge_tiebreaker,
-    _guarantee_quantum_mbps,
+    build_model_for_links,
     build_provisioning_model,
+    flow_block,
 )
 from repro.experiments.policy_builders import all_pairs_policy
-from repro.lp.expr import LinExpr
-from repro.lp.model import Model
+from repro.incremental import PolicyDelta, RateUpdate
+from repro.lp.constraint import Constraint
+from repro.lp.expr import LinExpr, Variable
 from repro.topology.generators import fat_tree, figure2_example
+from repro.units import Bandwidth
+import tests.reference_provisioning as reference
+from tests.reference_provisioning import assert_forms_identical
 
 QUICKSTART_SOURCE = """
 [ x : (eth.src = 00:00:00:00:00:01 and
@@ -62,128 +79,11 @@ def _provisioning_inputs(policy, topology, placements):
     return guaranteed, logical, rates
 
 
-def _reference_model(statements, logical_topologies, rates, topology, heuristic):
-    """The straightforward (pre-refactor) construction: a full rescan of every
-    statement's edges for every physical link, grown with the copying ``+``."""
-    model = Model(name="merlin-provisioning")
-    edge_variables = {}
-    for statement in statements:
-        logical = logical_topologies[statement.identifier]
-        variables = {}
-        for index, edge in enumerate(logical.edges):
-            variables[index] = model.add_binary(f"x__{statement.identifier}__{index}")
-        edge_variables[statement.identifier] = variables
-        # Flow rows in first-appearance order of the edge list (the set
-        # ``logical.vertices`` iterates in a PYTHONHASHSEED-dependent order).
-        first_seen = dict.fromkeys(
-            vertex for edge in logical.edges for vertex in (edge.source, edge.target)
-        )
-        assert set(first_seen) == logical.vertices
-        for vertex in first_seen:
-            outgoing = LinExpr.sum_of(
-                variables[index]
-                for index, edge in enumerate(logical.edges)
-                if edge.source == vertex
-            )
-            incoming = LinExpr.sum_of(
-                variables[index]
-                for index, edge in enumerate(logical.edges)
-                if edge.target == vertex
-            )
-            balance = 1.0 if vertex == SOURCE else (-1.0 if vertex == SINK else 0.0)
-            model.add_constraint(
-                (outgoing - incoming).equals(balance),
-                name=f"flow__{statement.identifier}__{vertex[0]}_{vertex[1]}",
-            )
-
-    reservation_fraction = {}
-    r_max = model.add_continuous("r_max", lower=0.0, upper=1.0)
-    big_r_max = model.add_continuous("R_max", lower=0.0)
-    for link in topology.links():
-        key = tuple(sorted((link.source, link.target)))
-        capacity_mbps = link.capacity.bps_value / _MBPS
-        r_uv = model.add_continuous(f"r__{key[0]}__{key[1]}", lower=0.0, upper=1.0)
-        reservation_fraction[key] = r_uv
-        reserved_terms = LinExpr()
-        for statement in statements:
-            guarantee = rates[statement.identifier].guarantee
-            if guarantee is None:
-                continue
-            guarantee_mbps = guarantee.bps_value / _MBPS
-            logical = logical_topologies[statement.identifier]
-            for index, edge in enumerate(logical.edges):
-                if edge.physical_link is None:
-                    continue
-                if tuple(sorted(edge.physical_link)) == key:
-                    reserved_terms = reserved_terms + (
-                        edge_variables[statement.identifier][index] * guarantee_mbps
-                    )
-        model.add_constraint(
-            (r_uv * capacity_mbps - reserved_terms).equals(0.0),
-            name=f"reserve__{key[0]}__{key[1]}",
-        )
-        model.add_constraint(r_max - r_uv >= 0.0, name=f"rmax__{key[0]}__{key[1]}")
-        model.add_constraint(
-            big_r_max - r_uv * capacity_mbps >= 0.0,
-            name=f"Rmax__{key[0]}__{key[1]}",
-        )
-
-    if heuristic is PathSelectionHeuristic.WEIGHTED_SHORTEST_PATH:
-        objective = LinExpr()
-        for statement in statements:
-            guarantee = rates[statement.identifier].guarantee
-            weight = (guarantee.bps_value / _MBPS) if guarantee else 1.0
-            logical = logical_topologies[statement.identifier]
-            for index, edge in enumerate(logical.edges):
-                if edge.physical_link is not None:
-                    objective = objective + (
-                        edge_variables[statement.identifier][index] * weight
-                    )
-        model.minimize(objective)
-    elif heuristic is PathSelectionHeuristic.MIN_MAX_RATIO:
-        max_capacity_mbps = max(
-            link.capacity.bps_value / _MBPS for link in topology.links()
-        )
-        quantum = _guarantee_quantum_mbps(statements, rates) / max_capacity_mbps
-        model.minimize(
-            r_max + _edge_tiebreaker(edge_variables, magnitude=min(1e-3, quantum))
-        )
-    elif heuristic is PathSelectionHeuristic.MIN_MAX_RESERVED:
-        magnitude = _guarantee_quantum_mbps(statements, rates) * 1e-3
-        model.minimize(
-            big_r_max + _edge_tiebreaker(edge_variables, magnitude=magnitude)
-        )
-    return model
+HEURISTICS = list(PathSelectionHeuristic)
 
 
-def _assert_standard_forms_identical(indexed, reference):
-    assert [v.name for v in indexed.variables] == [v.name for v in reference.variables]
-    assert [
-        (v.lower, v.upper, v.is_integer) for v in indexed.variables
-    ] == [(v.lower, v.upper, v.is_integer) for v in reference.variables]
-    assert indexed.bounds == reference.bounds
-    assert np.array_equal(indexed.integrality, reference.integrality)
-    assert np.array_equal(indexed.c, reference.c)
-    assert indexed.a_eq.shape == reference.a_eq.shape
-    assert indexed.a_ub.shape == reference.a_ub.shape
-    assert np.array_equal(indexed.a_eq, reference.a_eq)
-    assert np.array_equal(indexed.b_eq, reference.b_eq)
-    assert np.array_equal(indexed.a_ub, reference.a_ub)
-    assert np.array_equal(indexed.b_ub, reference.b_ub)
-    assert indexed.maximize == reference.maximize
-
-
-@pytest.mark.parametrize(
-    "heuristic",
-    [
-        PathSelectionHeuristic.MIN_MAX_RATIO,
-        PathSelectionHeuristic.MIN_MAX_RESERVED,
-        PathSelectionHeuristic.WEIGHTED_SHORTEST_PATH,
-    ],
-)
-def test_quickstart_indexed_build_matches_reference(heuristic):
-    from repro.units import Bandwidth
-
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_quickstart_array_build_matches_both_references(heuristic):
     topology = figure2_example(capacity=Bandwidth.gbps(2))
     statements, logical, rates = _provisioning_inputs(
         QUICKSTART_SOURCE, topology, QUICKSTART_PLACEMENTS
@@ -192,59 +92,218 @@ def test_quickstart_indexed_build_matches_reference(heuristic):
     built = build_provisioning_model(
         statements, logical, rates, topology, heuristic=heuristic
     )
-    reference = _reference_model(statements, logical, rates, topology, heuristic)
-    _assert_standard_forms_identical(
-        built.model.to_standard_form(), reference.to_standard_form()
+    indexed = reference.build_provisioning_model(
+        statements, logical, rates, topology, heuristic=heuristic
     )
+    naive = reference.naive_provisioning_model(
+        statements, logical, rates, topology, heuristic
+    )
+    assert_forms_identical(built.model, indexed.model.to_standard_form(sparse=True))
+    assert_forms_identical(built.model, naive.to_standard_form(sparse=True))
+    assert built.model.num_variables() == indexed.model.num_variables()
+    assert built.model.num_constraints() == indexed.model.num_constraints()
 
 
-def test_fat_tree_indexed_build_matches_reference():
+def test_fat_tree_array_build_matches_both_references():
     topology = fat_tree(4)
     policy = all_pairs_policy(topology, guarantee_fraction=0.1, max_classes=60)
     statements, logical, rates = _provisioning_inputs(policy, topology, {})
     assert len(statements) >= 2
+    heuristic = PathSelectionHeuristic.MIN_MAX_RATIO
     built = build_provisioning_model(
-        statements,
-        logical,
-        rates,
-        topology,
-        heuristic=PathSelectionHeuristic.MIN_MAX_RATIO,
+        statements, logical, rates, topology, heuristic=heuristic
     )
-    reference = _reference_model(
-        statements, logical, rates, topology, PathSelectionHeuristic.MIN_MAX_RATIO
+    assert_forms_identical(
+        built.model,
+        reference.build_provisioning_model(
+            statements, logical, rates, topology, heuristic=heuristic
+        ).model.to_standard_form(sparse=True),
     )
-    _assert_standard_forms_identical(
-        built.model.to_standard_form(), reference.to_standard_form()
+    assert_forms_identical(
+        built.model,
+        reference.naive_provisioning_model(
+            statements, logical, rates, topology, heuristic
+        ).to_standard_form(sparse=True),
     )
 
 
-def test_tiebreaker_epsilon_bounded_by_edge_count():
-    """The total tiebreaker penalty stays strictly below ``magnitude``
-    however many edges exist, so it can never exceed genuine min-max
-    differences."""
-    model = Model()
-    edge_variables = {
-        "s": {i: model.add_binary(f"x__{i}") for i in range(5000)}
+# -- generated components ----------------------------------------------------
+
+_LOCATIONS = ("a", "b", "c", "d")
+
+
+@st.composite
+def _product_graphs(draw, identifier):
+    """A product-graph-shaped edge list: a source edge, a sink edge, and
+    random edges between ``(location, state)`` vertices.  An edge between
+    two locations crosses the link between them, recorded in traversal
+    order, so half the time as ``(v, u)``."""
+    vertices = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_LOCATIONS), st.integers(0, 2)),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        )
+    )
+    pairs = [(SOURCE, vertices[0]), (vertices[-1], SINK)] + draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([SOURCE, *vertices]), st.sampled_from([*vertices, SINK])
+            ),
+            max_size=10,
+        )
+    )
+    logical = LogicalTopology(
+        statement_id=identifier, source_location=None, destination_location=None
+    )
+    for tail, head in draw(st.permutations(pairs)):
+        if tail == head:
+            continue
+        crosses = tail is not SOURCE and head is not SINK and tail[0] != head[0]
+        logical.add_edge(
+            LogicalEdge(
+                source=tail,
+                target=head,
+                location=tail[0] if head is SINK else head[0],
+                physical_link=(tail[0], head[0]) if crosses else None,
+            )
+        )
+    return logical
+
+
+@st.composite
+def _components(draw):
+    """1-4 members, some rebadged from an earlier member's product graph
+    (one block at two column offsets), over the members' links less a few
+    plus a few no member touches (the ``partition=False`` shape)."""
+    count = draw(st.integers(1, 4))
+    logicals = {}
+    for index in range(count):
+        identifier = f"s{index}"
+        if logicals and draw(st.booleans()):
+            shared = draw(st.sampled_from(list(logicals.values())))
+            logicals[identifier] = shared.rebadged(identifier)
+        else:
+            logicals[identifier] = draw(_product_graphs(identifier))
+    footprint = sorted(
+        {key for logical in logicals.values() for key in logical.physical_links_used()}
+    )
+    dropped = (
+        set(draw(st.lists(st.sampled_from(footprint), max_size=2))) if footprint else set()
+    )
+    untouched = draw(
+        st.lists(st.sampled_from([("a", "z"), ("x", "y")]), max_size=2, unique=True)
+    )
+    links = [
+        (key, draw(st.sampled_from([100.0, 1000.0, 2500.0])))
+        for key in sorted((set(footprint) - dropped) | set(untouched))
+    ]
+    rates = {
+        identifier: LocalRates(
+            identifier=identifier,
+            guarantee=draw(
+                st.sampled_from(
+                    [None, Bandwidth.mbps(10), Bandwidth.mbps(25), Bandwidth.mbps(400)]
+                )
+            ),
+        )
+        for identifier in logicals
     }
-    expression = _edge_tiebreaker(edge_variables, magnitude=1e-3)
-    total = sum(expression.coefficients.values())
-    assert total < 1e-3
-    per_edge = 1e-3 / (5000 + 1)
-    assert all(
-        coefficient == pytest.approx(per_edge)
-        for coefficient in expression.coefficients.values()
+    return logicals, rates, links, draw(st.sampled_from(HEURISTICS))
+
+
+def _compare(logicals, rates, links, heuristic):
+    identifiers = list(logicals)
+    blocks = {}
+    by_graph = {}
+    for identifier, logical in logicals.items():
+        # A rebadged graph shares its edge list, so it shares the block.
+        if id(logical.edges) not in by_graph:
+            by_graph[id(logical.edges)] = flow_block(logical)
+        blocks[identifier] = by_graph[id(logical.edges)]
+    built = build_model_for_links(identifiers, blocks, rates, links, heuristic)
+    expected = reference.build_model_for_links(
+        [SimpleNamespace(identifier=identifier) for identifier in identifiers],
+        logicals,
+        rates,
+        links,
+        heuristic=heuristic,
     )
-    # And the penalty scales with the requested magnitude.
-    scaled = _edge_tiebreaker(edge_variables, magnitude=0.1)
-    assert sum(scaled.coefficients.values()) == pytest.approx(total * 100.0)
+    assert_forms_identical(built.model, expected.model.to_standard_form(sparse=True))
+    starts = [start for start, _ in built.model.layout.members]
+    assert built.model.layout.r_max == expected.model.variables().index(expected.r_max)
+    for identifier, start in zip(identifiers, starts):
+        first = expected.edge_variables[identifier].get(0)
+        if first is not None:
+            assert expected.model.variables().index(first) == start
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(drawn=_components())
+def test_array_build_equals_the_object_builder(drawn):
+    _compare(*drawn)
+
+
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_shared_block_reversed_links_and_an_untouched_link(heuristic):
+    """The four shapes the property draws, in one component: a rebadged
+    member (one block at two offsets), links crossed as ``(v, u)``, a link
+    no member touches, and a member link left out of the component."""
+    logical = LogicalTopology("p", None, None)
+    for tail, head, link in (
+        (SOURCE, ("b", 0), None),
+        (("b", 0), ("a", 1), ("b", "a")),
+        (("b", 0), ("b", 1), None),
+        (("b", 1), ("c", 1), ("b", "c")),
+        (("a", 1), ("c", 1), ("a", "c")),
+        (("c", 1), SINK, None),
+    ):
+        location = head[0] if head is not SINK else "c"
+        logical.add_edge(LogicalEdge(tail, head, location, link))
+    logicals = {"p": logical, "q": logical.rebadged("q")}
+    rates = {
+        "p": LocalRates("p", Bandwidth.mbps(25)),
+        "q": LocalRates("q", Bandwidth.mbps(400)),
+    }
+    links = [(("a", "b"), 1000.0), (("a", "c"), 100.0), (("x", "y"), 2500.0)]
+    _compare(logicals, rates, links, heuristic)
+
+
+# -- the objective ------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "heuristic",
+    [PathSelectionHeuristic.MIN_MAX_RATIO, PathSelectionHeuristic.MIN_MAX_RESERVED],
+)
+def test_tiebreaker_epsilon_bounded_by_edge_count(heuristic):
+    """The total tiebreaker penalty stays strictly below its magnitude
+    however many edges exist, so it can never exceed genuine min-max
+    differences: every edge column carries the declared resolution."""
+    topology = fat_tree(4)
+    policy = all_pairs_policy(topology, guarantee_fraction=0.1, max_classes=60)
+    statements, logical, rates = _provisioning_inputs(policy, topology, {})
+    form = build_provisioning_model(
+        statements, logical, rates, topology, heuristic=heuristic
+    ).model
+    edges = form.layout.r_max
+    assert edges > 500
+    assert set(form.c[:edges].tolist()) == {form.objective_resolution}
+    smallest = min(rates[s.identifier].guarantee.mbps_value for s in statements)
+    magnitude = (
+        min(1e-3, smallest / 1000.0)
+        if heuristic is PathSelectionHeuristic.MIN_MAX_RATIO
+        else smallest * 1e-3
+    )
+    assert form.objective_resolution == pytest.approx(magnitude / (edges + 1))
+    assert form.c[:edges].sum() < magnitude
 
 
 def test_ratio_tiebreaker_stays_below_guarantee_quantum():
     """Regression: on high-capacity links with small guarantees the genuine
     r_max quantum (guarantee / capacity) is far below 1, and the tiebreaker
     must stay below *that*, not below 1e-3."""
-    from repro.units import Bandwidth
-
     topology = figure2_example(capacity=Bandwidth.gbps(10))
     source = """
     [ z : (eth.src = 00:00:00:00:00:01 and
@@ -252,19 +311,55 @@ def test_ratio_tiebreaker_stays_below_guarantee_quantum():
     min(z, 1Mbps)
     """
     statements, logical, rates = _provisioning_inputs(source, topology, {})
-    built = build_provisioning_model(
+    form = build_provisioning_model(
         statements,
         logical,
         rates,
         topology,
         heuristic=PathSelectionHeuristic.MIN_MAX_RATIO,
-    )
-    objective = built.model.objective
+    ).model
     quantum = 1.0 / 10_000.0  # 1 Mbps on a 10 Gbps link
-    edge_penalty = sum(
-        coefficient
-        for variable, coefficient in objective.coefficients.items()
-        if variable is not built.r_max
+    r_max = form.layout.r_max
+    assert 0.0 < form.c[:r_max].sum() < quantum
+    assert form.c[r_max] == 1.0
+    assert not form.c[r_max + 1 :].any()
+
+
+# -- the solve path -----------------------------------------------------------
+
+
+def test_the_solve_path_constructs_no_modelling_objects(monkeypatch):
+    """A compile and a session rate update build and solve their component
+    models without one ``Variable``, ``LinExpr`` or ``Constraint``."""
+    constructed = {Variable: 0, LinExpr: 0, Constraint: 0}
+    for cls in constructed:
+        original = cls.__init__
+
+        def counting(self, *args, _cls=cls, _original=original, **kwargs):
+            constructed[_cls] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    topology = fat_tree(4)
+    compiler = MerlinCompiler(
+        topology=topology, overlap="trust", add_catch_all=False, generate_code=False
     )
-    assert 0.0 < edge_penalty < quantum
-    assert objective.coefficients[built.r_max] == 1.0
+    compiled = compiler.compile(
+        all_pairs_policy(topology, guarantee_fraction=0.1, max_classes=60, seed=0)
+    )
+    identifier = next(iter(compiled.paths))
+    updated = compiler.recompile(
+        PolicyDelta(update_rates=(RateUpdate(identifier, Bandwidth.mbps(3)),))
+    )
+    assert compiled.statistics.num_partitions > 0
+    assert updated.statistics.dirty_partitions >= 1
+    assert constructed == {Variable: 0, LinExpr: 0, Constraint: 0}
+
+    # The count is live: the object builder trips it.
+    figure2 = figure2_example(capacity=Bandwidth.gbps(2))
+    statements, logical, rates = _provisioning_inputs(
+        QUICKSTART_SOURCE, figure2, QUICKSTART_PLACEMENTS
+    )
+    reference.build_provisioning_model(statements, logical, rates, figure2)
+    assert all(count > 0 for count in constructed.values())

@@ -29,11 +29,15 @@ nothing else: the warm-start chain (the engine's incumbent map and its
 pruning, the projection, the start gate and capability flag, the
 name-keyed values carried on every solution and cache record) made an
 exactly tied optimum depend on what the session had solved before, so
-none of its names may return.
+none of its names may return.  The provisioning MIP is built as arrays:
+the solve path (``incremental/`` and ``core/provisioning.py``) imports no
+modelling object, and the primal heuristic reads a form through its
+layout, not through the names the object builder gave its rows.
 
 ``make lint-pipeline`` runs this file.
 """
 
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -188,4 +192,31 @@ def test_a_solve_takes_a_model_and_nothing_else():
         "solver values travel past extract_partition_solution again (paths "
         "and fractions are read out there and the values dropped; "
         "values_by_name stays on SolveResult): %s" % ", ".join(offenders)
+    )
+
+
+def test_the_solve_path_builds_arrays_not_expressions():
+    modelling = {"Model", "LinExpr", "Constraint", "Variable"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC)
+        if relative.parts[0] != "incremental" and relative.parts != (
+            "core",
+            "provisioning.py",
+        ):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and modelling & {
+                alias.name for alias in node.names
+            }:
+                offenders.append(f"{relative}:{node.lineno}")
+    assert not offenders, (
+        "the solve path imports a modelling object again (component models "
+        "are built as arrays by build_model_for_links; repro.lp.Model is the "
+        "general front end): %s" % ", ".join(offenders)
+    )
+    names = re.compile(r"x__|flow__|reserve__")
+    assert not names.search((SRC / "lp" / "primal.py").read_text(encoding="utf-8")), (
+        "the primal heuristic decodes names again (it reads the form's "
+        "PathLayout and arrays)"
     )

@@ -7,11 +7,12 @@ from repro.core.logical import build_logical_topology, infer_endpoints
 from repro.core.options import ProvisionOptions
 from repro.core.parser import parse_policy
 from repro.core.preprocessor import preprocess
-from repro.core.provisioning import build_model_for_links, provision
+from repro.core.provisioning import build_model_for_links, flow_block, provision
 from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import pod_tenant_scenario
 from repro.fabric import SolveFabric
 from repro.incremental import IncrementalProvisioner
+from repro.lp import ScipySolver
 from repro.incremental.solve import INFEASIBLE_COMPONENT, topology_capacities_mbps
 from repro.telemetry import Telemetry
 from repro.topology.generators import figure2_example
@@ -151,14 +152,17 @@ class TestLazyLiveModel:
         resolved = engine.resolve()
         identifiers = engine.statement_ids()
         whole = build_model_for_links(
-            list(policy.statements),
-            {identifier: engine.logical_for(identifier) for identifier in identifiers},
+            [statement.identifier for statement in policy.statements],
+            {
+                identifier: flow_block(engine.logical_for(identifier))
+                for identifier in identifiers
+            },
             {identifier: engine.rates_for(identifier) for identifier in identifiers},
             sorted(topology_capacities_mbps(topology).items()),
         )
-        live = whole.model.solve()
+        live = ScipySolver().solve(whole.model)
         assert live.status.has_solution
-        assert live.value_of(whole.r_max) == pytest.approx(
+        assert live.x[whole.model.layout.r_max] == pytest.approx(
             resolved.max_utilization, abs=1e-6
         )
 

@@ -18,7 +18,6 @@ import repro
 from repro.codegen.generator import CodeGenerator
 from repro.core import MerlinCompiler, ProvisionOptions
 from repro.core.ast import BandwidthTerm, FMin, Policy, Statement, formula_and
-from repro.core.provisioning import build_provisioning_model
 from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import (
     pod_tenant_scenario,
@@ -31,6 +30,7 @@ from repro.incremental import (
     RateUpdate,
 )
 from repro.incremental import solve as solve_module
+from repro.incremental.solve import topology_capacities_mbps
 from repro.predicates.ast import FieldTest
 from repro.regex.ast import any_path
 from repro.scenarios import allocations_match
@@ -39,6 +39,7 @@ from repro.units import Bandwidth
 
 from test_slack_widening import SOURCE as WIDENING_SOURCE
 from test_slack_widening import _widening_topology
+from tests.reference_provisioning import assert_forms_identical, build_model_for_links
 
 
 def _compiler(topology, **kwargs):
@@ -247,9 +248,9 @@ def test_partition_false_solves_the_reference_model_through_the_component_path(
     monkeypatch,
 ):
     """With partitioning off the loop's one component is the undecomposed
-    model — the rows of ``build_provisioning_model``, in canonical order —
-    and it is memoized like any component: a cap-only update re-solves
-    nothing."""
+    model — every statement untightened over every link, in canonical
+    order, exactly as the object builder exports it — and it is memoized
+    like any component: a cap-only update re-solves nothing."""
     scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
     built = []
     build = solve_module.build_partition_model
@@ -266,14 +267,16 @@ def test_partition_false_solves_the_reference_model_through_the_component_path(
     assert len(built) == 1
 
     engine = compiler._session.engine
-    identifiers = engine.statement_ids()
-    reference = build_provisioning_model(
+    identifiers = sorted(engine.statement_ids())
+    reference = build_model_for_links(
         [compiler.session_statement(identifier) for identifier in identifiers],
         {identifier: engine.untightened_for(identifier) for identifier in identifiers},
         {identifier: engine.rates_for(identifier) for identifier in identifiers},
-        scenario.topology,
+        sorted(topology_capacities_mbps(scenario.topology).items()),
     )
-    assert _rows(built[0].model) == _rows(reference.model)
+    assert_forms_identical(
+        built[0].model, reference.model.to_standard_form(sparse=True)
+    )
 
     capped = compiler.recompile(
         PolicyDelta(
@@ -285,21 +288,6 @@ def test_partition_false_solves_the_reference_model_through_the_component_path(
     assert len(built) == 1
     assert capped.statistics.dirty_partitions == 0
     assert capped.rates["p0s0"].cap == Bandwidth.gbps(1)
-
-
-def _rows(model):
-    """A model's rows, columns and objective, without their order."""
-    def terms(expression):
-        return tuple(sorted((v.name, c) for v, c in expression.coefficients.items()))
-
-    return (
-        {
-            row.name: (terms(row.expression), row.expression.constant, row.sense.value)
-            for row in model.constraints()
-        },
-        terms(model.objective),
-        sorted((v.name, v.lower, v.upper, v.is_integer) for v in model.variables()),
-    )
 
 
 _ALL_PAIRS_SCRIPT = """

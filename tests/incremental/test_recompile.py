@@ -646,10 +646,10 @@ class TestSolverProtocolCompatibility:
         from repro.lp import ScipySolver
 
         class LegacySolver:
-            """A third-party backend: ``solve(model)`` and nothing else."""
+            """A third-party backend: ``solve(form)`` and nothing else."""
 
-            def solve(self, model):
-                return ScipySolver().solve(model)
+            def solve(self, form):
+                return ScipySolver().solve(form)
 
         topology = figure2_example(capacity=Bandwidth.gbps(2))
         compiler = _compiler(

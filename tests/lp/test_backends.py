@@ -1,5 +1,8 @@
 """The solver-backend layer: protocol, the three names, primal heuristic."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +19,7 @@ from repro.lp import (
     create_backend,
     resolve_backend,
 )
+from repro.lp.model import PathLayout
 from repro.lp.result import SolveStatus
 from repro.topology.generators import fat_tree, figure2_example
 from repro.units import Bandwidth
@@ -86,10 +90,10 @@ class TestCapabilities:
             assert backend_name(backend) == name
 
     def test_an_undeclared_name_is_the_class_name(self):
-        """A third-party backend needs ``solve(model)`` and nothing else."""
+        """A third-party backend needs ``solve(form)`` and nothing else."""
 
         class Mystery:
-            def solve(self, model):
+            def solve(self, form):
                 raise NotImplementedError
 
         assert backend_name(Mystery()) == "Mystery"
@@ -184,13 +188,11 @@ class TestBackendsAgree:
 
         assert heuristic.status in (SolveStatus.FEASIBLE, SolveStatus.ERROR)
         if heuristic.status is SolveStatus.FEASIBLE:
-            assert all(
-                constraint.satisfied(heuristic.values)
-                for constraint in model.constraints()
-            )
-            assert heuristic.objective == pytest.approx(
-                model.objective_value(heuristic.values)
-            )
+            x = heuristic.x
+            assert np.allclose(model.a_eq @ x, model.b_eq, atol=1e-6)
+            assert (model.a_ub @ x <= model.b_ub + 1e-6).all()
+            assert (model.lower - 1e-9 <= x).all() and (x <= model.upper + 1e-9).all()
+            assert heuristic.objective == pytest.approx(model.c @ x)
             best = min(scipy.objective, bnb.objective)
             assert heuristic.objective >= best - resolution
 
@@ -198,25 +200,32 @@ class TestBackendsAgree:
 class TestPrimalHeuristic:
     def test_rejects_non_provisioning_models(self):
         with pytest.raises(SolverError, match="provisioning path model"):
-            PrimalHeuristicSolver().solve(_knapsack())
+            _knapsack().solve(PrimalHeuristicSolver())
+
+    def test_rejects_a_layout_the_arrays_do_not_have(self):
+        """The layout is cross-checked, not trusted: a knapsack claiming
+        to be one statement's edges has no flow rows to decode."""
+        form = _knapsack().to_standard_form(sparse=True)
+        for layout in (
+            PathLayout(members=((0, 4),), r_max=4),
+            PathLayout(members=((0, 2),), r_max=2),
+        ):
+            with pytest.raises(SolverError, match="provisioning path model"):
+                PrimalHeuristicSolver().solve(dataclasses.replace(form, layout=layout))
 
     def test_feasible_on_provisioning_model(self):
-        built = _provisioning_model()
-        result = PrimalHeuristicSolver().solve(built.model)
+        form = _provisioning_model().model
+        result = PrimalHeuristicSolver().solve(form)
         assert result.status is SolveStatus.FEASIBLE
-        values = result.values_by_name()
-        # A full assignment: every model variable valued, one path selected.
-        assert set(values) == {v.name for v in built.model.variables()}
-        assert values["r_max"] <= 1.0 + 1e-9
-        selected = [
-            name for name, value in values.items()
-            if name.startswith("x__") and value > 0.5
-        ]
-        assert selected
+        # A full assignment: every column valued, one path selected.
+        assert result.x.shape == (form.num_variables(),)
+        assert result.x[form.layout.r_max] <= 1.0 + 1e-9
+        ((start, stop),) = form.layout.members
+        assert result.x[start:stop].any()
 
     def test_repeated_solves_are_identical(self):
-        built = _provisioning_model()
-        first = PrimalHeuristicSolver().solve(built.model)
-        second = PrimalHeuristicSolver().solve(built.model)
-        assert first.values_by_name() == second.values_by_name()
+        form = _provisioning_model().model
+        first = PrimalHeuristicSolver().solve(form)
+        second = PrimalHeuristicSolver().solve(form)
+        assert first.x.tobytes() == second.x.tobytes()
         assert first.objective == second.objective

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -185,6 +187,58 @@ class TestScipySolver:
         assert result.value_of(xs[("s", "a")]) == 1.0
 
 
+class TestScipyTimeLimit:
+    """A time limit is honoured or refused, never dropped — on the pure-LP
+    path too, which used to call ``linprog`` without any options."""
+
+    @staticmethod
+    def _lp():
+        model = Model()
+        x = model.add_continuous("x", 0, 10)
+        model.maximize(x)
+        return model
+
+    def _captured_linprog(self, monkeypatch, status=0, x=(10.0,)):
+        from repro.lp import scipy_backend
+
+        captured = []
+
+        def linprog(**kwargs):
+            captured.append(kwargs)
+            return SimpleNamespace(
+                status=status, x=None if x is None else np.array(x), fun=-10.0
+            )
+
+        monkeypatch.setattr(scipy_backend.optimize, "linprog", linprog)
+        return captured
+
+    def test_the_limit_reaches_linprog(self, monkeypatch):
+        captured = self._captured_linprog(monkeypatch)
+        assert self._lp().solve(ScipySolver(time_limit_seconds=2.5)).status is (
+            SolveStatus.OPTIMAL
+        )
+        assert captured[0]["options"] == {"time_limit": 2.5}
+
+    def test_no_limit_passes_no_option(self, monkeypatch):
+        captured = self._captured_linprog(monkeypatch)
+        self._lp().solve(ScipySolver())
+        assert captured[0]["options"] == {}
+
+    def test_a_limit_hit_without_a_solution_is_an_error(self, monkeypatch):
+        """At the limit linprog reports status 1 with ``x`` None: no
+        solution and no proof."""
+        self._captured_linprog(monkeypatch, status=1, x=None)
+        result = self._lp().solve(ScipySolver(time_limit_seconds=0.001))
+        assert result.status is SolveStatus.ERROR
+        assert result.x is None and not result.values
+
+    def test_a_limit_hit_with_a_solution_is_feasible(self, monkeypatch):
+        self._captured_linprog(monkeypatch, status=1)
+        result = self._lp().solve(ScipySolver(time_limit_seconds=0.001))
+        assert result.status is SolveStatus.FEASIBLE
+        assert result.objective == 10.0
+
+
 class TestBranchAndBound:
     def test_agrees_with_scipy_on_knapsack(self):
         model = Model()
@@ -193,8 +247,8 @@ class TestBranchAndBound:
         xs = [model.add_binary(f"x{i}") for i in range(5)]
         model.add_constraint(LinExpr.sum_of(w * x for w, x in zip(weights, xs)) <= 7)
         model.maximize(LinExpr.sum_of(v * x for v, x in zip(values, xs)))
-        scipy_result = ScipySolver().solve(model)
-        bb_result = BranchAndBoundSolver().solve(model)
+        scipy_result = model.solve(ScipySolver())
+        bb_result = model.solve(BranchAndBoundSolver())
         assert bb_result.status is SolveStatus.OPTIMAL
         assert bb_result.objective == pytest.approx(scipy_result.objective)
 
@@ -204,13 +258,13 @@ class TestBranchAndBound:
         model.add_constraint(2 * x >= 3)
         model.add_constraint(2 * x <= 3)
         model.minimize(x)
-        assert BranchAndBoundSolver().solve(model).status is SolveStatus.INFEASIBLE
+        assert model.solve(BranchAndBoundSolver()).status is SolveStatus.INFEASIBLE
 
     def test_pure_lp_falls_through(self):
         model = Model()
         x = model.add_continuous("x", 0, 4)
         model.maximize(x)
-        result = BranchAndBoundSolver().solve(model)
+        result = model.solve(BranchAndBoundSolver())
         assert result.objective == pytest.approx(4.0)
 
     def test_node_statistics(self):
@@ -218,7 +272,7 @@ class TestBranchAndBound:
         xs = [model.add_binary(f"x{i}") for i in range(3)]
         model.add_constraint(LinExpr.sum_of(xs) <= 2)
         model.maximize(LinExpr.sum_of((i + 1) * x for i, x in enumerate(xs)))
-        result = BranchAndBoundSolver().solve(model)
+        result = model.solve(BranchAndBoundSolver())
         assert result.statistics["nodes"] >= 1
         assert result.objective == pytest.approx(5.0)
 
@@ -251,8 +305,8 @@ class TestSolverCrossCheckProperties:
             ),
             default=0,
         )
-        scipy_result = ScipySolver().solve(model)
-        bb_result = BranchAndBoundSolver().solve(model)
+        scipy_result = model.solve(ScipySolver())
+        bb_result = model.solve(BranchAndBoundSolver())
         assert scipy_result.objective == pytest.approx(brute)
         assert bb_result.objective == pytest.approx(brute)
 
@@ -315,10 +369,10 @@ class TestSolverInterruption:
 
     def test_node_limit_with_incumbent_returns_feasible(self):
         model = self._knapsack()
-        optimal = BranchAndBoundSolver().solve(model)
+        optimal = model.solve(BranchAndBoundSolver())
         assert optimal.status is SolveStatus.OPTIMAL
 
-        limited = BranchAndBoundSolver(max_nodes=10).solve(model)
+        limited = model.solve(BranchAndBoundSolver(max_nodes=10))
         assert limited.status is SolveStatus.FEASIBLE
         assert limited.status.has_solution
         assert limited.values, "the incumbent assignment must be returned"
@@ -337,20 +391,20 @@ class TestSolverInterruption:
         # Interrupted before any incumbent: no solution and no proof, the
         # same outcome as the time limit below — a status, not a raise
         # (which would cross a fabric worker as a foreign exception).
-        result = BranchAndBoundSolver(max_nodes=1).solve(self._knapsack())
+        result = self._knapsack().solve(BranchAndBoundSolver(max_nodes=1))
         assert result.status is SolveStatus.ERROR
         assert not result.status.has_solution
         assert result.statistics["nodes"] == 2
 
     def test_generous_node_limit_still_proves_optimality(self):
-        result = BranchAndBoundSolver(max_nodes=200_000).solve(self._knapsack())
+        result = self._knapsack().solve(BranchAndBoundSolver(max_nodes=200_000))
         assert result.status is SolveStatus.OPTIMAL
         assert result.statistics["best_bound"] == pytest.approx(result.objective)
 
     def test_time_limit_before_any_exploration_is_not_optimal(self):
         # A zero time limit interrupts before the first node: the solver
         # must not claim OPTIMAL (the old bug) nor INFEASIBLE.
-        result = BranchAndBoundSolver(time_limit_seconds=0.0).solve(self._knapsack())
+        result = self._knapsack().solve(BranchAndBoundSolver(time_limit_seconds=0.0))
         assert result.status is SolveStatus.ERROR
         assert not result.status.has_solution
         assert result.statistics["nodes"] == 1

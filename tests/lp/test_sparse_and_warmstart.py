@@ -39,7 +39,8 @@ class TestSparseStandardForm:
         assert np.array_equal(sparse.a_ub.toarray(), dense.a_ub)
         assert np.array_equal(sparse.b_ub, dense.b_ub)
         assert np.array_equal(sparse.c, dense.c)
-        assert sparse.bounds == dense.bounds
+        assert np.array_equal(sparse.lower, dense.lower)
+        assert np.array_equal(sparse.upper, dense.upper)
 
     def test_sparse_accumulates_duplicate_terms(self):
         # A variable appearing twice in one row must sum, exactly like the
@@ -67,13 +68,13 @@ class TestSparseStandardForm:
     def test_branch_and_bound_consumes_sparse_form_end_to_end(self):
         """The B&B backend uses the sparse export for its relaxations."""
         model, _ = _knapsack()
-        sparse_result = BranchAndBoundSolver().solve(model)
+        sparse_result = model.solve(BranchAndBoundSolver())
         assert sparse_result.status is SolveStatus.OPTIMAL
         assert sparse_result.objective == 20.0
 
     def test_milp_diagnostics_surfaced(self):
         model, _ = _knapsack()
-        result = ScipySolver().solve(model)
+        result = model.solve(ScipySolver())
         assert result.status is SolveStatus.OPTIMAL
         assert "nodes" in result.statistics
         assert result.statistics.get("best_bound") == pytest.approx(20.0)
@@ -86,7 +87,7 @@ class TestWarmStart:
     def test_declared_resolution_keeps_an_incumbent_from_pruning_a_better_near_tie(self):
         """The search meets x=0 (objective 0.5 + 1e-9) before x=1 (0.5).
         Inside the default 1e-6 gap the first incumbent prunes the better
-        one; with the resolution declared (as set_provisioning_objective
+        one; with the resolution declared (as the provisioning builder
         does for min-max models) the gap scales below it."""
         def near_tie():
             model = Model()
@@ -98,10 +99,10 @@ class TestWarmStart:
             return model
 
         model = near_tie()
-        assert BranchAndBoundSolver().solve(model).values_by_name()["x"] == 0.0
+        assert model.solve(BranchAndBoundSolver()).values_by_name()["x"] == 0.0
         model = near_tie()
         model.objective_resolution = 1e-9
-        result = BranchAndBoundSolver().solve(model)
+        result = model.solve(BranchAndBoundSolver())
         assert result.status is SolveStatus.OPTIMAL
         assert result.values_by_name()["x"] == 1.0
 
@@ -132,17 +133,12 @@ class TestWarmStart:
                 statement, topology, {}, source=source, destination=destination
             )
         }
-        built = build_provisioning_model([statement], logical, rates, topology)
-        resolution = built.model.objective_resolution
+        form = build_provisioning_model([statement], logical, rates, topology).model
+        resolution = form.objective_resolution
         assert resolution is not None and resolution > 0.0
         # The declared resolution IS the per-edge tiebreaker coefficient.
-        tiebreaker_coefficients = {
-            coefficient
-            for variable, coefficient in built.model.objective.coefficients.items()
-            if variable is not built.r_max
-        }
-        assert len(tiebreaker_coefficients) == 1
-        assert next(iter(tiebreaker_coefficients)) == pytest.approx(resolution)
+        tiebreaker_coefficients = set(form.c[: form.layout.r_max].tolist())
+        assert tiebreaker_coefficients == {resolution}
 
 
 class TestDangling:

@@ -4,7 +4,9 @@ This is the issue's acceptance criterion for the tracer: compiling the
 Figure-8 smoke workload (fat tree k=4, 5% guaranteed classes) with a
 JSON-lines recorder must emit a *single* trace whose nested spans account
 for the reported wall time, with per-component solver backend names on
-the adopted ``component_solve`` spans.
+the adopted ``component_solve`` spans.  The block counters
+(``model_blocks_built`` / ``_reused``) say which component models were
+assembled from cached Equation-1 blocks.
 """
 
 import pytest
@@ -12,8 +14,11 @@ import pytest
 from repro import telemetry
 from repro.core.compiler import MerlinCompiler
 from repro.experiments.policy_builders import all_pairs_policy
+from repro.experiments.reprovisioning import pod_tenant_scenario
+from repro.incremental import PolicyDelta, RateUpdate, TopologyDelta
 from repro.telemetry import Telemetry, read_trace, summarize_trace
 from repro.topology.generators import fat_tree
+from repro.units import Bandwidth
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +109,49 @@ class TestCompileTrace:
         summary = summarize_trace(spans)
         assert "compile" in summary and summary["compile"].count == 1
         assert "component_solve" in summary
+
+
+def _counted(call):
+    """``call()`` under a recording bundle, with the two block counters."""
+    bundle = Telemetry.recording()
+    with bundle.use():
+        result = call()
+    snapshot = bundle.snapshot()
+    return (
+        result,
+        snapshot.counter_total("model_blocks_built"),
+        snapshot.counter_total("model_blocks_reused"),
+    )
+
+
+class TestModelBlocks:
+    """A view's Equation-1 block is built by the first model that needs it
+    and reused by every later one: a rate update builds none, a replaced
+    product graph builds its own."""
+
+    def test_a_rate_update_reuses_and_a_new_product_graph_builds(self):
+        scenario = pod_tenant_scenario(arity=4, pairs_per_pod=2)
+        compiler = MerlinCompiler(
+            topology=scenario.topology,
+            overlap="trust",
+            add_catch_all=False,
+            generate_code=False,
+        )
+        compiled, built, reused = _counted(lambda: compiler.compile(scenario.policy))
+        assert (built, reused) == (compiled.statistics.num_guaranteed_statements, 0)
+
+        updated, built, reused = _counted(
+            lambda: compiler.recompile(
+                PolicyDelta(update_rates=(RateUpdate("p0s0", Bandwidth.mbps(60)),))
+            )
+        )
+        assert updated.statistics.dirty_partitions == 1
+        assert built == 0 and reused >= 1
+
+        pod = scenario.pods[0]
+        failed = tuple(sorted((pod["edge"][0], pod["aggregation"][0])))
+        degraded, built, _ = _counted(
+            lambda: compiler.recompile(TopologyDelta(fail_links=(failed,)))
+        )
+        assert degraded.statistics.dirty_partitions >= 1
+        assert built >= 1
