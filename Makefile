@@ -1,6 +1,6 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test check lint-clock lint-pool lint-automaton lint-pipeline bench bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
+.PHONY: test check alloc-digest lint-clock lint-pool lint-automaton lint-pipeline bench bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
 
 # Tier-1 verification: the full unit + benchmark suite at quick scale.
 test:
@@ -14,6 +14,12 @@ test:
 check:
 	$(PYTEST) -x -q
 	python -m compileall -q src
+
+# One hash per compile of a fixed policy set (tests/alloc_digest.py), printed
+# as "<case> <digest>" lines: a change that must leave allocations alone
+# prints what its parent prints, under any PYTHONHASHSEED.
+alloc-digest:
+	PYTHONPATH=src python -m tests.alloc_digest
 
 # The repo lints, each written once, as a pytest file (so tier-1 runs them
 # too): all timing flows through the injectable telemetry clock and nothing

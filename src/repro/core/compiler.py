@@ -585,7 +585,7 @@ class MerlinCompiler:
                     "topology"
                 )
             previous = session.engine.untightened_for(identifier)
-            if set(previous.edges) == set(logical.edges):
+            if set(previous.pairs) == set(logical.pairs):
                 continue
             session.engine.replace_logical(identifier, logical)
 
@@ -818,9 +818,7 @@ class MerlinCompiler:
                 "from its predicate or path expression"
             )
         logical = self._logical_for(session, entry.statement, source, destination)
-        footprint = self._pristine_footprint(
-            session, entry, frozenset(logical.physical_links_used())
-        )
+        footprint = self._pristine_footprint(session, entry, logical.footprint)
         session.engine.add_statement(
             entry.statement, entry.rates.guarantee, cap=entry.rates.cap, logical=logical
         )

@@ -22,28 +22,33 @@ only contains paths that actually carry the statement's traffic from its
 source to its destination.
 
 The product is walked once, by :func:`_explore`, and read by two consumers.
-The MIP needs ``G_i`` as an object — Equation 1 has a variable per edge — so
-:func:`build_logical_topology` materialises a :class:`LogicalTopology` for a
-guaranteed statement, one :class:`LogicalEdge` per surviving edge.  A
+A guaranteed statement's :func:`build_logical_topology` keeps the walk as
+it is: the surviving ``(tail, head)`` vertex pairs in discovery order, the
+physical links they cross, and every vertex's fewest physical hops from the
+source and to the sink.  The MIP has a variable per edge (Equation 1), but
+only for the edges footprint tightening keeps, so
+:func:`prune_to_cost_bound` cuts the pairs with those distances and builds a
+:class:`LogicalEdge` for each pair it keeps; the whole graph's edges are
+built only when something reads :attr:`LogicalTopology.edges`.  A
 path-constrained best-effort statement only ever asks for the graph's
 breadth-first shortest path and the physical links it touches, and
-:func:`search_logical_topology` answers both from the walk without
-constructing either class.
+:func:`search_logical_topology` answers both from the walk without building
+a graph or measuring distances from the source.
 """
 
 from __future__ import annotations
 
 import collections
-import heapq
-import math
+import dataclasses
+import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..errors import ProvisioningError
 from ..predicates.sat import forced_equalities
 from ..regex.ast import Regex
 from ..regex.operations import compile_dfa, compile_pinned_dfa, shortest_accepted
-from ..regex.substitution import functions_used, substitute_functions
+from ..regex.substitution import substitute_functions
 from ..topology.graph import Topology
 from .ast import Statement
 
@@ -51,6 +56,8 @@ from .ast import Statement
 SOURCE = ("__source__", -1)
 SINK = ("__sink__", -2)
 Vertex = Tuple[str, int]
+Pair = Tuple[Vertex, Vertex]
+LinkKey = Tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -72,45 +79,33 @@ class LogicalEdge:
 
 @dataclass
 class LogicalTopology:
-    """The product graph ``G_i`` for one statement."""
+    """The product graph ``G_i`` for one statement: its ``(tail, head)``
+    vertex pairs in discovery order, the physical links they cross (as
+    sorted pairs), and each vertex's fewest physical hops from the source
+    and to the sink, which :func:`prune_to_cost_bound` cuts with.
+    :attr:`edges` builds the :class:`LogicalEdge` objects on first use.
+    """
 
     statement_id: str
     source_location: Optional[str]
     destination_location: Optional[str]
-    vertices: Set[Vertex] = field(default_factory=set)
-    edges: List[LogicalEdge] = field(default_factory=list)
-    _out: Dict[Vertex, List[LogicalEdge]] = field(default_factory=dict)
-    _in: Dict[Vertex, List[LogicalEdge]] = field(default_factory=dict)
-    _by_link: Dict[Tuple[str, str], List[LogicalEdge]] = field(default_factory=dict)
+    pairs: Sequence[Pair] = ()
+    footprint: FrozenSet[LinkKey] = frozenset()
+    forward: Mapping[Vertex, int] = field(default_factory=dict, repr=False)
+    backward: Mapping[Vertex, int] = field(default_factory=dict, repr=False)
+    _edges: Optional[List[LogicalEdge]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def add_edge(self, edge: LogicalEdge) -> None:
-        self.edges.append(edge)
-        self.vertices.add(edge.source)
-        self.vertices.add(edge.target)
-        self._out.setdefault(edge.source, []).append(edge)
-        self._in.setdefault(edge.target, []).append(edge)
-        if edge.physical_link is not None:
-            key = tuple(sorted(edge.physical_link))
-            self._by_link.setdefault(key, []).append(edge)
-
-    def out_edges(self, vertex: Vertex) -> List[LogicalEdge]:
-        return self._out.get(vertex, [])
-
-    def in_edges(self, vertex: Vertex) -> List[LogicalEdge]:
-        return self._in.get(vertex, [])
-
-    def edges_for_link(self, u: str, v: str) -> List[LogicalEdge]:
-        """All edges of ``G_i`` that map onto the physical link ``(u, v)`` — ``E_i(u, v)``."""
-        return self._by_link.get(tuple(sorted((u, v))), [])
-
-    def physical_links_used(self) -> Set[Tuple[str, str]]:
-        return set(self._by_link)
-
-    def num_vertices(self) -> int:
-        return len(self.vertices)
+    @property
+    def edges(self) -> List[LogicalEdge]:
+        """The edges, one :class:`LogicalEdge` per pair, built once."""
+        if self._edges is None:
+            self._edges = [_edge(tail, head) for tail, head in self.pairs]
+        return self._edges
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.pairs)
 
     def find_path(self) -> Optional[List[str]]:
         """A shortest source-to-sink path, as a sequence of physical locations.
@@ -120,31 +115,24 @@ class LogicalTopology:
         :func:`search_logical_topology` without a graph; the method serves
         callers that hold one.
         """
-        predecessors: Dict[Vertex, LogicalEdge] = {}
+        successors = _successors(self.pairs)
+        discoverer: Dict[Vertex, Vertex] = {SOURCE: SOURCE}
         queue = collections.deque([SOURCE])
-        visited = {SOURCE}
         while queue:
             vertex = queue.popleft()
-            for edge in self.out_edges(vertex):
-                if edge.target in visited:
+            for head in successors.get(vertex, ()):
+                if head in discoverer:
                     continue
-                predecessors[edge.target] = edge
-                if edge.target == SINK:
-                    return self._reconstruct(predecessors)
-                visited.add(edge.target)
-                queue.append(edge.target)
+                discoverer[head] = vertex
+                if head == SINK:
+                    locations: List[str] = []
+                    while vertex != SOURCE:
+                        locations.append(vertex[0])
+                        vertex = discoverer[vertex]
+                    locations.reverse()
+                    return locations
+                queue.append(head)
         return None
-
-    def _reconstruct(self, predecessors: Dict[Vertex, LogicalEdge]) -> List[str]:
-        locations: List[str] = []
-        vertex = SINK
-        while vertex != SOURCE:
-            edge = predecessors[vertex]
-            if vertex != SINK:
-                locations.append(edge.location)
-            vertex = edge.source
-        locations.reverse()
-        return locations
 
     def is_feasible(self) -> bool:
         """Whether any physical path satisfies the statement's constraints."""
@@ -153,7 +141,7 @@ class LogicalTopology:
     def rebadged(self, statement_id: str) -> "LogicalTopology":
         """A view of this topology under another statement's identifier.
 
-        The vertex/edge structures are shared, not copied: two statements
+        The pairs and distance maps are shared, not copied: two statements
         with the same (path expression, endpoint pair) shape produce
         identical product graphs, and nothing mutates a logical topology
         after construction.  This is what makes memoising
@@ -161,16 +149,20 @@ class LogicalTopology:
         """
         if statement_id == self.statement_id:
             return self
-        return LogicalTopology(
-            statement_id=statement_id,
-            source_location=self.source_location,
-            destination_location=self.destination_location,
-            vertices=self.vertices,
-            edges=self.edges,
-            _out=self._out,
-            _in=self._in,
-            _by_link=self._by_link,
-        )
+        return dataclasses.replace(self, statement_id=statement_id)
+
+
+def _edge(tail: Vertex, head: Vertex) -> LogicalEdge:
+    if head is SINK:
+        return LogicalEdge(tail, head, tail[0])
+    if tail is SOURCE or tail[0] == head[0]:
+        return LogicalEdge(tail, head, head[0])
+    return LogicalEdge(tail, head, head[0], (tail[0], head[0]))
+
+
+def _sorted_links(crossed: Iterable[LinkKey]) -> FrozenSet[LinkKey]:
+    """Directed ``(u, v)`` link crossings as undirected sorted pairs."""
+    return frozenset((u, v) if u <= v else (v, u) for u, v in crossed)
 
 
 def build_logical_topology(
@@ -193,30 +185,27 @@ def build_logical_topology(
     symbol naming a failed element stays a valid location reference — it
     simply matches nothing during the product construction, so paths
     through it disappear instead of the whole expression being rejected
-    as a placement error.
+    as a placement error.  A pinned endpoint that is not in ``topology``
+    (a failed switch) leaves the product empty.
 
-    Edges are added in the exploration's discovery order, which is the
+    Pairs are kept in the exploration's discovery order, which is the
     order the MIP's edge columns (and therefore its tie-breaks) follow.
     """
-    edges, _ = _explore(
+    pairs, footprint, backward, _ = _explore(
         statement, topology, placements, source, destination, known_locations
     )
-    logical = LogicalTopology(
+    successors = _successors(pairs)
+    forward, _ = _hop_levels(list(successors.get(SOURCE, ())), successors)
+    forward[SOURCE] = 0
+    return LogicalTopology(
         statement_id=statement.identifier,
         source_location=source,
         destination_location=destination,
+        pairs=pairs,
+        footprint=footprint,
+        forward=forward,
+        backward=backward,
     )
-    for tail, head in edges:
-        crosses = tail is not SOURCE and head is not SINK and tail[0] != head[0]
-        logical.add_edge(
-            LogicalEdge(
-                source=tail,
-                target=head,
-                location=tail[0] if head is SINK else head[0],
-                physical_link=(tail[0], head[0]) if crosses else None,
-            )
-        )
-    return logical
 
 
 def search_logical_topology(
@@ -226,23 +215,18 @@ def search_logical_topology(
     source: Optional[str] = None,
     destination: Optional[str] = None,
     known_locations: Optional[Iterable[str]] = None,
-) -> Tuple[Optional[Tuple[str, ...]], FrozenSet[Tuple[str, str]]]:
+) -> Tuple[Optional[Tuple[str, ...]], FrozenSet[LinkKey]]:
     """What a best-effort statement asks of ``G_i``, without building it.
 
     Takes :func:`build_logical_topology`'s arguments and returns the
     locations of the path ``build_logical_topology(...).find_path()`` would
     find (``None`` when no physical path satisfies the statement) and the
-    physical links ``physical_links_used()`` would report, as sorted pairs.
+    graph's ``footprint``.
     """
-    edges, path = _explore(
+    _, footprint, _, path = _explore(
         statement, topology, placements, source, destination, known_locations
     )
-    crossed = {
-        (tail[0], head[0])
-        for tail, head in edges
-        if tail is not SOURCE and head is not SINK and tail[0] != head[0]
-    }
-    return path, frozenset(tuple(sorted(link)) for link in crossed)
+    return path, footprint
 
 
 def _explore(
@@ -252,21 +236,34 @@ def _explore(
     source: Optional[str],
     destination: Optional[str],
     known_locations: Optional[Iterable[str]],
-) -> Tuple[List[Tuple[Vertex, Vertex]], Optional[Tuple[str, ...]]]:
-    """Walk automaton × topology once; return the edges of ``G_i`` and its
-    breadth-first shortest path.
+) -> Tuple[
+    List[Pair], FrozenSet[LinkKey], Dict[Vertex, int], Optional[Tuple[str, ...]]
+]:
+    """Walk automaton × topology once; return the pairs of ``G_i``, the
+    physical links they cross, every vertex's fewest physical hops to the
+    sink and the graph's breadth-first shortest path.
 
     The walk is breadth-first from the universal source over plain
     ``(location, state)`` tuples and never enters a state no accepting
-    state is reachable from.  A backward sweep from the accepting vertices
-    then drops every edge into a vertex that cannot reach the sink.  The
-    surviving ``(tail, head)`` pairs come back in discovery order; the path
-    is the first-discovered accepting vertex's chain of first discoverers.
-    Trimming cannot change that chain or the relative order of what
-    survives, because every predecessor of a vertex that reaches the sink
-    reaches the sink itself — so the path is also the one a breadth-first
-    search of the trimmed graph finds.
+    state is reachable from.  A backward 0-1 breadth-first sweep from the
+    accepting vertices then measures every vertex's fewest physical hops
+    to the sink — noting the links crossed by the edges it reads, which
+    are exactly the surviving ones — and every edge into a vertex it did
+    not reach is dropped.
+    The surviving ``(tail, head)`` pairs come back in discovery order; the
+    path is the first-discovered accepting vertex's chain of first
+    discoverers.  Trimming cannot change that chain, the relative order of
+    what survives or any surviving vertex's distances, because every
+    predecessor of a vertex that reaches the sink reaches the sink itself
+    — so the path is also the one a breadth-first search of the trimmed
+    graph finds.
     """
+    if any(
+        pinned is not None and pinned not in topology
+        for pinned in (source, destination)
+    ):
+        # A pinned endpoint that failed: no path can start or end there.
+        return [], frozenset(), {}, None
     locations = topology.locations()
     valid_names = (
         locations
@@ -281,12 +278,14 @@ def _explore(
     live = automaton.live_states()
     if automaton.start not in live:
         # The language is empty: no physical path can satisfy the statement.
-        return [], None
+        return [], frozenset(), {}, None
 
     step = automaton.step
     accepting = automaton.accepting
     neighbors = topology.neighbors
-    edges: List[Tuple[Vertex, Vertex]] = []
+    # location -> (location, *its sorted neighbours), read once per walk.
+    moves: Dict[str, Tuple[str, ...]] = {}
+    edges: List[Pair] = []
     # vertex -> the vertex it was first discovered from.
     discoverer: Dict[Vertex, Vertex] = {}
     # vertex -> every vertex with an edge into it (the source excepted).
@@ -307,7 +306,10 @@ def _explore(
         if state in accepting and (destination is None or location == destination):
             edges.append((vertex, SINK))
             accepted.append(vertex)
-        for next_location in (location, *neighbors(location)):
+        following = moves.get(location)
+        if following is None:
+            following = moves[location] = (location, *neighbors(location))
+        for next_location in following:
             next_state = step(state, next_location)
             if next_state not in live:
                 continue
@@ -320,15 +322,10 @@ def _explore(
                 discoverer[next_vertex] = vertex
                 frontier.append(next_vertex)
     if not accepted:
-        return [], None
+        return [], frozenset(), {}, None
 
-    reaches_sink: Set[Vertex] = {SINK, *accepted}
-    pending = list(accepted)
-    while pending:
-        for predecessor in predecessors.get(pending.pop(), ()):
-            if predecessor not in reaches_sink:
-                reaches_sink.add(predecessor)
-                pending.append(predecessor)
+    backward, crossed = _hop_levels(list(accepted), predecessors)
+    backward[SINK] = 0
 
     path: List[str] = []
     vertex = accepted[0]
@@ -336,35 +333,50 @@ def _explore(
         path.append(vertex[0])
         vertex = discoverer[vertex]
     path.reverse()
-    return [edge for edge in edges if edge[1] in reaches_sink], tuple(path)
+    pairs = [edge for edge in edges if edge[1] in backward]
+    return pairs, _sorted_links(crossed), backward, tuple(path)
 
 
-def _hop_distances(logical: LogicalTopology, reverse: bool) -> Dict[Vertex, float]:
-    """Fewest physical-link traversals from the source to every vertex
-    (``reverse=False``) or from every vertex to the sink (``reverse=True``).
+def _hop_levels(
+    level: List[Vertex], adjacent: Mapping[Vertex, Sequence[Vertex]]
+) -> Tuple[Dict[Vertex, int], Set[LinkKey]]:
+    """Fewest physical hops from the ``level`` vertices to every vertex
+    reachable over ``adjacent``, and the ``(u, v)`` links the edges read
+    cross: a 0-1 breadth-first search, one hop count at a time, in which a
+    vertex queued before a cheaper route reached it is skipped."""
+    distances = dict.fromkeys(level, 0)
+    crossed: Set[LinkKey] = set()
+    hops = 0
+    while level:
+        following: List[Vertex] = []
+        for vertex in level:
+            if distances[vertex] != hops:
+                continue
+            location = vertex[0]
+            for other in adjacent.get(vertex, ()):
+                if other[0] == location or other is SINK:
+                    if distances.get(other, hops + 1) > hops:
+                        distances[other] = hops
+                        level.append(other)
+                else:
+                    crossed.add((location, other[0]))
+                    if other not in distances:
+                        distances[other] = hops + 1
+                        following.append(other)
+        level, hops = following, hops + 1
+    return distances, crossed
 
-    Stay-at-location and source/sink edges (``physical_link is None``) cost
-    nothing; every physical hop costs one.  Dijkstra over {0, 1} costs —
-    the graphs are small enough that the deque-based 0-1 BFS would buy
-    nothing.
-    """
-    start = SINK if reverse else SOURCE
-    if start not in logical.vertices:
-        return {}
-    distances: Dict[Vertex, float] = {start: 0.0}
-    heap: List[Tuple[float, Vertex]] = [(0.0, start)]
-    while heap:
-        distance, vertex = heapq.heappop(heap)
-        if distance > distances.get(vertex, math.inf):
-            continue
-        edges = logical.in_edges(vertex) if reverse else logical.out_edges(vertex)
-        for edge in edges:
-            neighbor = edge.source if reverse else edge.target
-            candidate = distance + (0.0 if edge.physical_link is None else 1.0)
-            if candidate < distances.get(neighbor, math.inf):
-                distances[neighbor] = candidate
-                heapq.heappush(heap, (candidate, neighbor))
-    return distances
+
+def _successors(pairs: Iterable[Pair]) -> Dict[Vertex, List[Vertex]]:
+    """Each tail's heads, in pair order (read a run of one tail at a time)."""
+    successors: Dict[Vertex, List[Vertex]] = {}
+    for tail, run in itertools.groupby(pairs, _TAIL):
+        successors.setdefault(tail, []).extend(map(_HEAD, run))
+    return successors
+
+
+_TAIL = operator.itemgetter(0)
+_HEAD = operator.itemgetter(1)
 
 
 def prune_to_cost_bound(
@@ -398,51 +410,54 @@ def prune_to_cost_bound(
     bound.  The optimal-hop path always survives, so a feasible graph is
     never pruned to emptiness.
 
-    Returns the input object unchanged when nothing would be pruned (the
-    common case for already-scoped path expressions), so memoized logical
-    topologies keep being shared.
+    The cut is one filter over the pairs with the graph's hop distances,
+    which every slack rung shares, and builds a :class:`LogicalEdge` only
+    for a pair it keeps.  Returns the input object unchanged when nothing
+    would be pruned (the common case for already-scoped path expressions),
+    so memoized logical topologies keep being shared.
     """
-    if SOURCE not in logical.vertices or SINK not in logical.vertices:
+    pairs = logical.pairs
+    if not pairs:
         return logical
-    forward = _hop_distances(logical, reverse=False)
-    optimal = forward.get(SINK)
-    if optimal is None:
+    forward, backward = logical.forward, logical.backward
+    bound = forward[SINK] + slack
+    kept: List[Pair] = []
+    for pair in pairs:
+        tail, head = pair
+        hops = forward[tail] + backward[head]
+        if hops < bound or (
+            hops == bound
+            and (tail is SOURCE or head is SINK or tail[0] == head[0])
+        ):
+            kept.append(pair)
+    if len(kept) == len(pairs):
         return logical
-    backward = _hop_distances(logical, reverse=True)
-    bound = optimal + slack
-    kept = [
-        edge
-        for edge in logical.edges
-        if (
-            forward.get(edge.source, math.inf)
-            + (0.0 if edge.physical_link is None else 1.0)
-            + backward.get(edge.target, math.inf)
-        )
-        <= bound
-    ]
-    if len(kept) == len(logical.edges):
-        return logical
-    pruned = LogicalTopology(
-        statement_id=logical.statement_id,
-        source_location=logical.source_location,
-        destination_location=logical.destination_location,
+    edges = [_edge(tail, head) for tail, head in kept]
+    # The cut keeps the graph's distance maps: every shortest route to or
+    # from a vertex it keeps is kept too, so they are the cut's own.
+    cut = dataclasses.replace(
+        logical,
+        pairs=kept,
+        footprint=_sorted_links(
+            edge.physical_link for edge in edges if edge.physical_link is not None
+        ),
     )
-    for edge in kept:
-        pruned.add_edge(edge)
-    return pruned
+    cut._edges = edges
+    return cut
 
 
 def infer_endpoints(
     statement: Statement, topology: Topology
 ) -> Tuple[Optional[str], Optional[str]]:
-    """Infer the statement's (source, destination) hosts.
+    """Infer the statement's (source, destination) locations.
 
     Only the equalities the predicate forces in every packet it matches
     count (``eth.src``/``eth.dst`` against host MAC addresses, then
     ``ip.src``/``ip.dst`` against host IP addresses): a negated test or one
     arm of a disjunction pins nothing.  If the predicate does not pin an
-    endpoint, the path expression's first/last explicit symbols are used
-    when they name hosts.
+    endpoint, the path expression's first/last mandatory symbols are used
+    when they name a node of ``topology`` — a host, a switch or a
+    middlebox.
     """
     forced = forced_equalities(statement.predicate) or {}
     source = _pinned_host(topology, forced.get("eth.src"), forced.get("ip.src"))

@@ -9,7 +9,7 @@ union of the component solutions is a solution of the whole program.
 
 Components are computed with a union-find over each statement's *link
 footprint* (the set of undirected physical links its logical topology uses,
-:meth:`~repro.core.logical.LogicalTopology.physical_links_used`).  The
+:attr:`~repro.core.logical.LogicalTopology.footprint`).  The
 result is canonical: statement identifiers and link keys inside a
 :class:`PartitionSpec` are sorted, and the partition list is ordered by each
 component's smallest statement identifier, so the same statement population

@@ -160,9 +160,7 @@ class StatementRecord:
                 if slack is None
                 else prune_to_cost_bound(self.logical, slack)
             )
-            found = self.views[slack] = View(
-                tightened, frozenset(tightened.physical_links_used())
-            )
+            found = self.views[slack] = View(tightened, tightened.footprint)
         return found
 
 

@@ -1,0 +1,135 @@
+"""One hash per compile over a fixed set of policies, for byte-identity checks.
+
+Run from the repository root as ``PYTHONPATH=src python -m tests.alloc_digest
+> FILE`` (or ``make alloc-digest``); each line is ``<case> <digest>``.  A
+change that must leave every allocation alone prints the same file as its
+parent, under any ``PYTHONHASHSEED``.  A digest covers the paths with their
+function placements, the link reservations, ``repr(result.instructions)``,
+``str(result.policy)``, the order and content of ``result.rates`` and the
+maximum link utilisation; a compile that raises hashes its error instead.
+
+The cases:
+
+* the first four policies of the ``compile-guaranteed`` and
+  ``compile-campus-default`` benchmark workloads at seed 1 (their inputs
+  come from ``bench/inputs.py``, read and never changed), and the first two
+  ``compile-guaranteed`` policies again under the ``heuristic`` backend;
+* all-pairs policies (the first 60 classes) on ``fat_tree(4)``,
+  ``linear(12)`` and zoo-like WANs of 20 and 30 switches, for seeds 0-2,
+  guarantee fractions 0.1 and 0.3, every backend in ``repro.lp.BACKENDS``
+  and partitioning on and off.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import os
+import sys
+from typing import Callable, Iterator, Tuple
+
+from repro.core import MerlinCompiler, ProvisionOptions
+from repro.errors import MerlinError
+from repro.experiments.policy_builders import all_pairs_policy
+from repro.lp import BACKENDS
+from repro.topology.generators import fat_tree, linear, stanford_campus, topology_zoo_like
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
+import inputs  # noqa: E402  (bench/inputs.py)
+
+SEED = 1
+CAMPUS_PLACEMENTS = {"dpi": ("dpi1", "dpi2"), "monitor": ("mon1", "mon2")}
+
+
+def digest(result) -> str:
+    body = (
+        [
+            (identifier, path.path, sorted(path.function_placements.items()))
+            for identifier, path in result.paths.items()
+        ],
+        sorted((link, rate.bps_value) for link, rate in result.link_reservations.items()),
+        repr(result.instructions),
+        str(result.policy),
+        list(result.rates.items()),
+        repr(result.max_link_utilization()),
+    )
+    return hashlib.sha256(repr(body).encode("utf-8")).hexdigest()[:16]
+
+
+def _hosts(topology):
+    hosts = topology.host_names()
+    return hosts, {name: topology.node(name).mac for name in hosts}
+
+
+def _campus():
+    topology = stanford_campus(subnets=12)
+    for box, switch in (
+        ("dpi1", "bbra_rtr"), ("dpi2", "bbrb_rtr"), ("mon1", "zone1_rtr"), ("mon2", "zone2_rtr")
+    ):
+        topology.add_middlebox(box, attached_switch=switch)
+        topology.add_link(box, switch)
+    return topology
+
+
+def cases() -> Iterator[Tuple[str, Callable[[], object]]]:
+    """``(name, compile)`` for every case, in output order."""
+    guaranteed = fat_tree(8)
+    hosts, macs = _hosts(guaranteed)
+    for index, solver in [*((i, None) for i in range(4)), (0, "heuristic"), (1, "heuristic")]:
+        source = inputs.guaranteed_policy(
+            hosts, macs, inputs.rng_for("compile-guaranteed", SEED, index), 300
+        ).source
+        compiler = MerlinCompiler(
+            topology=guaranteed,
+            overlap="trust",
+            add_catch_all=False,
+            options=ProvisionOptions(solver=solver),
+        )
+        yield f"compile-guaranteed/{index}/{solver or 'default'}", (
+            lambda compiler=compiler, source=source: compiler.compile(source)
+        )
+    campus = _campus()
+    hosts, macs = _hosts(campus)
+    for index in range(4):
+        source = inputs.campus_policy(
+            hosts, macs, inputs.rng_for("compile-campus-default", SEED, index)
+        ).source
+        compiler = MerlinCompiler(topology=campus, placements=CAMPUS_PLACEMENTS)
+        yield f"compile-campus-default/{index}", (
+            lambda compiler=compiler, source=source: compiler.compile(source)
+        )
+    for seed in range(3):
+        topologies = {
+            "fat_tree4": fat_tree(4),
+            "linear12": linear(12),
+            "zoo20": topology_zoo_like(20, seed=seed),
+            "zoo30": topology_zoo_like(30, seed=seed),
+        }
+        for (name, topology), fraction, solver, partition in itertools.product(
+            topologies.items(), (0.1, 0.3), BACKENDS, (True, False)
+        ):
+            policy = all_pairs_policy(
+                topology, guarantee_fraction=fraction, seed=seed, max_classes=60
+            )
+            compiler = MerlinCompiler(
+                topology=topology,
+                overlap="trust",
+                options=ProvisionOptions(solver=solver, partition=partition),
+            )
+            yield f"{name}/seed{seed}/{fraction}/{solver}/partition={partition}", (
+                lambda compiler=compiler, policy=policy: compiler.compile(policy)
+            )
+
+
+def main() -> None:
+    for name, run in cases():
+        try:
+            line = digest(run())
+        except MerlinError as error:  # a refusal is part of the content
+            text = f"{type(error).__name__}: {error}"
+            line = "error " + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        print(name, line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -192,8 +192,15 @@ class TestLogicalTopology:
         logical = build_logical_topology(
             statement, figure2_topology, figure2_placements, source="h1", destination="h2"
         )
-        assert logical.edges_for_link("s1", "m1")
-        assert logical.edges_for_link("m1", "s1") == logical.edges_for_link("s1", "m1")
+        # ``E_i(s1, m1)``: edges crossing the link in either direction, both
+        # keyed by the link's sorted pair.
+        crossing = {
+            edge.physical_link
+            for edge in logical.edges
+            if edge.physical_link is not None and set(edge.physical_link) == {"s1", "m1"}
+        }
+        assert crossing == {("s1", "m1"), ("m1", "s1")}
+        assert ("m1", "s1") in logical.footprint
 
 
 class TestProvisioning:

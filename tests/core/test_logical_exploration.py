@@ -5,7 +5,8 @@ Over random small topologies (pristine and degraded views), path
 expressions and endpoint pinnings, the builder must produce the reference's
 edges in the reference's order — the order feeds MIP variable order — and
 the search must return what ``find_path`` and ``physical_links_used`` read
-off the reference graph.
+off the reference graph.  Every slack cut of the builder's graph must keep
+the edges, in order, that the reference's Dijkstra cut keeps.
 """
 
 import itertools
@@ -13,11 +14,18 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ast import Statement
-from repro.core.logical import build_logical_topology, search_logical_topology
+from repro.core.logical import (
+    build_logical_topology,
+    prune_to_cost_bound,
+    search_logical_topology,
+)
 from repro.predicates.ast import TRUE
 from repro.regex.ast import DOT, Concat, Negate, Star, Symbol, Union
 from repro.topology.graph import Topology
-from tests.reference_logical import reference_build_logical_topology
+from tests.reference_logical import (
+    reference_build_logical_topology,
+    reference_prune_to_cost_bound,
+)
 
 HOSTS = ("h1", "h2", "h3")
 FABRIC = ("s1", "s2", "s3", "s4", "m1")
@@ -75,27 +83,23 @@ _SITES = st.sets(st.sampled_from(NAMES), min_size=1, max_size=3).map(sorted)
 _ENDPOINTS = st.one_of(st.none(), st.sampled_from(HOSTS))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    view=_views(),
-    path=_PATHS,
-    firewalls=_SITES,
-    detectors=_SITES,
-    source=_ENDPOINTS,
-    destination=_ENDPOINTS,
-)
-def test_one_walk_builds_and_searches_what_the_two_passes_built(
-    view, path, firewalls, detectors, source, destination
-):
-    topology, known_locations = view
-    arguments = (
-        Statement(identifier="x", predicate=TRUE, path=path),
+@st.composite
+def _arguments(draw):
+    """``build_logical_topology``'s arguments for one random statement."""
+    topology, known_locations = draw(_views())
+    return (
+        Statement(identifier="x", predicate=TRUE, path=draw(_PATHS)),
         topology,
-        {"fw": firewalls, "ids": detectors},
-        source,
-        destination,
+        {"fw": draw(_SITES), "ids": draw(_SITES)},
+        draw(_ENDPOINTS),
+        draw(_ENDPOINTS),
         known_locations,
     )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(arguments=_arguments())
+def test_one_walk_builds_and_searches_what_the_two_passes_built(arguments):
     reference = reference_build_logical_topology(*arguments)
     built = build_logical_topology(*arguments)
     assert built.edges == reference.edges
@@ -103,3 +107,23 @@ def test_one_walk_builds_and_searches_what_the_two_passes_built(
     expected = reference.find_path()
     assert found == (None if expected is None else tuple(expected))
     assert footprint == reference.physical_links_used()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(arguments=_arguments(), slack=st.sampled_from([0, 1, 2, 4, 8, None]))
+def test_the_distance_cut_keeps_what_the_dijkstra_cut_kept(arguments, slack):
+    """Cutting the walk's pairs with its hop distances keeps the edges, in
+    order, that two Dijkstras over the object graph kept — and a cut of a
+    cut, which reuses the whole graph's distances, too."""
+    reference = reference_build_logical_topology(*arguments)
+    built = build_logical_topology(*arguments)
+    if slack is not None:
+        whole, reference_whole = built, reference
+        reference = reference_prune_to_cost_bound(reference, slack)
+        built = prune_to_cost_bound(built, slack)
+        assert (built is whole) == (reference is reference_whole)
+    assert built.edges == reference.edges
+    assert built.footprint == reference.physical_links_used()
+    assert built.find_path() == reference.find_path()
+    narrower = prune_to_cost_bound(built, 0)
+    assert narrower.edges == reference_prune_to_cost_bound(reference, 0).edges

@@ -46,8 +46,9 @@ def test_rebadged_topology_shares_structure():
     )
     view = logical.rebadged("other")
     assert view.statement_id == "other"
-    assert view.edges is logical.edges
-    assert view.vertices is logical.vertices
+    assert view.pairs is logical.pairs
+    assert view.forward is logical.forward
+    assert view.backward is logical.backward
     assert view.num_edges() == logical.num_edges()
     # Rebadging under the same identifier is the identity.
     assert logical.rebadged(statement.identifier) is logical
@@ -84,7 +85,7 @@ def test_compile_with_duplicate_shapes_reuses_logical_topology(monkeypatch):
 
 def _built(statement, topology, placements, source=None, destination=None):
     logical = build_logical_topology(statement, topology, placements, source, destination)
-    return logical.edges, list(logical._by_link), logical.vertices
+    return logical.edges, logical.footprint
 
 
 @pytest.mark.parametrize(
@@ -102,7 +103,7 @@ def _built(statement, topology, placements, source=None, destination=None):
 def test_store_automata_build_the_product_graphs_the_seed_built(
     monkeypatch, topology, placements, policy
 ):
-    """Edges, their order and the link index of ``G_i`` are what the
+    """Edges, their order and the footprint of ``G_i`` are what the
     pre-store pipeline (kept in ``tests/reference_automata.py``) produced,
     for statements pinned to their endpoints and for unpinned ones."""
     import repro.core.logical as logical_module
@@ -124,3 +125,63 @@ def test_store_automata_build_the_product_graphs_the_seed_built(
     ]
     assert stored == seed
     assert any(pinned[0] for pinned, _ in stored)
+
+
+def _counting(monkeypatch, module, name):
+    """Count calls of ``module.name`` for the rest of the test."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_edges_are_built_for_the_cut_and_distances_once_per_shape(monkeypatch):
+    """A ``LogicalEdge`` is built for each edge a tightened view keeps, not
+    for each edge of the product graph, and a statement whose graph comes
+    from the logical memo measures no hop distances of its own."""
+    import repro.core.logical as logical_module
+    from repro.incremental import DeltaStatement, PolicyDelta
+
+    edges_built = _counting(monkeypatch, logical_module, "LogicalEdge")
+    # Two per built graph: hops to the sink, then hops from the source.
+    measured = _counting(monkeypatch, logical_module, "_hop_levels")
+    topology = fat_tree(4)
+    policy = all_pairs_policy(topology, guarantee_fraction=0.25)
+    compiler = MerlinCompiler(
+        topology=topology, overlap="trust", add_catch_all=False, generate_code=False
+    )
+    compiler.compile(policy)
+    engine = compiler._session.engine
+    guaranteed = engine.statement_ids()
+    views = [
+        view
+        for identifier in guaranteed
+        for view in engine._records[identifier].views.values()
+    ]
+    assert len(measured) == 2 * len(guaranteed) > 0
+    assert len(edges_built) == sum(view.logical.num_edges() for view in views)
+    assert len(edges_built) < sum(
+        engine.untightened_for(identifier).num_edges() for identifier in guaranteed
+    )
+
+    # The same shape (path, endpoints) under a new identifier and port.
+    twin_of = guaranteed[0]
+    original = next(s for s in policy.statements if s.identifier == twin_of)
+    twin = parse_policy(
+        f"[ twin : ({original.predicate}) and tcp.dst = 7 -> {original.path} ]",
+        topology=topology,
+    ).statements[0]
+    measured.clear()
+    compiler.recompile(
+        PolicyDelta(add=(DeltaStatement(twin, guarantee=Bandwidth.mbps(1)),))
+    )
+    assert measured == []
+    shared, rebadged = engine.logical_for(twin_of), engine.logical_for("twin")
+    assert rebadged.forward is shared.forward
+    assert rebadged.backward is shared.backward
+    assert rebadged.edges == shared.edges

@@ -24,7 +24,6 @@ from repro.core.localization import LocalRates, localize
 from repro.core.logical import (
     SINK,
     SOURCE,
-    LogicalEdge,
     LogicalTopology,
     build_logical_topology,
     infer_endpoints,
@@ -154,22 +153,23 @@ def _product_graphs(draw, identifier):
             max_size=10,
         )
     )
-    logical = LogicalTopology(
-        statement_id=identifier, source_location=None, destination_location=None
+    return _graph(
+        identifier,
+        [(tail, head) for tail, head in draw(st.permutations(pairs)) if tail != head],
     )
-    for tail, head in draw(st.permutations(pairs)):
-        if tail == head:
-            continue
-        crosses = tail is not SOURCE and head is not SINK and tail[0] != head[0]
-        logical.add_edge(
-            LogicalEdge(
-                source=tail,
-                target=head,
-                location=tail[0] if head is SINK else head[0],
-                physical_link=(tail[0], head[0]) if crosses else None,
-            )
-        )
-    return logical
+
+
+def _graph(identifier, pairs):
+    """A product graph over ``pairs``; a pair's edge crosses ``(tail, head)``'s
+    locations in that order."""
+    crossed = {
+        tuple(sorted((tail[0], head[0])))
+        for tail, head in pairs
+        if tail is not SOURCE and head is not SINK and tail[0] != head[0]
+    }
+    return LogicalTopology(
+        identifier, None, None, pairs=pairs, footprint=frozenset(crossed)
+    )
 
 
 @st.composite
@@ -187,7 +187,7 @@ def _components(draw):
         else:
             logicals[identifier] = draw(_product_graphs(identifier))
     footprint = sorted(
-        {key for logical in logicals.values() for key in logical.physical_links_used()}
+        {key for logical in logicals.values() for key in logical.footprint}
     )
     dropped = (
         set(draw(st.lists(st.sampled_from(footprint), max_size=2))) if footprint else set()
@@ -218,10 +218,10 @@ def _compare(logicals, rates, links, heuristic):
     blocks = {}
     by_graph = {}
     for identifier, logical in logicals.items():
-        # A rebadged graph shares its edge list, so it shares the block.
-        if id(logical.edges) not in by_graph:
-            by_graph[id(logical.edges)] = flow_block(logical)
-        blocks[identifier] = by_graph[id(logical.edges)]
+        # A rebadged graph shares its pairs, so it shares the block.
+        if id(logical.pairs) not in by_graph:
+            by_graph[id(logical.pairs)] = flow_block(logical)
+        blocks[identifier] = by_graph[id(logical.pairs)]
     built = build_model_for_links(identifiers, blocks, rates, links, heuristic)
     expected = reference.build_model_for_links(
         [SimpleNamespace(identifier=identifier) for identifier in identifiers],
@@ -250,17 +250,17 @@ def test_shared_block_reversed_links_and_an_untouched_link(heuristic):
     """The four shapes the property draws, in one component: a rebadged
     member (one block at two offsets), links crossed as ``(v, u)``, a link
     no member touches, and a member link left out of the component."""
-    logical = LogicalTopology("p", None, None)
-    for tail, head, link in (
-        (SOURCE, ("b", 0), None),
-        (("b", 0), ("a", 1), ("b", "a")),
-        (("b", 0), ("b", 1), None),
-        (("b", 1), ("c", 1), ("b", "c")),
-        (("a", 1), ("c", 1), ("a", "c")),
-        (("c", 1), SINK, None),
-    ):
-        location = head[0] if head is not SINK else "c"
-        logical.add_edge(LogicalEdge(tail, head, location, link))
+    logical = _graph(
+        "p",
+        [
+            (SOURCE, ("b", 0)),
+            (("b", 0), ("a", 1)),  # crosses ("b", "a")
+            (("b", 0), ("b", 1)),
+            (("b", 1), ("c", 1)),
+            (("a", 1), ("c", 1)),
+            (("c", 1), SINK),
+        ],
+    )
     logicals = {"p": logical, "q": logical.rebadged("q")}
     rates = {
         "p": LocalRates("p", Bandwidth.mbps(25)),

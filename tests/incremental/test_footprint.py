@@ -73,16 +73,14 @@ class TestPruneToCostBound:
         unpruned = self._wild_logical(scenario)
         pruned = prune_to_cost_bound(unpruned, 2)
         # The .* statement could touch every physical link...
-        assert len(unpruned.physical_links_used()) == len(
-            list(scenario.topology.links())
-        )
+        assert len(unpruned.footprint) == len(list(scenario.topology.links()))
         # ...but its cost-bounded subgraph stays near the intra-rack optimum
         # (strictly fewer links, all of them a subset of the original).
-        assert pruned.physical_links_used() < unpruned.physical_links_used()
+        assert pruned.footprint < unpruned.footprint
         # No pruned link leaves pod 0 (core links cost 4 extra hops).
         pod = scenario.pods[0]
         allowed = set(pod["hosts"]) | set(pod["edge"]) | set(pod["aggregation"])
-        for u, v in pruned.physical_links_used():
+        for u, v in pruned.footprint:
             assert u in allowed and v in allowed
 
     def test_optimal_path_always_survives(self):
@@ -96,13 +94,12 @@ class TestPruneToCostBound:
         pruned = self._wild_logical(scenario, slack=0)
         # Same-rack pair: the only 2-hop paths go through the shared edge
         # switch, so exactly the two host access links remain.
-        assert len(pruned.physical_links_used()) == 2
+        assert len(pruned.footprint) == 2
 
     def test_monotone_in_slack(self):
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         footprints = [
-            frozenset(self._wild_logical(scenario, slack=s).physical_links_used())
-            for s in (0, 2, 4)
+            self._wild_logical(scenario, slack=s).footprint for s in (0, 2, 4)
         ]
         assert footprints[0] <= footprints[1] <= footprints[2]
 

@@ -93,9 +93,7 @@ def test_promotion_materialises_the_searched_shape_and_keeps_its_footprint():
     entry = compiler._session.entries["b"]
     assert entry.best_effort is None
     assert entry.footprint == searched.footprint
-    assert entry.footprint == frozenset(
-        compiler._session.engine.untightened_for("b").physical_links_used()
-    )
+    assert entry.footprint == compiler._session.engine.untightened_for("b").footprint
     _assert_equals_scratch(promoted, [G, B], ["g", "b"])
 
 

@@ -491,7 +491,7 @@ class TestEngineCheckpoint:
         source_host = scenario.pods[0]["hosts"][0]
         (host_link,) = [
             link
-            for link in engine.logical_for("p0s0").physical_links_used()
+            for link in engine.logical_for("p0s0").footprint
             if source_host in link
         ]
         resolved = engine.resolve()

@@ -379,12 +379,11 @@ def naive_provisioning_model(statements, logical_topologies, rates, topology, he
         for index, edge in enumerate(logical.edges):
             variables[index] = model.add_binary(f"x__{statement.identifier}__{index}")
         edge_variables[statement.identifier] = variables
-        # Flow rows in first-appearance order of the edge list (the set
-        # ``logical.vertices`` iterates in a PYTHONHASHSEED-dependent order).
+        # Flow rows in first-appearance order of the edge list (a vertex
+        # set would iterate in a PYTHONHASHSEED-dependent order).
         first_seen = dict.fromkeys(
             vertex for edge in logical.edges for vertex in (edge.source, edge.target)
         )
-        assert set(first_seen) == logical.vertices
         for vertex in first_seen:
             outgoing = LinExpr.sum_of(
                 variables[index]
