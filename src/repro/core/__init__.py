@@ -30,7 +30,7 @@ from .logical import LogicalTopology, build_logical_topology
 from .options import DEFAULT_FOOTPRINT_SLACK, MAX_WIDENED_SLACK, ProvisionOptions
 from .parser import parse_policy
 from .preprocessor import preprocess
-from .provisioning import PathSelectionHeuristic, provision
+from .provisioning import PathSelectionHeuristic
 from .session import ProvisioningSession
 from .sink_tree import SinkTree, compute_sink_tree, compute_sink_trees
 
@@ -61,7 +61,6 @@ __all__ = [
     "parse_policy",
     "preprocess",
     "PathSelectionHeuristic",
-    "provision",
     "SinkTree",
     "compute_sink_tree",
     "compute_sink_trees",

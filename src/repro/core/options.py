@@ -4,8 +4,7 @@
 traffic is provisioned: one frozen dataclass carrying the solver backend,
 partitioning switch, base footprint slack, solver limits and the
 solve-fabric handles (worker pool, content cache).
-:class:`~repro.core.compiler.MerlinCompiler`,
-:func:`~repro.core.provisioning.provision` and
+:class:`~repro.core.compiler.MerlinCompiler` and
 :class:`~repro.incremental.engine.IncrementalProvisioner` each take it as
 ``options=`` (``None`` means the defaults) and hand it on unchanged, so
 every solve of a session runs under the same configuration.

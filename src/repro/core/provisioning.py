@@ -18,19 +18,19 @@ path, min-max ratio, and min-max reserved.
 Construction
 ------------
 The MIP is built straight into the sparse standard form every backend
-solves (:class:`~repro.lp.model.StandardForm`); no ``Variable``,
-``LinExpr`` or ``Constraint`` is created on the way.  A statement's
-Equation-1 block — one binary column per logical edge, one flow-balance row
-per logical vertex, the link each edge crosses — depends on its product
-graph alone, so :func:`flow_block` indexes it once per graph, and the
-incremental engine keeps it beside the tightened view it was cut from
+solves (:class:`~repro.lp.model.StandardForm`).  A statement's Equation-1
+block — one binary column per logical edge, one flow-balance row per
+logical vertex, the link each edge crosses — depends on its product graph
+alone, so :func:`flow_block` indexes it once per graph, and the incremental
+engine keeps it beside the tightened view it was cut from
 (``StatementRecord.views``): a rate change reuses it, a new product graph
 starts without one.  :func:`build_model_for_links` places the members'
 blocks at their column and row offsets and appends the Equation 2-4 rows of
 every link and the objective vector, all as index arrays, in O(S·E + L).
 The object-per-term builder it replaced is kept as the tests' reference
-(``tests/reference_provisioning.py``): both must hand the solver the same
-arrays, element for element.
+(``tests/reference_provisioning.py``, over the modelling front end in
+``tests/reference_lp.py``): both must hand the solver the same arrays,
+element for element.
 
 :class:`ProvisioningResult` reports construction and solve time separately
 (``lp_construction_seconds`` / ``lp_solve_seconds``) so the Figure 8 scaling
@@ -40,19 +40,19 @@ Partitioned solving
 -------------------
 Statements are coupled only through the per-link reservation rows, so the
 MIP decomposes exactly along connected components of the "shares a physical
-link" relation.  All provisioning — a full compile, a delta, a bare
-:func:`provision` call — goes through the incremental engine
-(:mod:`repro.incremental.engine`), which partitions the statements by their
-tightened link footprints, builds one sub-model per component with
-:func:`build_model_for_links`, solves the dirty components independently
-and merges the reservations.  Within a component the min-max objectives are
-unchanged; across components the merged solution minimises every
-component's bottleneck (a per-component lexicographic strengthening of the
-global min-max criterion).  ``ProvisionOptions(partition=False)`` makes the
-engine treat the whole population as one untightened component over every
-link — the undecomposed model, built and solved by the same code as any
-other component.  :func:`build_provisioning_model` is that model in the
-caller's statement order and ``topology.links()`` order.
+link" relation.  All provisioning — a full compile or a delta — goes
+through the incremental engine (:mod:`repro.incremental.engine`), which
+partitions the statements by their tightened link footprints, builds one
+sub-model per component with :func:`build_model_for_links`, solves the
+dirty components independently and merges the reservations.  Within a
+component the min-max objectives are unchanged; across components the
+merged solution minimises every component's bottleneck (a per-component
+lexicographic strengthening of the global min-max criterion).
+``ProvisionOptions(partition=False)`` makes the engine treat the whole
+population as one untightened component over every link — the undecomposed
+model, built and solved by the same code as any other component.
+:func:`build_provisioning_model` is that model in the caller's statement
+order and ``topology.links()`` order.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ from .allocation import PathAssignment
 from .ast import Statement
 from .localization import LocalRates
 from .logical import SINK, SOURCE, LogicalEdge, LogicalTopology
-
 from .options import ProvisionOptions
 
 #: Rates are expressed in Mbps inside the MIP to keep coefficients well-scaled.
@@ -136,6 +135,10 @@ def provision(
     :class:`ProvisioningError` when no assignment satisfies the constraints
     (for example, when the requested guarantees exceed every allowed path's
     capacity).
+
+    Nothing calls it: a compile adds its statements to the session's
+    engine.  It stays while ``bench/trace.py`` names it as a target, whose
+    harness test requires every target to resolve.
     """
     # Imported lazily: repro.incremental builds on this module.
     from ..incremental.engine import IncrementalProvisioner

@@ -15,7 +15,7 @@ partition invariants).
 Layout:
 
 * :mod:`repro.incremental.partition` — union-find decomposition of the MIP
-  along shared physical links, plus footprint tightening,
+  along shared physical links,
 * :mod:`repro.incremental.solve` — canonical component model construction,
   (optionally pooled) solving, and solution merging,
 * :mod:`repro.incremental.engine` — the lazily-materialized engine every
@@ -42,7 +42,6 @@ from .partition import (
     PartitionSpec,
     UnionFind,
     partition_statements,
-    tighten_logical_topologies,
 )
 from .solve import (
     INFEASIBLE_COMPONENT,
@@ -64,7 +63,6 @@ __all__ = [
     "JournalError",
     "JournalMark",
     "UndoJournal",
-    "tighten_logical_topologies",
     "LinkKey",
     "PartitionSpec",
     "UnionFind",

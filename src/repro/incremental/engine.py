@@ -26,13 +26,13 @@ concurrently on ``options.fabric`` when several are dirty, each from its
 model alone: no incumbent is carried from one solve to the next, so an
 exactly tied optimum is decided by the model and never by what the session
 solved before.  A full compile is the same thing with every component dirty:
-``MerlinCompiler.compile`` and ``core.provisioning.provision`` add their
-statements to a fresh engine and resolve once, so a delta history and a
-from-scratch run meet in the same canonical component models by
-construction.  With ``options.partition`` off the same loop runs over one
-component — every statement, untightened, over every link, in the same
-canonical order — so the answer is as independent of the session's
-history as any other component's, and memoized the same way.
+``MerlinCompiler.compile`` adds its statements to a fresh engine and
+resolves once, so a delta history and a from-scratch run meet in the same
+canonical component models by construction.  With ``options.partition``
+off the same loop runs over one component — every statement, untightened,
+over every link, in the same canonical order — so the answer is as
+independent of the session's history as any other component's, and
+memoized the same way.
 
 Transactions
 ------------

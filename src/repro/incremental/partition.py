@@ -20,13 +20,14 @@ Footprint tightening
 --------------------
 An unconstrained ``.*`` path expression touches every physical link, so one
 such statement used to glue the whole MIP into a single component and erase
-the partition parallelism.  :func:`tighten_logical_topologies` therefore
-restricts each statement's product graph to its *cost-bounded* subgraph
+the partition parallelism.  The footprints partitioned here are therefore
+those of each statement's *cost-bounded* product graph
 (:func:`~repro.core.logical.prune_to_cost_bound`: edges on some
-source-to-sink path of at most optimal-hops + slack physical links) before
-footprints are taken.  Crucially the tightened topology is also what the
-component MIPs are built from, so the decomposition stays exact — a
-statement cannot reserve bandwidth on a link its footprint excludes.
+source-to-sink path of at most optimal-hops + slack physical links), cut
+once per slack by :meth:`~repro.incremental.solve.StatementRecord.view`.
+Crucially the tightened topology is also what the component MIPs are built
+from, so the decomposition stays exact — a statement cannot reserve
+bandwidth on a link its footprint excludes.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ def tighten_logical_topologies(
     statement's optimum (``None`` disables tightening and returns the
     inputs unchanged).  Already-tight topologies are returned by reference,
     so memoized product graphs keep being shared.
+
+    Nothing calls it: the engine cuts each view once per slack through
+    ``StatementRecord.view``.  It stays while ``bench/trace.py`` names it as
+    a target, whose harness test requires every target to resolve.
     """
     if slack is None:
         return dict(logical_topologies)

@@ -5,28 +5,26 @@ The Merlin compiler encodes bandwidth provisioning as a mixed-integer program
 package provides an equivalent, self-contained substitute:
 
 * :class:`StandardForm`, the sparse matrices every backend solves, which
-  the provisioning MIP is built straight into,
-* a small modelling front end over it (:class:`Variable`, :class:`LinExpr`,
-  :class:`Constraint`, :class:`Model`) in the style of common MIP APIs,
+  the provisioning MIP is built straight into, with the :class:`PathLayout`
+  of its path structure,
 * the backend layer (:mod:`repro.lp.backends`): the :class:`SolverBackend`
   protocol and the three backends addressable by string — ``"scipy"``,
   ``"bnb"`` and ``"heuristic"``,
-* a SciPy/HiGHS backend (:mod:`repro.lp.scipy_backend`) that solves models
+* a SciPy/HiGHS backend (:mod:`repro.lp.scipy_backend`) that solves forms
   exactly through ``scipy.optimize.milp`` / ``linprog``,
 * a pure-Python branch-and-bound solver (:mod:`repro.lp.branch_and_bound`)
-  over LP relaxations, usable as an independent cross-check and as a fallback
-  when SciPy's MILP interface is unavailable,
+  over LP relaxations, usable as an independent cross-check,
 * an anytime primal heuristic (:mod:`repro.lp.primal`) that finds feasible
   provisioning allocations in milliseconds.
 
-See ``src/repro/lp/README.md`` for how to choose a backend.
+Every backend returns a :class:`SolveResult`: a :class:`SolveStatus`, the
+column vector ``x``, its objective and solver statistics.  See
+``src/repro/lp/README.md`` for how to choose a backend.
 """
 
-from .constraint import Constraint, Sense
-from .expr import LinExpr, Variable
-from .model import Model, Objective, StandardForm
+from .model import PathLayout, StandardForm
 from .result import SolveResult, SolveStatus
-from .scipy_backend import ScipySolver, solve
+from .scipy_backend import ScipySolver
 from .branch_and_bound import BranchAndBoundSolver
 from .primal import PrimalHeuristicSolver
 from .backends import (
@@ -38,12 +36,7 @@ from .backends import (
 )
 
 __all__ = [
-    "Constraint",
-    "Sense",
-    "LinExpr",
-    "Variable",
-    "Model",
-    "Objective",
+    "PathLayout",
     "StandardForm",
     "SolveResult",
     "SolveStatus",
@@ -55,5 +48,4 @@ __all__ = [
     "backend_name",
     "create_backend",
     "resolve_backend",
-    "solve",
 ]

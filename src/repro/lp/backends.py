@@ -48,7 +48,7 @@ class SolverBackend(Protocol):
 def backend_name(solver: Optional[object]) -> str:
     """The backend's declared name (its class name when it declares none).
 
-    ``None`` is the default backend, as in ``Model.solve``.
+    ``None`` is the default backend, as in :func:`resolve_backend`.
     """
     if solver is None:
         return ScipySolver.name

@@ -32,7 +32,8 @@ smallest open relaxation bound is surfaced in ``statistics["best_bound"]``
 is only reported once every open node is exhausted or dominated.  A
 search interrupted before any incumbent was found proves nothing and
 reports :attr:`~repro.lp.result.SolveStatus.ERROR`, whichever limit
-stopped it.
+stopped it.  An unbounded root relaxation is ``UNBOUNDED`` for a pure LP
+and ``ERROR`` for a MIP, the statuses the SciPy backend reports for them.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ _INTEGRALITY_TOLERANCE = 1e-6
 #: A node is pruned once its relaxation bound is within this distance of the
 #: incumbent (scaled down per model by :meth:`BranchAndBoundSolver._effective_gap`).
 ABSOLUTE_GAP = 1e-6
+
+#: What :meth:`BranchAndBoundSolver._solve_relaxation` returns for an
+#: unbounded relaxation.
+_UNBOUNDED = (None, -math.inf)
 
 
 @dataclass(order=True)
@@ -117,9 +122,16 @@ class BranchAndBoundSolver:
         counter = itertools.count()
 
         root = self._solve_relaxation(form, lower, upper)
-        if root is None:
+        if root is None or root is _UNBOUNDED:
+            # An unbounded relaxation proves an LP unbounded, but a MIP's
+            # integer points may all be infeasible: no proof either way, as
+            # HiGHS's milp reports it.
+            if root is None:
+                status = SolveStatus.INFEASIBLE
+            else:
+                status = SolveStatus.ERROR if integer_indices else SolveStatus.UNBOUNDED
             return SolveResult(
-                status=SolveStatus.INFEASIBLE,
+                status=status,
                 statistics={"nodes": 1, "solve_seconds": clock() - started},
             )
         heap: List[_Node] = [_Node(root[1], next(counter), lower, upper)]
@@ -175,7 +187,6 @@ class BranchAndBoundSolver:
             )
         x = np.array(incumbent, dtype=float)
         x[integer_indices] = np.round(x[integer_indices])
-        objective_value = incumbent_objective
         # The best bound is the smallest relaxation bound still open; when the
         # heap is empty (or every open node is dominated by the incumbent) the
         # incumbent is proven optimal.
@@ -186,18 +197,15 @@ class BranchAndBoundSolver:
             or not heap
             or best_bound >= incumbent_objective - absolute_gap
         )
-        if form.maximize:
-            objective_value = -objective_value
-            best_bound = -best_bound
         return SolveResult(
             status=SolveStatus.OPTIMAL if proven else SolveStatus.FEASIBLE,
             x=x,
-            objective=objective_value,
+            objective=incumbent_objective,
             statistics={
                 "nodes": explored,
                 "solve_seconds": elapsed,
                 "best_bound": best_bound,
-                "gap": abs(objective_value - best_bound),
+                "gap": abs(incumbent_objective - best_bound),
             },
         )
 
@@ -207,7 +215,12 @@ class BranchAndBoundSolver:
     def _solve_relaxation(
         form: StandardForm, lower: np.ndarray, upper: np.ndarray
     ) -> Optional[Tuple[np.ndarray, float]]:
-        """Solve the LP relaxation with the given bounds (``None`` if infeasible)."""
+        """Solve the LP relaxation with the given bounds: its solution and
+        objective, ``None`` if infeasible, :data:`_UNBOUNDED` if unbounded.
+
+        Only the root can be unbounded: every other node's relaxation is a
+        restriction of a bounded one.
+        """
         outcome = optimize.linprog(
             c=form.c,
             A_ub=form.a_ub if form.b_ub.size else None,
@@ -219,8 +232,10 @@ class BranchAndBoundSolver:
         )
         if outcome.status == 0:
             return outcome.x, float(outcome.fun)
-        if outcome.status in (2, 3):
+        if outcome.status == 2:
             return None
+        if outcome.status == 3:
+            return _UNBOUNDED
         raise SolverError(f"LP relaxation failed with status {outcome.status}")
 
     @staticmethod

@@ -478,7 +478,8 @@ class PrimalHeuristicSolver:
             # point found (the heuristic cannot prove none exists).
             statistics["heuristic_overload"] = max_fraction
             return SolveResult(status=SolveStatus.ERROR, statistics=statistics)
-        # Summed term by term in column order, as ``LinExpr.value`` would.
+        # Summed term by term in column order: a dot product's rounding
+        # depends on the BLAS build.
         coefficients, values = form.c.tolist(), x.tolist()
         objective = sum(
             coefficients[column] * values[column]
@@ -487,6 +488,6 @@ class PrimalHeuristicSolver:
         return SolveResult(
             status=SolveStatus.FEASIBLE,
             x=x,
-            objective=-objective if form.maximize else objective,
+            objective=objective,
             statistics=statistics,
         )

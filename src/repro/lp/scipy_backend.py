@@ -24,7 +24,7 @@ import numpy as np
 from scipy import optimize
 
 from .. import telemetry
-from .model import Model, StandardForm
+from .model import StandardForm
 from .result import SolveResult, SolveStatus
 
 #: Relative incumbent/bound gap at which HiGHS declares a MIP optimal.
@@ -92,18 +92,15 @@ class ScipySolver:
             options=options,
         )
         result = self._wrap(form, outcome.status, outcome.x, outcome.fun)
-        self._record_mip_diagnostics(form, outcome, result)
+        self._record_mip_diagnostics(outcome, result)
         return result
 
     @staticmethod
-    def _record_mip_diagnostics(
-        form: StandardForm, outcome, result: SolveResult
-    ) -> None:
+    def _record_mip_diagnostics(outcome, result: SolveResult) -> None:
         """Copy HiGHS branch-and-cut diagnostics into the result statistics.
 
         Keys mirror the pure-Python branch-and-bound backend: ``nodes``,
-        ``best_bound`` (sign-adjusted for maximisation models), and ``gap``
-        (absolute incumbent/bound distance).
+        ``best_bound`` and ``gap`` (absolute incumbent/bound distance).
         """
         nodes = getattr(outcome, "mip_node_count", None)
         if nodes is not None:
@@ -111,8 +108,6 @@ class ScipySolver:
         bound = getattr(outcome, "mip_dual_bound", None)
         if bound is not None and result.objective is not None:
             best_bound = float(bound)
-            if form.maximize:
-                best_bound = -best_bound
             result.statistics["best_bound"] = best_bound
             result.statistics["gap"] = abs(result.objective - best_bound)
 
@@ -127,21 +122,13 @@ class ScipySolver:
             # Snap integer columns that HiGHS returns with tiny numerical noise.
             integer = form.integrality.astype(bool)
             x[integer] = np.round(x[integer])
-            objective_value = float(objective)
-            if form.maximize:
-                objective_value = -objective_value
             return SolveResult(
                 status=SolveStatus.OPTIMAL if status_code == 0 else SolveStatus.FEASIBLE,
                 x=x,
-                objective=objective_value,
+                objective=float(objective),
             )
         if status_code == 2:
             return SolveResult(status=SolveStatus.INFEASIBLE)
         if status_code == 3:
             return SolveResult(status=SolveStatus.UNBOUNDED)
         return SolveResult(status=SolveStatus.ERROR)
-
-
-def solve(model: Model, **solver_options) -> SolveResult:
-    """Convenience wrapper: solve ``model`` with a fresh :class:`ScipySolver`."""
-    return model.solve(ScipySolver(**solver_options))

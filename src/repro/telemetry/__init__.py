@@ -3,11 +3,11 @@
 See ``README.md`` in this package for the span model, the recorder
 protocol, and the exporter formats.  Quick start::
 
-    from repro import telemetry
+    from repro import MerlinCompiler, telemetry
 
     bundle = telemetry.Telemetry.recording()
     with bundle.use():
-        session.provision(policy, topology)
+        MerlinCompiler(topology=topology).compile(policy)
     print(telemetry.render_trace(bundle.recorder.spans))
     print(telemetry.to_prometheus(bundle.snapshot()))
 

@@ -14,7 +14,7 @@ Activation is scoped, not global::
 
     telemetry = Telemetry.recording()
     with telemetry.use():
-        session.provision(...)
+        MerlinCompiler(topology=topology).compile(policy)
     print(render_trace(telemetry.recorder.spans))
 
 ``asyncio`` tasks and ``asyncio.to_thread`` copy the context, so spans

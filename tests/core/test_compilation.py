@@ -18,7 +18,6 @@ from repro.core.ast import Statement
 from repro.core.localization import localized_formula
 from repro.core.logical import SINK, SOURCE, build_logical_topology, infer_endpoints
 from repro.core.preprocessor import DEFAULT_STATEMENT_ID
-from repro.core.provisioning import provision
 from repro.core.sink_tree import host_path
 from repro.predicates import is_disjoint, parse_predicate
 from repro.regex import accepts, parse_path_expression

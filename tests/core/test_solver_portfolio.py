@@ -3,7 +3,7 @@
 The backend layer's contract at the compiler/service level:
 
 * every entry point that accepts a solver instance accepts a backend name
-  (``provision()`` via :class:`ProvisionOptions`, ``recompile()``,
+  (``MerlinCompiler`` via :class:`ProvisionOptions`, ``recompile()``,
   ``ControlPlane.submit()``);
 * leaving ``solver`` unset is the same as naming the default backend:
   ``"scipy"``, or ``"bnb"`` under a node limit;

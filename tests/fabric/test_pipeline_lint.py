@@ -1,6 +1,6 @@
 """Repo lint: one way into the solver, no keyword shims.
 
-``compile()``, ``recompile()`` and ``provision()`` all provision through
+``compile()`` and ``recompile()`` both provision through
 ``IncrementalProvisioner.resolve()``, the only caller of
 ``solve_components_with_widening``; a second call site anywhere in
 ``src/repro`` is a second provisioning pipeline.  The legacy-keyword shim
@@ -30,9 +30,12 @@ pruning, the projection, the start gate and capability flag, the
 name-keyed values carried on every solution and cache record) made an
 exactly tied optimum depend on what the session had solved before, so
 none of its names may return.  The provisioning MIP is built as arrays:
-the solve path (``incremental/`` and ``core/provisioning.py``) imports no
-modelling object, and the primal heuristic reads a form through its
-layout, not through the names the object builder gave its rows.
+no module under ``src/repro`` defines or imports a modelling object (the
+object builder and its front end are the tests' reference; ``lp/model.py``
+keeps an empty ``Model`` whose ``solve`` raises, for the benchmark
+tracer's ``lp`` target), a form always minimises, and the primal heuristic
+reads a form through its layout, not through the names the object builder
+gave its rows.
 
 ``make lint-pipeline`` runs this file.
 """
@@ -190,30 +193,50 @@ def test_a_solve_takes_a_model_and_nothing_else():
     ]
     assert not offenders, (
         "solver values travel past extract_partition_solution again (paths "
-        "and fractions are read out there and the values dropped; "
-        "values_by_name stays on SolveResult): %s" % ", ".join(offenders)
+        "and fractions are read out there and the values dropped; a "
+        "SolveResult carries the column vector x only): %s" % ", ".join(offenders)
+    )
+
+
+def _is_the_trace_target(relative, node):
+    """``lp/model.py``'s ``Model``: a docstring and a ``solve`` that raises."""
+    if relative.parts != ("lp", "model.py") or len(node.body) != 2:
+        return False
+    solve = node.body[1]
+    return (
+        isinstance(solve, ast.FunctionDef)
+        and solve.name == "solve"
+        and [type(statement) for statement in solve.body] == [ast.Raise]
     )
 
 
 def test_the_solve_path_builds_arrays_not_expressions():
-    modelling = {"Model", "LinExpr", "Constraint", "Variable"}
+    modelling = {"Model", "LinExpr", "Constraint", "Variable", "Sense", "Objective"}
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         relative = path.relative_to(SRC)
-        if relative.parts[0] != "incremental" and relative.parts != (
-            "core",
-            "provisioning.py",
-        ):
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and modelling & {
-                alias.name for alias in node.names
-            }:
+            if isinstance(node, ast.ClassDef):
+                if _is_the_trace_target(relative, node):
+                    continue
+                names = {node.name}
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if modelling & names:
                 offenders.append(f"{relative}:{node.lineno}")
     assert not offenders, (
-        "the solve path imports a modelling object again (component models "
-        "are built as arrays by build_model_for_links; repro.lp.Model is the "
-        "general front end): %s" % ", ".join(offenders)
+        "a modelling object is back under src/ (component models are built "
+        "as arrays by build_model_for_links; the object builder and its "
+        "front end live in tests/ as the reference): %s" % ", ".join(offenders)
+    )
+    exported = re.compile(r"values_by_name|value_of|to_standard_form|\.maximize")
+    offenders = _files_mentioning(exported) + _files_mentioning(exported, glob="*.md")
+    assert not offenders, (
+        "the front end's export, values or objective direction is back (a "
+        "backend solves a StandardForm, which always minimises, and returns "
+        "its column vector x): %s" % ", ".join(offenders)
     )
     names = re.compile(r"x__|flow__|reserve__")
     assert not names.search((SRC / "lp" / "primal.py").read_text(encoding="utf-8")), (

@@ -7,7 +7,7 @@ from repro.core.logical import build_logical_topology, infer_endpoints
 from repro.core.options import ProvisionOptions
 from repro.core.parser import parse_policy
 from repro.core.preprocessor import preprocess
-from repro.core.provisioning import build_model_for_links, flow_block, provision
+from repro.core.provisioning import build_model_for_links, flow_block
 from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import pod_tenant_scenario
 from repro.fabric import SolveFabric
@@ -47,15 +47,16 @@ def _figure2_inputs():
     return topology, policy, rates, logical
 
 
-def _engine(topology, policy, rates, logical, options=None):
+def _engine(topology, statements, rates, logical, options=None):
     engine = IncrementalProvisioner(topology, PLACEMENTS, options=options)
-    for statement in policy.statements:
+    for statement in statements:
         engine.add_statement(
             statement,
             rates[statement.identifier].guarantee,
             logical=logical[statement.identifier],
         )
     return engine
+
 
 def _paths(result):
     return {identifier: p.path for identifier, p in result.paths.items()}
@@ -68,27 +69,25 @@ def _reservations(result):
 class TestDeltaOperations:
     def test_resolve_matches_from_scratch_provision(self):
         topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(topology, policy, rates, logical)
+        engine = _engine(topology, policy.statements, rates, logical)
         incremental = engine.resolve()
-        full = provision(policy.statements, logical, rates, topology, PLACEMENTS)
+        full = _engine(topology, policy.statements, rates, logical).resolve()
         assert _paths(incremental) == _paths(full)
         assert _reservations(incremental) == _reservations(full)
 
     def test_remove_then_matches_reduced_provision(self):
         topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(topology, policy, rates, logical)
+        engine = _engine(topology, policy.statements, rates, logical)
         engine.resolve()
         engine.remove_statement("z")
         incremental = engine.resolve()
-        reduced = provision(
-            policy.statements[:1], logical, rates, topology, PLACEMENTS
-        )
+        reduced = _engine(topology, policy.statements[:1], rates, logical).resolve()
         assert _paths(incremental) == _paths(reduced)
         assert _reservations(incremental) == _reservations(reduced)
 
     def test_update_rates_changes_reservation(self):
         topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(topology, policy, rates, logical)
+        engine = _engine(topology, policy.statements, rates, logical)
         before = engine.resolve()
         engine.update_rates("x", Bandwidth.mb_per_sec(25))
         after = engine.resolve()
@@ -102,14 +101,14 @@ class TestDeltaOperations:
 
     def test_readd_after_remove_reuses_identifier(self):
         topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(topology, policy, rates, logical)
+        engine = _engine(topology, policy.statements, rates, logical)
         engine.resolve()
         engine.remove_statement("z")
         engine.add_statement(
             policy.statements[1], rates["z"].guarantee, logical=logical["z"]
         )
         again = engine.resolve()
-        full = provision(policy.statements, logical, rates, topology, PLACEMENTS)
+        full = _engine(topology, policy.statements, rates, logical).resolve()
         assert _paths(again) == _paths(full)
 
     def test_empty_engine_resolves_empty(self):
@@ -121,7 +120,7 @@ class TestDeltaOperations:
 
     def test_duplicate_add_rejected(self):
         topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(topology, policy, rates, logical)
+        engine = _engine(topology, policy.statements, rates, logical)
         with pytest.raises(ProvisioningError):
             engine.add_statement(
                 policy.statements[0], rates["x"].guarantee, logical=logical["x"]
@@ -148,7 +147,7 @@ class TestLazyLiveModel:
         model over the same tightened topologies: the merged maximum
         utilisation equals that model's ``r_max``."""
         topology, policy, rates, logical = _figure2_inputs()
-        engine = _engine(topology, policy, rates, logical)
+        engine = _engine(topology, policy.statements, rates, logical)
         resolved = engine.resolve()
         identifiers = engine.statement_ids()
         whole = build_model_for_links(
@@ -275,7 +274,11 @@ class TestOnlyProofsAreMemoized:
         topology, policy, rates, logical = _figure2_inputs()
         backend = FlakyBackend()
         engine = _engine(
-            topology, policy, rates, logical, options=ProvisionOptions(solver=backend)
+            topology,
+            policy.statements,
+            rates,
+            logical,
+            options=ProvisionOptions(solver=backend),
         )
         with pytest.raises(ProvisioningError) as raised:
             engine.resolve()
@@ -291,5 +294,5 @@ class TestOnlyProofsAreMemoized:
         assert counters.counter_total("component_cache_infeasible_hits") == 0
         assert counters.counter_total("solver_calls") >= 1
         assert _paths(result) == _paths(
-            _engine(topology, policy, rates, logical).resolve()
+            _engine(topology, policy.statements, rates, logical).resolve()
         )

@@ -13,7 +13,7 @@ tightening), not a target of this contract.
 
 import pytest
 
-from repro.core import MerlinCompiler, ProvisionOptions
+from repro.core import DEFAULT_FOOTPRINT_SLACK, MerlinCompiler, ProvisionOptions
 from repro.core.ast import BandwidthTerm, FMin, Policy, formula_and, formula_clauses
 from repro.core.logical import (
     build_logical_topology,
@@ -24,7 +24,7 @@ from repro.experiments.reprovisioning import (
     pod_tenant_scenario,
     unconstrained_statement,
 )
-from repro.incremental import DeltaStatement, PolicyDelta, tighten_logical_topologies
+from repro.incremental import DeltaStatement, PolicyDelta
 from repro.units import Bandwidth
 
 
@@ -104,8 +104,8 @@ class TestPruneToCostBound:
         assert footprints[0] <= footprints[1] <= footprints[2]
 
     def test_already_tight_topology_returned_by_reference(self):
-        # A pod-scoped statement over a single pair of host links has no
-        # edges to prune; the shared memoized object must be returned as-is.
+        # A cut has no edges left to prune at its own slack: the shared
+        # object must be returned as-is.
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         statement = scenario.policy.statements[0]
         source, destination = infer_endpoints(statement, scenario.topology)
@@ -116,8 +116,9 @@ class TestPruneToCostBound:
             source=source,
             destination=destination,
         )
-        tightened = tighten_logical_topologies({"s": logical}, None)
-        assert tightened["s"] is logical
+        tight = prune_to_cost_bound(logical, DEFAULT_FOOTPRINT_SLACK)
+        assert tight is not logical
+        assert prune_to_cost_bound(tight, DEFAULT_FOOTPRINT_SLACK) is tight
 
     def test_infeasible_topology_passes_through(self):
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)

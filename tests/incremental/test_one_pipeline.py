@@ -274,9 +274,7 @@ def test_partition_false_solves_the_reference_model_through_the_component_path(
         {identifier: engine.rates_for(identifier) for identifier in identifiers},
         sorted(topology_capacities_mbps(scenario.topology).items()),
     )
-    assert_forms_identical(
-        built[0].model, reference.model.to_standard_form(sparse=True)
-    )
+    assert_forms_identical(built[0].model, reference.model.to_standard_form())
 
     capped = compiler.recompile(
         PolicyDelta(

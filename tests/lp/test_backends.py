@@ -10,8 +10,6 @@ from repro.errors import SolverError
 from repro.lp import (
     BACKENDS,
     BranchAndBoundSolver,
-    LinExpr,
-    Model,
     PrimalHeuristicSolver,
     ScipySolver,
     SolverBackend,
@@ -23,20 +21,19 @@ from repro.lp.model import PathLayout
 from repro.lp.result import SolveStatus
 from repro.topology.generators import fat_tree, figure2_example
 from repro.units import Bandwidth
+from tests.lp.forms import _form
 
 
 def _knapsack():
-    """max 10a+13b+7c+8d st 3a+4b+2c+3d<=6, a+b+c+d<=3; optimum 20."""
-    model = Model("knapsack")
-    items = [model.add_binary(f"x{i}") for i in range(4)]
-    values = [10.0, 13.0, 7.0, 8.0]
-    weights = [3.0, 4.0, 2.0, 3.0]
-    model.add_constraint(
-        LinExpr.weighted_sum(zip(items, weights)) <= 6.0, name="weight"
+    """max 10a+13b+7c+8d st 3a+4b+2c+3d<=6, a+b+c+d<=3 (optimum 20), as
+    the minimisation of the negated value."""
+    return _form(
+        [-10.0, -13.0, -7.0, -8.0],
+        a_ub=[[3.0, 4.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0]],
+        b_ub=[6.0, 3.0],
+        upper=1.0,
+        integer=range(4),
     )
-    model.add_constraint(LinExpr.sum_of(items) <= 3.0, name="cardinality")
-    model.maximize(LinExpr.weighted_sum(zip(items, values)))
-    return model
 
 
 def _provisioning_model(topology=None, demands=(("h1", "h2", 400),)):
@@ -102,13 +99,10 @@ class TestCapabilities:
         assert backend_name(None) == "scipy"
 
     def test_a_solve_takes_a_model_and_nothing_else(self):
-        """No backend has a second parameter to be handed a start through,
-        and ``Model.solve`` has none to hand one on with."""
+        """No backend has a second parameter to be handed a start through."""
         for name in BACKENDS:
             with pytest.raises(TypeError):
                 create_backend(name).solve(_knapsack(), {"x0": 1.0})
-        with pytest.raises(TypeError):
-            _knapsack().solve(ScipySolver(), {"x0": 1.0})
 
 
 class TestRegistry:
@@ -200,12 +194,12 @@ class TestBackendsAgree:
 class TestPrimalHeuristic:
     def test_rejects_non_provisioning_models(self):
         with pytest.raises(SolverError, match="provisioning path model"):
-            _knapsack().solve(PrimalHeuristicSolver())
+            PrimalHeuristicSolver().solve(_knapsack())
 
     def test_rejects_a_layout_the_arrays_do_not_have(self):
         """The layout is cross-checked, not trusted: a knapsack claiming
         to be one statement's edges has no flow rows to decode."""
-        form = _knapsack().to_standard_form(sparse=True)
+        form = _knapsack()
         for layout in (
             PathLayout(members=((0, 4),), r_max=4),
             PathLayout(members=((0, 2),), r_max=2),

@@ -1,190 +1,94 @@
-"""Tests for the LP/MIP modelling layer and both solver backends."""
+"""Tests for both exact solver backends on small standard forms.
+
+A form always minimises, so every maximisation below is written as the
+minimisation of its negated objective.
+"""
 
 import itertools
-import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SolverError
 from repro.lp import (
+    BACKENDS,
     BranchAndBoundSolver,
-    Constraint,
-    LinExpr,
-    Model,
-    Objective,
     ScipySolver,
-    Sense,
     SolveStatus,
-    Variable,
-    solve,
+    create_backend,
 )
+from tests.lp.forms import _form
 
 
-class TestExpressions:
-    def test_variable_arithmetic(self):
-        x = Variable("x")
-        y = Variable("y")
-        expression = 2 * x + 3 * y + 1 - x
-        assert expression.coefficients[x] == 1.0
-        assert expression.coefficients[y] == 3.0
-        assert expression.constant == 1.0
-
-    def test_negation_and_subtraction(self):
-        x = Variable("x")
-        expression = 5 - x
-        assert expression.constant == 5.0
-        assert expression.coefficients[x] == -1.0
-
-    def test_sum_of(self):
-        xs = [Variable(f"x{i}") for i in range(4)]
-        expression = LinExpr.sum_of(xs)
-        assert all(expression.coefficients[x] == 1.0 for x in xs)
-
-    def test_value_evaluation(self):
-        x, y = Variable("x"), Variable("y")
-        expression = 2 * x + y + 3
-        assert expression.value({x: 1.0, y: 2.0}) == 7.0
-
-    def test_scaling_by_non_number_rejected(self):
-        with pytest.raises(TypeError):
-            Variable("x").to_expr() * Variable("y")
-
-    def test_constraint_construction(self):
-        x = Variable("x")
-        constraint = x + 2 <= 5
-        assert isinstance(constraint, Constraint)
-        assert constraint.sense is Sense.LESS_EQUAL
-        assert constraint.satisfied({x: 3.0})
-        assert not constraint.satisfied({x: 4.0})
-
-    def test_constraint_violation_measure(self):
-        x = Variable("x")
-        constraint = x >= 4
-        assert constraint.violation({x: 1.0}) == pytest.approx(3.0)
-        assert constraint.violation({x: 5.0}) == 0.0
-
-    def test_equality_constraint(self):
-        x = Variable("x")
-        constraint = (x + 1).equals(3)
-        assert constraint.sense is Sense.EQUAL
-        assert constraint.satisfied({x: 2.0})
-
-
-class TestModel:
-    def test_duplicate_variable_rejected(self):
-        model = Model()
-        model.add_variable("x")
-        with pytest.raises(SolverError):
-            model.add_variable("x")
-
-    def test_unknown_variable_lookup_rejected(self):
-        with pytest.raises(SolverError):
-            Model().variable("missing")
-
-    def test_standard_form_shapes(self):
-        model = Model()
-        x = model.add_binary("x")
-        y = model.add_continuous("y", 0, 10)
-        model.add_constraint(x + y <= 5)
-        model.add_constraint((x + y).equals(2))
-        model.maximize(x + 2 * y)
-        form = model.to_standard_form()
-        assert form.a_ub.shape == (1, 2)
-        assert form.a_eq.shape == (1, 2)
-        assert list(form.integrality) == [1, 0]
-        assert form.maximize
-
-    def test_constraint_with_foreign_variable_rejected(self):
-        model = Model()
-        model.add_variable("x")
-        stranger = Variable("y")
-        model.add_constraint(stranger <= 1)
-        with pytest.raises(SolverError):
-            model.to_standard_form()
-
-    def test_counts(self):
-        model = Model()
-        model.add_binary("x")
-        model.add_continuous("y")
-        model.add_constraint(model.variable("x") <= 1)
-        assert model.num_variables() == 2
-        assert model.num_integer_variables() == 1
-        assert model.num_constraints() == 1
+def _knapsack(values, weights, budget):
+    """Pack the most value within ``budget``: the negated values minimised."""
+    return _form(
+        [-value for value in values],
+        a_ub=[weights],
+        b_ub=[budget],
+        upper=1.0,
+        integer=range(len(values)),
+    )
 
 
 class TestScipySolver:
     def test_pure_lp(self):
-        model = Model()
-        x = model.add_continuous("x", 0, 10)
-        y = model.add_continuous("y", 0, 10)
-        model.add_constraint(x + y <= 8)
-        model.maximize(3 * x + y)
-        result = model.solve()
+        # max 3x + y subject to x + y <= 8, 0 <= x, y <= 10.
+        form = _form([-3.0, -1.0], a_ub=[[1.0, 1.0]], b_ub=[8.0], upper=10.0)
+        result = ScipySolver().solve(form)
         assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(24.0)
-        assert result.value_of(x) == pytest.approx(8.0)
-        assert result.value_of(y) == pytest.approx(0.0)
+        assert result.objective == pytest.approx(-24.0)
+        assert result.x == pytest.approx([8.0, 0.0])
 
     def test_knapsack_mip(self):
-        values = [10, 13, 7, 8]
-        weights = [3, 4, 2, 3]
-        model = Model()
-        xs = [model.add_binary(f"x{i}") for i in range(4)]
-        model.add_constraint(LinExpr.sum_of(w * x for w, x in zip(weights, xs)) <= 6)
-        model.maximize(LinExpr.sum_of(v * x for v, x in zip(values, xs)))
-        result = model.solve()
+        result = ScipySolver().solve(_knapsack([10, 13, 7, 8], [3, 4, 2, 3], 6))
         assert result.status is SolveStatus.OPTIMAL
-        assert result.objective == pytest.approx(20.0)  # items 1 and 2 (13 + 7)
+        assert result.objective == pytest.approx(-20.0)  # items 1 and 2 (13 + 7)
 
     def test_infeasible(self):
-        model = Model()
-        x = model.add_continuous("x", 0, 1)
-        model.add_constraint(x >= 2)
-        model.minimize(x)
-        assert model.solve().status is SolveStatus.INFEASIBLE
+        # x >= 2 with 0 <= x <= 1.
+        form = _form([1.0], a_ub=[[-1.0]], b_ub=[-2.0], upper=1.0)
+        assert ScipySolver().solve(form).status is SolveStatus.INFEASIBLE
 
     def test_unbounded(self):
-        model = Model()
-        x = model.add_continuous("x", 0, math.inf)
-        model.maximize(x)
-        assert model.solve().status in (SolveStatus.UNBOUNDED, SolveStatus.ERROR)
+        result = ScipySolver().solve(_form([-1.0]))
+        assert result.status in (SolveStatus.UNBOUNDED, SolveStatus.ERROR)
 
     def test_minimization(self):
-        model = Model()
-        x = model.add_continuous("x", 2, 10)
-        model.minimize(x)
-        assert model.solve().objective == pytest.approx(2.0)
+        form = _form([1.0], lower=2.0, upper=10.0)
+        assert ScipySolver().solve(form).objective == pytest.approx(2.0)
 
     def test_statistics_recorded(self):
-        model = Model()
-        x = model.add_binary("x")
-        model.maximize(x)
-        result = solve(model)
+        result = ScipySolver().solve(_form([-1.0], upper=1.0, integer=[0]))
         assert "solve_seconds" in result.statistics
         assert result.statistics["num_variables"] == 1
 
     def test_shortest_path_as_mip(self):
-        # A 4-node diamond: the MIP should pick the cheaper branch.
-        edges = {("s", "a"): 1, ("a", "t"): 1, ("s", "b"): 2, ("b", "t"): 2}
-        model = Model()
-        xs = {edge: model.add_binary(f"x_{edge[0]}{edge[1]}") for edge in edges}
-        for node in ("a", "b"):
-            inflow = LinExpr.sum_of(xs[e] for e in edges if e[1] == node)
-            outflow = LinExpr.sum_of(xs[e] for e in edges if e[0] == node)
-            model.add_constraint((outflow - inflow).equals(0))
-        model.add_constraint(
-            LinExpr.sum_of(xs[e] for e in edges if e[0] == "s").equals(1)
+        # A 4-node diamond, columns s-a, a-t, s-b, b-t: the MIP should pick
+        # the cheaper branch.
+        form = _form(
+            [1.0, 1.0, 2.0, 2.0],
+            a_eq=[
+                [-1.0, 1.0, 0.0, 0.0],  # a: out - in = 0
+                [0.0, 0.0, -1.0, 1.0],  # b: out - in = 0
+                [1.0, 0.0, 1.0, 0.0],  # s: out = 1
+                [0.0, 1.0, 0.0, 1.0],  # t: in = 1
+            ],
+            b_eq=[0.0, 0.0, 1.0, 1.0],
+            upper=1.0,
+            integer=range(4),
         )
-        model.add_constraint(
-            LinExpr.sum_of(xs[e] for e in edges if e[1] == "t").equals(1)
-        )
-        model.minimize(LinExpr.sum_of(cost * xs[e] for e, cost in edges.items()))
-        result = model.solve()
+        result = ScipySolver().solve(form)
         assert result.objective == pytest.approx(2.0)
-        assert result.value_of(xs[("s", "a")]) == 1.0
+        assert result.x[0] == 1.0
+
+    def test_milp_diagnostics_surfaced(self):
+        result = ScipySolver().solve(_knapsack([10, 13, 7, 8], [3, 4, 2, 3], 6))
+        assert result.status is SolveStatus.OPTIMAL
+        assert "nodes" in result.statistics
+        assert result.statistics.get("best_bound") == pytest.approx(-20.0)
+        assert result.statistics.get("gap") == pytest.approx(0.0, abs=1e-6)
 
 
 class TestScipyTimeLimit:
@@ -193,10 +97,7 @@ class TestScipyTimeLimit:
 
     @staticmethod
     def _lp():
-        model = Model()
-        x = model.add_continuous("x", 0, 10)
-        model.maximize(x)
-        return model
+        return _form([-1.0], upper=10.0)
 
     def _captured_linprog(self, monkeypatch, status=0, x=(10.0,)):
         from repro.lp import scipy_backend
@@ -214,67 +115,75 @@ class TestScipyTimeLimit:
 
     def test_the_limit_reaches_linprog(self, monkeypatch):
         captured = self._captured_linprog(monkeypatch)
-        assert self._lp().solve(ScipySolver(time_limit_seconds=2.5)).status is (
+        assert ScipySolver(time_limit_seconds=2.5).solve(self._lp()).status is (
             SolveStatus.OPTIMAL
         )
         assert captured[0]["options"] == {"time_limit": 2.5}
 
     def test_no_limit_passes_no_option(self, monkeypatch):
         captured = self._captured_linprog(monkeypatch)
-        self._lp().solve(ScipySolver())
+        ScipySolver().solve(self._lp())
         assert captured[0]["options"] == {}
 
     def test_a_limit_hit_without_a_solution_is_an_error(self, monkeypatch):
         """At the limit linprog reports status 1 with ``x`` None: no
         solution and no proof."""
         self._captured_linprog(monkeypatch, status=1, x=None)
-        result = self._lp().solve(ScipySolver(time_limit_seconds=0.001))
+        result = ScipySolver(time_limit_seconds=0.001).solve(self._lp())
         assert result.status is SolveStatus.ERROR
-        assert result.x is None and not result.values
+        assert result.x is None
 
     def test_a_limit_hit_with_a_solution_is_feasible(self, monkeypatch):
         self._captured_linprog(monkeypatch, status=1)
-        result = self._lp().solve(ScipySolver(time_limit_seconds=0.001))
+        result = ScipySolver(time_limit_seconds=0.001).solve(self._lp())
         assert result.status is SolveStatus.FEASIBLE
-        assert result.objective == 10.0
+        assert result.objective == -10.0
 
 
 class TestBranchAndBound:
     def test_agrees_with_scipy_on_knapsack(self):
-        model = Model()
-        values = [6, 5, 4, 3, 2]
-        weights = [4, 3, 2, 2, 1]
-        xs = [model.add_binary(f"x{i}") for i in range(5)]
-        model.add_constraint(LinExpr.sum_of(w * x for w, x in zip(weights, xs)) <= 7)
-        model.maximize(LinExpr.sum_of(v * x for v, x in zip(values, xs)))
-        scipy_result = model.solve(ScipySolver())
-        bb_result = model.solve(BranchAndBoundSolver())
+        form = _knapsack([6, 5, 4, 3, 2], [4, 3, 2, 2, 1], 7)
+        scipy_result = ScipySolver().solve(form)
+        bb_result = BranchAndBoundSolver().solve(form)
         assert bb_result.status is SolveStatus.OPTIMAL
         assert bb_result.objective == pytest.approx(scipy_result.objective)
 
     def test_integer_infeasible_detected(self):
-        model = Model()
-        x = model.add_variable("x", lower=0, upper=10, is_integer=True)
-        model.add_constraint(2 * x >= 3)
-        model.add_constraint(2 * x <= 3)
-        model.minimize(x)
-        assert model.solve(BranchAndBoundSolver()).status is SolveStatus.INFEASIBLE
+        # 2x >= 3 and 2x <= 3 with x integer in [0, 10].
+        form = _form(
+            [1.0], a_ub=[[-2.0], [2.0]], b_ub=[-3.0, 3.0], upper=10.0, integer=[0]
+        )
+        assert BranchAndBoundSolver().solve(form).status is SolveStatus.INFEASIBLE
 
     def test_pure_lp_falls_through(self):
-        model = Model()
-        x = model.add_continuous("x", 0, 4)
-        model.maximize(x)
-        result = model.solve(BranchAndBoundSolver())
-        assert result.objective == pytest.approx(4.0)
+        result = BranchAndBoundSolver().solve(_form([-1.0], upper=4.0))
+        assert result.objective == pytest.approx(-4.0)
 
     def test_node_statistics(self):
-        model = Model()
-        xs = [model.add_binary(f"x{i}") for i in range(3)]
-        model.add_constraint(LinExpr.sum_of(xs) <= 2)
-        model.maximize(LinExpr.sum_of((i + 1) * x for i, x in enumerate(xs)))
-        result = model.solve(BranchAndBoundSolver())
+        result = BranchAndBoundSolver().solve(_knapsack([1, 2, 3], [1, 1, 1], 2))
         assert result.statistics["nodes"] >= 1
-        assert result.objective == pytest.approx(5.0)
+        assert result.objective == pytest.approx(-5.0)
+
+    def test_consumes_the_sparse_form(self):
+        """The relaxations are handed the CSR matrices as they are."""
+        form = _knapsack([10, 13, 7, 8], [3, 4, 2, 3], 6)
+        result = BranchAndBoundSolver().solve(form)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.objective == -20.0
+
+
+class TestUnboundedForms:
+    def test_the_exact_backends_agree_on_an_unbounded_relaxation(self):
+        """An unbounded relaxation proves a pure LP unbounded and a MIP
+        nothing: branch-and-bound used to call both infeasible."""
+        exact = [name for name in BACKENDS if name != "heuristic"]
+        # min -x with x >= 0.
+        lp = _form([-1.0])
+        # min -x - y subject to x - y <= 1, x integer.
+        mip = _form([-1.0, -1.0], a_ub=[[1.0, -1.0]], b_ub=[1.0], integer=[0])
+        for form, status in ((lp, SolveStatus.UNBOUNDED), (mip, SolveStatus.ERROR)):
+            statuses = [create_backend(name).solve(form).status for name in exact]
+            assert statuses == [status] * len(exact)
 
 
 class TestSolverCrossCheckProperties:
@@ -289,13 +198,7 @@ class TestSolverCrossCheckProperties:
     def test_backends_match_brute_force(self, values, weights, budget):
         size = min(len(values), len(weights))
         values, weights = values[:size], weights[:size]
-
-        model = Model()
-        xs = [model.add_binary(f"x{i}") for i in range(size)]
-        model.add_constraint(
-            LinExpr.sum_of(w * x for w, x in zip(weights, xs)) <= budget
-        )
-        model.maximize(LinExpr.sum_of(v * x for v, x in zip(values, xs)))
+        form = _knapsack(values, weights, budget)
 
         brute = max(
             (
@@ -305,106 +208,61 @@ class TestSolverCrossCheckProperties:
             ),
             default=0,
         )
-        scipy_result = model.solve(ScipySolver())
-        bb_result = model.solve(BranchAndBoundSolver())
-        assert scipy_result.objective == pytest.approx(brute)
-        assert bb_result.objective == pytest.approx(brute)
-
-
-class TestInPlaceAccumulation:
-    """The in-place LinExpr growth API used on the MIP construction hot path."""
-
-    def test_add_term_matches_operator_add(self):
-        xs = [Variable(f"x{i}") for i in range(6)]
-        grown = LinExpr()
-        for i, x in enumerate(xs):
-            grown.add_term(x, float(i + 1))
-        operator_built = LinExpr.sum_of((i + 1) * x for i, x in enumerate(xs))
-        assert grown.coefficients == operator_built.coefficients
-        assert grown.constant == operator_built.constant
-
-    def test_add_term_accumulates_duplicates(self):
-        x = Variable("x")
-        expression = LinExpr().add_term(x, 1.5).add_term(x, 2.5)
-        assert expression.coefficients[x] == 4.0
-
-    def test_add_term_returns_self(self):
-        x = Variable("x")
-        expression = LinExpr()
-        assert expression.add_term(x) is expression
-
-    def test_weighted_sum(self):
-        xs = [Variable(f"x{i}") for i in range(4)]
-        pairs = [(x, float(i)) for i, x in enumerate(xs)]
-        expression = LinExpr.weighted_sum(pairs, constant=7.0)
-        assert expression.constant == 7.0
-        assert all(expression.coefficients[x] == float(i) for i, x in enumerate(xs))
-
-    def test_add_handles_expressions_variables_and_numbers(self):
-        x, y = Variable("x"), Variable("y")
-        expression = LinExpr()
-        expression.add(x).add(2.0).add(3 * y + 1)
-        assert expression.coefficients == {x: 1.0, y: 3.0}
-        assert expression.constant == 3.0
-
-    def test_add_constant(self):
-        expression = LinExpr().add_constant(2).add_constant(0.5)
-        assert expression.constant == 2.5
+        scipy_result = ScipySolver().solve(form)
+        bb_result = BranchAndBoundSolver().solve(form)
+        assert scipy_result.objective == pytest.approx(-brute)
+        assert bb_result.objective == pytest.approx(-brute)
 
 
 class TestSolverInterruption:
     """Regression tests: interrupted searches must not mislabel their result."""
 
     @staticmethod
-    def _knapsack(n=12):
-        model = Model()
+    def _large_knapsack(n=12):
         weights = [3 + (i * 7) % 11 for i in range(n)]
         values = [5 + (i * 5) % 13 for i in range(n)]
-        xs = [model.add_binary(f"x{i}") for i in range(n)]
-        model.add_constraint(
-            LinExpr.sum_of(w * x for w, x in zip(weights, xs)) <= sum(weights) // 3
-        )
-        model.maximize(LinExpr.sum_of(v * x for v, x in zip(values, xs)))
-        return model
+        return _knapsack(values, weights, sum(weights) // 3)
 
     def test_node_limit_with_incumbent_returns_feasible(self):
-        model = self._knapsack()
-        optimal = model.solve(BranchAndBoundSolver())
+        form = self._large_knapsack()
+        optimal = BranchAndBoundSolver().solve(form)
         assert optimal.status is SolveStatus.OPTIMAL
 
-        limited = model.solve(BranchAndBoundSolver(max_nodes=10))
+        limited = BranchAndBoundSolver(max_nodes=10).solve(form)
         assert limited.status is SolveStatus.FEASIBLE
         assert limited.status.has_solution
-        assert limited.values, "the incumbent assignment must be returned"
+        assert limited.x is not None, "the incumbent assignment must be returned"
         # The incumbent is genuinely feasible...
-        for constraint in model.constraints():
-            assert constraint.satisfied(limited.values)
+        assert (form.a_ub @ limited.x <= form.b_ub + 1e-6).all()
+        assert np.array_equal(limited.x, np.round(limited.x))
         # ...and no better than the true optimum.
-        assert limited.objective <= optimal.objective + 1e-6
+        assert limited.objective >= optimal.objective - 1e-6
         # The remaining best bound is surfaced and brackets the optimum
-        # (an upper bound, since this model maximizes).
+        # from below.
         assert "best_bound" in limited.statistics
-        assert limited.statistics["best_bound"] >= optimal.objective - 1e-6
+        assert limited.statistics["best_bound"] <= optimal.objective + 1e-6
         assert limited.statistics["gap"] >= 0.0
 
     def test_node_limit_without_incumbent_is_an_error_status(self):
         # Interrupted before any incumbent: no solution and no proof, the
         # same outcome as the time limit below — a status, not a raise
         # (which would cross a fabric worker as a foreign exception).
-        result = self._knapsack().solve(BranchAndBoundSolver(max_nodes=1))
+        result = BranchAndBoundSolver(max_nodes=1).solve(self._large_knapsack())
         assert result.status is SolveStatus.ERROR
         assert not result.status.has_solution
         assert result.statistics["nodes"] == 2
 
     def test_generous_node_limit_still_proves_optimality(self):
-        result = self._knapsack().solve(BranchAndBoundSolver(max_nodes=200_000))
+        result = BranchAndBoundSolver(max_nodes=200_000).solve(self._large_knapsack())
         assert result.status is SolveStatus.OPTIMAL
         assert result.statistics["best_bound"] == pytest.approx(result.objective)
 
     def test_time_limit_before_any_exploration_is_not_optimal(self):
         # A zero time limit interrupts before the first node: the solver
         # must not claim OPTIMAL (the old bug) nor INFEASIBLE.
-        result = self._knapsack().solve(BranchAndBoundSolver(time_limit_seconds=0.0))
+        result = BranchAndBoundSolver(time_limit_seconds=0.0).solve(
+            self._large_knapsack()
+        )
         assert result.status is SolveStatus.ERROR
         assert not result.status.has_solution
         assert result.statistics["nodes"] == 1

@@ -1,15 +1,16 @@
 """The provisioning MIP as it was built before the array builder, kept as a
 reference: one ``Variable`` per column and one ``LinExpr`` / ``Constraint``
-per row, named (``x__{id}__{index}``, ``flow__…``, ``reserve__…``), then
-exported by ``Model.to_standard_form`` — ``build_model_for_links``,
+per row, named (``x__{id}__{index}``, ``flow__…``, ``reserve__…``), in the
+modelling front end of ``tests/reference_lp.py`` and exported by its
+``Model.to_standard_form`` — ``build_model_for_links``,
 ``splice_statement_rows``, ``emit_link_rows`` and ``set_provisioning_objective``
 verbatim.  ``naive_provisioning_model`` is the straightforward construction
 that builder was itself once checked against: a full rescan of every
 statement's edges for every physical link, grown with the copying ``+``.
 
 Tests hold :func:`repro.core.provisioning.build_model_for_links` to these:
-the standard form it builds must equal their ``to_standard_form(sparse=True)``
-array for array.
+the standard form it builds must equal their ``to_standard_form()`` array
+for array.
 """
 
 from __future__ import annotations
@@ -22,10 +23,8 @@ from repro.core.localization import LocalRates
 from repro.core.logical import SINK, SOURCE, LogicalTopology
 from repro.core.provisioning import _MBPS, PathSelectionHeuristic
 from repro.errors import ProvisioningError
-from repro.lp.constraint import Constraint
-from repro.lp.expr import LinExpr, Variable
-from repro.lp.model import Model
 from repro.topology.graph import Topology
+from tests.reference_lp import Constraint, LinExpr, Model, Variable
 
 
 @dataclass
@@ -253,7 +252,7 @@ def set_provisioning_objective(
     """Set the path-selection objective on a provisioning model.
 
     For the min-max heuristics the per-edge tiebreaker epsilon is also
-    published as :attr:`~repro.lp.model.Model.objective_resolution` — the
+    published as the model's ``objective_resolution`` — the
     smallest objective difference that distinguishes two genuinely
     different solutions.  Solvers that prune within an absolute gap (the
     pure-Python branch-and-bound) scale their gap below it, so an
@@ -363,7 +362,6 @@ def assert_forms_identical(form, expected):
             mine, wanted = getattr(ours, part), getattr(theirs, part)
             assert mine.dtype == wanted.dtype, (name, part)
             assert mine.tobytes() == wanted.tobytes(), (name, part)
-    assert form.maximize == expected.maximize
     if expected.objective_resolution is not None:
         assert form.objective_resolution == expected.objective_resolution
 
