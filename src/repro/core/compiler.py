@@ -55,9 +55,11 @@ from .ast import Policy, Statement
 from .localization import LocalRates, localize, localized_formula
 from .logical import (
     LogicalTopology,
+    ProductWalk,
     build_logical_topology,
     infer_endpoints,
     search_logical_topology,
+    walk_product,
 )
 from .options import ProvisionOptions
 from ..incremental.delta import TopologyDelta
@@ -151,20 +153,17 @@ class _CompilerSession:
     entries: Dict[str, _StatementEntry] = field(default_factory=dict)
     #: Source of the entries' insertion stamps (see the class docstring).
     stamps: Iterator[int] = field(default_factory=itertools.count)
-    #: What the session has asked of product graphs, memoized on the
-    #: statement's (path expression, source, destination) shape plus which
-    #: of the two questions it was: statements sharing a shape have
-    #: identical product graphs on one topology.  ``(..., True)`` holds the
-    #: materialised graph a guaranteed statement's MIP reads, ``(...,
-    #: False)`` the ``(shortest path, footprint)`` a constrained
-    #: best-effort statement's search returned; a promotion materialises
-    #: under its own key.
+    #: The product graphs of the active topology the session has walked.
+    #: A ``(path expression, source, destination)`` shape holds the
+    #: materialised graph a guaranteed statement's MIP reads (statements
+    #: sharing a shape have identical graphs); a path expression alone
+    #: holds its unpinned :class:`~repro.core.logical.ProductWalk`, which
+    #: every constrained best-effort statement with that expression
+    #: restricts to its endpoints.  A promotion materialises under its
+    #: shape.
     logical_cache: Dict[
-        Tuple[Regex, Optional[str], Optional[str], bool],
-        Union[
-            LogicalTopology,
-            Tuple[Optional[Tuple[str, ...]], FrozenSet[Tuple[str, str]]],
-        ],
+        Union[Regex, Tuple[Regex, Optional[str], Optional[str]]],
+        Union[LogicalTopology, ProductWalk],
     ] = field(default_factory=dict)
     sink_trees: Dict = field(default_factory=dict)
     failed_links: frozenset = frozenset()
@@ -525,9 +524,9 @@ class MerlinCompiler:
         journal.set_attr(session, "active_topology", active)
         journal.set_attr(session, "failed_links", frozenset(failed_links))
         journal.set_attr(session, "failed_nodes", frozenset(failed_nodes))
-        # Cached products and searches were made against the previous
-        # active topology; the (path, endpoints) keys do not encode it.  The
-        # rebind is journaled (rollback reinstates the old cache dict);
+        # Cached products were walked on the previous active topology; their
+        # keys do not encode it.  The rebind is journaled (rollback
+        # reinstates the old cache dict and the products in it);
         # entries added to the fresh dict inside this transaction are
         # simply discarded with it.
         journal.set_attr(session, "logical_cache", {})
@@ -832,8 +831,9 @@ class MerlinCompiler:
 
         Unconstrained paths are served by sink trees (refreshed centrally
         once the statements are in); constrained ones take the
-        breadth-first shortest path a search of their product graph finds
-        — no graph is built for them — or are marked infeasible.
+        breadth-first shortest path of their product graph, restricted
+        from their path expression's shared walk — no graph is built for
+        them — or are marked infeasible.
         """
         if _is_unconstrained_path(entry.statement.path):
             return entry
@@ -1012,7 +1012,7 @@ class MerlinCompiler:
 
     # -- shared helpers --------------------------------------------------------------
 
-    # Distinct product-graph answers kept per session; bounded (LRU) so a
+    # Distinct product graphs kept per session; bounded (LRU) so a
     # long-running controller streaming deltas with ever-new path
     # expressions does not grow resident memory monotonically.
     _LOGICAL_CACHE_LIMIT = 1024
@@ -1021,48 +1021,47 @@ class MerlinCompiler:
         """The statement's product graph on the session's active topology,
         materialised: what a guaranteed statement hands the MIP."""
         graph, fresh = self._memoized(
-            session, statement, source, destination, materialise=True
+            session,
+            (statement.path, source, destination),
+            lambda active, known: build_logical_topology(
+                statement, active, self.placements, source, destination, known
+            ),
         )
         telemetry.counter("logical_memo_misses" if fresh else "logical_memo_hits")
         return graph if fresh else graph.rebadged(statement.identifier)
 
     def _search_for(self, session, statement, source, destination):
         """The ``(shortest path | None, footprint)`` of the statement's
-        product graph on the session's active topology, searched and never
-        built: all a constrained best-effort statement needs of it."""
-        found, fresh = self._memoized(
-            session, statement, source, destination, materialise=False
+        product graph on the session's active topology, never built: the
+        path expression's shared walk restricted to the statement's
+        endpoints, all a constrained best-effort statement needs."""
+        product, fresh = self._memoized(
+            session,
+            statement.path,
+            lambda active, known: walk_product(
+                statement, active, self.placements, known
+            ),
         )
         if fresh:
             telemetry.counter("logical_searches")
-        return found
+        return product.restrict(source, destination)
 
-    def _memoized(self, session, statement, source, destination, materialise):
-        """One ``logical_cache`` lookup: the answer for the statement's
-        shape, computed on a miss, and whether it was."""
+    def _memoized(self, session, key, walk):
+        """One ``logical_cache`` lookup: the product under ``key``, walked
+        by ``walk(active topology, known locations)`` on a miss, and
+        whether it was."""
         # The cache key does not encode the topology: the topology-delta
         # path rebinds the session cache on every change, so entries never
         # outlive the topology they were made on.
         cache = session.logical_cache
-        active = session.active_topology
-        key = (statement.path, source, destination, materialise)
         cached = cache.pop(key, None)
         fresh = cached is None
         if fresh:
-            consumer = (
-                build_logical_topology if materialise else search_logical_topology
-            )
-            cached = consumer(
-                statement,
-                active,
-                self.placements,
-                source=source,
-                destination=destination,
-                # On a degraded topology, names of failed elements stay
-                # valid path-expression references (they match nothing).
-                known_locations=(
-                    None if active is self.topology else self.topology.locations()
-                ),
+            active = session.active_topology
+            # On a degraded topology, names of failed elements stay valid
+            # path-expression references (they match nothing).
+            cached = walk(
+                active, None if active is self.topology else self.topology.locations()
             )
         cache[key] = cached  # (re)insert as most recently used
         while len(cache) > self._LOGICAL_CACHE_LIMIT:

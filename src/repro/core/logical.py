@@ -21,19 +21,25 @@ explicitly), the automaton is intersected with ``src .* dst`` so that ``G_i``
 only contains paths that actually carry the statement's traffic from its
 source to its destination.
 
-The product is walked once, by :func:`_explore`, and read by two consumers.
-A guaranteed statement's :func:`build_logical_topology` keeps the walk as
-it is: the surviving ``(tail, head)`` vertex pairs in discovery order, the
-physical links they cross, and every vertex's fewest physical hops from the
-source and to the sink.  The MIP has a variable per edge (Equation 1), but
-only for the edges footprint tightening keeps, so
-:func:`prune_to_cost_bound` cuts the pairs with those distances and builds a
-:class:`LogicalEdge` for each pair it keeps; the whole graph's edges are
-built only when something reads :attr:`LogicalTopology.edges`.  A
-path-constrained best-effort statement only ever asks for the graph's
+A product is walked by :func:`_explore` and read by two consumers.  A
+guaranteed statement's :func:`build_logical_topology` walks the pinned
+product and keeps the walk as it is: the surviving ``(tail, head)`` vertex
+pairs in discovery order, the physical links they cross, and every vertex's
+fewest physical hops from the source and to the sink.  The MIP has a
+variable per edge (Equation 1), but only for the edges footprint tightening
+keeps, so :func:`prune_to_cost_bound` cuts the pairs with those distances
+and builds a :class:`LogicalEdge` for each pair it keeps; the whole graph's
+edges are built only when something reads :attr:`LogicalTopology.edges`.
+
+A path-constrained best-effort statement only ever asks for the graph's
 breadth-first shortest path and the physical links it touches, and
-:func:`search_logical_topology` answers both from the walk without building
-a graph or measuring distances from the source.
+statements with one path expression differ only in their endpoints.  So
+:func:`walk_product` walks the expression's *unpinned* product once, and
+:meth:`ProductWalk.restrict` answers any endpoint pair from it — a forward
+search from the source's vertex, a backward one from the destination's
+accepting vertices, both kept on the walk — with exactly what the pinned
+product's search would have answered (:func:`search_logical_topology` is
+the two steps for one statement).
 """
 
 from __future__ import annotations
@@ -46,8 +52,14 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..predicates.sat import forced_equalities
-from ..regex.ast import Regex
-from ..regex.operations import compile_dfa, compile_pinned_dfa, shortest_accepted
+from ..regex.ast import DOT, Regex, Symbol, concat, star
+from ..regex.dfa import DFA
+from ..regex.operations import (
+    compile_dfa,
+    compile_pinned_dfa,
+    included,
+    shortest_accepted,
+)
 from ..regex.substitution import substitute_functions
 from ..topology.graph import Topology
 from .ast import Statement
@@ -221,12 +233,153 @@ def search_logical_topology(
     Takes :func:`build_logical_topology`'s arguments and returns the
     locations of the path ``build_logical_topology(...).find_path()`` would
     find (``None`` when no physical path satisfies the statement) and the
-    graph's ``footprint``.
+    graph's ``footprint``: the statement's path expression walked by
+    :func:`walk_product` and restricted to its endpoints.
     """
-    _, footprint, _, path = _explore(
-        statement, topology, placements, source, destination, known_locations
+    return walk_product(statement, topology, placements, known_locations).restrict(
+        source, destination
     )
-    return path, footprint
+
+
+def walk_product(
+    statement: Statement,
+    topology: Topology,
+    placements: Mapping[str, Iterable[str]],
+    known_locations: Optional[Iterable[str]] = None,
+) -> "ProductWalk":
+    """The unpinned product of the statement's path expression on
+    ``topology``, which every statement with that expression restricts to
+    its endpoints (see :func:`build_logical_topology` for the arguments)."""
+    pairs, _, _, automaton = _explore(
+        statement, topology, placements, None, None, known_locations
+    )
+    return ProductWalk(pairs, automaton)
+
+
+class ProductWalk:
+    """A path expression's unpinned product, kept as its surviving pairs
+    and restricted to endpoint pairs on demand.
+
+    :meth:`restrict` returns what a breadth-first search of the product
+    *pinned* to the endpoints returns, without walking that product:
+
+    * the footprint is the links of the edges ``(x, y)`` with ``x``
+      reachable from the source's vertex ``(source, δ(start, source))``
+      and ``y`` able to reach an accepting vertex at the destination —
+      the pinned product's surviving edges, projected onto links;
+    * a breadth-first search from one root over a deterministic product
+      whose moves are ordered (stay first, then the sorted neighbours)
+      finds the lexicographically least shortest accepted walk, which
+      depends on which walks are accepted and never on state numbers.
+
+    The pinned automaton intersects with ``source .* destination``, which
+    needs two symbols.  So with both endpoints pinned the path leads to the
+    first vertex in breadth-first order with a move into an accepting
+    vertex at the destination (the stay move the walk drops as a self-loop
+    included) and then to the destination; for distinct endpoints that is
+    the path to the first accepting vertex at the destination.  With an end
+    open the path leads to the first accepting vertex (at the destination,
+    if pinned).  Each source's search and each destination's backward
+    reach are kept.
+    """
+
+    def __init__(self, pairs: Sequence[Pair], automaton: Optional[DFA]) -> None:
+        self._roots: List[Vertex] = []
+        self._accepted: List[Vertex] = []
+        # tail -> (head, the sorted link crossed or None for a stay), in
+        # pair order.
+        self._moves: Dict[Vertex, List[Tuple[Vertex, Optional[LinkKey]]]] = {}
+        self._predecessors: Dict[Vertex, List[Vertex]] = {}
+        for tail, head in pairs:
+            if tail is SOURCE:
+                self._roots.append(head)
+            elif head is SINK:
+                self._accepted.append(tail)
+            else:
+                u, v = tail[0], head[0]
+                link = None if u == v else (u, v) if u < v else (v, u)
+                self._moves.setdefault(tail, []).append((head, link))
+                self._predecessors.setdefault(head, []).append(tail)
+        # Accepting vertices whose stay move is accepted again: a kept edge
+        # if the state changes, a self-loop the walk dropped if it does not.
+        self._staying = {
+            vertex
+            for vertex in self._accepted
+            if automaton.step(vertex[1], vertex[0]) in automaton.accepting
+        }
+        # source -> what _search found, destination -> what _reach found.
+        self._searches: Dict[Optional[str], tuple] = {}
+        self._reaches: Dict[Optional[str], tuple] = {}
+
+    def restrict(
+        self, source: Optional[str], destination: Optional[str]
+    ) -> Tuple[Optional[Tuple[str, ...]], FrozenSet[LinkKey]]:
+        """The ``(path | None, footprint)`` of the product pinned to
+        ``source`` and ``destination`` (``None`` leaves an end open)."""
+        order, discoverer, crossed = self._search(source)
+        accepted, reaching, entering = self._reach(destination)
+        footprint = frozenset().union(
+            *map(crossed.__getitem__, crossed.keys() & reaching)
+        )
+        pinned = source is not None and destination is not None
+        targets = entering if pinned else accepted
+        vertex = next((vertex for vertex in order if vertex in targets), None)
+        if vertex is None:
+            return None, footprint
+        path = [destination] if pinned else []
+        while vertex is not SOURCE:
+            path.append(vertex[0])
+            vertex = discoverer[vertex]
+        path.reverse()
+        return tuple(path), footprint
+
+    def _search(self, source: Optional[str]):
+        """Breadth-first order and first discoverers from the source's
+        vertex (from every root when ``None``), and for every vertex the
+        links crossed by the edges into it from a vertex the search
+        reaches."""
+        found = self._searches.get(source)
+        if found is None:
+            order = [
+                root for root in self._roots if source is None or root[0] == source
+            ]
+            discoverer = dict.fromkeys(order, SOURCE)
+            crossed: Dict[Vertex, Set[LinkKey]] = {}
+            moves = self._moves
+            for vertex in order:
+                for head, link in moves.get(vertex, ()):
+                    if head not in discoverer:
+                        discoverer[head] = vertex
+                        order.append(head)
+                    if link is not None:
+                        crossed.setdefault(head, set()).add(link)
+            found = self._searches[source] = (order, discoverer, crossed)
+        return found
+
+    def _reach(self, destination: Optional[str]):
+        """The accepting vertices at the destination (every one when
+        ``None``), the vertices that reach one, and the vertices with a move
+        into one."""
+        found = self._reaches.get(destination)
+        if found is None:
+            accepted = {
+                vertex
+                for vertex in self._accepted
+                if destination is None or vertex[0] == destination
+            }
+            reaching = set(accepted)
+            stack = list(accepted)
+            predecessors = self._predecessors
+            entering = accepted & self._staying
+            for vertex in accepted:
+                entering.update(predecessors.get(vertex, ()))
+            while stack:
+                for tail in predecessors.get(stack.pop(), ()):
+                    if tail not in reaching:
+                        reaching.add(tail)
+                        stack.append(tail)
+            found = self._reaches[destination] = (accepted, reaching, entering)
+        return found
 
 
 def _explore(
@@ -236,12 +389,10 @@ def _explore(
     source: Optional[str],
     destination: Optional[str],
     known_locations: Optional[Iterable[str]],
-) -> Tuple[
-    List[Pair], FrozenSet[LinkKey], Dict[Vertex, int], Optional[Tuple[str, ...]]
-]:
+) -> Tuple[List[Pair], FrozenSet[LinkKey], Dict[Vertex, int], Optional[DFA]]:
     """Walk automaton × topology once; return the pairs of ``G_i``, the
     physical links they cross, every vertex's fewest physical hops to the
-    sink and the graph's breadth-first shortest path.
+    sink and the automaton walked (``None`` when there was no walk).
 
     The walk is breadth-first from the universal source over plain
     ``(location, state)`` tuples and never enters a state no accepting
@@ -249,14 +400,10 @@ def _explore(
     accepting vertices then measures every vertex's fewest physical hops
     to the sink — noting the links crossed by the edges it reads, which
     are exactly the surviving ones — and every edge into a vertex it did
-    not reach is dropped.
-    The surviving ``(tail, head)`` pairs come back in discovery order; the
-    path is the first-discovered accepting vertex's chain of first
-    discoverers.  Trimming cannot change that chain, the relative order of
-    what survives or any surviving vertex's distances, because every
-    predecessor of a vertex that reaches the sink reaches the sink itself
-    — so the path is also the one a breadth-first search of the trimmed
-    graph finds.
+    not reach is dropped.  The surviving ``(tail, head)`` pairs come back
+    in discovery order; trimming cannot change the relative order of what
+    survives or any surviving vertex's distances, because every
+    predecessor of a vertex that reaches the sink reaches the sink itself.
     """
     if any(
         pinned is not None and pinned not in topology
@@ -286,8 +433,6 @@ def _explore(
     # location -> (location, *its sorted neighbours), read once per walk.
     moves: Dict[str, Tuple[str, ...]] = {}
     edges: List[Pair] = []
-    # vertex -> the vertex it was first discovered from.
-    discoverer: Dict[Vertex, Vertex] = {}
     # vertex -> every vertex with an edge into it (the source excepted).
     predecessors: Dict[Vertex, List[Vertex]] = {}
     # Discovered vertices; the loop below appends to it while reading it.
@@ -297,8 +442,8 @@ def _explore(
         if state in live:
             vertex = (location, state)
             edges.append((SOURCE, vertex))
-            discoverer[vertex] = SOURCE
             frontier.append(vertex)
+    discovered = set(frontier)
 
     accepted: List[Vertex] = []
     for vertex in frontier:
@@ -318,23 +463,16 @@ def _explore(
                 continue
             edges.append((vertex, next_vertex))
             predecessors.setdefault(next_vertex, []).append(vertex)
-            if next_vertex not in discoverer:
-                discoverer[next_vertex] = vertex
+            if next_vertex not in discovered:
+                discovered.add(next_vertex)
                 frontier.append(next_vertex)
     if not accepted:
         return [], frozenset(), {}, None
 
-    backward, crossed = _hop_levels(list(accepted), predecessors)
+    backward, crossed = _hop_levels(accepted, predecessors)
     backward[SINK] = 0
-
-    path: List[str] = []
-    vertex = accepted[0]
-    while vertex is not SOURCE:
-        path.append(vertex[0])
-        vertex = discoverer[vertex]
-    path.reverse()
     pairs = [edge for edge in edges if edge[1] in backward]
-    return pairs, _sorted_links(crossed), backward, tuple(path)
+    return pairs, _sorted_links(crossed), backward, automaton
 
 
 def _hop_levels(
@@ -484,10 +622,18 @@ def _pinned_host(
 def _regex_boundary_symbols(
     path: Regex, topology: Topology
 ) -> Tuple[Optional[str], Optional[str]]:
-    """First/last mandatory symbols of a path expression, if they are locations."""
+    """First/last mandatory symbols of a path expression, if they are locations.
+
+    A shortest accepted word names the only candidates: a symbol every word
+    starts (ends) with starts (ends) that one too.  A candidate counts only
+    if the expression's language is included in ``s .*`` (``.* s``).
+    """
     shortest = shortest_accepted(path)
     if not shortest:
         return None, None
-    first = shortest[0] if topology.has_node(shortest[0]) else None
-    last = shortest[-1] if topology.has_node(shortest[-1]) else None
+    first, last = shortest[0], shortest[-1]
+    if not (topology.has_node(first) and included(path, concat(Symbol(first), star(DOT)))):
+        first = None
+    if not (topology.has_node(last) and included(path, concat(star(DOT), Symbol(last)))):
+        last = None
     return first, last

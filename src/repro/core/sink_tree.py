@@ -11,8 +11,9 @@ breadth-first search.  Two optimisations from the paper are implemented:
   the destination host using its unique identifier).
 
 Best-effort statements whose path expression is more constrained than ``.*``
-are routed individually with a BFS over their logical topology instead (see
-:func:`~repro.core.logical.search_logical_topology`).
+are routed individually instead, each by the BFS over its logical topology
+that restricting its path expression's shared product walk answers (see
+:class:`~repro.core.logical.ProductWalk`).
 """
 
 from __future__ import annotations

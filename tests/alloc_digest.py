@@ -14,6 +14,8 @@ The cases:
   ``compile-campus-default`` benchmark workloads at seed 1 (their inputs
   come from ``bench/inputs.py``, read and never changed), and the first two
   ``compile-guaranteed`` policies again under the ``heuristic`` backend;
+* the first campus policy recompiled after a zone-to-backbone link failure,
+  which holds the best-effort answers on a degraded view;
 * all-pairs policies (the first 60 classes) on ``fat_tree(4)``,
   ``linear(12)`` and zoo-like WANs of 20 and 30 switches, for seeds 0-2,
   guarantee fractions 0.1 and 0.3, every backend in ``repro.lp.BACKENDS``
@@ -31,6 +33,7 @@ from typing import Callable, Iterator, Tuple
 from repro.core import MerlinCompiler, ProvisionOptions
 from repro.errors import MerlinError
 from repro.experiments.policy_builders import all_pairs_policy
+from repro.incremental import TopologyDelta
 from repro.lp import BACKENDS
 from repro.topology.generators import fat_tree, linear, stanford_campus, topology_zoo_like
 
@@ -39,6 +42,8 @@ import inputs  # noqa: E402  (bench/inputs.py)
 
 SEED = 1
 CAMPUS_PLACEMENTS = {"dpi": ("dpi1", "dpi2"), "monitor": ("mon1", "mon2")}
+#: A zone-to-backbone link on the way to ``dpi1`` and away from ``mon1``.
+CAMPUS_BACKBONE_FAILURE = ("zone1_rtr", "bbra_rtr")
 
 
 def digest(result) -> str:
@@ -71,6 +76,11 @@ def _campus():
     return topology
 
 
+def _failed_after_compile(compiler, source, link):
+    compiler.compile(source)
+    return compiler.recompile(TopologyDelta(fail_links=(link,)))
+
+
 def cases() -> Iterator[Tuple[str, Callable[[], object]]]:
     """``(name, compile)`` for every case, in output order."""
     guaranteed = fat_tree(8)
@@ -98,6 +108,15 @@ def cases() -> Iterator[Tuple[str, Callable[[], object]]]:
         yield f"compile-campus-default/{index}", (
             lambda compiler=compiler, source=source: compiler.compile(source)
         )
+    source = inputs.campus_policy(
+        hosts, macs, inputs.rng_for("compile-campus-default", SEED, 0)
+    ).source
+    compiler = MerlinCompiler(topology=campus, placements=CAMPUS_PLACEMENTS)
+    yield f"compile-campus-default/0/fail={'-'.join(CAMPUS_BACKBONE_FAILURE)}", (
+        lambda compiler=compiler, source=source: _failed_after_compile(
+            compiler, source, CAMPUS_BACKBONE_FAILURE
+        )
+    )
     for seed in range(3):
         topologies = {
             "fat_tree4": fat_tree(4),

@@ -17,7 +17,7 @@ from repro.core.ast import Statement
 from repro.core.logical import infer_endpoints
 from repro.predicates.ast import FieldTest, pred_and, pred_not, pred_or
 from repro.regex.parser import parse_path_expression
-from repro.topology.generators import single_switch
+from repro.topology.generators import fat_tree, single_switch
 
 
 def _statement(predicate, path=".*"):
@@ -57,6 +57,25 @@ def test_ip_addresses_pin_hosts_when_macs_do_not():
         FieldTest("ip.dst", topology.node("h1").ip),
     )
     assert infer_endpoints(_statement(predicate), topology) == ("h2", "h1")
+
+
+@pytest.mark.parametrize(
+    "path, expected",
+    [
+        # The shortest word is "h11", but "h1 h11" starts elsewhere.
+        ("h1* .* h11", (None, "h11")),
+        # Either arm may start the path; the shortest word picked one.
+        ("(h1 | h10) .* h11", (None, "h11")),
+        ("h1 .* (h11 | h10)", ("h1", None)),
+        ("h1 .* h11", ("h1", "h11")),
+    ],
+)
+def test_only_mandatory_boundary_symbols_pin_endpoints(path, expected):
+    """The path expression pins an endpoint only with a symbol every word
+    it accepts starts (ends) with, not with the first (last) symbol of
+    whichever shortest word the automaton found."""
+    statement = _statement(FieldTest("tcp.dst", 80), path)
+    assert infer_endpoints(statement, fat_tree(4)) == expected
 
 
 def test_a_failing_boundary_search_is_not_reported_as_unknown_endpoints(monkeypatch):

@@ -18,6 +18,7 @@ from repro.core.logical import (
     build_logical_topology,
     prune_to_cost_bound,
     search_logical_topology,
+    walk_product,
 )
 from repro.predicates.ast import TRUE
 from repro.regex.ast import DOT, Concat, Negate, Star, Symbol, Union
@@ -107,6 +108,35 @@ def test_one_walk_builds_and_searches_what_the_two_passes_built(arguments):
     expected = reference.find_path()
     assert found == (None if expected is None else tuple(expected))
     assert footprint == reference.physical_links_used()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(arguments=_arguments(), fabric=st.sampled_from(FABRIC))
+def test_one_shared_walk_answers_every_endpoint_pair(arguments, fabric):
+    """One unpinned walk per example, restricted to every endpoint pair —
+    equal ones, open ones and a failed switch (when the view failed one)
+    among them — answers what a search of that pair's pinned reference
+    graph finds."""
+    statement, topology, placements, _, _, known_locations = arguments
+    failed = next((name for name in FABRIC if name not in topology), fabric)
+    product = walk_product(statement, topology, placements, known_locations)
+    endpoints = (None, *HOSTS, failed)
+    for source, destination in itertools.product(endpoints, repeat=2):
+        if failed not in topology and failed in (source, destination):
+            # The reference predates the rule that a failed pinned endpoint
+            # leaves the product empty (it cannot walk from one at all).
+            expected, links = None, frozenset()
+        else:
+            reference = reference_build_logical_topology(
+                statement, topology, placements, source, destination, known_locations
+            )
+            expected, links = reference.find_path(), reference.physical_links_used()
+        found, footprint = product.restrict(source, destination)
+        assert found == (None if expected is None else tuple(expected)), (
+            source,
+            destination,
+        )
+        assert footprint == links, (source, destination)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
