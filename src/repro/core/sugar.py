@@ -11,13 +11,14 @@ a :class:`~repro.core.parser.ParsedProgram` into a plain
   statement per ``(s, d)`` pair, with ``eth.src = s and eth.dst = d`` (or the
   IP equivalents) conjoined to the template predicate,
 * rate annotations become ``max``/``min`` conjuncts of the policy formula,
-* statements without identifiers receive generated ones.
+* statements without identifiers receive generated ones (``s1``, ``s2``, …,
+  skipping every identifier the program writes explicitly).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import PolicyError
 from ..predicates.ast import FieldTest, Predicate, pred_and
@@ -51,15 +52,24 @@ def expand_program(program: ParsedProgram, topology=None) -> Policy:
     environment = _evaluate_bindings(program.bindings)
     statements: List[Statement] = []
     extra_clauses: List[Formula] = []
-    counter = itertools.count(1)
+    explicit = {
+        item.identifier
+        for item in program.items
+        if isinstance(item, RawStatement) and item.identifier
+    }
+    fresh = (
+        identifier
+        for identifier in (f"s{number}" for number in itertools.count(1))
+        if identifier not in explicit
+    )
 
     for item in program.items:
         if isinstance(item, RawStatement):
-            statement, clauses = _expand_statement(item, counter)
+            statement, clauses = _expand_statement(item, fresh)
             statements.append(statement)
             extra_clauses.extend(clauses)
         elif isinstance(item, ForeachBlock):
-            expanded = _expand_foreach(item, environment, counter, topology)
+            expanded = _expand_foreach(item, environment, fresh, topology)
             for statement, clauses in expanded:
                 statements.append(statement)
                 extra_clauses.extend(clauses)
@@ -97,20 +107,29 @@ def _evaluate_set(
 
 
 def _evaluate_pairs(
-    expression: SetExpression, environment: Dict[str, List[SetValue]]
+    expression: SetExpression, environment: Dict[str, List[SetValue]], topology
 ) -> List[Tuple[SetValue, SetValue]]:
-    """Evaluate the set expression of a ``foreach`` to a list of (src, dst) pairs."""
+    """Evaluate the set expression of a ``foreach`` to a list of (src, dst) pairs.
+
+    A single set pairs each element with every other one.  Elements are
+    compared by what they denote (the normalised address, or a host name's
+    MAC), so two spellings of one endpoint are one element, kept where it
+    first appears, and never paired with itself.
+    """
     if isinstance(expression, CrossExpr):
         left = _evaluate_set(expression.left, environment)
         right = _evaluate_set(expression.right, environment)
         return [(source, destination) for source in left for destination in right]
-    values = _evaluate_set(expression, environment)
-    pairs: List[Tuple[SetValue, SetValue]] = []
-    for source in values:
-        for destination in values:
-            if source != destination:
-                pairs.append((source, destination))
-    return pairs
+    distinct: Dict[Predicate, SetValue] = {}
+    for value in _evaluate_set(expression, environment):
+        distinct.setdefault(_endpoint_test(value, is_source=True, topology=topology), value)
+    values = list(distinct.values())
+    return [
+        (source, destination)
+        for source in values
+        for destination in values
+        if source != destination
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +138,9 @@ def _evaluate_pairs(
 
 
 def _expand_statement(
-    raw: RawStatement, counter
+    raw: RawStatement, fresh: Iterator[str]
 ) -> Tuple[Statement, List[Formula]]:
-    identifier = raw.identifier or f"s{next(counter)}"
+    identifier = raw.identifier or next(fresh)
     statement = Statement(identifier=identifier, predicate=raw.predicate, path=raw.path)
     clauses = _rate_clauses(identifier, raw.rate_specs)
     return statement, clauses
@@ -130,13 +149,13 @@ def _expand_statement(
 def _expand_foreach(
     block: ForeachBlock,
     environment: Dict[str, List[SetValue]],
-    counter,
+    fresh: Iterator[str],
     topology,
 ) -> List[Tuple[Statement, List[Formula]]]:
-    pairs = _evaluate_pairs(block.pairs, environment)
+    pairs = _evaluate_pairs(block.pairs, environment, topology)
     results: List[Tuple[Statement, List[Formula]]] = []
     for source, destination in pairs:
-        identifier = f"s{next(counter)}"
+        identifier = next(fresh)
         endpoint_predicate = pred_and(
             _endpoint_test(source, is_source=True, topology=topology),
             _endpoint_test(destination, is_source=False, topology=topology),

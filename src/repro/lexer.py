@@ -14,13 +14,20 @@ Rates (``50MB/s``, ``1Gbps``), MAC addresses, IPv4 addresses, and qualified
 field names (``tcp.dst``) are recognised as single tokens so that the parser
 never has to re-assemble them, and so that the lone ``.`` of path expressions
 is never confused with the dots inside addresses and field names.
+
+A policy is tens of kilobytes, so the tokeniser does one regular-expression
+match per token.  Whitespace and ``#`` / ``//`` comments are not tokens: the
+master pattern skips them in an atomic prefix in front of the token
+alternatives (atomic so that a comment can never give back characters for a
+token to match).  A token's line advances by the newlines between the
+previous token's start and its own, which counts the one a rate's unit may
+sit behind (``50\\nMB/s``) too.  A :class:`Token` is a named tuple.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import LexerError, ParseError
 
@@ -46,9 +53,10 @@ KEYWORDS = frozenset(
 #: Token kinds that can stand as the value of a field test or a set element.
 VALUE_KINDS = frozenset({"MAC", "IP", "HEX", "NUMBER", "IDENT"})
 
+#: Whitespace and comments, skipped in front of every token.
+_SEPARATORS = r"(?>(?:[ \t\r\n]+|(?:#|//)[^\n]*)*)"
+
 _TOKEN_SPEC = [
-    ("WS", r"[ \t\r\n]+"),
-    ("COMMENT", r"(#|//)[^\n]*"),
     ("RATE", r"\d+(?:\.\d+)?\s*(?:[KMGT]?B/s|[kmgt]?bps|[KMGT]bps|[KMGT]Bps)"),
     ("MAC", r"[0-9a-fA-F]{1,2}(?::[0-9a-fA-F]{1,2}){5}"),
     ("IP", r"\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}"),
@@ -76,11 +84,17 @@ _TOKEN_SPEC = [
     ("EQUALS", r"="),
 ]
 
-_MASTER_RE = re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC))
+#: Separators, then one token; ``lastgroup`` names its kind.
+_MASTER_RE = re.compile(
+    _SEPARATORS
+    + "(?:"
+    + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC)
+    + ")"
+)
+_SEPARATORS_RE = re.compile(_SEPARATORS)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with source position for error reporting."""
 
     kind: str
@@ -104,29 +118,31 @@ def tokenize(source: str) -> List[Token]:
     """Tokenise Merlin source, skipping whitespace and comments."""
     tokens: List[Token] = []
     line = 1
-    line_start = 0
+    line_start = 0  # index of the first character of ``line``
+    previous = 0  # start of the previous token
     position = 0
-    while position < len(source):
-        match = _MASTER_RE.match(source, position)
-        if match is None:
-            raise LexerError(
-                f"unexpected character {source[position]!r}",
-                line=line,
-                column=position - line_start + 1,
-            )
-        kind = match.lastgroup or ""
-        text = match.group()
-        column = position - line_start + 1
-        if kind in ("WS", "COMMENT"):
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = position + text.rfind("\n") + 1
-        else:
-            if kind == "IDENT" and text in KEYWORDS:
-                kind = "KEYWORD"
-            tokens.append(Token(kind=kind, text=text, line=line, column=column))
+    match = _MASTER_RE.match(source)
+    while match is not None:
+        kind = match.lastgroup
+        start = match.start(kind)
+        newlines = source.count("\n", previous, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", previous, start) + 1
+        text = match.group(kind)
+        if kind == "IDENT" and text in KEYWORDS:
+            kind = "KEYWORD"
+        tokens.append(Token(kind, text, line, start - line_start + 1))
+        previous = start
         position = match.end()
+        match = _MASTER_RE.match(source, position)
+    position = _SEPARATORS_RE.match(source, position).end()
+    if position < len(source):
+        raise LexerError(
+            f"unexpected character {source[position]!r}",
+            line=source.count("\n", 0, position) + 1,
+            column=position - source.rfind("\n", 0, position),
+        )
     return tokens
 
 
@@ -153,10 +169,12 @@ class TokenCursor:
         return self._index >= len(self._tokens)
 
     def advance(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"unexpected end of {self._what}", *self._end_position())
-        self._index += 1
+        index = self._index
+        try:
+            token = self._tokens[index]
+        except IndexError:
+            raise ParseError(f"unexpected end of {self._what}", *self._end_position()) from None
+        self._index = index + 1
         return token
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
@@ -167,14 +185,20 @@ class TokenCursor:
         return token
 
     def check(self, kind: str, text: Optional[str] = None, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        if token is None or token.kind != kind:
+        try:
+            token = self._tokens[self._index + offset]
+        except IndexError:
             return False
-        return text is None or token.text == text
+        return token.kind == kind and (text is None or token.text == text)
 
     def match(self, kind: str, text: Optional[str] = None) -> bool:
-        if self.check(kind, text):
-            self._index += 1
+        index = self._index
+        try:
+            token = self._tokens[index]
+        except IndexError:
+            return False
+        if token.kind == kind and (text is None or token.text == text):
+            self._index = index + 1
             return True
         return False
 

@@ -16,6 +16,10 @@ The cases:
   ``compile-guaranteed`` policies again under the ``heuristic`` backend;
 * the first campus policy recompiled after a zone-to-backbone link failure,
   which holds the best-effort answers on a degraded view;
+* two policies written in the sugar of §2.1: a ``foreach`` over
+  ``cross(srcs, dsts)`` of campus host names with an ``at max(...)``
+  annotation, and a one-set ``foreach`` over the MACs of ``fat_tree(4)``
+  hosts with an ``at min(...)`` guarantee;
 * all-pairs policies (the first 60 classes) on ``fat_tree(4)``,
   ``linear(12)`` and zoo-like WANs of 20 and 30 switches, for seeds 0-2,
   guarantee fractions 0.1 and 0.3, every backend in ``repro.lp.BACKENDS``
@@ -44,6 +48,13 @@ SEED = 1
 CAMPUS_PLACEMENTS = {"dpi": ("dpi1", "dpi2"), "monitor": ("mon1", "mon2")}
 #: A zone-to-backbone link on the way to ``dpi1`` and away from ``mon1``.
 CAMPUS_BACKBONE_FAILURE = ("zone1_rtr", "bbra_rtr")
+#: Web traffic from three subnets to three others through a DPI box, capped.
+CAMPUS_CROSS_SOURCE = """
+srcs := {subnet1, subnet2, subnet3}
+dsts := {subnet7, subnet8, subnet9}
+foreach (s,d) in cross(srcs, dsts):
+  tcp.dst = 80 -> .* dpi .* at max(50MB/s)
+"""
 
 
 def digest(result) -> str:
@@ -116,6 +127,18 @@ def cases() -> Iterator[Tuple[str, Callable[[], object]]]:
         lambda compiler=compiler, source=source: _failed_after_compile(
             compiler, source, CAMPUS_BACKBONE_FAILURE
         )
+    )
+    compiler = MerlinCompiler(topology=campus, placements=CAMPUS_PLACEMENTS)
+    yield "sugar/campus-cross", lambda compiler=compiler: compiler.compile(CAMPUS_CROSS_SOURCE)
+    pods = fat_tree(4)
+    hosts, macs = _hosts(pods)
+    source = (
+        f"hosts := {{{', '.join(macs[host] for host in hosts[:5])}}}\n"
+        "foreach (s,d) in hosts: tcp.dst = 80 -> .* at min(5Mbps)"
+    )
+    compiler = MerlinCompiler(topology=pods)
+    yield "sugar/fat_tree4-one-set", lambda compiler=compiler, source=source: compiler.compile(
+        source
     )
     for seed in range(3):
         topologies = {

@@ -1,7 +1,7 @@
 """Tests for the Merlin policy language: lexer, parser, sugar, and policy AST."""
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.errors import LexerError, ParseError, PolicyError
 from repro.core.ast import (
@@ -15,16 +15,37 @@ from repro.core.ast import (
     formula_and,
     formula_clauses,
 )
-from repro.lexer import KEYWORDS, tokenize
+from repro.lexer import _TOKEN_SPEC, KEYWORDS, tokenize
 from repro.core.parser import parse_policy, parse_program
 from repro.predicates import FieldTest, parse_predicate, pred_and, pred_not, pred_or
 from repro.predicates.ast import FALSE, TRUE
 from repro.regex import parse_path_expression
 from repro.regex.ast import Concat, Negate, Star, Union, concat, star, union
 from repro.regex.operations import equivalent as regex_equivalent
+from repro.topology.generators import fat_tree
 from repro.units import Bandwidth
+from tests import reference_lexer
 from tests.conftest import RUNNING_EXAMPLE_SOURCE
 from tests.regex.test_regex_properties import _regexes
+
+_LEXEMES = st.one_of(
+    *(st.from_regex(pattern, fullmatch=True) for _, pattern in _TOKEN_SPEC),
+    st.sampled_from(sorted(KEYWORDS)),
+    st.sampled_from(["50\nMB/s", "1.5 \n\tGbps", "100\r\nMbps"]),
+    st.sampled_from(["@", "$", "?"]),
+)
+_COMMENTS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["#", "//"]),
+    st.text(alphabet="web 80.:-/#", max_size=6),
+    st.sampled_from(["\n", ""]),
+)
+_SEPARATORS = st.lists(
+    st.one_of(st.text(alphabet=" \t\r\n", min_size=1, max_size=3), _COMMENTS), max_size=3
+).map("".join)
+_SOURCES = st.tuples(st.lists(st.tuples(_SEPARATORS, _LEXEMES), max_size=12), _SEPARATORS).map(
+    lambda parts: "".join(separator + lexeme for separator, lexeme in parts[0]) + parts[1]
+)
 
 
 class TestLexer:
@@ -60,6 +81,33 @@ class TestLexer:
     def test_invalid_character(self):
         with pytest.raises(LexerError):
             tokenize("x : true -> .* @")
+
+    def test_a_rate_over_a_newline_counts_it(self):
+        tokens = tokenize("max(x, 50\nMB/s) and\n y")
+        assert tokens[4].text == "50\nMB/s"
+        assert [(t.line, t.column) for t in tokens[5:]] == [(2, 5), (2, 7), (3, 2)]
+        with pytest.raises(LexerError) as error:
+            tokenize("max(x, 50\nMB/s) and\n @")
+        assert (error.value.line, error.value.column) == (3, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(source=_SOURCES)
+    @example(source="tcp.dst = 80# web")
+    @example(source="tcp.dst = 80 // web\n@ x")
+    @example(source="max(x, 50\nMB/s) and\n y")
+    def test_tokens_and_errors_match_the_reference_loop(self, source):
+        try:
+            expected = reference_lexer.tokenize(source)
+        except LexerError as error:
+            with pytest.raises(LexerError) as raised:
+                tokenize(source)
+            assert (str(raised.value), raised.value.line, raised.value.column) == (
+                str(error),
+                error.line,
+                error.column,
+            )
+        else:
+            assert tokenize(source) == expected
 
 
 class TestPolicyAst:
@@ -356,6 +404,43 @@ class TestSugar:
         policy = parse_policy(source)
         identifiers = policy.statement_ids()
         assert len(identifiers) == len(set(identifiers)) == 4
+
+    def test_generated_identifiers_skip_explicit_ones(self):
+        explicit_first = parse_policy("s1 : tcp.dst = 22 -> .* ; tcp.dst = 80 -> .*")
+        assert explicit_first.statement_ids() == ["s1", "s2"]
+        explicit_second = parse_policy("tcp.dst = 80 -> .* ; s1 : tcp.dst = 22 -> .*")
+        assert explicit_second.statement_ids() == ["s2", "s1"]
+        source = """
+        hosts := {10.0.0.1, 10.0.0.2}
+        [ foreach (s,d) in hosts: true -> .* ; s2 : tcp.dst = 22 -> .* ]
+        """
+        assert parse_policy(source).statement_ids() == ["s1", "s3", "s2"]
+
+    def test_single_set_compares_what_elements_denote(self):
+        policy = parse_policy(
+            """
+            srcs := {00:00:00:00:00:01, 0:0:0:0:0:1}
+            foreach (s,d) in srcs: true -> .*
+            """
+        )
+        assert policy.statements == ()
+        topology = fat_tree(4)
+        first, second = (topology.node(name).mac for name in ("h1", "h2"))
+        policy = parse_policy(
+            """
+            hosts := {h1, h2, 0:0:0:0:0:1, h2}
+            foreach (s,d) in hosts: true -> .*
+            """,
+            topology=topology,
+        )
+        endpoints = [
+            {test.field: test.value for test in _atoms_of(statement.predicate)}
+            for statement in policy.statements
+        ]
+        assert endpoints == [
+            {"eth.src": first, "eth.dst": second},
+            {"eth.src": second, "eth.dst": first},
+        ]
 
     def test_min_and_max_annotations(self):
         source = """
