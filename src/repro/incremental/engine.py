@@ -382,12 +382,9 @@ class IncrementalProvisioner:
         result.solve_statistics["partitions_reused"] = float(
             len(outcome.specs) - len(outcome.fresh)
         )
-        # The merge sums work diagnostics over every component it was
-        # handed, memoized ones included; report only the work THIS resolve
-        # performed (reused components were solved by an earlier call).
-        result.solve_statistics["solve_cpu_seconds"] = float(
-            outcome.solve_cpu_seconds
-        )
+        # The merge sums node counts over every component it was handed,
+        # memoized ones included; report only the nodes THIS resolve
+        # searched (reused components were solved by an earlier call).
         if outcome.nodes is not None:
             result.solve_statistics["nodes"] = float(outcome.nodes)
         else:

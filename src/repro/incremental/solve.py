@@ -415,7 +415,6 @@ class WideningOutcome:
     solver_calls: int = 0
     construction_seconds: float = 0.0
     solve_seconds: float = 0.0
-    solve_cpu_seconds: float = 0.0
     nodes: Optional[float] = None
 
     def slack_used(self, base_slack: Optional[int]) -> float:
@@ -681,7 +680,6 @@ def solve_components_with_widening(
                         backend=backend,
                     )
                     outcome.solver_calls += 1
-                    outcome.solve_cpu_seconds += statistics.get("solve_seconds", 0.0)
                     if statistics.get("nodes") is not None:
                         outcome.nodes = (outcome.nodes or 0.0) + (
                             statistics.get("nodes") or 0.0
@@ -798,9 +796,6 @@ def merge_partition_solutions(
             # and under min-max an optimal dominant component closes a
             # smaller feasible component's gap entirely.
             statistics["gap"] = max(0.0, merged_objective - merged_bound)
-    statistics["solve_cpu_seconds"] = float(
-        sum(solution.solve_seconds for solution in solutions)
-    )
     status = (
         SolveStatus.FEASIBLE.value
         if any(s.status == SolveStatus.FEASIBLE.value for s in solutions)

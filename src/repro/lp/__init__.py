@@ -11,7 +11,9 @@ package provides an equivalent, self-contained substitute:
   protocol and the three backends addressable by string — ``"scipy"``,
   ``"bnb"`` and ``"heuristic"``,
 * a SciPy/HiGHS backend (:mod:`repro.lp.scipy_backend`) that solves forms
-  exactly through ``scipy.optimize.milp`` / ``linprog``,
+  exactly with one direct call into HiGHS through SciPy's bundled binding
+  (:func:`~repro.lp.scipy_backend.run_highs`, the feasibility-jump
+  heuristic off),
 * a pure-Python branch-and-bound solver (:mod:`repro.lp.branch_and_bound`)
   over LP relaxations, usable as an independent cross-check,
 * an anytime primal heuristic (:mod:`repro.lp.primal`) that finds feasible

@@ -1,8 +1,10 @@
 """A pure-Python branch-and-bound MIP solver.
 
 This backend solves mixed-integer programs by branching on fractional integer
-variables and bounding with LP relaxations solved by ``scipy.optimize.linprog``
-(HiGHS).  It exists for two reasons:
+variables and bounding with LP relaxations, each solved by one fresh HiGHS
+instance through :func:`~repro.lp.scipy_backend.run_highs` (the call the
+SciPy backend makes, with the integrality dropped).  It exists for two
+reasons:
 
 * it is an *independent* implementation against which the SciPy/HiGHS MILP
   backend is cross-checked in the test suite, and
@@ -13,8 +15,8 @@ variables and bounding with LP relaxations solved by ``scipy.optimize.linprog``
 The solver uses best-first search on the LP relaxation bound with
 most-fractional branching, which is entirely adequate for the path-selection
 MIPs Merlin generates (binary edge variables with network-flow structure).
-Relaxations consume the *sparse* standard form end-to-end (HiGHS accepts
-CSR directly), so the solver's memory stays proportional to the
+Relaxations consume the *sparse* standard form end-to-end (HiGHS takes one
+CSC matrix), so the solver's memory stays proportional to the
 constraint-matrix non-zeros rather than rows × columns.
 
 Pruning respects the form's declared ``objective_resolution`` (the
@@ -45,12 +47,12 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .. import telemetry
 from ..errors import SolverError
 from .model import StandardForm
 from .result import SolveResult, SolveStatus
+from .scipy_backend import run_highs
 
 _INTEGRALITY_TOLERANCE = 1e-6
 
@@ -221,22 +223,14 @@ class BranchAndBoundSolver:
         Only the root can be unbounded: every other node's relaxation is a
         restriction of a bounded one.
         """
-        outcome = optimize.linprog(
-            c=form.c,
-            A_ub=form.a_ub if form.b_ub.size else None,
-            b_ub=form.b_ub if form.b_ub.size else None,
-            A_eq=form.a_eq if form.b_eq.size else None,
-            b_eq=form.b_eq if form.b_eq.size else None,
-            bounds=list(zip(lower, upper)),
-            method="highs",
-        )
-        if outcome.status == 0:
-            return outcome.x, float(outcome.fun)
-        if outcome.status == 2:
+        outcome = run_highs(form, lower, upper, relax=True)
+        if outcome.status is SolveStatus.OPTIMAL:
+            return outcome.x, outcome.objective
+        if outcome.status is SolveStatus.INFEASIBLE:
             return None
-        if outcome.status == 3:
+        if outcome.status is SolveStatus.UNBOUNDED:
             return _UNBOUNDED
-        raise SolverError(f"LP relaxation failed with status {outcome.status}")
+        raise SolverError(f"LP relaxation failed with status {outcome.status.value}")
 
     @staticmethod
     def _most_fractional(

@@ -1,18 +1,30 @@
 """SciPy/HiGHS solver backend.
 
-Pure LPs are dispatched to ``scipy.optimize.linprog`` and models with integer
-variables to ``scipy.optimize.milp`` — both are thin wrappers over the HiGHS
-solver, which (like the Gurobi solver used in the paper) is an exact
-branch-and-cut MIP solver, so the path assignments it produces satisfy the
-same constraint system the paper describes.
+Forms are handed to HiGHS through the binding SciPy bundles
+(``scipy.optimize._highspy._core``, the library SciPy's ``milp`` and
+``linprog`` wrap).  HiGHS, like the Gurobi solver used in the paper, is an
+exact branch-and-cut MIP solver, so the path assignments it produces satisfy
+the same constraint system the paper describes.
 
-The backend solves a sparse standard form
-(:class:`~repro.lp.model.StandardForm`): HiGHS consumes CSR directly, and
-the dense export of a large fat-tree provisioning MIP is memory-bound long
-before the solver is CPU-bound.  A time limit reaches HiGHS on both paths.
-MIP diagnostics reported by HiGHS (dual
-bound, node count, relative gap) are surfaced in ``SolveResult.statistics``
-under the same keys the branch-and-bound backend uses, so callers can report
+:func:`run_highs` is the one call into HiGHS, for this backend's MIPs and
+pure LPs and for the branch-and-bound backend's relaxations: it builds one
+``HighsLp`` from the sparse :class:`~repro.lp.model.StandardForm` exactly as
+``milp`` builds it (``A_ub`` rows first, each with lower bound ``-inf``,
+then the ``A_eq`` rows, one CSC matrix of float64), runs one fresh
+``_Highs`` on it and reads the solution, the status and the MIP
+diagnostics.  It skips the wrappers' per-column loops (the integrality
+conversion, the bound marginals nobody here reads) and sets one option
+they cannot set without a warning on every call: HiGHS's feasibility-jump
+primal heuristic is off (:data:`MIP_FEASIBILITY_JUMP`).  On the small
+component models the engine solves that heuristic was most of the solve;
+turning it off changes which of several *exactly tied* optima HiGHS
+returns, never the optimal objective.
+
+A ``_Highs`` is never reused: it keeps basis state between runs, and a
+solve takes a model and nothing else.  A time limit reaches HiGHS on both
+of this backend's paths, MIP and pure LP.  MIP diagnostics reported by HiGHS (dual bound, node count) are
+surfaced in ``SolveResult.statistics`` under the keys the branch-and-bound
+backend uses (``nodes``, ``best_bound``, ``gap``), so callers can report
 the MIP gap of ``FEASIBLE`` (time-limited) solves uniformly.
 """
 
@@ -21,7 +33,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
+from scipy import sparse as sp
+from scipy.optimize._highspy import _core
 
 from .. import telemetry
 from .model import StandardForm
@@ -30,9 +43,100 @@ from .result import SolveResult, SolveStatus
 #: Relative incumbent/bound gap at which HiGHS declares a MIP optimal.
 MIP_GAP = 1e-6
 
+#: Whether HiGHS runs its feasibility-jump primal heuristic before branching.
+#: Off: on a component model that presolve cuts to a few rows it took
+#: ~5 ms of a ~7 ms solve, and the models it serves here are solved to
+#: proven optimality anyway.
+MIP_FEASIBILITY_JUMP = False
+
+_COLUMN_KINDS = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
+_STATUSES = {
+    _core.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+    _core.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+    _core.HighsModelStatus.kModelError: SolveStatus.INFEASIBLE,
+    _core.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
+}
+_LIMITS = (_core.HighsModelStatus.kTimeLimit, _core.HighsModelStatus.kIterationLimit)
+
+
+def run_highs(
+    form: StandardForm,
+    lower: Optional[np.ndarray] = None,
+    upper: Optional[np.ndarray] = None,
+    relax: bool = False,
+    time_limit_seconds: Optional[float] = None,
+) -> SolveResult:
+    """Solve ``form`` with one fresh HiGHS instance.
+
+    ``lower`` / ``upper`` replace the form's column bounds (a
+    branch-and-bound node's), and ``relax`` drops its integrality.  The
+    status follows ``milp`` / ``linprog``: optimal is ``OPTIMAL``; a time
+    or iteration limit hit with a MIP incumbent in hand is ``FEASIBLE``;
+    infeasible (or a model HiGHS refuses) is ``INFEASIBLE``; unbounded is
+    ``UNBOUNDED``; anything else — a limit hit without an incumbent,
+    "unbounded or infeasible" — is ``ERROR``.  A MIP's integer columns are
+    rounded, and its ``statistics`` carry ``nodes``, ``best_bound`` and
+    ``gap``.
+    """
+    flags = form.integrality.astype(bool)
+    integer = not relax and bool(flags.any())
+    # Stacked as CSR and converted once: the same arrays as milp's
+    # ``vstack(..., format="csc")``, without its per-block COO round trip.
+    matrix = sp.vstack([form.a_ub, form.a_eq], format="csr").tocsc()
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = form.c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = form.b_ub.size + form.b_eq.size
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    lp.col_cost_ = form.c.astype(np.float64)
+    lp.col_lower_ = (form.lower if lower is None else lower).astype(np.float64)
+    lp.col_upper_ = (form.upper if upper is None else upper).astype(np.float64)
+    lp.row_lower_ = np.concatenate(
+        (np.full(form.b_ub.size, -np.inf), form.b_eq)
+    ).astype(np.float64)
+    lp.row_upper_ = np.concatenate((form.b_ub, form.b_eq)).astype(np.float64)
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data.astype(np.float64)
+    if integer:
+        lp.integrality_ = [_COLUMN_KINDS[flag] for flag in flags.tolist()]
+
+    highs = _core._Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("mip_rel_gap", MIP_GAP)
+    highs.setOptionValue("mip_heuristic_run_feasibility_jump", MIP_FEASIBILITY_JUMP)
+    if time_limit_seconds is not None:
+        highs.setOptionValue("time_limit", float(time_limit_seconds))
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        return SolveResult(status=SolveStatus.INFEASIBLE)
+    highs.run()
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    status = _STATUSES.get(model_status, SolveStatus.ERROR)
+    if (
+        integer
+        and model_status in _LIMITS
+        and info.objective_function_value != _core.kHighsInf
+    ):
+        status = SolveStatus.FEASIBLE
+    if not status.has_solution:
+        return SolveResult(status=status)
+    x = np.array(highs.getSolution().col_value)
+    objective = float(info.objective_function_value)
+    result = SolveResult(status=status, x=x, objective=objective)
+    if integer:
+        # Snap integer columns that HiGHS returns with tiny numerical noise.
+        x[flags] = np.round(x[flags])
+        best_bound = float(info.mip_dual_bound)
+        result.statistics.update(
+            nodes=float(info.mip_node_count),
+            best_bound=best_bound,
+            gap=abs(objective - best_bound),
+        )
+    return result
+
 
 class ScipySolver:
-    """Solve standard forms with SciPy/HiGHS."""
+    """Solve standard forms with HiGHS, through SciPy's binding."""
 
     name = "scipy"
 
@@ -42,93 +146,8 @@ class ScipySolver:
     def solve(self, form: StandardForm) -> SolveResult:
         """Solve the form, returning a :class:`SolveResult`."""
         started = telemetry.clock()
-        if form.integrality.any():
-            result = self._solve_milp(form)
-        else:
-            result = self._solve_lp(form)
+        result = run_highs(form, time_limit_seconds=self.time_limit_seconds)
         result.statistics["solve_seconds"] = telemetry.clock() - started
         result.statistics["num_variables"] = form.num_variables()
         result.statistics["num_integer_variables"] = int(form.integrality.sum())
         return result
-
-    # -- internals -------------------------------------------------------------
-
-    def _solve_lp(self, form: StandardForm) -> SolveResult:
-        options = {}
-        if self.time_limit_seconds is not None:
-            options["time_limit"] = self.time_limit_seconds
-        outcome = optimize.linprog(
-            c=form.c,
-            A_ub=form.a_ub if form.b_ub.size else None,
-            b_ub=form.b_ub if form.b_ub.size else None,
-            A_eq=form.a_eq if form.b_eq.size else None,
-            b_eq=form.b_eq if form.b_eq.size else None,
-            bounds=np.column_stack((form.lower, form.upper)),
-            method="highs",
-            options=options,
-        )
-        return self._wrap(form, outcome.status, outcome.x, outcome.fun)
-
-    def _solve_milp(self, form: StandardForm) -> SolveResult:
-        constraints = []
-        if form.b_ub.size:
-            constraints.append(
-                optimize.LinearConstraint(
-                    form.a_ub, -np.inf * np.ones(len(form.b_ub)), form.b_ub
-                )
-            )
-        if form.b_eq.size:
-            constraints.append(
-                optimize.LinearConstraint(form.a_eq, form.b_eq, form.b_eq)
-            )
-        options = {"mip_rel_gap": MIP_GAP}
-        if self.time_limit_seconds is not None:
-            options["time_limit"] = self.time_limit_seconds
-        outcome = optimize.milp(
-            c=form.c,
-            constraints=constraints,
-            bounds=optimize.Bounds(form.lower, form.upper),
-            integrality=form.integrality,
-            options=options,
-        )
-        result = self._wrap(form, outcome.status, outcome.x, outcome.fun)
-        self._record_mip_diagnostics(outcome, result)
-        return result
-
-    @staticmethod
-    def _record_mip_diagnostics(outcome, result: SolveResult) -> None:
-        """Copy HiGHS branch-and-cut diagnostics into the result statistics.
-
-        Keys mirror the pure-Python branch-and-bound backend: ``nodes``,
-        ``best_bound`` and ``gap`` (absolute incumbent/bound distance).
-        """
-        nodes = getattr(outcome, "mip_node_count", None)
-        if nodes is not None:
-            result.statistics["nodes"] = float(nodes)
-        bound = getattr(outcome, "mip_dual_bound", None)
-        if bound is not None and result.objective is not None:
-            best_bound = float(bound)
-            result.statistics["best_bound"] = best_bound
-            result.statistics["gap"] = abs(result.objective - best_bound)
-
-    @staticmethod
-    def _wrap(form: StandardForm, status_code: int, solution, objective) -> SolveResult:
-        # linprog and milp share status codes: 0 optimal, 1 iteration/time
-        # limit, 2 infeasible, 3 unbounded.  A limit hit with an incumbent in
-        # hand is a usable-but-unproven solution: FEASIBLE, not OPTIMAL; one
-        # hit without (``x`` is None) proves nothing: ERROR.
-        if status_code in (0, 1) and solution is not None:
-            x = np.array(solution, dtype=float)
-            # Snap integer columns that HiGHS returns with tiny numerical noise.
-            integer = form.integrality.astype(bool)
-            x[integer] = np.round(x[integer])
-            return SolveResult(
-                status=SolveStatus.OPTIMAL if status_code == 0 else SolveStatus.FEASIBLE,
-                x=x,
-                objective=float(objective),
-            )
-        if status_code == 2:
-            return SolveResult(status=SolveStatus.INFEASIBLE)
-        if status_code == 3:
-            return SolveResult(status=SolveStatus.UNBOUNDED)
-        return SolveResult(status=SolveStatus.ERROR)

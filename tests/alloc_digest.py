@@ -1,12 +1,20 @@
 """One hash per compile over a fixed set of policies, for byte-identity checks.
 
 Run from the repository root as ``PYTHONPATH=src python -m tests.alloc_digest
-> FILE`` (or ``make alloc-digest``); each line is ``<case> <digest>``.  A
-change that must leave every allocation alone prints the same file as its
-parent, under any ``PYTHONHASHSEED``.  A digest covers the paths with their
-function placements, the link reservations, ``repr(result.instructions)``,
-``str(result.policy)``, the order and content of ``result.rates`` and the
-maximum link utilisation; a compile that raises hashes its error instead.
+> FILE`` (or ``make alloc-digest``); each line is ``<case> <digest>
+<tie-blind digest>``.  A change that must leave every allocation alone
+prints the same file as its parent, under any ``PYTHONHASHSEED``.  A digest
+covers the paths with their function placements, the link reservations,
+``repr(result.instructions)``, ``str(result.policy)``, the order and content
+of ``result.rates`` and the maximum link utilisation; a compile that raises
+hashes its error instead, in both columns.
+
+The tie-blind digest covers only ``repr(result.max_link_utilization())`` and
+the summed hop count of the guaranteed statements' paths, which equal
+per-component objectives fix.  A change that may move which of several
+exactly tied optima a solver returns (a solver option, a new backend path)
+may change the first column; it must leave the second unchanged on every
+line.
 
 The cases:
 
@@ -69,7 +77,19 @@ def digest(result) -> str:
         list(result.rates.items()),
         repr(result.max_link_utilization()),
     )
-    return hashlib.sha256(repr(body).encode("utf-8")).hexdigest()[:16]
+    return _sha(repr(body))
+
+
+def tie_blind_digest(result) -> str:
+    hops = sum(
+        len(result.paths[identifier].path) - 1
+        for identifier in result.guaranteed_statements()
+    )
+    return _sha(repr((repr(result.max_link_utilization()), hops)))
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _hosts(topology):
@@ -166,10 +186,11 @@ def cases() -> Iterator[Tuple[str, Callable[[], object]]]:
 def main() -> None:
     for name, run in cases():
         try:
-            line = digest(run())
+            result = run()
+            line = f"{digest(result)} {tie_blind_digest(result)}"
         except MerlinError as error:  # a refusal is part of the content
-            text = f"{type(error).__name__}: {error}"
-            line = "error " + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+            error_digest = _sha(f"{type(error).__name__}: {error}")
+            line = f"error {error_digest} {error_digest}"
         print(name, line, flush=True)
 
 

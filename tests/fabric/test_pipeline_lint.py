@@ -24,7 +24,9 @@ layout, widening switches, a plane-owned fabric, the journal's list
 helpers) stay constants or stay gone.  So do the backend nobody here can
 import, the portfolio whose first candidate always won, the registry
 nobody registered with and the capability flags nobody read: a backend is
-one of ``repro.lp.BACKENDS`` or an instance.  And a solve takes a model and
+one of ``repro.lp.BACKENDS`` or an instance, and HiGHS is entered in one
+place, ``lp/scipy_backend.run_highs`` over SciPy's bundled binding (not
+the ``highspy`` package, not SciPy's ``milp`` / ``linprog`` wrappers).  And a solve takes a model and
 nothing else: the warm-start chain (the engine's incumbent map and its
 pruning, the projection, the start gate and capability flag, the
 name-keyed values carried on every solution and cache record) made an
@@ -160,7 +162,7 @@ def test_options_nobody_set_stay_constants():
 
 def test_three_backends_picked_from_a_table():
     banned = re.compile(
-        r"AutoSolver|HighsSolver|highs_available|highspy|register_backend"
+        r"AutoSolver|HighsSolver|highs_available|\bhighspy\b|register_backend"
         r"|_REGISTRY|BackendCapabilities|supports_time_limit"
         r"|supports_node_limit|portfolio_wins"
     )
@@ -171,6 +173,19 @@ def test_three_backends_picked_from_a_table():
         % ", ".join(offenders)
     )
     assert not (SRC / "lp" / "highs_backend.py").exists()
+
+
+def test_one_entry_point_into_highs():
+    """``lp/scipy_backend.run_highs`` hands every form to HiGHS through
+    SciPy's bundled binding; SciPy's ``milp`` / ``linprog`` wrappers (their
+    per-column loops, no way to set an unlisted option without a warning)
+    are not a second way in."""
+    banned = re.compile(r"optimize\.(?:milp|linprog)\b|\bimport\s+(?:milp|linprog)\b")
+    offenders = _files_mentioning(banned) + _files_mentioning(banned, glob="*.md")
+    assert not offenders, (
+        "a SciPy LP/MIP wrapper is back under src/ (call "
+        "repro.lp.scipy_backend.run_highs): %s" % ", ".join(offenders)
+    )
 
 
 def test_a_solve_takes_a_model_and_nothing_else():

@@ -1,4 +1,4 @@
-"""The one helper the backend tests build their standard forms with."""
+"""The helpers the backend tests build their standard forms with."""
 
 import math
 
@@ -37,3 +37,13 @@ def _form(
         objective_resolution=resolution,
     )
 
+
+def _knapsack(values, weights, budget):
+    """Pack the most value within ``budget``: the negated values minimised."""
+    return _form(
+        [-value for value in values],
+        a_ub=[weights],
+        b_ub=[budget],
+        upper=1.0,
+        integer=range(len(values)),
+    )

@@ -5,7 +5,6 @@ minimisation of its negated objective.
 """
 
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,18 +17,7 @@ from repro.lp import (
     SolveStatus,
     create_backend,
 )
-from tests.lp.forms import _form
-
-
-def _knapsack(values, weights, budget):
-    """Pack the most value within ``budget``: the negated values minimised."""
-    return _form(
-        [-value for value in values],
-        a_ub=[weights],
-        b_ub=[budget],
-        upper=1.0,
-        integer=range(len(values)),
-    )
+from tests.lp.forms import _form, _knapsack
 
 
 class TestScipySolver:
@@ -92,52 +80,101 @@ class TestScipySolver:
 
 
 class TestScipyTimeLimit:
-    """A time limit is honoured or refused, never dropped — on the pure-LP
-    path too, which used to call ``linprog`` without any options."""
+    """A time limit is honoured or refused, never dropped: what reaches
+    HiGHS, and what a limit hit means, on the pure-LP and the MIP path."""
+
+    FORMS = {
+        "lp": lambda: _form([-1.0], upper=10.0),
+        "mip": lambda: _knapsack([10, 13, 7, 8], [3, 4, 2, 3], 6),
+    }
 
     @staticmethod
-    def _lp():
-        return _form([-1.0], upper=10.0)
-
-    def _captured_linprog(self, monkeypatch, status=0, x=(10.0,)):
+    def _recording_highs(monkeypatch, status=None, objective=None):
+        """Route ``run_highs`` through a HiGHS that records the options it is
+        set; ``status`` / ``objective`` replace what its run reports."""
         from repro.lp import scipy_backend
 
-        captured = []
+        binding = scipy_backend._core
+        options = {}
 
-        def linprog(**kwargs):
-            captured.append(kwargs)
-            return SimpleNamespace(
-                status=status, x=None if x is None else np.array(x), fun=-10.0
-            )
+        class Highs(binding._Highs):
+            def setOptionValue(self, name, value):
+                options[name] = value
+                return super().setOptionValue(name, value)
 
-        monkeypatch.setattr(scipy_backend.optimize, "linprog", linprog)
-        return captured
+            def getModelStatus(self):
+                return super().getModelStatus() if status is None else status
 
-    def test_the_limit_reaches_linprog(self, monkeypatch):
-        captured = self._captured_linprog(monkeypatch)
-        assert ScipySolver(time_limit_seconds=2.5).solve(self._lp()).status is (
-            SolveStatus.OPTIMAL
-        )
-        assert captured[0]["options"] == {"time_limit": 2.5}
+            def getInfo(self):
+                info = super().getInfo()
+                if objective is not None:
+                    info.objective_function_value = objective
+                return info
 
-    def test_no_limit_passes_no_option(self, monkeypatch):
-        captured = self._captured_linprog(monkeypatch)
-        ScipySolver().solve(self._lp())
-        assert captured[0]["options"] == {}
+        class Binding:
+            _Highs = Highs
 
-    def test_a_limit_hit_without_a_solution_is_an_error(self, monkeypatch):
-        """At the limit linprog reports status 1 with ``x`` None: no
-        solution and no proof."""
-        self._captured_linprog(monkeypatch, status=1, x=None)
-        result = ScipySolver(time_limit_seconds=0.001).solve(self._lp())
+            def __getattr__(self, name):
+                return getattr(binding, name)
+
+        monkeypatch.setattr(scipy_backend, "_core", Binding())
+        return options
+
+    @pytest.mark.parametrize("kind", sorted(FORMS))
+    def test_no_limit_sets_none(self, monkeypatch, kind):
+        options = self._recording_highs(monkeypatch)
+        assert ScipySolver().solve(self.FORMS[kind]()).status is SolveStatus.OPTIMAL
+        assert "time_limit" not in options
+        assert options["mip_heuristic_run_feasibility_jump"] is False
+        assert options["log_to_console"] is False
+
+    @pytest.mark.parametrize("kind", sorted(FORMS))
+    def test_the_limit_reaches_highs_as_a_float(self, monkeypatch, kind):
+        options = self._recording_highs(monkeypatch)
+        ScipySolver(time_limit_seconds=2.5).solve(self.FORMS[kind]())
+        assert options["time_limit"] == 2.5
+        ScipySolver(time_limit_seconds=3).solve(self.FORMS[kind]())
+        assert type(options["time_limit"]) is float
+
+    def test_a_mip_limit_hit_with_an_incumbent_is_feasible(self, monkeypatch):
+        from repro.lp.scipy_backend import _core
+
+        self._recording_highs(monkeypatch, status=_core.HighsModelStatus.kTimeLimit)
+        result = ScipySolver(time_limit_seconds=0.001).solve(self.FORMS["mip"]())
+        assert result.status is SolveStatus.FEASIBLE
+        assert result.objective == -20.0
+        assert result.statistics["best_bound"] == -20.0
+
+    def test_an_lp_limit_hit_is_an_error(self, monkeypatch):
+        """An LP has no incumbent: the iterate HiGHS stops at is no
+        solution (``linprog`` returned none either)."""
+        from repro.lp.scipy_backend import _core
+
+        self._recording_highs(monkeypatch, status=_core.HighsModelStatus.kTimeLimit)
+        result = ScipySolver(time_limit_seconds=0.001).solve(self.FORMS["lp"]())
         assert result.status is SolveStatus.ERROR
         assert result.x is None
 
-    def test_a_limit_hit_with_a_solution_is_feasible(self, monkeypatch):
-        self._captured_linprog(monkeypatch, status=1)
-        result = ScipySolver(time_limit_seconds=0.001).solve(self._lp())
-        assert result.status is SolveStatus.FEASIBLE
-        assert result.objective == -10.0
+    @pytest.mark.parametrize("kind", sorted(FORMS))
+    def test_a_limit_hit_without_an_incumbent_is_an_error(self, monkeypatch, kind):
+        """At the limit without an incumbent HiGHS's objective is infinite:
+        no solution and no proof."""
+        from repro.lp.scipy_backend import _core
+
+        self._recording_highs(
+            monkeypatch,
+            status=_core.HighsModelStatus.kTimeLimit,
+            objective=_core.kHighsInf,
+        )
+        result = ScipySolver(time_limit_seconds=0.001).solve(self.FORMS[kind]())
+        assert result.status is SolveStatus.ERROR
+        assert result.x is None
+
+    def test_a_zero_limit_stops_a_mip_before_any_incumbent(self):
+        """Unpatched: HiGHS itself stops at once and reports the limit."""
+        result = ScipySolver(time_limit_seconds=0.0).solve(self.FORMS["mip"]())
+        assert result.status is SolveStatus.ERROR
+        assert result.x is None
 
 
 class TestBranchAndBound:
