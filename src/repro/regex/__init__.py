@@ -8,8 +8,8 @@ negotiator verification machinery need:
 * a regex AST and parser (``.``, symbols, concatenation, ``|``, ``*``, ``!``),
 * function-name substitution (``dpi`` becomes the union of the locations able
   to run DPI),
-* Thompson construction of NFAs, subset construction of DFAs, Hopcroft
-  minimisation,
+* Thompson construction of NFAs, subset construction of DFAs, Moore-style
+  minimisation by partition refinement,
 * language operations: union, intersection, difference, complement,
   emptiness, inclusion, and equivalence (the paper uses the Dprle library for
   inclusion checking; here the textbook algorithms are implemented directly).

@@ -9,12 +9,19 @@ processing function.  The AST is shared by the compiler (which builds the
 logical topology from it) and by the negotiator verification machinery (which
 decides language inclusion between a tenant's refined expression and the
 original).
+
+Concatenation (``a a``) and alternation (``a|a``) are n-ary: ``.* f1 .* f2 .*``
+is one :class:`Concat` of five parts, not a spine of nested pairs, so a walk
+over an expression recurses only as deep as its parentheses, stars and ``!``
+nest.  :func:`concat` and :func:`union` are the only builders.  They flatten
+nested operands, so a ``Concat`` or ``Union`` has at least two parts and none
+of them is of its own kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Tuple
+from typing import FrozenSet, List, Tuple
 
 
 class Regex:
@@ -25,8 +32,13 @@ class Regex:
         return ()
 
     def size(self) -> int:
-        """Number of AST nodes; Figure 9 uses this as the complexity metric."""
-        return 1 + sum(child.size() for child in self.children())
+        """Number of AST nodes; Figure 9 uses this as the complexity metric.
+
+        An n-ary node counts as the n - 1 binary operators the grammar needs
+        to join its parts.
+        """
+        children = self.children()
+        return max(1, len(children) - 1) + sum(child.size() for child in children)
 
     def symbols(self) -> FrozenSet[str]:
         """All explicit symbols (locations or function names) mentioned."""
@@ -34,10 +46,6 @@ class Regex:
         for child in self.children():
             result |= child.symbols()
         return frozenset(result)
-
-    def nullable(self) -> bool:
-        """Whether the empty sequence is in the language."""
-        raise NotImplementedError
 
     # Operator sugar used by tests and examples.
     def __add__(self, other: "Regex") -> "Regex":
@@ -51,9 +59,6 @@ class Regex:
 class Empty(Regex):
     """The empty language (matches nothing)."""
 
-    def nullable(self) -> bool:
-        return False
-
     def __str__(self) -> str:
         return "∅"
 
@@ -62,9 +67,6 @@ class Empty(Regex):
 class Epsilon(Regex):
     """The language containing only the empty sequence."""
 
-    def nullable(self) -> bool:
-        return True
-
     def __str__(self) -> str:
         return "ε"
 
@@ -72,9 +74,6 @@ class Epsilon(Regex):
 @dataclass(frozen=True)
 class Dot(Regex):
     """Matches any single location (the ``.`` of the surface syntax)."""
-
-    def nullable(self) -> bool:
-        return False
 
     def __str__(self) -> str:
         return "."
@@ -89,51 +88,36 @@ class Symbol(Regex):
     def symbols(self) -> FrozenSet[str]:
         return frozenset({self.name})
 
-    def nullable(self) -> bool:
-        return False
-
     def __str__(self) -> str:
         return self.name
 
 
 @dataclass(frozen=True)
 class Concat(Regex):
-    """Sequential composition of two path expressions."""
+    """Sequential composition of two or more path expressions."""
 
-    left: Regex
-    right: Regex
+    parts: Tuple[Regex, ...]
 
     def children(self) -> Tuple[Regex, ...]:
-        return (self.left, self.right)
-
-    def nullable(self) -> bool:
-        return self.left.nullable() and self.right.nullable()
+        return self.parts
 
     def __str__(self) -> str:
-        return f"{self._wrap(self.left)} {self._wrap(self.right)}"
-
-    @staticmethod
-    def _wrap(node: Regex) -> str:
-        if isinstance(node, Union):
-            return f"({node})"
-        return str(node)
+        return " ".join(
+            f"({part})" if isinstance(part, Union) else str(part) for part in self.parts
+        )
 
 
 @dataclass(frozen=True)
 class Union(Regex):
-    """Alternation between two path expressions."""
+    """Alternation between two or more path expressions."""
 
-    left: Regex
-    right: Regex
+    parts: Tuple[Regex, ...]
 
     def children(self) -> Tuple[Regex, ...]:
-        return (self.left, self.right)
-
-    def nullable(self) -> bool:
-        return self.left.nullable() or self.right.nullable()
+        return self.parts
 
     def __str__(self) -> str:
-        return f"{self.left}|{self.right}"
+        return "|".join(str(part) for part in self.parts)
 
 
 @dataclass(frozen=True)
@@ -144,9 +128,6 @@ class Star(Regex):
 
     def children(self) -> Tuple[Regex, ...]:
         return (self.operand,)
-
-    def nullable(self) -> bool:
-        return True
 
     def __str__(self) -> str:
         if isinstance(self.operand, (Symbol, Dot, Epsilon, Empty)):
@@ -162,9 +143,6 @@ class Negate(Regex):
 
     def children(self) -> Tuple[Regex, ...]:
         return (self.operand,)
-
-    def nullable(self) -> bool:
-        return not self.operand.nullable()
 
     def __str__(self) -> str:
         return f"!({self.operand})"
@@ -182,24 +160,30 @@ def concat(*parts: Regex) -> Regex:
     ``Epsilon`` is the concatenation identity and ``Empty`` annihilates.
     ``concat()`` with no arguments is ``Epsilon``.
     """
-    result: Regex = EPSILON
+    flat: List[Regex] = []
     for part in parts:
-        if isinstance(part, Empty) or isinstance(result, Empty):
+        if isinstance(part, Empty):
             return EMPTY
-        if isinstance(part, Epsilon):
-            continue
-        result = part if isinstance(result, Epsilon) else Concat(result, part)
-    return result
+        if isinstance(part, Concat):
+            flat.extend(part.parts)
+        elif not isinstance(part, Epsilon):
+            flat.append(part)
+    if len(flat) > 1:
+        return Concat(tuple(flat))
+    return flat[0] if flat else EPSILON
 
 
 def union(*parts: Regex) -> Regex:
     """Alternate path expressions, simplifying identities (``Empty`` is the unit)."""
-    result: Regex = EMPTY
+    flat: List[Regex] = []
     for part in parts:
-        if isinstance(part, Empty):
-            continue
-        result = part if isinstance(result, Empty) else Union(result, part)
-    return result
+        if isinstance(part, Union):
+            flat.extend(part.parts)
+        elif not isinstance(part, Empty):
+            flat.append(part)
+    if len(flat) > 1:
+        return Union(tuple(flat))
+    return flat[0] if flat else EMPTY
 
 
 def star(operand: Regex) -> Regex:
@@ -214,8 +198,3 @@ def star(operand: Regex) -> Regex:
 def any_path() -> Regex:
     """The expression ``.*`` matching any forwarding path."""
     return star(DOT)
-
-
-def literal_path(*locations: str) -> Regex:
-    """A path expression matching exactly the given sequence of locations."""
-    return concat(*[Symbol(location) for location in locations])

@@ -93,8 +93,3 @@ def _renumber(block_of: Dict[int, int]) -> Dict[int, int]:
             mapping[block] = len(mapping)
         result[state] = mapping[block]
     return result
-
-
-def count_equivalence_classes(dfa: DFA) -> int:
-    """Number of states of the minimal DFA (a language-size metric)."""
-    return minimize(dfa).num_states()

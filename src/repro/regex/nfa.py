@@ -175,40 +175,6 @@ class NFA:
                 symbols |= label.relevant
         return frozenset(symbols)
 
-    # -- epsilon elimination ------------------------------------------------
-
-    def to_epsilon_free(self) -> "NFA":
-        """Return an equivalent NFA without epsilon transitions.
-
-        The logical-topology construction (§3.2) forms the product of the
-        physical network with the statement NFA; eliminating epsilons first
-        keeps the product's vertex set exactly ``L × Q_i`` as in the paper.
-        """
-        result = NFA()
-        mapping: Dict[int, int] = {}
-        for state in self.states:
-            mapping[state] = result.new_state()
-        result.start = mapping[self.start]
-        for state in self.states:
-            closure = self.epsilon_closure({state})
-            if closure & self.accepts:
-                result.accepts.add(mapping[state])
-            for closed in closure:
-                for label, destination in self.transitions.get(closed, ()):
-                    result.add_transition(mapping[state], label, mapping[destination])
-        return result
-
-    def successors(self, state: int, symbol: str) -> FrozenSet[int]:
-        """Direct (non-epsilon) successors of ``state`` on ``symbol``.
-
-        Only meaningful on epsilon-free NFAs; used by the logical topology.
-        """
-        return frozenset(
-            destination
-            for label, destination in self.transitions.get(state, ())
-            if label.matches(symbol)
-        )
-
     # -- Thompson construction ---------------------------------------------
 
     @classmethod
@@ -244,18 +210,18 @@ def _thompson(nfa: NFA, expression: Regex) -> Tuple[int, int]:
         nfa.add_transition(entry, SymbolLabel(expression.name), exit_)
         return entry, exit_
     if isinstance(expression, Concat):
-        left_entry, left_exit = _thompson(nfa, expression.left)
-        right_entry, right_exit = _thompson(nfa, expression.right)
-        nfa.add_epsilon(left_exit, right_entry)
-        return left_entry, right_exit
+        entry, exit_ = _thompson(nfa, expression.parts[0])
+        for part in expression.parts[1:]:
+            part_entry, part_exit = _thompson(nfa, part)
+            nfa.add_epsilon(exit_, part_entry)
+            exit_ = part_exit
+        return entry, exit_
     if isinstance(expression, Union):
         entry, exit_ = nfa.new_state(), nfa.new_state()
-        left_entry, left_exit = _thompson(nfa, expression.left)
-        right_entry, right_exit = _thompson(nfa, expression.right)
-        nfa.add_epsilon(entry, left_entry)
-        nfa.add_epsilon(entry, right_entry)
-        nfa.add_epsilon(left_exit, exit_)
-        nfa.add_epsilon(right_exit, exit_)
+        for part in expression.parts:
+            part_entry, part_exit = _thompson(nfa, part)
+            nfa.add_epsilon(entry, part_entry)
+            nfa.add_epsilon(part_exit, exit_)
         return entry, exit_
     if isinstance(expression, Star):
         entry, exit_ = nfa.new_state(), nfa.new_state()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Set
 
 from ..errors import PlacementError
-from .ast import Concat, Dot, Empty, Epsilon, Negate, Regex, Star, Symbol, Union, union
+from .ast import Concat, Dot, Empty, Epsilon, Negate, Regex, Star, Symbol, Union, concat, union
 
 
 def substitute_functions(
@@ -63,15 +63,9 @@ def _substitute(
             "network location nor a placeable packet-processing function"
         )
     if isinstance(node, Concat):
-        return Concat(
-            _substitute(node.left, placements, locations),
-            _substitute(node.right, placements, locations),
-        )
+        return concat(*(_substitute(part, placements, locations) for part in node.parts))
     if isinstance(node, Union):
-        return Union(
-            _substitute(node.left, placements, locations),
-            _substitute(node.right, placements, locations),
-        )
+        return union(*(_substitute(part, placements, locations) for part in node.parts))
     if isinstance(node, Star):
         return Star(_substitute(node.operand, placements, locations))
     if isinstance(node, Negate):

@@ -20,7 +20,7 @@ from repro.core.parser import parse_policy, parse_program
 from repro.predicates import FieldTest, parse_predicate, pred_and, pred_not, pred_or
 from repro.predicates.ast import FALSE, TRUE
 from repro.regex import parse_path_expression
-from repro.regex.ast import Concat, Negate, Star, Union, concat, star, union
+from repro.regex.ast import Negate, Symbol, concat, star, union
 from repro.regex.operations import equivalent as regex_equivalent
 from repro.topology.generators import fat_tree
 from repro.units import Bandwidth
@@ -213,29 +213,7 @@ class TestParser:
             parse_policy("[ a : true -> .* ], max(a)")
 
 
-def _spread(parts, kind):
-    """``parts`` with every ``kind`` node replaced by its operands, in order."""
-    for part in parts:
-        if isinstance(part, kind):
-            yield from _spread((part.left, part.right), kind)
-        else:
-            yield part
-
-
-def _as_parsed(node):
-    """The expression in the shape the parser builds: through the smart
-    constructors, with concatenation and union nested to the left."""
-    if isinstance(node, (Concat, Union)):
-        build = concat if isinstance(node, Concat) else union
-        operands = [_as_parsed(node.left), _as_parsed(node.right)]
-        return build(*_spread(operands, type(node)))
-    if isinstance(node, Star):
-        return star(_as_parsed(node.operand))
-    return node
-
-
-_PARSED_PATHS = _regexes().map(_as_parsed)
-_PATHS = st.one_of(_PARSED_PATHS, _PARSED_PATHS.map(Negate))
+_PATHS = st.one_of(_regexes(star), _regexes(star).map(Negate))
 
 _FIELD_TESTS = st.one_of(
     st.integers(0, 65535).map(lambda port: FieldTest("tcp.dst", port)),
@@ -263,6 +241,8 @@ class TestOneGrammar:
 
     @settings(max_examples=150, deadline=None)
     @given(predicate=_predicates(), path=_PATHS)
+    @example(predicate=TRUE, path=concat(Symbol("a"), concat(Symbol("b"), Symbol("c"))))
+    @example(predicate=TRUE, path=union(Symbol("a"), union(Symbol("b"), Symbol("c"))))
     def test_three_entry_points_one_answer(self, predicate, path):
         assume("ε" not in str(path))  # the empty sequence has no surface syntax
         assert parse_predicate(str(predicate)) == predicate

@@ -21,7 +21,7 @@ from repro.core.logical import (
     walk_product,
 )
 from repro.predicates.ast import TRUE
-from repro.regex.ast import DOT, Concat, Negate, Star, Symbol, Union
+from repro.regex.ast import DOT, Negate, Star, Symbol, concat, union
 from repro.topology.graph import Topology
 from tests.reference_logical import (
     reference_build_logical_topology,
@@ -72,8 +72,8 @@ _LEAVES = st.one_of(
 _PATHS = st.recursive(
     _LEAVES,
     lambda children: st.one_of(
-        st.tuples(children, children).map(lambda pair: Concat(*pair)),
-        st.tuples(children, children).map(lambda pair: Union(*pair)),
+        st.tuples(children, children).map(lambda pair: concat(*pair)),
+        st.tuples(children, children).map(lambda pair: union(*pair)),
         children.map(Star),
         children.map(Negate),
     ),

@@ -2,6 +2,9 @@
 
 * the closure-table subset construction accepts what the NFA accepts and is
   the DFA the previous construction built (kept here as the reference);
+* every automaton the store builds, minimal or not, is the one the binary
+  Thompson construction (kept as the reference) gives, state for state,
+  however each flat ``Concat`` / ``Union`` is read as a binary tree;
 * the single-product decision procedures agree with materialising the
   product and then searching it;
 * stored automata are shared, never mutated, and the store is bounded;
@@ -13,11 +16,11 @@ import os
 import subprocess
 import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro
 from repro.regex import operations
-from repro.regex.ast import DOT, Concat, Epsilon, Negate, Star, Symbol, Union
+from repro.regex.ast import DOT, Epsilon, Negate, Star, Symbol, concat, union
 from repro.regex.dfa import DFA
 from repro.regex.minimize import minimize
 from repro.regex.nfa import NFA
@@ -32,7 +35,8 @@ from repro.regex.operations import (
     intersection_empty,
 )
 from repro.regex.parser import parse_path_expression
-from tests.reference_automata import reference_from_nfa
+from repro.regex.substitution import substitute_functions
+from tests.reference_automata import reference_from_nfa, reference_nfa, to_the_left
 
 
 def _order_stable_names(count):
@@ -72,8 +76,8 @@ def _regexes(alphabet):
     return st.recursive(
         leaves,
         lambda children: st.one_of(
-            st.tuples(children, children).map(lambda pair: Concat(*pair)),
-            st.tuples(children, children).map(lambda pair: Union(*pair)),
+            st.lists(children, min_size=2, max_size=4).map(lambda parts: concat(*parts)),
+            st.lists(children, min_size=2, max_size=4).map(lambda parts: union(*parts)),
             children.map(Star),
             children.map(Negate),
         ),
@@ -82,6 +86,35 @@ def _regexes(alphabet):
 
 
 _REGEXES = _regexes(_ALPHABET)
+
+
+def _to_the_right(parts):
+    return 1
+
+
+# Every binary tree a flat node could have been: nested to the left (the old
+# builders), to the right (the old parser's ``a (b c)``), or drawn at random.
+_SPLITS = st.one_of(
+    st.just(to_the_left),
+    st.just(_to_the_right),
+    st.randoms(use_true_random=False).map(
+        lambda draw: lambda parts: draw.randint(1, len(parts) - 1)
+    ),
+)
+
+
+def _stable_examples():
+    """``a (b c)`` and ``a .* (a|f) .*`` with ``f`` placed at ``b`` and
+    ``c``, over order-stable names: right-nested on the old code."""
+    a, b, c = _order_stable_names(3)
+    chain = parse_path_expression(f"{a} ({b} {c})")
+    placed = substitute_functions(
+        parse_path_expression(f"{a} .* ({a}|f) .*"), {"f": [b, c]}, [a, b, c]
+    )
+    return chain, placed
+
+
+_STABLE_EXAMPLES = _stable_examples()
 _SEQUENCES = st.lists(st.sampled_from(_ALPHABET + [_FRESH]), max_size=6)
 
 
@@ -99,6 +132,15 @@ class TestSubsetConstruction:
     def test_is_the_dfa_the_previous_construction_built(self, expression):
         nfa = NFA.from_regex(expression)
         assert DFA.from_nfa(nfa) == reference_from_nfa(nfa)
+
+    @settings(max_examples=150, deadline=None)
+    @given(expression=_regexes(_order_stable_names(4)), split=_SPLITS)
+    @example(expression=_STABLE_EXAMPLES[0], split=_to_the_right)
+    @example(expression=_STABLE_EXAMPLES[1], split=_to_the_right)
+    def test_stored_automata_are_the_binary_constructions(self, expression, split):
+        reference = DFA.from_nfa(reference_nfa(expression, split))
+        assert compile_dfa(expression) == reference
+        assert compile_dfa(expression, minimal=True) == minimize(reference)
 
     def test_waypoint_chain_matches_the_reference(self):
         nfa = NFA.from_regex(parse_path_expression(".* a .* b .* c .* (d|e) .*"))

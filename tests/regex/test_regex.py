@@ -27,7 +27,7 @@ from repro.regex import (
     substitute_functions,
     union,
 )
-from repro.regex.ast import DOT, any_path, literal_path
+from repro.regex.ast import DOT, any_path
 from repro.regex.minimize import minimize
 from repro.regex.operations import compile_dfa, counterexample
 from repro.regex.substitution import functions_used
@@ -51,20 +51,11 @@ class TestAst:
 
     def test_size(self):
         expression = parse_path_expression(".* dpi .* nat .*")
-        assert expression.size() >= 7
+        assert expression.size() == 12
 
     def test_symbols(self):
         expression = parse_path_expression("h1 .* dpi .* h2")
         assert expression.symbols() == {"h1", "dpi", "h2"}
-
-    def test_nullable(self):
-        assert any_path().nullable()
-        assert not Symbol("a").nullable()
-        assert not parse_path_expression("h1 .*").nullable()
-
-    def test_literal_path(self):
-        assert accepts(literal_path("a", "b", "c"), ["a", "b", "c"])
-        assert not accepts(literal_path("a", "b", "c"), ["a", "b"])
 
     def test_operator_sugar(self):
         expression = Symbol("a") + Symbol("b") | Symbol("c")
@@ -164,14 +155,6 @@ class TestAutomata:
         nfa = NFA.from_regex(parse_path_expression(". ."))
         assert nfa.accepts_sequence(["x", "y"])
         assert not nfa.accepts_sequence(["x"])
-
-    def test_epsilon_free_equivalence(self):
-        expression = parse_path_expression("a (b|c)* d")
-        nfa = NFA.from_regex(expression)
-        eps_free = nfa.to_epsilon_free()
-        assert all(not targets for targets in eps_free.epsilon.values())
-        for sequence in (["a", "d"], ["a", "b", "c", "d"], ["a"], ["d"]):
-            assert nfa.accepts_sequence(sequence) == eps_free.accepts_sequence(sequence)
 
     def test_dfa_matches_nfa(self):
         expression = parse_path_expression(".* dpi .* nat .*")

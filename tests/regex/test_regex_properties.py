@@ -14,14 +14,14 @@ from hypothesis import given, settings, strategies as st
 from repro.regex import DFA, NFA, included, equivalent, is_empty
 from repro.regex.ast import (
     DOT,
-    Concat,
     Empty,
     Epsilon,
     Negate,
     Regex,
     Star,
     Symbol,
-    Union,
+    concat,
+    union,
 )
 from repro.regex.minimize import minimize
 from repro.regex.operations import compile_dfa
@@ -36,13 +36,15 @@ _LEAVES = st.one_of(
 )
 
 
-def _regexes():
+def _regexes(build_star=Star):
+    """Expressions over ``_ALPHABET``.  ``Star`` also draws ``a**`` and
+    ``ε*``; ``build_star=star`` collapses them, as the parser does."""
     return st.recursive(
         _LEAVES,
         lambda children: st.one_of(
-            st.tuples(children, children).map(lambda pair: Concat(*pair)),
-            st.tuples(children, children).map(lambda pair: Union(*pair)),
-            children.map(Star),
+            st.tuples(children, children).map(lambda pair: concat(*pair)),
+            st.tuples(children, children).map(lambda pair: union(*pair)),
+            children.map(build_star),
         ),
         max_leaves=6,
     )
@@ -88,7 +90,7 @@ class TestAutomataProperties:
     @settings(max_examples=40, deadline=None)
     @given(left=_regexes(), right=_regexes())
     def test_union_is_set_union(self, left, right):
-        combined = _language(Union(left, right), 3)
+        combined = _language(union(left, right), 3)
         assert combined == _language(left, 3) | _language(right, 3)
 
     @settings(max_examples=40, deadline=None)
