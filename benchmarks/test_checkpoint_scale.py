@@ -9,11 +9,11 @@ inverse-operation log: O(1) marks, O(delta) rollback, O(1) commit.
 This figure checks that claim on the engine's bookkeeping layer, the
 layer checkpoints protect (solves are deliberately excluded — a 100k-
 statement MIP is a solver benchmark, not a checkpoint one).  A population
-of guaranteed statements sharing one rebadged product graph is built at a
+of guaranteed statements sharing one product graph is built at a
 small and a large size, and at each size we run, once each under one
 ``telemetry.span``:
 
-* ``mark`` — ``checkpoint()`` + ``release()``: the per-delta overhead the
+* ``mark`` — ``journal.mark()`` + ``journal.release()``: the per-delta overhead the
   journal charges ("after");
 * ``snapshot`` — copying the state a transaction protects, as the
   shadow checkpoints did ("before"; the copy is the journal tests' oracle,
@@ -23,7 +23,7 @@ small and a large size, and at each size we run, once each under one
   cost including the undo replay.
 
 Acceptance (the O(delta) guard), counted in journal entries: a mark records
-nothing (the journal is still empty after ``checkpoint()``), and the churn
+nothing (the journal is still empty after ``journal.mark()``), and the churn
 transaction journals the same three entries (one per mutator) at the small
 population as at the 100x larger one — what a checkpoint costs is what the
 delta touched, never the population.  The large engine's solution memo is filled to its
@@ -38,6 +38,7 @@ Quick tier: 1k vs 100k, 200-event stream.  ``MERLIN_BENCH_SCALE=full``:
 1k vs 250k, 1000-event stream.
 """
 
+import dataclasses
 import random
 
 from repro import telemetry
@@ -66,7 +67,7 @@ _GUARANTEE = Bandwidth.mbps(1)
 def _engine_with_population(count):
     """An engine carrying ``count`` guaranteed statements, ready to churn.
 
-    Every statement shares one prebuilt product graph (rebadged per
+    Every statement shares one prebuilt product graph (replaced under its
     identifier — structure shared, never copied), so population cost is
     pure bookkeeping and the benchmark scales to 250k statements without
     re-running graph construction 250k times.
@@ -84,17 +85,17 @@ def _engine_with_population(count):
         engine.add_statement(
             Statement(identifier, FieldTest("tcp.dst", index % 60_000), _PATH),
             guarantee=_GUARANTEE,
-            logical=logical.rebadged(identifier),
+            logical=dataclasses.replace(logical, statement_id=identifier),
         )
     return engine, logical
 
 
 def _mark(engine):
-    """``checkpoint()`` + ``release()``: (journal entries at the mark, us)."""
+    """``journal.mark()`` + ``journal.release()``: (journal entries at the mark, us)."""
     with telemetry.span("mark") as span:
-        saved = engine.checkpoint()
+        saved = engine.journal.mark()
         entries = len(engine.journal)
-        engine.release(saved)
+        engine.journal.release(saved)
     return entries, span.duration * 1e6
 
 
@@ -122,17 +123,17 @@ def _transaction(engine, logical):
     realistic per-delta cost.
     """
     with telemetry.span("transaction") as span:
-        saved = engine.checkpoint()
+        saved = engine.journal.mark()
         engine.update_rates("s5", guarantee=Bandwidth.mbps(2))
         engine.add_statement(
             Statement("bench_fresh", FieldTest("tcp.dst", 7), _PATH),
             guarantee=_GUARANTEE,
-            logical=logical.rebadged("bench_fresh"),
+            logical=dataclasses.replace(logical, statement_id="bench_fresh"),
         )
         engine.remove_statement("s9")
         entries = len(engine.journal)
-        engine.restore(saved)
-        engine.release(saved)
+        engine.journal.rollback(saved)
+        engine.journal.release(saved)
     return entries, span.duration * 1e6
 
 
@@ -149,7 +150,7 @@ def _sustain_stream(engine, logical, events, seed=20140402):
     next_join = len(population)
     committed = rolled_back = 0
     for _ in range(events):
-        saved = engine.checkpoint()
+        saved = engine.journal.mark()
         kind = rng.choice(("join", "leave", "renegotiate"))
         if kind == "join":
             identifier = f"j{next_join}"
@@ -157,7 +158,7 @@ def _sustain_stream(engine, logical, events, seed=20140402):
             engine.add_statement(
                 Statement(identifier, FieldTest("tcp.dst", next_join % 60_000), _PATH),
                 guarantee=_GUARANTEE,
-                logical=logical.rebadged(identifier),
+                logical=dataclasses.replace(logical, statement_id=identifier),
             )
             touched = ("add", identifier)
         elif kind == "leave":
@@ -171,7 +172,7 @@ def _sustain_stream(engine, logical, events, seed=20140402):
             )
             touched = ("update", identifier)
         if rng.random() < 0.25:
-            engine.restore(saved)
+            engine.journal.rollback(saved)
             rolled_back += 1
         else:
             if touched[0] == "add":
@@ -179,7 +180,7 @@ def _sustain_stream(engine, logical, events, seed=20140402):
             elif touched[0] == "remove":
                 mirror.discard(touched[1])
             committed += 1
-        engine.release(saved)
+        engine.journal.release(saved)
     assert set(engine.statement_ids()) == mirror
     return committed, rolled_back
 

@@ -8,7 +8,6 @@ largest.
 
 from repro.core.compiler import MerlinCompiler
 from repro.core.localization import localize
-from repro.core.logical import infer_endpoints
 from repro.experiments.expressiveness import run_expressiveness_experiment
 from repro.experiments.policy_builders import (
     FIGURE4_PLACEMENTS,
@@ -52,9 +51,9 @@ def test_fig4_expressiveness(report):
 
 def test_fig4_combination_builds_product_graphs_for_guarantees_only(report):
     """Count guard: compiling the combination policy materialises one product
-    graph per distinct guaranteed (path, endpoints) shape and none for a
-    best-effort statement, which restricts the one walk of its path
-    expression that all such statements share."""
+    graph per guaranteed statement and none for a best-effort statement,
+    which restricts the one walk of its path expression that all such
+    statements share."""
     topology = stanford_with_middleboxes(subnets=24 if is_full_scale() else 12)
     policy = combination_policy(topology, guarantee_fraction=0.10)
     compiler = MerlinCompiler(
@@ -69,22 +68,18 @@ def test_fig4_combination_builds_product_graphs_for_guarantees_only(report):
     counters = bundle.snapshot()
 
     rates = localize(policy)
-    shapes = set()
     expressions = set()
     statements = {True: 0, False: 0}
     for statement in policy.statements:
         is_guaranteed = rates[statement.identifier].is_guaranteed
-        if is_guaranteed:
-            shapes.add((statement.path, *infer_endpoints(statement, topology)))
-        elif statement.path != any_path():
+        if not is_guaranteed:
+            if statement.path == any_path():
+                continue
             expressions.add(statement.path)
-        else:
-            continue
         statements[is_guaranteed] += 1
     row = {
         "guaranteed": statements[True],
-        "graphs_built": int(counters.counter_total("logical_memo_misses")),
-        "graphs_reused": int(counters.counter_total("logical_memo_hits")),
+        "graphs_built": int(counters.counter_total("logical_builds")),
         "best_effort_constrained": statements[False],
         "path_expressions": len(expressions),
         "shared_walks": int(counters.counter_total("logical_searches")),
@@ -96,9 +91,7 @@ def test_fig4_combination_builds_product_graphs_for_guarantees_only(report):
         ),
     )
     assert statements[True] and statements[False]
-    assert row["graphs_built"] == len(shapes)
-    # Every lookup of the graph memo was a guaranteed statement's.
-    assert row["graphs_built"] + row["graphs_reused"] == statements[True]
+    assert row["graphs_built"] == statements[True]
     # One walk per path expression, however many endpoint pairs use it.
     assert row["shared_walks"] == len(expressions)
     assert statements[False] > len(expressions)

@@ -133,33 +133,6 @@ class InstructionBundle:
         """Total number of low-level instructions."""
         return sum(self.counts().values())
 
-    # -- grouping ----------------------------------------------------------------
-
-    def by_device(self) -> Dict[str, List]:
-        """Instructions grouped by the device they configure."""
-        devices: Dict[str, List] = {}
-        for rule in self.openflow:
-            devices.setdefault(rule.switch, []).append(rule)
-        for queue in self.queues:
-            devices.setdefault(queue.switch, []).append(queue)
-        for command in self.tc:
-            devices.setdefault(command.host, []).append(command)
-        for rule in self.iptables:
-            devices.setdefault(rule.host, []).append(rule)
-        for config in self.click:
-            devices.setdefault(config.location, []).append(config)
-        return devices
-
-    def for_statement(self, statement_id: str) -> "InstructionBundle":
-        """The subset of instructions attributable to one statement."""
-        return InstructionBundle(
-            openflow=[r for r in self.openflow if r.statement_id == statement_id],
-            queues=[q for q in self.queues if q.statement_id == statement_id],
-            tc=[t for t in self.tc if t.statement_id == statement_id],
-            iptables=[i for i in self.iptables if i.statement_id == statement_id],
-            click=[c for c in self.click if c.statement_id == statement_id],
-        )
-
     def merge(self, other: "InstructionBundle") -> None:
         """Append all instructions from another bundle."""
         self.openflow.extend(other.openflow)

@@ -54,7 +54,6 @@ from .allocation import (
 from .ast import Policy, Statement
 from .localization import LocalRates, localize, localized_formula
 from .logical import (
-    LogicalTopology,
     ProductWalk,
     build_logical_topology,
     infer_endpoints,
@@ -131,10 +130,10 @@ class _CompilerSession:
     mark covers both, taking it is O(1), and a rollback replays only the
     entries the transaction touched, the session's and the engine's in the
     order they happened.  Two things are deliberately not rolled back.
-    The ``logical_cache`` is a pure content-addressed memo (key determines
-    value), so stale-free by construction; the topology-delta path
-    *rebinds* it (journaled), it is never required to match a never-failed
-    session entry-for-entry.  And :attr:`stamps`, like the engine's record
+    The ``logical_cache`` of path-expression walks is a pure
+    content-addressed memo (key determines value), so stale-free by
+    construction; the topology-delta path *rebinds* it (journaled), it is
+    never required to match a never-failed session entry-for-entry.  And :attr:`stamps`, like the engine's record
     tokens, is never rewound: only the relative order of stamps is ever
     read, and a stamp spent inside a failed transaction leaves that order
     among the surviving entries untouched.
@@ -153,18 +152,12 @@ class _CompilerSession:
     entries: Dict[str, _StatementEntry] = field(default_factory=dict)
     #: Source of the entries' insertion stamps (see the class docstring).
     stamps: Iterator[int] = field(default_factory=itertools.count)
-    #: The product graphs of the active topology the session has walked.
-    #: A ``(path expression, source, destination)`` shape holds the
-    #: materialised graph a guaranteed statement's MIP reads (statements
-    #: sharing a shape have identical graphs); a path expression alone
-    #: holds its unpinned :class:`~repro.core.logical.ProductWalk`, which
-    #: every constrained best-effort statement with that expression
-    #: restricts to its endpoints.  A promotion materialises under its
-    #: shape.
-    logical_cache: Dict[
-        Union[Regex, Tuple[Regex, Optional[str], Optional[str]]],
-        Union[LogicalTopology, ProductWalk],
-    ] = field(default_factory=dict)
+    #: The unpinned :class:`~repro.core.logical.ProductWalk` of each path
+    #: expression a constrained best-effort statement has searched on the
+    #: active topology; every such statement with that expression
+    #: restricts it to its endpoints.  Guaranteed statements build their
+    #: own product graph and keep nothing here.
+    logical_cache: Dict[Regex, ProductWalk] = field(default_factory=dict)
     sink_trees: Dict = field(default_factory=dict)
     failed_links: frozenset = frozenset()
     failed_nodes: frozenset = frozenset()
@@ -207,7 +200,7 @@ class MerlinCompiler:
     benchmarks.
 
     Provisioning knobs — solver backend and limits, partitioning,
-    footprint slack, slack widening, and the solve-fabric
+    footprint slack, and the solve-fabric
     layer (``options.fabric``, the only source of a worker pool, and
     ``options.component_cache``, the cross-session content-addressed
     solution cache — :mod:`repro.fabric`) — live in a single
@@ -224,7 +217,6 @@ class MerlinCompiler:
     overlap: str = "reject"
     add_catch_all: bool = True
     generate_code: bool = True
-    localization_weights: Optional[Mapping[str, float]] = None
     options: Optional[ProvisionOptions] = None
     _session: Optional[_CompilerSession] = field(
         default=None, init=False, repr=False, compare=False
@@ -260,7 +252,7 @@ class MerlinCompiler:
             policy, overlap=self.overlap, add_catch_all=self.add_catch_all
         )
         preprocessed = preprocess_result.policy
-        local_rates = localize(preprocessed, weights=self.localization_weights)
+        local_rates = localize(preprocessed)
 
         session = _CompilerSession(
             engine=IncrementalProvisioner(
@@ -1012,7 +1004,7 @@ class MerlinCompiler:
 
     # -- shared helpers --------------------------------------------------------------
 
-    # Distinct product graphs kept per session; bounded (LRU) so a
+    # Distinct product walks kept per session; bounded (LRU) so a
     # long-running controller streaming deltas with ever-new path
     # expressions does not grow resident memory monotonically.
     _LOGICAL_CACHE_LIMIT = 1024
@@ -1020,53 +1012,44 @@ class MerlinCompiler:
     def _logical_for(self, session, statement, source, destination):
         """The statement's product graph on the session's active topology,
         materialised: what a guaranteed statement hands the MIP."""
-        graph, fresh = self._memoized(
-            session,
-            (statement.path, source, destination),
-            lambda active, known: build_logical_topology(
-                statement, active, self.placements, source, destination, known
-            ),
+        telemetry.counter("logical_builds")
+        return build_logical_topology(
+            statement,
+            session.active_topology,
+            self.placements,
+            source,
+            destination,
+            self._known_locations(session),
         )
-        telemetry.counter("logical_memo_misses" if fresh else "logical_memo_hits")
-        return graph if fresh else graph.rebadged(statement.identifier)
 
     def _search_for(self, session, statement, source, destination):
         """The ``(shortest path | None, footprint)`` of the statement's
         product graph on the session's active topology, never built: the
         path expression's shared walk restricted to the statement's
         endpoints, all a constrained best-effort statement needs."""
-        product, fresh = self._memoized(
-            session,
-            statement.path,
-            lambda active, known: walk_product(
-                statement, active, self.placements, known
-            ),
-        )
-        if fresh:
-            telemetry.counter("logical_searches")
-        return product.restrict(source, destination)
-
-    def _memoized(self, session, key, walk):
-        """One ``logical_cache`` lookup: the product under ``key``, walked
-        by ``walk(active topology, known locations)`` on a miss, and
-        whether it was."""
         # The cache key does not encode the topology: the topology-delta
-        # path rebinds the session cache on every change, so entries never
+        # path rebinds the session cache on every change, so walks never
         # outlive the topology they were made on.
         cache = session.logical_cache
-        cached = cache.pop(key, None)
-        fresh = cached is None
-        if fresh:
-            active = session.active_topology
-            # On a degraded topology, names of failed elements stay valid
-            # path-expression references (they match nothing).
-            cached = walk(
-                active, None if active is self.topology else self.topology.locations()
+        walk = cache.pop(statement.path, None)
+        if walk is None:
+            telemetry.counter("logical_searches")
+            walk = walk_product(
+                statement,
+                session.active_topology,
+                self.placements,
+                self._known_locations(session),
             )
-        cache[key] = cached  # (re)insert as most recently used
+        cache[statement.path] = walk  # (re)insert as most recently used
         while len(cache) > self._LOGICAL_CACHE_LIMIT:
             cache.pop(next(iter(cache)))
-        return cached, fresh
+        return walk.restrict(source, destination)
+
+    def _known_locations(self, session) -> Optional[List[str]]:
+        """On a degraded topology, names of failed elements stay valid
+        path-expression references (they match nothing)."""
+        active = session.active_topology
+        return None if active is self.topology else self.topology.locations()
 
     def _best_effort_assignment(
         self,

@@ -3,16 +3,16 @@
 Aggregate Presburger terms such as ``max(x + y, 50MB/s)`` would require
 distributed state to enforce exactly.  Merlin therefore rewrites each
 aggregate clause into per-statement *local* clauses that collectively imply
-the original: by default the rate is divided equally among the identifiers
-(the running example's ``max(x + y, 50MB/s)`` becomes ``max(x, 25MB/s) and
-max(y, 25MB/s)``), but callers may supply their own split weights.  The
-negotiators of §4 later adjust these static splits at run time.
+the original: the rate is divided equally among the identifiers (the
+running example's ``max(x + y, 50MB/s)`` becomes ``max(x, 25MB/s) and
+max(y, 25MB/s)``).  The negotiators of §4 later adjust these static splits
+at run time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 from ..errors import PolicyError
 from ..units import Bandwidth
@@ -57,16 +57,9 @@ class LocalRates:
             self.guarantee = rate
 
 
-def localize(
-    policy: Policy,
-    weights: Optional[Mapping[str, float]] = None,
-) -> Dict[str, LocalRates]:
-    """Localize the policy formula into per-statement rates.
-
-    ``weights`` optionally assigns a relative share to each statement
-    identifier; identifiers absent from the mapping get weight 1.  The
-    default (no weights) splits every aggregate clause equally, as described
-    in §3.1.
+def localize(policy: Policy) -> Dict[str, LocalRates]:
+    """Localize the policy formula into per-statement rates, splitting
+    every aggregate clause equally among its distinct identifiers (§3.1).
 
     Only conjunctions of ``max``/``min`` clauses can be enforced locally;
     ``or`` and ``!`` at the top level are rejected, mirroring the fragment
@@ -77,13 +70,11 @@ def localize(
         for statement in policy.statements
     }
     for clause in formula_clauses(policy.formula):
-        _localize_clause(clause, rates, weights or {})
+        _localize_clause(clause, rates)
     return rates
 
 
-def _localize_clause(
-    clause: Formula, rates: Dict[str, LocalRates], weights: Mapping[str, float]
-) -> None:
+def _localize_clause(clause: Formula, rates: Dict[str, LocalRates]) -> None:
     if isinstance(clause, FTrue):
         return
     if isinstance(clause, (FOr, FNot)):
@@ -92,34 +83,27 @@ def _localize_clause(
             "only conjunctions of max/min clauses are enforceable"
         )
     if isinstance(clause, FAnd):
-        _localize_clause(clause.left, rates, weights)
-        _localize_clause(clause.right, rates, weights)
+        _localize_clause(clause.left, rates)
+        _localize_clause(clause.right, rates)
         return
     if not isinstance(clause, (FMax, FMin)):
         raise PolicyError(f"unknown formula clause: {clause!r}")
 
-    identifiers = list(clause.term.identifiers)
+    # ``x + x`` names one statement once.
+    identifiers = list(dict.fromkeys(clause.term.identifiers))
     unknown = [name for name in identifiers if name not in rates]
     if unknown:
         raise PolicyError(
             f"formula references undefined statement identifiers: {unknown}"
         )
-    shares = _shares(identifiers, weights)
+    if not identifiers:
+        raise PolicyError(f"bandwidth clause {clause} names no statement")
+    local_rate = clause.rate.split(len(identifiers))
     for identifier in identifiers:
-        local_rate = clause.rate * shares[identifier]
         if isinstance(clause, FMax):
             rates[identifier].merge_cap(local_rate)
         else:
             rates[identifier].merge_guarantee(local_rate)
-
-
-def _shares(identifiers: Sequence[str], weights: Mapping[str, float]) -> Dict[str, float]:
-    """Normalise split weights over the identifiers of one clause."""
-    raw = {name: float(weights.get(name, 1.0)) for name in identifiers}
-    total = sum(raw.values())
-    if total <= 0:
-        raise PolicyError("localization weights must sum to a positive value")
-    return {name: value / total for name, value in raw.items()}
 
 
 def localized_formula(rates: Mapping[str, LocalRates]) -> Formula:

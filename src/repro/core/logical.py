@@ -150,19 +150,6 @@ class LogicalTopology:
         """Whether any physical path satisfies the statement's constraints."""
         return self.find_path() is not None
 
-    def rebadged(self, statement_id: str) -> "LogicalTopology":
-        """A view of this topology under another statement's identifier.
-
-        The pairs and distance maps are shared, not copied: two statements
-        with the same (path expression, endpoint pair) shape produce
-        identical product graphs, and nothing mutates a logical topology
-        after construction.  This is what makes memoising
-        :func:`build_logical_topology` at the compiler level cheap.
-        """
-        if statement_id == self.statement_id:
-            return self
-        return dataclasses.replace(self, statement_id=statement_id)
-
 
 def _edge(tail: Vertex, head: Vertex) -> LogicalEdge:
     if head is SINK:
@@ -551,8 +538,7 @@ def prune_to_cost_bound(
     The cut is one filter over the pairs with the graph's hop distances,
     which every slack rung shares, and builds a :class:`LogicalEdge` only
     for a pair it keeps.  Returns the input object unchanged when nothing
-    would be pruned (the common case for already-scoped path expressions),
-    so memoized logical topologies keep being shared.
+    would be pruned (the common case for already-scoped path expressions).
     """
     pairs = logical.pairs
     if not pairs:

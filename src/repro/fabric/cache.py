@@ -107,20 +107,21 @@ class ComponentSolutionCache:
             telemetry.counter("component_signature_hits")
         return record
 
-    def put(
-        self, signature: str, record: Mapping[str, object], spill: bool = True
-    ) -> None:
+    def put(self, signature: str, record: Mapping[str, object]) -> None:
         """Store a record, evicting least-recently-used entries past the bound."""
         with self._lock:
-            if signature in self._entries:
-                del self._entries[signature]
-            self._entries[signature] = record
-            while len(self._entries) > self._limit:
-                self._entries.pop(next(iter(self._entries)))
+            self._insert(signature, record)
             self.stores += 1
         telemetry.counter("component_signature_stores")
-        if spill and self._spill_path is not None:
+        if self._spill_path is not None:
             self._append_spill(signature, record)
+
+    def _insert(self, signature: str, record: Mapping[str, object]) -> None:
+        """(Re)insert as most recently used; the caller holds the lock."""
+        self._entries.pop(signature, None)
+        self._entries[signature] = record
+        while len(self._entries) > self._limit:
+            self._entries.pop(next(iter(self._entries)))
 
     def bypass(self) -> None:
         """Record that an outcome was deliberately not cached (an unproven
@@ -170,11 +171,7 @@ class ComponentSolutionCache:
                     skipped += 1
                     continue
                 with self._lock:
-                    if signature in self._entries:
-                        del self._entries[signature]
-                    self._entries[signature] = record
-                    while len(self._entries) > self._limit:
-                        self._entries.pop(next(iter(self._entries)))
+                    self._insert(signature, record)
                 loaded += 1
         if loaded:
             telemetry.counter("component_signature_spill_loads", float(loaded))

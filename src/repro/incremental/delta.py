@@ -12,7 +12,7 @@ re-provisioning work).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.ast import Policy, Statement
 from ..core.localization import localize
@@ -140,11 +140,7 @@ def same_rate(left: Optional[Bandwidth], right: Optional[Bandwidth]) -> bool:
     return left.bps_value == right.bps_value
 
 
-def policy_delta(
-    old: Policy,
-    new: Policy,
-    weights: Optional[Mapping[str, float]] = None,
-) -> PolicyDelta:
+def policy_delta(old: Policy, new: Policy) -> PolicyDelta:
     """Diff two policies into the minimal statement-level delta.
 
     Statements are matched by identifier.  A matched statement whose
@@ -152,13 +148,9 @@ def policy_delta(
     forwarding state must be re-provisioned); one whose localized rates
     changed becomes a rate update (reservation rows only — the cheap
     adaptation of §4.3); identical statements produce no work at all.
-
-    ``weights`` are the localization split weights and must match the
-    compiler's ``localization_weights``, or the delta's rates would diverge
-    from what a full compile of ``new`` localizes.
     """
-    old_rates = localize(old, weights=weights)
-    new_rates = localize(new, weights=weights)
+    old_rates = localize(old)
+    new_rates = localize(new)
     old_by_id: Dict[str, Statement] = {s.identifier: s for s in old.statements}
     new_by_id: Dict[str, Statement] = {s.identifier: s for s in new.statements}
 

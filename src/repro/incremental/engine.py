@@ -41,10 +41,10 @@ A transaction is one mark in the engine's **undo journal**
 writes its own state through as well): every mutator
 (:meth:`add_statement` / :meth:`remove_statement` / :meth:`update_rates` /
 :meth:`replace_logical` / :meth:`set_topology`) records the inverse of the
-one record it swaps, so :meth:`checkpoint` marks a journal position and
-copies nothing, :meth:`restore` replays O(delta) undo entries, and
-:meth:`release` (commit) truncates the journal.  The transaction property
-tests capture the same fields by copying them
+one record it swaps, so ``journal.mark()`` marks a journal position and
+copies nothing, ``journal.rollback(mark)`` replays O(delta) undo entries,
+and ``journal.release(mark)`` (commit) truncates the journal.  The
+transaction property tests capture the same fields by copying them
 (``tests/incremental/test_journal.py::_engine_state``) and assert the
 journal restores state byte-identical to the copies.
 
@@ -84,7 +84,7 @@ from ..core.provisioning import (
 from ..errors import ProvisioningError
 from ..topology.graph import Topology
 from ..units import Bandwidth
-from .journal import JournalMark, UndoJournal
+from .journal import UndoJournal
 from .solve import (
     MemoKey,
     StatementRecord,
@@ -160,31 +160,6 @@ class IncrementalProvisioner:
         """The statement's whole product graph, as it was entered."""
         return self._records[identifier].logical
 
-    # -- transactions -------------------------------------------------------------
-
-    def checkpoint(self) -> JournalMark:
-        """Open a transaction: a journal mark, nothing copied.
-
-        Rolling back via :meth:`restore` replays only the undo entries the
-        transaction recorded (O(delta)); committing via :meth:`release`
-        truncates them.  Marks are stacked: rolling back to an earlier
-        mark invalidates later ones.
-        """
-        return self.journal.mark()
-
-    def restore(self, saved: JournalMark) -> None:
-        """Reinstate a :meth:`checkpoint` exactly — O(changes since the
-        checkpoint), not O(population)."""
-        self.journal.rollback(saved)
-
-    def release(self, saved: JournalMark) -> None:
-        """Commit a transaction opened by :meth:`checkpoint`.
-
-        Drops the journal mark and truncates undo entries no outstanding
-        mark can reach.
-        """
-        self.journal.release(saved)
-
     # -- delta operations ---------------------------------------------------------
 
     def add_statement(
@@ -197,7 +172,7 @@ class IncrementalProvisioner:
         """Enter a guaranteed statement into the session (bookkeeping only).
 
         ``logical`` may be supplied when the caller already built the
-        statement's product graph (the compiler's memoized pipeline does);
+        statement's product graph (the compiler always does);
         otherwise it is constructed here from the statement's inferred
         endpoints.  No model is built or spliced, and the graph is cut to
         its cost-bounded view when a resolve first asks for it.

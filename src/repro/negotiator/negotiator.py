@@ -12,7 +12,7 @@ makes run-time adaptation cheap (§4.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import DelegationError, VerificationError
 from ..predicates.ast import Predicate
@@ -22,7 +22,6 @@ from ..units import Bandwidth
 from ..core.ast import (
     BandwidthTerm,
     FMax,
-    FMin,
     Policy,
     Statement,
     formula_and,
@@ -120,11 +119,7 @@ class Negotiator:
             return
         from ..incremental.delta import policy_delta
 
-        delta = policy_delta(
-            previous,
-            adopted,
-            weights=getattr(compiler, "localization_weights", None),
-        )
+        delta = policy_delta(previous, adopted)
         if delta.is_empty():
             return
         if holder is not self:
@@ -160,9 +155,7 @@ class Negotiator:
         from ..core.localization import localize
         from ..incremental.delta import PolicyDelta, RateUpdate, same_rate
 
-        previous_rates = localize(
-            previous, weights=getattr(compiler, "localization_weights", None)
-        )
+        previous_rates = localize(previous)
         previous_by_id = {s.identifier: s for s in previous.statements}
 
         def merged_rates(identifier, guarantee, cap):
@@ -269,14 +262,6 @@ class Negotiator:
                 total = total + clause.rate
         return total
 
-    def total_guarantee(self) -> Bandwidth:
-        """The sum of all ``min`` allocations in this negotiator's policy."""
-        total = Bandwidth(0.0)
-        for clause in formula_clauses(self.policy.formula):
-            if isinstance(clause, FMin):
-                total = total + clause.rate
-        return total
-
     def reallocate_caps(self, new_caps: Dict[str, Bandwidth]) -> VerificationReport:
         """Redistribute ``max`` allocations across this policy's statements.
 
@@ -318,15 +303,6 @@ class Negotiator:
             depth += 1
             node = node.parent
         return depth
-
-    def descendants(self) -> List["Negotiator"]:
-        found: List[Negotiator] = []
-        stack = list(self.children.values())
-        while stack:
-            node = stack.pop()
-            found.append(node)
-            stack.extend(node.children.values())
-        return found
 
     def __repr__(self) -> str:
         return (

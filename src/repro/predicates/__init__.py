@@ -11,7 +11,8 @@ package provides:
 * a satisfiability/disjointness/implication decision procedure
   (:mod:`repro.predicates.sat`) used by the pre-processor and the negotiator
   verification machinery (the paper uses Z3 for this), and
-* normalisation and partitioning transforms (:mod:`repro.predicates.transform`).
+* negation normal form and the other transforms
+  (:mod:`repro.predicates.transform`).
 """
 
 from .ast import (
@@ -37,7 +38,7 @@ from .sat import (
     is_satisfiable,
     pairwise_disjoint,
 )
-from .transform import intersect, simplify, to_dnf, to_nnf
+from .transform import intersect, to_nnf
 
 __all__ = [
     "And",
@@ -62,7 +63,5 @@ __all__ = [
     "is_satisfiable",
     "pairwise_disjoint",
     "intersect",
-    "simplify",
-    "to_dnf",
     "to_nnf",
 ]

@@ -1,19 +1,15 @@
-"""Predicate normalisation and partitioning transforms.
+"""Predicate transforms.
 
-These transforms back both the pre-processor (which must complete a policy
-with a catch-all statement and check disjointness) and the negotiator
-verification machinery (which compares tenant refinements against the parent
-policy).  The central normal form is disjunctive normal form (DNF) over
-*literals* — positive or negated field tests — because satisfiability of a
-DNF conjunct reduces to simple per-field set reasoning.
+Negation normal form (:func:`to_nnf`), which the satisfiability search of
+:mod:`repro.predicates.sat` starts from; the set operations on packet sets;
+the field tests every matching packet satisfies, which each code generator
+turns into a device match; and the atoms of a predicate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Iterator, Set, Tuple
 
-from ..errors import PolicyError
 from .ast import (
     FALSE,
     TRUE,
@@ -28,12 +24,6 @@ from .ast import (
     pred_not,
     pred_or,
 )
-from .fields import domain_size
-
-#: Safety valve against exponential DNF blow-up.  Real Merlin policies have
-#: small predicates (a handful of conjuncts per statement), so this limit is
-#: never hit in practice; it exists to fail loudly instead of hanging.
-MAX_DNF_TERMS = 100_000
 
 
 def to_nnf(predicate: Predicate) -> Predicate:
@@ -59,116 +49,6 @@ def to_nnf(predicate: Predicate) -> Predicate:
         if isinstance(inner, Or):
             return pred_and(to_nnf(pred_not(inner.left)), to_nnf(pred_not(inner.right)))
     raise TypeError(f"unknown predicate node: {predicate!r}")
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A positive or negated atomic field test."""
-
-    field: str
-    value: Any
-    positive: bool
-
-    def negate(self) -> "Literal":
-        return Literal(self.field, self.value, not self.positive)
-
-    def to_predicate(self) -> Predicate:
-        test = FieldTest(self.field, self.value)
-        return test if self.positive else Not(test)
-
-
-#: A DNF conjunct: a frozen set of literals, all of which must hold.
-Conjunct = FrozenSet[Literal]
-
-
-def to_dnf(predicate: Predicate) -> List[Conjunct]:
-    """Convert a predicate to a list of DNF conjuncts.
-
-    The empty list denotes ``false``; a list containing the empty conjunct
-    denotes ``true``.  Obviously-contradictory conjuncts (the same field both
-    required equal to and different from the same value, or required equal to
-    two different values) are dropped eagerly.
-    """
-    normalized = to_nnf(predicate)
-    terms = _dnf(normalized)
-    return [term for term in terms if _conjunct_consistent(term)]
-
-
-def _dnf(predicate: Predicate) -> List[Conjunct]:
-    if isinstance(predicate, PTrue):
-        return [frozenset()]
-    if isinstance(predicate, PFalse):
-        return []
-    if isinstance(predicate, FieldTest):
-        return [frozenset({Literal(predicate.field, predicate.value, True)})]
-    if isinstance(predicate, Not):
-        inner = predicate.operand
-        if isinstance(inner, FieldTest):
-            return [frozenset({Literal(inner.field, inner.value, False)})]
-        raise PolicyError("predicate is not in negation normal form")
-    if isinstance(predicate, Or):
-        return _dnf(predicate.left) + _dnf(predicate.right)
-    if isinstance(predicate, And):
-        left_terms = _dnf(predicate.left)
-        right_terms = _dnf(predicate.right)
-        if len(left_terms) * len(right_terms) > MAX_DNF_TERMS:
-            raise PolicyError(
-                "predicate too large to convert to DNF "
-                f"({len(left_terms)} x {len(right_terms)} terms)"
-            )
-        return [left | right for left in left_terms for right in right_terms]
-    raise TypeError(f"unknown predicate node: {predicate!r}")
-
-
-def _conjunct_consistent(conjunct: Conjunct) -> bool:
-    """Quick per-field consistency check for a single conjunct."""
-    required: Dict[str, Any] = {}
-    excluded: Dict[str, Set[Any]] = {}
-    for literal in conjunct:
-        if literal.positive:
-            if literal.field in required and required[literal.field] != literal.value:
-                return False
-            required[literal.field] = literal.value
-        else:
-            excluded.setdefault(literal.field, set()).add(literal.value)
-    for name, value in required.items():
-        if value in excluded.get(name, ()):
-            return False
-    for name, values in excluded.items():
-        if name in required:
-            continue
-        size = domain_size(name)
-        if size is not None and len(values) >= size:
-            return False
-    return True
-
-
-def conjunct_to_predicate(conjunct: Conjunct) -> Predicate:
-    """Rebuild a predicate AST from a DNF conjunct (``true`` if empty)."""
-    literals = sorted(conjunct, key=lambda lit: (lit.field, str(lit.value), lit.positive))
-    return pred_and(*[literal.to_predicate() for literal in literals])
-
-
-def dnf_to_predicate(terms: List[Conjunct]) -> Predicate:
-    """Rebuild a predicate AST from a DNF term list (``false`` if empty)."""
-    return pred_or(*[conjunct_to_predicate(term) for term in terms])
-
-
-def simplify(predicate: Predicate) -> Predicate:
-    """Return an equivalent, syntactically smaller predicate.
-
-    The simplification is DNF-based: contradictory conjuncts are removed and
-    conjuncts subsumed by another conjunct (a superset of its literals) are
-    dropped.  The result is not guaranteed to be minimal, only equivalent.
-    """
-    terms = to_dnf(predicate)
-    kept: List[Conjunct] = []
-    for term in terms:
-        if any(other <= term for other in terms if other is not term and other < term):
-            continue
-        if term not in kept:
-            kept.append(term)
-    return dnf_to_predicate(kept)
 
 
 def intersect(left: Predicate, right: Predicate) -> Predicate:

@@ -300,6 +300,9 @@ class ControlPlane:
         if self._closing:
             raise ProvisioningError("the control plane is shutting down")
         group = self._group(name)
+        # Outside a running loop this raises before the tenant is counted
+        # or admitted, so a failed call leaks no admission slot.
+        loop = asyncio.get_running_loop()
         counters = group.tenant_counters(tenant)
         counters["submitted"] += 1
         gate = group.gates.get(tenant)
@@ -317,7 +320,7 @@ class ControlPlane:
             raise
         if metrics is not None:
             metrics.counter("admission_admitted", group=name, tenant=tenant)
-        future = asyncio.get_running_loop().create_future()
+        future = loop.create_future()
         ticket = Ticket(name, tenant, delta, future, submitted_at=self._clock())
         group.queue.put_nowait(ticket)
         return ticket

@@ -5,8 +5,7 @@ set of locations (hosts, switches, middleboxes), the links between them, and
 each link's capacity.  This package provides the :class:`Topology` graph, the
 node/link element types, generators for every topology family used in the
 paper's evaluation (fat trees, balanced trees, a Stanford-campus-like
-network, and a Topology-Zoo-like ensemble), traffic-class enumeration, and
-JSON/DOT serialisation.
+network, and a Topology-Zoo-like ensemble), and traffic-class enumeration.
 """
 
 from .elements import Link, Node, NodeKind
@@ -22,7 +21,6 @@ from .generators import (
     topology_zoo_ensemble,
 )
 from .graph import Topology
-from .io import from_json, to_dot, to_json
 from .traffic import TrafficClass, all_pairs_traffic, select_guaranteed
 
 __all__ = [
@@ -39,9 +37,6 @@ __all__ = [
     "stanford_campus",
     "topology_zoo_like",
     "topology_zoo_ensemble",
-    "from_json",
-    "to_dot",
-    "to_json",
     "TrafficClass",
     "all_pairs_traffic",
     "select_guaranteed",

@@ -70,11 +70,3 @@ class Link:
     def endpoints(self) -> frozenset:
         """The unordered pair of endpoint names."""
         return frozenset({self.source, self.target})
-
-    def other_end(self, node: str) -> str:
-        """The endpoint that is not ``node``."""
-        if node == self.source:
-            return self.target
-        if node == self.target:
-            return self.source
-        raise ValueError(f"{node!r} is not an endpoint of {self}")

@@ -270,15 +270,6 @@ class Topology:
         """All physical edges as sorted (u, v) name pairs."""
         return sorted(tuple(sorted(edge)) for edge in self._graph.edges())
 
-    def to_networkx(self) -> nx.Graph:
-        """A copy of the underlying networkx graph (nodes carry ``kind``)."""
-        graph = nx.Graph()
-        for node in self.nodes():
-            graph.add_node(node.name, kind=node.kind.value)
-        for link in self.links():
-            graph.add_edge(link.source, link.target, capacity=link.capacity.bps_value)
-        return graph
-
     def host_by_mac(self, mac: str) -> Optional[Node]:
         """Find the host with the given MAC address (``None`` if absent)."""
         return self._hosts_by_mac.get(mac.lower())

@@ -83,9 +83,3 @@ def select_guaranteed(
         else:
             result.append(traffic_class)
     return result
-
-
-def count_traffic_classes(topology: Topology) -> int:
-    """Number of ordered host pairs (the x-axis of Figures 7 and 8)."""
-    hosts = topology.num_hosts()
-    return hosts * (hosts - 1)

@@ -166,7 +166,7 @@ class Bandwidth:
         """
         if parts <= 0:
             raise UnitError(f"cannot split bandwidth into {parts} parts")
-        return Bandwidth(self.bits_per_second / parts)
+        return Bandwidth(self.bits_per_second * (1.0 / parts))
 
     # -- formatting --------------------------------------------------------
 

@@ -224,21 +224,39 @@ class TestInstructionBundle:
         assert bundle.total() == sum(counts.values())
         assert set(counts) == {"openflow", "queues", "tc", "iptables", "click"}
 
-    def test_by_device_covers_all_instructions(self, figure2_topology, figure2_placements):
+    def test_instructions_sit_on_devices_of_their_kind(
+        self, figure2_topology, figure2_placements
+    ):
         result = compile_policy(
             RUNNING_EXAMPLE_SOURCE, figure2_topology, figure2_placements
         )
         bundle = result.instructions
-        grouped = bundle.by_device()
-        assert sum(len(items) for items in grouped.values()) == bundle.total()
+        switches = set(figure2_topology.switch_names())
+        hosts = set(figure2_topology.host_names())
+        assert {rule.switch for rule in bundle.openflow} == switches
+        assert {queue.switch for queue in bundle.queues} <= switches
+        assert {command.host for command in bundle.tc} <= hosts
+        assert {rule.host for rule in bundle.iptables} <= hosts
+        assert bundle.click
+        for config in bundle.click:
+            assert config.location in figure2_placements[config.function]
 
-    def test_for_statement_filter(self, figure2_topology, figure2_placements):
+    def test_queues_for_guarantees_and_tc_for_every_rate(
+        self, figure2_topology, figure2_placements
+    ):
         result = compile_policy(
             RUNNING_EXAMPLE_SOURCE, figure2_topology, figure2_placements
         )
-        z_bundle = result.instructions.for_statement("z")
-        assert z_bundle.total() > 0
-        assert all(rule.statement_id == "z" for rule in z_bundle.openflow)
+        bundle = result.instructions
+        guaranteed = {
+            identifier for identifier, rates in result.rates.items() if rates.is_guaranteed
+        }
+        assert guaranteed == {"z"}
+        assert {queue.statement_id for queue in bundle.queues} == guaranteed
+        assert {command.statement_id for command in bundle.tc} == {"x", "y", "z"}
+        # A rule names the statement it was compiled for, or none at all.
+        assert {rule.statement_id for rule in bundle.openflow} <= {None, "x", "y", "z"}
+        assert any(rule.statement_id == "z" for rule in bundle.openflow)
 
     def test_merge(self):
         a = InstructionBundle(openflow=[OpenFlowRule("s1", (), ("drop",))])

@@ -95,11 +95,25 @@ class TestLocalization:
         assert rates["z"].guarantee == Bandwidth.mb_per_sec(100)
         assert rates["z"].is_guaranteed
 
-    def test_custom_weights(self):
-        policy = parse_policy(RUNNING_EXAMPLE_SOURCE)
-        rates = localize(policy, weights={"x": 3.0, "y": 1.0})
-        assert rates["x"].cap == Bandwidth.mb_per_sec(37.5)
-        assert rates["y"].cap == Bandwidth.mb_per_sec(12.5)
+    def test_three_way_split_is_pinned_to_the_bit(self):
+        policy = parse_policy(
+            "[ x : tcp.dst = 80 -> .* ; y : tcp.dst = 22 -> .* ; z : tcp.dst = 53 -> .* ],"
+            " max(x + y + z, 50MB/s)"
+        )
+        rates = localize(policy)
+        share = Bandwidth.mb_per_sec(50).split(3)
+        assert share.bits_per_second == 400e6 * (1.0 / 3)
+        for identifier in "xyz":
+            assert rates[identifier].cap.bits_per_second == share.bits_per_second
+
+    def test_a_repeated_identifier_takes_one_share(self):
+        policy = parse_policy("[ x : tcp.dst = 80 -> .* ], min(x + x, 10Mbps)")
+        assert localize(policy)["x"].guarantee == Bandwidth.mbps(10)
+
+    def test_a_clause_naming_no_statement_is_refused(self):
+        policy = parse_policy("[ x : tcp.dst = 80 -> .* ], max(10Mbps, 50MB/s)")
+        with pytest.raises(PolicyError):
+            localize(policy)
 
     def test_multiple_clauses_take_most_restrictive(self):
         policy = parse_policy(

@@ -1,12 +1,13 @@
-"""Memoization of logical-topology construction.
+"""Memoization around logical-topology construction.
 
-Statements sharing a (path expression, endpoint pair) shape compile to
-identical product graphs, so the compiler reuses the built graph (rebadged
-under the new statement identifier) and the automaton store reuses the
-minimized DFA of structurally equal path expressions.
+The automaton store reuses the minimized DFA of structurally equal path
+expressions; each guaranteed statement still builds (and measures) its own
+product graph, and only the cut a resolve keeps is turned into edges.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -35,6 +36,10 @@ def test_compiled_automaton_is_cached_by_regex_value():
 
 
 def test_rebadged_topology_shares_structure():
+    """A product graph replaced under another statement identifier (as the
+    checkpoint benchmark and the provisioning-equivalence property build
+    their shared members) shares every structure of the original, so the
+    flow builder keyed on ``id(pairs)`` emits one block for both."""
     topology = figure2_example(capacity=Bandwidth.gbps(2))
     policy = parse_policy(
         "[ x : (eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02) -> .* ]",
@@ -44,19 +49,19 @@ def test_rebadged_topology_shares_structure():
     logical = build_logical_topology(
         statement, topology, {}, source="h1", destination="h2"
     )
-    view = logical.rebadged("other")
+    view = dataclasses.replace(logical, statement_id="other")
     assert view.statement_id == "other"
+    assert logical.statement_id == statement.identifier
     assert view.pairs is logical.pairs
     assert view.forward is logical.forward
     assert view.backward is logical.backward
     assert view.num_edges() == logical.num_edges()
-    # Rebadging under the same identifier is the identity.
-    assert logical.rebadged(statement.identifier) is logical
 
 
-def test_compile_with_duplicate_shapes_reuses_logical_topology(monkeypatch):
-    """Two guaranteed statements with the same path and endpoints trigger one
-    logical-topology build; the compiled paths are identical."""
+def test_compile_with_duplicate_shapes_builds_one_graph_each(monkeypatch):
+    """Two guaranteed statements with the same path and endpoints trigger
+    two logical-topology builds (no memo by shape); the compiled paths are
+    identical all the same."""
     topology = figure2_example(capacity=Bandwidth.gbps(2))
     source = """
     [ x : (eth.src = 00:00:00:00:00:01 and
@@ -67,19 +72,19 @@ def test_compile_with_duplicate_shapes_reuses_logical_topology(monkeypatch):
            tcp.dst = 443) -> .* ],
     min(x, 10MB/s) and min(y, 10MB/s)
     """
-    calls = []
     import repro.core.compiler as compiler_module
 
+    built = []
     real_build = compiler_module.build_logical_topology
 
-    def counting_build(*args, **kwargs):
-        calls.append(1)
-        return real_build(*args, **kwargs)
+    def counting_build(statement, *args, **kwargs):
+        built.append(statement.identifier)
+        return real_build(statement, *args, **kwargs)
 
     monkeypatch.setattr(compiler_module, "build_logical_topology", counting_build)
     compiler = MerlinCompiler(topology=topology, overlap="trust", add_catch_all=False)
     result = compiler.compile(source)
-    assert len(calls) == 1, "the second statement should reuse the memoized build"
+    assert sorted(built) == ["x", "y"]
     assert result.paths["x"].path == result.paths["y"].path
 
 
@@ -140,10 +145,10 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_edges_are_built_for_the_cut_and_distances_once_per_shape(monkeypatch):
+def test_edges_are_built_for_the_cut_and_distances_once_per_graph(monkeypatch):
     """A ``LogicalEdge`` is built for each edge a tightened view keeps, not
-    for each edge of the product graph, and a statement whose graph comes
-    from the logical memo measures no hop distances of its own."""
+    for each edge of the product graph, and a statement sharing another's
+    (path, endpoints) shape builds and measures a graph of its own."""
     import repro.core.logical as logical_module
     from repro.incremental import DeltaStatement, PolicyDelta
 
@@ -180,8 +185,10 @@ def test_edges_are_built_for_the_cut_and_distances_once_per_shape(monkeypatch):
     compiler.recompile(
         PolicyDelta(add=(DeltaStatement(twin, guarantee=Bandwidth.mbps(1)),))
     )
-    assert measured == []
-    shared, rebadged = engine.logical_for(twin_of), engine.logical_for("twin")
-    assert rebadged.forward is shared.forward
-    assert rebadged.backward is shared.backward
-    assert rebadged.edges == shared.edges
+    assert len(measured) == 2
+    first, second = engine.untightened_for(twin_of), engine.untightened_for("twin")
+    assert second.statement_id == "twin"
+    assert second.pairs is not first.pairs
+    assert second.pairs == first.pairs
+    assert second.forward == first.forward
+    assert second.backward == first.backward

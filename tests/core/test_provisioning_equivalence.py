@@ -14,6 +14,7 @@ every allocation, unchanged.  (That no modelling object exists under
 
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -168,7 +169,7 @@ def _graph(identifier, pairs):
 
 @st.composite
 def _components(draw):
-    """1-4 members, some rebadged from an earlier member's product graph
+    """1-4 members, some sharing an earlier member's product graph
     (one block at two column offsets), over the members' links less a few
     plus a few no member touches (the ``partition=False`` shape)."""
     count = draw(st.integers(1, 4))
@@ -177,7 +178,7 @@ def _components(draw):
         identifier = f"s{index}"
         if logicals and draw(st.booleans()):
             shared = draw(st.sampled_from(list(logicals.values())))
-            logicals[identifier] = shared.rebadged(identifier)
+            logicals[identifier] = dataclasses.replace(shared, statement_id=identifier)
         else:
             logicals[identifier] = draw(_product_graphs(identifier))
     footprint = sorted(
@@ -212,7 +213,8 @@ def _compare(logicals, rates, links, heuristic):
     blocks = {}
     by_graph = {}
     for identifier, logical in logicals.items():
-        # A rebadged graph shares its pairs, so it shares the block.
+        # A graph replaced under another identifier shares its pairs, so it
+        # shares the block.
         if id(logical.pairs) not in by_graph:
             by_graph[id(logical.pairs)] = flow_block(logical)
         blocks[identifier] = by_graph[id(logical.pairs)]
@@ -241,7 +243,7 @@ def test_array_build_equals_the_object_builder(drawn):
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
 def test_shared_block_reversed_links_and_an_untouched_link(heuristic):
-    """The four shapes the property draws, in one component: a rebadged
+    """The four shapes the property draws, in one component: a shared
     member (one block at two offsets), links crossed as ``(v, u)``, a link
     no member touches, and a member link left out of the component."""
     logical = _graph(
@@ -255,7 +257,7 @@ def test_shared_block_reversed_links_and_an_untouched_link(heuristic):
             (("c", 1), SINK),
         ],
     )
-    logicals = {"p": logical, "q": logical.rebadged("q")}
+    logicals = {"p": logical, "q": dataclasses.replace(logical, statement_id="q")}
     rates = {
         "p": LocalRates("p", Bandwidth.mbps(25)),
         "q": LocalRates("q", Bandwidth.mbps(400)),

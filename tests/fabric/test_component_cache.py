@@ -212,6 +212,27 @@ class TestSpill:
         second = ComponentSolutionCache(spill_path=spill)
         assert len(second) == stored  # the garbage and stale lines were skipped
 
+    def test_replay_past_the_bound_keeps_the_spill_s_last_entries(
+        self, scenario, tmp_path
+    ):
+        """Replay inserts the way ``put`` does: a spill longer than the bound
+        leaves its last ``limit`` signatures, and nothing is re-spilled."""
+        spill = tmp_path / "components.jsonl"
+        first = ComponentSolutionCache(spill_path=spill)
+        _compile(scenario, first)
+        lines = spill.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == first.stores > 2
+        signatures = [json.loads(line)["signature"] for line in lines]
+
+        bounded = ComponentSolutionCache(limit=2, spill_path=spill)
+        assert len(bounded) == 2
+        assert bounded.stores == 0
+        for signature in signatures[:-2]:
+            assert bounded.get(signature) is None
+        for signature in signatures[-2:]:
+            assert bounded.get(signature) is not None
+        assert spill.read_text(encoding="utf-8").splitlines() == lines
+
     @pytest.mark.parametrize(
         "damage",
         ["truncated-line", "missing-field", "flipped-character", "older-version"],

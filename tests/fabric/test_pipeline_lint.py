@@ -37,7 +37,12 @@ object builder and its front end are the tests' reference; ``lp/model.py``
 keeps an empty ``Model`` whose ``solve`` raises, for the benchmark
 tracer's ``lp`` target), a form always minimises, and the primal heuristic
 reads a form through its layout, not through the names the object builder
-gave its rows.
+gave its rows.  Nor may what no caller or workload reached: the
+localization split weights (a clause splits equally, §3.1), the memo of
+guaranteed product graphs by ``(path, source, destination)`` with its
+rebadged views and hit/miss counters, the DNF transforms, and the topology
+JSON and networkx exports; ``MerlinCompiler``'s fields are pinned like
+``ProvisionOptions``'.
 
 ``make lint-pipeline`` runs this file.
 """
@@ -48,6 +53,7 @@ import re
 from pathlib import Path
 
 import repro
+from repro.core.compiler import MerlinCompiler
 from repro.core.options import ProvisionOptions
 
 SRC = Path(repro.__file__).resolve().parent
@@ -158,6 +164,29 @@ def test_options_nobody_set_stay_constants():
         "fabric",
         "component_cache",
     ], "ProvisionOptions grew a field (widening is not an option)"
+
+
+def test_what_no_caller_reached_stays_deleted():
+    banned = re.compile(
+        r"localization_weights|rebadged|logical_memo_|to_dnf|dnf_to_predicate"
+        r"|MAX_DNF_TERMS|to_networkx|from_json"
+    )
+    offenders = _files_mentioning(banned)
+    assert not offenders, (
+        "an unreached knob, memo or API is back (localize splits equally; "
+        "each guaranteed statement builds its own product graph, counted on "
+        "logical_builds; predicates are searched in NNF): %s" % ", ".join(offenders)
+    )
+    assert [field.name for field in dataclasses.fields(MerlinCompiler)] == [
+        "topology",
+        "placements",
+        "heuristic",
+        "overlap",
+        "add_catch_all",
+        "generate_code",
+        "options",
+        "_session",
+    ], "MerlinCompiler grew a field (provisioning knobs go on ProvisionOptions)"
 
 
 def test_three_backends_picked_from_a_table():

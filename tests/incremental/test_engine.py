@@ -242,7 +242,7 @@ class TestCachingAndPartitions:
 
         engine = seeded(scenario.topology)
         before = engine.resolve()
-        saved = engine.checkpoint()
+        saved = engine.journal.mark()
         engine.set_topology(halved)
         degraded = engine.resolve()
         fresh = seeded(halved).resolve()
@@ -251,8 +251,8 @@ class TestCachingAndPartitions:
         assert degraded.max_utilization == 2 * before.max_utilization
         assert _reservations(degraded) == _reservations(fresh)
 
-        engine.restore(saved)
-        engine.release(saved)
+        engine.journal.rollback(saved)
+        engine.journal.release(saved)
         restored = engine.resolve()
         assert restored.solve_statistics["partitions_dirty"] == 0.0
         assert _reservations(restored) == _reservations(before)

@@ -155,13 +155,13 @@ def test_journal_rollback_matches_legacy_snapshot(seed):
     for _ in range(5):
         population = dict(churn.active)
         legacy = _engine_state(engine)  # the copying checkpoint
-        mark = engine.checkpoint()  # the journal transaction
+        mark = engine.journal.mark()  # the journal transaction
         for _ in range(rng.randint(1, 4)):
             _apply_engine_op(engine, churn.next_op())
         if rng.random() < 0.5:
             engine.resolve()  # touches the memo mid-transaction
-        engine.restore(mark)
-        engine.release(mark)
+        engine.journal.rollback(mark)
+        engine.journal.release(mark)
         churn.active = population
         assert _engine_state(engine) == legacy
         # Interleave a committed op so rounds start from fresh states.
@@ -180,25 +180,25 @@ def test_nested_engine_transactions():
         engine.add_statement(statement, rates[statement.identifier].guarantee)
 
     base = _engine_state(engine)
-    outer = engine.checkpoint()
+    outer = engine.journal.mark()
     engine.update_rates("p0s0", Bandwidth.mbps(10))
     mid = _engine_state(engine)
 
-    inner = engine.checkpoint()
+    inner = engine.journal.mark()
     engine.remove_statement("p1s0")
     engine.update_rates("p0s0", Bandwidth.mbps(75))
-    engine.restore(inner)
-    engine.release(inner)
+    engine.journal.rollback(inner)
+    engine.journal.release(inner)
     assert _engine_state(engine) == mid
 
     # Inner commit keeps its changes through to the outer rollback.
-    inner2 = engine.checkpoint()
+    inner2 = engine.journal.mark()
     engine.update_rates("p0s0", Bandwidth.mbps(50))
-    engine.release(inner2)
+    engine.journal.release(inner2)
     assert engine.rates_for("p0s0").guarantee.bps_value == Bandwidth.mbps(50).bps_value
 
-    engine.restore(outer)
-    engine.release(outer)
+    engine.journal.rollback(outer)
+    engine.journal.release(outer)
     assert _engine_state(engine) == base
 
 

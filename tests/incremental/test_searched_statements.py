@@ -93,13 +93,12 @@ def test_promotion_materialises_the_searched_shape_and_keeps_its_footprint():
             PolicyDelta(update_rates=(RateUpdate("b", guarantee=RATE),))
         )
     # One graph for g, one walk that b and b2 share, and nothing else.
-    assert compiled.counter_total("logical_memo_misses") == 1
-    assert compiled.counter_total("logical_memo_hits") == 0
+    assert compiled.counter_total("logical_builds") == 1
     assert compiled.counter_total("logical_searches") == 1
     assert searched.best_effort is not None and searched.footprint
     assert compiler._session.entries["b2"].best_effort is not None
     # The promotion builds b's graph then, for the first time.
-    assert bundle.snapshot().counter_total("logical_memo_misses") == 2
+    assert bundle.snapshot().counter_total("logical_builds") == 2
     assert bundle.snapshot().counter_total("logical_searches") == 1
     entry = compiler._session.entries["b"]
     assert entry.best_effort is None

@@ -449,14 +449,14 @@ class TestEngineCheckpoint:
             engine.add_statement(statement, rates[statement.identifier].guarantee)
         before = engine.resolve()
 
-        saved = engine.checkpoint()
+        saved = engine.journal.mark()
         wild = unconstrained_statement(scenario)
         engine.add_statement(wild, Bandwidth.mbps(25))
         engine.update_rates("p0s0", Bandwidth.mbps(10))
         engine.remove_statement("p1s0")
         engine.resolve()
 
-        engine.restore(saved)
+        engine.journal.rollback(saved)
         assert set(engine.statement_ids()) == {
             s.identifier for s in scenario.policy.statements
         }
@@ -479,12 +479,12 @@ class TestEngineCheckpoint:
             engine.add_statement(statement, rates[statement.identifier].guarantee)
         engine.resolve()
 
-        saved = engine.checkpoint()
+        saved = engine.journal.mark()
         engine.update_rates("p0s0", Bandwidth.mbps(30))
         engine.resolve()  # memoized mid-transaction
-        engine.restore(saved)
+        engine.journal.rollback(saved)
         engine.update_rates("p0s0", Bandwidth.mbps(40))
-        engine.release(saved)
+        engine.journal.release(saved)
 
         # Every feasible path crosses the source host's access link, which
         # must therefore carry exactly the current guarantee.
@@ -515,12 +515,12 @@ class TestEngineCheckpoint:
         memo = engine._memo
         assert len(memo) == 6  # seven components solved: filled to its bound
 
-        saved = engine.checkpoint()
+        saved = engine.journal.mark()
         assert type(saved) is JournalMark
         engine.update_rates("p0s0", Bandwidth.mbps(50))
         engine.resolve()
-        engine.restore(saved)
-        engine.release(saved)
+        engine.journal.rollback(saved)
+        engine.journal.release(saved)
         # One memo for the life of the engine: never copied into a mark,
         # never swapped back by a rollback.
         assert engine._memo is memo

@@ -17,13 +17,11 @@ from repro.predicates import (
     pred_and,
     pred_not,
     pred_or,
-    simplify,
-    to_dnf,
     to_nnf,
 )
-from repro.predicates.ast import FALSE, TRUE
+from repro.predicates.ast import FALSE, TRUE, And, Not, Or
 from repro.predicates.sat import covers, find_overlapping_pairs, overlaps
-from repro.predicates.transform import dnf_to_predicate, subtract
+from repro.predicates.transform import atoms, subtract
 
 
 class TestSatisfiability:
@@ -151,19 +149,12 @@ class TestTransforms:
         nnf = to_nnf(p)
         assert equivalent(p, nnf)
 
-    def test_dnf_equivalence(self):
-        p = parse_predicate("(tcp.dst = 80 or tcp.dst = 22) and ip.proto = tcp")
-        assert equivalent(p, dnf_to_predicate(to_dnf(p)))
-
-    def test_dnf_of_false_is_empty(self):
-        assert to_dnf(FALSE) == []
-
-    def test_dnf_of_true_is_single_empty_conjunct(self):
-        assert to_dnf(TRUE) == [frozenset()]
-
-    def test_simplify_preserves_meaning(self):
-        p = parse_predicate("(tcp.dst = 80 and tcp.dst = 22) or ip.proto = tcp")
-        assert equivalent(p, simplify(p))
+    def test_nnf_of_negated_constants_and_double_negation(self):
+        http = FieldTest("tcp.dst", 80)
+        assert to_nnf(pred_not(TRUE)) == FALSE
+        assert to_nnf(pred_not(FALSE)) == TRUE
+        assert to_nnf(Not(Not(http))) == http
+        assert to_nnf(Not(http)) == Not(http)
 
     def test_subtract(self):
         tcp = parse_predicate("ip.proto = tcp")
@@ -232,9 +223,20 @@ class TestSatProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(p=_predicates(), packet=_PACKETS)
-    def test_dnf_round_trip_matches_same_packets(self, p, packet):
-        rebuilt = dnf_to_predicate(to_dnf(p))
-        assert matches(p, packet) == matches(rebuilt, packet)
+    def test_nnf_matches_same_packets(self, p, packet):
+        assert matches(to_nnf(p), packet) == matches(p, packet)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=_predicates())
+    def test_nnf_negates_only_field_tests(self, p):
+        stack = [to_nnf(p)]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Not):
+                assert isinstance(node.operand, FieldTest)
+            elif isinstance(node, (And, Or)):
+                stack.extend(node.children())
+        assert atoms(to_nnf(p)) <= atoms(p)
 
     @settings(max_examples=100, deadline=None)
     @given(p=_predicates(), packet=_PACKETS)

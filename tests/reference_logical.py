@@ -103,28 +103,6 @@ class ReferenceLogicalTopology:
         """Whether any physical path satisfies the statement's constraints."""
         return self.find_path() is not None
 
-    def rebadged(self, statement_id: str) -> "ReferenceLogicalTopology":
-        """A view of this topology under another statement's identifier.
-
-        The vertex/edge structures are shared, not copied: two statements
-        with the same (path expression, endpoint pair) shape produce
-        identical product graphs, and nothing mutates a logical topology
-        after construction.  This is what makes memoising
-        :func:`build_logical_topology` at the compiler level cheap.
-        """
-        if statement_id == self.statement_id:
-            return self
-        return ReferenceLogicalTopology(
-            statement_id=statement_id,
-            source_location=self.source_location,
-            destination_location=self.destination_location,
-            vertices=self.vertices,
-            edges=self.edges,
-            _out=self._out,
-            _in=self._in,
-            _by_link=self._by_link,
-        )
-
 
 def reference_build_logical_topology(
     statement: Statement,

@@ -204,6 +204,31 @@ class TestControlPlane:
         assert after.tenants["alice"].committed == 2
         assert "w" not in after.statements
 
+    def test_a_submit_outside_the_loop_holds_no_admission_slot(self):
+        """``submit`` needs the running loop for the ticket's future; called
+        without one it raises before the tenant is counted or admitted, so
+        the tenant's one outstanding slot stays free."""
+
+        async def run():
+            plane = ControlPlane(admission=AdmissionPolicy(max_outstanding=1))
+            await _open(plane)
+            with pytest.raises(RuntimeError):
+                # A worker thread has no running event loop.
+                await asyncio.to_thread(
+                    plane.submit, "g", _add("w", 443), tenant="alice"
+                )
+            ticket = plane.submit("g", _add("w", 443), tenant="alice")
+            plane.start()
+            await ticket.result()
+            await plane.shutdown()
+            return plane.query("g")
+
+        state = asyncio.run(run())
+        assert state.tenants["alice"].submitted == 1
+        assert state.tenants["alice"].rejected == 0
+        assert state.tenants["alice"].committed == 1
+        assert "w" in state.statements
+
     def test_admission_rate_cap_with_injected_clock(self):
         clock = {"now": 0.0}
 

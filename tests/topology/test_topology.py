@@ -1,6 +1,4 @@
-"""Tests for the topology graph, generators, traffic enumeration, and serialisation."""
-
-import json
+"""Tests for the topology graph, generators, and traffic enumeration."""
 
 import pytest
 
@@ -12,18 +10,14 @@ from repro.topology import (
     balanced_tree,
     dumbbell,
     fat_tree,
-    from_json,
     linear,
     select_guaranteed,
     single_switch,
     stanford_campus,
-    to_dot,
-    to_json,
     topology_zoo_ensemble,
     topology_zoo_like,
 )
 from repro.topology.generators import figure2_example
-from repro.topology.traffic import count_traffic_classes
 from repro.units import Bandwidth
 
 
@@ -142,6 +136,34 @@ class TestTopologyGraph:
         assert not disconnected.is_connected()
 
 
+    def test_degree_and_undirected_edges(self):
+        topo = linear(3)
+        assert topo.undirected_edges() == [
+            ("h1", "s1"),
+            ("h2", "s2"),
+            ("h3", "s3"),
+            ("s1", "s2"),
+            ("s2", "s3"),
+        ]
+        assert [topo.degree(name) for name in ("s1", "s2", "s3", "h1")] == [2, 3, 2, 1]
+        assert topo.link("s2", "s1").endpoints() == frozenset({"s1", "s2"})
+
+    def test_without_fails_a_switch_with_its_links(self):
+        topo = linear(3, capacity=Bandwidth.mbps(100))
+        degraded = topo.without(nodes=["s2"])
+        assert "s2" not in degraded and "h2" in degraded
+        assert degraded.num_links() == topo.num_links() - 3
+        assert not degraded.is_connected()
+        assert degraded.capacity("h1", "s1") == Bandwidth.mbps(100)
+        assert degraded.node("h1") is topo.node("h1")
+        # The original is untouched.
+        assert topo.num_links() == 5 and topo.has_link("s1", "s2")
+        with pytest.raises(TopologyError):
+            topo.without(nodes=["h1"])
+        with pytest.raises(TopologyError):
+            topo.without(links=[("s1", "s3")])
+
+
 class TestGenerators:
     def test_single_switch(self):
         topo = single_switch(4)
@@ -207,7 +229,6 @@ class TestTraffic:
         topo = single_switch(5)
         classes = all_pairs_traffic(topo)
         assert len(classes) == 5 * 4
-        assert count_traffic_classes(topo) == 20
 
     def test_select_guaranteed_fraction(self):
         topo = single_switch(10)
@@ -226,29 +247,3 @@ class TestTraffic:
         topo = single_switch(2)
         classes = all_pairs_traffic(topo)
         assert classes[0].identifier().startswith("tc_")
-
-
-class TestSerialisation:
-    def test_json_round_trip(self):
-        topo = figure2_example()
-        restored = from_json(to_json(topo))
-        assert set(restored.locations()) == set(topo.locations())
-        assert restored.num_links() == topo.num_links()
-        assert restored.capacity("s1", "s2") == topo.capacity("s1", "s2")
-        assert restored.node("h1").mac == topo.node("h1").mac
-
-    def test_from_json_accepts_dict(self):
-        topo = single_switch(2)
-        payload = json.loads(to_json(topo))
-        assert from_json(payload).num_hosts() == 2
-
-    def test_malformed_json_rejected(self):
-        with pytest.raises(TopologyError):
-            from_json({"nodes": [{"name": "x"}]})
-
-    def test_dot_output_mentions_every_node(self):
-        topo = figure2_example()
-        dot = to_dot(topo)
-        for name in topo.locations():
-            assert name in dot
-        assert dot.startswith("graph")
