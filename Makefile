@@ -24,7 +24,7 @@ alloc-digest:
 # The repo lints, each written once, as a pytest file (so tier-1 runs them
 # too): all timing flows through the injectable telemetry clock and nothing
 # under benchmarks/ or repro/experiments reads one or asserts on a
-# wall-clock reading; the solve fabric is the only process pool; every
+# wall-clock reading; no process pool exists under src/repro; every
 # automaton comes out of the store in repro/regex/operations.py; there is
 # one way into the solver, one grammar, and the machinery and options
 # earlier PRs deleted stay deleted.
@@ -116,10 +116,9 @@ bench-checkpoint:
 bench-telemetry:
 	$(PYTEST) -q benchmarks/test_telemetry_overhead.py
 
-# Solve-fabric guard: on the pod-tenant workload, a warm-cache re-sweep
+# Content-cache guard: on the pod-tenant workload, a warm-cache re-sweep
 # makes zero solver calls with byte-identical allocations (every
-# component served from the content-addressed cache), and one persistent
-# SolveFabric spawns one pool for N batches where N throwaway fabrics
-# spawn N (writes .bench_out/results/fabric.txt and fabric_pool.txt).
+# component served from the content-addressed cache)
+# (writes .bench_out/results/fabric.txt).
 bench-fabric:
 	$(PYTEST) -q benchmarks/test_fabric.py

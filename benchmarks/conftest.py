@@ -2,8 +2,8 @@
 
 Each module regenerates one table or figure from the paper's evaluation
 (§6) and asserts the *facts* behind its shape: counts and structure that
-repeat exactly on any machine (solver calls, cache hits, pool spawns,
-journal entries, MIP variables, automaton states, simulated seconds).  The
+repeat exactly on any machine (solver calls, cache hits, journal entries,
+MIP variables, automaton states, simulated seconds).  The
 latency columns are printed and never asserted; they are read from what the
 program already measures — ``result.statistics`` /
 ``CompilationStatistics.as_row()``, or the ``.duration`` of one

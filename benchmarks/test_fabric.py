@@ -1,41 +1,30 @@
-"""Solve-fabric figure: what the content cache and the persistent pool save.
+"""Content-cache figure: what a warm component-solution cache saves.
 
-Two contracts, both stated as counts:
-
-* **A warm sweep solves nothing.**  On the pod-tenant fat-tree workload
-  (one bandwidth-guaranteed tenant per pod, link-disjoint MIP components) a
-  re-sweep against a populated :class:`~repro.fabric.ComponentSolutionCache`
-  makes zero solver calls — every component the cold sweep stored is a hit —
-  and reproduces the cold sweep's allocations byte for byte.
-  (``tests/fabric/test_component_cache.py::TestHitsAndByteIdenticalAllocations``
-  makes the same check on renamed and permuted policies.)
-
-* **A persistent pool is spawned once.**  One
-  :class:`~repro.fabric.SolveFabric` reused across N multi-component batches
-  spawns one process pool; N throwaway fabrics (what
-  ``solve_partition_models`` did before the fabric existed) spawn N.
-  (``tests/fabric/test_pool.py::TestPersistence`` pins the reuse itself.)
+One contract, stated as counts: **a warm sweep solves nothing.**  On the
+pod-tenant fat-tree workload (one bandwidth-guaranteed tenant per pod,
+link-disjoint MIP components) a re-sweep against a populated
+:class:`~repro.fabric.ComponentSolutionCache` makes zero solver calls —
+every component the cold sweep stored is a hit — and reproduces the cold
+sweep's allocations byte for byte.
+(``tests/fabric/test_component_cache.py::TestHitsAndByteIdenticalAllocations``
+makes the same check on renamed and permuted policies.)
 
 The latencies in the report come from each compile's
-``statistics.total_seconds`` and from one span around each batch loop; they
-are printed, not asserted.  ``make bench-fabric`` runs this file alone and
-writes ``.bench_out/results/fabric.txt``.
+``statistics.total_seconds``; they are printed, not asserted.
+``make bench-fabric`` runs this file alone and writes
+``.bench_out/results/fabric.txt``.
 """
 
 from conftest import is_full_scale
 
-from repro import telemetry
 from repro.core.compiler import MerlinCompiler
 from repro.core.options import ProvisionOptions
 from repro.experiments.reprovisioning import (
     counting_solver_calls,
     pod_tenant_scenario,
 )
-from repro.fabric import ComponentSolutionCache, SolveFabric
+from repro.fabric import ComponentSolutionCache
 from repro.scenarios import allocations_match
-
-_POOL_BATCHES = 4
-_POOL_PAYLOADS = 4
 
 
 def _scenario():
@@ -89,49 +78,3 @@ def test_warm_cache_sweep_solves_nothing_and_is_byte_identical(report):
     assert warm_solves == 0
     assert allocations_match(warm, cold, tolerance=0.0)
 
-
-def _fabric_task(payload):
-    return payload + 1
-
-
-def test_persistent_pool_spawns_once_for_every_batch(report):
-    payloads = list(range(_POOL_PAYLOADS))
-    expected = [payload + 1 for payload in payloads]
-
-    persistent = SolveFabric(max_workers=2, task=_fabric_task)
-    try:
-        assert persistent.solve(payloads) == expected  # spawn outside the span
-        with telemetry.span("persistent_fabric") as span:
-            for _ in range(_POOL_BATCHES):
-                assert persistent.solve(payloads) == expected
-        persistent_ms = span.duration * 1000.0
-        persistent_spawns = persistent.spawned
-    finally:
-        persistent.shutdown()
-
-    throwaway_spawns = 0
-    with telemetry.span("throwaway_fabrics") as span:
-        for _ in range(_POOL_BATCHES):
-            throwaway = SolveFabric(max_workers=2, task=_fabric_task)
-            try:
-                assert throwaway.solve(payloads) == expected
-            finally:
-                throwaway.shutdown()
-            throwaway_spawns += throwaway.spawned
-    spinup_ms = span.duration * 1000.0
-
-    report(
-        "fabric_pool",
-        "\n".join(
-            [
-                f"{_POOL_BATCHES} batches x {_POOL_PAYLOADS} payloads, 2 workers",
-                f"persistent fabric: {persistent_ms:.1f} ms "
-                f"({persistent_spawns} pool spawn total)",
-                f"per-call spin-up:  {spinup_ms:.1f} ms "
-                f"({throwaway_spawns} pool spawns)",
-                f"reuse advantage: {spinup_ms / persistent_ms:.2f}x",
-            ]
-        ),
-    )
-    assert persistent_spawns == 1
-    assert throwaway_spawns == _POOL_BATCHES

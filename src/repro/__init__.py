@@ -23,12 +23,12 @@ with ``PolicyDelta`` / ``TopologyDelta`` / ``ScenarioEvent`` to stream
 changes at a live compile, and ``ControlPlane`` + ``AdmissionPolicy`` to run
 the compiler as a multi-tenant provisioning service.  ``Telemetry`` (and
 the :mod:`repro.telemetry` module) adds scoped tracing and metrics over
-all of it — ``with Telemetry.recording().use(): ...``.  ``SolveFabric``
-and ``ComponentSolutionCache`` (the :mod:`repro.fabric` layer) make
-repeated provisioning fast: one persistent worker pool and one
-content-addressed component-solution cache shared across compiles, sweeps,
-and control-plane tenants via ``ProvisionOptions(fabric=...,
-component_cache=..)``.
+all of it — ``with Telemetry.recording().use(): ...``.
+``ComponentSolutionCache`` (the :mod:`repro.fabric` layer) makes repeated
+provisioning fast: one content-addressed component-solution cache shared
+across compiles, sweeps, and control-plane tenants via
+``ProvisionOptions(component_cache=...)``.  Components are solved in the
+calling process.
 """
 
 from .core import (
@@ -42,7 +42,7 @@ from .core import (
     compile_policy,
     parse_policy,
 )
-from .fabric import ComponentSolutionCache, SolveFabric
+from .fabric import ComponentSolutionCache
 from .incremental import PolicyDelta, RateUpdate, TopologyDelta, policy_delta
 from .negotiator import Negotiator, delegate, verify_refinement
 from .scenarios import ScenarioEvent
@@ -74,7 +74,6 @@ __all__ = [
     "compile_policy",
     "parse_policy",
     "ComponentSolutionCache",
-    "SolveFabric",
     "PolicyDelta",
     "RateUpdate",
     "TopologyDelta",

@@ -200,12 +200,11 @@ class MerlinCompiler:
     benchmarks.
 
     Provisioning knobs — solver backend and limits, partitioning,
-    footprint slack, and the solve-fabric
-    layer (``options.fabric``, the only source of a worker pool, and
-    ``options.component_cache``, the cross-session content-addressed
-    solution cache — :mod:`repro.fabric`) — live in a single
-    :class:`~repro.core.options.ProvisionOptions` passed as ``options``
-    (``None`` means the defaults: in-process solves, no content cache).
+    footprint slack, and ``options.component_cache`` (the cross-session
+    content-addressed solution cache of :mod:`repro.fabric`) — live in a
+    single :class:`~repro.core.options.ProvisionOptions` passed as
+    ``options`` (``None`` means the defaults: no content cache).  Every
+    component is solved in the calling process.
     Each :meth:`compile` hands it to the session's engine, which every
     later :meth:`recompile` of that session solves through: one
     configuration, one undo journal and one solution memo per session.
@@ -230,7 +229,7 @@ class MerlinCompiler:
         ``logical_construction`` / ``rateless`` (one per run of guaranteed /
         best-effort statements in policy order), ``resolve`` with its
         per-round ``partition`` and per-component ``component_solve``
-        (adopted from pool workers, backend name attached), and
+        (solved in this process, backend name attached), and
         ``codegen`` children.  The reported ``statistics.total_seconds``
         *is* the root span's duration.
         """

@@ -3,7 +3,7 @@
 :class:`ProvisionOptions` is the only way to configure how guaranteed
 traffic is provisioned: one frozen dataclass carrying the solver backend,
 partitioning switch, base footprint slack, solver limits and the
-solve-fabric handles (worker pool, content cache).
+content cache.
 :class:`~repro.core.compiler.MerlinCompiler` and
 :class:`~repro.incremental.engine.IncrementalProvisioner` each take it as
 ``options=`` (``None`` means the defaults) and hand it on unchanged, so
@@ -84,11 +84,6 @@ class ProvisionOptions:
     canonical model alone, which is what keeps a session's allocations
     equal to a from-scratch compile's on every backend.
 
-    ``fabric`` — a :class:`repro.fabric.SolveFabric` to solve several dirty
-    components on concurrently, shared across compile/recompile/sweep calls
-    (and across sessions that receive the same instance); the pool width
-    is the fabric's own.  ``None`` solves every component in-process.
-
     ``component_cache`` — a :class:`repro.fabric.ComponentSolutionCache`
     consulted (by canonical content signature) before any component model
     is built, and populated with proven-optimal solutions after fresh
@@ -101,7 +96,6 @@ class ProvisionOptions:
     footprint_slack: Optional[int] = DEFAULT_FOOTPRINT_SLACK
     time_limit_seconds: Optional[float] = None
     node_limit: Optional[int] = None
-    fabric: Optional[object] = None
     component_cache: Optional[object] = None
 
     def __post_init__(self) -> None:

@@ -242,6 +242,5 @@ def decode_solution(
         num_constraints=int(record["num_constraints"]),
         construction_seconds=0.0,
         solve_seconds=0.0,
-        span=None,
         member_slacks=tuple(member_slacks),
     )

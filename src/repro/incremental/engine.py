@@ -21,11 +21,11 @@ link-disjoint components (union-find over *tightened* logical link
 footprints), components whose members are unchanged since an earlier solve
 re-use their memoized
 :class:`~repro.incremental.solve.PartitionSolution` verbatim, and only the
-*dirty* components are rebuilt (in canonical order) and re-solved —
-concurrently on ``options.fabric`` when several are dirty, each from its
-model alone: no incumbent is carried from one solve to the next, so an
-exactly tied optimum is decided by the model and never by what the session
-solved before.  A full compile is the same thing with every component dirty:
+*dirty* components are rebuilt (in canonical order) and re-solved, one
+after another in the calling process, each from its model alone: no
+incumbent is carried from one solve to the next, so an exactly tied
+optimum is decided by the model and never by what the session solved
+before.  A full compile is the same thing with every component dirty:
 ``MerlinCompiler.compile`` adds its statements to a fresh engine and
 resolves once, so a delta history and a from-scratch run meet in the same
 canonical component models by construction.  With ``options.partition``
@@ -101,11 +101,9 @@ class IncrementalProvisioner:
     the :class:`~repro.core.options.ProvisionOptions` defaults):
     ``footprint_slack`` is the cost-bound tightening applied to each
     statement's logical topology (extra physical hops over its optimum;
-    ``None`` disables tightening); ``fabric`` (the worker pool several
-    dirty components are solved on — without one they solve in-process,
-    the right choice for the common single-component delta) and
-    ``component_cache`` are owned by the caller (typically the control
-    plane) — the engine only routes work through them.
+    ``None`` disables tightening); ``component_cache`` is owned by the
+    caller (typically the control plane) — the engine only looks up and
+    stores through it.  Every dirty component is solved in this process.
     """
 
     def __init__(
@@ -338,7 +336,6 @@ class IncrementalProvisioner:
                 footprint_slack=self.footprint_slack,
                 partition=self.options.partition,
                 component_cache=self.options.component_cache,
-                fabric=self.options.fabric,
             )
             resolve_span.annotate(
                 partitions=len(outcome.specs), dirty=outcome.solver_calls

@@ -19,13 +19,11 @@ equivalence guarantee: a sequence of deltas followed by ``resolve()``
 yields exactly the allocations of a from-scratch ``compile()`` of the
 final policy.
 
-Disjoint components are independent MIPs, so they can be solved
-concurrently: with ``options.fabric`` set the built models go to the solve
-fabric (:mod:`repro.fabric` — a *persistent* worker pool shared across
-calls; a model travels as its sparse standard form and the answer comes
-back as the solution's column vector, which :func:`extract_partition_solution`
-reads paths and reservations out of by slicing).
-A worker crash degrades to a serial in-process solve, never to an error.
+Components are solved one after another in the calling process, each by
+the options' backend inside its own ``component_solve`` span: a model is
+handed over as its sparse standard form and the answer comes back as the
+solution's column vector, which :func:`extract_partition_solution` reads
+paths and reservations out of by slicing.
 A solve is handed its model and nothing else — no incumbent from an
 earlier solve — so the answer cannot depend on what the session solved
 before.  An optional content-addressed
@@ -36,7 +34,6 @@ sweep runs solve once.
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -77,8 +74,8 @@ from ..fabric.signature import (
     encode_infeasible,
     encode_solution,
 )
-from ..lp.backends import backend_name, resolve_backend
-from ..lp.result import SolveStatus
+from ..lp.backends import backend_name
+from ..lp.result import SolveResult, SolveStatus
 from ..topology.graph import Topology
 from ..units import Bandwidth
 from .partition import LinkKey, PartitionSpec, partition_statements
@@ -195,14 +192,8 @@ class PartitionSolution:
     num_variables: int = 0
     num_constraints: int = 0
     construction_seconds: float = 0.0
+    #: The duration of the component's ``component_solve`` span.
     solve_seconds: float = 0.0
-    #: The worker-side ``component_solve`` span, serialized
-    #: (``Span.to_payload`` shape).  Solves run in a process pool whose
-    #: workers cannot reach the parent's recorder; the payload rides back
-    #: with the solution and the consuming side re-parents it via
-    #: ``telemetry.adopt``.  ``solve_seconds`` above is this span's
-    #: duration — the wall time of the component solve.
-    span: Optional[Dict[str, object]] = None
 
 
 def topology_capacities_mbps(topology: Topology) -> Dict[LinkKey, float]:
@@ -250,81 +241,6 @@ def build_partition_model(
     )
 
 
-#: What a worker returns for one model: ``(status value, solution column
-#: vector or None, objective, statistics, span payload)``.
-_WorkerOutcome = Tuple[
-    str, Optional[np.ndarray], Optional[float], Dict[str, float], Dict[str, object]
-]
-
-
-def _solve_model_payload(payload):
-    """Process-pool worker: solve one component model.
-
-    Takes ``(standard form, solver)`` and returns a picklable tuple
-    ``(status value, solution column vector, objective, statistics,
-    span payload)``.  The span payload is the worker-side
-    ``component_solve`` timing in ``Span.to_payload`` form: workers have
-    no recorder (and their ``perf_counter`` origin is not comparable
-    across processes), so the parent re-anchors and re-parents it via
-    ``telemetry.adopt``.
-    """
-    form, solver = payload
-    started = telemetry.clock()
-    result = resolve_backend(solver).solve(form)
-    duration = telemetry.clock() - started
-    statistics = dict(result.statistics)
-    statistics["backend"] = backend_name(solver)
-    span_payload = {
-        "name": "component_solve",
-        "duration": duration,
-        "attributes": {
-            "backend": statistics["backend"],
-            "status": result.status.value,
-        },
-    }
-    return (
-        result.status.value,
-        result.x,
-        result.objective,
-        statistics,
-        span_payload,
-    )
-
-
-def solve_partition_models(
-    built_models: Sequence[ProvisioningModel],
-    solver,
-    fabric=None,
-) -> List[_WorkerOutcome]:
-    """Solve component models, in-process or on the solve fabric.
-
-    Returns one :data:`_WorkerOutcome` per model, in input order.
-    Multi-model solves go to ``fabric`` (a :class:`repro.fabric.SolveFabric`,
-    whose workers persist across calls) when one is configured; without
-    one, and for a single dirty component (the common 1-statement delta),
-    models solve in-process and never pay IPC.  Models are dispatched largest-first by
-    a variables x constraints estimate.  If the pool breaks beyond the
-    fabric's own respawn budget (``BrokenProcessPool``), the remaining
-    models are solved serially in-process instead of propagating the
-    executor error.
-    """
-    payloads = [(built.model, solver) for built in built_models]
-    if len(payloads) > 1 and fabric is not None:
-        estimates = [
-            float(built.model.num_variables() * built.model.num_constraints())
-            for built in built_models
-        ]
-        try:
-            return fabric.solve(payloads, estimates=estimates)
-        except BrokenExecutor:
-            # Belt and braces under the fabric's own crash handling: a pool
-            # that dies during submission must degrade to a serial solve,
-            # not surface executor plumbing to the provisioning caller.
-            telemetry.counter("fabric_serial_fallbacks")
-            return [_solve_model_payload(payload) for payload in payloads]
-    return [_solve_model_payload(payload) for payload in payloads]
-
-
 def _raise_component_unsolved(spec: PartitionSpec, status_value: str) -> None:
     """Fail the resolve, claiming infeasibility only where it was proven.
 
@@ -347,20 +263,21 @@ def _raise_component_unsolved(spec: PartitionSpec, status_value: str) -> None:
 def extract_partition_solution(
     spec: PartitionSpec,
     built: ProvisioningModel,
-    outcome: _WorkerOutcome,
+    result: SolveResult,
+    statistics: Dict[str, float],
     construction_seconds: float,
+    solve_seconds: float,
     member_slacks: Tuple[Optional[int], ...],
 ) -> PartitionSolution:
-    """Read a component's solve outcome into a :class:`PartitionSolution`.
+    """Read a component's solve result into a :class:`PartitionSolution`.
 
     Paths and reservation fractions are sliced out of the solution's
     column vector here (see :class:`ProvisioningModel` for the column
     order) and the vector goes no further.
     """
-    status_value, x, objective, statistics, span_payload = outcome
-    status = SolveStatus(status_value)
-    if not status.has_solution:
-        _raise_component_unsolved(spec, status_value)
+    if not result.status.has_solution:
+        _raise_component_unsolved(spec, result.status.value)
+    x = result.x
     layout = built.model.layout
     location_paths: Dict[str, Tuple[str, ...]] = {}
     for identifier, block, (start, stop) in zip(
@@ -379,22 +296,14 @@ def extract_partition_solution(
         spec=spec,
         location_paths=location_paths,
         fractions=fractions,
-        status=status_value,
-        objective=objective,
+        status=result.status.value,
+        objective=result.objective,
         statistics=statistics,
         num_variables=built.model.num_variables(),
         num_constraints=built.model.num_constraints(),
         construction_seconds=construction_seconds,
-        # Span-derived: the component's solve wall time is the worker
-        # span's duration, not a parallel stopwatch.  Falls back to the
-        # backend's own measure for spanless (synthetic/test) outcomes.
-        solve_seconds=float(
-            (span_payload or {}).get(
-                "duration", statistics.get("solve_seconds", 0.0)
-            )
-        ),
+        solve_seconds=solve_seconds,
         member_slacks=member_slacks,
-        span=span_payload,
     )
 
 
@@ -445,10 +354,11 @@ def _look_up(
     the content cache (under the signature ``canonical()`` computes, and
     only if the other two miss), and answers a :class:`PartitionSolution`,
     :data:`INFEASIBLE_COMPONENT` for a rung proven hopeless, or ``None``
-    for a miss: build the model and solve it.  A solution found further
-    out is copied inwards.  The second element is the canonical form when
-    the content cache was asked — what :func:`_remember` stores a miss's
-    outcome under.
+    for a miss: build the model and solve it.  An answer found further
+    out is copied inwards, an infeasibility marker as well as a solution,
+    so a later resolve finds it in the memo.  The second element is the
+    canonical form when the content cache was asked — what
+    :func:`_remember` stores a miss's outcome under.
     """
     solution = known.get(key)
     if solution is not None:
@@ -470,6 +380,7 @@ def _look_up(
     if stored is None:
         return None, canon
     if stored.get("infeasible"):
+        _memoize(memo, key, INFEASIBLE_COMPONENT)
         return INFEASIBLE_COMPONENT, canon
     solution = known[key] = decode_solution(stored, canon, spec, key[2])
     _memoize(memo, key, solution)
@@ -517,11 +428,10 @@ def solve_components_with_widening(
     capacity_mbps: Mapping[LinkKey, float],
     heuristic: PathSelectionHeuristic,
     memo: Dict[MemoKey, object],
-    solver=None,
+    solver,
     footprint_slack: Optional[int] = DEFAULT_FOOTPRINT_SLACK,
     partition: bool = True,
     component_cache=None,
-    fabric=None,
 ) -> WideningOutcome:
     """Partition, solve, and self-heal cost-bound infeasibilities.
 
@@ -542,8 +452,8 @@ def solve_components_with_widening(
        previously link-disjoint components, and the exactness of the
        decomposition (no link is shared across components) must be
        re-established every round,
-    3. :func:`_look_up` every component; build, solve
-       (:func:`solve_partition_models`) and :func:`_remember` the misses,
+    3. :func:`_look_up` every component; build, solve and
+       :func:`_remember` the misses, one after another,
     4. for every component without a solution, widen **all** its members
        one rung (2 -> 4 -> 8 -> ``None``) and repeat; a component still
        unsolved with every member untightened raises
@@ -565,12 +475,15 @@ def solve_components_with_widening(
     decoded by the same code and is as independent of the order the
     records were entered in.
 
-    ``component_cache`` (a :class:`repro.fabric.ComponentSolutionCache`)
-    is the look-up's outermost layer, asked *after* the memo misses and
-    *before* the model is built; a content hit is re-addressed to this
-    component's statement ids.  ``fabric`` routes multi-component solves
-    onto a persistent worker pool (see :func:`solve_partition_models`).
+    ``solver`` is the backend instance every model is handed to, in this
+    process, inside a ``component_solve`` span whose duration is the
+    solution's ``solve_seconds``.  ``component_cache`` (a
+    :class:`repro.fabric.ComponentSolutionCache`) is the look-up's
+    outermost layer, asked *after* the memo misses and *before* the model
+    is built; a content hit is re-addressed to this component's statement
+    ids.
     """
+    backend = backend_name(solver)
     slack_by_id: Dict[str, Optional[int]] = {
         sid: footprint_slack for sid in records
     }
@@ -658,27 +571,22 @@ def solve_components_with_widening(
 
         if to_solve:
             with telemetry.span("solve", components=len(to_solve)) as solve_span:
-                results = solve_partition_models(
-                    built_models, solver=solver, fabric=fabric
-                )
-                received = telemetry.clock()
-                for (spec, key, canon), built, result, seconds in zip(
-                    to_solve, built_models, results, build_seconds
+                for (spec, key, canon), built, seconds in zip(
+                    to_solve, built_models, build_seconds
                 ):
-                    status_value, _values, _objective, statistics, span_payload = result
-                    status = SolveStatus(status_value)
-                    backend = str(statistics.get("backend", "")) or "unknown"
-                    telemetry.adopt(
-                        span_payload,
-                        end=received,
-                        members=",".join(spec.statement_ids),
-                    )
+                    with telemetry.span("component_solve") as component_span:
+                        result = solver.solve(built.model)
+                        component_span.annotate(
+                            backend=backend,
+                            status=result.status.value,
+                            members=",".join(spec.statement_ids),
+                        )
+                    solve_seconds = component_span.duration
+                    status = result.status
+                    statistics = dict(result.statistics)
+                    statistics["backend"] = backend
                     telemetry.counter("solver_calls", backend=backend)
-                    telemetry.observe(
-                        "solve_seconds",
-                        float((span_payload or {}).get("duration", 0.0)),
-                        backend=backend,
-                    )
+                    telemetry.observe("solve_seconds", solve_seconds, backend=backend)
                     outcome.solver_calls += 1
                     if statistics.get("nodes") is not None:
                         outcome.nodes = (outcome.nodes or 0.0) + (
@@ -687,12 +595,18 @@ def solve_components_with_widening(
                     solution = None
                     if status.has_solution:
                         solution = resolved[spec] = extract_partition_solution(
-                            spec, built, result, seconds, member_slacks=key[2]
+                            spec,
+                            built,
+                            result,
+                            statistics,
+                            seconds,
+                            solve_seconds,
+                            member_slacks=key[2],
                         )
                         solved_keys.add(key)
                     else:
                         telemetry.counter("components_infeasible")
-                        unsolved[spec] = status_value
+                        unsolved[spec] = status.value
                     _remember(
                         key, canon, status, solution, known, memo, component_cache
                     )

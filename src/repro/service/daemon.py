@@ -52,7 +52,7 @@ from .. import telemetry as _telemetry
 from ..core.compiler import MerlinCompiler
 from ..core.options import ProvisionOptions
 from ..errors import ProvisioningError
-from ..fabric import ComponentSolutionCache, SolveFabric
+from ..fabric import ComponentSolutionCache
 from ..incremental.delta import PolicyDelta, merge_policy_deltas
 from ..telemetry import MetricsRegistry, MetricsSnapshot, Telemetry
 from .admission import AdmissionPolicy, TenantGate
@@ -145,13 +145,8 @@ class ControlPlane:
     batches too (e.g. ``Telemetry.recording(clock=clock)``); the default
     is metrics-only, queryable via :meth:`metrics`.
 
-    The plane hands its groups a *solve fabric*: pass a
-    :class:`~repro.fabric.SolveFabric` (shared with other planes or
-    sessions) and every group's compiler solves on it.  The fabric's
-    lifecycle stays with the caller that created it — :meth:`shutdown`
-    stops the plane's workers, not the fabric's processes.  A
-    :class:`~repro.fabric.ComponentSolutionCache` passed as
-    ``component_cache`` is likewise injected into every group's compiler,
+    A :class:`~repro.fabric.ComponentSolutionCache` passed as
+    ``component_cache`` is injected into every group's compiler,
     so identical components across tenant groups solve once; its
     ``component_signature_*`` counters land in :meth:`metrics` because
     batches run inside this plane's telemetry bundle.
@@ -163,7 +158,6 @@ class ControlPlane:
         admission: Optional[AdmissionPolicy] = None,
         clock: Callable[[], float] = time.monotonic,
         telemetry: Optional[Telemetry] = None,
-        fabric: Optional[SolveFabric] = None,
         component_cache: Optional[ComponentSolutionCache] = None,
     ) -> None:
         self._admission = admission if admission is not None else AdmissionPolicy()
@@ -173,7 +167,6 @@ class ControlPlane:
             if telemetry is not None
             else Telemetry(metrics=MetricsRegistry(), clock=clock)
         )
-        self._fabric = fabric
         self._component_cache = component_cache
         self._groups: Dict[str, _Group] = {}
         self._started = False
@@ -233,9 +226,9 @@ class ControlPlane:
         keywords) to build one.  The compile runs in a thread so the event
         loop — and the other groups' intake — stays responsive.
 
-        The plane's solve fabric and component cache (when configured) are
-        injected into the group's options unless the options already carry
-        their own — a group can opt out of the shared cache by passing
+        The plane's component cache (when configured) is injected into the
+        group's options unless the options already carry their own — a
+        group keeps its own cache by passing
         ``options=ProvisionOptions(component_cache=...)`` explicitly.
         """
         if name in self._groups:
@@ -248,11 +241,11 @@ class ControlPlane:
             compiler = MerlinCompiler(
                 topology=topology,
                 placements=placements or {},
-                options=self._inject_fabric(options),
+                options=self._inject_cache(options),
                 **compiler_kwargs,
             )
         else:
-            compiler.options = self._inject_fabric(compiler.options)
+            compiler.options = self._inject_cache(compiler.options)
         with self._telemetry.use():
             # to_thread copies the context, so the compile's spans and
             # counters land in this plane's bundle.
@@ -269,20 +262,17 @@ class ControlPlane:
             group.worker = asyncio.ensure_future(self._worker(group))
         return self.query(name)
 
-    def _inject_fabric(
+    def _inject_cache(
         self, options: Optional[ProvisionOptions]
     ) -> Optional[ProvisionOptions]:
-        """Fill a group's unset ``fabric`` / ``component_cache`` fields
-        with the plane's own (explicit per-group settings win)."""
-        if self._fabric is None and self._component_cache is None:
+        """Fill a group's unset ``component_cache`` with the plane's own
+        (an explicit per-group cache wins)."""
+        if self._component_cache is None:
             return options
         resolved = options if options is not None else ProvisionOptions()
-        overrides = {}
-        if self._fabric is not None and resolved.fabric is None:
-            overrides["fabric"] = self._fabric
-        if self._component_cache is not None and resolved.component_cache is None:
-            overrides["component_cache"] = self._component_cache
-        return dataclasses.replace(resolved, **overrides) if overrides else resolved
+        if resolved.component_cache is not None:
+            return resolved
+        return dataclasses.replace(resolved, component_cache=self._component_cache)
 
     # ------------------------------------------------------------------
     # intake

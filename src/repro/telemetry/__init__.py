@@ -29,7 +29,6 @@ from .runtime import (
     DISABLED,
     Telemetry,
     active,
-    adopt,
     clock,
     counter,
     current_span,
@@ -53,7 +52,6 @@ __all__ = [
     "SpanRecorder",
     "Telemetry",
     "active",
-    "adopt",
     "clock",
     "counter",
     "current_span",

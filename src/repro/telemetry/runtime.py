@@ -18,10 +18,7 @@ Activation is scoped, not global::
     print(render_trace(telemetry.recorder.spans))
 
 ``asyncio`` tasks and ``asyncio.to_thread`` copy the context, so spans
-opened inside them nest under the caller's span automatically.  Process-
-pool workers do *not* inherit context; they build a local bundle, finish
-their spans, and ship ``Span.to_payload()`` dicts back for the parent to
-:func:`adopt`.
+opened inside them nest under the caller's span automatically.
 """
 
 from __future__ import annotations
@@ -29,17 +26,16 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Mapping, Optional, Union
+from typing import Any, Callable, Optional
 
 from .metrics import MetricsRegistry, MetricsSnapshot
 from .recorder import InMemoryRecorder, JsonLinesRecorder, SpanRecorder
-from .spans import CURRENT_SPAN, Span, SpanRecord, acquire_span, next_span_id
+from .spans import CURRENT_SPAN, Span, acquire_span, next_span_id
 
 __all__ = [
     "DISABLED",
     "Telemetry",
     "active",
-    "adopt",
     "clock",
     "counter",
     "current_span",
@@ -172,46 +168,3 @@ def observe(name: str, value: float, **labels: Any) -> None:
 def snapshot() -> MetricsSnapshot:
     """Freeze the active bundle's metrics (empty when metrics are off)."""
     return _ACTIVE.get().snapshot()
-
-
-def adopt(
-    payload: Union[Mapping[str, Any], Span, None],
-    end: Optional[float] = None,
-    **attributes: Any,
-) -> None:
-    """Graft a span finished elsewhere into the active trace.
-
-    ``payload`` is a ``Span.to_payload()`` dict shipped from a worker
-    process (or a finished local ``Span``).  Worker ``perf_counter``
-    origins are not comparable across processes, so the adopted record
-    is re-anchored on the local clock: it *ends* at ``end`` (default:
-    now, i.e. when the result was received) and keeps its measured
-    duration.  The current open span becomes its parent.
-    """
-    telemetry = _ACTIVE.get()
-    recorder = telemetry.recorder
-    if recorder is None or payload is None:
-        return
-    if isinstance(payload, Span):
-        payload = payload.to_payload()
-    duration = float(payload.get("duration", 0.0))
-    anchor_end = telemetry.clock() if end is None else end
-    merged = dict(payload.get("attributes") or {})
-    merged.update(attributes)
-    parent = CURRENT_SPAN.get()
-    span_id = next_span_id()
-    if parent is not None and parent._telemetry is telemetry:
-        trace_id, parent_id = parent.trace_id, parent.span_id
-    else:
-        trace_id, parent_id = span_id, None
-    recorder.record(
-        SpanRecord(
-            name=str(payload.get("name", "adopted")),
-            trace_id=trace_id,
-            span_id=span_id,
-            parent_id=parent_id,
-            start=anchor_end - duration,
-            duration=duration,
-            attributes=merged,
-        )
-    )

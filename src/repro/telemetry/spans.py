@@ -50,8 +50,7 @@ class SpanRecord:
 
     ``start`` is in the trace clock's units (``time.perf_counter`` by
     default) and is only meaningful relative to other records of the
-    same trace.  Spans adopted from worker processes are re-anchored on
-    the parent's clock (see ``telemetry.adopt``).
+    same trace.
     """
 
     name: str
@@ -170,20 +169,6 @@ class Span:
             )
         )
         return False
-
-    def to_payload(self) -> Dict[str, Any]:
-        """Serialize a *finished* span for cross-process shipping.
-
-        Worker processes cannot hand ``SpanRecord`` objects to the
-        parent's recorder directly (and their ``perf_counter`` origin is
-        not comparable); they ship this plain dict alongside the solve
-        result and the parent re-anchors it via ``telemetry.adopt``.
-        """
-        return {
-            "name": self.name,
-            "duration": self.duration,
-            "attributes": dict(self.attributes or {}),
-        }
 
 
 _POOL_LIMIT = 64

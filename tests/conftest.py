@@ -62,6 +62,24 @@ class FlakyBackend:
         return ScipySolver().solve(form)
 
 
+class RaisingBackend:
+    """The scipy backend, except that its solve number ``raise_on``
+    (counting from 1; ``None`` never) raises ``RuntimeError`` — a backend
+    bug, not a ``MerlinError``."""
+
+    name = "raising"
+
+    def __init__(self, raise_on=None):
+        self.calls = 0
+        self.raise_on = raise_on
+
+    def solve(self, form):
+        self.calls += 1
+        if self.calls == self.raise_on:
+            raise RuntimeError("backend crashed mid-solve")
+        return ScipySolver().solve(form)
+
+
 @pytest.fixture
 def figure2_topology():
     """The Figure 2 network with 2 Gbps links (so the running example fits)."""

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import DEFAULT_FOOTPRINT_SLACK, MerlinCompiler, ProvisionOptions
 from repro.errors import MerlinError
-from repro.fabric import SolveFabric
 from repro.lp.branch_and_bound import BranchAndBoundSolver
 from repro.lp.scipy_backend import ScipySolver
 from repro.topology.generators import figure2_example
@@ -90,15 +89,13 @@ class TestProvisionOptions:
 class TestCompilerShim:
     def test_options_path_warns_nothing_and_binds_attributes(self):
         backend = ScipySolver()
-        fabric = SolveFabric(max_workers=2)  # lazy: no workers are spawned
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             compiler = MerlinCompiler(
                 topology=figure2_example(capacity=Bandwidth.gbps(2)),
                 placements=PLACEMENTS,
-                options=ProvisionOptions(solver=backend, fabric=fabric),
+                options=ProvisionOptions(solver=backend),
             )
-        assert compiler.options.fabric is fabric
         assert compiler.options.backend() is backend
 
     def test_compile_and_recompile_share_one_options_value(self):

@@ -1,17 +1,15 @@
-"""The control plane's solve fabric and component cache.
+"""The control plane's component cache.
 
-The plane injects its fabric/cache into every group's compiler options
-(unless the group set its own), so cache traffic shows up both in the
-cache's counters and — via the plane's telemetry bundle — in
-``plane.metrics()``; the fabric's lifecycle stays with the caller that
-created it.
+The plane injects its cache into every group's compiler options (unless
+the group set its own), so cache traffic shows up both in the cache's
+counters and — via the plane's telemetry bundle — in ``plane.metrics()``.
 """
 
 import asyncio
 
 from repro.core.ast import Statement
 from repro.core.options import ProvisionOptions
-from repro.fabric import ComponentSolutionCache, SolveFabric
+from repro.fabric import ComponentSolutionCache
 from repro.incremental import DeltaStatement, PolicyDelta
 from repro.predicates.ast import FieldTest, pred_and
 from repro.regex.parser import parse_path_expression
@@ -29,10 +27,6 @@ SOURCE = """
 min(x, 25MB/s) and min(z, 50MB/s)
 """
 PLACEMENTS = {"dpi": ("h1", "h2", "m1"), "nat": ("m1",)}
-
-
-def _upper(payload):
-    return payload.upper()
 
 
 def _add(identifier, port, guarantee=Bandwidth.mb_per_sec(5)):
@@ -99,16 +93,18 @@ def test_group_options_beat_the_plane_defaults():
     assert plane_cache.misses == 0 and plane_cache.stores == 0
 
 
-def test_caller_supplied_fabric_is_left_running():
-    fabric = SolveFabric(max_workers=2)
+def test_the_plane_cache_fills_only_the_unset_cache_field():
+    cache = ComponentSolutionCache()
+    options = ProvisionOptions(solver="bnb", footprint_slack=4, node_limit=50)
 
     async def run():
-        plane = ControlPlane(fabric=fabric)
-        await _open(plane)
+        plane = ControlPlane(component_cache=cache)
+        await _open(plane, options=options)
         await plane.shutdown()
+        return plane
 
-    asyncio.run(run())
-    # The plane does not own it, so shutdown() must not reap it; the owner
-    # (this test) does — and it still works after the plane is gone.
-    assert fabric.solve(["a", "b"], task=_upper) == ["A", "B"]
-    fabric.shutdown()
+    plane = asyncio.run(run())
+    injected = plane._groups["g"].compiler.options
+    assert injected == ProvisionOptions(
+        solver="bnb", footprint_slack=4, node_limit=50, component_cache=cache
+    )

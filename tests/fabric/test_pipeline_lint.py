@@ -42,7 +42,9 @@ localization split weights (a clause splits equally, §3.1), the memo of
 guaranteed product graphs by ``(path, source, destination)`` with its
 rebadged views and hit/miss counters, the DNF transforms, and the topology
 JSON and networkx exports; ``MerlinCompiler``'s fields are pinned like
-``ProvisionOptions``'.
+``ProvisionOptions``'.  Components are solved in the calling process: the
+worker pool, the option that selected it, the fallback for a broken pool
+and the shipping of spans between processes stay deleted.
 
 ``make lint-pipeline`` runs this file.
 """
@@ -91,8 +93,8 @@ def test_no_keyword_shim_or_copying_checkpoint():
     )
     offenders = _files_mentioning(banned)
     assert not offenders, (
-        "deleted machinery is back (options travel as ProvisionOptions: pool "
-        "= options.fabric, memo bound = SOLUTION_MEMO_LIMIT; a transaction is "
+        "deleted machinery is back (options travel as ProvisionOptions: memo "
+        "bound = SOLUTION_MEMO_LIMIT; a transaction is "
         "one JournalMark; tightened views live on StatementRecord): %s"
         % ", ".join(offenders)
     )
@@ -150,9 +152,9 @@ def test_options_nobody_set_stay_constants():
     )
     offenders = _files_mentioning(banned)
     assert not offenders, (
-        "a removed option is back (every payload is solved by the backend it "
-        "names; MAX_RESPAWNS, MAX_BATCH and the solver gaps are constants; "
-        "backends export sparse; a fabric belongs to its creator): %s"
+        "a removed option is back (every component is solved by the options' "
+        "backend; MAX_BATCH and the solver gaps are constants; backends "
+        "export sparse; there is no pool to own): %s"
         % ", ".join(offenders)
     )
     assert [field.name for field in dataclasses.fields(ProvisionOptions)] == [
@@ -161,9 +163,21 @@ def test_options_nobody_set_stay_constants():
         "footprint_slack",
         "time_limit_seconds",
         "node_limit",
-        "fabric",
         "component_cache",
-    ], "ProvisionOptions grew a field (widening is not an option)"
+    ], "ProvisionOptions grew a field (widening is not an option, nor is a pool)"
+
+
+def test_components_solve_in_the_calling_process():
+    banned = re.compile(
+        r"SolveFabric|solve_partition_models|_solve_model_payload|BrokenExecutor"
+        r"|to_payload|telemetry\.adopt|def adopt\b"
+    )
+    offenders = _files_mentioning(banned) + _files_mentioning(banned, glob="*.md")
+    assert not offenders, (
+        "the worker pool or its span shipping is back (the widening loop "
+        "hands each model to the options' backend inside a real "
+        "component_solve span): %s" % ", ".join(offenders)
+    )
 
 
 def test_what_no_caller_reached_stays_deleted():

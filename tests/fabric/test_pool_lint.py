@@ -1,11 +1,13 @@
-"""Repo lint: every process pool is the solve fabric's pool.
+"""Repo lint: no process pool anywhere under ``src/repro``.
 
-A bare ``ProcessPoolExecutor(...)`` anywhere in ``src/repro`` outside
-:mod:`repro.fabric` would reintroduce per-call worker spin-up — the exact
-overhead the fabric exists to amortize — and would dodge its crash
-containment and counters.  ``make lint-pool`` runs this file.
+Components are solved one after another in the calling process.  A
+``ProcessPoolExecutor`` or a ``multiprocessing`` pool would bring back
+the path that pickled each component's form to a worker and shipped its
+span back — about what a component solve costs, and no workload gained
+from it.  ``make lint-pool`` runs this file.
 """
 
+import re
 from pathlib import Path
 
 import repro
@@ -13,15 +15,14 @@ import repro
 SRC = Path(repro.__file__).resolve().parent
 
 
-def test_no_bare_process_pool_outside_fabric():
-    offenders = []
-    for path in sorted(SRC.rglob("*.py")):
-        relative = path.relative_to(SRC)
-        if relative.parts[0] == "fabric":
-            continue
-        if "ProcessPoolExecutor(" in path.read_text(encoding="utf-8"):
-            offenders.append(str(relative))
+def test_no_process_pool_anywhere():
+    banned = re.compile(r"ProcessPoolExecutor|\bmultiprocessing\b")
+    offenders = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*.py"))
+        if banned.search(path.read_text(encoding="utf-8"))
+    ]
     assert not offenders, (
-        "bare ProcessPoolExecutor construction found (route solves through "
-        "repro.fabric.SolveFabric): %s" % ", ".join(offenders)
+        "a process pool is back under src/repro (components solve in the "
+        "calling process): %s" % ", ".join(offenders)
     )

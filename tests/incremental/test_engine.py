@@ -10,7 +10,6 @@ from repro.core.preprocessor import preprocess
 from repro.core.provisioning import build_model_for_links, flow_block
 from repro.errors import ProvisioningError
 from repro.experiments.reprovisioning import pod_tenant_scenario
-from repro.fabric import SolveFabric
 from repro.incremental import IncrementalProvisioner
 from repro.lp import ScipySolver
 from repro.incremental.solve import INFEASIBLE_COMPONENT, topology_capacities_mbps
@@ -194,26 +193,39 @@ class TestCachingAndPartitions:
         assert result.solve_statistics["partitions_reused"] == 3.0
 
     @pytest.mark.parametrize("solver", ("scipy", "bnb"))
-    def test_process_pool_matches_serial(self, solver):
+    def test_components_go_to_the_options_backend_one_by_one(self, solver):
+        """Every dirty component's form is handed to the options' backend
+        instance itself, in the order of the result's components, and the
+        answers are the named backend's."""
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         rates = localize(scenario.policy)
-        serial = IncrementalProvisioner(
+        inner = ProvisionOptions(solver=solver).backend()
+        handed = []
+
+        class Recording:
+            name = inner.name
+
+            def solve(self, form):
+                handed.append(form.num_variables())
+                return inner.solve(form)
+
+        recorded = IncrementalProvisioner(
+            scenario.topology, options=ProvisionOptions(solver=Recording())
+        )
+        named = IncrementalProvisioner(
             scenario.topology, options=ProvisionOptions(solver=solver)
         )
-        with SolveFabric(max_workers=2) as fabric:
-            pooled = IncrementalProvisioner(
-                scenario.topology,
-                options=ProvisionOptions(solver=solver, fabric=fabric),
-            )
-            for statement in scenario.policy.statements:
-                serial.add_statement(statement, rates[statement.identifier].guarantee)
-                pooled.add_statement(statement, rates[statement.identifier].guarantee)
-            serial_result = serial.resolve()
-            pooled_result = pooled.resolve()
-            assert fabric.tasks == 4  # the pool really solved the components
-        assert _paths(pooled_result) == _paths(serial_result)
-        assert _reservations(pooled_result) == _reservations(serial_result)
-
+        for statement in scenario.policy.statements:
+            recorded.add_statement(statement, rates[statement.identifier].guarantee)
+            named.add_statement(statement, rates[statement.identifier].guarantee)
+        recorded_result = recorded.resolve()
+        named_result = named.resolve()
+        solutions = recorded_result.partition_solutions
+        assert len(solutions) == 4
+        assert handed == [solution.num_variables for solution in solutions]
+        assert [s.statistics["backend"] for s in solutions] == [solver] * 4
+        assert _paths(recorded_result) == _paths(named_result)
+        assert _reservations(recorded_result) == _reservations(named_result)
 
     def test_a_capacity_change_is_never_answered_from_the_memo(self):
         """``set_topology`` to a topology whose links kept their names but

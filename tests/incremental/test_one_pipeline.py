@@ -19,6 +19,7 @@ from repro.codegen.generator import CodeGenerator
 from repro.core import MerlinCompiler, ProvisionOptions
 from repro.core.ast import BandwidthTerm, FMin, Policy, Statement, formula_and
 from repro.errors import ProvisioningError
+from repro.fabric import ComponentSolutionCache
 from repro.experiments.reprovisioning import (
     pod_tenant_scenario,
     unconstrained_statement,
@@ -39,6 +40,7 @@ from repro.units import Bandwidth
 
 from test_slack_widening import SOURCE as WIDENING_SOURCE
 from test_slack_widening import _widening_topology
+from tests.conftest import RaisingBackend
 from tests.reference_provisioning import assert_forms_identical, build_model_for_links
 
 
@@ -96,10 +98,11 @@ def test_first_recompile_adds_and_tightens_only_the_new_statement(monkeypatch):
     assert pruned == ["wild"]
 
 
-def test_first_recompile_after_a_widened_compile_skips_the_proven_rungs():
-    """The compile walked the widening ladder for {x, y}; a delta on the
-    island statement re-solves the island only and takes the infeasible
-    rung of {x, y} from the engine's cache instead of re-proving it."""
+def _island_and_widening():
+    """The widening topology with its ``s1``-``a`` link failed, plus an
+    island ``w`` on a path of its own: a compile proves {x, y} infeasible
+    at slack 2 and widens, and a delta on ``w`` re-solves the island only.
+    Returns the degraded topology and the policy source."""
     topology = _widening_topology()
     topology.add_switch("s3")
     topology.add_switch("s4")
@@ -115,7 +118,15 @@ def test_first_recompile_after_a_widened_compile_skips_the_proven_rungs():
         + formula
         + " and min(w, 100Mbps)"
     )
-    compiler = _compiler(topology.without(links=[("s1", "a")]))
+    return topology.without(links=[("s1", "a")]), source
+
+
+def test_first_recompile_after_a_widened_compile_skips_the_proven_rungs():
+    """The compile walked the widening ladder for {x, y}; a delta on the
+    island statement re-solves the island only and takes the infeasible
+    rung of {x, y} from the engine's cache instead of re-proving it."""
+    topology, source = _island_and_widening()
+    compiler = _compiler(topology)
 
     compiling = Telemetry.recording()
     with compiling.use():
@@ -135,6 +146,32 @@ def test_first_recompile_after_a_widened_compile_skips_the_proven_rungs():
     assert counters.counter_total("component_cache_infeasible_hits") >= 1
     assert result.paths["x"].path == compiled.paths["x"].path
     assert result.paths["y"].path == compiled.paths["y"].path
+
+
+def test_an_infeasibility_the_content_cache_proves_is_memoized():
+    """A second compiler learns from a shared content cache that {x, y} is
+    infeasible at slack 2.  That proof is written into its memo like a
+    solution hit, so each later recompile of ``w`` takes the rung from the
+    memo — as a session without a cache does — instead of canonicalizing
+    {x, y} and asking the content cache again."""
+    topology, source = _island_and_widening()
+    cache = ComponentSolutionCache()
+    _compiler(topology, options=ProvisionOptions(component_cache=cache)).compile(
+        source
+    )
+    compiler = _compiler(topology, options=ProvisionOptions(component_cache=cache))
+    compiler.compile(source)
+
+    for rate in (200, 300):
+        recompiling = Telemetry.recording()
+        with recompiling.use():
+            compiler.recompile(
+                PolicyDelta(update_rates=(RateUpdate("w", Bandwidth.mbps(rate)),))
+            )
+        counters = recompiling.snapshot()
+        assert counters.counter_total("solver_calls") == 1
+        assert counters.counter_total("component_signature_hits") == 0
+        assert counters.counter_total("component_cache_infeasible_hits") == 1
 
 
 class TestFailedCompileLeavesNoSession:
@@ -174,6 +211,20 @@ class TestFailedCompileLeavesNoSession:
         scenario, compiler = self._scenario_and_compiler()
         bad = _policy(scenario, p1s0=Bandwidth.gbps(50))
         self._check(compiler, scenario, bad, ProvisioningError)
+
+    def test_backend_error(self):
+        scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
+        # The first compile solves one component per pod; the second
+        # compile's second solve raises.
+        backend = RaisingBackend(raise_on=len(scenario.pods) + 2)
+        compiler = MerlinCompiler(
+            topology=scenario.topology,
+            overlap="trust",
+            add_catch_all=False,
+            options=ProvisionOptions(solver=backend),
+        )
+        doomed = _policy(scenario, p1s0=Bandwidth.mbps(7))
+        self._check(compiler, scenario, doomed, RuntimeError)
 
     def test_codegen_error(self, monkeypatch):
         scenario, compiler = self._scenario_and_compiler()

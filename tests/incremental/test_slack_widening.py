@@ -17,6 +17,7 @@ from repro.core.options import MAX_WIDENED_SLACK, widen_slack
 from repro.errors import ProvisioningError, TopologyError
 from repro.incremental import PolicyDelta, RateUpdate, TopologyDelta
 from repro.scenarios import allocations_match
+from repro.telemetry import Telemetry
 from repro.topology.graph import Topology
 from repro.units import Bandwidth
 
@@ -154,6 +155,22 @@ class TestTopologyDeltaWidening:
         assert row["slack_retries"] >= 1.0
         assert row["footprint_slack_used"] == 4.0
         assert len(degraded.statistics.component_solve_seconds) >= 1
+
+    def test_every_solve_on_the_ladder_is_one_component_solve_span(self):
+        """The ladder's solves are spans in the order it made them: the
+        slack-2 rung of {x, y} ends infeasible in its span, and the final
+        component's span is the last one, its duration the statistics'."""
+        compiler = _compiler(_widening_topology())
+        compiler.compile(SOURCE)
+        bundle = Telemetry.recording()
+        with bundle.use():
+            degraded = compiler.recompile(TopologyDelta(fail_links=(("s1", "a"),)))
+        solves = [s for s in bundle.recorder.spans if s.name == "component_solve"]
+        assert len(solves) == bundle.snapshot().counter_total("solver_calls") >= 2
+        first, last = solves[0].attributes, solves[-1].attributes
+        assert (first["members"], first["status"]) == ("x,y", "infeasible")
+        assert (last["members"], last["status"]) == ("x,y", "optimal")
+        assert degraded.statistics.component_solve_seconds == (solves[-1].duration,)
 
 
 class TestTopologyDeltaValidation:

@@ -1,4 +1,4 @@
-"""Span tracer tests: nesting, propagation, adoption, the disabled pool."""
+"""Span tracer tests: nesting, propagation, the disabled pool."""
 
 import asyncio
 import io
@@ -88,23 +88,6 @@ class TestRecordingSpans:
         assert len(children) == 2
         assert all(s.parent_id == batch.span_id for s in children)
 
-    def test_adopt_reanchors_a_worker_payload_under_the_open_span(self):
-        clock = {"now": 100.0}
-        bundle = Telemetry.recording(clock=_fake_clock(clock))
-        payload = {
-            "name": "component_solve",
-            "duration": 2.5,
-            "attributes": {"backend": "bnb"},
-        }
-        with bundle.use():
-            with telemetry.span("solve") as solve_span:
-                telemetry.adopt(payload, end=clock["now"], members="x,y")
-        adopted = [s for s in bundle.recorder.spans if s.name == "component_solve"][0]
-        assert adopted.parent_id == solve_span.span_id
-        assert adopted.duration == 2.5
-        assert adopted.start == 100.0 - 2.5
-        assert adopted.attributes == {"backend": "bnb", "members": "x,y"}
-
 
 class TestDisabledSpans:
     def test_disabled_spans_still_measure_duration(self):
@@ -128,7 +111,6 @@ class TestDisabledSpans:
         telemetry.counter("nope")
         telemetry.observe("nope", 1.0)
         telemetry.gauge("nope", 1.0)
-        telemetry.adopt({"name": "nope", "duration": 1.0})
         assert telemetry.snapshot().counters == {}
 
 
