@@ -182,13 +182,6 @@ class CompilationResult:
     statistics: CompilationStatistics = field(default_factory=CompilationStatistics)
     link_reservations: Dict[Tuple[str, str], Bandwidth] = field(default_factory=dict)
 
-    def path_for(self, statement_id: str) -> Optional[PathAssignment]:
-        """The path selected for a statement (``None`` for sink-tree traffic)."""
-        return self.paths.get(statement_id)
-
-    def rate_for(self, statement_id: str) -> Optional[RateAllocation]:
-        return self.rates.get(statement_id)
-
     def guaranteed_statements(self) -> List[str]:
         """Identifiers of statements that received a bandwidth guarantee."""
         return [

@@ -87,7 +87,7 @@ class ProvisionOptions:
     ``component_cache`` — a :class:`repro.fabric.ComponentSolutionCache`
     consulted (by canonical content signature) before any component model
     is built, and populated with proven-optimal solutions after fresh
-    solves.  ``None`` disables cross-run content caching; the engine's
+    solves.  ``None`` disables content caching; the engine's
     session-local solution memo is unaffected either way.
     """
 

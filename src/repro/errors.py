@@ -71,14 +71,6 @@ class SolverError(MerlinError):
     """Raised when the LP/MIP substrate cannot solve a model."""
 
 
-class InfeasibleError(SolverError):
-    """Raised when a model is proven infeasible."""
-
-
-class UnboundedError(SolverError):
-    """Raised when a model is unbounded in the optimization direction."""
-
-
 class CodegenError(MerlinError):
     """Raised when instruction generation fails for a target device."""
 

@@ -28,13 +28,13 @@ A solve is handed its model and nothing else — no incumbent from an
 earlier solve — so the answer cannot depend on what the session solved
 before.  An optional content-addressed
 :class:`~repro.fabric.ComponentSolutionCache` is consulted before any
-model is built, so identical components across tenants, sessions, and
-sweep runs solve once.
+model is built, so identical components across the tenants and sessions
+sharing it solve once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
@@ -67,13 +67,7 @@ from ..core.provisioning import (
 from ..core.allocation import PathAssignment
 from ..core.ast import Statement
 from ..errors import ProvisioningError
-from ..fabric.signature import (
-    CanonicalComponent,
-    canonicalize_component,
-    decode_solution,
-    encode_infeasible,
-    encode_solution,
-)
+from ..fabric.signature import CanonicalComponent, canonicalize_component
 from ..lp.backends import backend_name
 from ..lp.result import SolveResult, SolveStatus
 from ..topology.graph import Topology
@@ -379,10 +373,22 @@ def _look_up(
     stored = component_cache.get(canon.signature)
     if stored is None:
         return None, canon
-    if stored.get("infeasible"):
+    if stored is INFEASIBLE_COMPONENT:
         _memoize(memo, key, INFEASIBLE_COMPONENT)
         return INFEASIBLE_COMPONENT, canon
-    solution = known[key] = decode_solution(stored, canon, spec, key[2])
+    # Re-address the stored solution to this component's identifiers (the
+    # member of each digest rank takes that rank's path); no solve happened
+    # here, so the timings are zero and the statistics say it was a hit.
+    paths, served = stored
+    solution = known[key] = replace(
+        served,
+        spec=spec,
+        location_paths=dict(zip(canon.members, paths)),
+        statistics={**served.statistics, "component_cache_hit": 1.0},
+        construction_seconds=0.0,
+        solve_seconds=0.0,
+        member_slacks=key[2],
+    )
     _memoize(memo, key, solution)
     return solution, canon
 
@@ -418,9 +424,10 @@ def _remember(
     if not proven:
         component_cache.bypass()
     elif solution is not None:
-        component_cache.put(canon.signature, encode_solution(solution, canon))
+        paths = tuple(solution.location_paths[sid] for sid in canon.members)
+        component_cache.put(canon.signature, (paths, solution))
     else:
-        component_cache.put(canon.signature, encode_infeasible())
+        component_cache.put(canon.signature, INFEASIBLE_COMPONENT)
 
 
 def solve_components_with_widening(

@@ -90,9 +90,6 @@ class AimdAllocator:
             raise SimulationError(f"duplicate tenant {name!r}")
         self._allocations[name] = initial or self.initial_allocation
 
-    def remove_tenant(self, name: str) -> None:
-        self._allocations.pop(name, None)
-
     def allocations(self) -> Dict[str, Bandwidth]:
         return dict(self._allocations)
 

@@ -12,7 +12,7 @@ or the negotiator matches statements between parent and child policies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Tuple
+from typing import Any, FrozenSet, Tuple
 
 from .fields import normalize_value
 
@@ -194,13 +194,3 @@ def pred_not(predicate: Predicate) -> Predicate:
     if isinstance(predicate, Not):
         return predicate.operand
     return Not(predicate)
-
-
-def field_test(field: str, value: Any) -> FieldTest:
-    """Convenience constructor for an atomic ``field = value`` test."""
-    return FieldTest(field, value)
-
-
-def conjunction_of(tests: Iterable[Predicate]) -> Predicate:
-    """Conjoin an iterable of predicates (useful when expanding sugar)."""
-    return pred_and(*tests)

@@ -67,6 +67,13 @@ _SHUTDOWN = object()
 MAX_BATCH = 16
 
 
+def _num_changes(delta) -> int:
+    """The changes ``delta`` makes; a scenario event counts those of the
+    delta its ``to_delta()`` returns."""
+    to_delta = getattr(delta, "to_delta", None)
+    return (delta if to_delta is None else to_delta()).num_changes()
+
+
 class Ticket:
     """A pending submission; ``await ticket.result()`` for the outcome.
 
@@ -489,11 +496,7 @@ class ControlPlane:
             revision=group.revision,
             tenants=tuple(ticket.tenant for ticket in run),
             num_deltas=len(run),
-            num_changes=sum(
-                ticket.delta.num_changes()
-                for ticket in run
-                if hasattr(ticket.delta, "num_changes")
-            ),
+            num_changes=sum(_num_changes(ticket.delta) for ticket in run),
             merged=merged,
             statistics=result.statistics,
             execute_seconds=max(0.0, self._clock() - started),

@@ -3,25 +3,25 @@
 A fat tree with one tenant per pod makes the partition decomposition
 produce link-disjoint MIP components (one per guaranteed host pair at
 this scale), so the cache counters are exactly predictable: a cold
-compile stores one record per component, a warm
+compile stores one entry per component, a warm
 compile of the *same content* — same tenant, renamed tenants, permuted
 statements — hits every one of them, skips the model build entirely, and
 still reproduces the cold compile's allocations byte for byte.
 """
 
-import hashlib
-import json
-
 import pytest
 
 from repro.core.ast import BandwidthTerm, FMin, Policy, Statement, formula_and
 from repro.core.compiler import MerlinCompiler
+from repro.core.localization import localize
 from repro.core.options import ProvisionOptions
 from repro.errors import ProvisioningError
-from repro.experiments.reprovisioning import pod_tenant_scenario
+from repro.experiments.reprovisioning import counting_solver_calls, pod_tenant_scenario
 from repro.fabric import ComponentSolutionCache
+from repro.incremental import IncrementalProvisioner
 from repro.telemetry import Telemetry
 from repro.topology.generators import figure2_example
+from repro.topology.graph import Topology
 from repro.units import Bandwidth
 from tests.conftest import FlakyBackend
 
@@ -31,15 +31,39 @@ def scenario():
     return pod_tenant_scenario(arity=4, pairs_per_pod=2)
 
 
-def _compile(scenario, cache, policy=None, **option_overrides):
-    options = ProvisionOptions(component_cache=cache, **option_overrides)
-    compiler = MerlinCompiler(
-        topology=scenario.topology,
+#: Two 600 Mbps statements from ``h1`` to ``h2`` with ids ``{0}`` and
+#: ``{1}``; only their ports tell them apart.
+TWO_FLOWS = """
+[ {0} : (eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02
+         and tcp.dst = 80) -> .* ;
+  {1} : (eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02
+         and tcp.dst = 81) -> .* ],
+min({0}, 600Mbps) and min({1}, 600Mbps)
+"""
+
+
+def _compiler(topology, cache, **option_overrides):
+    return MerlinCompiler(
+        topology=topology,
         overlap="trust",
         add_catch_all=False,
         generate_code=False,
-        options=options,
+        options=ProvisionOptions(component_cache=cache, **option_overrides),
     )
+
+
+def _refused(cache, first, second):
+    """Compile :data:`TWO_FLOWS` over the 1 Gbps Figure 2 network, which
+    cannot carry both at any rung; the solver calls the refusal took."""
+    compiler = _compiler(figure2_example(capacity=Bandwidth.gbps(1)), cache)
+    recording = Telemetry.recording()
+    with recording.use(), pytest.raises(ProvisioningError, match="cannot be satisfied"):
+        compiler.compile(TWO_FLOWS.format(first, second))
+    return recording.snapshot().counter_total("solver_calls")
+
+
+def _compile(scenario, cache, policy=None, **option_overrides):
+    compiler = _compiler(scenario.topology, cache, **option_overrides)
     return compiler.compile(policy if policy is not None else scenario.policy)
 
 
@@ -64,6 +88,18 @@ def _permuted(scenario):
         for statement in statements
     ]
     return Policy(statements=statements, formula=formula_and(*clauses))
+
+
+def _resolve(scenario, cache, policy):
+    """Resolve ``policy`` on an engine of its own sharing ``cache``: the
+    merged result, whose ``partition_solutions`` are the components."""
+    engine = IncrementalProvisioner(
+        scenario.topology, options=ProvisionOptions(component_cache=cache)
+    )
+    rates = localize(policy)
+    for statement in policy.statements:
+        engine.add_statement(statement, rates[statement.identifier].guarantee)
+    return engine.resolve()
 
 
 def _reservations(result):
@@ -99,6 +135,64 @@ class TestHitsAndByteIdenticalAllocations:
         assert {
             "zz_" + key: path for key, path in _paths(cold).items()
         } == _paths(renamed)
+
+    def test_a_warm_hit_does_not_alias_what_it_was_served_from(self, scenario):
+        """A hit is a re-addressed copy: the solutions it was served from
+        keep the cold ids, paths and statistics after the warm resolve."""
+        cache = ComponentSolutionCache()
+        cold = _resolve(scenario, cache, scenario.policy)
+        before = [
+            (s.spec, dict(s.location_paths), dict(s.statistics))
+            for s in cold.partition_solutions
+        ]
+        warm = _resolve(scenario, cache, _renamed(scenario, "zz_"))
+        assert cache.hits == cache.stores == len(before)
+        assert all(
+            s.statistics["component_cache_hit"] == 1.0
+            and s.solve_seconds == s.construction_seconds == 0.0
+            and all(sid.startswith("zz_") for sid in s.location_paths)
+            for s in warm.partition_solutions
+        )
+        assert [
+            (s.spec, s.location_paths, s.statistics) for s in cold.partition_solutions
+        ] == before
+        assert not any(
+            "component_cache_hit" in s.statistics for s in cold.partition_solutions
+        )
+
+    def test_identical_members_are_readdressed_by_sorted_id_position(self):
+        """Two members with one digest (same hosts, path and rate; only the
+        port differs) are told apart by nothing but their ids.  Under names
+        that flip their sorted order, a hit hands each the path of the
+        member at its sorted position — what a cold compile of the renamed
+        policy, with no cache, picks too."""
+        topology = Topology(name="two-lanes")
+        for switch in ("s1", "s2", "s3", "s4"):
+            topology.add_switch(switch)
+        topology.add_host("h1", attached_switch="s1")
+        topology.add_host("h2", attached_switch="s4")
+        topology.add_link("h1", "s1", Bandwidth.gbps(10))
+        topology.add_link("h2", "s4", Bandwidth.gbps(10))
+        for middle in ("s2", "s3"):  # two 1 Gbps lanes: two 600 Mbps flows split
+            topology.add_link("s1", middle, Bandwidth.gbps(1))
+            topology.add_link(middle, "s4", Bandwidth.gbps(1))
+
+        def compile_with(cache, first, second):
+            compiler = _compiler(topology, cache)
+            return counting_solver_calls(
+                lambda: compiler.compile(TWO_FLOWS.format(first, second))
+            )
+
+        cache = ComponentSolutionCache()
+        cold, _ = compile_with(cache, "a", "b")
+        assert cache.stores == 1
+        assert _paths(cold)["a"] != _paths(cold)["b"]
+        hit, solves = compile_with(cache, "y", "x")  # port 80 sorts second now
+        assert solves == 0 and cache.hits == 1
+        assert _paths(hit) == {"x": _paths(cold)["a"], "y": _paths(cold)["b"]}
+        uncached, _ = compile_with(None, "y", "x")
+        assert _paths(hit) == _paths(uncached)
+        assert _reservations(hit) == _reservations(uncached)
 
     def test_permuted_statements_hit(self, scenario):
         cache = ComponentSolutionCache()
@@ -155,147 +249,44 @@ class TestOnlyProofsAreStored:
         """Two 600 Mbps statements over one 1 Gbps link: infeasible at every
         rung, proven each time, so a second compiler sharing the cache
         fails the same way without a single solve."""
-        topology = figure2_example(capacity=Bandwidth.gbps(1))
-        source = """
-        [ x : (eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02
-               and tcp.dst = 80) -> .* ;
-          y : (eth.src = 00:00:00:00:00:01 and eth.dst = 00:00:00:00:00:02
-               and tcp.dst = 81) -> .* ],
-        min(x, 600Mbps) and min(y, 600Mbps)
-        """
         cache = ComponentSolutionCache()
-
-        def attempt():
-            compiler = MerlinCompiler(
-                topology=topology,
-                overlap="trust",
-                add_catch_all=False,
-                generate_code=False,
-                options=ProvisionOptions(component_cache=cache),
-            )
-            recording = Telemetry.recording()
-            with recording.use(), pytest.raises(
-                ProvisioningError, match="cannot be satisfied"
-            ):
-                compiler.compile(source)
-            return recording.snapshot().counter_total("solver_calls")
-
-        assert attempt() >= 1
+        assert _refused(cache, "x", "y") >= 1
         rungs = cache.stores
         assert rungs >= 1 and cache.bypasses == 0
-        assert attempt() == 0
+        assert _refused(cache, "x", "y") == 0
         assert cache.hits == rungs and cache.stores == rungs
 
-
-class TestSpill:
-    def test_spill_file_dedupes_across_cache_instances(self, scenario, tmp_path):
-        spill = tmp_path / "components.jsonl"
-        first = ComponentSolutionCache(spill_path=spill)
-        cold = _compile(scenario, first)
-        assert first.stores > 0 and spill.exists()
-
-        second = ComponentSolutionCache(spill_path=spill)
-        assert len(second) == first.stores  # replayed, not re-solved
-        warm = _compile(scenario, second)
-        assert second.hits == first.stores and second.stores == 0
-        assert _reservations(warm) == _reservations(cold)
-
-    def test_replay_tolerates_garbage_and_stale_versions(self, scenario, tmp_path):
-        spill = tmp_path / "components.jsonl"
-        first = ComponentSolutionCache(spill_path=spill)
-        _compile(scenario, first)
-        stored = first.stores
-        with spill.open("a", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"signature": "s", "record": {"version": "older-v0"}}\n')
-            handle.write('{"signature": "t"}\n')
-        second = ComponentSolutionCache(spill_path=spill)
-        assert len(second) == stored  # the garbage and stale lines were skipped
-
-    def test_replay_past_the_bound_keeps_the_spill_s_last_entries(
-        self, scenario, tmp_path
-    ):
-        """Replay inserts the way ``put`` does: a spill longer than the bound
-        leaves its last ``limit`` signatures, and nothing is re-spilled."""
-        spill = tmp_path / "components.jsonl"
-        first = ComponentSolutionCache(spill_path=spill)
-        _compile(scenario, first)
-        lines = spill.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == first.stores > 2
-        signatures = [json.loads(line)["signature"] for line in lines]
-
-        bounded = ComponentSolutionCache(limit=2, spill_path=spill)
-        assert len(bounded) == 2
-        assert bounded.stores == 0
-        for signature in signatures[:-2]:
-            assert bounded.get(signature) is None
-        for signature in signatures[-2:]:
-            assert bounded.get(signature) is not None
-        assert spill.read_text(encoding="utf-8").splitlines() == lines
-
-    @pytest.mark.parametrize(
-        "damage",
-        ["truncated-line", "missing-field", "flipped-character", "older-version"],
-    )
-    def test_a_line_the_replay_cannot_trust_is_skipped_and_re_solved(
-        self, scenario, tmp_path, damage
-    ):
-        """The spill is read back believing nothing: each kind of damage
-        costs one re-solve and is counted, and none reaches an answer."""
-        spill = tmp_path / "components.jsonl"
-        first = ComponentSolutionCache(spill_path=spill)
-        cold = _compile(scenario, first)
-        lines = spill.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == first.stores > 1
-
-        def resealed(entry):
-            """The line a writer of this layout would have produced."""
-            body = json.dumps(entry["record"], sort_keys=True, separators=(",", ":"))
-            entry["digest"] = hashlib.sha256(body.encode("utf-8")).hexdigest()
-            return json.dumps(entry)
-
-        entry = json.loads(lines[0])
-        if damage == "truncated-line":
-            lines[0] = lines[0][: len(lines[0]) // 2]
-        elif damage == "missing-field":
-            del entry["record"]["fractions"]
-            lines[0] = resealed(entry)
-        elif damage == "flipped-character":
-            path = next(iter(entry["record"]["location_paths"].values()))
-            path[1] = path[1][:-1] + "9"  # a switch the topology does not have
-            assert not scenario.topology.has_node(path[1])
-            lines[0] = json.dumps(entry)  # under the digest of what was written
-        else:
-            entry["record"]["version"] = "merlin-component-v2"
-            entry["record"]["values"] = {}
-            lines[0] = resealed(entry)
-        spill.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-        recording = Telemetry.recording()
-        with recording.use():
-            second = ComponentSolutionCache(spill_path=spill)
-            result = _compile(scenario, second)
-        counters = recording.snapshot()
-        assert counters.counter_total("component_signature_spill_skipped") == 1
-        assert counters.counter_total("component_signature_spill_loads") == first.stores - 1
-        assert second.hits == first.stores - 1 and second.stores == 1
-        assert _reservations(result) == _reservations(cold)
-        assert _paths(result) == _paths(cold)
-        # What was re-solved went back to the spill, whole this time.
-        third = ComponentSolutionCache(spill_path=spill)
-        assert len(third) == first.stores
+    def test_a_proven_infeasibility_is_a_hit_under_renamed_ids(self):
+        """The stored marker is content-addressed like a solution: the same
+        guarantees asked for under other names fail without a solve."""
+        cache = ComponentSolutionCache()
+        assert _refused(cache, "x", "y") >= 1
+        rungs = cache.stores
+        assert _refused(cache, "tenant_b_y", "tenant_b_x") == 0
+        assert cache.hits == rungs and cache.stores == rungs
 
 
 class TestBounds:
     def test_lru_eviction_keeps_the_most_recent_entries(self):
         cache = ComponentSolutionCache(limit=2)
-        cache.put("a", {"version": "v"})
-        cache.put("b", {"version": "v"})
+        cache.put("a", "stored")
+        cache.put("b", "stored")
         assert cache.get("a") is not None  # refreshes "a" to most-recent
-        cache.put("c", {"version": "v"})  # evicts "b", the LRU entry
+        cache.put("c", "stored")  # evicts "b", the LRU entry
         assert len(cache) == 2
         assert cache.get("b") is None
         assert cache.get("a") is not None and cache.get("c") is not None
+
+    def test_a_re_put_refreshes_recency_and_holds_the_outcome_as_given(self):
+        cache = ComponentSolutionCache(limit=2)
+        outcome = object()
+        cache.put("a", "stored")
+        cache.put("b", "stored")
+        cache.put("a", outcome)  # replaces "a" and makes it most recent
+        cache.put("c", "stored")  # evicts "b"
+        assert len(cache) == 2 and cache.stores == 4
+        assert cache.get("b") is None
+        assert cache.get("a") is outcome
 
     def test_rejects_nonsense_limits(self):
         with pytest.raises(ValueError):

@@ -44,19 +44,27 @@ rebadged views and hit/miss counters, the DNF transforms, and the topology
 JSON and networkx exports; ``MerlinCompiler``'s fields are pinned like
 ``ProvisionOptions``'.  Components are solved in the calling process: the
 worker pool, the option that selected it, the fallback for a broken pool
-and the shipping of spans between processes stay deleted.
+and the shipping of spans between processes stay deleted.  The content
+cache is an in-process map of solved components: its spill file, the
+sealed JSON record layout with its version, and the encode/decode and
+replay code written for that file stay deleted, and so do the error
+classes, the tenant removal, the predicate helpers and the result
+accessors no caller reached, and the backend fingerprint's read of a
+``node_limit`` attribute no backend has.
 
 ``make lint-pipeline`` runs this file.
 """
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 import repro
 from repro.core.compiler import MerlinCompiler
 from repro.core.options import ProvisionOptions
+from repro.fabric import backend_fingerprint
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -184,12 +192,23 @@ def test_what_no_caller_reached_stays_deleted():
     banned = re.compile(
         r"localization_weights|rebadged|logical_memo_|to_dnf|dnf_to_predicate"
         r"|MAX_DNF_TERMS|to_networkx|from_json"
+        r"|\b(?:spill_path|SIGNATURE_VERSION|record_is_readable|encode_solution"
+        r"|decode_solution|encode_infeasible|_replay_spill|InfeasibleError"
+        r"|UnboundedError|remove_tenant|field_test|conjunction_of|path_for"
+        r"|rate_for)\b"
     )
-    offenders = _files_mentioning(banned)
+    offenders = _files_mentioning(banned) + _files_mentioning(banned, glob="*.md")
     assert not offenders, (
         "an unreached knob, memo or API is back (localize splits equally; "
         "each guaranteed statement builds its own product graph, counted on "
-        "logical_builds; predicates are searched in NNF): %s" % ", ".join(offenders)
+        "logical_builds; predicates are searched in NNF; the content cache "
+        "holds solved components in memory and writes no file): %s"
+        % ", ".join(offenders)
+    )
+    fingerprint = inspect.getsource(backend_fingerprint)
+    assert '"node_limit"' not in fingerprint, (
+        "backend_fingerprint reads a node_limit attribute no backend has "
+        "(the bnb node bound is max_nodes)"
     )
     assert [field.name for field in dataclasses.fields(MerlinCompiler)] == [
         "topology",

@@ -82,11 +82,8 @@ class TestInvariances:
             spec, tightened, rates, CAPACITY, HEURISTIC, None, (2, 2)
         )
         assert forward.signature == backward.signature
-        # The re-addressing map still routes each canonical id to the member
-        # with the same content on both sides.
-        assert (
-            forward.to_actual.keys() == backward.to_actual.keys()
-        )
+        # Each rank still holds the member with the same content on both sides.
+        assert forward.members == backward.members
 
     def test_footprint_reordering_is_invisible(self):
         forward = _component(links=LINKS)
@@ -142,9 +139,28 @@ class TestBackendFingerprint:
 
 
 class TestMapping:
-    def test_canonical_ids_are_dense_and_bidirectional(self):
+    """``members`` lists the requesting ids in member-digest rank order: a
+    stored solution's rank-*k* path belongs to the rank-*k* member."""
+
+    def test_members_are_the_spec_ids_in_rank_order(self):
         canon = _component(ids=("alice", "bob"))
-        assert canon.canonical_ids == ("c0000", "c0001")
-        assert sorted(canon.to_canonical) == ["alice", "bob"]
-        for sid, cid in canon.to_canonical.items():
-            assert canon.to_actual[cid] == sid
+        assert sorted(canon.members) == ["alice", "bob"]
+        renamed = _component(ids=("zz_t0", "zz_t1"))
+        as_renamed = {"alice": "zz_t0", "bob": "zz_t1"}
+        assert renamed.members == tuple(as_renamed[sid] for sid in canon.members)
+
+    def test_a_rank_follows_content_not_names(self):
+        """Swapping which id holds which content swaps their ranks."""
+        forward = _component(ids=("alice", "bob"))
+        swapped = _component(ids=("bob", "alice"))
+        assert swapped.members == tuple(reversed(forward.members))
+
+    def test_identical_members_keep_their_sorted_id_order(self):
+        spec = SimpleNamespace(statement_ids=("a", "b", "c"), links=LINKS)
+        same = _logical(("s1", "s2"))
+        tightened = {"a": same, "b": _logical(("s2", "s3")), "c": same}
+        rates = {sid: _rates(50.0) for sid in spec.statement_ids}
+        canon = canonicalize_component(
+            spec, tightened, rates, CAPACITY, HEURISTIC, None, (2, 2, 2)
+        )
+        assert canon.members.index("a") + 1 == canon.members.index("c")

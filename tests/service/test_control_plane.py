@@ -22,6 +22,7 @@ from repro.incremental import (
 )
 from repro.predicates.ast import FieldTest, pred_and
 from repro.regex.parser import parse_path_expression
+from repro.scenarios import LinkFailure
 from repro.service import AdmissionError, AdmissionPolicy, ControlPlane
 from repro.topology.generators import dumbbell, figure2_example
 from repro.units import Bandwidth
@@ -311,6 +312,33 @@ class TestControlPlane:
         assert rerouted.statements["x"].path == ("h1", "sb1", "h2")
         assert recovered.failed_links == frozenset()
         assert recovered.statements["x"].path == base.statements["x"].path
+
+    def test_a_scenario_event_counts_the_changes_of_its_delta(self):
+        """A ``to_delta()`` event commits the changes of the delta it stands
+        for: a link failure is one change, as its ``TopologyDelta`` is."""
+
+        async def run():
+            plane = ControlPlane()
+            await plane.open_group(
+                "g",
+                DUMBBELL_SOURCE,
+                topology=dumbbell(),
+                overlap="trust",
+                add_catch_all=False,
+                generate_code=False,
+            )
+            async with plane:
+                event = LinkFailure(index=0, time=0.0, link=("sa1", "sa2"))
+                await plane.submit("g", event).result()
+                failed = plane.query("g")
+                recover = TopologyDelta(recover_links=(("sa1", "sa2"),))
+                await plane.submit("g", recover).result()
+            return failed, plane.query("g")
+
+        failed, recovered = asyncio.run(run())
+        assert failed.failed_links == frozenset({("sa1", "sa2")})
+        assert failed.last_batch.num_changes == 1
+        assert recovered.last_batch.num_changes == 1
 
     def test_query_inside_a_topology_transaction_shows_committed_failures(self):
         """``query`` never tears: while a transaction that has already edited
