@@ -12,6 +12,12 @@ a single-path multi-commodity-flow variant:
   any link (Equations 3 and 4), with ``r_max <= 1`` guaranteeing that no
   link is over-subscribed (Equation 5).
 
+The solver chooses the edge columns; the reservations follow from them.
+A link's reserved fraction is read back as its Equation-2 row at the
+rounded 0/1 edge columns — the guarantees routed over the link over its
+capacity (:func:`repro.incremental.solve.extract_partition_solution`) —
+so two proofs of the same optimum report the same reservations to the ulp.
+
 Three optimisation criteria are supported (Figure 3): weighted shortest
 path, min-max ratio, and min-max reserved.
 
@@ -241,6 +247,8 @@ class ProvisioningModel:
     members: Tuple[str, ...]
     blocks: Tuple[FlowBlock, ...]
     links: Tuple[Tuple[str, str], ...]
+    #: Each link's capacity in Mbps, in ``links`` order.
+    capacities: np.ndarray
 
 
 def build_provisioning_model(
@@ -389,7 +397,11 @@ def build_model_for_links(
         ),
     )
     return ProvisioningModel(
-        model=form, members=tuple(statement_ids), blocks=members, links=keys
+        model=form,
+        members=tuple(statement_ids),
+        blocks=members,
+        links=keys,
+        capacities=capacities,
     )
 
 

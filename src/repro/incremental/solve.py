@@ -265,9 +265,13 @@ def extract_partition_solution(
 ) -> PartitionSolution:
     """Read a component's solve result into a :class:`PartitionSolution`.
 
-    Paths and reservation fractions are sliced out of the solution's
-    column vector here (see :class:`ProvisioningModel` for the column
-    order) and the vector goes no further.
+    Paths are sliced out of the solution's 0/1 edge columns (see
+    :class:`ProvisioningModel` for the column order) and the vector goes no
+    further.  A link's reserved fraction is its Equation-2 row evaluated at
+    those rounded edge columns — the guarantees routed over the link over
+    its capacity — not the solver's continuous ``r_uv`` column, whose last
+    ulp depends on which proof of the optimum the solver took (the
+    relaxation's vertex or branch-and-cut's incumbent).
     """
     if not result.status.has_solution:
         _raise_component_unsolved(spec, result.status.value)
@@ -282,9 +286,16 @@ def extract_partition_solution(
             for index in np.flatnonzero(x[start:stop] > 0.5).tolist()
         ]
         location_paths[identifier] = tuple(_extract_path(selected))
+    # A link's Equation-2 row (among the last rows of A_eq) is r_uv * c_uv
+    # minus each guarantee routed over it: at the edge columns alone it
+    # reads minus the routed guarantees.
+    form = built.model
+    edges = np.zeros_like(x)
+    edges[: layout.r_max] = x[: layout.r_max]
+    routed = -(form.a_eq @ edges)[form.b_eq.size - len(built.links) :]
     fractions = {
         key: max(0.0, value)
-        for key, value in zip(built.links, x[layout.r_max + 2 :].tolist())
+        for key, value in zip(built.links, (routed / built.capacities).tolist())
     }
     return PartitionSolution(
         spec=spec,
