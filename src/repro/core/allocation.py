@@ -95,7 +95,10 @@ class CompilationStatistics:
     final component's solver wall-time, in the provisioning result's
     component order, for per-component latency percentiles;
     ``component_backends`` names the backend that solved each component in
-    the same order.
+    the same order, and ``components_settled_by_relaxation`` counts those
+    whose MIP the ``scipy`` backend settled with its LP relaxation, without
+    branch-and-cut (a component's own ``relaxation_settled`` statistic says
+    which way it went).
     """
 
     lp_construction_seconds: float = 0.0
@@ -117,6 +120,7 @@ class CompilationStatistics:
     footprint_slack_used: Optional[float] = None
     component_solve_seconds: Tuple[float, ...] = ()
     component_backends: Tuple[str, ...] = ()
+    components_settled_by_relaxation: int = 0
 
     def record_provisioning(self, provisioning) -> None:
         """Copy solver diagnostics from a ``ProvisioningResult``."""
@@ -140,6 +144,10 @@ class CompilationStatistics:
         )
         self.component_backends = tuple(
             str(solution.statistics.get("backend", ""))
+            for solution in provisioning.partition_solutions
+        )
+        self.components_settled_by_relaxation = sum(
+            solution.statistics.get("relaxation_settled") == 1.0
             for solution in provisioning.partition_solutions
         )
 

@@ -20,12 +20,23 @@ component models the engine solves that heuristic was most of the solve;
 turning it off changes which of several *exactly tied* optima HiGHS
 returns, never the optimal objective.
 
+:class:`ScipySolver` solves a MIP's LP relaxation first
+(:func:`_relaxation_first`).  A relaxation vertex whose integer columns
+are all integral to HiGHS's own tolerance is a feasible point of the MIP
+that attains a lower bound on it, so it is an optimum: the backend keeps
+it and skips branch-and-cut.  An infeasible relaxation proves the MIP
+infeasible.  Anything else goes to :func:`run_highs` as a MIP, on a fresh
+instance.
+
 A ``_Highs`` is never reused: it keeps basis state between runs, and a
 solve takes a model and nothing else.  A time limit reaches HiGHS on both
-of this backend's paths, MIP and pure LP.  MIP diagnostics reported by HiGHS (dual bound, node count) are
-surfaced in ``SolveResult.statistics`` under the keys the branch-and-bound
-backend uses (``nodes``, ``best_bound``, ``gap``), so callers can report
-the MIP gap of ``FEASIBLE`` (time-limited) solves uniformly.
+of this backend's paths, MIP and pure LP, and on both runs of a MIP: the
+fallback gets what the relaxation left.  MIP diagnostics reported by
+HiGHS (dual bound, node count) are surfaced in ``SolveResult.statistics``
+under the keys the branch-and-bound backend uses (``nodes``,
+``best_bound``, ``gap``), so callers can report the MIP gap of
+``FEASIBLE`` (time-limited) solves uniformly; ``relaxation_settled`` says
+whether the relaxation (1) or branch-and-cut (0) settled a MIP.
 """
 
 from __future__ import annotations
@@ -48,6 +59,11 @@ MIP_GAP = 1e-6
 #: ~5 ms of a ~7 ms solve, and the models it serves here are solved to
 #: proven optimality anyway.
 MIP_FEASIBILITY_JUMP = False
+
+#: How far an integer column of the relaxation may lie from an integer and
+#: still count as integral: HiGHS's default ``mip_feasibility_tolerance``,
+#: the tolerance its own branch-and-cut accepts an incumbent at.
+INTEGRALITY_TOLERANCE = 1e-6
 
 _COLUMN_KINDS = (_core.HighsVarType.kContinuous, _core.HighsVarType.kInteger)
 _STATUSES = {
@@ -146,8 +162,53 @@ class ScipySolver:
     def solve(self, form: StandardForm) -> SolveResult:
         """Solve the form, returning a :class:`SolveResult`."""
         started = telemetry.clock()
-        result = run_highs(form, time_limit_seconds=self.time_limit_seconds)
+        if form.integrality.any():
+            result = _relaxation_first(form, self.time_limit_seconds, started)
+        else:
+            result = run_highs(form, time_limit_seconds=self.time_limit_seconds)
         result.statistics["solve_seconds"] = telemetry.clock() - started
         result.statistics["num_variables"] = form.num_variables()
         result.statistics["num_integer_variables"] = int(form.integrality.sum())
         return result
+
+
+def _relaxation_first(
+    form: StandardForm, time_limit_seconds: Optional[float], started: float
+) -> SolveResult:
+    """Solve a MIP's relaxation, and branch only if the relaxation must.
+
+    An optimal relaxation whose integer columns all lie within
+    :data:`INTEGRALITY_TOLERANCE` of an integer is returned as the MIP's
+    optimum, those columns snapped, with no nodes and no gap; an
+    infeasible one is returned as it is.  Anything else is solved as a MIP
+    by :func:`run_highs` — a fresh instance, nothing of the relaxation
+    carried over — within what is left of ``time_limit_seconds`` (counted
+    from ``started``); a limit the relaxation used up ends ``ERROR``.
+    """
+    relaxed = run_highs(form, relax=True, time_limit_seconds=time_limit_seconds)
+    if relaxed.status is SolveStatus.INFEASIBLE:
+        relaxed.statistics["relaxation_settled"] = 1.0
+        return relaxed
+    if relaxed.status is SolveStatus.OPTIMAL:
+        flags = form.integrality.astype(bool)
+        values = relaxed.x[flags]
+        snapped = np.round(values)
+        if np.all(np.abs(values - snapped) <= INTEGRALITY_TOLERANCE):
+            relaxed.x[flags] = snapped
+            relaxed.statistics.update(
+                nodes=0.0,
+                best_bound=relaxed.objective,
+                gap=0.0,
+                relaxation_settled=1.0,
+            )
+            return relaxed
+    remaining = None
+    if time_limit_seconds is not None:
+        remaining = time_limit_seconds - (telemetry.clock() - started)
+        if remaining <= 0.0:
+            return SolveResult(
+                status=SolveStatus.ERROR, statistics={"relaxation_settled": 0.0}
+            )
+    result = run_highs(form, time_limit_seconds=remaining)
+    result.statistics["relaxation_settled"] = 0.0
+    return result

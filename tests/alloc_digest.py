@@ -3,7 +3,10 @@
 Run from the repository root as ``PYTHONPATH=src python -m tests.alloc_digest
 > FILE`` (or ``make alloc-digest``); each line is ``<case> <digest>
 <tie-blind digest>``.  A change that must leave every allocation alone
-prints the same file as its parent, under any ``PYTHONHASHSEED``.  A digest
+prints the same file as its parent, under any ``PYTHONHASHSEED``.
+``python -m tests.alloc_digest --compare PARENT CHILD`` reads two such
+files and prints, per column, how many lines changed and which; it exits
+1 when any did.  A digest
 covers the paths with their function placements, the link reservations,
 ``repr(result.instructions)``, ``str(result.policy)``, the order and content
 of ``result.rates`` and the maximum link utilisation; a compile that raises
@@ -36,11 +39,12 @@ The cases:
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import os
 import sys
-from typing import Callable, Iterator, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.core import MerlinCompiler, ProvisionOptions
 from repro.errors import MerlinError
@@ -194,5 +198,60 @@ def main() -> None:
         print(name, line, flush=True)
 
 
+def _columns(path: str) -> Dict[str, List[str]]:
+    """Case name -> its digest columns, as one file of :func:`main` holds
+    them (an error line's two digests each keep their ``error`` mark; a
+    file older than the tie-blind column has one)."""
+    columns = {}
+    with open(path, encoding="utf-8") as lines:
+        for line in lines:
+            name, *digests = line.split()
+            if digests[0] == "error":
+                digests = [f"error {value}" for value in digests[1:]]
+            columns[name] = digests
+    return columns
+
+
+def compare(parent_path: str, child_path: str) -> int:
+    """Print the lines whose digests changed from ``parent_path`` to
+    ``child_path``, column by column; 1 if any case changed or is missing
+    from one of the files, else 0."""
+    parent, child = _columns(parent_path), _columns(child_path)
+    changed = False
+    for label, names in (
+        ("only in parent", [name for name in parent if name not in child]),
+        ("only in child", [name for name in child if name not in parent]),
+    ):
+        if names:
+            changed = True
+            print(f"{label}: {len(names)}")
+            print("".join(f"  {name}\n" for name in names), end="")
+    common = [name for name in parent if name in child]
+    for column, label in enumerate(("full", "tie-blind")):
+        both = [
+            name
+            for name in common
+            if len(parent[name]) > column and len(child[name]) > column
+        ]
+        moved = [name for name in both if parent[name][column] != child[name][column]]
+        changed = changed or bool(moved)
+        print(f"{label}: {len(moved)} of {len(both)} lines changed")
+        print("".join(f"  {name}\n" for name in moved), end="")
+    return int(changed)
+
+
 if __name__ == "__main__":
+    arguments = argparse.ArgumentParser(
+        prog="python -m tests.alloc_digest",
+        description="Print one digest line per compile of a fixed policy set.",
+    )
+    arguments.add_argument(
+        "--compare",
+        nargs=2,
+        metavar=("PARENT", "CHILD"),
+        help="compare two printed files instead, column by column",
+    )
+    options = arguments.parse_args()
+    if options.compare:
+        sys.exit(compare(*options.compare))
     main()

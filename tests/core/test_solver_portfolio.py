@@ -86,6 +86,14 @@ class TestStringBackendsEndToEnd:
         assert backends, "per-component backend names must be recorded"
         assert set(backends) == {name}
 
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_components_settled_by_the_relaxation_are_counted(self, name):
+        """Figure 2's one component has an integral relaxation: ``scipy``
+        keeps it and counts it; no other backend reports the statistic."""
+        result = _fig2_compiler(name).compile(FIG2_SOURCE)
+        settled = result.statistics.components_settled_by_relaxation
+        assert settled == (1 if name == "scipy" else 0)
+
     def test_recompile_threads_the_backend_through(self):
         compiler = _fig2_compiler("bnb")
         compiler.compile(FIG2_SOURCE)
@@ -218,6 +226,12 @@ class TestALimitHitBeforeAnyIncumbent:
             r"\(solver status: error\)",
         ):
             self._compiler(node_limit=1).compile(self.SOURCE)
+
+    def test_scipy_branches_and_says_so(self):
+        """The split relaxation is not kept: branch-and-cut settles it."""
+        result = self._compiler(solver="scipy").compile(self.SOURCE)
+        assert result.statistics.solver_status == "optimal"
+        assert result.statistics.components_settled_by_relaxation == 0
 
     def test_room_to_branch_finds_the_path(self):
         result = self._compiler(node_limit=50).compile(self.SOURCE)

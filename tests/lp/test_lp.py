@@ -81,26 +81,39 @@ class TestScipySolver:
 
 class TestScipyTimeLimit:
     """A time limit is honoured or refused, never dropped: what reaches
-    HiGHS, and what a limit hit means, on the pure-LP and the MIP path."""
+    HiGHS, and what a limit hit means, on the pure-LP and the MIP path and
+    on both runs of a MIP (its relaxation, then branch-and-cut)."""
 
     FORMS = {
         "lp": lambda: _form([-1.0], upper=10.0),
+        # Its relaxation is fractional, so a solve runs HiGHS twice.
         "mip": lambda: _knapsack([10, 13, 7, 8], [3, 4, 2, 3], 6),
     }
 
     @staticmethod
     def _recording_highs(monkeypatch, status=None, objective=None):
-        """Route ``run_highs`` through a HiGHS that records the options it is
-        set; ``status`` / ``objective`` replace what its run reports."""
+        """Route ``run_highs`` through a HiGHS that records the options each
+        instance is set, in a list with one dict per instance (``integer``
+        says whether its model kept integer columns); ``status`` /
+        ``objective`` replace what its run reports."""
         from repro.lp import scipy_backend
 
         binding = scipy_backend._core
-        options = {}
+        runs = []
 
         class Highs(binding._Highs):
+            def __init__(self):
+                super().__init__()
+                self.options = {}
+                runs.append(self.options)
+
             def setOptionValue(self, name, value):
-                options[name] = value
+                self.options[name] = value
                 return super().setOptionValue(name, value)
+
+            def passModel(self, lp):
+                self.options["integer"] = bool(len(lp.integrality_))
+                return super().passModel(lp)
 
             def getModelStatus(self):
                 return super().getModelStatus() if status is None else status
@@ -118,23 +131,62 @@ class TestScipyTimeLimit:
                 return getattr(binding, name)
 
         monkeypatch.setattr(scipy_backend, "_core", Binding())
-        return options
+        return runs
 
     @pytest.mark.parametrize("kind", sorted(FORMS))
     def test_no_limit_sets_none(self, monkeypatch, kind):
-        options = self._recording_highs(monkeypatch)
+        runs = self._recording_highs(monkeypatch)
         assert ScipySolver().solve(self.FORMS[kind]()).status is SolveStatus.OPTIMAL
-        assert "time_limit" not in options
-        assert options["mip_heuristic_run_feasibility_jump"] is False
-        assert options["log_to_console"] is False
+        assert [options["integer"] for options in runs] == {
+            "lp": [False],
+            "mip": [False, True],
+        }[kind]
+        for options in runs:
+            assert "time_limit" not in options
+            assert options["mip_heuristic_run_feasibility_jump"] is False
+            assert options["log_to_console"] is False
 
     @pytest.mark.parametrize("kind", sorted(FORMS))
     def test_the_limit_reaches_highs_as_a_float(self, monkeypatch, kind):
-        options = self._recording_highs(monkeypatch)
-        ScipySolver(time_limit_seconds=2.5).solve(self.FORMS[kind]())
-        assert options["time_limit"] == 2.5
-        ScipySolver(time_limit_seconds=3).solve(self.FORMS[kind]())
-        assert type(options["time_limit"]) is float
+        """A pure LP runs once with the limit.  A MIP's relaxation receives
+        the whole limit and branch-and-cut what the relaxation left."""
+        from repro import telemetry
+
+        runs = self._recording_highs(monkeypatch)
+        for limit in (2.5, 3):
+            del runs[:]
+            # Every clock reading is half a second after the last.
+            ticks = itertools.count(0.0, 0.5)
+            with telemetry.use(telemetry.Telemetry(clock=lambda: next(ticks))):
+                result = ScipySolver(time_limit_seconds=limit).solve(
+                    self.FORMS[kind]()
+                )
+            assert result.status is SolveStatus.OPTIMAL
+            limits = [options["time_limit"] for options in runs]
+            assert all(type(value) is float for value in limits)
+            assert limits[0] == limit
+            if kind == "lp":
+                assert len(limits) == 1
+            else:
+                assert [options["integer"] for options in runs] == [False, True]
+                assert limits[1] == limit - 0.5
+
+    def test_a_limit_spent_in_the_relaxation_is_an_error(self, monkeypatch):
+        """The relaxation hits the limit and leaves nothing: the solve ends
+        ``ERROR`` without starting branch-and-cut, and raises nothing."""
+        from repro import telemetry
+        from repro.lp.scipy_backend import _core
+
+        runs = self._recording_highs(
+            monkeypatch, status=_core.HighsModelStatus.kTimeLimit
+        )
+        # Every reading is ten seconds after the last.
+        ticks = itertools.count(0.0, 10.0)
+        with telemetry.use(telemetry.Telemetry(clock=lambda: next(ticks))):
+            result = ScipySolver(time_limit_seconds=1.0).solve(self.FORMS["mip"]())
+        assert result.status is SolveStatus.ERROR
+        assert result.x is None
+        assert [options["integer"] for options in runs] == [False]
 
     def test_a_mip_limit_hit_with_an_incumbent_is_feasible(self, monkeypatch):
         from repro.lp.scipy_backend import _core

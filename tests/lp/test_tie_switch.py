@@ -2,17 +2,19 @@
 
 ``scipy_backend.MIP_FEASIBILITY_JUMP`` is off.  With it on (SciPy's ``milp``
 at its default options) HiGHS may return another of several exactly tied
-optima; this test holds the two to the same status, the same objective
-within half the form's objective resolution, and the same ``r_max`` on
-every component model of a seeded churn replay and of the first
-``compile-guaranteed`` and ``compile-campus-default`` policies at seed 1
-(the ``component_solves`` fixture of ``tests/lp/conftest.py``).
+optima; this test holds the direct MIP call, ``run_highs``, to it: the
+same status, the same objective within half the form's objective
+resolution, and the same ``r_max`` on every component model of a seeded
+churn replay and of the first ``compile-guaranteed`` and
+``compile-campus-default`` policies at seed 1 (the ``component_solves``
+fixture of ``tests/lp/conftest.py``).
 """
 
 import numpy as np
 from scipy import optimize
 
 from repro.lp import SolveStatus
+from repro.lp.scipy_backend import run_highs
 
 _SCIPY_STATUSES = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
 
@@ -20,7 +22,8 @@ _SCIPY_STATUSES = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveSt
 def test_the_heuristic_switch_moves_ties_never_the_optimum(component_solves):
     solves = component_solves["churn"] + component_solves["compile"]
     assert len(solves) >= 80
-    for form, ours in solves:
+    for form, _answer in solves:
+        ours = run_highs(form)
         constraints = [optimize.LinearConstraint(form.a_ub, -np.inf, form.b_ub)]
         if form.b_eq.size:
             constraints.append(optimize.LinearConstraint(form.a_eq, form.b_eq, form.b_eq))
