@@ -11,9 +11,10 @@ package provides an equivalent, self-contained substitute:
   protocol and the three backends addressable by string — ``"scipy"``,
   ``"bnb"`` and ``"heuristic"``,
 * a SciPy/HiGHS backend (:mod:`repro.lp.scipy_backend`) that solves forms
-  exactly with one direct call into HiGHS through SciPy's bundled binding
+  exactly through one direct call into HiGHS over SciPy's bundled binding
   (:func:`~repro.lp.scipy_backend.run_highs`, the feasibility-jump
-  heuristic off),
+  heuristic off): a MIP's LP relaxation first, kept when integral, and
+  branch-and-cut only when it is not,
 * a pure-Python branch-and-bound solver (:mod:`repro.lp.branch_and_bound`)
   over LP relaxations, usable as an independent cross-check,
 * an anytime primal heuristic (:mod:`repro.lp.primal`) that finds feasible

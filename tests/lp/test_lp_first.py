@@ -12,12 +12,11 @@ answer bit for bit where it did not, and no MIP call after an infeasible
 relaxation.
 """
 
-from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.lp import ScipySolver, SolveStatus
-from repro.lp import scipy_backend
+from repro.lp import ScipySolver, SolveStatus, scipy_backend
 from repro.lp.scipy_backend import run_highs
 from tests.lp.forms import _form, _knapsack, diamonds, flow_forms, knapsacks
 
