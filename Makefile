@@ -1,6 +1,6 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test check alloc-digest lint-clock lint-pool lint-automaton lint-pipeline bench bench-full bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
+.PHONY: test check alloc-digest alloc-digest-seeds lint-clock lint-pool lint-automaton lint-pipeline bench bench-full bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
 
 # Tier-1 verification: the full unit + benchmark suite at quick scale.
 test:
@@ -20,6 +20,21 @@ check:
 # prints what its parent prints, under any PYTHONHASHSEED.
 alloc-digest:
 	PYTHONPATH=src python -m tests.alloc_digest
+
+# The digest under PYTHONHASHSEED 0, 1 and 2, written to
+# .bench_out/alloc-digest-<seed>.txt: fails unless the three files are
+# identical.  With PARENT=<file> (a parent's printed digest) it then
+# compares the seed-0 file against that one, column by column, and fails
+# if any line changed.
+alloc-digest-seeds:
+	mkdir -p .bench_out
+	for seed in 0 1 2; do \
+		PYTHONPATH=src PYTHONHASHSEED=$$seed python -m tests.alloc_digest \
+			> .bench_out/alloc-digest-$$seed.txt || exit 1; \
+	done
+	cmp .bench_out/alloc-digest-0.txt .bench_out/alloc-digest-1.txt
+	cmp .bench_out/alloc-digest-0.txt .bench_out/alloc-digest-2.txt
+	$(if $(PARENT),PYTHONPATH=src python -m tests.alloc_digest --compare $(PARENT) .bench_out/alloc-digest-0.txt)
 
 # The repo lints, each written once, as a pytest file (so tier-1 runs them
 # too): all timing flows through the injectable telemetry clock and nothing

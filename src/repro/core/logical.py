@@ -28,8 +28,12 @@ pairs in discovery order, the physical links they cross, and every vertex's
 fewest physical hops from the source and to the sink.  The MIP has a
 variable per edge (Equation 1), but only for the edges footprint tightening
 keeps, so :func:`prune_to_cost_bound` cuts the pairs with those distances
-and builds a :class:`LogicalEdge` for each pair it keeps; the whole graph's
-edges are built only when something reads :attr:`LogicalTopology.edges`.
+in one pass that also collects the cut's links.  Everything downstream —
+the Equation-1 block, the path read back from a solution, the content
+signature — reads the plain pairs: a pair crosses the link between its
+locations unless it leaves the source, enters the sink or stays at one
+location.  :class:`LogicalEdge` objects exist only when something reads
+:attr:`LogicalTopology.edges` (the tests and their reference builders).
 
 A path-constrained best-effort statement only ever asks for the graph's
 breadth-first shortest path and the physical links it touches, and
@@ -47,9 +51,10 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
-import operator
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Collection, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from ..predicates.sat import forced_equalities
 from ..regex.ast import DOT, Regex, Symbol, concat, star
@@ -127,7 +132,9 @@ class LogicalTopology:
         :func:`search_logical_topology` without a graph; the method serves
         callers that hold one.
         """
-        successors = _successors(self.pairs)
+        successors: Dict[Vertex, List[Vertex]] = {}
+        for tail, head in self.pairs:
+            successors.setdefault(tail, []).append(head)
         discoverer: Dict[Vertex, Vertex] = {SOURCE: SOURCE}
         queue = collections.deque([SOURCE])
         while queue:
@@ -146,22 +153,22 @@ class LogicalTopology:
                 queue.append(head)
         return None
 
-    def is_feasible(self) -> bool:
-        """Whether any physical path satisfies the statement's constraints."""
-        return self.find_path() is not None
+
+def edge_fields(tail: Vertex, head: Vertex) -> Tuple[str, Optional[LinkKey]]:
+    """The location the edge ``(tail, head)`` processes (the head's, the
+    tail's for an edge into the sink) and the directed link it crosses
+    (``None`` leaving the source, entering the sink or staying put): its
+    :class:`LogicalEdge` fields.  The cut and the Equation-1 block inline
+    the same test."""
+    if head is SINK:
+        return tail[0], None
+    if tail is SOURCE or tail[0] == head[0]:
+        return head[0], None
+    return head[0], (tail[0], head[0])
 
 
 def _edge(tail: Vertex, head: Vertex) -> LogicalEdge:
-    if head is SINK:
-        return LogicalEdge(tail, head, tail[0])
-    if tail is SOURCE or tail[0] == head[0]:
-        return LogicalEdge(tail, head, head[0])
-    return LogicalEdge(tail, head, head[0], (tail[0], head[0]))
-
-
-def _sorted_links(crossed: Iterable[LinkKey]) -> FrozenSet[LinkKey]:
-    """Directed ``(u, v)`` link crossings as undirected sorted pairs."""
-    return frozenset((u, v) if u <= v else (v, u) for u, v in crossed)
+    return LogicalEdge(tail, head, *edge_fields(tail, head))
 
 
 def build_logical_topology(
@@ -190,11 +197,11 @@ def build_logical_topology(
     Pairs are kept in the exploration's discovery order, which is the
     order the MIP's edge columns (and therefore its tie-breaks) follow.
     """
-    pairs, footprint, backward, _ = _explore(
+    pairs, footprint, heads, backward, _ = _explore(
         statement, topology, placements, source, destination, known_locations
     )
-    successors = _successors(pairs)
-    forward, _ = _hop_levels(list(successors.get(SOURCE, ())), successors)
+    roots = [root for root in heads.get(SOURCE, ()) if root in backward]
+    forward = _hop_levels(roots, heads, backward)
     forward[SOURCE] = 0
     return LogicalTopology(
         statement_id=statement.identifier,
@@ -237,7 +244,7 @@ def walk_product(
     """The unpinned product of the statement's path expression on
     ``topology``, which every statement with that expression restricts to
     its endpoints (see :func:`build_logical_topology` for the arguments)."""
-    pairs, _, _, automaton = _explore(
+    pairs, _, _, _, automaton = _explore(
         statement, topology, placements, None, None, known_locations
     )
     return ProductWalk(pairs, automaton)
@@ -376,28 +383,37 @@ def _explore(
     source: Optional[str],
     destination: Optional[str],
     known_locations: Optional[Iterable[str]],
-) -> Tuple[List[Pair], FrozenSet[LinkKey], Dict[Vertex, int], Optional[DFA]]:
+) -> Tuple[
+    List[Pair],
+    FrozenSet[LinkKey],
+    Dict[Vertex, List[Vertex]],
+    Dict[Vertex, int],
+    Optional[DFA],
+]:
     """Walk automaton × topology once; return the pairs of ``G_i``, the
-    physical links they cross, every vertex's fewest physical hops to the
-    sink and the automaton walked (``None`` when there was no walk).
+    physical links they cross, every walked vertex's heads (the source's
+    included), every surviving vertex's fewest physical hops to the sink
+    and the automaton walked (``None`` when there was no walk).
 
     The walk is breadth-first from the universal source over plain
-    ``(location, state)`` tuples and never enters a state no accepting
-    state is reachable from.  A backward 0-1 breadth-first sweep from the
-    accepting vertices then measures every vertex's fewest physical hops
-    to the sink — noting the links crossed by the edges it reads, which
-    are exactly the surviving ones — and every edge into a vertex it did
-    not reach is dropped.  The surviving ``(tail, head)`` pairs come back
-    in discovery order; trimming cannot change the relative order of what
-    survives or any surviving vertex's distances, because every
-    predecessor of a vertex that reaches the sink reaches the sink itself.
+    ``(location, state)`` tuples, reading each location's moves from the
+    topology's adjacency table and each state's transitions from the
+    automaton's own table, and never enters a state no accepting state is
+    reachable from.  A backward 0-1 breadth-first sweep from the accepting
+    vertices then measures every vertex's fewest physical hops to the sink
+    — collecting the links crossed by the edges it reads, which are exactly
+    the surviving ones — and every edge into a vertex it did not reach is
+    dropped.  The surviving ``(tail, head)`` pairs come back in discovery
+    order; trimming cannot change the relative order of what survives or
+    any surviving vertex's distances, because every predecessor of a vertex
+    that reaches the sink reaches the sink itself.
     """
     if any(
         pinned is not None and pinned not in topology
         for pinned in (source, destination)
     ):
         # A pinned endpoint that failed: no path can start or end there.
-        return [], frozenset(), {}, None
+        return [], frozenset(), {}, {}, None
     locations = topology.locations()
     valid_names = (
         locations
@@ -412,65 +428,75 @@ def _explore(
     live = automaton.live_states()
     if automaton.start not in live:
         # The language is empty: no physical path can satisfy the statement.
-        return [], frozenset(), {}, None
+        return [], frozenset(), {}, {}, None
 
-    step = automaton.step
+    transitions = automaton.transitions
     accepting = automaton.accepting
-    neighbors = topology.neighbors
-    # location -> (location, *its sorted neighbours), read once per walk.
-    moves: Dict[str, Tuple[str, ...]] = {}
-    edges: List[Pair] = []
+    moves = topology.adjacency()
+    # vertex -> the heads of its edges, in the order the walk emits them.
+    heads: Dict[Vertex, List[Vertex]] = {}
     # vertex -> every vertex with an edge into it (the source excepted).
     predecessors: Dict[Vertex, List[Vertex]] = {}
     # Discovered vertices; the loop below appends to it while reading it.
     frontier: List[Vertex] = []
+    explicit, default = transitions(automaton.start)
     for location in [source] if source is not None else locations:
-        state = step(automaton.start, location)
+        state = explicit.get(location, default)
         if state in live:
-            vertex = (location, state)
-            edges.append((SOURCE, vertex))
-            frontier.append(vertex)
+            frontier.append((location, state))
+    heads[SOURCE] = list(frontier)
     discovered = set(frontier)
 
     accepted: List[Vertex] = []
     for vertex in frontier:
         location, state = vertex
+        emitted = heads[vertex] = []
         if state in accepting and (destination is None or location == destination):
-            edges.append((vertex, SINK))
+            emitted.append(SINK)
             accepted.append(vertex)
-        following = moves.get(location)
-        if following is None:
-            following = moves[location] = (location, *neighbors(location))
-        for next_location in following:
-            next_state = step(state, next_location)
+        explicit, default = transitions(state)
+        for next_location in moves[location]:
+            next_state = explicit.get(next_location, default)
             if next_state not in live:
                 continue
             next_vertex = (next_location, next_state)
             if next_vertex == vertex:
                 continue
-            edges.append((vertex, next_vertex))
+            emitted.append(next_vertex)
             predecessors.setdefault(next_vertex, []).append(vertex)
             if next_vertex not in discovered:
                 discovered.add(next_vertex)
                 frontier.append(next_vertex)
     if not accepted:
-        return [], frozenset(), {}, None
+        return [], frozenset(), {}, {}, None
 
-    backward, crossed = _hop_levels(accepted, predecessors)
+    crossed: Set[LinkKey] = set()
+    # Every tail was discovered: the sweep to the sink is unrestricted.
+    backward = _hop_levels(accepted, predecessors, discovered, crossed)
     backward[SINK] = 0
-    pairs = [edge for edge in edges if edge[1] in backward]
-    return pairs, _sorted_links(crossed), backward, automaton
+    # A tail the backward sweep did not reach has no surviving edge.
+    pairs = [
+        (tail, head)
+        for tail in itertools.chain((SOURCE,), frontier)
+        if tail is SOURCE or tail in backward
+        for head in heads[tail]
+        if head in backward
+    ]
+    return pairs, frozenset(crossed), heads, backward, automaton
 
 
 def _hop_levels(
-    level: List[Vertex], adjacent: Mapping[Vertex, Sequence[Vertex]]
-) -> Tuple[Dict[Vertex, int], Set[LinkKey]]:
+    level: List[Vertex],
+    adjacent: Mapping[Vertex, Sequence[Vertex]],
+    within: Collection[Vertex],
+    crossed: Optional[Set[LinkKey]] = None,
+) -> Dict[Vertex, int]:
     """Fewest physical hops from the ``level`` vertices to every vertex
-    reachable over ``adjacent``, and the ``(u, v)`` links the edges read
-    cross: a 0-1 breadth-first search, one hop count at a time, in which a
-    vertex queued before a cheaper route reached it is skipped."""
+    reachable over ``adjacent`` through vertices in ``within``: a 0-1
+    breadth-first search, one hop count at a time, in which a vertex queued
+    before a cheaper route reached it is skipped.  ``crossed``, when given,
+    collects the sorted links of the edges read."""
     distances = dict.fromkeys(level, 0)
-    crossed: Set[LinkKey] = set()
     hops = 0
     while level:
         following: List[Vertex] = []
@@ -479,29 +505,25 @@ def _hop_levels(
                 continue
             location = vertex[0]
             for other in adjacent.get(vertex, ()):
-                if other[0] == location or other is SINK:
+                if other not in within:
+                    continue
+                other_location = other[0]
+                if other_location == location or other is SINK:
                     if distances.get(other, hops + 1) > hops:
                         distances[other] = hops
                         level.append(other)
-                else:
-                    crossed.add((location, other[0]))
-                    if other not in distances:
-                        distances[other] = hops + 1
-                        following.append(other)
+                    continue
+                if crossed is not None:
+                    crossed.add(
+                        (location, other_location)
+                        if location < other_location
+                        else (other_location, location)
+                    )
+                if other not in distances:
+                    distances[other] = hops + 1
+                    following.append(other)
         level, hops = following, hops + 1
-    return distances, crossed
-
-
-def _successors(pairs: Iterable[Pair]) -> Dict[Vertex, List[Vertex]]:
-    """Each tail's heads, in pair order (read a run of one tail at a time)."""
-    successors: Dict[Vertex, List[Vertex]] = {}
-    for tail, run in itertools.groupby(pairs, _TAIL):
-        successors.setdefault(tail, []).extend(map(_HEAD, run))
-    return successors
-
-
-_TAIL = operator.itemgetter(0)
-_HEAD = operator.itemgetter(1)
+    return distances
 
 
 def prune_to_cost_bound(
@@ -535,10 +557,11 @@ def prune_to_cost_bound(
     bound.  The optimal-hop path always survives, so a feasible graph is
     never pruned to emptiness.
 
-    The cut is one filter over the pairs with the graph's hop distances,
-    which every slack rung shares, and builds a :class:`LogicalEdge` only
-    for a pair it keeps.  Returns the input object unchanged when nothing
-    would be pruned (the common case for already-scoped path expressions).
+    The cut is one pass over the pairs with the graph's hop distances,
+    which every slack rung shares, keeping each pair within the bound and
+    the link of each kept pair that crosses one.  Returns the input object
+    unchanged when nothing would be pruned (the common case for
+    already-scoped path expressions).
     """
     pairs = logical.pairs
     if not pairs:
@@ -546,28 +569,27 @@ def prune_to_cost_bound(
     forward, backward = logical.forward, logical.backward
     bound = forward[SINK] + slack
     kept: List[Pair] = []
+    links: Set[LinkKey] = set()
     for pair in pairs:
         tail, head = pair
         hops = forward[tail] + backward[head]
-        if hops < bound or (
-            hops == bound
-            and (tail is SOURCE or head is SINK or tail[0] == head[0])
-        ):
+        if hops > bound:
+            continue
+        if tail is SOURCE or head is SINK:
             kept.append(pair)
+            continue
+        u, v = tail[0], head[0]
+        if u == v:
+            kept.append(pair)
+        elif hops < bound:
+            # Crossing the link costs the hop the distances leave out.
+            kept.append(pair)
+            links.add((u, v) if u < v else (v, u))
     if len(kept) == len(pairs):
         return logical
-    edges = [_edge(tail, head) for tail, head in kept]
     # The cut keeps the graph's distance maps: every shortest route to or
     # from a vertex it keeps is kept too, so they are the cut's own.
-    cut = dataclasses.replace(
-        logical,
-        pairs=kept,
-        footprint=_sorted_links(
-            edge.physical_link for edge in edges if edge.physical_link is not None
-        ),
-    )
-    cut._edges = edges
-    return cut
+    return dataclasses.replace(logical, pairs=kept, footprint=frozenset(links))
 
 
 def infer_endpoints(

@@ -80,7 +80,7 @@ from ..units import Bandwidth
 from .allocation import PathAssignment
 from .ast import Statement
 from .localization import LocalRates
-from .logical import SINK, SOURCE, LogicalEdge, LogicalTopology
+from .logical import SINK, SOURCE, LogicalTopology, Pair
 from .options import ProvisionOptions
 
 #: Rates are expressed in Mbps inside the MIP to keep coefficients well-scaled.
@@ -170,16 +170,16 @@ class FlowBlock:
     A function of the statement's (tightened) product graph alone — not of
     its rates, nor of the other members of its component — so it is
     computed once per graph (:func:`flow_block`) and placed at any column
-    and row offset.  Column ``i`` is the binary variable of ``edges[i]``;
-    the flow rows follow the first appearance of each vertex in ``edges``
-    (tail before head), never the iteration order of the vertex set, which
-    changes with ``PYTHONHASHSEED`` — and the row order decides which of
-    several equal-objective optima a solver returns.
+    and row offset.  Column ``i`` is the binary variable of the edge
+    ``pairs[i]``; the flow rows follow the first appearance of each vertex
+    in ``pairs`` (tail before head), never the iteration order of the
+    vertex set, which changes with ``PYTHONHASHSEED`` — and the row order
+    decides which of several equal-objective optima a solver returns.
     """
 
-    #: The product graph's edge list (shared, not copied): what a selected
-    #: column is read back as.
-    edges: Sequence[LogicalEdge]
+    #: The product graph's ``(tail, head)`` pairs (shared, not copied):
+    #: what a selected column is read back as.
+    pairs: Sequence[Pair]
     #: The flow-row entries of each column: +1 in its edge's tail row, -1
     #: in its head row.
     tails: np.ndarray
@@ -198,24 +198,30 @@ _BALANCE = {SOURCE: 1.0, SINK: -1.0}
 
 
 def flow_block(logical: LogicalTopology) -> FlowBlock:
-    """Index one product graph's edges into its Equation-1 block."""
+    """Index one product graph's pairs into its Equation-1 block.
+
+    A pair crosses the link between its tail's and its head's locations
+    unless it leaves the source, enters the sink or stays at one location
+    (:func:`~repro.core.logical.edge_fields`, inlined).
+    """
     row_of: Dict[object, int] = {}
     tails: List[int] = []
     heads: List[int] = []
     linked: List[int] = []
     slot_of: Dict[Tuple[str, str], int] = {}
     slots: List[int] = []
-    for index, edge in enumerate(logical.edges):
-        tails.append(row_of.setdefault(edge.source, len(row_of)))
-        heads.append(row_of.setdefault(edge.target, len(row_of)))
-        if edge.physical_link is not None:
-            u, v = edge.physical_link
-            key = (u, v) if u <= v else (v, u)
+    for index, (tail, head) in enumerate(logical.pairs):
+        tails.append(row_of.setdefault(tail, len(row_of)))
+        heads.append(row_of.setdefault(head, len(row_of)))
+        if tail is SOURCE or head is SINK:
+            continue
+        u, v = tail[0], head[0]
+        if u != v:
             linked.append(index)
-            slots.append(slot_of.setdefault(key, len(slot_of)))
+            slots.append(slot_of.setdefault((u, v) if u < v else (v, u), len(slot_of)))
     # 32-bit indices keep blocks small: each lives as long as its record.
     return FlowBlock(
-        edges=logical.edges,
+        pairs=logical.pairs,
         tails=np.array(tails, dtype=np.int32),
         heads=np.array(heads, dtype=np.int32),
         # An interior row's right-hand side is -0.0: the sign the exported
@@ -308,13 +314,13 @@ def build_model_for_links(
     """
     members = tuple(blocks[sid] for sid in statement_ids)
     for sid, block in zip(statement_ids, members):
-        if not block.edges:
+        if not block.pairs:
             raise ProvisioningError(
                 f"statement {sid!r} has no feasible path satisfying its path "
                 "expression"
             )
     guarantees = [_guarantee_mbps(rates[sid]) for sid in statement_ids]
-    column_starts = np.cumsum([0] + [len(block.edges) for block in members])
+    column_starts = np.cumsum([0] + [len(block.pairs) for block in members])
     row_starts = np.cumsum([0] + [block.balances.size for block in members])
     num_edges = int(column_starts[-1])
     num_flow_rows = int(row_starts[-1])
@@ -477,9 +483,10 @@ def _objective(
     return c, epsilon
 
 
-def _extract_path(selected_edges: Sequence[LogicalEdge]) -> List[str]:
-    """Reconstruct the location sequence from the selected logical edges."""
-    by_source = {edge.source: edge for edge in selected_edges}
+def _extract_path(selected: Sequence[Pair]) -> List[str]:
+    """Reconstruct the location sequence from the selected ``(tail, head)``
+    pairs: the location of each head before the sink."""
+    head_of = dict(selected)
     locations: List[str] = []
     vertex = SOURCE
     visited = set()
@@ -487,12 +494,12 @@ def _extract_path(selected_edges: Sequence[LogicalEdge]) -> List[str]:
         if vertex in visited:
             raise ProvisioningError("MIP solution contains a cycle; cannot extract path")
         visited.add(vertex)
-        edge = by_source.get(vertex)
-        if edge is None:
+        head = head_of.get(vertex)
+        if head is None:
             raise ProvisioningError("MIP solution does not form a source-to-sink path")
-        if edge.target != SINK:
-            locations.append(edge.location)
-        vertex = edge.target
+        if head != SINK:
+            locations.append(head[0])
+        vertex = head
     return locations
 
 

@@ -81,9 +81,11 @@ def compute_sink_tree(
     next_hop: Dict[str, str] = {}
     visited = {root_switch}
     queue = collections.deque([root_switch])
+    # A switch's moves start with itself, which is visited already.
+    moves = switches.adjacency()
     while queue:
         current = queue.popleft()
-        for neighbor in switches.neighbors(current):
+        for neighbor in moves[current]:
             if neighbor not in visited:
                 visited.add(neighbor)
                 next_hop[neighbor] = current

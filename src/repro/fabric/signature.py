@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 from ..core.localization import LocalRates
-from ..core.logical import LogicalTopology
+from ..core.logical import LogicalTopology, Vertex, edge_fields
 from ..lp.backends import backend_name
 
 __all__ = ["CanonicalComponent", "backend_fingerprint", "canonicalize_component"]
@@ -63,29 +63,28 @@ def _member_digest(
 ) -> str:
     """Digest one member's identifier-free content.
 
-    The tightened edge list is serialized in construction order — edge
-    index *is* part of the content (it is the member's MIP column order) —
-    along with the endpoints, the bandwidth terms in bps, and the slack
-    rung the member is tightened at.
+    The tightened edges are serialized in construction order — edge index
+    *is* part of the content (it is the member's MIP column order) — each
+    as its tail, its head and its :func:`edge_fields`, along with the
+    endpoints, the bandwidth terms in bps, and the slack rung the member
+    is tightened at.
     """
     body = [
         logical.source_location,
         logical.destination_location,
-        [
-            [
-                list(edge.source),
-                list(edge.target),
-                edge.location,
-                list(edge.physical_link) if edge.physical_link else None,
-            ]
-            for edge in logical.edges
-        ],
+        [_edge_record(tail, head) for tail, head in logical.pairs],
         rates.guarantee.bps_value if rates.guarantee is not None else None,
         rates.cap.bps_value if rates.cap is not None else None,
         slack,
     ]
     serialized = json.dumps(body, **_JSON)
     return hashlib.sha256(serialized.encode("utf-8")).hexdigest()
+
+
+def _edge_record(tail: Vertex, head: Vertex) -> list:
+    """One edge as :func:`_member_digest` serializes it."""
+    location, link = edge_fields(tail, head)
+    return [list(tail), list(head), location, list(link) if link else None]
 
 
 @dataclass(frozen=True)

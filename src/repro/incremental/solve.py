@@ -282,7 +282,7 @@ def extract_partition_solution(
         built.members, built.blocks, layout.members
     ):
         selected = [
-            block.edges[index]
+            block.pairs[index]
             for index in np.flatnonzero(x[start:stop] > 0.5).tolist()
         ]
         location_paths[identifier] = tuple(_extract_path(selected))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .nfa import Label, NFA
 
@@ -63,6 +63,12 @@ class DFA:
     def step(self, state: int, symbol: str) -> int:
         """Deterministic successor of ``state`` on ``symbol``."""
         return self._explicit.get(state, {}).get(symbol, self._default[state])
+
+    def transitions(self, state: int) -> Tuple[Mapping[str, int], int]:
+        """``state``'s explicit transitions (shared, not copied) and its
+        default successor: :meth:`step` on ``symbol`` is
+        ``explicit.get(symbol, default)``, without the per-call lookups."""
+        return self._explicit.get(state, {}), self._default[state]
 
     def live_states(self) -> FrozenSet[int]:
         """States from which an accepting state is reachable.

@@ -9,7 +9,7 @@ attachment, and the switch-only subgraph used by the sink-tree optimisation.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import networkx as nx
 
@@ -34,6 +34,8 @@ class Topology:
         self._hosts_by_mac: Dict[str, Node] = {}
         self._hosts_by_ip: Dict[str, Node] = {}
         self._host_counter = itertools.count(1)
+        # What adjacency() built; add_node and add_link drop it.
+        self._adjacency: Optional[Dict[str, Tuple[str, ...]]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -43,6 +45,7 @@ class Topology:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         self._graph.add_node(node.name)
+        self._adjacency = None
         if node.is_host:
             for index, address in (
                 (self._hosts_by_mac, node.mac.lower() if node.mac else None),
@@ -97,6 +100,7 @@ class Topology:
             raise TopologyError(f"self-loop links are not allowed ({source!r})")
         link = Link(source=source, target=target, capacity=capacity, latency_ms=latency_ms)
         self._graph.add_edge(source, target, link=link)
+        self._adjacency = None
         return link
 
     # -- queries -----------------------------------------------------------
@@ -147,10 +151,25 @@ class Topology:
         return self._graph.number_of_edges()
 
     def neighbors(self, name: str) -> List[str]:
-        """Names of nodes adjacent to ``name``."""
-        if name not in self._nodes:
-            raise TopologyError(f"unknown node {name!r}")
-        return sorted(self._graph.neighbors(name))
+        """Names of nodes adjacent to ``name``, sorted."""
+        try:
+            return list(self.adjacency()[name][1:])
+        except KeyError:
+            raise TopologyError(f"unknown node {name!r}") from None
+
+    def adjacency(self) -> Mapping[str, Tuple[str, ...]]:
+        """Every location's moves, ``location -> (location, *its sorted
+        neighbours)``: staying first, then each link in name order.
+
+        Built once, on first use, and dropped when a node or link is added;
+        callers share the table and must not change it.
+        """
+        if self._adjacency is None:
+            self._adjacency = {
+                name: (name, *sorted(adjacent))
+                for name, adjacent in self._graph.adj.items()
+            }
+        return self._adjacency
 
     def has_link(self, source: str, target: str) -> bool:
         return self._graph.has_edge(source, target)

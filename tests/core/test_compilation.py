@@ -148,7 +148,7 @@ class TestLogicalTopology:
         logical = build_logical_topology(
             statement, figure2_topology, figure2_placements
         )
-        assert logical.is_feasible()
+        assert logical.find_path() is not None
         path = logical.find_path()
         assert path[0] == "h1" and path[-1] == "h2"
         assert "m1" in path  # NAT can only run at m1.
@@ -180,7 +180,7 @@ class TestLogicalTopology:
         empty_logical = build_logical_topology(
             empty, figure2_topology, {}, source="h1", destination="h2"
         )
-        assert not empty_logical.is_feasible()
+        assert empty_logical.find_path() is None
 
     def test_endpoint_inference_from_predicate(self, figure2_topology):
         statement = Statement(

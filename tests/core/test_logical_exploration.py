@@ -5,16 +5,23 @@ Over random small topologies (pristine and degraded views), path
 expressions and endpoint pinnings, the builder must produce the reference's
 edges in the reference's order — the order feeds MIP variable order — and
 the search must return what ``find_path`` and ``physical_links_used`` read
-off the reference graph.  Every slack cut of the builder's graph must keep
-the edges, in order, that the reference's Dijkstra cut keeps.
+off the reference graph.  The builder's hop distances must be the plain
+breadth-first ones over the reference graph, and every slack cut of its
+graph must keep the edges, in order, that the reference's Dijkstra cut
+keeps, with their links as its footprint.  A topology grown after a walk
+is walked as it now is.
 """
 
+import collections
 import itertools
+import math
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.ast import Statement
 from repro.core.logical import (
+    SINK,
+    SOURCE,
     build_logical_topology,
     prune_to_cost_bound,
     search_logical_topology,
@@ -22,6 +29,7 @@ from repro.core.logical import (
 )
 from repro.predicates.ast import TRUE
 from repro.regex.ast import DOT, Negate, Star, Symbol, concat, union
+from repro.regex.parser import parse_path_expression
 from repro.topology.graph import Topology
 from tests.reference_logical import (
     reference_build_logical_topology,
@@ -98,12 +106,56 @@ def _arguments(draw):
     )
 
 
+def _hops(reference, reverse):
+    """Fewest physical hops from the reference graph's source to every
+    vertex (to its sink from every vertex, ``reverse``): a plain 0-1
+    breadth-first search over its edges, a hop per edge that crosses a
+    link."""
+    start = SINK if reverse else SOURCE
+    if start not in reference.vertices:
+        return {}
+    distances = {start: 0}
+    queue = collections.deque([start])
+    while queue:
+        vertex = queue.popleft()
+        edges = reference.in_edges(vertex) if reverse else reference.out_edges(vertex)
+        for edge in edges:
+            other = edge.source if reverse else edge.target
+            free = edge.physical_link is None
+            distance = distances[vertex] + (0 if free else 1)
+            if distance < distances.get(other, math.inf):
+                distances[other] = distance
+                # A free edge keeps the distance: its far end goes first.
+                if free:
+                    queue.appendleft(other)
+                else:
+                    queue.append(other)
+    return distances
+
+
+def _links(edges):
+    """The sorted links a list of edges crosses."""
+    return {
+        tuple(sorted(edge.physical_link))
+        for edge in edges
+        if edge.physical_link is not None
+    }
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(arguments=_arguments())
 def test_one_walk_builds_and_searches_what_the_two_passes_built(arguments):
     reference = reference_build_logical_topology(*arguments)
     built = build_logical_topology(*arguments)
     assert built.edges == reference.edges
+    if reference.edges:
+        # The source has no hops to the sink of its own: no sweep reads it.
+        backward = _hops(reference, reverse=True)
+        del backward[SOURCE]
+        assert built.forward == _hops(reference, reverse=False)
+        assert built.backward == backward
+    else:
+        assert not built.pairs and not built.backward
     found, footprint = search_logical_topology(*arguments)
     expected = reference.find_path()
     assert found == (None if expected is None else tuple(expected))
@@ -156,4 +208,34 @@ def test_the_distance_cut_keeps_what_the_dijkstra_cut_kept(arguments, slack):
     assert built.footprint == reference.physical_links_used()
     assert built.find_path() == reference.find_path()
     narrower = prune_to_cost_bound(built, 0)
-    assert narrower.edges == reference_prune_to_cost_bound(reference, 0).edges
+    reference_narrower = reference_prune_to_cost_bound(reference, 0)
+    assert narrower.edges == reference_narrower.edges
+    assert narrower.footprint == _links(reference_narrower.edges)
+
+
+def test_a_grown_topology_is_walked_as_it_now_is():
+    """Nodes and links added after a walk (as the campus workload adds its
+    middleboxes to ``stanford_campus()``) are walked by the next build: a
+    stale adjacency table would silently drop the paths through them."""
+    topology = _topology([("h1", "s1"), ("s1", "s2"), ("s2", "s3"), ("s3", "h2")])
+    statement = Statement(identifier="x", predicate=TRUE, path=parse_path_expression(".*"))
+    through_box = Statement(
+        identifier="y", predicate=TRUE, path=parse_path_expression(".* box .*")
+    )
+    before = build_logical_topology(statement, topology, {}, "h1", "h2")
+    assert ("s1", "s3") not in before.footprint
+    topology.add_link("s1", "s3")
+    topology.add_middlebox("box")
+    topology.add_link("box", "s2")
+    paths = {}
+    for path in (statement, through_box):
+        arguments = (path, topology, {}, "h1", "h2")
+        built = build_logical_topology(*arguments)
+        reference = reference_build_logical_topology(*arguments)
+        assert built.edges == reference.edges
+        assert built.footprint == reference.physical_links_used()
+        paths[path.identifier] = built.find_path()
+    assert paths == {
+        "x": ["h1", "s1", "s3", "h2"],
+        "y": ["h1", "s1", "s2", "box", "s2", "s3", "h2"],
+    }

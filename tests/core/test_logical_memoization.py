@@ -2,7 +2,7 @@
 
 The automaton store reuses the minimized DFA of structurally equal path
 expressions; each guaranteed statement still builds (and measures) its own
-product graph, and only the cut a resolve keeps is turned into edges.
+product graph, and a compile reads every graph and cut as plain pairs.
 """
 
 from __future__ import annotations
@@ -145,10 +145,14 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def test_edges_are_built_for_the_cut_and_distances_once_per_graph(monkeypatch):
-    """A ``LogicalEdge`` is built for each edge a tightened view keeps, not
-    for each edge of the product graph, and a statement sharing another's
-    (path, endpoints) shape builds and measures a graph of its own."""
+def test_no_edge_objects_on_the_compile_path_and_distances_once_per_graph(
+    monkeypatch,
+):
+    """A compile with the default options (no content cache) builds, cuts,
+    models and reads back every product graph as plain ``(tail, head)``
+    pairs — no :class:`LogicalEdge` is constructed — and a statement sharing
+    another's (path, endpoints) shape builds and measures a graph of its
+    own."""
     import repro.core.logical as logical_module
     from repro.incremental import DeltaStatement, PolicyDelta
 
@@ -160,7 +164,7 @@ def test_edges_are_built_for_the_cut_and_distances_once_per_graph(monkeypatch):
     compiler = MerlinCompiler(
         topology=topology, overlap="trust", add_catch_all=False, generate_code=False
     )
-    compiler.compile(policy)
+    result = compiler.compile(policy)
     engine = compiler._session.engine
     guaranteed = engine.statement_ids()
     views = [
@@ -169,10 +173,13 @@ def test_edges_are_built_for_the_cut_and_distances_once_per_graph(monkeypatch):
         for view in engine._records[identifier].views.values()
     ]
     assert len(measured) == 2 * len(guaranteed) > 0
-    assert len(edges_built) == sum(view.logical.num_edges() for view in views)
-    assert len(edges_built) < sum(
+    assert edges_built == []
+    # The compile did cut and solve: the views hold fewer pairs than the
+    # graphs they were cut from, and every guaranteed path came back.
+    assert sum(view.logical.num_edges() for view in views) < sum(
         engine.untightened_for(identifier).num_edges() for identifier in guaranteed
     )
+    assert all(result.paths[identifier].path for identifier in guaranteed)
 
     # The same shape (path, endpoints) under a new identifier and port.
     twin_of = guaranteed[0]
@@ -192,3 +199,4 @@ def test_edges_are_built_for_the_cut_and_distances_once_per_graph(monkeypatch):
     assert second.pairs == first.pairs
     assert second.forward == first.forward
     assert second.backward == first.backward
+    assert edges_built == []

@@ -50,7 +50,11 @@ sealed JSON record layout with its version, and the encode/decode and
 replay code written for that file stay deleted, and so do the error
 classes, the tenant removal, the predicate helpers and the result
 accessors no caller reached, and the backend fingerprint's read of a
-``node_limit`` attribute no backend has.
+``node_limit`` attribute no backend has.  A product graph is read as its
+``(tail, head)`` pairs everywhere but ``core/logical.py``: no
+``LogicalEdge`` and no ``.edges`` of a logical topology on the compile
+path, and the feasibility test and link-sorting pass nothing reached stay
+deleted.
 
 ``make lint-pipeline`` runs this file.
 """
@@ -195,7 +199,7 @@ def test_what_no_caller_reached_stays_deleted():
         r"|\b(?:spill_path|SIGNATURE_VERSION|record_is_readable|encode_solution"
         r"|decode_solution|encode_infeasible|_replay_spill|InfeasibleError"
         r"|UnboundedError|remove_tenant|field_test|conjunction_of|path_for"
-        r"|rate_for)\b"
+        r"|rate_for|is_feasible|_sorted_links)\b"
     )
     offenders = _files_mentioning(banned) + _files_mentioning(banned, glob="*.md")
     assert not offenders, (
@@ -220,6 +224,22 @@ def test_what_no_caller_reached_stays_deleted():
         "options",
         "_session",
     ], "MerlinCompiler grew a field (provisioning knobs go on ProvisionOptions)"
+
+
+def test_the_compile_path_reads_product_graphs_as_pairs():
+    """Outside ``core/logical.py`` a product graph is its ``(tail, head)``
+    pairs: a :class:`LogicalEdge` per pair cost ~35 times a tuple, so the
+    lazy ``LogicalTopology.edges`` view is for the tests and their
+    reference builders only."""
+    banned = re.compile(r"\bLogicalEdge\b|(?<!_graph)\.edges\b")
+    offenders = [
+        name for name in _files_mentioning(banned) if name != "core/logical.py"
+    ]
+    assert not offenders, (
+        "edge objects are back on the compile path (read logical.pairs; a "
+        "pair crosses the link between its locations unless it leaves the "
+        "source, enters the sink or stays put): %s" % ", ".join(offenders)
+    )
 
 
 def test_three_backends_picked_from_a_table():

@@ -8,10 +8,13 @@ hash distinct.  (``test_component_cache.py`` proves the same invariances
 end-to-end through real compiles.)
 """
 
+import hashlib
+import json
 from types import SimpleNamespace
 
 from repro.core.provisioning import PathSelectionHeuristic
 from repro.fabric import backend_fingerprint, canonicalize_component
+from repro.fabric.signature import _member_digest
 from repro.lp.backends import create_backend
 from repro.units import Bandwidth
 
@@ -22,15 +25,8 @@ def _logical(*links, source="A", destination="B"):
     return SimpleNamespace(
         source_location=source,
         destination_location=destination,
-        edges=[
-            SimpleNamespace(
-                source=(index,),
-                target=(index + 1,),
-                location=link[0],
-                physical_link=link,
-            )
-            for index, link in enumerate(links)
-        ],
+        # One product-graph pair per link, crossing it from ``u`` to ``v``.
+        pairs=[((u, index), (v, index + 1)) for index, (u, v) in enumerate(links)],
     )
 
 
@@ -164,3 +160,51 @@ class TestMapping:
             spec, tightened, rates, CAPACITY, HEURISTIC, None, (2, 2, 2)
         )
         assert canon.members.index("a") + 1 == canon.members.index("c")
+
+
+class TestMemberDigest:
+    def test_pairs_serialize_as_the_edge_objects_did(self, figure2_placements):
+        """A member is digested from its ``(tail, head)`` pairs into the JSON
+        bytes its :class:`LogicalEdge` fields made — source and sink edges,
+        stays at one location (``dpi`` then ``nat`` both at ``m1``) and
+        link crossings alike — so no signature moved."""
+        from repro.core.ast import Statement
+        from repro.core.logical import build_logical_topology
+        from repro.predicates.ast import TRUE
+        from repro.regex.parser import parse_path_expression
+        from repro.topology.generators import figure2_example
+
+        statement = Statement(
+            "z", TRUE, parse_path_expression("h1 .* dpi .* nat .* h2")
+        )
+        logical = build_logical_topology(
+            statement, figure2_example(), figure2_placements, "h1", "h2"
+        )
+        assert any(
+            edge.physical_link is None and edge.source[0] == edge.target[0]
+            for edge in logical.edges
+        )
+        rates = _rates(50.0)
+        as_edges = json.dumps(
+            [
+                "h1",
+                "h2",
+                [
+                    [
+                        list(edge.source),
+                        list(edge.target),
+                        edge.location,
+                        list(edge.physical_link) if edge.physical_link else None,
+                    ]
+                    for edge in logical.edges
+                ],
+                rates.guarantee.bps_value,
+                None,
+                2,
+            ],
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert _member_digest(logical, rates, 2) == (
+            hashlib.sha256(as_edges.encode("utf-8")).hexdigest()
+        )

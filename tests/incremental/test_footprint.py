@@ -87,7 +87,7 @@ class TestPruneToCostBound:
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)
         for slack in (0, 1, 2):
             pruned = self._wild_logical(scenario, slack=slack)
-            assert pruned.is_feasible()
+            assert pruned.find_path() is not None
 
     def test_zero_slack_keeps_exactly_min_hop_paths(self):
         scenario = pod_tenant_scenario(arity=4, pairs_per_pod=1)

@@ -4,10 +4,12 @@ the old ``LogicalTopology`` with its vertex set and out / in / by-link
 indices), the two-pass ``build_logical_topology`` body (forward expansion
 into ``LogicalEdge``s, then a backward sweep that clears and refills the
 graph) and the Dijkstra ``prune_to_cost_bound`` with its
-``_hop_distances``, verbatim.  Tests compare the single-pass builder's
-edges and cuts, and the best-effort search's path and footprint, against
-what this builds and what ``find_path`` / ``physical_links_used`` read off
-it."""
+``_hop_distances``, verbatim but for one line: the walk reads each
+location's neighbours off ``topology.links()``, so a stale adjacency table
+in the topology cannot hide from the comparison.  Tests compare the
+single-pass builder's edges and cuts, and the best-effort search's path and
+footprint, against what this builds and what ``find_path`` /
+``physical_links_used`` read off it."""
 
 import collections
 import heapq
@@ -147,6 +149,13 @@ def reference_build_logical_topology(
             seen.add(vertex)
             queue.append(vertex)
 
+    # Each location's neighbours, read off the links themselves rather than
+    # the topology's adjacency table, which the builder under test walks.
+    adjacent: Dict[str, List[str]] = {location: [] for location in locations}
+    for link in topology.links():
+        adjacent[link.source].append(link.target)
+        adjacent[link.target].append(link.source)
+
     start_locations = [source] if source is not None else locations
     for location in start_locations:
         state = automaton.step(automaton.start, location)
@@ -165,7 +174,7 @@ def reference_build_logical_topology(
             logical.add_edge(
                 LogicalEdge(source=vertex, target=SINK, location=location)
             )
-        neighbors = topology.neighbors(location)
+        neighbors = sorted(adjacent[location])
         for next_location in [location, *neighbors]:
             next_state = automaton.step(state, next_location)
             if next_state not in live:

@@ -163,6 +163,37 @@ class TestTopologyGraph:
         with pytest.raises(TopologyError):
             topo.without(links=[("s1", "s3")])
 
+    def test_adjacency_table_follows_every_node_and_link_added(self):
+        topo = linear(3)
+        table = topo.adjacency()
+        assert table["s2"] == ("s2", "h2", "s1", "s3")
+        assert topo.adjacency() is table  # built once
+        assert topo.neighbors("s2") == ["h2", "s1", "s3"]
+        assert topo.neighbors("s2") is not topo.neighbors("s2")  # a fresh list
+        topo.add_link("s1", "s3")
+        assert topo.adjacency()["s1"] == ("s1", "h1", "s2", "s3")
+        assert topo.neighbors("s3") == ["h3", "s1", "s2"]
+        assert table["s1"] == ("s1", "h1", "s2")  # the old table is left alone
+        topo.add_middlebox("m1", attached_switch="s2")
+        assert topo.adjacency()["m1"] == ("m1",)
+        topo.add_link("m1", "s2")
+        assert topo.neighbors("s2") == ["h2", "m1", "s1", "s3"]
+        assert topo.neighbors("m1") == ["s2"]
+        with pytest.raises(TopologyError):
+            topo.neighbors("nowhere")
+
+    def test_a_derived_topology_walks_a_table_of_its_own(self):
+        topo = linear(3)
+        table = topo.adjacency()
+        degraded = topo.without(links=[("s1", "s2")], nodes=["s3"])
+        assert degraded.adjacency() is not table
+        assert degraded.adjacency()["s2"] == ("s2", "h2")
+        assert "s3" not in degraded.adjacency()
+        assert topo.adjacency() is table
+        assert table["s2"] == ("s2", "h2", "s1", "s3")
+        switches = topo.switch_subgraph()
+        assert switches.adjacency()["s2"] == ("s2", "s1", "s3")
+
 
 class TestGenerators:
     def test_single_switch(self):
