@@ -70,6 +70,7 @@ def rules_for_sink_tree(
     computes it once.
     """
     tag = vlans.tag_for_tree(tree.root)
+    macs = [(host, topology.node(host).mac or host) for host in tree.hosts]
     rules: List[OpenFlowRule] = []
 
     # Transit rules: match the tag, forward towards the root.
@@ -85,8 +86,7 @@ def rules_for_sink_tree(
         )
 
     # Egress delivery rules: strip the tag and forward to the host by MAC.
-    for host in tree.hosts:
-        mac = topology.node(host).mac or host
+    for host, mac in macs:
         rules.append(
             OpenFlowRule(
                 switch=tree.root,
@@ -102,8 +102,7 @@ def rules_for_sink_tree(
     for ingress in ingress_switches:
         if ingress == tree.root:
             continue
-        for host in tree.hosts:
-            mac = topology.node(host).mac or host
+        for host, mac in macs:
             rules.append(
                 OpenFlowRule(
                     switch=ingress,

@@ -164,14 +164,19 @@ def formula_and(*formulas: Formula) -> Formula:
     operands = [formula for formula in formulas if not isinstance(formula, FTrue)]
     if not operands:
         return FTrue()
+    return _balanced_and(operands, 0, len(operands))
 
-    def build(items: List[Formula]) -> Formula:
-        if len(items) == 1:
-            return items[0]
-        middle = len(items) // 2
-        return FAnd(build(items[:middle]), build(items[middle:]))
 
-    return build(operands)
+def _balanced_and(operands: List[Formula], low: int, high: int) -> Formula:
+    """The balanced conjunction of ``operands[low:high]`` (at least one).
+
+    Module-level, not nested in :func:`formula_and`: a recursive nested
+    function is a reference cycle, made anew on every call.
+    """
+    if high - low == 1:
+        return operands[low]
+    middle = low + (high - low) // 2
+    return FAnd(_balanced_and(operands, low, middle), _balanced_and(operands, middle, high))
 
 
 def formula_clauses(formula: Formula) -> List[Formula]:

@@ -39,6 +39,7 @@ from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
 
 from .. import telemetry
 from ..codegen.generator import CodeGenerator
+from ..collector import collector_paused
 from ..errors import PolicyError, ProvisioningError
 from ..predicates.ast import TRUE, PTrue, pred_and, pred_not, pred_or
 from ..predicates.sat import find_overlapping_between, is_satisfiable
@@ -221,6 +222,7 @@ class MerlinCompiler:
         default=None, init=False, repr=False, compare=False
     )
 
+    @collector_paused
     def compile(self, policy: Union[str, Policy]) -> CompilationResult:
         """Compile a policy (source text or AST) into a :class:`CompilationResult`.
 
@@ -231,7 +233,8 @@ class MerlinCompiler:
         per-round ``partition`` and per-component ``component_solve``
         (solved in this process, backend name attached), and
         ``codegen`` children.  The reported ``statistics.total_seconds``
-        *is* the root span's duration.
+        *is* the root span's duration.  The compile runs with the cyclic
+        garbage collector paused (:func:`~repro.collector.collector_paused`).
         """
         with telemetry.span("compile") as compile_span:
             result = self._compile(policy, compile_span)
@@ -303,6 +306,7 @@ class MerlinCompiler:
 
     # -- the incremental fast path ------------------------------------------------
 
+    @collector_paused
     def recompile(self, delta) -> CompilationResult:
         """Apply a policy or topology delta incrementally.
 
@@ -334,7 +338,8 @@ class MerlinCompiler:
         the error propagates (e.g. :class:`ProvisioningError` for
         infeasibility).  A delta with several faults reports the first in
         application order.  ``has_session`` stays True; the next recompile
-        works normally.
+        works normally.  Like :meth:`compile`, it runs with the cyclic
+        garbage collector paused.
         """
         session = self._session
         if session is None:

@@ -542,14 +542,12 @@ def _assign_functions(
 def _function_occurrences(expression: Regex, functions) -> List[str]:
     """Function names in left-to-right order of appearance in the expression."""
     ordered: List[str] = []
-
-    def walk(node: Regex) -> None:
+    stack = [expression]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Symbol):
             if node.name in functions and node.name not in ordered:
                 ordered.append(node.name)
-            return
-        for child in node.children():
-            walk(child)
-
-    walk(expression)
+        else:
+            stack.extend(reversed(node.children()))
     return ordered

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..collector import collector_paused
 from ..predicates.ast import Predicate, pred_or
 from ..predicates.sat import covers, find_overlapping_between, implies
 from ..regex.ast import Regex
@@ -59,6 +60,7 @@ class VerificationReport:
         return self.valid
 
 
+@collector_paused
 def verify_refinement(original: Policy, refined: Policy) -> VerificationReport:
     """Check that ``refined`` is a valid refinement of ``original``.
 
@@ -67,7 +69,8 @@ def verify_refinement(original: Policy, refined: Policy) -> VerificationReport:
     trivially refine themselves.  Only the changed statements pay for
     satisfiability and language-inclusion reasoning, which keeps verification
     time linear in the size of the *change* rather than of the whole policy
-    (the behaviour Figure 9 measures).
+    (the behaviour Figure 9 measures).  The verdict runs with the cyclic
+    garbage collector paused (:func:`~repro.collector.collector_paused`).
     """
     violations: List[Violation] = []
     checked_pairs = 0

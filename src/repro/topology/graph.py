@@ -27,6 +27,9 @@ class Topology:
 
     def __init__(self, name: str = "topology") -> None:
         self.name = name
+        # Read through ``adj`` only: the graph caches its ``edges`` and
+        # ``degree`` views on itself, and each view holds the graph, so
+        # reading either makes the topology a reference cycle.
         self._graph = nx.Graph()
         self._nodes: Dict[str, Node] = {}
         # Address lookups for endpoint inference, maintained by add_node
@@ -148,7 +151,7 @@ class Topology:
         return len(self.switches())
 
     def num_links(self) -> int:
-        return self._graph.number_of_edges()
+        return sum(map(len, self._graph.adj.values())) // 2
 
     def neighbors(self, name: str) -> List[str]:
         """Names of nodes adjacent to ``name``, sorted."""
@@ -177,20 +180,25 @@ class Topology:
     def link(self, source: str, target: str) -> Link:
         """The link between two adjacent nodes."""
         try:
-            return self._graph.edges[source, target]["link"]
+            return self._graph.adj[source][target]["link"]
         except KeyError:
             raise TopologyError(f"no link between {source!r} and {target!r}") from None
 
     def links(self) -> List[Link]:
-        """All links."""
-        return [data["link"] for _, _, data in self._graph.edges(data=True)]
+        """All links, in networkx's edge order."""
+        links: List[Link] = []
+        seen = set()
+        for name, adjacent in self._graph.adj.items():
+            links.extend(data["link"] for other, data in adjacent.items() if other not in seen)
+            seen.add(name)
+        return links
 
     def capacity(self, source: str, target: str) -> Bandwidth:
         """The capacity of the link between two adjacent nodes."""
         return self.link(source, target).capacity
 
     def degree(self, name: str) -> int:
-        return self._graph.degree(name)
+        return len(self._graph.adj[name])
 
     def is_connected(self) -> bool:
         """Whether the topology is a single connected component."""
@@ -287,7 +295,7 @@ class Topology:
 
     def undirected_edges(self) -> List[Tuple[str, str]]:
         """All physical edges as sorted (u, v) name pairs."""
-        return sorted(tuple(sorted(edge)) for edge in self._graph.edges())
+        return sorted(tuple(sorted((link.source, link.target))) for link in self.links())
 
     def host_by_mac(self, mac: str) -> Optional[Node]:
         """Find the host with the given MAC address (``None`` if absent)."""

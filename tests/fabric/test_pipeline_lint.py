@@ -54,7 +54,9 @@ accessors no caller reached, and the backend fingerprint's read of a
 ``(tail, head)`` pairs everywhere but ``core/logical.py``: no
 ``LogicalEdge`` and no ``.edges`` of a logical topology on the compile
 path, and the feasibility test and link-sorting pass nothing reached stay
-deleted.
+deleted.  And the cyclic garbage collector is switched in one place,
+``repro/collector.py``, which pauses it for one compile, recompile or
+verdict and neither collects nor retunes it.
 
 ``make lint-pipeline`` runs this file.
 """
@@ -239,6 +241,25 @@ def test_the_compile_path_reads_product_graphs_as_pairs():
         "edge objects are back on the compile path (read logical.pairs; a "
         "pair crosses the link between its locations unless it leaves the "
         "source, enters the sink or stays put): %s" % ", ".join(offenders)
+    )
+
+
+def test_the_collector_is_paused_in_one_place():
+    """Only ``repro/collector.py`` turns the cyclic garbage collector off and
+    on, and it neither collects nor retunes it: a second site could leave
+    the collector off for a caller that had it on, and a collection or a
+    threshold inside an operation brings back the scans the pause saves."""
+    banned = re.compile(
+        r"\bgc\.(?:disable|enable|freeze|set_threshold|collect)\b|\bfrom gc import\b"
+    )
+    offenders = [name for name in _files_mentioning(banned) if name != "collector.py"]
+    assert not offenders, (
+        "the collector is switched outside repro/collector.py (decorate the "
+        "operation with collector_paused): %s" % ", ".join(offenders)
+    )
+    helper = (SRC / "collector.py").read_text(encoding="utf-8")
+    assert sorted(set(banned.findall(helper))) == ["gc.disable", "gc.enable"], (
+        "collector_paused only turns the collector off and back on"
     )
 
 

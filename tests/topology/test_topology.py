@@ -1,5 +1,8 @@
 """Tests for the topology graph, generators, and traffic enumeration."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import TopologyError
@@ -147,6 +150,39 @@ class TestTopologyGraph:
         ]
         assert [topo.degree(name) for name in ("s1", "s2", "s3", "h1")] == [2, 3, 2, 1]
         assert topo.link("s2", "s1").endpoints() == frozenset({"s1", "s2"})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: linear(4),
+            lambda: fat_tree(4),
+            lambda: stanford_campus(subnets=4),
+            lambda: fat_tree(4).without(links=[("c0_0", "a0_0")], nodes=["e1_1"]),
+        ],
+        ids=["linear", "fat-tree", "campus", "degraded"],
+    )
+    def test_graph_reads_agree_with_networkx_and_leave_no_cycle(self, build):
+        topo, reference = build(), build()._graph
+        assert topo.links() == [data["link"] for _, _, data in reference.edges(data=True)]
+        assert topo.num_links() == reference.number_of_edges()
+        assert topo.undirected_edges() == sorted(tuple(sorted(edge)) for edge in reference.edges)
+        assert [topo.degree(name) for name in topo.locations()] == [
+            reference.degree(name) for name in topo.locations()
+        ]
+        for link in topo.links():
+            assert topo.link(link.target, link.source) is link
+        # networkx caches its edge and degree views on the graph, each
+        # holding the graph: reading them would keep the topology alive
+        # until the cyclic collector ran.
+        graph = weakref.ref(topo._graph)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del topo
+            assert graph() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_without_fails_a_switch_with_its_links(self):
         topo = linear(3, capacity=Bandwidth.mbps(100))
