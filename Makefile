@@ -1,6 +1,6 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test check alloc-digest alloc-digest-seeds lint-clock lint-pool lint-automaton lint-pipeline bench bench-full bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
+.PHONY: test check alloc-digest alloc-digest-seeds lint-clock lint-pool lint-automaton lint-pipeline lint-reach bench bench-full bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
 
 # Tier-1 verification: the full unit + benchmark suite at quick scale.
 test:
@@ -42,7 +42,9 @@ alloc-digest-seeds:
 # wall-clock reading; no process pool exists under src/repro; every
 # automaton comes out of the store in repro/regex/operations.py; there is
 # one way into the solver, one grammar, and the machinery and options
-# earlier PRs deleted stay deleted.
+# earlier PRs deleted stay deleted; and every function, class and method
+# under src/repro is reached, by name, from examples/, benchmarks/, bench/
+# or a module a recipe here runs (tests/ is not an entry point).
 lint-clock:
 	$(PYTEST) -q tests/telemetry/test_clock_lint.py
 
@@ -54,6 +56,9 @@ lint-automaton:
 
 lint-pipeline:
 	$(PYTEST) -q tests/fabric/test_pipeline_lint.py
+
+lint-reach:
+	$(PYTEST) -q tests/fabric/test_reachability_lint.py
 
 # Every figure script at the quick scale (bench-full: at paper scale).  Each
 # asserts counts and structure; its latency columns are printed from the

@@ -10,10 +10,10 @@ timing statistics used by the scalability experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..units import Bandwidth
-from .ast import Policy, Statement
+from .ast import Policy
 from .localization import LocalRates
 
 
@@ -47,9 +47,6 @@ class PathAssignment:
 
     def hop_count(self) -> int:
         return len(self.links())
-
-    def visits(self, location: str) -> bool:
-        return location in self.path
 
 
 @dataclass

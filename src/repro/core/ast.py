@@ -16,7 +16,7 @@ traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..errors import PolicyError
 from ..predicates.ast import Predicate
@@ -246,10 +246,6 @@ class Policy:
 
     # -- construction helpers -------------------------------------------------
 
-    def with_statements(self, statements: Sequence[Statement]) -> "Policy":
-        """A copy of this policy with a different statement list."""
-        return Policy(statements=tuple(statements), formula=self.formula)
-
     def with_formula(self, formula: Formula) -> "Policy":
         """A copy of this policy with a different formula."""
         return Policy(statements=self.statements, formula=formula)
@@ -274,7 +270,3 @@ class Policy:
 
     def __str__(self) -> str:
         return self.to_source()
-
-    def source_line_count(self) -> int:
-        """Number of policy source lines (the "lines of code" metric of Figure 4)."""
-        return len(self.to_source().splitlines())

@@ -57,8 +57,6 @@ lexicographic strengthening of the global min-max criterion).
 ``ProvisionOptions(partition=False)`` makes the engine treat the whole
 population as one untightened component over every link — the undecomposed
 model, built and solved by the same code as any other component.
-:func:`build_provisioning_model` is that model in the caller's statement
-order and ``topology.links()`` order.
 """
 
 from __future__ import annotations
@@ -255,37 +253,6 @@ class ProvisioningModel:
     links: Tuple[Tuple[str, str], ...]
     #: Each link's capacity in Mbps, in ``links`` order.
     capacities: np.ndarray
-
-
-def build_provisioning_model(
-    statements: Sequence[Statement],
-    logical_topologies: Mapping[str, LogicalTopology],
-    rates: Mapping[str, LocalRates],
-    topology: Topology,
-    heuristic: PathSelectionHeuristic = PathSelectionHeuristic.MIN_MAX_RATIO,
-) -> ProvisioningModel:
-    """Assemble the full provisioning MIP over every physical link.
-
-    Statements in the order given, reservation rows for the whole topology
-    in ``topology.links()`` order.  The engine never calls it — every
-    model it solves comes from :func:`build_model_for_links` over a
-    component's sorted members and links.
-    """
-    links = [
-        (
-            tuple(sorted((link.source, link.target))),
-            link.capacity.bps_value / _MBPS,
-        )
-        for link in topology.links()
-    ]
-    identifiers = [statement.identifier for statement in statements]
-    return build_model_for_links(
-        identifiers,
-        {sid: flow_block(logical_topologies[sid]) for sid in identifiers},
-        rates,
-        links,
-        heuristic=heuristic,
-    )
 
 
 def build_model_for_links(

@@ -17,15 +17,14 @@ failure — a change the session refuses as much as one the solver cannot
 honour — the session rolls back to its pre-delta state and the error
 propagates, so a driver can record the rejection and keep replaying.
 
-``checkpoint()`` / ``rollback()`` / ``commit()`` expose the same
-undo-journal transaction mechanism ``apply`` uses internally, for callers
-that need multi-delta units of work (apply several deltas, inspect the
-result, and abandon or commit all of them).
+``checkpoint()`` / ``rollback()`` expose the same undo-journal mark
+``apply`` uses internally, for callers that need multi-delta units of work
+(apply several deltas, inspect the result, and abandon all of them).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..errors import ProvisioningError
 
@@ -88,15 +87,13 @@ class ProvisioningSession:
     # -- explicit multi-delta transactions ----------------------------------
 
     def checkpoint(self):
-        """Open a unit of work; pass the token to :meth:`rollback`/:meth:`commit`.
+        """Open a unit of work; pass the token to :meth:`rollback`.
 
         Checkpoints are O(1) undo-journal marks, and they *stack*:
         rolling back to an earlier token invalidates every later one,
         while a token stays valid across any number of later checkpoints
-        that were committed or rolled back.  Long-running callers should
-        pair every checkpoint with a :meth:`rollback` or :meth:`commit`
-        so the journal can be truncated (an outstanding mark keeps every
-        subsequent undo entry alive).
+        that were rolled back.  An outstanding mark keeps every later undo
+        entry alive, so a checkpoint suits a bounded unit of work.
         """
         return self._session().journal.mark()
 
@@ -104,18 +101,9 @@ class ProvisioningSession:
         """Restore the session to a :meth:`checkpoint` token's state.
 
         Replays the undo journal back to the mark — O(changes since the
-        checkpoint).  The token stays valid (the unit of work can retry);
-        call :meth:`commit` when done with it.
+        checkpoint).  The token stays valid (the unit of work can retry).
         """
         self._session().journal.rollback(token)
-
-    def commit(self, token) -> None:
-        """Retire a :meth:`checkpoint` token, truncating the undo journal.
-
-        Committing an already-invalidated token (one superseded by a
-        rollback to an earlier mark) is a harmless no-op.
-        """
-        self._session().journal.release(token)
 
     # -- introspection -------------------------------------------------------
 

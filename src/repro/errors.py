@@ -79,9 +79,5 @@ class DelegationError(MerlinError):
     """Raised when a policy cannot be delegated (projected) to a tenant."""
 
 
-class VerificationError(MerlinError):
-    """Raised when a delegated policy fails refinement verification."""
-
-
 class SimulationError(MerlinError):
     """Raised for invalid simulator configurations or runtime failures."""

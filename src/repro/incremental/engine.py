@@ -147,13 +147,6 @@ class IncrementalProvisioner:
     def has_statement(self, identifier: str) -> bool:
         return identifier in self._records
 
-    def rates_for(self, identifier: str) -> LocalRates:
-        return self._records[identifier].rates
-
-    def logical_for(self, identifier: str) -> LogicalTopology:
-        """The statement's *tightened* logical topology (the MIP's view)."""
-        return self._records[identifier].view(self.footprint_slack).logical
-
     def untightened_for(self, identifier: str) -> LogicalTopology:
         """The statement's whole product graph, as it was entered."""
         return self._records[identifier].logical

@@ -25,10 +25,6 @@ class SolveStatus(enum.Enum):
     ERROR = "error"
 
     @property
-    def is_optimal(self) -> bool:
-        return self is SolveStatus.OPTIMAL
-
-    @property
     def has_solution(self) -> bool:
         """Whether a usable variable assignment accompanies this status."""
         return self in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)

@@ -11,7 +11,7 @@ change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Sequence
 
 from ..units import Bandwidth
 from .aimd import AimdTrace
@@ -60,10 +60,6 @@ class MaxMinFairAllocator:
     def declare_demand(self, tenant: str, demand: Bandwidth) -> None:
         """Record (or update) a tenant's declared demand."""
         self._demands[tenant] = demand
-
-    def withdraw(self, tenant: str) -> None:
-        """Remove a tenant (e.g. its transfer completed)."""
-        self._demands.pop(tenant, None)
 
     def demands(self) -> Dict[str, Bandwidth]:
         return dict(self._demands)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from ..errors import DelegationError, VerificationError
+from ..errors import DelegationError
 from ..predicates.ast import Predicate
 from ..predicates.sat import equivalent
 from ..regex.ast import Regex
@@ -244,13 +244,6 @@ class Negotiator:
                 return node
             node = node.parent
         return None
-
-    def propose_or_raise(self, refined: Policy) -> None:
-        """Like :meth:`propose` but raising :class:`VerificationError` on rejection."""
-        report = self.propose(refined)
-        if not report.valid:
-            details = "; ".join(str(violation) for violation in report.violations)
-            raise VerificationError(f"refinement rejected: {details}")
 
     # -- bandwidth renegotiation ---------------------------------------------------
 

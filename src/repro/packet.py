@@ -10,7 +10,7 @@ to values, plus an optional payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional
 
 
@@ -33,17 +33,6 @@ class Packet:
 
     def __contains__(self, field_name: str) -> bool:
         return field_name in self.headers
-
-    def with_headers(self, **updates: Any) -> "Packet":
-        """Return a copy of this packet with some header fields replaced.
-
-        Packet-processing functions (NAT, proxies) are modelled as functions
-        from one packet to zero or more packets; this helper makes writing
-        such transformations convenient.
-        """
-        merged: Dict[str, Any] = dict(self.headers)
-        merged.update(updates)
-        return Packet(headers=merged, payload=self.payload)
 
 
 def make_packet(

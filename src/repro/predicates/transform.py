@@ -1,14 +1,14 @@
 """Predicate transforms.
 
 Negation normal form (:func:`to_nnf`), which the satisfiability search of
-:mod:`repro.predicates.sat` starts from; the set operations on packet sets;
+:mod:`repro.predicates.sat` starts from; the packet-set intersection; and
 the field tests every matching packet satisfies, which each code generator
-turns into a device match; and the atoms of a predicate.
+turns into a device match.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Set, Tuple
+from typing import Iterator
 
 from .ast import (
     FALSE,
@@ -56,11 +56,6 @@ def intersect(left: Predicate, right: Predicate) -> Predicate:
     return pred_and(left, right)
 
 
-def subtract(left: Predicate, right: Predicate) -> Predicate:
-    """The predicate matching packets in ``left`` but not in ``right``."""
-    return pred_and(left, pred_not(right))
-
-
 def positive_field_tests(predicate: Predicate) -> Iterator[FieldTest]:
     """The field tests reachable through ``And`` alone, left to right.
 
@@ -78,17 +73,3 @@ def positive_field_tests(predicate: Predicate) -> Iterator[FieldTest]:
             stack.append(node.left)
         elif isinstance(node, FieldTest):
             yield node
-
-
-def atoms(predicate: Predicate) -> Set[Tuple[str, Any]]:
-    """Return the set of (field, value) pairs appearing in the predicate."""
-    found: Set[Tuple[str, Any]] = set()
-
-    def walk(node: Predicate) -> None:
-        if isinstance(node, FieldTest):
-            found.add((node.field, node.value))
-        for child in node.children():
-            walk(child)
-
-    walk(predicate)
-    return found

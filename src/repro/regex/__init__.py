@@ -10,7 +10,7 @@ negotiator verification machinery need:
   to run DPI),
 * Thompson construction of NFAs, subset construction of DFAs, Moore-style
   minimisation by partition refinement,
-* language operations: union, intersection, difference, complement,
+* language operations: union, intersection, complement,
   emptiness, inclusion, and equivalence (the paper uses the Dprle library for
   inclusion checking; here the textbook algorithms are implemented directly).
 """

@@ -235,10 +235,6 @@ class DFA:
         """Language union."""
         return self.product(other, lambda a, b: a or b)
 
-    def difference(self, other: "DFA") -> "DFA":
-        """Language difference (sequences accepted by self but not other)."""
-        return self.product(other, lambda a, b: a and not b)
-
     def is_empty(self) -> bool:
         """Whether no sequence is accepted."""
         return self.shortest_accepted() is None

@@ -29,7 +29,6 @@ from .events import (
     SwitchRecovery,
     TenantJoin,
     TenantLeave,
-    serialize_events,
 )
 from .generator import (
     Scenario,
@@ -53,7 +52,6 @@ __all__ = [
     "TenantLeave",
     "RateRenegotiation",
     "MiddleboxRewrite",
-    "serialize_events",
     "Scenario",
     "ScenarioConfig",
     "ScenarioPopulation",

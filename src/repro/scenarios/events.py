@@ -8,16 +8,15 @@ payload needed to turn it into a delta.  ``to_delta()`` produces the
 :meth:`~repro.core.session.ProvisioningSession.apply` consumes, so a driver
 replays a stream with no event-type dispatch of its own.
 
-``describe()`` renders one canonical line per event;
-:func:`serialize_events` joins them.  The serialization is the determinism
-oracle: two runs of the generator with the same config must produce
-byte-identical serializations.
+``describe()`` renders one canonical line per event.  Those lines are the
+determinism oracle: two runs of the generator with the same config must
+describe byte-identical streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 from ..incremental.delta import (
     DeltaStatement,
@@ -41,7 +40,7 @@ class ScenarioEvent:
         raise NotImplementedError
 
     def describe(self) -> str:
-        """One canonical line; see :func:`serialize_events`."""
+        """One canonical line (the generator's determinism oracle)."""
         return f"[{self.index:04d} t={self.time:.3f}] {self.kind} {self._payload()}"
 
     def _payload(self) -> str:
@@ -184,8 +183,3 @@ class MiddleboxRewrite(ScenarioEvent):
 
     def _payload(self) -> str:
         return f"{self.identifier}->{self.through}"
-
-
-def serialize_events(events: Iterable[ScenarioEvent]) -> str:
-    """The canonical text form of a stream (the determinism oracle)."""
-    return "\n".join(event.describe() for event in events)

@@ -10,8 +10,8 @@ per-pod backup chains and middleboxes, hosting one pod-local tenant per pod
 * middlebox-chain rewrites toggling statements through the pod's DPI box.
 
 All randomness comes from one ``random.Random(seed)``: the same config
-produces a byte-identical stream (see
-:func:`~repro.scenarios.events.serialize_events`).
+produces a byte-identical stream (every event's
+:meth:`~repro.scenarios.events.ScenarioEvent.describe` line).
 
 **Why the backup chains matter.**  A pristine fat-tree pod is a complete
 bipartite edge/aggregation graph: every intra-pod path has the same hop

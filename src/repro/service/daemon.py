@@ -21,7 +21,7 @@ is that daemon:
   journal restores pre-batch state exactly) and the members are retried
   individually, so one tenant's infeasible ask cannot sink its
   batch-mates;
-* ``query`` / ``statement_state`` return frozen committed-state snapshots
+* ``query`` returns a frozen committed-state snapshot
   (per-statement paths and rates, revision, last batch's solver
   statistics) without touching the live session.
 
@@ -325,8 +325,6 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # query surface
     # ------------------------------------------------------------------
-    def groups(self) -> Tuple[str, ...]:
-        return tuple(self._groups)
 
     def query(self, name: str) -> GroupState:
         """A frozen snapshot of a group's last *committed* state."""
@@ -355,15 +353,6 @@ class ControlPlane:
         metrics-less :class:`~repro.telemetry.Telemetry`.
         """
         return self._telemetry.snapshot()
-
-    def statement_state(self, name: str, identifier: str) -> StatementState:
-        group = self._group(name)
-        try:
-            return group.statements[identifier]
-        except KeyError:
-            raise ProvisioningError(
-                f"group {name!r} has no committed statement {identifier!r}"
-            ) from None
 
     # ------------------------------------------------------------------
     # the per-group worker

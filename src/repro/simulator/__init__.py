@@ -17,7 +17,7 @@ Applications (a Hadoop shuffle model and a Ring Paxos replication model)
 drive the simulator to reproduce the paper's end-to-end results.
 """
 
-from .engine import FlowSimulator, SimulationTrace
+from .engine import FlowSimulator
 from .fairshare import allocate_rates
 from .flows import Flow, FlowStats
 from .network import SimulationNetwork
@@ -25,7 +25,6 @@ from .traffic import constant_bit_rate_flow, elastic_flow
 
 __all__ = [
     "FlowSimulator",
-    "SimulationTrace",
     "allocate_rates",
     "Flow",
     "FlowStats",

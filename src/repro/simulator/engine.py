@@ -1,59 +1,22 @@
 """The fluid simulation engine.
 
-The engine advances time in two ways:
-
-* :meth:`FlowSimulator.run_until` — event-driven: between events (flow
-  arrivals, departures, demand changes) rates are constant, so the engine
-  jumps directly to the earliest of (a) the next scheduled event and (b) the
-  next transfer completion, crediting every flow with ``rate × elapsed``
-  bytes.
-* :meth:`FlowSimulator.run_interval` — sampled: the same fluid model but
-  advanced with a fixed timestep, recording a throughput time series (used to
-  regenerate the time-series figures 5 and 10).
+:meth:`FlowSimulator.run_until` is event-driven: between events (flow
+arrivals, departures, demand changes) rates are constant, so the engine
+jumps directly to the earliest of (a) the next scheduled event and (b) the
+next transfer completion, crediting every flow with ``rate × elapsed``
+bytes.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Tuple
 
 from ..errors import SimulationError
-from .fairshare import allocate_rates, link_utilisation
-from .flows import Flow, FlowStats, LinkKey
+from .fairshare import allocate_rates
+from .flows import Flow, FlowStats
 from .network import SimulationNetwork
-
-
-@dataclass
-class SimulationTrace:
-    """Sampled per-flow throughput over time (Mbps)."""
-
-    times: List[float] = field(default_factory=list)
-    throughput_mbps: Dict[str, List[float]] = field(default_factory=dict)
-
-    def record(self, time: float, rates_bps: Mapping[str, float]) -> None:
-        self.times.append(time)
-        for flow_id, rate in rates_bps.items():
-            self.throughput_mbps.setdefault(flow_id, []).append(rate / 1e6)
-        # Keep all series aligned: flows absent at this instant record zero.
-        for flow_id, series in self.throughput_mbps.items():
-            if len(series) < len(self.times):
-                series.append(0.0)
-
-    def series(self, flow_id: str) -> List[float]:
-        return list(self.throughput_mbps.get(flow_id, []))
-
-    def aggregate(self) -> List[float]:
-        return [
-            sum(series[index] for series in self.throughput_mbps.values() if index < len(series))
-            for index in range(len(self.times))
-        ]
-
-    def mean_throughput(self, flow_id: str) -> float:
-        series = self.series(flow_id)
-        return sum(series) / len(series) if series else 0.0
 
 
 class FlowSimulator:
@@ -77,22 +40,9 @@ class FlowSimulator:
         self._flows[flow.flow_id] = flow
         return flow
 
-    def remove_flow(self, flow_id: str) -> None:
-        """Remove an open-ended flow (e.g. background traffic that stops)."""
-        flow = self._flows.pop(flow_id, None)
-        if flow is not None:
-            flow.completion_time = self.time
-            self._completed[flow_id] = flow
-
     def schedule(self, at_time: float, action: Callable[["FlowSimulator"], None]) -> None:
         """Schedule a callback (flow arrival, demand change, ...) at ``at_time``."""
         heapq.heappush(self._events, (at_time, next(self._event_counter), action))
-
-    def active_flows(self) -> List[Flow]:
-        return list(self._flows.values())
-
-    def completed_flows(self) -> List[Flow]:
-        return list(self._completed.values())
 
     def current_rates(self) -> Dict[str, float]:
         """The instantaneous max-min fair rates of all active flows (bps)."""
@@ -146,28 +96,6 @@ class FlowSimulator:
             flow.completion_time = self.time
             self._completed[flow_id] = flow
 
-    # -- sampled execution ---------------------------------------------------------------
-
-    def run_interval(
-        self, duration: float, timestep: float = 1.0
-    ) -> SimulationTrace:
-        """Advance with a fixed timestep, recording a throughput trace."""
-        if timestep <= 0:
-            raise SimulationError("timestep must be positive")
-        trace = SimulationTrace()
-        end_time = self.time + duration
-        while self.time < end_time - 1e-9:
-            while self._events and self._events[0][0] <= self.time + 1e-12:
-                _, _, action = heapq.heappop(self._events)
-                action(self)
-            rates = self.current_rates()
-            trace.record(self.time, rates)
-            step = min(timestep, end_time - self.time)
-            self._advance(rates, step)
-            self.time += step
-            self._complete_finished()
-        return trace
-
     # -- reporting ---------------------------------------------------------------------
 
     def stats(self) -> List[FlowStats]:
@@ -186,8 +114,3 @@ class FlowSimulator:
                 )
             )
         return result
-
-    def utilisation(self) -> Dict[LinkKey, float]:
-        """Instantaneous link utilisation under the current rates."""
-        rates = self.current_rates()
-        return link_utilisation(list(self._flows.values()), rates, self._capacities)

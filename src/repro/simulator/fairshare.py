@@ -15,7 +15,7 @@ filling in two phases:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 from ..errors import SimulationError
 from .flows import Flow, LinkKey
@@ -124,20 +124,3 @@ def _progressive_fill(
         if len(still_wanting) == len(wanting) and increment == 0.0:
             break
         wanting = still_wanting
-
-
-def link_utilisation(
-    flows: Sequence[Flow],
-    rates: Mapping[str, float],
-    link_capacities: Mapping[LinkKey, float],
-) -> Dict[LinkKey, float]:
-    """The fraction of each link's capacity in use under the given rates."""
-    load: Dict[LinkKey, float] = {link: 0.0 for link in link_capacities}
-    for flow in flows:
-        rate = rates.get(flow.flow_id, 0.0)
-        for link in flow.links:
-            load[link] = load.get(link, 0.0) + rate
-    return {
-        link: (load[link] / capacity if capacity > 0 else 0.0)
-        for link, capacity in link_capacities.items()
-    }

@@ -2,11 +2,10 @@
 
 Metric identity is the name plus an optional label set, rendered
 Prometheus-style into a single key string (``solve_seconds{backend="bnb"}``)
-so the registry stays a flat dict and the text exposition falls out for
-free.  Histograms keep raw observations and summarize through
-:func:`percentile` below — the repo's one percentile, which the scenario
-driver and the figure scripts read too — so p50/p95/p99 mean the same
-thing everywhere in the repo.
+so the registry stays a flat dict.  Histograms keep raw observations and
+summarize through :func:`percentile` below — the repo's one percentile,
+which the scenario driver and the figure scripts read too — so
+p50/p95/p99 mean the same thing everywhere in the repo.
 
 ``snapshot()`` freezes the registry into a :class:`MetricsSnapshot`, the
 query-safe form served by ``ControlPlane.metrics()`` next to
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 __all__ = [
     "HistogramSummary",
@@ -26,7 +25,6 @@ __all__ = [
     "format_percentiles",
     "metric_key",
     "percentile",
-    "split_key",
 ]
 
 
@@ -79,21 +77,6 @@ def metric_key(name: str, labels: Mapping[str, Any]) -> str:
     return "%s{%s}" % (name, rendered)
 
 
-def split_key(key: str) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
-    """Invert :func:`metric_key`: ``name{a="b"}`` -> (name, ((a, b),))."""
-    if "{" not in key:
-        return key, ()
-    name, _, rest = key.partition("{")
-    body = rest.rstrip("}")
-    labels = []
-    for item in body.split(","):
-        if not item:
-            continue
-        label, _, value = item.partition("=")
-        labels.append((label, value.strip('"')))
-    return name, tuple(labels)
-
-
 @dataclass(frozen=True)
 class HistogramSummary:
     """Frozen percentile summary of one histogram series."""
@@ -133,7 +116,7 @@ class MetricsSnapshot:
     arguments, mirroring how the values were recorded::
 
         snapshot.counter("admission_rejected", tenant="t1")
-        snapshot.histogram("queue_wait_seconds")
+        snapshot.gauge("journal_depth", group="g")
     """
 
     counters: Mapping[str, float] = field(default_factory=dict)
@@ -145,11 +128,6 @@ class MetricsSnapshot:
 
     def gauge(self, name: str, **labels: Any) -> Optional[float]:
         return self.gauges.get(metric_key(name, labels))
-
-    def histogram(self, name: str, **labels: Any) -> HistogramSummary:
-        return self.histograms.get(
-            metric_key(name, labels), HistogramSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        )
 
     def counter_total(self, name: str) -> float:
         """Sum a counter across every label combination it was recorded with."""
@@ -193,13 +171,6 @@ class MetricsRegistry:
         """Raw observations of one histogram series (a copy)."""
         with self._lock:
             return list(self._histograms.get(metric_key(name, labels), ()))
-
-    def format_histogram(
-        self, name: str, unit: str = "ms", scale: float = 1000.0, **labels: Any
-    ) -> str:
-        """Render one series via the shared percentile formatter."""
-        values = [value * scale for value in self.values(name, **labels)]
-        return format_percentiles(values, unit=unit)
 
     def snapshot(self) -> MetricsSnapshot:
         with self._lock:

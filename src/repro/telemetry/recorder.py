@@ -11,12 +11,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import IO, Iterable, List, Optional, Union
-
-try:  # pragma: no cover - typing nicety only
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
+from typing import IO, List, Protocol, Union
 
 from .spans import SpanRecord
 
@@ -24,7 +19,6 @@ __all__ = [
     "InMemoryRecorder",
     "JsonLinesRecorder",
     "SpanRecorder",
-    "read_trace",
 ]
 
 
@@ -50,12 +44,6 @@ class InMemoryRecorder:
         with self._lock:
             return [span for span in self.spans if span.name == name]
 
-    def children_of(self, parent: SpanRecord) -> List[SpanRecord]:
-        with self._lock:
-            return [
-                span for span in self.spans if span.parent_id == parent.span_id
-            ]
-
     def roots(self) -> List[SpanRecord]:
         with self._lock:
             return [span for span in self.spans if span.parent_id is None]
@@ -69,7 +57,7 @@ class JsonLinesRecorder:
     """Appends one JSON object per finished span to a file or stream.
 
     Spans are written in completion order (children before parents, as
-    in any tracing system); :func:`read_trace` reloads them.
+    in any tracing system), each a :meth:`SpanRecord.to_dict` payload.
     """
 
     def __init__(self, target: Union[str, IO[str]]) -> None:
@@ -97,21 +85,3 @@ class JsonLinesRecorder:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def read_trace(lines: Union[str, IO[str], Iterable[str]]) -> List[SpanRecord]:
-    """Parse spans back out of a JSON-lines dump.
-
-    Accepts a file path, an open text stream, or any iterable of lines.
-    """
-    if isinstance(lines, str):
-        with open(lines, "r", encoding="utf-8") as handle:
-            raw: List[str] = handle.readlines()
-    else:
-        raw = list(lines)
-    records = []
-    for line in raw:
-        line = line.strip()
-        if line:
-            records.append(SpanRecord.from_dict(json.loads(line)))
-    return records

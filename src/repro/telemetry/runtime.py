@@ -15,7 +15,7 @@ Activation is scoped, not global::
     telemetry = Telemetry.recording()
     with telemetry.use():
         MerlinCompiler(topology=topology).compile(policy)
-    print(render_trace(telemetry.recorder.spans))
+    print(telemetry.recorder.by_name("solve"))
 
 ``asyncio`` tasks and ``asyncio.to_thread`` copy the context, so spans
 opened inside them nest under the caller's span automatically.
@@ -38,7 +38,6 @@ __all__ = [
     "active",
     "clock",
     "counter",
-    "current_span",
     "gauge",
     "observe",
     "snapshot",
@@ -139,12 +138,6 @@ def clock() -> float:
 def span(name: str, **attributes: Any) -> Span:
     """Open a span on the active bundle; use as a context manager."""
     return _ACTIVE.get().span(name, **attributes)
-
-
-def current_span() -> Optional[Span]:
-    """The innermost open span, or ``None`` (always ``None`` when the
-    active bundle has no recorder)."""
-    return CURRENT_SPAN.get()
 
 
 def counter(name: str, amount: float = 1.0, **labels: Any) -> None:

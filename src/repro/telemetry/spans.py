@@ -78,22 +78,6 @@ class SpanRecord:
             payload["attributes"] = dict(self.attributes)
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SpanRecord":
-        return cls(
-            name=str(payload["name"]),
-            trace_id=int(payload.get("trace_id", 0)),
-            span_id=int(payload.get("span_id", 0)),
-            parent_id=(
-                None
-                if payload.get("parent_id") is None
-                else int(payload["parent_id"])
-            ),
-            start=float(payload.get("start", 0.0)),
-            duration=float(payload.get("duration", 0.0)),
-            attributes=dict(payload.get("attributes") or {}),
-        )
-
 
 class Span:
     """A live (open) span.  Use as a context manager.

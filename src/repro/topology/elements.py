@@ -48,10 +48,6 @@ class Node:
     def is_switch(self) -> bool:
         return self.kind is NodeKind.SWITCH
 
-    @property
-    def is_middlebox(self) -> bool:
-        return self.kind is NodeKind.MIDDLEBOX
-
 
 @dataclass(frozen=True)
 class Link:

@@ -134,10 +134,6 @@ class Topology:
         """All switch nodes."""
         return [node for node in self.nodes() if node.is_switch]
 
-    def middleboxes(self) -> List[Node]:
-        """All middlebox nodes."""
-        return [node for node in self.nodes() if node.is_middlebox]
-
     def host_names(self) -> List[str]:
         return [node.name for node in self.hosts()]
 
@@ -196,15 +192,6 @@ class Topology:
     def capacity(self, source: str, target: str) -> Bandwidth:
         """The capacity of the link between two adjacent nodes."""
         return self.link(source, target).capacity
-
-    def degree(self, name: str) -> int:
-        return len(self._graph.adj[name])
-
-    def is_connected(self) -> bool:
-        """Whether the topology is a single connected component."""
-        if self._graph.number_of_nodes() == 0:
-            return True
-        return nx.is_connected(self._graph)
 
     def attachment_switch(self, name: str) -> str:
         """The switch a host or middlebox is attached to.

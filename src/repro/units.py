@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from typing import Union
 
 from .errors import UnitError
@@ -120,16 +121,6 @@ class Bandwidth:
         """The bandwidth in megabits per second."""
         return self.bits_per_second / 1e6
 
-    @property
-    def gbps_value(self) -> float:
-        """The bandwidth in gigabits per second."""
-        return self.bits_per_second / 1e9
-
-    @property
-    def mb_per_sec_value(self) -> float:
-        """The bandwidth in megabytes per second."""
-        return self.bits_per_second / 8e6
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "Bandwidth") -> "Bandwidth":
@@ -187,11 +178,16 @@ class Bandwidth:
         return f"{value:.2f}bps"
 
     def policy_literal(self) -> str:
-        """Render as a literal suitable for re-emission in policy source."""
-        mbps = self.mbps_value
-        if abs(mbps - round(mbps)) < 1e-9 and mbps >= 1:
-            return f"{int(round(mbps))}Mbps"
-        return f"{self.bits_per_second:.0f}bps"
+        """Render as a literal that :meth:`parse` turns back into this value.
+
+        A whole number of Mbps renders as ``"<n>Mbps"``; anything else in
+        bps, as the shortest positional decimal that reads back to the same
+        float (the grammar has no exponent).
+        """
+        whole_mbps = int(self.mbps_value)
+        if whole_mbps >= 1 and Bandwidth.mbps(whole_mbps) == self:
+            return f"{whole_mbps}Mbps"
+        return format(Decimal(repr(self.bits_per_second)).normalize(), "f") + "bps"
 
 
 #: Zero bandwidth constant, used as the default guarantee (``r_min = 0``).
@@ -200,8 +196,3 @@ ZERO = Bandwidth(0.0)
 #: Conventional line rate used when a policy gives no maximum (1 Gbps NICs in
 #: the paper's testbed).
 LINE_RATE = Bandwidth.gbps(1)
-
-
-def parse_rate(text: Union[str, float, int, Bandwidth]) -> Bandwidth:
-    """Module-level convenience wrapper around :meth:`Bandwidth.parse`."""
-    return Bandwidth.parse(text)

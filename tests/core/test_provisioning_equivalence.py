@@ -33,14 +33,16 @@ from repro.core.preprocessor import preprocess
 from repro.core.provisioning import (
     PathSelectionHeuristic,
     build_model_for_links,
-    build_provisioning_model,
     flow_block,
 )
 from repro.experiments.policy_builders import all_pairs_policy
 from repro.topology.generators import fat_tree, figure2_example
 from repro.units import Bandwidth
 import tests.reference_provisioning as reference
-from tests.reference_provisioning import assert_forms_identical
+from tests.reference_provisioning import (
+    array_model_over_topology,
+    assert_forms_identical,
+)
 
 QUICKSTART_SOURCE = """
 [ x : (eth.src = 00:00:00:00:00:01 and
@@ -85,7 +87,7 @@ def test_quickstart_array_build_matches_both_references(heuristic):
         QUICKSTART_SOURCE, topology, QUICKSTART_PLACEMENTS
     )
     assert statements, "the quickstart scenario must have guaranteed statements"
-    built = build_provisioning_model(
+    built = array_model_over_topology(
         statements, logical, rates, topology, heuristic=heuristic
     )
     indexed = reference.build_provisioning_model(
@@ -104,7 +106,7 @@ def test_fat_tree_array_build_matches_both_references():
     statements, logical, rates = _provisioning_inputs(policy, topology, {})
     assert len(statements) >= 2
     heuristic = PathSelectionHeuristic.MIN_MAX_RATIO
-    built = build_provisioning_model(
+    built = array_model_over_topology(
         statements, logical, rates, topology, heuristic=heuristic
     )
     assert_forms_identical(
@@ -280,7 +282,7 @@ def test_tiebreaker_epsilon_bounded_by_edge_count(heuristic):
     topology = fat_tree(4)
     policy = all_pairs_policy(topology, guarantee_fraction=0.1, max_classes=60)
     statements, logical, rates = _provisioning_inputs(policy, topology, {})
-    form = build_provisioning_model(
+    form = array_model_over_topology(
         statements, logical, rates, topology, heuristic=heuristic
     ).model
     edges = form.layout.r_max
@@ -307,7 +309,7 @@ def test_ratio_tiebreaker_stays_below_guarantee_quantum():
     min(z, 1Mbps)
     """
     statements, logical, rates = _provisioning_inputs(source, topology, {})
-    form = build_provisioning_model(
+    form = array_model_over_topology(
         statements,
         logical,
         rates,

@@ -152,10 +152,12 @@ class TestLazyLiveModel:
         whole = build_model_for_links(
             [statement.identifier for statement in policy.statements],
             {
-                identifier: flow_block(engine.logical_for(identifier))
+                identifier: flow_block(
+                    engine._records[identifier].view(engine.footprint_slack).logical
+                )
                 for identifier in identifiers
             },
-            {identifier: engine.rates_for(identifier) for identifier in identifiers},
+            {identifier: engine._records[identifier].rates for identifier in identifiers},
             sorted(topology_capacities_mbps(topology).items()),
         )
         live = ScipySolver().solve(whole.model)

@@ -195,7 +195,7 @@ def test_nested_engine_transactions():
     inner2 = engine.journal.mark()
     engine.update_rates("p0s0", Bandwidth.mbps(50))
     engine.journal.release(inner2)
-    assert engine.rates_for("p0s0").guarantee.bps_value == Bandwidth.mbps(50).bps_value
+    assert engine._records["p0s0"].rates.guarantee.bps_value == Bandwidth.mbps(50).bps_value
 
     engine.journal.rollback(outer)
     engine.journal.release(outer)

@@ -322,7 +322,7 @@ def test_partition_false_solves_the_reference_model_through_the_component_path(
     reference = build_model_for_links(
         [compiler.session_statement(identifier) for identifier in identifiers],
         {identifier: engine.untightened_for(identifier) for identifier in identifiers},
-        {identifier: engine.rates_for(identifier) for identifier in identifiers},
+        {identifier: engine._records[identifier].rates for identifier in identifiers},
         sorted(topology_capacities_mbps(scenario.topology).items()),
     )
     assert_forms_identical(built[0].model, reference.model.to_standard_form())

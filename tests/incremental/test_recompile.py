@@ -738,15 +738,16 @@ class TestNegotiatorTrigger:
         # The scope keeps z (tcp.dst = 80) and drops x (tcp.dst = 20).
         child = root.delegate_to("tenant", FieldTest("tcp.dst", 80))
         assert {s.identifier for s in child.policy.statements} == {"z"}
-        refined = child.policy.with_statements(
-            tuple(
+        refined = Policy(
+            statements=tuple(
                 Statement(
                     s.identifier,
                     s.predicate,
                     parse_path_expression(".* m1 dpi .* nat .*"),
                 )
                 for s in child.policy.statements
-            )
+            ),
+            formula=child.policy.formula,
         )
         assert child.propose(refined).valid
         # The path refinement landed...
@@ -775,15 +776,16 @@ class TestNegotiatorTrigger:
         child = root.delegate_to("tenant", FieldTest("tcp.dst", 80))
         assert {s.identifier for s in child.policy.statements} == {"z"}
         assert not formula_clauses(child.policy.formula)  # clause dropped
-        refined = child.policy.with_statements(
-            tuple(
+        refined = Policy(
+            statements=tuple(
                 Statement(
                     s.identifier,
                     s.predicate,
                     parse_path_expression(".* m1 dpi .* nat .*"),
                 )
                 for s in child.policy.statements
-            )
+            ),
+            formula=child.policy.formula,
         )
         assert child.propose(refined).valid
         result = child.last_reprovision

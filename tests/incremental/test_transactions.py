@@ -489,11 +489,8 @@ class TestEngineCheckpoint:
         # Every feasible path crosses the source host's access link, which
         # must therefore carry exactly the current guarantee.
         source_host = scenario.pods[0]["hosts"][0]
-        (host_link,) = [
-            link
-            for link in engine.logical_for("p0s0").footprint
-            if source_host in link
-        ]
+        view = engine._records["p0s0"].view(engine.footprint_slack)
+        (host_link,) = [link for link in view.logical.footprint if source_host in link]
         resolved = engine.resolve()
         assert resolved.solve_statistics["partitions_dirty"] == 1.0
         assert resolved.link_reservations[host_link].bps_value == pytest.approx(

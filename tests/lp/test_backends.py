@@ -49,7 +49,7 @@ def _provisioning_model(topology=None, demands=(("h1", "h2", 400),)):
     )
     from repro.core.options import DEFAULT_FOOTPRINT_SLACK
     from repro.core.parser import parse_policy
-    from repro.core.provisioning import build_provisioning_model
+    from tests.reference_provisioning import array_model_over_topology
 
     if topology is None:
         topology = figure2_example(capacity=Bandwidth.gbps(2))
@@ -73,7 +73,7 @@ def _provisioning_model(topology=None, demands=(("h1", "h2", 400),)):
             ),
             DEFAULT_FOOTPRINT_SLACK,
         )
-    return build_provisioning_model(
+    return array_model_over_topology(
         list(policy.statements), logical, localize(policy), topology
     )
 

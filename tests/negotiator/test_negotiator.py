@@ -3,7 +3,7 @@ AIMD / max-min fair-sharing allocation schemes."""
 
 import pytest
 
-from repro.errors import DelegationError, VerificationError
+from repro.errors import DelegationError
 from repro.core import parse_policy
 from repro.core.ast import Policy, Statement, formula_clauses
 from repro.negotiator import (
@@ -162,20 +162,20 @@ class TestNegotiatorTree:
         tenant = root.delegate_to("tenant-a", parse_predicate("ip.src = 192.168.1.1"))
         assert tenant.parent is root
         assert tenant.depth() == 1
-        tenant.propose_or_raise(parse_policy(DELEGATION_REFINED_SOURCE))
+        assert tenant.propose(parse_policy(DELEGATION_REFINED_SOURCE)).valid
         assert len(tenant.policy.statements) == 3
 
-    def test_invalid_refinement_raises_and_keeps_policy(self):
+    def test_invalid_refinement_is_rejected_and_keeps_policy(self):
         root = Negotiator(name="admin", policy=parse_policy(DELEGATION_ORIGINAL_SOURCE))
         tenant = root.delegate_to("tenant-a", parse_predicate("ip.src = 192.168.1.1"))
         before = tenant.policy
-        with pytest.raises(VerificationError):
-            tenant.propose_or_raise(
-                parse_policy(
-                    "[ x : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2) -> .* ],"
-                    "max(x, 500MB/s)"
-                )
+        report = tenant.propose(
+            parse_policy(
+                "[ x : (ip.src = 192.168.1.1 and ip.dst = 192.168.1.2) -> .* ],"
+                "max(x, 500MB/s)"
             )
+        )
+        assert not report.valid
         assert tenant.policy is before
 
     def test_duplicate_child_rejected(self):
@@ -187,7 +187,7 @@ class TestNegotiatorTree:
     def test_totals_and_reallocation(self):
         root = Negotiator(name="admin", policy=parse_policy(DELEGATION_ORIGINAL_SOURCE))
         tenant = root.delegate_to("tenant-a", parse_predicate("ip.src = 192.168.1.1"))
-        tenant.propose_or_raise(parse_policy(DELEGATION_REFINED_SOURCE))
+        assert tenant.propose(parse_policy(DELEGATION_REFINED_SOURCE)).valid
         assert tenant.total_cap() == Bandwidth.mb_per_sec(100)
         # Shift bandwidth from y/z to x while staying within the delegated 100 MB/s.
         report = tenant.reallocate_caps(

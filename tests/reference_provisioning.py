@@ -21,8 +21,10 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from repro.core.ast import Statement
 from repro.core.localization import LocalRates
 from repro.core.logical import SINK, SOURCE, LogicalTopology
-from repro.core.provisioning import _MBPS, PathSelectionHeuristic
+from repro.core.provisioning import _MBPS, PathSelectionHeuristic, flow_block
+from repro.core.provisioning import build_model_for_links as array_build_model_for_links
 from repro.errors import ProvisioningError
+from repro.incremental.solve import topology_capacities_mbps
 from repro.topology.graph import Topology
 from tests.reference_lp import Constraint, LinExpr, Model, Variable
 
@@ -68,6 +70,26 @@ def build_provisioning_model(
     ]
     return build_model_for_links(
         statements, logical_topologies, rates, links, heuristic=heuristic
+    )
+
+
+def array_model_over_topology(
+    statements: Sequence[Statement],
+    logical_topologies: Mapping[str, LogicalTopology],
+    rates: Mapping[str, LocalRates],
+    topology: Topology,
+    heuristic: PathSelectionHeuristic = PathSelectionHeuristic.MIN_MAX_RATIO,
+):
+    """:func:`repro.core.provisioning.build_model_for_links` over the layout
+    :func:`build_provisioning_model` uses: statements in the order given,
+    every physical link in ``topology.links()`` order."""
+    identifiers = [statement.identifier for statement in statements]
+    return array_build_model_for_links(
+        identifiers,
+        {sid: flow_block(logical_topologies[sid]) for sid in identifiers},
+        rates,
+        list(topology_capacities_mbps(topology).items()),
+        heuristic=heuristic,
     )
 
 

@@ -149,6 +149,11 @@ class TestSubsetConstruction:
         assert minimize(built).num_states() == minimize(reference).num_states() == 5
 
 
+def _left_only(left_accepts, right_accepts):
+    """The product's accept rule for the left language minus the right."""
+    return left_accepts and not right_accepts
+
+
 def _concrete(witness):
     return [_FRESH if symbol == "<any>" else symbol for symbol in witness]
 
@@ -158,11 +163,11 @@ class TestSingleProductDecisions:
     @given(left=_REGEXES, right=_REGEXES)
     def test_agree_with_materialise_then_search(self, left, right):
         left_dfa, right_dfa = compile_dfa(left), compile_dfa(right)
-        difference = left_dfa.difference(right_dfa)
+        difference = left_dfa.product(right_dfa, _left_only)
         assert included(left, right) == difference.is_empty()
         assert counterexample(left, right) == difference.shortest_accepted()
         assert equivalent(left, right) == (
-            difference.is_empty() and right_dfa.difference(left_dfa).is_empty()
+            difference.is_empty() and right_dfa.product(left_dfa, _left_only).is_empty()
         )
         assert intersection_empty(left, right) == left_dfa.intersect(right_dfa).is_empty()
 
@@ -229,7 +234,7 @@ class TestStore:
         for entry in entries:
             entry.complement()
             entry.intersect(entries[0])
-            entry.difference(entries[1])
+            entry.product(entries[1], _left_only)
             entry.union(entries[2])
             minimize(entry)
             entry.shortest_accepted()

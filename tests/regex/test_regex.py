@@ -182,7 +182,7 @@ class TestAutomata:
         either = a.union(b)
         assert either.accepts_sequence(["dpi"])
         assert either.accepts_sequence(["nat"])
-        only_a = a.difference(b)
+        only_a = a.product(b, lambda left, right: left and not right)
         assert only_a.accepts_sequence(["dpi"])
         assert not only_a.accepts_sequence(["dpi", "nat"])
 

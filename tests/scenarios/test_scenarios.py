@@ -16,7 +16,6 @@ from repro.scenarios import (
     build_population,
     generate_scenario,
     replay,
-    serialize_events,
 )
 from repro.core import MerlinCompiler, ProvisionOptions
 
@@ -25,16 +24,20 @@ def _quick(seed: int = 0, events: int = 30) -> ScenarioConfig:
     return ScenarioConfig(seed=seed, events=events)
 
 
+def _described(scenario):
+    return [event.describe() for event in scenario.events]
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self):
         first = generate_scenario(_quick(seed=7, events=120))
         second = generate_scenario(_quick(seed=7, events=120))
-        assert serialize_events(first.events) == serialize_events(second.events)
+        assert _described(first) == _described(second)
 
     def test_different_seeds_differ(self):
         first = generate_scenario(_quick(seed=1))
         second = generate_scenario(_quick(seed=2))
-        assert serialize_events(first.events) != serialize_events(second.events)
+        assert _described(first) != _described(second)
 
     def test_population_is_seed_independent(self):
         first = generate_scenario(_quick(seed=1))

@@ -387,21 +387,18 @@ class TestControlPlane:
             return plane
 
         plane = asyncio.run(run())
-        assert plane.groups() == ("g1", "g2")
         assert plane.query("g1").revision == 1
         assert plane.query("g2").revision == 0
         assert "w" in plane.query("g1").statements
         assert "w" not in plane.query("g2").statements
-        assert plane.statement_state("g1", "w").is_guaranteed
+        assert plane.query("g1").statements["w"].is_guaranteed
 
-    def test_unknown_group_and_statement_rejected(self):
+    def test_unknown_and_duplicate_groups_rejected(self):
         async def run():
             plane = ControlPlane()
             await _open(plane)
             with pytest.raises(ProvisioningError):
                 plane.submit("nope", _add("w", 443))
-            with pytest.raises(ProvisioningError):
-                plane.statement_state("g", "nope")
             with pytest.raises(ProvisioningError):
                 await _open(plane)  # duplicate group name
 

@@ -15,7 +15,7 @@ from repro.incremental import DeltaStatement, PolicyDelta
 from repro.predicates.ast import FieldTest, pred_and
 from repro.regex.parser import parse_path_expression
 from repro.service import AdmissionError, AdmissionPolicy, ControlPlane
-from repro.telemetry import Telemetry, to_prometheus
+from repro.telemetry import Telemetry, metric_key
 from repro.topology.generators import figure2_example
 from repro.units import Bandwidth
 
@@ -84,11 +84,11 @@ class TestQueueWaitVersusExecution:
         assert first_result is second_result
         assert batch.queue_wait_seconds == (5.0, 2.0)
         assert batch.execute_seconds == 0.0  # nothing advanced the clock
-        waits = metrics.histogram("queue_wait_seconds", group="g")
+        waits = metrics.histograms[metric_key("queue_wait_seconds", {"group": "g"})]
         assert waits.count == 2
         assert waits.minimum == 2.0 and waits.maximum == 5.0
         assert metrics.counter("batches_committed", group="g") == 1.0
-        deltas = metrics.histogram("batch_deltas", group="g")
+        deltas = metrics.histograms[metric_key("batch_deltas", {"group": "g"})]
         assert deltas.count == 1 and deltas.maximum == 2.0
 
     def test_execution_time_lands_in_the_batch_record(self):
@@ -151,11 +151,8 @@ class TestMetricsSnapshotQuery:
         assert snapshot.counter_total("transactions_committed") == state.revision
         assert snapshot.counter_total("transactions_rolled_back") == 0.0
         assert snapshot.counter("groups_opened") == 1.0
-        assert snapshot.histogram("batch_deltas", group="g").count == state.revision
-        # The snapshot renders straight to the Prometheus exposition.
-        text = to_prometheus(snapshot)
-        assert "# TYPE repro_batches_committed counter" in text
-        assert 'repro_batches_committed{group="g"} %d' % state.revision in text
+        deltas = snapshot.histograms[metric_key("batch_deltas", {"group": "g"})]
+        assert deltas.count == state.revision
 
     def test_metrics_less_plane_serves_an_empty_snapshot(self):
         async def run():

@@ -14,10 +14,8 @@ from repro.simulator import (
     FlowSimulator,
     SimulationNetwork,
     allocate_rates,
-    constant_bit_rate_flow,
     elastic_flow,
 )
-from repro.simulator.fairshare import link_utilisation
 from repro.simulator.flows import path_links
 from repro.simulator.apps import HadoopJob, RingPaxosExperiment, RingPaxosService
 from repro.simulator.apps.hadoop import udp_interference
@@ -97,13 +95,6 @@ class TestFairShare:
         assert rates["f1"] == pytest.approx(100e6, rel=1e-3)
         assert rates["f2"] == pytest.approx(GBPS - 100e6, rel=1e-3)
 
-    def test_link_utilisation_reporting(self):
-        flow = Flow("f", ("h1", "s1", "h2"), demand_bps=500e6)
-        caps = _link_caps(("h1", "s1"), ("s1", "h2"))
-        rates = allocate_rates([flow], caps)
-        utilisation = link_utilisation([flow], rates, caps)
-        assert utilisation[("h1", "s1")] == pytest.approx(0.5, rel=1e-3)
-
     # -- properties ------------------------------------------------------------
 
     @settings(max_examples=60, deadline=None)
@@ -174,28 +165,6 @@ class TestEngine:
         simulator.run_until(10.0)
         stats = {s.flow_id: s for s in simulator.stats()}
         assert stats["late"].completion_time == pytest.approx(2.0, rel=0.05)
-
-    def test_run_interval_trace(self):
-        network = SimulationNetwork(single_switch(2))
-        simulator = FlowSimulator(network)
-        simulator.add_flow(
-            constant_bit_rate_flow(network, "udp", "h1", "h2", rate_bps=300e6)
-        )
-        trace = simulator.run_interval(duration=5.0, timestep=1.0)
-        assert len(trace.times) == 5
-        assert trace.series("udp")[0] == pytest.approx(300.0, rel=1e-3)
-        assert trace.mean_throughput("udp") == pytest.approx(300.0, rel=1e-3)
-
-    def test_remove_flow(self):
-        network = SimulationNetwork(single_switch(2))
-        simulator = FlowSimulator(network)
-        simulator.add_flow(
-            constant_bit_rate_flow(network, "udp", "h1", "h2", rate_bps=300e6)
-        )
-        simulator.run_interval(duration=1.0)
-        simulator.remove_flow("udp")
-        assert simulator.active_flows() == []
-        assert simulator.completed_flows()[0].flow_id == "udp"
 
     def test_duplicate_flow_rejected(self):
         network = SimulationNetwork(single_switch(2))

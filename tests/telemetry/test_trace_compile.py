@@ -12,6 +12,9 @@ inside their ``solve`` parent, apart from each other, and the source of
 assembled from cached Equation-1 blocks.
 """
 
+import json
+from collections import Counter
+
 import pytest
 
 from repro import telemetry
@@ -19,7 +22,7 @@ from repro.core.compiler import MerlinCompiler
 from repro.experiments.policy_builders import all_pairs_policy
 from repro.experiments.reprovisioning import pod_tenant_scenario
 from repro.incremental import PolicyDelta, RateUpdate, TopologyDelta
-from repro.telemetry import Telemetry, read_trace, summarize_trace
+from repro.telemetry import SpanRecord, Telemetry
 from repro.topology.generators import fat_tree
 from repro.units import Bandwidth
 
@@ -41,7 +44,9 @@ def traced_compile(tmp_path_factory):
     with bundle.use():
         result = compiler.compile(policy)
     bundle.recorder.close()
-    return read_trace(str(trace_path)), result, bundle
+    with open(trace_path, encoding="utf-8") as lines:
+        spans = [SpanRecord(**json.loads(line)) for line in lines]
+    return spans, result, bundle
 
 
 class TestCompileTrace:
@@ -102,11 +107,11 @@ class TestCompileTrace:
         ]
         assert solve_summary and all(s.count > 0 for s in solve_summary)
 
-    def test_trace_summary_aggregates_by_name(self, traced_compile):
+    def test_one_compile_span_and_component_solves(self, traced_compile):
         spans, _, _ = traced_compile
-        summary = summarize_trace(spans)
-        assert "compile" in summary and summary["compile"].count == 1
-        assert "component_solve" in summary
+        names = Counter(span.name for span in spans)
+        assert names["compile"] == 1
+        assert names["component_solve"] > 0
 
 
 @pytest.fixture(scope="module")

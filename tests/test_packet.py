@@ -37,10 +37,3 @@ class TestPacket:
         packet = Packet(headers={"tcp.dst": 80})
         assert "tcp.dst" in packet
         assert "tcp.src" not in packet
-
-    def test_with_headers_creates_modified_copy(self):
-        packet = make_packet(ip_src="10.0.0.1", ip_dst="10.0.0.2")
-        rewritten = packet.with_headers(**{"ip.src": "192.168.0.1"})
-        assert rewritten.get("ip.src") == "192.168.0.1"
-        assert rewritten.get("ip.dst") == "10.0.0.2"
-        assert packet.get("ip.src") == "10.0.0.1"

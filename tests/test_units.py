@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import UnitError
-from repro.units import LINE_RATE, ZERO, Bandwidth, parse_rate
+from repro.units import LINE_RATE, ZERO, Bandwidth
 
 
 class TestParsing:
@@ -44,9 +44,6 @@ class TestParsing:
         with pytest.raises(UnitError):
             Bandwidth.parse("10 parsecs")
 
-    def test_module_level_parse_rate(self):
-        assert parse_rate("10Mbps") == Bandwidth.mbps(10)
-
 
 class TestConstructorsAndConversions:
     def test_mb_per_sec_constructor(self):
@@ -54,12 +51,6 @@ class TestConstructorsAndConversions:
 
     def test_mbps_value(self):
         assert Bandwidth.gbps(1).mbps_value == 1000.0
-
-    def test_gbps_value(self):
-        assert Bandwidth.mbps(500).gbps_value == pytest.approx(0.5)
-
-    def test_mb_per_sec_value(self):
-        assert Bandwidth.parse("25MB/s").mb_per_sec_value == pytest.approx(25.0)
 
     def test_line_rate_constant(self):
         assert LINE_RATE == Bandwidth.gbps(1)
