@@ -212,10 +212,19 @@ _TREE = {
         '__all__ = ["exported_only"]\n'
     ),
     "src/repro/lib.py": '''
-class Cache:
+class Base:
+    pass
+
+
+def decorate(function):
+    return function
+
+
+class Cache(Base):
     def __init__(self):
         self.table = {}
 
+    @decorate
     def get(self, key):
         return helper(key)
 
@@ -247,6 +256,29 @@ def dead_caller():
 
 def only_from_dead():
     pass
+
+
+def at_import_time():
+    return 1
+
+
+DEFAULT = at_import_time()
+
+
+def by_keyword():
+    pass
+
+
+def by_getattr():
+    pass
+
+
+class Unused:
+    def __repr__(self):
+        return "Unused()"
+
+    def method(self):
+        pass
 ''',
     "bench/trace.py": '''
 from repro.lib import Cache
@@ -255,7 +287,8 @@ TARGETS = ("Cache.get",)
 
 
 def main(cache: "Optional[Annotated]") -> None:
-    pass
+    getattr(cache, "by_getattr")()
+    dict(by_keyword=1)
 ''',
     "tests/test_lib.py": "from repro.lib import tested_only\n\ntested_only()\n",
 }
@@ -293,7 +326,39 @@ def test_the_body_of_a_reached_definition_is_reached():
     assert "helper" not in _flagged()
 
 
+def test_a_decorator_and_a_base_of_a_reached_definition_are_reached():
+    assert not {"decorate", "Base"} & _flagged()
+
+
+def test_a_module_level_statement_reaches_a_definition():
+    assert "at_import_time" not in _flagged()
+
+
+def test_a_keyword_argument_name_reaches_a_definition():
+    assert "by_keyword" not in _flagged()
+
+
+def test_a_getattr_string_reaches_a_definition():
+    assert "by_getattr" not in _flagged()
+
+
+def test_dunder_methods_are_exempt_but_other_methods_are_not():
+    flagged = _flagged()
+    assert "Unused.method" in flagged
+    assert not [name for name in flagged if name.rsplit(".", 1)[-1].startswith("__")]
+
+
+def test_makefile_roots_are_the_repository_modules_a_recipe_runs():
+    makefile = (
+        "digest:\n\tPYTHONPATH=src python -m tests.alloc_digest --compare a b\n"
+        "trace:\n\tpython3 bench/trace.py\n"
+        "gone:\n\tpython -m tests.no_such_module\n"
+    )
+    assert makefile_roots(makefile) == ["bench/trace.py", "tests/alloc_digest.py"]
+
+
 def test_exactly_the_unreached_definitions_are_flagged():
     assert _flagged() == {
-        "orphan", "tested_only", "exported_only", "dead_caller", "only_from_dead"
+        "orphan", "tested_only", "exported_only", "dead_caller", "only_from_dead",
+        "Unused", "Unused.method",
     }

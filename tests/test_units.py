@@ -113,6 +113,28 @@ class TestFormatting:
         rate = Bandwidth.mbps(250)
         assert Bandwidth.parse(rate.policy_literal()) == rate
 
+    def test_policy_literal_keeps_whole_mbps_text(self):
+        for mbps in (100, 150, 800):
+            assert Bandwidth.mbps(mbps).policy_literal() == f"{mbps}Mbps"
+        assert Bandwidth.parse("50MB/s").policy_literal() == "400Mbps"
+
+    def test_policy_literal_keeps_whole_bps_text(self):
+        assert Bandwidth(12).policy_literal() == "12bps"
+        assert ZERO.policy_literal() == "0bps"
+
+    def test_policy_literal_renders_fractional_bps_exactly(self):
+        assert Bandwidth(0.5).policy_literal() == "0.5bps"
+        assert Bandwidth(2.5).policy_literal() == "2.5bps"
+        assert Bandwidth(1e9 / 7).policy_literal() == "142857142.85714287bps"
+
+    def test_policy_literal_does_not_snap_to_a_near_whole_mbps(self):
+        assert Bandwidth(1e6 + 1e-4).policy_literal() == "1000000.0001bps"
+
+    def test_policy_literal_has_no_exponent(self):
+        # The grammar reads [0-9]+(\.[0-9]+)? only.
+        assert Bandwidth(1e-7).policy_literal() == "0.0000001bps"
+        assert Bandwidth(1e20).policy_literal() == "100000000000000Mbps"
+
     def test_str_uses_human(self):
         assert str(Bandwidth.mbps(5)) == Bandwidth.mbps(5).human()
 
