@@ -1,6 +1,6 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test check alloc-digest alloc-digest-seeds lint-clock lint-pool lint-automaton lint-pipeline lint-reach bench bench-full bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
+.PHONY: test check alloc-digest alloc-digest-seeds lint-clock lint-pool lint-automaton lint-pipeline lint-reach lint-imports bench bench-full bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
 
 # Tier-1 verification: the full unit + benchmark suite at quick scale.
 test:
@@ -44,7 +44,9 @@ alloc-digest-seeds:
 # one way into the solver, one grammar, and the machinery and options
 # earlier PRs deleted stay deleted; and every function, class and method
 # under src/repro is reached, by name, from examples/, benchmarks/, bench/
-# or a module a recipe here runs (tests/ is not an entry point).
+# or a module a recipe here runs (tests/ is not an entry point); and every
+# import under src/repro outside a package __init__ binds a name its module
+# reads.
 lint-clock:
 	$(PYTEST) -q tests/telemetry/test_clock_lint.py
 
@@ -59,6 +61,9 @@ lint-pipeline:
 
 lint-reach:
 	$(PYTEST) -q tests/fabric/test_reachability_lint.py
+
+lint-imports:
+	$(PYTEST) -q tests/fabric/test_import_lint.py
 
 # Every figure script at the quick scale (bench-full: at paper scale).  Each
 # asserts counts and structure; its latency columns are printed from the

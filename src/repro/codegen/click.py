@@ -9,7 +9,7 @@ simulator's middlebox model consume.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping
+from typing import List, Mapping
 
 from ..core.allocation import PathAssignment
 from .instructions import ClickConfig

@@ -10,7 +10,7 @@ would accept, which the examples print and the tests sanity-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..units import Bandwidth
 
@@ -116,6 +116,11 @@ class InstructionBundle:
     tc: List[TcCommand] = field(default_factory=list)
     iptables: List[IptablesRule] = field(default_factory=list)
     click: List[ClickConfig] = field(default_factory=list)
+    #: The :class:`~repro.codegen.generator.Fragments` the generator
+    #: assembled this bundle from, for the next ``generate`` of the same
+    #: session to reuse; not part of the bundle's value (no ``repr``, no
+    #: equality) and untouched by :meth:`merge`.
+    fragments: Optional[object] = field(default=None, repr=False, compare=False)
 
     # -- counting (the Figure 4 metric) ---------------------------------------
 

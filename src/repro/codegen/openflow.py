@@ -15,7 +15,7 @@ Two kinds of forwarding state are emitted:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.allocation import PathAssignment
 from ..core.sink_tree import SinkTree
@@ -65,9 +65,8 @@ def rules_for_sink_tree(
 ) -> List[OpenFlowRule]:
     """Forwarding rules implementing one sink tree.
 
-    ``ingress_switches`` is :func:`~repro.core.sink_tree.egress_switches` of
-    ``topology``: the same for every tree of one bundle, so the caller
-    computes it once.
+    ``ingress_switches`` is ``topology.egress_switches()``: the same for
+    every tree of one bundle.
     """
     tag = vlans.tag_for_tree(tree.root)
     macs = [(host, topology.node(host).mac or host) for host in tree.hosts]

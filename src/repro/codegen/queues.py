@@ -9,49 +9,62 @@ maximum rate is the statement's cap, when one exists).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..core.allocation import PathAssignment, RateAllocation
 from ..topology.graph import Topology
 from .instructions import QueueConfig
 
+#: A switch and the neighbour one of its ports faces.
+Port = Tuple[str, str]
+
 
 class QueueAllocator:
-    """Assigns queue identifiers per (switch, port) pair."""
+    """Assigns queue identifiers per (switch, port) pair, from 1 upwards."""
 
     def __init__(self) -> None:
-        self._counters: Dict[Tuple[str, str], itertools.count] = {}
+        self._counters: Dict[Port, itertools.count] = {}
 
-    def next_queue_id(self, switch: str, port: str) -> int:
-        key = (switch, port)
-        if key not in self._counters:
-            self._counters[key] = itertools.count(1)
-        return next(self._counters[key])
+    def queue_ids(self, ports: Sequence[Port]) -> Tuple[int, ...]:
+        """The next identifier of each port, in order."""
+        ids = []
+        for port in ports:
+            counter = self._counters.get(port)
+            if counter is None:
+                counter = self._counters[port] = itertools.count(1)
+            ids.append(next(counter))
+        return tuple(ids)
+
+
+def queue_ports(topology: Topology, assignment: PathAssignment) -> Tuple[Port, ...]:
+    """The ports a guaranteed path needs a queue on: every hop of the path
+    that leaves a switch, in path order."""
+    return tuple(
+        (source, target)
+        for source, target in assignment.links()
+        if topology.has_node(source) and topology.node(source).is_switch
+    )
 
 
 def queues_for_path(
-    topology: Topology,
     assignment: PathAssignment,
     allocation: RateAllocation,
-    allocator: Optional[QueueAllocator] = None,
+    ports: Sequence[Port],
+    queue_ids: Sequence[int],
 ) -> List[QueueConfig]:
-    """Queue configurations for one guaranteed statement's path."""
+    """Queue configurations for one guaranteed statement's path: one per
+    :func:`queue_ports` port, under the identifier
+    :meth:`QueueAllocator.queue_ids` gave it."""
     if allocation.guarantee is None:
         return []
-    allocator = allocator or QueueAllocator()
-    configs: List[QueueConfig] = []
-    for source, target in assignment.links():
-        if not topology.has_node(source) or not topology.node(source).is_switch:
-            continue
-        queue_id = allocator.next_queue_id(source, target)
-        configs.append(
-            QueueConfig(
-                switch=source,
-                port=target,
-                queue_id=queue_id,
-                min_rate=allocation.guarantee,
-                max_rate=allocation.cap,
-                statement_id=assignment.statement_id,
-            )
+    return [
+        QueueConfig(
+            switch=switch,
+            port=port,
+            queue_id=queue_id,
+            min_rate=allocation.guarantee,
+            max_rate=allocation.cap,
+            statement_id=assignment.statement_id,
         )
-    return configs
+        for (switch, port), queue_id in zip(ports, queue_ids)
+    ]

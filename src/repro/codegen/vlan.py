@@ -12,7 +12,7 @@ used for final delivery (the FlowTags-like scheme of §3.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from ..errors import CodegenError
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -45,7 +46,6 @@ from ..predicates.ast import TRUE, PTrue, pred_and, pred_not, pred_or
 from ..predicates.sat import find_overlapping_between, is_satisfiable
 from ..regex.ast import Dot, Regex, Star, any_path
 from ..topology.graph import Topology
-from ..units import Bandwidth
 from .allocation import (
     CompilationResult,
     CompilationStatistics,
@@ -53,7 +53,7 @@ from .allocation import (
     RateAllocation,
 )
 from .ast import Policy, Statement
-from .localization import LocalRates, localize, localized_formula
+from .localization import LocalRates, local_clauses, localize, localized_formula
 from .logical import (
     ProductWalk,
     build_logical_topology,
@@ -118,6 +118,20 @@ class _StatementEntry:
     @property
     def identifier(self) -> str:
         return self.statement.identifier
+
+    # What the finalize reads off an entry is derived from it once, on
+    # first use, and lives on the entry: a mutator that changes the rates
+    # makes a new entry, and a rollback puts the old one back with its own.
+
+    @cached_property
+    def allocation(self) -> RateAllocation:
+        """The statement's rates as the result reports them."""
+        return RateAllocation.from_local_rates(self.rates)
+
+    @cached_property
+    def clauses(self) -> Tuple:
+        """The statement's clauses of the localized formula."""
+        return local_clauses(self.rates)
 
 
 @dataclass
@@ -455,7 +469,7 @@ class MerlinCompiler:
             statistics=statistics,
             link_reservations=last.link_reservations,
         )
-        result.attach_link_capacities(self._link_capacities(session.active_topology))
+        result.attach_link_capacities(session.active_topology.link_capacities())
         return result
 
     def _apply_topology_delta(self, session, delta) -> None:
@@ -616,15 +630,12 @@ class MerlinCompiler:
             for entry in entries
             if entry.best_effort is not None
         )
-        rates = {
-            entry.identifier: RateAllocation.from_local_rates(entry.rates)
-            for entry in entries
-        }
+        rates = {entry.identifier: entry.allocation for entry in entries}
         if policy is None:
             policy = Policy(
                 statements=tuple(entry.statement for entry in entries),
                 formula=localized_formula(
-                    {entry.identifier: entry.rates for entry in entries}
+                    {entry.identifier: entry.clauses for entry in entries}
                 ),
             )
 
@@ -642,6 +653,14 @@ class MerlinCompiler:
                     },
                     infeasible_statements=tuple(
                         entry.identifier for entry in entries if entry.infeasible
+                    ),
+                    # The last committed bundle: its fragments are reused
+                    # where their content matches, and a rollback restores
+                    # it with the result it belongs to.
+                    previous=(
+                        session.last_result.instructions
+                        if session.last_result is not None
+                        else None
                     ),
                 )
             codegen_seconds = codegen_span.duration
@@ -674,7 +693,7 @@ class MerlinCompiler:
             statistics=statistics,
             link_reservations=provisioning.link_reservations,
         )
-        result.attach_link_capacities(self._link_capacities(active))
+        result.attach_link_capacities(active.link_capacities())
         session.journal.set_attr(session, "last_result", result)
         return result
 
@@ -1072,14 +1091,6 @@ class MerlinCompiler:
             ),
             guaranteed_rate=None,
         )
-
-    def _link_capacities(
-        self, topology: Topology
-    ) -> Dict[Tuple[str, str], Bandwidth]:
-        return {
-            tuple(sorted((link.source, link.target))): link.capacity
-            for link in topology.links()
-        }
 
 
 def compile_policy(

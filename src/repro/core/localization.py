@@ -12,11 +12,12 @@ at run time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import PolicyError
 from ..units import Bandwidth
 from .ast import (
+    BandwidthTerm,
     FAnd,
     FMax,
     FMin,
@@ -25,6 +26,7 @@ from .ast import (
     Formula,
     FTrue,
     Policy,
+    formula_and,
     formula_clauses,
 )
 
@@ -106,21 +108,28 @@ def _localize_clause(clause: Formula, rates: Dict[str, LocalRates]) -> None:
             rates[identifier].merge_guarantee(local_rate)
 
 
-def localized_formula(rates: Mapping[str, LocalRates]) -> Formula:
-    """Rebuild a (localized) formula from per-statement rates.
+def local_clauses(local: LocalRates) -> Tuple[Formula, ...]:
+    """One statement's localized clauses: a ``max`` for its cap and a
+    ``min`` for its guarantee, each over the statement alone."""
+    if local.cap is None and local.guarantee is None:
+        return ()
+    term = BandwidthTerm(identifiers=(local.identifier,))
+    clauses: List[Formula] = []
+    if local.cap is not None:
+        clauses.append(FMax(term, local.cap))
+    if local.guarantee is not None:
+        clauses.append(FMin(term, local.guarantee))
+    return tuple(clauses)
 
-    The result is the conjunction of one ``max`` and/or ``min`` clause per
-    statement, which by construction implies the original global formula.
-    Used when re-emitting delegated policies.
+
+def localized_formula(clauses: Mapping[str, Sequence[Formula]]) -> Formula:
+    """Rebuild a (localized) formula from each statement's
+    :func:`local_clauses`, keyed by statement identifier.
+
+    The result is the conjunction of every statement's clauses in
+    identifier order, which by construction implies the original global
+    formula.  Used when re-emitting recompiled and delegated policies.
     """
-    from .ast import BandwidthTerm, formula_and
-
-    clauses = []
-    for identifier in sorted(rates):
-        local = rates[identifier]
-        term = BandwidthTerm(identifiers=(identifier,))
-        if local.cap is not None:
-            clauses.append(FMax(term, local.cap))
-        if local.guarantee is not None:
-            clauses.append(FMin(term, local.guarantee))
-    return formula_and(*clauses)
+    return formula_and(
+        *[clause for identifier in sorted(clauses) for clause in clauses[identifier]]
+    )

@@ -16,7 +16,7 @@ that pre-processor:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import PolicyError
 from ..predicates.ast import TRUE, Predicate, PTrue, pred_and, pred_not, pred_or

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import TopologyError
 from ..topology.graph import Topology
@@ -94,25 +94,17 @@ def compute_sink_tree(
     return SinkTree(root=root_switch, next_hop=next_hop, hosts=hosts)
 
 
-def egress_switches(topology: Topology) -> List[str]:
-    """The switches with at least one attached host, in topology order."""
-    return [
-        switch.name
-        for switch in topology.switches()
-        if topology.hosts_on_switch(switch.name)
-    ]
-
-
 def compute_sink_trees(
     topology: Topology, roots: Optional[Iterable[str]] = None
 ) -> Dict[str, SinkTree]:
     """Sink trees for every egress switch (or the given subset of switches).
 
-    An egress switch is one with at least one attached host; switches without
+    An egress switch is one with at least one attached host
+    (:meth:`~repro.topology.graph.Topology.egress_switches`); switches without
     hosts never need a tree of their own.
     """
     if roots is None:
-        roots = egress_switches(topology)
+        roots = topology.egress_switches()
     switches = topology.switch_subgraph()
     return {root: compute_sink_tree(topology, root, switches) for root in roots}
 

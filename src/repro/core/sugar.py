@@ -22,16 +22,7 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import PolicyError
 from ..predicates.ast import FieldTest, Predicate, pred_and
-from .ast import (
-    BandwidthTerm,
-    FMax,
-    FMin,
-    Formula,
-    FTrue,
-    Policy,
-    Statement,
-    formula_and,
-)
+from .ast import BandwidthTerm, FMax, FMin, Formula, Policy, Statement, formula_and
 from .parser import (
     CrossExpr,
     ForeachBlock,

@@ -17,9 +17,7 @@ need all-pairs policies with a guaranteed subset on arbitrary topologies.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.ast import (
     BandwidthTerm,

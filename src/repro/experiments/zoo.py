@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from .. import telemetry
-from ..core.sink_tree import compute_sink_trees, egress_switches
+from ..core.sink_tree import compute_sink_trees
 from ..topology.generators import topology_zoo_ensemble
 
 
@@ -46,7 +46,7 @@ def run_topology_zoo_experiment(
                 "name": topology.name,
                 "switches": topology.num_switches(),
                 "hosts": topology.num_hosts(),
-                "egress_switches": len(egress_switches(topology)),
+                "egress_switches": len(topology.egress_switches()),
                 "sink_trees": len(trees),
                 "compile_ms": compile_ms,
             }

@@ -87,6 +87,7 @@ from ..units import Bandwidth
 from .journal import UndoJournal
 from .solve import (
     MemoKey,
+    PartitionSolution,
     StatementRecord,
     merge_partition_solutions,
     solve_components_with_widening,
@@ -134,6 +135,10 @@ class IncrementalProvisioner:
         #: Component solutions (and proven-infeasible rungs) by member
         #: tokens; read, written and bounded by the solve loop.
         self._memo: Dict[MemoKey, object] = {}
+        #: What the last merge derived from each of its component solutions
+        #: (paths, reservations), rewritten by every merge.  No rollback:
+        #: a part is reused only while its content matches.
+        self._merged: Dict[PartitionSolution, object] = {}
 
         #: The undo journal behind O(1) checkpoints; mutators record
         #: inverse operations here whenever a transaction is open.
@@ -342,6 +347,7 @@ class IncrementalProvisioner:
                 outcome.construction_seconds,
                 outcome.solve_seconds,
                 heuristic=self.heuristic,
+                merged=self._merged,
             )
         result.solve_statistics["partitions_dirty"] = float(outcome.solver_calls)
         result.solve_statistics["partitions_reused"] = float(

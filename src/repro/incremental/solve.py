@@ -42,6 +42,7 @@ from typing import (
     Iterable,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -163,13 +164,16 @@ def _memoize(memo: Dict[MemoKey, object], key: MemoKey, value: object) -> None:
         del memo[next(iter(memo))]
 
 
-@dataclass
+@dataclass(eq=False)
 class PartitionSolution:
     """The solved state of one link-disjoint component.
 
     Everything the merge step (and the incremental engine's memo) needs:
     the location paths selected for each member statement, the reservation
-    fraction of each component link, and solver diagnostics.
+    fraction of each component link, and solver diagnostics.  Compared and
+    hashed by identity: the memo hands the same object back for the same
+    component, and the merge keys what it derived from a solution on that
+    object (see :func:`merge_partition_solutions`).
     """
 
     spec: PartitionSpec
@@ -190,11 +194,27 @@ class PartitionSolution:
     solve_seconds: float = 0.0
 
 
+class _Merged(NamedTuple):
+    """What :func:`merge_partition_solutions` derived from one solution,
+    each part beside the content it was derived from: the members' path
+    assignments read their record tokens and the topology's location
+    names; the links' reservations, and their largest fraction and
+    amount, read the topology's capacity table."""
+
+    tokens: Tuple[int, ...]
+    locations: List[str]
+    assignments: Dict[str, PathAssignment]
+    capacities: Mapping[LinkKey, Bandwidth]
+    reservations: Dict[LinkKey, Bandwidth]
+    utilization: float
+    peak: Bandwidth
+
+
 def topology_capacities_mbps(topology: Topology) -> Dict[LinkKey, float]:
     """Undirected link key -> capacity in Mbps (the MIP's unit)."""
     return {
-        tuple(sorted((link.source, link.target))): link.capacity.bps_value / _MBPS
-        for link in topology.links()
+        key: capacity.bps_value / _MBPS
+        for key, capacity in topology.link_capacities().items()
     }
 
 
@@ -653,6 +673,65 @@ def solve_components_with_widening(
     )  # pragma: no cover
 
 
+def _merge_one(
+    solution: PartitionSolution,
+    previous: Optional[_Merged],
+    records: Mapping[str, StatementRecord],
+    placements: Mapping[str, Iterable[str]],
+    topology: Topology,
+    locations: List[str],
+    capacities: Mapping[LinkKey, Bandwidth],
+) -> _Merged:
+    """What ``solution`` contributes to a merge: the :class:`PathAssignment`
+    of each member and the reservation of each link.
+
+    ``previous`` is what an earlier merge derived from the same solution
+    object; each part of it is kept while the content it was derived from
+    is unchanged.  A record token names one statement and guarantee for
+    the life of its engine, and the location names are all of the topology
+    a function placement reads, so a component no delta touched keeps its
+    assignments, across link failures too; its reservations last as long
+    as the topology's capacity table.
+    """
+    tokens = tuple(records[sid].token for sid in solution.location_paths)
+    if (
+        previous is not None
+        and previous.tokens == tokens
+        and previous.locations == locations
+    ):
+        assignments = previous.assignments
+    else:
+        assignments = {}
+        for identifier, location_path in solution.location_paths.items():
+            record = records[identifier]
+            assignments[identifier] = PathAssignment(
+                statement_id=identifier,
+                path=tuple(location_path),
+                function_placements=_assign_functions(
+                    record.statement.path, location_path, placements, topology
+                ),
+                guaranteed_rate=record.rates.guarantee,
+            )
+    if previous is not None and previous.capacities is capacities:
+        reservations = previous.reservations
+        utilization, peak = previous.utilization, previous.peak
+    else:
+        reservations = {}
+        utilization = 0.0
+        peak = Bandwidth(0.0)
+        for key, fraction in solution.fractions.items():
+            capacity = capacities.get(key)
+            if capacity is None:
+                continue
+            reservations[key] = amount = Bandwidth(fraction * capacity.bps_value)
+            utilization = max(utilization, fraction)
+            if amount.bps_value > peak.bps_value:
+                peak = amount
+    return _Merged(
+        tokens, locations, assignments, capacities, reservations, utilization, peak
+    )
+
+
 def merge_partition_solutions(
     solutions: Sequence[PartitionSolution],
     records: Mapping[str, StatementRecord],
@@ -661,43 +740,49 @@ def merge_partition_solutions(
     lp_construction_seconds: float,
     lp_solve_seconds: float,
     heuristic: PathSelectionHeuristic = PathSelectionHeuristic.MIN_MAX_RATIO,
+    merged: Optional[Dict[PartitionSolution, _Merged]] = None,
 ) -> ProvisioningResult:
     """Merge disjoint component solutions into one :class:`ProvisioningResult`.
 
     Links outside every component's footprint carry zero reservation; the
     maxima (``r_max`` / ``R_max``) are the maxima over components.
+    ``merged`` is the caller's record of what each component contributed
+    — its members' path assignments, its links' reservations — by
+    solution: the previous merge's on entry, this one's on return.  A
+    solution the previous merge saw is not derived again where its content
+    still matches (see :func:`_merge_one`), so an engine whose memo hands
+    back an unchanged component pays for the components it solved anew.
     ``heuristic`` determines how the per-component dual bounds aggregate:
     the weighted-shortest-path objective is a sum across components, the
     min-max objectives are maxima, and the merged ``best_bound`` follows
     the same shape.
     """
+    locations = topology.locations()
+    capacities = topology.link_capacities()
     paths: Dict[str, PathAssignment] = {}
-    for solution in solutions:
-        for identifier, location_path in solution.location_paths.items():
-            record = records[identifier]
-            paths[identifier] = PathAssignment(
-                statement_id=identifier,
-                path=tuple(location_path),
-                function_placements=_assign_functions(
-                    record.statement.path, location_path, placements, topology
-                ),
-                guaranteed_rate=record.rates.guarantee,
-            )
-
-    fractions: Dict[LinkKey, float] = {}
-    for solution in solutions:
-        fractions.update(solution.fractions)
-    link_reservations: Dict[LinkKey, Bandwidth] = {}
+    link_reservations: Dict[LinkKey, Bandwidth] = dict.fromkeys(
+        capacities, Bandwidth(0.0)
+    )
     max_utilization = 0.0
     max_reservation = Bandwidth(0.0)
-    for link in topology.links():
-        key = tuple(sorted((link.source, link.target)))
-        fraction = fractions.get(key, 0.0)
-        reserved = Bandwidth(fraction * link.capacity.bps_value)
-        link_reservations[key] = reserved
-        max_utilization = max(max_utilization, fraction)
-        if reserved.bps_value > max_reservation.bps_value:
-            max_reservation = reserved
+    previous = dict(merged or {})
+    merged = {} if merged is None else merged
+    merged.clear()
+    for solution in solutions:
+        part = merged[solution] = _merge_one(
+            solution,
+            previous.get(solution),
+            records,
+            placements,
+            topology,
+            locations,
+            capacities,
+        )
+        paths.update(part.assignments)
+        link_reservations.update(part.reservations)
+        max_utilization = max(max_utilization, part.utilization)
+        if part.peak.bps_value > max_reservation.bps_value:
+            max_reservation = part.peak
 
     statistics: Dict[str, float] = {"partitions": float(len(solutions))}
     nodes = [s.statistics.get("nodes") for s in solutions]

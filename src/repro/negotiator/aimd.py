@@ -12,7 +12,7 @@ signals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from ..errors import SimulationError
 from ..units import Bandwidth

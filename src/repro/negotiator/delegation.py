@@ -18,20 +18,7 @@ from ..predicates.ast import Predicate, pred_and
 from ..predicates.sat import is_satisfiable
 from ..regex.ast import Regex
 from ..regex.operations import intersection_empty
-from ..core.ast import (
-    BandwidthTerm,
-    FAnd,
-    FMax,
-    FMin,
-    FNot,
-    FOr,
-    Formula,
-    FTrue,
-    Policy,
-    Statement,
-    formula_and,
-    formula_clauses,
-)
+from ..core.ast import Policy, Statement, formula_and, formula_clauses
 
 
 def delegate(

@@ -26,12 +26,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..collector import collector_paused
-from ..predicates.ast import Predicate, pred_or
+from ..predicates.ast import pred_or
 from ..predicates.sat import covers, find_overlapping_between, implies
 from ..regex.ast import Regex
 from ..regex.operations import counterexample
 from ..units import Bandwidth
-from ..core.ast import FMax, FMin, Formula, Policy, Statement, formula_clauses
+from ..core.ast import FMax, FMin, Policy, Statement, formula_clauses
 
 
 @dataclass

@@ -21,14 +21,18 @@ statements (Figure 9).
 
 Questions about *many* predicates at once (which statements of a policy
 overlap, which refined statements touch which original ones) do not run
-that search on every pair.  :func:`forced_equalities` reads off, in one
-linear walk, the ``field = value`` tests a predicate forces in every model;
-two predicates that force different values on one field share no packet.
-The overlap index buckets the predicates on such fields, and only the pairs
-it cannot tell apart reach the exact :func:`is_disjoint` search, so the
-answers are those of the all-pairs loop while a policy whose statements pin
-their endpoints (the common case) costs a number of searches linear in its
-size.
+that search on every pair.  :func:`forced_tests` reads off, in one linear
+walk, the ``field = value`` tests a predicate forces in every model and the
+``field != value`` tests it forces (its *exclusions*); two predicates that
+force different values on one field, or where one forces a value the other
+excludes, share no packet.  The overlap index buckets the predicates on
+forced fields, the pairs it cannot tell apart are checked against each
+other's exclusions, and only what is left reaches the exact
+:func:`is_disjoint` search.  So the answers are those of the all-pairs
+loop, while a policy whose statements pin their endpoints (the common
+case) costs a number of searches linear in its size — none at all when
+same-endpoint statements split on one field (``tcp.dst = 80`` against
+``tcp.dst != 80``).
 """
 
 from __future__ import annotations
@@ -203,27 +207,46 @@ def overlaps(left: Predicate, right: Predicate) -> bool:
     return not is_disjoint(left, right)
 
 
+#: What :func:`forced_tests` reads off a predicate: the ``field -> value``
+#: equalities and the ``field -> {values}`` exclusions every model keeps
+#: (``None`` inside the walk while there are none: most predicates negate
+#: no test, and they pay for exclusions nothing).
+Forced = Tuple[Dict[str, object], Optional[Dict[str, Set[object]]]]
+
+
 def forced_equalities(predicate: Predicate) -> Optional[Dict[str, object]]:
-    """The ``field -> value`` equalities that hold in every model of ``predicate``.
+    """The ``field -> value`` equalities that hold in every model of
+    ``predicate``, or ``None`` when :func:`forced_tests` shows it has none."""
+    forced = forced_tests(predicate)
+    return None if forced is None else forced[0]
+
+
+def forced_tests(predicate: Predicate) -> Optional[Forced]:
+    """The equalities and the exclusions that hold in every model of ``predicate``.
 
     One linear walk, with the polarity carried down instead of building the
     negation normal form: a conjunction forces what either side forces (two
     different values for one field leave no model), a disjunction only what
-    both sides force, and a negated test or ``true`` forces nothing.
-    Returns ``None`` when the walk itself shows there is no model.  The
-    answer is sound but not complete: seven exclusions on the 8-value
-    ``vlan.pcp`` force the eighth value, and the walk does not see it.
+    both sides force, a test forces its equality and a negated test its
+    exclusion, and ``true`` forces nothing.  Returns ``None`` when the walk
+    itself shows there is no model.  The answer is sound but not complete:
+    seven exclusions on the 8-value ``vlan.pcp`` force the eighth value, and
+    the walk does not see it; nor does it see that a forced value is
+    excluded on the same side.
     """
-    return _forced(predicate, True)
+    forced = _forced(predicate, True)
+    return None if forced is None else (forced[0], forced[1] or {})
 
 
-def _forced(node: Predicate, positive: bool) -> Optional[Dict[str, object]]:
+def _forced(node: Predicate, positive: bool) -> Optional[Forced]:
     if isinstance(node, FieldTest):
-        return {node.field: node.value} if positive else {}
+        if positive:
+            return {node.field: node.value}, None
+        return {}, {node.field: {node.value}}
     if isinstance(node, Not):
         return _forced(node.operand, not positive)
     if isinstance(node, (PTrue, PFalse)):
-        return {} if isinstance(node, PTrue) == positive else None
+        return ({}, None) if isinstance(node, PTrue) == positive else None
     if not isinstance(node, (And, Or)):
         raise PolicyError(f"unknown predicate node: {node!r}")
     left = _forced(node.left, positive)
@@ -232,36 +255,70 @@ def _forced(node: Predicate, positive: bool) -> Optional[Dict[str, object]]:
         # Conjunction (or a negated disjunction): both sides hold.
         if left is None or right is None:
             return None
-        small, large = (left, right) if len(left) <= len(right) else (right, left)
+        # Each side's dicts and sets are its own: merge the smaller into
+        # the larger.
+        (small, small_excluded), (large, large_excluded) = left, right
+        if len(small) > len(large):
+            small, large = large, small
         for name, value in small.items():
             if large.setdefault(name, value) != value:
                 return None
-        return large
+        if not small_excluded or not large_excluded:
+            return large, small_excluded or large_excluded
+        if len(small_excluded) > len(large_excluded):
+            small_excluded, large_excluded = large_excluded, small_excluded
+        for name, values in small_excluded.items():
+            found = large_excluded.get(name)
+            if found is None:
+                large_excluded[name] = values
+            else:
+                found |= values
+        return large, large_excluded
     # Disjunction (or a negated conjunction): a side without models drops out.
     if left is None:
         return right
     if right is None:
         return left
-    return {
+    (left_equal, left_excluded), (right_equal, right_excluded) = left, right
+    equal = {
         name: value
-        for name, value in left.items()
-        if name in right and right[name] == value
+        for name, value in left_equal.items()
+        if name in right_equal and right_equal[name] == value
     }
+    if not left_excluded or not right_excluded:
+        return equal, None
+    excluded = {}
+    for name in left_excluded.keys() & right_excluded.keys():
+        values = left_excluded[name] & right_excluded[name]
+        if values:
+            excluded[name] = values
+    return equal, excluded or None
 
 
-#: One predicate in the overlap index: its position in the caller's sequence
-#: and the equalities it forces.
-_Entry = Tuple[int, Dict[str, object]]
+#: One predicate in the overlap index: its position in the caller's sequence,
+#: the equalities it forces and the values it excludes (or ``None``).
+_Entry = Tuple[int, Dict[str, object], Optional[Dict[str, Set[object]]]]
 
 
 def _entries(predicates: Sequence[Predicate]) -> List[_Entry]:
     """Index entries for the predicates the walk cannot rule out altogether."""
     entries = []
     for position, predicate in enumerate(predicates):
-        forced = forced_equalities(predicate)
+        forced = _forced(predicate, True)
         if forced is not None:
-            entries.append((position, forced))
+            entries.append((position, *forced))
     return entries
+
+
+def _excludes(equal: Dict[str, object], excluded: Dict[str, Set[object]]) -> bool:
+    """Whether some value one side forces is one the other side excludes."""
+    if len(equal) > len(excluded):
+        return any(
+            name in equal and equal[name] in values for name, values in excluded.items()
+        )
+    return any(
+        name in excluded and value in excluded[name] for name, value in equal.items()
+    )
 
 
 def _split(
@@ -282,7 +339,7 @@ def _split(
 def _value_counts(entries: List[_Entry]) -> Dict[str, Dict[object, int]]:
     """For every forced field, how many of ``entries`` force each value."""
     counts: Dict[str, Dict[object, int]] = {}
-    for _, forced in entries:
+    for _, forced, _ in entries:
         for name, value in forced.items():
             values = counts.setdefault(name, {})
             values[value] = values.get(value, 0) + 1
@@ -291,8 +348,8 @@ def _value_counts(entries: List[_Entry]) -> Dict[str, Dict[object, int]]:
 
 def _pairs_between(
     lefts: List[_Entry], rights: List[_Entry]
-) -> Iterator[Tuple[int, int]]:
-    """Position pairs (one of ``lefts``, one of ``rights``) no forced field tells apart.
+) -> Iterator[Tuple[_Entry, _Entry]]:
+    """Entry pairs (one of ``lefts``, one of ``rights``) no forced field tells apart.
 
     Every pair is yielded once, unless both entries force one field to
     different values.  The entries are split on the most discriminating
@@ -315,8 +372,8 @@ def _pairs_between(
         if separated > best_separated:
             best_name, best_separated = name, separated
     if best_name is None:
-        for left, _ in lefts:
-            for right, _ in rights:
+        for left in lefts:
+            for right in rights:
                 yield left, right
         return
     left_buckets, left_free = _split(lefts, best_name)
@@ -335,7 +392,7 @@ def _overlapping(
 
     Pairs ``(i, j)`` with ``i < j`` inside ``lefts`` when ``rights`` is not
     given, otherwise pairs (index into ``lefts``, index into ``rights``).
-    The index proposes, the exact search decides.
+    The index proposes, the exclusions prune, the exact search decides.
     """
     if not lefts or (rights is not None and not rights):
         return
@@ -343,12 +400,18 @@ def _overlapping(
     if rights is None:
         # A sequence against itself proposes every pair in both orders.
         rights = lefts
-        candidates: Iterable[Tuple[int, int]] = (
-            (i, j) for i, j in _pairs_between(left_entries, left_entries) if i < j
+        candidates: Iterable[Tuple[_Entry, _Entry]] = (
+            (left, right)
+            for left, right in _pairs_between(left_entries, left_entries)
+            if left[0] < right[0]
         )
     else:
         candidates = _pairs_between(left_entries, _entries(rights))
-    for i, j in candidates:
+    for (i, left_equal, left_excluded), (j, right_equal, right_excluded) in candidates:
+        if (right_excluded and _excludes(left_equal, right_excluded)) or (
+            left_excluded and _excludes(right_equal, left_excluded)
+        ):
+            continue
         if not is_disjoint(lefts[i], rights[j]):
             yield i, j
 

@@ -11,7 +11,7 @@ minimal DFA for the language restricted to reachable states.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from .dfa import DFA
 

@@ -18,7 +18,7 @@ locations uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from ..errors import MerlinError
 from .ast import Concat, Dot, Empty, Epsilon, Negate, Regex, Star, Symbol, Union

@@ -11,7 +11,7 @@ For example, with ``nat`` placeable at ``h1``, ``h2`` or ``m1``::
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Set
+from typing import Dict, FrozenSet, Iterable, Mapping, Set
 
 from ..errors import PlacementError
 from .ast import Concat, Dot, Empty, Epsilon, Negate, Regex, Star, Symbol, Union, concat, union

@@ -30,7 +30,7 @@ history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .. import telemetry
 from ..core.allocation import CompilationResult
@@ -41,7 +41,6 @@ from ..simulator.engine import FlowSimulator
 from ..simulator.flows import Flow
 from ..simulator.network import SimulationNetwork
 from ..telemetry.metrics import format_percentiles, percentile
-from .events import ScenarioEvent
 from .generator import Scenario
 
 

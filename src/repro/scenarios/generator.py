@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.ast import BandwidthTerm, FMin, Policy, Statement, formula_and
 from ..incremental.delta import DeltaStatement, RateUpdate

@@ -20,8 +20,8 @@ ordering overhead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ...units import Bandwidth
 from ..fairshare import allocate_rates

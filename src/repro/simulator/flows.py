@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
-from ..units import Bandwidth
 
 #: A link key: the unordered pair of endpoint names, sorted.
 LinkKey = Tuple[str, str]

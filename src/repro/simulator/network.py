@@ -12,14 +12,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from ..core.allocation import CompilationResult
 from ..packet import Packet
 from ..predicates.evaluator import matches
 from ..topology.graph import Topology
-from ..units import Bandwidth
 from .flows import Flow, LinkKey
 
 

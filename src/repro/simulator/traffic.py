@@ -10,7 +10,7 @@ Paxos clients).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..packet import Packet, make_packet
 from .flows import Flow

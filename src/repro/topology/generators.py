@@ -16,7 +16,7 @@
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List
 
 from ..units import Bandwidth, LINE_RATE
 from .graph import Topology

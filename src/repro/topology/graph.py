@@ -9,6 +9,7 @@ attachment, and the switch-only subgraph used by the sink-tree optimisation.
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import networkx as nx
@@ -37,8 +38,18 @@ class Topology:
         self._hosts_by_mac: Dict[str, Node] = {}
         self._hosts_by_ip: Dict[str, Node] = {}
         self._host_counter = itertools.count(1)
-        # What adjacency() built; add_node and add_link drop it.
+        # What adjacency(), links(), link_capacities() and egress_switches()
+        # built; add_node and add_link drop them all.
         self._adjacency: Optional[Dict[str, Tuple[str, ...]]] = None
+        self._links: Optional[Tuple[Link, ...]] = None
+        self._capacities: Optional[Mapping[Tuple[str, str], Bandwidth]] = None
+        self._egress: Optional[Tuple[str, ...]] = None
+
+    def _drop_tables(self) -> None:
+        self._adjacency = None
+        self._links = None
+        self._capacities = None
+        self._egress = None
 
     # -- construction ------------------------------------------------------
 
@@ -48,7 +59,7 @@ class Topology:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
         self._graph.add_node(node.name)
-        self._adjacency = None
+        self._drop_tables()
         if node.is_host:
             for index, address in (
                 (self._hosts_by_mac, node.mac.lower() if node.mac else None),
@@ -103,7 +114,7 @@ class Topology:
             raise TopologyError(f"self-loop links are not allowed ({source!r})")
         link = Link(source=source, target=target, capacity=capacity, latency_ms=latency_ms)
         self._graph.add_edge(source, target, link=link)
-        self._adjacency = None
+        self._drop_tables()
         return link
 
     # -- queries -----------------------------------------------------------
@@ -181,13 +192,44 @@ class Topology:
             raise TopologyError(f"no link between {source!r} and {target!r}") from None
 
     def links(self) -> List[Link]:
-        """All links, in networkx's edge order."""
-        links: List[Link] = []
-        seen = set()
-        for name, adjacent in self._graph.adj.items():
-            links.extend(data["link"] for other, data in adjacent.items() if other not in seen)
-            seen.add(name)
-        return links
+        """All links, in networkx's edge order.
+
+        The order is read off the graph once, on first use, and dropped
+        when a node or link is added; every call returns a new list.
+        """
+        if self._links is None:
+            links: List[Link] = []
+            seen = set()
+            for name, adjacent in self._graph.adj.items():
+                links.extend(
+                    data["link"] for other, data in adjacent.items() if other not in seen
+                )
+                seen.add(name)
+            self._links = tuple(links)
+        return list(self._links)
+
+    def link_capacities(self) -> Mapping[Tuple[str, str], Bandwidth]:
+        """Every link's capacity by its sorted ``(u, v)`` name pair, in
+        :meth:`links` order: a read-only table built once, like
+        :meth:`adjacency`."""
+        if self._capacities is None:
+            self._capacities = MappingProxyType(
+                {
+                    tuple(sorted((link.source, link.target))): link.capacity
+                    for link in self.links()
+                }
+            )
+        return self._capacities
+
+    def egress_switches(self) -> Tuple[str, ...]:
+        """The switches with at least one attached host, in name order:
+        where best-effort traffic enters and leaves the fabric.  Built once,
+        like :meth:`adjacency`."""
+        if self._egress is None:
+            self._egress = tuple(
+                switch.name for switch in self.switches() if self.hosts_on_switch(switch.name)
+            )
+        return self._egress
 
     def capacity(self, source: str, target: str) -> Bandwidth:
         """The capacity of the link between two adjacent nodes."""

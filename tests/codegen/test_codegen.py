@@ -8,13 +8,12 @@ from repro.codegen.generator import CodeGenerator
 from repro.codegen.click import click_for_assignments
 from repro.codegen.instructions import InstructionBundle, OpenFlowRule
 from repro.codegen.openflow import match_from_predicate, rules_for_path, rules_for_sink_tree
-from repro.codegen.queues import QueueAllocator, queues_for_path
+from repro.codegen.queues import QueueAllocator, queue_ports, queues_for_path
 from repro.codegen.tc import tc_for_statement
 from repro.codegen.iptables import drop_rule_for_statement
 from repro.errors import CodegenError
 from repro.core import compile_policy, compute_sink_trees
 from repro.core.allocation import PathAssignment, RateAllocation
-from repro.core.sink_tree import egress_switches
 from repro.core.ast import Policy, Statement
 from repro.predicates import parse_predicate
 from repro.predicates.transform import positive_field_tests
@@ -73,7 +72,7 @@ class TestOpenFlow:
         topology = figure2_example()
         trees = compute_sink_trees(topology)
         vlans = VlanAllocator()
-        rules = rules_for_sink_tree(topology, trees["s2"], vlans, egress_switches(topology))
+        rules = rules_for_sink_tree(topology, trees["s2"], vlans, topology.egress_switches())
         switches_with_rules = {rule.switch for rule in rules}
         assert "s1" in switches_with_rules and "s2" in switches_with_rules
         # Egress rule strips the VLAN tag and delivers by MAC.
@@ -129,8 +128,12 @@ class TestQueuesTcIptablesClick:
         allocation = RateAllocation(
             statement_id="z", guarantee=Bandwidth.mbps(100), cap=Bandwidth.mbps(500)
         )
-        queues = queues_for_path(topology, assignment, allocation, QueueAllocator())
+        ports = queue_ports(topology, assignment)
+        queues = queues_for_path(
+            assignment, allocation, ports, QueueAllocator().queue_ids(ports)
+        )
         assert len(queues) == 2  # s1->s2 and s2->h2
+        assert [q.queue_id for q in queues] == [1, 1]
         assert all(q.min_rate == Bandwidth.mbps(100) for q in queues)
         assert all(q.max_rate == Bandwidth.mbps(500) for q in queues)
 
@@ -138,7 +141,8 @@ class TestQueuesTcIptablesClick:
         topology = figure2_example()
         assignment = PathAssignment(statement_id="y", path=("h1", "s1", "s2", "h2"))
         allocation = RateAllocation(statement_id="y", cap=Bandwidth.mbps(10))
-        assert queues_for_path(topology, assignment, allocation) == []
+        ports = queue_ports(topology, assignment)
+        assert queues_for_path(assignment, allocation, ports, (1, 1)) == []
 
     def test_tc_cap_and_guarantee(self):
         topology = figure2_example()

@@ -15,7 +15,7 @@ from repro.core import (
     preprocess,
 )
 from repro.core.ast import Statement
-from repro.core.localization import localized_formula
+from repro.core.localization import local_clauses, localized_formula
 from repro.core.logical import SINK, SOURCE, build_logical_topology, infer_endpoints
 from repro.core.preprocessor import DEFAULT_STATEMENT_ID
 from repro.core.sink_tree import host_path
@@ -134,7 +134,9 @@ class TestLocalization:
     def test_localized_formula_round_trip(self):
         policy = parse_policy(RUNNING_EXAMPLE_SOURCE)
         rates = localize(policy)
-        rebuilt = localized_formula(rates)
+        rebuilt = localized_formula(
+            {identifier: local_clauses(local) for identifier, local in rates.items()}
+        )
         assert rebuilt.identifiers() <= set(policy.statement_ids())
 
 

@@ -1,9 +1,17 @@
 """Tests for union-find partitioning of statements by link footprint."""
 
+from repro.core.ast import Statement
+from repro.core.localization import LocalRates
 from repro.incremental.partition import PartitionSpec, UnionFind, partition_statements
-from repro.incremental.solve import PartitionSolution, merge_partition_solutions
+from repro.incremental.solve import (
+    PartitionSolution,
+    StatementRecord,
+    merge_partition_solutions,
+)
 from repro.core.provisioning import PathSelectionHeuristic
 from repro.lp.result import SolveStatus
+from repro.predicates.ast import TRUE
+from repro.regex import parse_path_expression
 from repro.topology.generators import figure2_example
 from repro.units import Bandwidth
 
@@ -61,6 +69,74 @@ class TestMergedGap:
         )
         assert merged.solve_statistics["best_bound"] == 1.8
         assert abs(merged.solve_statistics["gap"] - 0.2) < 1e-12
+
+
+class TestMergeReuse:
+    """A merge takes over what the previous merge derived from the same
+    solution only while the content it read is unchanged."""
+
+    def _record(self, token, mbps=10):
+        # "m1" is a location of figure 2: a function name only where m1 is gone.
+        statement = Statement("z", TRUE, parse_path_expression("h1 .* m1 .* h2"))
+        rates = LocalRates("z", guarantee=Bandwidth.mbps(mbps))
+        return StatementRecord(statement=statement, logical=None, rates=rates, token=token)
+
+    def _solution(self):
+        links = (("h1", "s1"), ("h2", "s2"), ("s1", "s2"))
+        return PartitionSolution(
+            spec=PartitionSpec(statement_ids=("z",), links=links),
+            location_paths={"z": ("h1", "s1", "s2", "h2")},
+            fractions=dict.fromkeys(links, 0.25),
+            status=SolveStatus.OPTIMAL.value,
+            objective=0.25,
+            member_slacks=(None,),
+        )
+
+    def _merge(self, solution, record, topology, merged):
+        return merge_partition_solutions(
+            [solution], {"z": record}, topology, {"m1": ["s2"]}, 0.0, 0.0, merged=merged
+        )
+
+    def test_unchanged_content_is_taken_over(self):
+        topology, solution, merged = figure2_example(), self._solution(), {}
+        first = self._merge(solution, self._record(1), topology, merged)
+        again = self._merge(solution, self._record(1), topology, merged)
+        assert again.paths["z"] is first.paths["z"]
+        assert again.link_reservations == first.link_reservations
+        assert list(merged) == [solution]
+        assert self._merge(self._solution(), self._record(1), topology, merged).paths[
+            "z"
+        ] is not first.paths["z"]
+        assert len(merged) == 1
+
+    def test_a_new_token_rebuilds_the_assignments(self):
+        topology, solution, merged = figure2_example(), self._solution(), {}
+        self._merge(solution, self._record(1), topology, merged)
+        moved = self._merge(solution, self._record(2, mbps=30), topology, merged)
+        assert moved.paths["z"].guaranteed_rate == Bandwidth.mbps(30)
+
+    def test_other_location_names_rebuild_the_assignments(self):
+        topology, solution, merged = figure2_example(), self._solution(), {}
+        whole = self._merge(solution, self._record(1), topology, merged)
+        assert whole.paths["z"].function_placements == {}
+        failed = self._merge(
+            solution, self._record(1), topology.without(nodes=["m1"]), merged
+        )
+        assert failed.paths["z"].function_placements == {"m1": "s2"}
+
+    def test_another_capacity_table_rebuilds_the_reservations(self):
+        solution, merged = self._solution(), {}
+        slow = self._merge(solution, self._record(1), figure2_example(), merged)
+        fast = self._merge(
+            solution,
+            self._record(1),
+            figure2_example(capacity=Bandwidth.gbps(2)),
+            merged,
+        )
+        assert slow.link_reservations[("s1", "s2")] == Bandwidth.mbps(250)
+        assert fast.link_reservations[("s1", "s2")] == Bandwidth.mbps(500)
+        assert fast.max_reservation == Bandwidth.mbps(500)
+        assert fast.link_reservations[("m1", "s1")] == Bandwidth(0.0)
 
 
 class TestUnionFind:

@@ -1,17 +1,19 @@
-"""The forced-equality overlap index against the all-pairs loop it replaced.
+"""The forced-test overlap index against the all-pairs loop it replaced.
 
 The double loop that used to be ``find_overlapping_pairs`` lives on here as
-the oracle: the index may only skip pairs, never change an answer.
+the oracle: the index and its exclusion pruning may only skip pairs, never
+change an answer.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.predicates import sat
+from repro.predicates import parse_predicate, sat
 from repro.predicates.ast import FALSE, TRUE, FieldTest, pred_and, pred_not, pred_or
 from repro.predicates.sat import (
     find_overlapping_between,
     find_overlapping_pairs,
     forced_equalities,
+    forced_tests,
     is_disjoint,
     is_satisfiable,
     pairwise_disjoint,
@@ -36,6 +38,33 @@ _predicates = st.recursive(
     ),
     max_leaves=8,
 )
+
+
+#: Predicate *text*: field tests, ``!=`` sugar and negations under ``and`` /
+#: ``or``, over few values per field, so that same-endpoint statements that
+#: split on one field (the pairs the exclusions prune) are common.
+_text_atoms = st.one_of(
+    st.builds(
+        "{} {} {}".format,
+        st.sampled_from(["eth.src", "eth.dst"]),
+        st.sampled_from(["=", "!="]),
+        st.sampled_from(_MACS[:2]),
+    ),
+    st.builds(
+        "tcp.dst {} {}".format, st.sampled_from(["=", "!="]), st.sampled_from([22, 80])
+    ),
+    st.just("true"),
+)
+_texts = st.recursive(
+    _text_atoms,
+    lambda inner: st.one_of(
+        st.builds("({} and {})".format, inner, inner),
+        st.builds("({} or {})".format, inner, inner),
+        st.builds("!({})".format, inner),
+    ),
+    max_leaves=6,
+)
+_parsed = _texts.map(parse_predicate)
 
 
 def brute_force_pairs(lefts, rights=None):
@@ -98,6 +127,36 @@ class TestForcedEqualities:
             assert not is_satisfiable(pred_and(predicate, pred_not(FieldTest(name, value))))
 
 
+class TestForcedExclusions:
+    def test_negated_tests_are_exclusions_and_conjunctions_collect_them(self):
+        web = FieldTest("tcp.dst", 80)
+        src = FieldTest("eth.src", _MACS[0])
+        assert forced_tests(pred_and(src, pred_not(web))) == (
+            {"eth.src": _MACS[0]},
+            {"tcp.dst": {80}},
+        )
+        assert forced_tests(parse_predicate("tcp.dst != 80 and tcp.dst != 22")) == (
+            {},
+            {"tcp.dst": {80, 22}},
+        )
+
+    def test_disjunction_keeps_what_both_arms_exclude(self):
+        either = parse_predicate("(tcp.dst != 80 and tcp.dst != 22) or tcp.dst != 80")
+        assert forced_tests(either) == ({}, {"tcp.dst": {80}})
+        assert forced_tests(parse_predicate("tcp.dst != 80 or tcp.dst = 22")) == ({}, {})
+
+    @given(st.one_of(_predicates, _parsed))
+    @settings(max_examples=200, deadline=None)
+    def test_forced_exclusions_hold_in_every_model(self, predicate):
+        forced = forced_tests(predicate)
+        if forced is None:
+            assert not is_satisfiable(predicate)
+            return
+        for name, values in forced[1].items():
+            for value in values:
+                assert not is_satisfiable(pred_and(predicate, FieldTest(name, value)))
+
+
 class TestIndexEqualsBruteForce:
     @given(st.lists(_predicates, max_size=12))
     @settings(max_examples=200, deadline=None)
@@ -109,6 +168,18 @@ class TestIndexEqualsBruteForce:
     @given(st.lists(_predicates, max_size=8), st.lists(_predicates, max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_between_two_lists(self, lefts, rights):
+        assert find_overlapping_between(lefts, rights) == brute_force_pairs(lefts, rights)
+
+    @given(st.lists(_parsed, max_size=10))
+    @settings(max_examples=200, deadline=None)
+    def test_within_one_list_of_parsed_text(self, predicates):
+        expected = brute_force_pairs(predicates)
+        assert find_overlapping_pairs(predicates) == expected
+        assert pairwise_disjoint(predicates) == (not expected)
+
+    @given(st.lists(_parsed, max_size=8), st.lists(_parsed, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_between_two_lists_of_parsed_text(self, lefts, rights):
         assert find_overlapping_between(lefts, rights) == brute_force_pairs(lefts, rights)
 
     def test_unforced_predicates_meet_every_bucket(self):
@@ -148,9 +219,10 @@ class TestSearchCount:
         )
         assert find_overlapping_pairs(predicates) == []
         assert pairwise_disjoint(predicates)
-        # Each call: one search per (web, non-web) twin, none across host pairs
-        # (the all-pairs loop made 264 * 263 / 2 = 34 716).
-        assert len(searches) <= 2 * len(predicates)
+        # None across host pairs (the all-pairs loop made 264 * 263 / 2 =
+        # 34 716), and none for a (web, non-web) twin either: one forces the
+        # port the other excludes.
+        assert searches == []
 
     def test_overlaps_are_still_found_among_many_disjoint(self):
         predicates = _all_pairs_policy(hosts=6)
