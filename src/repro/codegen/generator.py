@@ -15,7 +15,9 @@ matches instead of generating it again:
 
 * a tree fragment is keyed on the tree's root, ``next_hop`` and hosts, its
   VLAN tag and the ingress switches, so a failure that leaves a tree's
-  routes alone keeps its rules;
+  routes alone keeps its rules; where only ``next_hop`` differs, the rules
+  of every switch whose entry did not move are taken over and only the
+  moved entries are made anew;
 * a statement fragment is keyed on its path assignment, predicate, rate
   allocation, source host, whether it is dropped, its VLAN tag and its
   queue identifiers.
@@ -136,8 +138,16 @@ class CodeGenerator:
             )
             tree_fragment = reuse.trees.get(root)
             if tree_fragment is None or tree_fragment.key != key:
+                previous_rules = None
+                if tree_fragment is not None and tree_fragment.key[2:] == key[2:]:
+                    # Same hosts, tag and ingress switches: only the
+                    # switches whose next hop moved need rules anew.
+                    previous_rules = (tree_fragment.key[1], tree_fragment.rules)
                 tree_fragment = _TreeFragment(
-                    key, rules_for_sink_tree(topology, tree, vlans, ingress_switches)
+                    key,
+                    rules_for_sink_tree(
+                        topology, tree, vlans, ingress_switches, previous_rules
+                    ),
                 )
             fragments.trees[root] = tree_fragment
             bundle.openflow.extend(tree_fragment.rules)

@@ -15,7 +15,7 @@ Two kinds of forwarding state are emitted:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.allocation import PathAssignment
 from ..core.sink_tree import SinkTree
@@ -61,56 +61,71 @@ def rules_for_sink_tree(
     tree: SinkTree,
     vlans: VlanAllocator,
     ingress_switches: Sequence[str],
-    statement_id: Optional[str] = None,
+    previous: Optional[Tuple[Mapping[str, str], Sequence[OpenFlowRule]]] = None,
 ) -> List[OpenFlowRule]:
     """Forwarding rules implementing one sink tree.
 
     ``ingress_switches`` is ``topology.egress_switches()``: the same for
-    every tree of one bundle.
+    every tree of one bundle.  ``previous`` is the ``(next_hop, rules)`` of
+    an earlier call for a tree of the same root, hosts, tag and ingress
+    switches: the rules of every switch whose next hop did not move are
+    taken over from it, and only the rest are made anew.
     """
     tag = vlans.tag_for_tree(tree.root)
     macs = [(host, topology.node(host).mac or host) for host in tree.hosts]
+    old_hop, old_rules = previous if previous is not None else ({}, ())
+    old_transit = {rule.switch: rule for rule in old_rules[: len(old_hop)]}
     rules: List[OpenFlowRule] = []
 
     # Transit rules: match the tag, forward towards the root.
     for switch, next_hop in sorted(tree.next_hop.items()):
+        if old_hop.get(switch) == next_hop:
+            rules.append(old_transit[switch])
+            continue
         rules.append(
             OpenFlowRule(
                 switch=switch,
                 match=(("dl_vlan", str(tag)),),
                 actions=(f"output:{next_hop}",),
                 priority=100,
-                statement_id=statement_id,
             )
         )
 
     # Egress delivery rules: strip the tag and forward to the host by MAC.
-    for host, mac in macs:
-        rules.append(
-            OpenFlowRule(
-                switch=tree.root,
-                match=(("dl_vlan", str(tag)), ("dl_dst", mac)),
-                actions=("strip_vlan", f"output:{host}"),
-                priority=200,
-                statement_id=statement_id,
-            )
-        )
-
-    # Ingress tagging rules: at every edge switch, packets destined to the
-    # tree's hosts are tagged as they enter the network.
-    for ingress in ingress_switches:
-        if ingress == tree.root:
-            continue
+    position = len(old_hop)
+    if previous is not None:
+        rules.extend(old_rules[position : position + len(macs)])
+    else:
         for host, mac in macs:
             rules.append(
                 OpenFlowRule(
-                    switch=ingress,
-                    match=(("dl_dst", mac),),
-                    actions=(f"push_vlan:{tag}", f"output:{tree.next_hop.get(ingress, tree.root)}"),
-                    priority=50,
-                    statement_id=statement_id,
+                    switch=tree.root,
+                    match=(("dl_vlan", str(tag)), ("dl_dst", mac)),
+                    actions=("strip_vlan", f"output:{host}"),
+                    priority=200,
                 )
             )
+
+    # Ingress tagging rules: at every edge switch, packets destined to the
+    # tree's hosts are tagged as they enter the network.
+    position += len(macs)
+    for ingress in ingress_switches:
+        if ingress == tree.root:
+            continue
+        first_hop = tree.next_hop.get(ingress, tree.root)
+        if previous is not None and old_hop.get(ingress, tree.root) == first_hop:
+            rules.extend(old_rules[position : position + len(macs)])
+        else:
+            for host, mac in macs:
+                rules.append(
+                    OpenFlowRule(
+                        switch=ingress,
+                        match=(("dl_dst", mac),),
+                        actions=(f"push_vlan:{tag}", f"output:{first_hop}"),
+                        priority=50,
+                    )
+                )
+        position += len(macs)
     return rules
 
 

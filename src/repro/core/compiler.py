@@ -68,7 +68,7 @@ from ..incremental.journal import UndoJournal
 from .parser import parse_policy
 from .preprocessor import DEFAULT_STATEMENT_ID, preprocess
 from .provisioning import PathSelectionHeuristic, _assign_functions
-from .sink_tree import compute_sink_trees
+from .sink_tree import compute_sink_trees, update_sink_trees
 
 
 def _is_unconstrained_path(path: Regex) -> bool:
@@ -525,6 +525,7 @@ class MerlinCompiler:
                 )
             failed_nodes.discard(name)
 
+        previous = session.active_topology
         active = (
             self.topology.without(links=failed_links, nodes=failed_nodes)
             if failed_links or failed_nodes
@@ -540,12 +541,23 @@ class MerlinCompiler:
         # entries added to the fresh dict inside this transaction are
         # simply discarded with it.
         journal.set_attr(session, "logical_cache", {})
-        session.engine.set_topology(active)
-        self._rebuild_affected(session, self._changed_links(delta))
+        changed = self._changed_links(delta)
+        session.engine.set_topology(active, changed)
+        self._rebuild_affected(session, changed)
         if session.sink_trees:
             # Population unchanged, so *whether* sink trees are needed is
             # unchanged — but their routes must follow the active fabric.
-            journal.set_attr(session, "sink_trees", compute_sink_trees(active))
+            journal.set_attr(
+                session,
+                "sink_trees",
+                update_sink_trees(
+                    session.sink_trees,
+                    previous,
+                    active,
+                    changed,
+                    (*delta.fail_nodes, *delta.recover_nodes),
+                ),
+            )
 
     def _changed_links(self, delta) -> frozenset:
         """The physical links a topology delta touches, as sorted pairs.
@@ -857,7 +869,7 @@ class MerlinCompiler:
             session, entry.statement, source, destination
         )
         assignment = self._best_effort_assignment(
-            entry.statement, path, session.active_topology
+            entry.statement, path, session.engine.locations
         )
         return dataclasses.replace(
             entry,
@@ -1078,7 +1090,7 @@ class MerlinCompiler:
         self,
         statement: Statement,
         path: Optional[Tuple[str, ...]],
-        topology: Topology,
+        locations: FrozenSet[str],
     ) -> Optional[PathAssignment]:
         if path is None:
             return None
@@ -1087,7 +1099,7 @@ class MerlinCompiler:
             path=path,
             # The same greedy placement rule the MIP's paths get.
             function_placements=_assign_functions(
-                statement.path, path, self.placements, topology
+                statement.path, path, self.placements, locations
             ),
             guaranteed_rate=None,
         )

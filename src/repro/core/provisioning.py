@@ -474,16 +474,19 @@ def _assign_functions(
     path_expression: Regex,
     location_path: Sequence[str],
     placements: Mapping[str, Iterable[str]],
-    topology: Topology,
+    locations: Iterable[str],
 ) -> Dict[str, str]:
     """Choose which location on the path hosts each packet-processing function.
 
+    A symbol of the path expression is a function unless it is one of
+    ``locations``: the *pristine* topology's names, so that on a degraded
+    topology a failed element named in the expression stays a location.
     Function occurrences are assigned greedily in the order they appear in
     the path expression, scanning the location path left to right; a location
     may serve several consecutive functions (the logical topology's "stay"
     edges make it appear multiple times in the path).
     """
-    functions = functions_used(path_expression, topology.locations())
+    functions = functions_used(path_expression, locations)
     if not functions:
         return {}
     occurrences = _function_occurrences(path_expression, functions)

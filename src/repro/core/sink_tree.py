@@ -5,10 +5,18 @@ compiler instead computes, for each egress switch, a *sink tree* that
 forwards traffic from everywhere in the network towards that switch, by
 breadth-first search.  Two optimisations from the paper are implemented:
 
-* the BFS runs over the switch-only subgraph, so the complexity is
+* the BFS runs over the switches only (the topology's adjacency with every
+  other location treated as already visited), so the complexity is
   ``O(|V||E|)`` with ``|V|`` the number of switches rather than hosts, and
 * hosts are attached during code generation (the egress switch forwards to
   the destination host using its unique identifier).
+
+A failure re-walks only the trees it can change (:func:`update_sink_trees`,
+the setting of decremental BFS: Even and Shiloach, J. ACM 1981).  A BFS run
+is unchanged by a lost link that is no tree edge, and a lost switch that is
+a leaf only loses its own entry; every other tree is walked again, and so
+is every tree once a switch-to-switch link comes back.  A host link that
+fails or returns changes only its switch's ``hosts``.
 
 Best-effort statements whose path expression is more constrained than ``.*``
 are routed individually instead, each by the BFS over its logical topology
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import collections
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import TopologyError
 from ..topology.graph import Topology
@@ -67,22 +75,25 @@ class SinkTree:
 
 
 def compute_sink_tree(
-    topology: Topology, root_switch: str, switches: Optional[Topology] = None
+    topology: Topology, root_switch: str, blocked: Optional[frozenset] = None
 ) -> SinkTree:
-    """BFS sink tree over the switch-only subgraph, rooted at ``root_switch``.
+    """BFS sink tree over the switches, rooted at ``root_switch``.
 
-    ``switches`` is ``topology.switch_subgraph()`` when the caller already
-    holds it (one subgraph serves every root of a topology).
+    The BFS walks the topology's adjacency (sorted neighbours) and never
+    enters a ``blocked`` location: every location but the switches, which
+    the caller passes when it already holds them (one set serves every
+    root of a topology).
     """
-    if switches is None:
-        switches = topology.switch_subgraph()
-    if not switches.has_node(root_switch):
+    if blocked is None:
+        blocked = _not_switches(topology)
+    moves = topology.adjacency()
+    if root_switch not in moves or root_switch in blocked:
         raise TopologyError(f"{root_switch!r} is not a switch")
     next_hop: Dict[str, str] = {}
-    visited = {root_switch}
+    visited = set(blocked)
+    visited.add(root_switch)
     queue = collections.deque([root_switch])
     # A switch's moves start with itself, which is visited already.
-    moves = switches.adjacency()
     while queue:
         current = queue.popleft()
         for neighbor in moves[current]:
@@ -105,8 +116,86 @@ def compute_sink_trees(
     """
     if roots is None:
         roots = topology.egress_switches()
-    switches = topology.switch_subgraph()
-    return {root: compute_sink_tree(topology, root, switches) for root in roots}
+    blocked = _not_switches(topology)
+    return {root: compute_sink_tree(topology, root, blocked) for root in roots}
+
+
+def update_sink_trees(
+    trees: Mapping[str, SinkTree],
+    before: Topology,
+    after: Topology,
+    links: Iterable[Tuple[str, str]],
+    nodes: Iterable[str],
+) -> Dict[str, SinkTree]:
+    """``compute_sink_trees(after)``, given ``trees``, which are
+    ``compute_sink_trees(before)``, and the ``links`` (as name pairs) and
+    ``nodes`` that may differ between the two topologies.
+
+    A tree no change reaches is handed back as the same object; a tree that
+    only lost leaves keeps the rest of its entries, in their order.
+    """
+    lost_nodes = [
+        name
+        for name in nodes
+        if name in before and name not in after and before.node(name).is_switch
+    ]
+    lost_links: List[Tuple[str, str]] = []
+    grown = False
+    for source, target in links:
+        had, has = before.has_link(source, target), after.has_link(source, target)
+        if had == has:
+            continue
+        topology = before if had else after
+        if not (topology.node(source).is_switch and topology.node(target).is_switch):
+            continue
+        if has:
+            grown = True
+        elif source not in lost_nodes and target not in lost_nodes:
+            lost_links.append((source, target))
+    blocked = None
+    updated: Dict[str, SinkTree] = {}
+    for root in after.egress_switches():
+        tree = trees.get(root)
+        next_hop = (
+            None
+            if tree is None or grown
+            else _patched(tree, lost_nodes, lost_links)
+        )
+        if next_hop is None:
+            if blocked is None:
+                blocked = _not_switches(after)
+            updated[root] = compute_sink_tree(after, root, blocked)
+            continue
+        hosts = tuple(sorted(after.hosts_on_switch(root)))
+        if next_hop is not tree.next_hop or hosts != tree.hosts:
+            tree = SinkTree(root=root, next_hop=next_hop, hosts=hosts)
+        updated[root] = tree
+    return updated
+
+
+def _patched(
+    tree: SinkTree, lost_nodes: List[str], lost_links: List[Tuple[str, str]]
+) -> Optional[Dict[str, str]]:
+    """The tree's ``next_hop`` once the switches and links are lost, where
+    no BFS step of the tree's run can differ (``None`` where one may)."""
+    next_hop = tree.next_hop
+    lost = [name for name in lost_nodes if name in next_hop]
+    if lost:
+        parents = set(next_hop.values())
+        if any(name in parents for name in lost):
+            return None
+        next_hop = {
+            switch: hop for switch, hop in next_hop.items() if switch not in lost
+        }
+    for source, target in lost_links:
+        if next_hop.get(source) == target or next_hop.get(target) == source:
+            return None
+    return next_hop
+
+
+def _not_switches(topology: Topology) -> frozenset:
+    """The locations a switch-only BFS never enters."""
+    return frozenset(topology.adjacency()).difference(topology.switch_names())
 
 
 def host_path(topology: Topology, tree: SinkTree, source_host: str, destination_host: str) -> List[str]:

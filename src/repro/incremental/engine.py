@@ -78,6 +78,7 @@ from ..core.logical import (
 )
 from ..core.options import ProvisionOptions
 from ..core.provisioning import (
+    _MBPS,
     PathSelectionHeuristic,
     ProvisioningResult,
 )
@@ -85,6 +86,7 @@ from ..errors import ProvisioningError
 from ..topology.graph import Topology
 from ..units import Bandwidth
 from .journal import UndoJournal
+from .partition import LinkKey
 from .solve import (
     MemoKey,
     PartitionSolution,
@@ -116,6 +118,11 @@ class IncrementalProvisioner:
     ) -> None:
         options = options if options is not None else ProvisionOptions()
         self.topology = topology
+        #: The names of the topology the engine was made on.  They decide
+        #: which path-expression symbols are functions for good: a
+        #: degraded topology handed to :meth:`set_topology` lacks the
+        #: failed elements, whose names stay locations (they match nothing).
+        self.locations = frozenset(topology.locations())
         self.placements = dict(placements or {})
         self.heuristic = heuristic
         self.options = options
@@ -248,19 +255,33 @@ class IncrementalProvisioner:
             ),
         )
 
-    def set_topology(self, topology: Topology) -> None:
+    def set_topology(
+        self, topology: Topology, links: Iterable[LinkKey]
+    ) -> None:
         """Point the engine at a new (e.g. degraded) physical topology.
 
-        Only the capacity map depends on it directly; per-statement logical
+        ``links`` are the sorted name pairs of every link whose presence or
+        capacity may differ from the current topology's: the capacity
+        table is patched on those keys only.  Only the capacity map
+        depends on the topology directly; per-statement logical
         topologies must be re-supplied by the caller via
         :meth:`replace_logical` where they changed.
         """
-        capacities = topology_capacities_mbps(topology)
+        capacities = topology.link_capacities()
+        table = self._capacity_mbps
         journal = self.journal
-        if any(
-            capacities.get(key, mbps) != mbps
-            for key, mbps in self._capacity_mbps.items()
-        ):
+        resized = False
+        for key in links:
+            capacity = capacities.get(key)
+            if capacity is None:
+                journal.del_item(table, key)
+                continue
+            mbps = capacity.bps_value / _MBPS
+            known = table.get(key)
+            if known != mbps:
+                resized = resized or known is not None
+                journal.set_item(table, key, mbps)
+        if resized:
             # A memoized solution is a fact about its members' records and
             # the capacities of the links they can reach.  A link that
             # vanishes or returns changes the records of the statements
@@ -270,7 +291,6 @@ class IncrementalProvisioner:
             # memo that was true of them.
             journal.set_attr(self, "_memo", {})
         journal.set_attr(self, "topology", topology)
-        journal.set_attr(self, "_capacity_mbps", capacities)
 
     def update_rates(
         self,
@@ -344,6 +364,7 @@ class IncrementalProvisioner:
                 records,
                 self.topology,
                 self.placements,
+                self.locations,
                 outcome.construction_seconds,
                 outcome.solve_seconds,
                 heuristic=self.heuristic,

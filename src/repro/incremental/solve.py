@@ -197,12 +197,11 @@ class PartitionSolution:
 class _Merged(NamedTuple):
     """What :func:`merge_partition_solutions` derived from one solution,
     each part beside the content it was derived from: the members' path
-    assignments read their record tokens and the topology's location
-    names; the links' reservations, and their largest fraction and
-    amount, read the topology's capacity table."""
+    assignments read their record tokens; the links' reservations, and
+    their largest fraction and amount, read the topology's capacity
+    table."""
 
     tokens: Tuple[int, ...]
-    locations: List[str]
     assignments: Dict[str, PathAssignment]
     capacities: Mapping[LinkKey, Bandwidth]
     reservations: Dict[LinkKey, Bandwidth]
@@ -678,8 +677,7 @@ def _merge_one(
     previous: Optional[_Merged],
     records: Mapping[str, StatementRecord],
     placements: Mapping[str, Iterable[str]],
-    topology: Topology,
-    locations: List[str],
+    locations: FrozenSet[str],
     capacities: Mapping[LinkKey, Bandwidth],
 ) -> _Merged:
     """What ``solution`` contributes to a merge: the :class:`PathAssignment`
@@ -688,17 +686,13 @@ def _merge_one(
     ``previous`` is what an earlier merge derived from the same solution
     object; each part of it is kept while the content it was derived from
     is unchanged.  A record token names one statement and guarantee for
-    the life of its engine, and the location names are all of the topology
-    a function placement reads, so a component no delta touched keeps its
-    assignments, across link failures too; its reservations last as long
-    as the topology's capacity table.
+    the life of its engine, and a function placement reads nothing of the
+    topology but the engine's location names, which never change, so a
+    component no delta touched keeps its assignments, across failures
+    too; its reservations last as long as the topology's capacity table.
     """
     tokens = tuple(records[sid].token for sid in solution.location_paths)
-    if (
-        previous is not None
-        and previous.tokens == tokens
-        and previous.locations == locations
-    ):
+    if previous is not None and previous.tokens == tokens:
         assignments = previous.assignments
     else:
         assignments = {}
@@ -708,7 +702,7 @@ def _merge_one(
                 statement_id=identifier,
                 path=tuple(location_path),
                 function_placements=_assign_functions(
-                    record.statement.path, location_path, placements, topology
+                    record.statement.path, location_path, placements, locations
                 ),
                 guaranteed_rate=record.rates.guarantee,
             )
@@ -728,7 +722,7 @@ def _merge_one(
             if amount.bps_value > peak.bps_value:
                 peak = amount
     return _Merged(
-        tokens, locations, assignments, capacities, reservations, utilization, peak
+        tokens, assignments, capacities, reservations, utilization, peak
     )
 
 
@@ -737,6 +731,7 @@ def merge_partition_solutions(
     records: Mapping[str, StatementRecord],
     topology: Topology,
     placements: Mapping[str, Iterable[str]],
+    locations: FrozenSet[str],
     lp_construction_seconds: float,
     lp_solve_seconds: float,
     heuristic: PathSelectionHeuristic = PathSelectionHeuristic.MIN_MAX_RATIO,
@@ -746,6 +741,8 @@ def merge_partition_solutions(
 
     Links outside every component's footprint carry zero reservation; the
     maxima (``r_max`` / ``R_max``) are the maxima over components.
+    ``locations`` are the names a function placement keeps as locations
+    (the engine's, see :func:`~repro.core.provisioning._assign_functions`).
     ``merged`` is the caller's record of what each component contributed
     — its members' path assignments, its links' reservations — by
     solution: the previous merge's on entry, this one's on return.  A
@@ -757,7 +754,6 @@ def merge_partition_solutions(
     min-max objectives are maxima, and the merged ``best_bound`` follows
     the same shape.
     """
-    locations = topology.locations()
     capacities = topology.link_capacities()
     paths: Dict[str, PathAssignment] = {}
     link_reservations: Dict[LinkKey, Bandwidth] = dict.fromkeys(
@@ -774,7 +770,6 @@ def merge_partition_solutions(
             previous.get(solution),
             records,
             placements,
-            topology,
             locations,
             capacities,
         )

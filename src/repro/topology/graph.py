@@ -1,9 +1,12 @@
 """The :class:`Topology` graph.
 
-A thin, typed wrapper around :class:`networkx.Graph` that knows about node
-kinds (host / switch / middlebox), link capacities, and the queries the
-compiler needs: the location set, undirected physical edges, host-to-switch
-attachment, and the switch-only subgraph used by the sink-tree optimisation.
+An undirected graph kept as an insertion-ordered ``{name: {neighbour:
+Link}}`` adjacency dict, in the node and edge order :class:`networkx.Graph`
+would keep for the same construction calls.  It knows about node kinds
+(host / switch / middlebox) and link capacities, and answers the queries
+the compiler needs: the location set, undirected physical edges,
+host-to-switch attachment, the egress switches of the sink-tree
+optimisation, degraded copies and hop-count shortest paths.
 """
 
 from __future__ import annotations
@@ -11,8 +14,6 @@ from __future__ import annotations
 import itertools
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-import networkx as nx
 
 from ..errors import TopologyError
 from ..units import Bandwidth, LINE_RATE
@@ -28,10 +29,9 @@ class Topology:
 
     def __init__(self, name: str = "topology") -> None:
         self.name = name
-        # Read through ``adj`` only: the graph caches its ``edges`` and
-        # ``degree`` views on itself, and each view holds the graph, so
-        # reading either makes the topology a reference cycle.
-        self._graph = nx.Graph()
+        # Each link is stored under both endpoints; a node's neighbours are
+        # in the order its links were added.
+        self._adj: Dict[str, Dict[str, Link]] = {}
         self._nodes: Dict[str, Node] = {}
         # Address lookups for endpoint inference, maintained by add_node
         # (the only place a node enters the topology).
@@ -58,7 +58,7 @@ class Topology:
         if node.name in self._nodes:
             raise TopologyError(f"duplicate node name {node.name!r}")
         self._nodes[node.name] = node
-        self._graph.add_node(node.name)
+        self._adj[node.name] = {}
         self._drop_tables()
         if node.is_host:
             for index, address in (
@@ -113,7 +113,9 @@ class Topology:
         if source == target:
             raise TopologyError(f"self-loop links are not allowed ({source!r})")
         link = Link(source=source, target=target, capacity=capacity, latency_ms=latency_ms)
-        self._graph.add_edge(source, target, link=link)
+        # Re-linking a pair replaces its link in place, as networkx does.
+        self._adj[source][target] = link
+        self._adj[target][source] = link
         self._drop_tables()
         return link
 
@@ -158,7 +160,7 @@ class Topology:
         return len(self.switches())
 
     def num_links(self) -> int:
-        return sum(map(len, self._graph.adj.values())) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     def neighbors(self, name: str) -> List[str]:
         """Names of nodes adjacent to ``name``, sorted."""
@@ -177,36 +179,40 @@ class Topology:
         if self._adjacency is None:
             self._adjacency = {
                 name: (name, *sorted(adjacent))
-                for name, adjacent in self._graph.adj.items()
+                for name, adjacent in self._adj.items()
             }
         return self._adjacency
 
     def has_link(self, source: str, target: str) -> bool:
-        return self._graph.has_edge(source, target)
+        return target in self._adj.get(source, ())
 
     def link(self, source: str, target: str) -> Link:
         """The link between two adjacent nodes."""
         try:
-            return self._graph.adj[source][target]["link"]
+            return self._adj[source][target]
         except KeyError:
             raise TopologyError(f"no link between {source!r} and {target!r}") from None
 
     def links(self) -> List[Link]:
-        """All links, in networkx's edge order.
+        """All links, in networkx's edge order: by the node order, each
+        link under its first endpoint in that order.
 
         The order is read off the graph once, on first use, and dropped
         when a node or link is added; every call returns a new list.
         """
+        return list(self._link_table())
+
+    def _link_table(self) -> Tuple[Link, ...]:
         if self._links is None:
             links: List[Link] = []
             seen = set()
-            for name, adjacent in self._graph.adj.items():
+            for name, adjacent in self._adj.items():
                 links.extend(
-                    data["link"] for other, data in adjacent.items() if other not in seen
+                    link for other, link in adjacent.items() if other not in seen
                 )
                 seen.add(name)
             self._links = tuple(links)
-        return list(self._links)
+        return self._links
 
     def link_capacities(self) -> Mapping[Tuple[str, str], Bandwidth]:
         """Every link's capacity by its sorted ``(u, v)`` name pair, in
@@ -215,8 +221,12 @@ class Topology:
         if self._capacities is None:
             self._capacities = MappingProxyType(
                 {
-                    tuple(sorted((link.source, link.target))): link.capacity
-                    for link in self.links()
+                    (
+                        (link.source, link.target)
+                        if link.source < link.target
+                        else (link.target, link.source)
+                    ): link.capacity
+                    for link in self._link_table()
                 }
             )
         return self._capacities
@@ -226,8 +236,14 @@ class Topology:
         where best-effort traffic enters and leaves the fabric.  Built once,
         like :meth:`adjacency`."""
         if self._egress is None:
+            nodes = self._nodes
             self._egress = tuple(
-                switch.name for switch in self.switches() if self.hosts_on_switch(switch.name)
+                sorted(
+                    name
+                    for name, adjacent in self._adj.items()
+                    if nodes[name].is_switch
+                    and any(nodes[other].is_host for other in adjacent)
+                )
             )
         return self._egress
 
@@ -258,24 +274,6 @@ class Topology:
             if self._nodes[neighbor].is_host
         ]
 
-    def switch_subgraph(self) -> "Topology":
-        """The topology restricted to switches and switch-switch links.
-
-        This is the optimisation of §3.3: best-effort sink trees are computed
-        per egress *switch* rather than per host, shrinking the BFS to
-        ``O(|V||E|)`` with ``|V|`` the number of switches.
-        """
-        subgraph = Topology(name=f"{self.name}-switches")
-        for node in self.switches():
-            subgraph.add_node(node)
-        for link in self.links():
-            if (
-                self._nodes[link.source].is_switch
-                and self._nodes[link.target].is_switch
-            ):
-                subgraph.add_link(link.source, link.target, link.capacity, link.latency_ms)
-        return subgraph
-
     def without(
         self,
         links: Iterable[Tuple[str, str]] = (),
@@ -284,10 +282,10 @@ class Topology:
         """A derived topology with the given links and nodes failed out.
 
         ``links`` are undirected (u, v) name pairs; ``nodes`` lose all their
-        incident links along with themselves.  The *same* :class:`Node`
-        objects are re-added (as :meth:`switch_subgraph` does), so hosts
-        keep their MAC/IP assignments — re-creating them through
-        :meth:`add_host` would re-draw from the address counter.  Unknown
+        incident links along with themselves.  The *same* :class:`Node` and
+        :class:`Link` objects are kept, so hosts keep their MAC/IP
+        assignments — re-creating them through :meth:`add_host` would
+        re-draw from the address counter.  Unknown
         nodes or links raise :class:`TopologyError`; failing a host is
         rejected (hosts are policy endpoints, not fabric elements).
         """
@@ -302,25 +300,56 @@ class Topology:
         failed_links = set()
         for source, target in links:
             self.link(source, target)  # existence check
-            failed_links.add(tuple(sorted((source, target))))
+            failed_links.add((source, target))
+            failed_links.add((target, source))
         derived = Topology(name=f"{self.name}-degraded")
-        for node in self.nodes():
-            if node.name not in failed_nodes:
-                derived.add_node(node)
-        for link in self.links():
-            if tuple(sorted((link.source, link.target))) in failed_links:
+        # Filled as add_node (in name order) and add_link (in link order)
+        # would fill it, without their checks: every name and link is known.
+        derived._nodes = {
+            name: self._nodes[name]
+            for name in sorted(self._nodes)
+            if name not in failed_nodes
+        }
+        # Hosts never fail, so the address lookups carry over whole.
+        derived._hosts_by_mac = dict(self._hosts_by_mac)
+        derived._hosts_by_ip = dict(self._hosts_by_ip)
+        adj = derived._adj = {name: {} for name in derived._nodes}
+        for link in self._link_table():
+            source, target = link.source, link.target
+            if (
+                source in failed_nodes
+                or target in failed_nodes
+                or (source, target) in failed_links
+            ):
                 continue
-            if link.source in failed_nodes or link.target in failed_nodes:
-                continue
-            derived.add_link(link.source, link.target, link.capacity, link.latency_ms)
+            adj[source][target] = link
+            adj[target][source] = link
         return derived
 
     def shortest_path(self, source: str, target: str) -> List[str]:
-        """A shortest hop-count path between two locations."""
-        try:
-            return nx.shortest_path(self._graph, source, target)
-        except nx.NetworkXNoPath:
-            raise TopologyError(f"no path between {source!r} and {target!r}") from None
+        """A shortest hop-count path between two locations.
+
+        The bidirectional breadth-first search of networkx's
+        ``shortest_path``, over the same neighbour order, so it picks the
+        same path among equally short ones.
+        """
+        for endpoint in (source, target):
+            if endpoint not in self._adj:
+                raise TopologyError(f"unknown node {endpoint!r}")
+        met = _bidirectional_meet(self._adj, source, target)
+        if met is None:
+            raise TopologyError(f"no path between {source!r} and {target!r}")
+        pred, succ, location = met
+        path: List[str] = []
+        while location is not None:
+            path.append(location)
+            location = pred[location]
+        path.reverse()
+        location = succ[path[-1]]
+        while location is not None:
+            path.append(location)
+            location = succ[location]
+        return path
 
     def undirected_edges(self) -> List[Tuple[str, str]]:
         """All physical edges as sorted (u, v) name pairs."""
@@ -345,3 +374,38 @@ class Topology:
             f"Topology({self.name!r}, hosts={self.num_hosts()}, "
             f"switches={self.num_switches()}, links={self.num_links()})"
         )
+
+
+def _bidirectional_meet(
+    adj: Mapping[str, Mapping[str, Link]], source: str, target: str
+) -> Optional[Tuple[Dict[str, Optional[str]], Dict[str, Optional[str]], str]]:
+    """Breadth-first search from both ends, one level at a time from the
+    smaller fringe: ``(pred, succ, meeting location)``, with ``pred``
+    leading back to ``source`` and ``succ`` on to ``target``, or ``None``
+    when the two are not connected."""
+    if source == target:
+        return {target: None}, {source: None}, source
+    pred: Dict[str, Optional[str]] = {source: None}
+    succ: Dict[str, Optional[str]] = {target: None}
+    forward = [source]
+    reverse = [target]
+    while forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for location in level:
+                for other in adj[location]:
+                    if other not in pred:
+                        forward.append(other)
+                        pred[other] = location
+                    if other in succ:
+                        return pred, succ, other
+        else:
+            level, reverse = reverse, []
+            for location in level:
+                for other in adj[location]:
+                    if other not in succ:
+                        succ[other] = location
+                        reverse.append(other)
+                    if other in pred:
+                        return pred, succ, other
+    return None

@@ -304,7 +304,7 @@ class TestSinkTrees:
                 name for name in topology.switch_names() if topology.hosts_on_switch(name)
             ]
             for root, tree in trees.items():
-                alone = compute_sink_tree(topology, root)  # builds its own subgraph
+                alone = compute_sink_tree(topology, root)  # finds the switches itself
                 assert (tree.root, tree.hosts) == (alone.root, alone.hosts)
                 assert list(tree.next_hop.items()) == list(alone.next_hop.items())
 

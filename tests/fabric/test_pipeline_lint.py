@@ -56,7 +56,10 @@ accessors no caller reached, and the backend fingerprint's read of a
 path, and the feasibility test and link-sorting pass nothing reached stay
 deleted.  So do the exporters, readers and helpers the reachability lint
 (``test_reachability_lint.py``) found no entry point calling, by their
-distinctive names: a caller added back would make them reached again.
+distinctive names: a caller added back would make them reached again; and
+so does the switch-only subgraph copy sink trees once walked (they walk the
+topology's adjacency, skipping every location but a switch).  networkx is
+not imported under ``src/``: a topology is its own adjacency dict.
 And the cyclic garbage collector is switched in one place,
 ``repro/collector.py``, which pauses it for one compile, recompile or
 verdict and neither collects nor retunes it.
@@ -208,7 +211,7 @@ def test_what_no_caller_reached_stays_deleted():
         r"|summarize_trace|read_trace|format_histogram|propose_or_raise"
         r"|VerificationError|statement_state|serialize_events|source_line_count"
         r"|with_statements|with_headers|parse_rate|gbps_value|mb_per_sec_value"
-        r"|link_utilisation)\b"
+        r"|link_utilisation|switch_subgraph)\b"
     )
     offenders = _files_mentioning(banned) + _files_mentioning(banned, glob="*.md")
     assert not offenders, (
@@ -296,6 +299,19 @@ def test_one_entry_point_into_highs():
     assert not offenders, (
         "a SciPy LP/MIP wrapper is back under src/ (call "
         "repro.lp.scipy_backend.run_highs): %s" % ", ".join(offenders)
+    )
+
+
+def test_no_networkx_under_src():
+    """A :class:`~repro.topology.graph.Topology` keeps its own adjacency
+    dict in networkx's node and edge order, and its shortest paths are
+    networkx's bidirectional BFS over it; importing networkx alone cost
+    ~160 ms and ~20 MB per process.  The tests keep it as a reference."""
+    banned = re.compile(r"\bimport\s+networkx\b|\bfrom\s+networkx\b")
+    offenders = _files_mentioning(banned)
+    assert not offenders, (
+        "networkx is imported under src/ again (read Topology.adjacency() "
+        "or its neighbour dicts): %s" % ", ".join(offenders)
     )
 
 

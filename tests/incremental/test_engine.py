@@ -257,7 +257,7 @@ class TestCachingAndPartitions:
         engine = seeded(scenario.topology)
         before = engine.resolve()
         saved = engine.journal.mark()
-        engine.set_topology(halved)
+        engine.set_topology(halved, halved.link_capacities())
         degraded = engine.resolve()
         fresh = seeded(halved).resolve()
         assert degraded.solve_statistics["partitions_reused"] == 0.0
@@ -276,7 +276,7 @@ class TestCachingAndPartitions:
             for key, reserved in before.link_reservations.items()
             if reserved.bps_value == 0.0
         )
-        engine.set_topology(scenario.topology.without(links=[unused]))
+        engine.set_topology(scenario.topology.without(links=[unused]), [unused])
         assert engine.resolve().solve_statistics["partitions_dirty"] == 0.0
 
 

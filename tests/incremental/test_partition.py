@@ -38,6 +38,7 @@ class TestMergedGap:
             {},
             figure2_example(capacity=Bandwidth.gbps(1)),
             {},
+            frozenset(),
             lp_construction_seconds=0.0,
             lp_solve_seconds=0.0,
             heuristic=heuristic,
@@ -93,8 +94,17 @@ class TestMergeReuse:
         )
 
     def _merge(self, solution, record, topology, merged):
+        # The engine's location names: those of the topology it was made on.
+        locations = frozenset(figure2_example().locations())
         return merge_partition_solutions(
-            [solution], {"z": record}, topology, {"m1": ["s2"]}, 0.0, 0.0, merged=merged
+            [solution],
+            {"z": record},
+            topology,
+            {"m1": ["s2"]},
+            locations,
+            0.0,
+            0.0,
+            merged=merged,
         )
 
     def test_unchanged_content_is_taken_over(self):
@@ -115,14 +125,17 @@ class TestMergeReuse:
         moved = self._merge(solution, self._record(2, mbps=30), topology, merged)
         assert moved.paths["z"].guaranteed_rate == Bandwidth.mbps(30)
 
-    def test_other_location_names_rebuild_the_assignments(self):
+    def test_a_failed_location_stays_a_location(self):
         topology, solution, merged = figure2_example(), self._solution(), {}
         whole = self._merge(solution, self._record(1), topology, merged)
         assert whole.paths["z"].function_placements == {}
         failed = self._merge(
             solution, self._record(1), topology.without(nodes=["m1"]), merged
         )
-        assert failed.paths["z"].function_placements == {"m1": "s2"}
+        # m1 is a location of the engine's topology, failed or not: it is
+        # never placed as a function, so the assignment is taken over.
+        assert failed.paths["z"].function_placements == {}
+        assert failed.paths["z"] is whole.paths["z"]
 
     def test_another_capacity_table_rebuilds_the_reservations(self):
         solution, merged = self._solution(), {}

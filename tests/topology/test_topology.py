@@ -25,8 +25,48 @@ from repro.topology.generators import figure2_example
 from repro.units import Bandwidth
 
 
+#: A networkx graph per topology of a test, built from the same
+#: construction calls (see ``_networkx_mirror``).
+_REFERENCE = weakref.WeakKeyDictionary()
+
+
+@pytest.fixture(autouse=True)
+def _networkx_mirror(monkeypatch):
+    """Mirror every ``add_node`` / ``add_link`` call into a networkx graph,
+    and give a derived topology the graph the calls ``without`` used to
+    make would build: its nodes in name order, then its links in the
+    parent's edge order."""
+    add_node, add_link, without = Topology.add_node, Topology.add_link, Topology.without
+
+    def mirrored_add_node(self, node):
+        added = add_node(self, node)
+        _REFERENCE.setdefault(self, nx.Graph()).add_node(node.name)
+        return added
+
+    def mirrored_add_link(self, source, target, *args, **kwargs):
+        link = add_link(self, source, target, *args, **kwargs)
+        _REFERENCE[self].add_edge(source, target, link=link)
+        return link
+
+    def mirrored_without(self, links=(), nodes=()):
+        links, nodes = list(links), set(nodes)
+        derived = without(self, links, nodes)
+        failed = {frozenset(pair) for pair in links}
+        graph = _REFERENCE[derived] = nx.Graph()
+        graph.add_nodes_from(name for name in self.locations() if name not in nodes)
+        for source, target, data in _REFERENCE[self].edges(data=True):
+            if {source, target} & nodes or {source, target} in failed:
+                continue
+            graph.add_edge(source, target, link=data["link"])
+        return derived
+
+    monkeypatch.setattr(Topology, "add_node", mirrored_add_node)
+    monkeypatch.setattr(Topology, "add_link", mirrored_add_link)
+    monkeypatch.setattr(Topology, "without", mirrored_without)
+
+
 def _connected(topology):
-    return nx.is_connected(topology._graph)
+    return nx.is_connected(_REFERENCE[topology])
 
 
 class TestTopologyGraph:
@@ -90,11 +130,10 @@ class TestTopologyGraph:
         ip = topo.node("h3").ip
         assert topo.host_by_ip(ip).name == "h3"
         assert topo.host_by_ip("10.9.9.9") is None
-        # Derived topologies are built through add_node and answer alike.
+        # Derived topologies carry the lookups over and answer alike.
         degraded = topo.without(links=[("h3", "s1")])
         assert degraded.host_by_ip(ip).name == "h3"
         assert degraded.host_by_mac(topo.node("h2").mac).name == "h2"
-        assert topo.switch_subgraph().host_by_ip(ip) is None
         # Hosts sharing an address resolve to the first by name, whatever
         # the insertion order.
         shared = Topology()
@@ -117,12 +156,6 @@ class TestTopologyGraph:
         assert topo.hosts_on_switch("s1") == ["h1"]
         assert topo.hosts_on_switch("s2") == ["h2"]
 
-    def test_switch_subgraph_excludes_hosts(self):
-        topo = fat_tree(4)
-        switches_only = topo.switch_subgraph()
-        assert switches_only.num_hosts() == 0
-        assert switches_only.num_switches() == topo.num_switches()
-
     def test_shortest_path(self):
         topo = linear(3)
         path = topo.shortest_path("h1", "h3")
@@ -135,6 +168,38 @@ class TestTopologyGraph:
         topo.add_switch("s2")
         with pytest.raises(TopologyError):
             topo.shortest_path("s1", "s2")
+
+        with pytest.raises(TopologyError):
+            topo.shortest_path("s1", "nowhere")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: linear(4),
+            lambda: fat_tree(4),
+            lambda: stanford_campus(subnets=4),
+            lambda: topology_zoo_like(24, seed=5, hosts_per_switch=2),
+            lambda: fat_tree(4).without(
+                links=[("c0_0", "a0_0"), ("a2_1", "e2_0")], nodes=["a1_1", "e3_1"]
+            ),
+        ],
+        ids=["linear", "fat-tree", "campus", "zoo-like", "degraded"],
+    )
+    def test_shortest_paths_are_networkx_paths(self, build):
+        """Every host pair takes networkx's bidirectional-BFS path on a
+        graph built by the same construction calls, ties included."""
+        topo = build()
+        reference = _REFERENCE[topo]
+        hosts = topo.host_names()
+        for source in hosts:
+            for target in hosts:
+                try:
+                    expected = nx.shortest_path(reference, source, target)
+                except nx.NetworkXNoPath:
+                    with pytest.raises(TopologyError):
+                        topo.shortest_path(source, target)
+                else:
+                    assert topo.shortest_path(source, target) == expected
 
     def test_undirected_edges_and_link_lookup(self):
         topo = linear(3)
@@ -158,21 +223,33 @@ class TestTopologyGraph:
         ids=["linear", "fat-tree", "campus", "degraded"],
     )
     def test_graph_reads_agree_with_networkx_and_leave_no_cycle(self, build):
-        topo, reference = build(), build()._graph
+        topo = build()
+        reference = _REFERENCE[topo]
+        # Node order, and each node's neighbours in insertion order.
+        assert [(name, list(adjacent)) for name, adjacent in topo._adj.items()] == [
+            (name, list(adjacent)) for name, adjacent in reference.adj.items()
+        ]
         assert topo.links() == [data["link"] for _, _, data in reference.edges(data=True)]
         assert topo.num_links() == reference.number_of_edges()
         assert topo.undirected_edges() == sorted(tuple(sorted(edge)) for edge in reference.edges)
+        assert list(topo.link_capacities().items()) == [
+            (tuple(sorted((source, target))), data["link"].capacity)
+            for source, target, data in reference.edges(data=True)
+        ]
+        assert topo.adjacency() == {
+            name: (name, *sorted(adjacent)) for name, adjacent in reference.adj.items()
+        }
         for link in topo.links():
             assert topo.link(link.target, link.source) is link
-        # networkx caches its edge and degree views on the graph, each
-        # holding the graph: reading them would keep the topology alive
-        # until the cyclic collector ran.
-        graph = weakref.ref(topo._graph)
+        # No table a read builds may hold the topology: it must go as
+        # soon as its last reference does, without the cyclic collector.
+        topo.egress_switches()
+        alive = weakref.ref(topo)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
             del topo
-            assert graph() is None
+            assert alive() is None
         finally:
             if was_enabled:
                 gc.enable()
@@ -220,8 +297,6 @@ class TestTopologyGraph:
         assert "s3" not in degraded.adjacency()
         assert topo.adjacency() is table
         assert table["s2"] == ("s2", "h2", "s1", "s3")
-        switches = topo.switch_subgraph()
-        assert switches.adjacency()["s2"] == ("s2", "s1", "s3")
 
 
 class TestGenerators:
