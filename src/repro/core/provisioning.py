@@ -23,20 +23,21 @@ path, min-max ratio, and min-max reserved.
 
 Construction
 ------------
-The MIP is built straight into the sparse standard form every backend
-solves (:class:`~repro.lp.model.StandardForm`).  A statement's Equation-1
-block — one binary column per logical edge, one flow-balance row per
-logical vertex, the link each edge crosses — depends on its product graph
-alone, so :func:`flow_block` indexes it once per graph, and the incremental
+The MIP is built straight into the standard form every backend solves
+(:class:`~repro.lp.model.StandardForm`): the column-wise arrays HiGHS
+reads.  A statement's Equation-1 block — one binary column per logical
+edge, one flow-balance row per logical vertex, the link each edge crosses
+— depends on its product graph alone, so :func:`flow_block` indexes it once per graph, and the incremental
 engine keeps it beside the tightened view it was cut from
 (``StatementRecord.views``): a rate change reuses it, a new product graph
 starts without one.  :func:`build_model_for_links` places the members'
 blocks at their column and row offsets and appends the Equation 2-4 rows of
-every link and the objective vector, all as index arrays, in O(S·E + L).
+every link and the objective vector, all as index arrays, and sorts the
+triplets into columns once, in O(S·E + L + N log N) for N non-zeros.
 The object-per-term builder it replaced is kept as the tests' reference
 (``tests/reference_provisioning.py``, over the modelling front end in
-``tests/reference_lp.py``): both must hand the solver the same arrays,
-element for element.
+``tests/reference_lp.py``): the arrays built here must be, element for
+element, what HiGHS was handed from that builder's export.
 
 :class:`ProvisioningResult` reports construction and solve time separately
 (``lp_construction_seconds`` / ``lp_solve_seconds``) so the Figure 8 scaling
@@ -67,7 +68,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse as sp
 
 from ..errors import ProvisioningError
 from ..lp.model import PathLayout, StandardForm
@@ -236,14 +236,14 @@ def flow_block(logical: LogicalTopology) -> FlowBlock:
 
 @dataclass
 class ProvisioningModel:
-    """One component's MIP in sparse standard form, and where its answer is.
+    """One component's MIP in standard form, and where its answer is.
 
     The column order is every member's edge columns (member order, each
     block's edge order), then ``r_max`` and ``R_max``, then one reserved
     fraction per link in ``links`` order — ``model.layout`` records the
-    member ranges and the ``r_max`` column.  ``A_eq`` holds every member's
-    flow rows and then each link's Equation-2 row; ``A_ub`` holds each
-    link's Equation-3 and Equation-4 rows in turn.
+    member ranges and the ``r_max`` column.  The rows are each link's
+    Equation-3 and Equation-4 ``<=`` rows in turn, then every member's
+    flow rows, then each link's Equation-2 row.
     """
 
     model: StandardForm
@@ -266,9 +266,10 @@ def build_model_for_links(
 
     Each member's block is placed at its column and row offset, then the
     Equation 2-4 rows of every link and the objective vector are appended,
-    all as index arrays; the triplets become CSR matrices in one
-    conversion each.  Construction is O(S·E + L) in the number of
-    statements S, logical edges per statement E, and physical links L.
+    all as ``(row, column, value)`` triplets; one sort by (column, row)
+    turns them into the form's column-wise arrays.  Construction is
+    O(S·E + L) in the number of statements S, logical edges per statement
+    E, and physical links L, plus the sort of the non-zeros.
 
     ``links`` is the sequence of ``(link key, capacity in Mbps)`` pairs to
     emit reservation rows for — the whole topology for a monolithic build,
@@ -297,37 +298,60 @@ def build_model_for_links(
     r_max, big_r_max, first_reservation = num_edges, num_edges + 1, num_edges + 2
     num_columns = first_reservation + num_links
     reservation = first_reservation + np.arange(num_links)
+    # The <= rows first (each link's Equation-3 and Equation-4 rows in
+    # turn), then the flow rows, then each link's Equation-2 row.
+    first_flow_row = 2 * num_links
+    first_link_row = first_flow_row + num_flow_rows
+    num_rows = first_link_row + num_links
     starts = list(zip(members, column_starts.tolist(), row_starts.tolist()))
 
+    # Equations 3 and 4, per link: r_uv - r_max <= 0 and r_uv * c_uv - R_max <= 0.
+    ub_rows = np.arange(first_flow_row)
+    rows = [ub_rows, ub_rows]
+    columns = [
+        np.tile(np.array([r_max, big_r_max]), num_links),
+        np.repeat(reservation, 2),
+    ]
+    ub_values = np.empty((num_links, 2))
+    ub_values[:, 0] = 1.0
+    ub_values[:, 1] = capacities
+    values = [np.full(first_flow_row, -1.0), ub_values.ravel()]
     # Equation 1: each member's flow rows at its offsets, every column's
     # +1 entry and then every column's -1 entry.
-    eq_rows = [block.tails + row for block, _, row in starts]
-    eq_rows += [block.heads + row for block, _, row in starts]
-    eq_columns = [np.arange(num_edges), np.arange(num_edges)]
-    eq_values = [np.ones(num_edges), np.full(num_edges, -1.0)]
+    rows += [block.tails + (first_flow_row + row) for block, _, row in starts]
+    rows += [block.heads + (first_flow_row + row) for block, _, row in starts]
+    columns += [np.arange(num_edges), np.arange(num_edges)]
+    values += [np.ones(num_edges), np.full(num_edges, -1.0)]
     # Equation 2: r_uv * c_uv - sum of the guarantees routed over the link = 0.
-    link_row = {key: num_flow_rows + index for index, key in enumerate(keys)}
+    link_row = {key: first_link_row + index for index, key in enumerate(keys)}
     for (block, start, _), guarantee in zip(starts, guarantees):
         if guarantee is None or not block.links:
             continue
         slot_rows = np.array([link_row.get(key, -1) for key in block.links])
-        rows = slot_rows[block.slots]
-        kept = rows >= 0
-        eq_rows.append(rows[kept])
-        eq_columns.append(block.linked[kept] + start)
-        eq_values.append(np.full(int(kept.sum()), -guarantee))
-    eq_rows.append(num_flow_rows + np.arange(num_links))
-    eq_columns.append(reservation)
-    eq_values.append(capacities)
-    # Equations 3 and 4, per link: r_uv - r_max <= 0 and r_uv * c_uv - R_max <= 0.
-    ub_columns = np.empty((num_links, 4), dtype=np.int64)
-    ub_columns[:, 0] = r_max
-    ub_columns[:, 1] = reservation
-    ub_columns[:, 2] = big_r_max
-    ub_columns[:, 3] = reservation
-    ub_values = np.empty((num_links, 4))
-    ub_values[:, 0:3] = (-1.0, 1.0, -1.0)
-    ub_values[:, 3] = capacities
+        linked_rows = slot_rows[block.slots]
+        kept = linked_rows >= 0
+        rows.append(linked_rows[kept])
+        columns.append(block.linked[kept] + start)
+        values.append(np.full(int(kept.sum()), -guarantee))
+    rows.append(first_link_row + np.arange(num_links))
+    columns.append(reservation)
+    values.append(capacities)
+    start, index, value = _column_wise(
+        np.concatenate(rows),
+        np.concatenate(columns),
+        np.concatenate(values),
+        num_rows,
+        num_columns,
+    )
+    # A flow row's right-hand side is its balance (-0.0 in the interior)
+    # and every Equation-2 row's is -0.0, as the object builder exported them.
+    row_upper = np.concatenate(
+        [np.zeros(first_flow_row)]
+        + [block.balances for block in members]
+        + [np.full(num_links, -0.0)]
+    )
+    row_lower = row_upper.copy()
+    row_lower[:first_flow_row] = -math.inf
 
     # Equation 5 is expressed through the [0, 1] bound on r_max and r_uv.
     upper = np.ones(num_columns)
@@ -339,25 +363,11 @@ def build_model_for_links(
     )
     form = StandardForm(
         c=c,
-        a_ub=sp.coo_matrix(
-            (
-                ub_values.ravel(),
-                (np.repeat(np.arange(2 * num_links), 2), ub_columns.ravel()),
-            ),
-            shape=(2 * num_links, num_columns),
-        ).tocsr(),
-        b_ub=np.zeros(2 * num_links),
-        a_eq=sp.coo_matrix(
-            (
-                np.concatenate(eq_values),
-                (np.concatenate(eq_rows), np.concatenate(eq_columns)),
-            ),
-            shape=(num_flow_rows + num_links, num_columns),
-        ).tocsr(),
-        # Every Equation-2 row's right-hand side is -0.0, as exported before.
-        b_eq=np.concatenate(
-            [block.balances for block in members] + [np.full(num_links, -0.0)]
-        ),
+        start=start,
+        index=index,
+        value=value,
+        row_lower=row_lower,
+        row_upper=row_upper,
         lower=np.zeros(num_columns),
         upper=upper,
         integrality=integrality,
@@ -376,6 +386,35 @@ def build_model_for_links(
         links=keys,
         capacities=capacities,
     )
+
+
+def _column_wise(
+    rows: np.ndarray,
+    columns: np.ndarray,
+    values: np.ndarray,
+    num_rows: int,
+    num_columns: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, index, value)`` of the matrix the triplets describe.
+
+    One stable sort by (column, row); entries at one coordinate are summed
+    into one (an explicit zero stays an entry), as SciPy's conversions sum
+    them.  Indices are 32-bit, as HiGHS keeps them.
+    """
+    keys = columns * num_rows + rows
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    values = values[order]
+    distinct = np.empty(keys.size, dtype=bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    if not distinct.all():
+        values = np.add.reduceat(values, np.flatnonzero(distinct))
+        keys = keys[distinct]
+    column, index = np.divmod(keys, num_rows)
+    start = np.zeros(num_columns + 1, dtype=np.int32)
+    np.cumsum(np.bincount(column, minlength=num_columns), out=start[1:])
+    return start, index.astype(np.int32), values
 
 
 def _guarantee_mbps(rates: LocalRates) -> Optional[float]:

@@ -11,12 +11,16 @@ breadth-first search.  Two optimisations from the paper are implemented:
 * hosts are attached during code generation (the egress switch forwards to
   the destination host using its unique identifier).
 
-A failure re-walks only the trees it can change (:func:`update_sink_trees`,
-the setting of decremental BFS: Even and Shiloach, J. ACM 1981).  A BFS run
-is unchanged by a lost link that is no tree edge, and a lost switch that is
-a leaf only loses its own entry; every other tree is walked again, and so
-is every tree once a switch-to-switch link comes back.  A host link that
-fails or returns changes only its switch's ``hosts``.
+A failure or recovery re-walks only the trees it can change
+(:func:`update_sink_trees`, the setting of dynamic BFS: Even and Shiloach,
+J. ACM 1981).  A BFS run is unchanged by a lost link that is no tree edge,
+and a lost switch that is a leaf only loses its own entry.  It is unchanged
+by a returning switch-to-switch link whenever, at the moment the run takes
+that link from either end, the other end is already visited: the two ends
+are of equal depth, or one end ``v`` is a level below the other, ``u``,
+and ``v``'s parent is dequeued before ``u``.  Every other tree is walked
+again.  A host link that fails or returns changes only its switch's
+``hosts``.
 
 Best-effort statements whose path expression is more constrained than ``.*``
 are routed individually instead, each by the BFS over its logical topology
@@ -140,7 +144,7 @@ def update_sink_trees(
         if name in before and name not in after and before.node(name).is_switch
     ]
     lost_links: List[Tuple[str, str]] = []
-    grown = False
+    gained_links: List[Tuple[str, str]] = []
     for source, target in links:
         had, has = before.has_link(source, target), after.has_link(source, target)
         if had == has:
@@ -149,18 +153,16 @@ def update_sink_trees(
         if not (topology.node(source).is_switch and topology.node(target).is_switch):
             continue
         if has:
-            grown = True
+            gained_links.append((source, target))
         elif source not in lost_nodes and target not in lost_nodes:
             lost_links.append((source, target))
     blocked = None
     updated: Dict[str, SinkTree] = {}
     for root in after.egress_switches():
         tree = trees.get(root)
-        next_hop = (
-            None
-            if tree is None or grown
-            else _patched(tree, lost_nodes, lost_links)
-        )
+        next_hop = None if tree is None else _patched(tree, lost_nodes, lost_links)
+        if next_hop is not None and not _unmoved(root, next_hop, gained_links):
+            next_hop = None
         if next_hop is None:
             if blocked is None:
                 blocked = _not_switches(after)
@@ -191,6 +193,33 @@ def _patched(
         if next_hop.get(source) == target or next_hop.get(target) == source:
             return None
     return next_hop
+
+
+def _unmoved(
+    root: str, next_hop: Dict[str, str], gained_links: List[Tuple[str, str]]
+) -> bool:
+    """Whether the BFS run that gave ``next_hop`` gives it again once the
+    ``gained_links`` are added.
+
+    It does if, for each link, the end the run dequeues later was visited
+    before the run dequeues the other end — its parent is dequeued before
+    the other end (the dequeue order is ``[root, *next_hop]``, the visit
+    order) — so that neither end meets the other unvisited.  That holds
+    exactly when the ends are of equal depth, or the later one is a level
+    deeper and its parent is dequeued first.  A link spanning two levels or
+    more, or with an end outside the tree, may move the run.
+    """
+    if not gained_links:
+        return True
+    position = {switch: rank for rank, switch in enumerate([root, *next_hop])}
+    for u, v in gained_links:
+        if u not in position or v not in position:
+            return False
+        if position[u] > position[v]:
+            u, v = v, u
+        if position[next_hop[v]] >= position[u]:
+            return False
+    return True
 
 
 def _not_switches(topology: Topology) -> frozenset:

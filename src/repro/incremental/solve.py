@@ -21,7 +21,7 @@ final policy.
 
 Components are solved one after another in the calling process, each by
 the options' backend inside its own ``component_solve`` span: a model is
-handed over as its sparse standard form and the answer comes back as the
+handed over as its standard form and the answer comes back as the
 solution's column vector, which :func:`extract_partition_solution` reads
 paths and reservations out of by slicing.
 A solve is handed its model and nothing else — no incumbent from an
@@ -70,6 +70,7 @@ from ..core.ast import Statement
 from ..errors import ProvisioningError
 from ..fabric.signature import CanonicalComponent, canonicalize_component
 from ..lp.backends import backend_name
+from ..lp.model import StandardForm
 from ..lp.result import SolveResult, SolveStatus
 from ..topology.graph import Topology
 from ..units import Bandwidth
@@ -305,13 +306,7 @@ def extract_partition_solution(
             for index in np.flatnonzero(x[start:stop] > 0.5).tolist()
         ]
         location_paths[identifier] = tuple(_extract_path(selected))
-    # A link's Equation-2 row (among the last rows of A_eq) is r_uv * c_uv
-    # minus each guarantee routed over it: at the edge columns alone it
-    # reads minus the routed guarantees.
-    form = built.model
-    edges = np.zeros_like(x)
-    edges[: layout.r_max] = x[: layout.r_max]
-    routed = -(form.a_eq @ edges)[form.b_eq.size - len(built.links) :]
+    routed = routed_guarantees(built.model, x, len(built.links))
     fractions = {
         key: max(0.0, value)
         for key, value in zip(built.links, (routed / built.capacities).tolist())
@@ -329,6 +324,28 @@ def extract_partition_solution(
         solve_seconds=solve_seconds,
         member_slacks=member_slacks,
     )
+
+
+def routed_guarantees(form: StandardForm, x: np.ndarray, num_links: int) -> np.ndarray:
+    """Each link's routed guarantees (Mbps) at the edge columns of ``x``.
+
+    A link's Equation-2 row (among the last ``num_links`` rows) is
+    ``r_uv * c_uv`` minus each guarantee routed over it, so at the edge
+    columns alone it reads minus the routed guarantees.  Each row's terms
+    are summed one by one in column order from ``0.0``, the order of a CSR
+    row's dot product, so a reservation is the same float however the
+    form stores its matrix.
+    """
+    edges = form.layout.r_max
+    first = form.num_constraints() - num_links
+    count = int(form.start[edges])
+    rows = form.index[:count]
+    linked = rows >= first
+    columns = np.repeat(np.arange(edges), np.diff(form.start[: edges + 1]))
+    terms = form.value[:count][linked] * x[columns[linked]]
+    sums = np.bincount(rows[linked] - first, weights=terms, minlength=num_links)
+    # Without a term bincount counts in integers.
+    return -sums.astype(np.float64, copy=False)
 
 
 @dataclass

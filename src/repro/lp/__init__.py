@@ -4,9 +4,9 @@ The Merlin compiler encodes bandwidth provisioning as a mixed-integer program
 (Equations 1–5 in §3.2).  The paper solves it with the Gurobi Optimizer; this
 package provides an equivalent, self-contained substitute:
 
-* :class:`StandardForm`, the sparse matrices every backend solves, which
-  the provisioning MIP is built straight into, with the :class:`PathLayout`
-  of its path structure,
+* :class:`StandardForm`, the column-wise arrays every backend solves (the
+  ones HiGHS reads), which the provisioning MIP is built straight into,
+  with the :class:`PathLayout` of its path structure,
 * the backend layer (:mod:`repro.lp.backends`): the :class:`SolverBackend`
   protocol and the three backends addressable by string — ``"scipy"``,
   ``"bnb"`` and ``"heuristic"``,

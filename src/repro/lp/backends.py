@@ -2,8 +2,8 @@
 
 Every layer above the LP package (the solve loop, the incremental engine,
 the compiler, the control-plane daemon) hands its models to "some object
-with a ``solve(form)`` method", the form being a sparse
-:class:`~repro.lp.model.StandardForm`.  This module is that contract and
+with a ``solve(form)`` method", the form being a
+:class:`~repro.lp.model.StandardForm` (column-wise arrays).  This module is that contract and
 the one place a backend is chosen:
 
 * :class:`SolverBackend` — the protocol: ``name`` and ``solve``;

@@ -15,9 +15,9 @@ reasons:
 The solver uses best-first search on the LP relaxation bound with
 most-fractional branching, which is entirely adequate for the path-selection
 MIPs Merlin generates (binary edge variables with network-flow structure).
-Relaxations consume the *sparse* standard form end-to-end (HiGHS takes one
-CSC matrix), so the solver's memory stays proportional to the
-constraint-matrix non-zeros rather than rows × columns.
+Relaxations consume the standard form's column-wise arrays as they are
+(HiGHS reads them directly), so the solver's memory stays proportional to
+the constraint-matrix non-zeros rather than rows × columns.
 
 Pruning respects the form's declared ``objective_resolution`` (the
 tiebreaker epsilon of Merlin's min-max objectives): the effective absolute

@@ -1,7 +1,8 @@
 """The standard form every backend solves.
 
-:class:`StandardForm` holds the matrices, bounds and integrality of a
-(mixed-integer) linear program, column by column.  The provisioning MIP is
+:class:`StandardForm` holds a (mixed-integer) linear program as the arrays
+HiGHS reads: the objective, one column-wise constraint matrix with its row
+bounds, the column bounds and the integrality.  The provisioning MIP is
 built straight into one (:func:`repro.core.provisioning.build_model_for_links`),
 and its :class:`PathLayout` tells the primal heuristic where the path
 structure is.
@@ -20,12 +21,13 @@ class PathLayout:
     """Where a provisioning form keeps its path structure.
 
     ``members`` holds the ``(start, stop)`` range of each member
-    statement's binary edge columns, in member order; their Equation-1
-    flow rows are the first rows of ``A_eq``.  Column ``r_max`` is the
-    largest reserved fraction and ``r_max + 1`` the largest reserved
-    amount; every later column is one link's reserved fraction, and that
-    link's Equation-2 row is among the last rows of ``A_eq``, in the same
-    order.  The primal heuristic reads a form through this layout.
+    statement's binary edge columns, in member order.  Column ``r_max`` is
+    the largest reserved fraction and ``r_max + 1`` the largest reserved
+    amount; every later column is one link's reserved fraction.  The rows
+    are each link's Equation-3 and Equation-4 ``<=`` rows in turn, then
+    the members' Equation-1 flow rows, then one Equation-2 row per link,
+    in the reservation columns' order.  The primal heuristic reads a form
+    through this layout.
     """
 
     members: Tuple[Tuple[int, int], ...]
@@ -34,16 +36,22 @@ class PathLayout:
 
 @dataclass
 class StandardForm:
-    """Standard-form data ready for SciPy.
+    """A linear program as the arrays HiGHS reads.
 
-    Minimise ``c @ x`` subject to ``A_ub @ x <= b_ub``, ``A_eq @ x == b_eq``,
-    and ``lower <= x <= upper``; ``integrality`` is 1 for integer columns.
-    A form always minimises: a maximisation is written as the minimisation
+    Minimise ``c @ x`` subject to ``row_lower <= A @ x <= row_upper`` and
+    ``lower <= x <= upper``; ``integrality`` is 1 for integer columns.  A
+    form always minimises: a maximisation is written as the minimisation
     of the negated objective.
 
-    ``a_ub`` / ``a_eq`` are ``scipy.sparse.csr_matrix``: memory stays
-    linear in the number of non-zeros, which is what lets large fat-tree
-    provisioning models fit in RAM.
+    ``A`` is stored column by column: the entries of column ``j`` are
+    ``index[start[j]:start[j + 1]]`` (their rows, ascending) and
+    ``value[start[j]:start[j + 1]]``, so memory stays linear in the number
+    of non-zeros, which is what lets large fat-tree provisioning models
+    fit in RAM.  The ``<=`` rows come first, each with ``row_lower``
+    ``-inf``, then the ``=`` rows, each with equal bounds — the layout
+    SciPy's ``milp`` hands HiGHS, so :func:`~repro.lp.scipy_backend.run_highs`
+    passes the arrays on as they are.  ``value``, the row bounds and the
+    column bounds are float64.
 
     ``objective_resolution`` optionally declares the smallest objective
     difference that distinguishes two genuinely different solutions (for
@@ -55,10 +63,11 @@ class StandardForm:
     """
 
     c: np.ndarray
-    a_ub: "np.ndarray"
-    b_ub: np.ndarray
-    a_eq: "np.ndarray"
-    b_eq: np.ndarray
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     integrality: np.ndarray
@@ -69,7 +78,7 @@ class StandardForm:
         return int(self.c.size)
 
     def num_constraints(self) -> int:
-        return int(self.b_ub.size + self.b_eq.size)
+        return int(self.row_upper.size)
 
 
 class Model:

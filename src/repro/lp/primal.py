@@ -4,7 +4,7 @@ The exact backends prove optimality; this backend trades the proof for
 latency.  It reads the *structure* of a provisioning form through the
 form's :class:`~repro.lp.model.PathLayout` — each member statement's range
 of binary edge columns, whose +1 / -1 entries in the Equation-1 flow rows
-of ``A_eq`` name the edge's tail and head, and whose entry in a link's
+name the edge's tail and head, and whose entry in a link's
 Equation-2 row is minus the statement's guarantee — and then runs an
 iterated two-phase local search over per-statement path choices:
 
@@ -107,7 +107,8 @@ def _decode_provisioning_form(form: StandardForm) -> _DecodedProblem:
     num_columns = form.num_variables()
     first_reservation = layout.r_max + 2
     num_links = num_columns - first_reservation
-    num_flow_rows = form.b_eq.size - num_links
+    first_flow_row = 2 * num_links
+    num_flow_rows = form.num_constraints() - 3 * num_links
     integrality = form.integrality
     if (
         num_links < 0
@@ -117,15 +118,27 @@ def _decode_provisioning_form(form: StandardForm) -> _DecodedProblem:
         or not all(integrality[start:stop].all() for start, stop in layout.members)
     ):
         raise _shape_error("the layout does not match the form's columns")
-    a_eq = form.a_eq.tocsc()
-    indptr = a_eq.indptr.tolist()
-    indices = a_eq.indices.tolist()
-    data = a_eq.data.tolist()
-    balance = form.b_eq.tolist()
+    if not (
+        np.isneginf(form.row_lower[:first_flow_row]).all()
+        and np.array_equal(
+            form.row_lower[first_flow_row:], form.row_upper[first_flow_row:]
+        )
+    ):
+        raise _shape_error("the layout does not match the form's rows")
+    # Only the equality rows (flow, then Equation 2) are read, numbered
+    # from the first flow row.
+    entry_starts = form.start.tolist()
+    rows = (form.index - first_flow_row).tolist()
+    data = form.value.tolist()
+    balance = form.row_upper[first_flow_row:].tolist()
 
     def entries(column: int) -> List[Tuple[int, float]]:
-        begin, end = indptr[column], indptr[column + 1]
-        return list(zip(indices[begin:end], data[begin:end]))
+        begin, end = entry_starts[column], entry_starts[column + 1]
+        return [
+            (row, coefficient)
+            for row, coefficient in zip(rows[begin:end], data[begin:end])
+            if row >= 0
+        ]
 
     capacity: Dict[int, float] = {}
     for link in range(num_links):

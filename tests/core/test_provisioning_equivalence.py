@@ -1,13 +1,14 @@
 """The array builder against the object builder it replaced.
 
-:func:`repro.core.provisioning.build_model_for_links` builds the sparse
+:func:`repro.core.provisioning.build_model_for_links` builds the
 standard form the solver is handed straight from per-statement Equation-1
-blocks.  It must hand over exactly what the object builder kept in
-``tests/reference_provisioning.py`` exports with ``to_standard_form()``
-— ``c``, ``b_ub``, ``b_eq``, the bounds, the integrality and ``indptr`` /
-``indices`` / ``data`` of both CSR matrices, byte for byte — because
-byte-identical input is what keeps the solver's tie-breaks, and therefore
-every allocation, unchanged.  (That no modelling object exists under
+blocks.  It must hand over exactly what HiGHS was handed from the export
+of the object builder kept in ``tests/reference_provisioning.py`` — ``c``,
+the bounds, the integrality, the row bounds and the column-wise ``start``
+/ ``index`` / ``value`` of the stacked CSR matrices, byte for byte —
+because byte-identical input is what keeps the solver's tie-breaks, and
+therefore every allocation, unchanged.  Reservations are read from the
+same arrays, and must come out as the CSR product they were read as.  (That no modelling object exists under
 ``src/`` to be built on the solve path is the lint in
 ``tests/fabric/test_pipeline_lint.py``.)
 """
@@ -17,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,6 +38,7 @@ from repro.core.provisioning import (
     flow_block,
 )
 from repro.experiments.policy_builders import all_pairs_policy
+from repro.incremental.solve import routed_guarantees
 from repro.topology.generators import fat_tree, figure2_example
 from repro.units import Bandwidth
 import tests.reference_provisioning as reference
@@ -210,7 +213,9 @@ def _components(draw):
     return logicals, rates, links, draw(st.sampled_from(HEURISTICS))
 
 
-def _compare(logicals, rates, links, heuristic):
+def _build(logicals, rates, links, heuristic):
+    """The array builder's model and the object builder's, for one drawn
+    component."""
     identifiers = list(logicals)
     blocks = {}
     by_graph = {}
@@ -228,6 +233,12 @@ def _compare(logicals, rates, links, heuristic):
         links,
         heuristic=heuristic,
     )
+    return built, expected
+
+
+def _compare(logicals, rates, links, heuristic):
+    identifiers = list(logicals)
+    built, expected = _build(logicals, rates, links, heuristic)
     assert_forms_identical(built.model, expected.model.to_standard_form())
     starts = [start for start, _ in built.model.layout.members]
     assert built.model.layout.r_max == expected.model.variables().index(expected.r_max)
@@ -241,6 +252,110 @@ def _compare(logicals, rates, links, heuristic):
 @given(drawn=_components())
 def test_array_build_equals_the_object_builder(drawn):
     _compare(*drawn)
+
+
+def _assert_routed_as_the_csr_product(built, expected, x):
+    a_eq = expected.model.to_standard_form().a_eq
+    at_edges = np.zeros_like(x)
+    edges = built.model.layout.r_max
+    at_edges[:edges] = x[:edges]
+    parent = -(a_eq @ at_edges)[a_eq.shape[0] - len(built.links) :]
+    ours = routed_guarantees(built.model, x, len(built.links))
+    assert ours.dtype == parent.dtype
+    assert ours.tobytes() == parent.tobytes()
+
+
+#: Guarantees inexact in Mbps, so that the order of a row's sum shows in its
+#: last bits: (0.1 + 0.2) + 0.3 is not 0.1 + (0.2 + 0.3).
+_INEXACT = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.3, 0.7]).map(Bandwidth.mbps),
+    st.integers(1, 10**9).map(Bandwidth.bps),
+)
+
+#: Pairs that cross the links among three locations, some in both directions.
+_CROSSINGS = [
+    (("a", 0), ("b", 0)),
+    (("b", 0), ("a", 0)),
+    (("b", 0), ("c", 0)),
+    (("a", 0), ("c", 0)),
+    (("a", 0), ("b", 1)),
+    (("b", 1), ("c", 0)),
+    (("c", 0), ("b", 0)),
+]
+
+
+@st.composite
+def _crowded_components(draw):
+    """3-5 guaranteed members whose edges crowd the three links among
+    ``a``, ``b`` and ``c``: many terms of distinct guarantees per row."""
+    logicals = {}
+    for index in range(draw(st.integers(3, 5))):
+        identifier = f"s{index}"
+        crossing = draw(st.lists(st.sampled_from(_CROSSINGS), min_size=1, unique=True))
+        logicals[identifier] = _graph(
+            identifier,
+            draw(
+                st.permutations(
+                    [(SOURCE, ("a", 0)), (("c", 0), SINK)] + crossing
+                )
+            ),
+        )
+    links = [(("a", "b"), 1000.0), (("a", "c"), 100.0), (("b", "c"), 2500.0)]
+    return logicals, links, draw(st.sampled_from(HEURISTICS))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_routed_guarantees_equal_the_csr_product(data):
+    """A link's reservation is read from its Equation-2 row at the 0/1 edge
+    columns.  Summed over the form's column-wise entries it is, bit for
+    bit, minus the CSR product of the reference ``a_eq`` with those
+    columns (every other column zeroed), as reservations were read before
+    the form kept HiGHS's arrays.  Components are drawn crowded or as the
+    form property draws them, with inexact guarantees (or none)."""
+    if data.draw(st.booleans()):
+        logicals, links, heuristic = data.draw(_crowded_components())
+        guarantees = _INEXACT
+    else:
+        logicals, _, links, heuristic = data.draw(_components())
+        guarantees = st.one_of(st.none(), _INEXACT)
+    rates = {
+        identifier: LocalRates(identifier, data.draw(guarantees))
+        for identifier in logicals
+    }
+    built, expected = _build(logicals, rates, links, heuristic)
+    edges = built.model.layout.r_max
+    rest = built.model.num_variables() - edges
+    x = np.array(
+        data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=edges, max_size=edges))
+        + data.draw(st.lists(st.floats(0.0, 1.0), min_size=rest, max_size=rest))
+    )
+    _assert_routed_as_the_csr_product(built, expected, x)
+
+
+def test_routed_guarantees_are_summed_in_column_order():
+    """Three members over one link, 0.1, 0.2 and 0.3 Mbps, every edge
+    chosen: the row reads -((0.1 + 0.2) + 0.3), column order, which is not
+    the float of any other order."""
+    logical = _graph(
+        "p", [(SOURCE, ("a", 0)), (("a", 0), ("b", 0)), (("b", 0), SINK)]
+    )
+    logicals = {
+        identifier: dataclasses.replace(logical, statement_id=identifier)
+        for identifier in ("p", "q", "r")
+    }
+    rates = {
+        identifier: LocalRates(identifier, Bandwidth.mbps(value))
+        for identifier, value in zip(logicals, (0.1, 0.2, 0.3))
+    }
+    built, expected = _build(
+        logicals, rates, [(("a", "b"), 1000.0)], PathSelectionHeuristic.MIN_MAX_RATIO
+    )
+    x = np.ones(built.model.num_variables())
+    _assert_routed_as_the_csr_product(built, expected, x)
+    first, second, third = (rates[i].guarantee.mbps_value for i in logicals)
+    (routed,) = routed_guarantees(built.model, x, 1).tolist()
+    assert routed == (first + second) + third != first + (second + third)
 
 
 @pytest.mark.parametrize("heuristic", HEURISTICS)
@@ -266,6 +381,20 @@ def test_shared_block_reversed_links_and_an_untouched_link(heuristic):
     }
     links = [(("a", "b"), 1000.0), (("a", "c"), 100.0), (("x", "y"), 2500.0)]
     _compare(logicals, rates, links, heuristic)
+
+
+def test_a_self_loop_pair_is_one_explicit_zero():
+    """A pair from a vertex to itself puts +1 and -1 in one flow row: the
+    object builder exports one entry of 0.0 there, and so must the sort."""
+    logical = _graph(
+        "p",
+        [(SOURCE, ("a", 0)), (("a", 0), ("a", 0)), (("a", 0), ("b", 0)), (("b", 0), SINK)],
+    )
+    rates = {"p": LocalRates("p", Bandwidth.mbps(25))}
+    _compare({"p": logical}, rates, [(("a", "b"), 1000.0)], HEURISTICS[1])
+    built, _ = _build({"p": logical}, rates, [(("a", "b"), 1000.0)], HEURISTICS[1])
+    column = built.model.value[built.model.start[1] : built.model.start[2]]
+    assert column.tolist() == [0.0]
 
 
 # -- the objective ------------------------------------------------------------

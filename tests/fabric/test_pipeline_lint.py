@@ -59,7 +59,8 @@ deleted.  So do the exporters, readers and helpers the reachability lint
 distinctive names: a caller added back would make them reached again; and
 so does the switch-only subgraph copy sink trees once walked (they walk the
 topology's adjacency, skipping every location but a switch).  networkx is
-not imported under ``src/``: a topology is its own adjacency dict.
+not imported under ``src/``: a topology is its own adjacency dict; nor is
+``scipy.sparse``: a standard form is the column-wise arrays HiGHS reads.
 And the cyclic garbage collector is switched in one place,
 ``repro/collector.py``, which pauses it for one compile, recompile or
 verdict and neither collects nor retunes it.
@@ -312,6 +313,24 @@ def test_no_networkx_under_src():
     assert not offenders, (
         "networkx is imported under src/ again (read Topology.adjacency() "
         "or its neighbour dicts): %s" % ", ".join(offenders)
+    )
+
+
+def test_no_scipy_sparse_under_src():
+    """A :class:`~repro.lp.model.StandardForm` holds the column-wise arrays
+    HiGHS reads, built straight from the builder's triplets and handed
+    over as they are.  Building COO matrices, converting them to CSR and
+    stacking them into the CSC HiGHS takes cost ~0.3 ms of a ~3.8 ms churn
+    event (400 events at seed 61).  The tests keep SciPy's matrices as
+    their reference."""
+    banned = re.compile(
+        r"\bimport\s+scipy\.sparse\b|\bfrom\s+scipy\.sparse\b"
+        r"|\bfrom\s+scipy\s+import\s+(?:\(\s*)?(?:[\w\s,]*,\s*)?sparse\b"
+    )
+    offenders = _files_mentioning(banned)
+    assert not offenders, (
+        "scipy.sparse is imported under src/ again (build the form's "
+        "start / index / value arrays directly): %s" % ", ".join(offenders)
     )
 
 

@@ -23,20 +23,59 @@ def _form(
 ):
     """Minimise ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x ==
     b_eq`` and ``lower <= x <= upper`` (scalars apply to every column),
-    the columns listed in ``integer`` integral."""
+    the columns listed in ``integer`` integral.  The dense rows are packed
+    column by column, their zeros dropped, the ``<=`` rows first."""
     columns = len(c)
     integrality = np.zeros(columns, dtype=int)
     integrality[list(integer)] = 1
+    b_ub = np.array(b_ub, dtype=float)
+    b_eq = np.array(b_eq, dtype=float)
+    dense = np.vstack(
+        (
+            np.array(a_ub, dtype=float).reshape(-1, columns),
+            np.array(a_eq, dtype=float).reshape(-1, columns),
+        )
+    )
+    column, row = np.nonzero(dense.T)
     return StandardForm(
         c=np.array(c, dtype=float),
-        a_ub=sp.csr_matrix(np.array(a_ub, dtype=float).reshape(-1, columns)),
-        b_ub=np.array(b_ub, dtype=float),
-        a_eq=sp.csr_matrix(np.array(a_eq, dtype=float).reshape(-1, columns)),
-        b_eq=np.array(b_eq, dtype=float),
+        start=np.concatenate(([0], np.cumsum(np.bincount(column, minlength=columns)))),
+        index=row,
+        value=dense[row, column],
+        row_lower=np.concatenate((np.full(b_ub.size, -np.inf), b_eq)),
+        row_upper=np.concatenate((b_ub, b_eq)),
         lower=np.full(columns, lower, dtype=float),
         upper=np.full(columns, upper, dtype=float),
         integrality=integrality,
         objective_resolution=resolution,
+    )
+
+
+def matrix(form):
+    """The form's constraint matrix as a SciPy CSR matrix."""
+    return sp.csc_matrix(
+        (form.value, form.index, form.start),
+        shape=(form.num_constraints(), form.num_variables()),
+    ).tocsr()
+
+
+def split_rows(form):
+    """``(a_ub, b_ub, a_eq, b_eq)``: the form's leading ``<=`` rows and its
+    ``=`` rows, as SciPy's ``linprog`` / ``milp`` take them."""
+    inequality = np.isneginf(form.row_lower)
+    count = int(inequality.sum())
+    assert inequality[:count].all()
+    assert (form.row_lower[count:] == form.row_upper[count:]).all()
+    rows = matrix(form)
+    return rows[:count], form.row_upper[:count], rows[count:], form.row_upper[count:]
+
+
+def satisfies_rows(form, x, tolerance=1e-6):
+    """Whether ``x`` meets every row's bounds to within ``tolerance``."""
+    activity = matrix(form) @ x
+    return bool(
+        (form.row_lower - tolerance <= activity).all()
+        and (activity <= form.row_upper + tolerance).all()
     )
 
 

@@ -31,6 +31,7 @@ from tests.lp.forms import (
     flow_forms,
     knapsacks,
     pure_lps,
+    split_rows,
 )
 
 _SCIPY_STATUSES = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
@@ -38,15 +39,17 @@ _SCIPY_STATUSES = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveSt
 
 def _through_the_wrapper(form):
     """``(status, x, objective, nodes, best_bound)`` as SciPy's wrapper
-    reports them, integer columns rounded as the backend rounds them."""
-    has_ub, has_eq = form.b_ub.size > 0, form.b_eq.size > 0
+    reports them, integer columns rounded as the backend rounds them.  The
+    wrapper is handed SciPy matrices rebuilt from the form's arrays."""
+    a_ub, b_ub, a_eq, b_eq = split_rows(form)
+    has_ub, has_eq = b_ub.size > 0, b_eq.size > 0
     if not form.integrality.any():
         outcome = optimize.linprog(
             c=form.c,
-            A_ub=form.a_ub if has_ub else None,
-            b_ub=form.b_ub if has_ub else None,
-            A_eq=form.a_eq if has_eq else None,
-            b_eq=form.b_eq if has_eq else None,
+            A_ub=a_ub if has_ub else None,
+            b_ub=b_ub if has_ub else None,
+            A_eq=a_eq if has_eq else None,
+            b_eq=b_eq if has_eq else None,
             bounds=np.column_stack((form.lower, form.upper)),
             method="highs",
         )
@@ -54,11 +57,9 @@ def _through_the_wrapper(form):
     else:
         constraints = []
         if has_ub:
-            constraints.append(
-                optimize.LinearConstraint(form.a_ub, -np.inf, form.b_ub)
-            )
+            constraints.append(optimize.LinearConstraint(a_ub, -np.inf, b_ub))
         if has_eq:
-            constraints.append(optimize.LinearConstraint(form.a_eq, form.b_eq, form.b_eq))
+            constraints.append(optimize.LinearConstraint(a_eq, b_eq, b_eq))
         with warnings.catch_warnings():
             # milp forwards an option it does not list, with a warning.
             warnings.simplefilter("ignore", RuntimeWarning)

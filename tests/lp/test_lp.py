@@ -17,7 +17,7 @@ from repro.lp import (
     SolveStatus,
     create_backend,
 )
-from tests.lp.forms import _form, _knapsack
+from tests.lp.forms import _form, _knapsack, satisfies_rows
 
 
 class TestScipySolver:
@@ -256,8 +256,9 @@ class TestBranchAndBound:
         assert result.statistics["nodes"] >= 1
         assert result.objective == pytest.approx(-5.0)
 
-    def test_consumes_the_sparse_form(self):
-        """The relaxations are handed the CSR matrices as they are."""
+    def test_consumes_the_column_wise_form(self):
+        """The relaxations are handed the form's column-wise arrays as they
+        are."""
         form = _knapsack([10, 13, 7, 8], [3, 4, 2, 3], 6)
         result = BranchAndBoundSolver().solve(form)
         assert result.status is SolveStatus.OPTIMAL
@@ -325,7 +326,7 @@ class TestSolverInterruption:
         assert limited.status.has_solution
         assert limited.x is not None, "the incumbent assignment must be returned"
         # The incumbent is genuinely feasible...
-        assert (form.a_ub @ limited.x <= form.b_ub + 1e-6).all()
+        assert satisfies_rows(form, limited.x)
         assert np.array_equal(limited.x, np.round(limited.x))
         # ...and no better than the true optimum.
         assert limited.objective >= optimal.objective - 1e-6

@@ -218,7 +218,6 @@ class TestExport:
 
     def test_the_export_equals_the_hand_built_form(self):
         assert_forms_identical(
-            _knapsack().to_standard_form(),
             _form(
                 [-10.0, -13.0, -7.0, -8.0],
                 a_ub=[[3.0, 4.0, 2.0, 3.0]],
@@ -226,10 +225,11 @@ class TestExport:
                 upper=1.0,
                 integer=range(4),
             ),
+            _knapsack().to_standard_form(),
         )
 
     def test_the_export_solves(self):
-        form = _knapsack().to_standard_form()
+        form = _knapsack().to_standard_form().standard_form()
         for backend in (ScipySolver(), BranchAndBoundSolver()):
             result = backend.solve(form)
             assert result.status is SolveStatus.OPTIMAL

@@ -15,6 +15,7 @@ from scipy import optimize
 
 from repro.lp import SolveStatus
 from repro.lp.scipy_backend import run_highs
+from tests.lp.forms import split_rows
 
 _SCIPY_STATUSES = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE, 3: SolveStatus.UNBOUNDED}
 
@@ -24,9 +25,10 @@ def test_the_heuristic_switch_moves_ties_never_the_optimum(component_solves):
     assert len(solves) >= 80
     for form, _answer in solves:
         ours = run_highs(form)
-        constraints = [optimize.LinearConstraint(form.a_ub, -np.inf, form.b_ub)]
-        if form.b_eq.size:
-            constraints.append(optimize.LinearConstraint(form.a_eq, form.b_eq, form.b_eq))
+        a_ub, b_ub, a_eq, b_eq = split_rows(form)
+        constraints = [optimize.LinearConstraint(a_ub, -np.inf, b_ub)]
+        if b_eq.size:
+            constraints.append(optimize.LinearConstraint(a_eq, b_eq, b_eq))
         default = optimize.milp(
             c=form.c,
             constraints=constraints,

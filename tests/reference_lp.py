@@ -2,11 +2,12 @@
 
 ``tests/reference_provisioning.py`` builds the provisioning MIP one
 ``Variable`` per column and one ``LinExpr`` / ``Constraint`` per row, and
-exports it with :meth:`Model.to_standard_form`; the array builder in
-:mod:`repro.core.provisioning` must hand the solver exactly that export.
-This module holds only what those builders call.  The export is the one
-the library used while it built the MIP this way, so its bytes (signed
-zeros included) are the ones the array builder is held to.
+exports it with :meth:`Model.to_standard_form` as a :class:`ReferenceForm`:
+SciPy CSR matrices ``a_ub`` / ``a_eq``, the shape the library's standard
+form had while it built the MIP this way.  :meth:`ReferenceForm.standard_form`
+is what HiGHS was handed from that export; the array builder in
+:mod:`repro.core.provisioning` must hand it exactly those arrays, signed
+zeros included.  This module holds only what those builders call.
 """
 
 from __future__ import annotations
@@ -170,8 +171,8 @@ class Model:
     def minimize(self, expression: LinExpr) -> None:
         self._objective = expression
 
-    def to_standard_form(self) -> StandardForm:
-        """Export the model as a sparse :class:`StandardForm`.
+    def to_standard_form(self) -> "ReferenceForm":
+        """Export the model as a :class:`ReferenceForm`.
 
         Constraints become ``(row, column, value)`` triplets in one pass,
         ``>=`` rows negated into ``A_ub``; the COO matrices sum duplicate
@@ -210,7 +211,7 @@ class Model:
             else:
                 ub_rhs.append(sign * rhs)
 
-        return StandardForm(
+        return ReferenceForm(
             c=c,
             a_ub=sp.coo_matrix(
                 (ub_coords[2], (ub_coords[0], ub_coords[1])),
@@ -227,5 +228,43 @@ class Model:
             integrality=np.array(
                 [1 if variable.is_integer else 0 for variable in variables], dtype=int
             ),
+            objective_resolution=self.objective_resolution,
+        )
+
+
+@dataclass
+class ReferenceForm:
+    """A program as the library's standard form held it before it kept the
+    arrays HiGHS reads: minimise ``c @ x`` subject to ``a_ub @ x <= b_ub``,
+    ``a_eq @ x == b_eq`` and ``lower <= x <= upper``, the two matrices
+    ``scipy.sparse.csr_matrix``."""
+
+    c: np.ndarray
+    a_ub: sp.csr_matrix
+    b_ub: np.ndarray
+    a_eq: sp.csr_matrix
+    b_eq: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    integrality: np.ndarray
+    objective_resolution: Optional[float] = None
+
+    def standard_form(self) -> StandardForm:
+        """The arrays HiGHS was handed for this form: the ``a_ub`` rows
+        (lower bound ``-inf``) stacked over the ``a_eq`` rows and converted
+        to CSC, as SciPy's ``milp`` stacks them."""
+        matrix = sp.vstack([self.a_ub, self.a_eq], format="csr").tocsc()
+        return StandardForm(
+            c=self.c,
+            start=matrix.indptr,
+            index=matrix.indices,
+            value=matrix.data.astype(np.float64),
+            row_lower=np.concatenate(
+                (np.full(self.b_ub.size, -np.inf), self.b_eq)
+            ).astype(np.float64),
+            row_upper=np.concatenate((self.b_ub, self.b_eq)).astype(np.float64),
+            lower=self.lower,
+            upper=self.upper,
+            integrality=self.integrality,
             objective_resolution=self.objective_resolution,
         )

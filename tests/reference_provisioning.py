@@ -9,14 +9,17 @@ that builder was itself once checked against: a full rescan of every
 statement's edges for every physical link, grown with the copying ``+``.
 
 Tests hold :func:`repro.core.provisioning.build_model_for_links` to these:
-the standard form it builds must equal their ``to_standard_form()`` array
-for array.
+the standard form it builds must hold, array for array, what HiGHS was
+handed from their ``to_standard_form()``
+(:meth:`tests.reference_lp.ReferenceForm.standard_form`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.ast import Statement
 from repro.core.localization import LocalRates
@@ -370,20 +373,27 @@ def _edge_tiebreaker(
 
 
 def assert_forms_identical(form, expected):
-    """Equal arrays, dtype and bytes included (so no -0.0 for 0.0 either),
-    and the same declared objective resolution (which the naive builder
-    does not declare)."""
-    for name in ("c", "b_ub", "b_eq", "lower", "upper", "integrality"):
-        ours, theirs = getattr(form, name), getattr(expected, name)
+    """``form`` holds exactly what HiGHS was handed for the reference form
+    ``expected``: equal ``c``, bounds and integrality, dtype and bytes
+    included (so no -0.0 for 0.0 either); equal row bounds and column-wise
+    ``start`` / ``index`` / ``value``, their bytes compared at the types
+    HiGHS stores them in (32-bit indices, float64); and the same declared
+    objective resolution (which the naive builder does not declare)."""
+    handed = expected.standard_form()
+    for name in ("c", "lower", "upper", "integrality"):
+        ours, theirs = getattr(form, name), getattr(handed, name)
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
         assert ours.tobytes() == theirs.tobytes(), name
-    for name in ("a_ub", "a_eq"):
-        ours, theirs = getattr(form, name), getattr(expected, name)
+    for name, dtype in (
+        ("start", np.int32),
+        ("index", np.int32),
+        ("value", np.float64),
+        ("row_lower", np.float64),
+        ("row_upper", np.float64),
+    ):
+        ours, theirs = getattr(form, name), getattr(handed, name)
         assert ours.shape == theirs.shape, name
-        for part in ("indptr", "indices", "data"):
-            mine, wanted = getattr(ours, part), getattr(theirs, part)
-            assert mine.dtype == wanted.dtype, (name, part)
-            assert mine.tobytes() == wanted.tobytes(), (name, part)
+        assert ours.astype(dtype).tobytes() == theirs.astype(dtype).tobytes(), name
     if expected.objective_resolution is not None:
         assert form.objective_resolution == expected.objective_resolution
 
