@@ -206,6 +206,18 @@ class TestPrimalHeuristic:
             with pytest.raises(SolverError, match="provisioning path model"):
                 PrimalHeuristicSolver().solve(dataclasses.replace(form, layout=layout))
 
+    def test_rejects_rows_the_layout_does_not_have(self):
+        """The rows are cross-checked too: the layout puts each link's two
+        ``<=`` rows first and every other row is an equality."""
+        form = _provisioning_model().model
+        for row, bound in ((0, 0.0), (-1, -np.inf)):
+            row_lower = form.row_lower.copy()
+            row_lower[row] = bound
+            with pytest.raises(SolverError, match="form's rows"):
+                PrimalHeuristicSolver().solve(
+                    dataclasses.replace(form, row_lower=row_lower)
+                )
+
     def test_feasible_on_provisioning_model(self):
         form = _provisioning_model().model
         result = PrimalHeuristicSolver().solve(form)
