@@ -150,7 +150,6 @@ def _program(cursor: TokenCursor) -> ParsedProgram:
     formula: Formula = FTrue()
     if cursor.match("COMMA"):
         formula = _formula(cursor)
-    cursor.expect_end()
     return ParsedProgram(bindings=tuple(bindings), items=tuple(items), formula=formula)
 
 
@@ -321,7 +320,7 @@ def _bandwidth_term(cursor: TokenCursor) -> BandwidthTerm:
 
 def parse_program(source: str) -> ParsedProgram:
     """Parse policy source into the surface-level :class:`ParsedProgram`."""
-    return _program(TokenCursor(tokenize(source), "policy source"))
+    return TokenCursor(tokenize(source), "policy source").read_all(_program)
 
 
 def parse_policy(source: str, topology=None) -> Policy:

@@ -15,19 +15,39 @@ field names (``tcp.dst``) are recognised as single tokens so that the parser
 never has to re-assemble them, and so that the lone ``.`` of path expressions
 is never confused with the dots inside addresses and field names.
 
-A policy is tens of kilobytes, so the tokeniser does one regular-expression
-match per token.  Whitespace and ``#`` / ``//`` comments are not tokens: the
-master pattern skips them in an atomic prefix in front of the token
-alternatives (atomic so that a comment can never give back characters for a
-token to match).  A token's line advances by the newlines between the
-previous token's start and its own, which counts the one a rate's unit may
-sit behind (``50\\nMB/s``) too.  A :class:`Token` is a named tuple.
+A policy is tens of kilobytes, so the tokeniser is one ``finditer`` walk of
+one master pattern, one match per token.  A match is a group holding the
+separators in front of the token (whitespace and ``#`` / ``//`` comments,
+which are not tokens), then the :data:`_TOKEN_SPEC` alternatives in order,
+each closed by an empty group of its own, then a catch-all ``.|\\Z``.  The
+last group to close (``lastindex``) names the kind: a token's own empty
+group, or the separator group when only the catch-all matched, which is
+either a character no token starts with or the end of the input.  Closing
+an alternative with its group, rather than opening it with one, keeps the
+alternative's first test at the front of its branch: the regular-expression
+engine skips a branch that starts with a literal or a character set the
+next character fails without entering it, and a group in front would stop
+that.
+
+The catch-all is what keeps a comment from being lexed.  After the longest
+run of separators the next character is either the end of the input or one
+the catch-all's ``.`` matches, so the pattern matches wherever the previous
+match ended, with every separator consumed: nothing backtracks into a
+comment, and the walk never resynchronises further on, which would land
+inside a trailing comment (without ``\\Z``, ``# a b`` would lex ``a``,
+``b``).  The separators are possessive as well, the fastest form of the
+same longest run.
+
+A token's line advances only when it starts past the next newline not yet
+counted, by the newlines in between, which counts the one a rate's unit
+may sit behind (``50\\nMB/s``) too.  A :class:`Token` is a named tuple,
+built with ``tuple.__new__`` to skip its Python-level constructor.
 """
 
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import LexerError, ParseError
 
@@ -53,8 +73,9 @@ KEYWORDS = frozenset(
 #: Token kinds that can stand as the value of a field test or a set element.
 VALUE_KINDS = frozenset({"MAC", "IP", "HEX", "NUMBER", "IDENT"})
 
-#: Whitespace and comments, skipped in front of every token.
-_SEPARATORS = r"(?>(?:[ \t\r\n]+|(?:#|//)[^\n]*)*)"
+#: Whitespace and comments, skipped in front of every token (the longest
+#: run; possessive, so it is never re-tried shorter).
+_SEPARATORS = r"[ \t\r\n]*+(?:(?:#|//)[^\n]*+[ \t\r\n]*+)*+"
 
 _TOKEN_SPEC = [
     ("RATE", r"\d+(?:\.\d+)?\s*(?:[KMGT]?B/s|[kmgt]?bps|[KMGT]bps|[KMGT]Bps)"),
@@ -84,14 +105,16 @@ _TOKEN_SPEC = [
     ("EQUALS", r"="),
 ]
 
-#: Separators, then one token; ``lastgroup`` names its kind.
+#: The separators (group 1), then each ``_TOKEN_SPEC`` alternative closed by
+#: an empty group of its own, then the catch-all: an unexpected character,
+#: or the end of the input.
 _MASTER_RE = re.compile(
-    _SEPARATORS
-    + "(?:"
-    + "|".join(f"(?P<{name}>{pattern})" for name, pattern in _TOKEN_SPEC)
-    + ")"
+    f"({_SEPARATORS})(?:"
+    + "|".join(f"{pattern}()" for _, pattern in _TOKEN_SPEC)
+    + r"|.|\Z)"
 )
-_SEPARATORS_RE = re.compile(_SEPARATORS)
+#: A match's ``lastindex`` -> its token kind (``None`` for the catch-all).
+_KINDS = (None, None, *(name for name, _ in _TOKEN_SPEC))
 
 
 class Token(NamedTuple):
@@ -117,41 +140,45 @@ def error_at(token: Token, message: str) -> ParseError:
 def tokenize(source: str) -> List[Token]:
     """Tokenise Merlin source, skipping whitespace and comments."""
     tokens: List[Token] = []
+    append = tokens.append
+    new = tuple.__new__
+    kinds = _KINDS
     line = 1
     line_start = 0  # index of the first character of ``line``
-    previous = 0  # start of the previous token
-    position = 0
-    match = _MASTER_RE.match(source)
-    while match is not None:
-        kind = match.lastgroup
-        start = match.start(kind)
-        newlines = source.count("\n", previous, start)
-        if newlines:
-            line += newlines
-            line_start = source.rfind("\n", previous, start) + 1
-        text = match.group(kind)
+    end = len(source)
+    next_newline = source.find("\n") % (end + 1)  # ``end`` if there is none
+    for match in _MASTER_RE.finditer(source):
+        kind = kinds[match.lastindex]
+        start = match.end(1)
+        if start > next_newline:
+            line += source.count("\n", next_newline, start)
+            line_start = source.rfind("\n", next_newline, start) + 1
+            next_newline = source.find("\n", start) % (end + 1)
+        if kind is None:
+            if start < end:
+                raise LexerError(
+                    f"unexpected character {source[start]!r}",
+                    line=line,
+                    column=start - line_start + 1,
+                )
+            break
+        text = source[start : match.end()]
         if kind == "IDENT" and text in KEYWORDS:
             kind = "KEYWORD"
-        tokens.append(Token(kind, text, line, start - line_start + 1))
-        previous = start
-        position = match.end()
-        match = _MASTER_RE.match(source, position)
-    position = _SEPARATORS_RE.match(source, position).end()
-    if position < len(source):
-        raise LexerError(
-            f"unexpected character {source[position]!r}",
-            line=source.count("\n", 0, position) + 1,
-            column=position - source.rfind("\n", 0, position),
-        )
+        append(new(Token, (kind, text, line, start - line_start + 1)))
     return tokens
+
+
+T = TypeVar("T")
 
 
 class TokenCursor:
     """A read position in a token list: the token utilities of every grammar.
 
     ``what`` names the thing being read (``"policy source"``,
-    ``"predicate"``, ``"path expression"``) for the two errors that are about
-    the input as a whole: running out of it and having some left over.
+    ``"predicate"``, ``"path expression"``) for the errors that are about
+    the input as a whole: running out of it, having some left over and
+    nesting it too deeply.
     """
 
     def __init__(self, tokens: Sequence[Token], what: str) -> None:
@@ -202,17 +229,32 @@ class TokenCursor:
             return True
         return False
 
-    def expect_end(self) -> None:
-        """Refuse input left over after a complete parse."""
+    def read_all(self, rule: Callable[["TokenCursor"], T]) -> T:
+        """Read the whole input with ``rule``, the way every entry point does.
+
+        Input left over is refused.  So is nesting deeper than the
+        interpreter's stack: the rules recurse on a parenthesis (and on a
+        path's or a formula's ``!``), and the ``RecursionError`` becomes a :class:`ParseError` at the last token
+        read, so ``except ParseError`` still catches every malformed source.
+        """
+        try:
+            result = rule(self)
+        except RecursionError:
+            deepest = self._tokens[max(self._index - 1, 0)]
+            raise error_at(deepest, f"{self._what} nested too deeply") from None
         trailing = self.peek()
         if trailing is not None:
             raise error_at(
                 trailing, f"unexpected trailing input {trailing.text!r} in {self._what}"
             )
+        return result
 
     def _end_position(self) -> tuple:
         """The (line, column) just past the last token, where input ran out."""
         if not self._tokens:
             return (1, 1)
         last = self._tokens[-1]
+        newlines = last.text.count("\n")  # a rate's unit may sit on the next line
+        if newlines:
+            return (last.line + newlines, len(last.text) - last.text.rfind("\n"))
         return (last.line, last.column + len(last.text))

@@ -18,6 +18,7 @@ from typing import Any, Callable, Dict, Optional
 from ..errors import FieldError
 
 _MAC_RE = re.compile(r"^([0-9a-fA-F]{1,2})(:[0-9a-fA-F]{1,2}){5}$")
+_CANONICAL_MAC_RE = re.compile(r"[0-9a-f]{2}(?::[0-9a-f]{2}){5}")
 _IPV4_RE = re.compile(r"^(\d{1,3})(\.\d{1,3}){3}$")
 
 _PROTO_NAMES = {"icmp": 1, "igmp": 2, "tcp": 6, "udp": 17, "gre": 47, "esp": 50}
@@ -25,6 +26,8 @@ _ETHERTYPE_NAMES = {"ip": 0x0800, "arp": 0x0806, "ipv6": 0x86DD, "vlan": 0x8100}
 
 
 def _normalize_mac(value: Any) -> str:
+    if type(value) is str and _CANONICAL_MAC_RE.fullmatch(value):
+        return value  # already canonical: two lower-case hex digits per octet
     text = str(value).strip().lower().replace("-", ":")
     if not _MAC_RE.match(text):
         raise FieldError(f"invalid MAC address: {value!r}")

@@ -92,6 +92,4 @@ def parse_path_expression(source: str) -> Regex:
     cursor = TokenCursor(tokenize(source), "path expression")
     if cursor.at_end():
         raise ParseError("empty path expression")
-    result = path_expression(cursor)
-    cursor.expect_end()
-    return result
+    return cursor.read_all(path_expression)

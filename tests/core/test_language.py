@@ -1,5 +1,7 @@
 """Tests for the Merlin policy language: lexer, parser, sugar, and policy AST."""
 
+import re
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -9,13 +11,15 @@ from repro.core.ast import (
     FAnd,
     FMax,
     FMin,
+    FNot,
+    FOr,
     FTrue,
     Policy,
     Statement,
     formula_and,
     formula_clauses,
 )
-from repro.lexer import _TOKEN_SPEC, KEYWORDS, tokenize
+from repro.lexer import _MASTER_RE, _TOKEN_SPEC, KEYWORDS, tokenize
 from repro.core.parser import parse_policy, parse_program
 from repro.predicates import FieldTest, parse_predicate, pred_and, pred_not, pred_or
 from repro.predicates.ast import FALSE, TRUE
@@ -90,11 +94,25 @@ class TestLexer:
             tokenize("max(x, 50\nMB/s) and\n @")
         assert (error.value.line, error.value.column) == (3, 2)
 
+    def test_token_table_has_no_capture_groups(self):
+        # The kind of a token is the index of the last group to close, so a
+        # capture group inside a pattern would shift every kind after it.
+        assert [re.compile(pattern).groups for _, pattern in _TOKEN_SPEC] == [0] * len(
+            _TOKEN_SPEC
+        )
+        assert _MASTER_RE.groups == len(_TOKEN_SPEC) + 1
+
     @settings(max_examples=200, deadline=None)
     @given(source=_SOURCES)
     @example(source="tcp.dst = 80# web")
     @example(source="tcp.dst = 80 // web\n@ x")
     @example(source="max(x, 50\nMB/s) and\n y")
+    @example(source="")
+    @example(source="  \n")
+    @example(source="# a b")
+    @example(source="x // y z")
+    @example(source="x #")
+    @example(source="@")
     def test_tokens_and_errors_match_the_reference_loop(self, source):
         try:
             expected = reference_lexer.tokenize(source)
@@ -244,6 +262,100 @@ def _predicates():
     )
 
 
+_IDENTIFIERS = ("a", "b", "c", "d")
+_RATES = st.floats(min_value=0.0, max_value=1e12, allow_nan=False).map(Bandwidth)
+
+
+def _terms(identifiers):
+    return st.builds(
+        BandwidthTerm,
+        identifiers=st.lists(st.sampled_from(identifiers), min_size=1, max_size=3).map(tuple),
+        constant=st.one_of(st.just(Bandwidth(0.0)), _RATES),
+    )
+
+
+def _formulas(identifiers):
+    leaves = st.one_of(
+        st.builds(FMax, _terms(identifiers), _RATES), st.builds(FMin, _terms(identifiers), _RATES)
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.builds(FAnd, children, children),
+            st.builds(FOr, children, children),
+            st.builds(FNot, children),
+        ),
+        max_leaves=6,
+    )
+
+
+def _left_nested(formula):
+    """``formula`` with every chain of ``and`` nested to the left, as it reads back."""
+    if isinstance(formula, FAnd):
+        clauses = [_left_nested(clause) for clause in formula_clauses(formula)]
+        result = clauses[0]
+        for clause in clauses[1:]:
+            result = FAnd(result, clause)
+        return result
+    if isinstance(formula, FOr):
+        return FOr(_left_nested(formula.left), _left_nested(formula.right))
+    if isinstance(formula, FNot):
+        return FNot(_left_nested(formula.operand))
+    return formula
+
+
+@st.composite
+def _policy_sources(draw):
+    """Source of a 2-4 statement policy with ``at`` annotations and a formula,
+    and the statements and formula clauses it must read as."""
+    identifiers = _IDENTIFIERS[: draw(st.integers(2, len(_IDENTIFIERS)))]
+    lines, statements, annotations = [], [], []
+    for identifier in identifiers:
+        predicate = draw(_predicates())
+        path = draw(_PATHS)
+        assume("ε" not in str(path))
+        specs = draw(st.lists(st.tuples(st.sampled_from([FMax, FMin]), _RATES), max_size=2))
+        at = " and ".join(
+            f"{'max' if kind is FMax else 'min'}({rate.policy_literal()})" for kind, rate in specs
+        )
+        lines.append(f"{identifier} : ({predicate}) -> {path}" + (f" at {at}" if at else ""))
+        statements.append(Statement(identifier, predicate, path))
+        term = BandwidthTerm(identifiers=(identifier,))
+        annotations.extend(kind(term, rate) for kind, rate in specs)
+    formula = draw(st.one_of(st.none(), _formulas(identifiers)))
+    source = "[ " + " ;\n  ".join(lines) + " ]"
+    clauses = list(annotations)
+    if formula is not None:
+        source += f",\n{formula}"
+        clauses = [_left_nested(clause) for clause in formula_clauses(formula)] + clauses
+    return source, tuple(statements), clauses
+
+
+class TestRoundTrip:
+    """``Policy.to_source()`` reads back as the policy it prints."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=_policy_sources())
+    def test_policies_round_trip(self, drawn):
+        source, statements, clauses = drawn
+        policy = parse_policy(source)
+        assert policy.statements == statements
+        assert formula_clauses(policy.formula) == clauses
+        # One round may re-nest ``and`` chains, which ``str`` does not print;
+        # after it the policy is a fixed point.
+        reparsed = parse_policy(policy.to_source())
+        assert reparsed.statements == policy.statements
+        assert [_left_nested(clause) for clause in formula_clauses(reparsed.formula)] == clauses
+        assert parse_policy(reparsed.to_source()) == reparsed
+        assert reparsed.to_source() == policy.to_source()
+
+    def test_an_and_chain_reads_back_left_nested(self):
+        x, y, z = (FMax(BandwidthTerm(identifiers=("a",)), Bandwidth.mbps(n)) for n in (1, 2, 3))
+        statement = Statement("a", TRUE, parse_path_expression(".*"))
+        policy = Policy(statements=(statement,), formula=FAnd(x, FAnd(y, z)))
+        assert parse_policy(policy.to_source()).formula == FAnd(FAnd(x, y), z)
+
+
 class TestOneGrammar:
     """The three entry points read the same tokens through the same rules."""
 
@@ -306,6 +418,40 @@ class TestOneGrammar:
             parse(source)
         assert isinstance(error.value, LexerError)
         assert error.value.line == 1 and error.value.column >= 1
+
+    def test_running_out_after_a_multi_line_token_is_placed_past_it(self):
+        # The last token is a rate whose unit sits on the next line.
+        with pytest.raises(ParseError, match="unexpected end of policy source") as error:
+            parse_policy("[ x : true -> .* ], max(x, 50\nMB/s")
+        assert (error.value.line, error.value.column) == (2, 5)
+        with pytest.raises(ParseError) as error:
+            parse_policy("[ x : true -> .* ], max(x, 50MB/s")
+        assert (error.value.line, error.value.column) == (1, 34)
+
+    @pytest.mark.parametrize(
+        "parse, source, what",
+        [
+            (parse_predicate, "(" * 5000 + "true" + ")" * 5000, "predicate"),
+            (parse_path_expression, "(" * 5000 + "a" + ")" * 5000, "path expression"),
+            (parse_path_expression, "!" * 5000 + "a", "path expression"),
+            (
+                parse_policy,
+                "[ x : true -> .* ],\n" + "(" * 5000 + "max(x, 1Mbps)" + ")" * 5000,
+                "policy source",
+            ),
+            (parse_policy, "[ x : true -> .* ],\n" + "!" * 5000 + "max(x, 1Mbps)", "policy source"),
+        ],
+        ids=["predicate", "path", "path-negations", "formula", "formula-negations"],
+    )
+    def test_nesting_past_the_stack_is_a_parse_error(self, parse, source, what):
+        with pytest.raises(ParseError, match=f"{what} nested too deeply") as error:
+            parse(source)
+        assert error.value.line == (2 if what == "policy source" else 1)
+        assert 1 < error.value.column < len(source)
+
+    def test_a_chain_of_negations_does_not_recurse(self):
+        assert parse_predicate("!" * 5000 + "true") == TRUE
+        assert parse_predicate("!" * 5001 + "tcp.dst = 80") == pred_not(FieldTest("tcp.dst", 80))
 
     def test_empty_path_expression_keeps_its_own_message(self):
         with pytest.raises(ParseError, match="empty path expression"):
