@@ -6,14 +6,16 @@ PYTEST := PYTHONPATH=src python -m pytest
 test:
 	$(PYTEST) -x -q
 
-# CI gate: tier-1 plus a byte-compile of the whole source tree (catches
-# syntax errors in modules the suite does not import).  Tier-1 already
-# collects every lint file and every figure script under benchmarks/, so
-# each test runs exactly once here; the lint-* and bench-* targets below
-# run one of them alone.
+# CI gate: tier-1, a byte-compile of the whole source tree (catches
+# syntax errors in modules the suite does not import) and the allocation
+# digest under three hash seeds (alloc-digest-seeds, below).  Tier-1
+# already collects every lint file and every figure script under
+# benchmarks/, so each test runs exactly once here; the lint-* and bench-*
+# targets below run one of them alone.
 check:
 	$(PYTEST) -x -q
 	python -m compileall -q src
+	$(MAKE) alloc-digest-seeds
 
 # One hash per compile of a fixed policy set (tests/alloc_digest.py), printed
 # as "<case> <digest>" lines: a change that must leave allocations alone

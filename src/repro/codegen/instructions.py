@@ -1,22 +1,28 @@
 """Instruction types emitted by code generation.
 
-Each dataclass corresponds to one of the backends described in §3.4 and used
+Each record corresponds to one of the backends described in §3.4 and used
 for the expressiveness measurement of Figure 4 (which reports counts of
 OpenFlow rules, ``tc`` rules, and queue configurations).  Every instruction
 can render itself to a textual form close to what the corresponding tool
 would accept, which the examples print and the tests sanity-check.
+
+Each record is a ``NamedTuple``, as :class:`repro.lexer.Token` is:
+immutable, so fragments share them across a session's bundles, with the
+``repr`` a frozen dataclass of the same fields would print, and built with
+one tuple allocation (a generator emits thousands per compile).  A record
+therefore also compares equal to a plain tuple of its values; bundles only
+ever compare records of one kind, list by list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..units import Bandwidth
 
 
-@dataclass(frozen=True)
-class OpenFlowRule:
+class OpenFlowRule(NamedTuple):
     """A forwarding rule installed on an OpenFlow switch."""
 
     switch: str
@@ -34,8 +40,7 @@ class OpenFlowRule:
         )
 
 
-@dataclass(frozen=True)
-class QueueConfig:
+class QueueConfig(NamedTuple):
     """A switch port queue configured for a bandwidth guarantee."""
 
     switch: str
@@ -55,8 +60,7 @@ class QueueConfig:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class TcCommand:
+class TcCommand(NamedTuple):
     """A Linux ``tc`` traffic-control command on an end host."""
 
     host: str
@@ -79,8 +83,7 @@ class TcCommand:
         ).rstrip()
 
 
-@dataclass(frozen=True)
-class IptablesRule:
+class IptablesRule(NamedTuple):
     """A Linux ``iptables`` filtering rule on an end host."""
 
     host: str
@@ -94,8 +97,7 @@ class IptablesRule:
         return f"iptables -A {self.chain} {selector} -j {self.action} # host={self.host}"
 
 
-@dataclass(frozen=True)
-class ClickConfig:
+class ClickConfig(NamedTuple):
     """A Click configuration fragment installing a packet function on a middlebox."""
 
     location: str

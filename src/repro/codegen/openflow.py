@@ -11,6 +11,12 @@ Two kinds of forwarding state are emitted:
   classifying match (derived from its predicate) is installed at the ingress
   switch, which pushes a dedicated VLAN tag; every switch along the selected
   path forwards on that tag; the egress switch pops the tag and delivers.
+
+Rules are built positionally, and the parts many rules of one tree or path
+carry (the tagged match, the ``push_vlan`` action, a host's ``dl_dst``
+match) are built once and shared: the records are immutable tuples, so
+sharing changes neither their value nor their ``repr``.  Each location on a
+path costs one topology lookup (:meth:`~repro.topology.graph.Topology.find`).
 """
 
 from __future__ import annotations
@@ -24,6 +30,11 @@ from ..predicates.transform import positive_field_tests
 from ..topology.graph import Topology
 from .instructions import OpenFlowRule
 from .vlan import VlanAllocator
+
+#: Builds a record from all of its fields at once, skipping the NamedTuple's
+#: Python-level ``__new__`` (argument binding and defaults): the per-switch
+#: loops of a sink tree make nearly every rule of a bundle through it.
+_record = tuple.__new__
 
 #: Header fields that OpenFlow 1.0-style matches can express directly.
 _MATCHABLE_FIELDS = {
@@ -70,26 +81,31 @@ def rules_for_sink_tree(
     an earlier call for a tree of the same root, hosts, tag and ingress
     switches: the rules of every switch whose next hop did not move are
     taken over from it, and only the rest are made anew.
+
+    The tree's tagged match, its ``push_vlan`` action and the per-host
+    ``dl_dst`` matches are built once and shared by the rules that carry
+    them, and each ingress switch's action pair once for all its hosts; the
+    per-switch loops build their records with ``tuple.__new__``.
     """
-    tag = vlans.tag_for_tree(tree.root)
+    root = tree.root
+    next_hops = tree.next_hop
+    tag = vlans.tag_for_tree(root)
+    tagged = ("dl_vlan", str(tag))
+    transit_match = (tagged,)
+    push = f"push_vlan:{tag}"
     macs = [(host, topology.node(host).mac or host) for host in tree.hosts]
+    host_matches = [(("dl_dst", mac),) for _host, mac in macs]
     old_hop, old_rules = previous if previous is not None else ({}, ())
     old_transit = {rule.switch: rule for rule in old_rules[: len(old_hop)]}
     rules: List[OpenFlowRule] = []
 
     # Transit rules: match the tag, forward towards the root.
-    for switch, next_hop in sorted(tree.next_hop.items()):
+    for switch, next_hop in sorted(next_hops.items()):
         if old_hop.get(switch) == next_hop:
             rules.append(old_transit[switch])
-            continue
-        rules.append(
-            OpenFlowRule(
-                switch=switch,
-                match=(("dl_vlan", str(tag)),),
-                actions=(f"output:{next_hop}",),
-                priority=100,
-            )
-        )
+        else:
+            actions = (f"output:{next_hop}",)
+            rules.append(_record(OpenFlowRule, (switch, transit_match, actions, 100, None)))
 
     # Egress delivery rules: strip the tag and forward to the host by MAC.
     position = len(old_hop)
@@ -99,10 +115,7 @@ def rules_for_sink_tree(
         for host, mac in macs:
             rules.append(
                 OpenFlowRule(
-                    switch=tree.root,
-                    match=(("dl_vlan", str(tag)), ("dl_dst", mac)),
-                    actions=("strip_vlan", f"output:{host}"),
-                    priority=200,
+                    root, (tagged, ("dl_dst", mac)), ("strip_vlan", f"output:{host}"), 200
                 )
             )
 
@@ -110,21 +123,19 @@ def rules_for_sink_tree(
     # tree's hosts are tagged as they enter the network.
     position += len(macs)
     for ingress in ingress_switches:
-        if ingress == tree.root:
+        if ingress == root:
             continue
-        first_hop = tree.next_hop.get(ingress, tree.root)
-        if previous is not None and old_hop.get(ingress, tree.root) == first_hop:
+        first_hop = next_hops.get(ingress, root)
+        if previous is not None and old_hop.get(ingress, root) == first_hop:
             rules.extend(old_rules[position : position + len(macs)])
         else:
-            for host, mac in macs:
-                rules.append(
-                    OpenFlowRule(
-                        switch=ingress,
-                        match=(("dl_dst", mac),),
-                        actions=(f"push_vlan:{tag}", f"output:{first_hop}"),
-                        priority=50,
-                    )
-                )
+            actions = (push, f"output:{first_hop}")
+            rules.extend(
+                [
+                    _record(OpenFlowRule, (ingress, match, actions, 50, None))
+                    for match in host_matches
+                ]
+            )
         position += len(macs)
     return rules
 
@@ -136,48 +147,45 @@ def rules_for_path(
     vlans: VlanAllocator,
 ) -> List[OpenFlowRule]:
     """Forwarding rules pinning one statement's traffic to its selected path."""
-    tag = vlans.tag_for_statement(assignment.statement_id)
-    rules: List[OpenFlowRule] = []
+    statement_id = assignment.statement_id
+    tag = vlans.tag_for_statement(statement_id)
     switch_hops = _switch_hops(topology, assignment)
     if not switch_hops:
-        return rules
-    classify_match = match_from_predicate(predicate)
+        return []
+    tagged = ("dl_vlan", str(tag))
+    transit_match = (tagged,)
 
     ingress_switch, first_next = switch_hops[0]
-    rules.append(
+    rules = [
         OpenFlowRule(
-            switch=ingress_switch,
-            match=classify_match,
-            actions=(f"push_vlan:{tag}", f"output:{first_next}"),
-            priority=300,
-            statement_id=assignment.statement_id,
+            ingress_switch,
+            match_from_predicate(predicate),
+            (f"push_vlan:{tag}", f"output:{first_next}"),
+            300,
+            statement_id,
         )
-    )
+    ]
     for switch, next_hop in switch_hops[1:]:
         rules.append(
-            OpenFlowRule(
-                switch=switch,
-                match=(("dl_vlan", str(tag)),),
-                actions=(f"output:{next_hop}",),
-                priority=300,
-                statement_id=assignment.statement_id,
-            )
+            OpenFlowRule(switch, transit_match, (f"output:{next_hop}",), 300, statement_id)
         )
     # Egress: strip the tag and deliver to the final location of the path.
-    egress_switch = switch_hops[-1][0] if switch_hops[-1][1] is None else switch_hops[-1][1]
+    last_switch, last_next = switch_hops[-1]
+    egress_switch = last_switch if last_next is None else last_next
     destination = assignment.path[-1]
+    destination_node = topology.find(destination)
     destination_mac = (
-        topology.node(destination).mac
-        if topology.has_node(destination) and topology.node(destination).mac
+        destination_node.mac
+        if destination_node is not None and destination_node.mac
         else destination
     )
     rules.append(
         OpenFlowRule(
-            switch=egress_switch if topology.node(egress_switch).is_switch else switch_hops[-1][0],
-            match=(("dl_vlan", str(tag)), ("dl_dst", destination_mac)),
-            actions=("strip_vlan", f"output:{destination}"),
-            priority=300,
-            statement_id=assignment.statement_id,
+            egress_switch if topology.node(egress_switch).is_switch else last_switch,
+            (tagged, ("dl_dst", destination_mac)),
+            ("strip_vlan", f"output:{destination}"),
+            300,
+            statement_id,
         )
     )
     return rules
@@ -199,7 +207,8 @@ def _switch_hops(
     ]
     hops: List[Tuple[str, Optional[str]]] = []
     for index, location in enumerate(path):
-        if not topology.has_node(location) or not topology.node(location).is_switch:
+        node = topology.find(location)
+        if node is None or not node.is_switch:
             continue
         next_hop = path[index + 1] if index + 1 < len(path) else None
         hops.append((location, next_hop))

@@ -39,11 +39,12 @@ class QueueAllocator:
 def queue_ports(topology: Topology, assignment: PathAssignment) -> Tuple[Port, ...]:
     """The ports a guaranteed path needs a queue on: every hop of the path
     that leaves a switch, in path order."""
-    return tuple(
-        (source, target)
-        for source, target in assignment.links()
-        if topology.has_node(source) and topology.node(source).is_switch
-    )
+    ports = []
+    for source, target in assignment.links():
+        node = topology.find(source)
+        if node is not None and node.is_switch:
+            ports.append((source, target))
+    return tuple(ports)
 
 
 def queues_for_path(

@@ -45,9 +45,8 @@ def tc_for_statement(
     interface: str = "eth0",
 ) -> List[TcCommand]:
     """``tc`` commands for one statement, installed at its source host."""
-    if source_host is None or not topology.has_node(source_host):
-        return []
-    if not topology.node(source_host).is_host:
+    node = topology.find(source_host) if source_host is not None else None
+    if node is None or not node.is_host:
         return []
     commands: List[TcCommand] = []
     selectors = _selectors(statement.predicate)

@@ -16,7 +16,7 @@ traffic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from ..errors import PolicyError
 from ..predicates.ast import Predicate
@@ -55,8 +55,22 @@ class Formula:
     """Base class for bandwidth-constraint formulas."""
 
     def identifiers(self) -> FrozenSet[str]:
-        """All statement identifiers mentioned in the formula."""
-        raise NotImplementedError
+        """All statement identifiers mentioned in the formula.
+
+        Leaves answer for themselves; a compound formula is walked with an
+        explicit stack, so a chain of thousands of clauses costs no
+        interpreter recursion.
+        """
+        names: Set[str] = set()
+        stack: List[Formula] = [self]
+        while stack:
+            formula = stack.pop()
+            children = formula.children()
+            if children:
+                stack.extend(children)
+            else:
+                names.update(formula.identifiers())
+        return frozenset(names)
 
     def children(self) -> Tuple["Formula", ...]:
         return ()
@@ -111,14 +125,13 @@ class FAnd(Formula):
     left: Formula
     right: Formula
 
-    def identifiers(self) -> FrozenSet[str]:
-        return self.left.identifiers() | self.right.identifiers()
-
     def children(self) -> Tuple[Formula, ...]:
         return (self.left, self.right)
 
     def __str__(self) -> str:
-        return f"{self.left} and {self.right}"
+        # ``and`` prints without parentheses, so every nested conjunction
+        # reads as one flat chain.
+        return " and ".join(str(operand) for operand in _conjuncts(self))
 
 
 @dataclass(frozen=True)
@@ -128,14 +141,19 @@ class FOr(Formula):
     left: Formula
     right: Formula
 
-    def identifiers(self) -> FrozenSet[str]:
-        return self.left.identifiers() | self.right.identifiers()
-
     def children(self) -> Tuple[Formula, ...]:
         return (self.left, self.right)
 
     def __str__(self) -> str:
-        return f"({self.left} or {self.right})"
+        # A left-nested chain prints as one parenthesised ``a or b or c``,
+        # which reads back as the same left-nested chain.
+        operands = [self.right]
+        left = self.left
+        while isinstance(left, FOr):
+            operands.append(left.right)
+            left = left.left
+        operands.append(left)
+        return "(" + " or ".join(str(operand) for operand in reversed(operands)) + ")"
 
 
 @dataclass(frozen=True)
@@ -143,9 +161,6 @@ class FNot(Formula):
     """Negation of a formula."""
 
     operand: Formula
-
-    def identifiers(self) -> FrozenSet[str]:
-        return self.operand.identifiers()
 
     def children(self) -> Tuple[Formula, ...]:
         return (self.operand,)
@@ -179,13 +194,24 @@ def _balanced_and(operands: List[Formula], low: int, high: int) -> Formula:
     return FAnd(_balanced_and(operands, low, middle), _balanced_and(operands, middle, high))
 
 
+def _conjuncts(formula: Formula) -> List[Formula]:
+    """The non-``and`` operands of a conjunction, left to right (an explicit
+    stack: a chain of thousands of clauses costs no recursion)."""
+    operands: List[Formula] = []
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FAnd):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            operands.append(node)
+    return operands
+
+
 def formula_clauses(formula: Formula) -> List[Formula]:
     """Flatten a conjunction into its list of non-``and`` clauses."""
-    if isinstance(formula, FTrue):
-        return []
-    if isinstance(formula, FAnd):
-        return formula_clauses(formula.left) + formula_clauses(formula.right)
-    return [formula]
+    return [clause for clause in _conjuncts(formula) if not isinstance(clause, FTrue)]
 
 
 # ---------------------------------------------------------------------------

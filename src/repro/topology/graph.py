@@ -131,6 +131,11 @@ class Topology:
     def has_node(self, name: str) -> bool:
         return name in self._nodes
 
+    def find(self, name: str) -> Optional[Node]:
+        """The node named ``name``, or ``None``: one lookup where
+        :meth:`has_node` and :meth:`node` would take two."""
+        return self._nodes.get(name)
+
     def nodes(self) -> List[Node]:
         """All nodes."""
         return [self._nodes[name] for name in sorted(self._nodes)]

@@ -304,6 +304,18 @@ def _left_nested(formula):
     return formula
 
 
+def _left_spine(formula, kind):
+    """The operands of a left-nested ``kind`` chain, left to right; every
+    right operand must be a leaf of the chain."""
+    operands = []
+    while isinstance(formula, kind):
+        assert not isinstance(formula.right, kind)
+        operands.append(formula.right)
+        formula = formula.left
+    operands.append(formula)
+    return operands[::-1]
+
+
 @st.composite
 def _policy_sources(draw):
     """Source of a 2-4 statement policy with ``at`` annotations and a formula,
@@ -354,6 +366,20 @@ class TestRoundTrip:
         statement = Statement("a", TRUE, parse_path_expression(".*"))
         policy = Policy(statements=(statement,), formula=FAnd(x, FAnd(y, z)))
         assert parse_policy(policy.to_source()).formula == FAnd(FAnd(x, y), z)
+
+    @pytest.mark.parametrize("kind", [FAnd, FOr], ids=["and", "or"])
+    def test_a_5000_clause_chain_parses_and_reads_back(self, kind):
+        """Parsing and printing walk a chain's spine: no recursion per clause."""
+        clauses = [
+            FMax(BandwidthTerm(identifiers=("x",)), Bandwidth.mbps(n + 1)) for n in range(5000)
+        ]
+        word = " and " if kind is FAnd else " or "
+        policy = parse_policy("[ x : true -> .* ], " + word.join(map(str, clauses)))
+        assert policy.formula.identifiers() == {"x"}
+        reparsed = parse_policy(policy.to_source())
+        assert _left_spine(policy.formula, kind) == clauses
+        assert _left_spine(reparsed.formula, kind) == clauses
+        assert reparsed.to_source() == policy.to_source()
 
 
 class TestOneGrammar:
