@@ -11,9 +11,10 @@ commands and ``iptables`` drop).  The instructions are immutable
 ``NamedTuple`` records, so a fragment taken over holds the very records
 of the previous bundle, and the sink trees' rules, nearly all of a
 bundle, share each tree's match and action tuples
-(:func:`~repro.codegen.openflow.rules_for_sink_tree`).  Each fragment is kept on the bundle it
-went into (:attr:`InstructionBundle.fragments`) beside the content it was
-generated from, and a :meth:`CodeGenerator.generate` handed the previous
+(:func:`~repro.codegen.openflow.rules_for_sink_tree`).  Each fragment is
+kept on the bundle it went into (:attr:`InstructionBundle.fragments`)
+beside the content it was generated from, and a
+:meth:`CodeGenerator.generate` handed the previous
 bundle of the same session takes over every fragment whose content still
 matches instead of generating it again:
 
