@@ -1,6 +1,6 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
-.PHONY: test check alloc-digest alloc-digest-seeds lint-clock lint-pool lint-automaton lint-pipeline lint-reach lint-imports bench bench-full bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
+.PHONY: test check loc alloc-digest alloc-digest-seeds lint-clock lint-pool lint-automaton lint-pipeline lint-reach lint-imports bench bench-full bench-repo bench-smoke bench-reprovision bench-churn bench-checkpoint bench-portfolio bench-telemetry bench-fabric
 
 # Tier-1 verification: the full unit + benchmark suite at quick scale.
 test:
@@ -16,6 +16,12 @@ check:
 	$(PYTEST) -x -q
 	python -m compileall -q src
 	$(MAKE) alloc-digest-seeds
+
+# The line count ROADMAP aim 2 tracks: every line of every tracked Python
+# file under src/repro (docstrings and comments included), so the number
+# has one definition.
+loc:
+	@git ls-files 'src/repro/*.py' | xargs cat | wc -l
 
 # One hash per compile of a fixed policy set (tests/alloc_digest.py), printed
 # as "<case> <digest>" lines: a change that must leave allocations alone

@@ -102,7 +102,7 @@ def _mark(engine):
 def _engine_state(engine):
     """A shadow copy of every piece of engine state a transaction protects."""
     return {
-        "records": dict(engine._records),
+        "records": dict(engine.records),
         "topology": engine.topology,
         "capacities": dict(engine._capacity_mbps),
     }
@@ -145,7 +145,7 @@ def _sustain_stream(engine, logical, events, seed=20140402):
     (committed, rolled_back); the caller checks the mirror population.
     """
     rng = random.Random(seed)
-    population = set(engine.statement_ids())
+    population = set(engine.records)
     mirror = set(population)
     next_join = len(population)
     committed = rolled_back = 0
@@ -181,7 +181,7 @@ def _sustain_stream(engine, logical, events, seed=20140402):
                 mirror.discard(touched[1])
             committed += 1
         engine.journal.release(saved)
-    assert set(engine.statement_ids()) == mirror
+    assert set(engine.records) == mirror
     return committed, rolled_back
 
 

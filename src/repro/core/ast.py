@@ -118,8 +118,38 @@ class FMin(Formula):
         return f"min({self.term}, {self.rate.policy_literal()})"
 
 
-@dataclass(frozen=True)
-class FAnd(Formula):
+class _Compound(Formula):
+    """A formula with operands, compared and hashed by its pre-order node
+    sequence (:func:`_preorder`) rather than field by field, so a chain of
+    thousands of clauses costs no interpreter recursion.  The sequence
+    determines the tree: each operator has a fixed number of operands."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _preorder(self) == _preorder(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
+
+def _preorder(formula: Formula) -> List[object]:
+    """``formula``'s nodes in pre-order, each compound node as its class
+    and each leaf as itself (an explicit stack)."""
+    nodes: List[object] = []
+    stack = [formula]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Compound):
+            nodes.append(node.__class__)
+            stack.extend(reversed(node.children()))
+        else:
+            nodes.append(node)
+    return nodes
+
+
+@dataclass(frozen=True, eq=False)
+class FAnd(_Compound):
     """Conjunction of two formulas."""
 
     left: Formula
@@ -134,8 +164,8 @@ class FAnd(Formula):
         return " and ".join(str(operand) for operand in _conjuncts(self))
 
 
-@dataclass(frozen=True)
-class FOr(Formula):
+@dataclass(frozen=True, eq=False)
+class FOr(_Compound):
     """Disjunction of two formulas."""
 
     left: Formula
@@ -156,8 +186,8 @@ class FOr(Formula):
         return "(" + " or ".join(str(operand) for operand in reversed(operands)) + ")"
 
 
-@dataclass(frozen=True)
-class FNot(Formula):
+@dataclass(frozen=True, eq=False)
+class FNot(_Compound):
     """Negation of a formula."""
 
     operand: Formula

@@ -7,11 +7,15 @@ bandwidth allocations (provisioning via the MIP for guaranteed traffic and
 sink trees or product-graph BFS for best-effort traffic), and generating
 low-level instructions for switches, middleboxes, and end hosts.
 
-There is one provisioning pipeline, and it is the *session*: one entry
-per statement of the compiled policy (statement, localized rates,
-endpoints, best-effort path), plus the
-:class:`~repro.incremental.engine.IncrementalProvisioner` that holds the
-guaranteed statements and their component solutions.
+There is one provisioning pipeline, and it is the *session*: the
+:class:`~repro.incremental.engine.IncrementalProvisioner` holding one
+:class:`~repro.incremental.solve.StatementRecord` per statement of the
+compiled policy (statement, localized rates, endpoints, best-effort path;
+a guaranteed statement's product graph and token) and the component
+solutions, plus what the statements share (the active topology, the sink
+trees, the walk cache).  The compiler keeps no per-statement state beside
+the engine's records: it derives each record's fields and hands them to
+the engine's four mutators, one journaled write each.
 :meth:`MerlinCompiler.compile` pre-processes and localizes the whole policy,
 opens an empty session, enters every statement through the same mutators a
 delta uses, and returns what the shared finalize (resolve the engine,
@@ -34,9 +38,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .. import telemetry
 from ..codegen.generator import CodeGenerator
@@ -50,10 +53,9 @@ from .allocation import (
     CompilationResult,
     CompilationStatistics,
     PathAssignment,
-    RateAllocation,
 )
 from .ast import Policy, Statement
-from .localization import LocalRates, local_clauses, localize, localized_formula
+from .localization import LocalRates, localize, localized_formula
 from .logical import (
     ProductWalk,
     build_logical_topology,
@@ -65,6 +67,7 @@ from .options import ProvisionOptions
 from ..incremental.delta import TopologyDelta
 from ..incremental.engine import IncrementalProvisioner
 from ..incremental.journal import UndoJournal
+from ..incremental.solve import StatementRecord
 from .parser import parse_policy
 from .preprocessor import DEFAULT_STATEMENT_ID, preprocess
 from .provisioning import PathSelectionHeuristic, _assign_functions
@@ -76,85 +79,27 @@ def _is_unconstrained_path(path: Regex) -> bool:
     return isinstance(path, Star) and isinstance(path.operand, Dot)
 
 
-@dataclass(frozen=True)
-class _StatementEntry:
-    """Everything the session holds about one statement.
-
-    Entries are immutable and swapped whole, like the engine's records: a
-    mutator journals one dict write, and a rollback puts the previous
-    entry back with everything on it.
-    """
-
-    statement: Statement
-    rates: LocalRates
-    endpoints: Tuple[Optional[str], Optional[str]]
-    #: Insertion-order stamp.  Statement *order* is behaviorally visible
-    #: (codegen allocates VLANs/queues in policy order), but a journaled
-    #: rollback restores dict *contents*, not insertion order (undoing a
-    #: deletion re-inserts at the end), so the order is recorded here and
-    #: everything order-sensitive reads :meth:`_CompilerSession.ordered`.
-    stamp: int
-    #: Whether this is the preprocessor's generated catch-all (as opposed
-    #: to a user-authored statement that happens to be named "default").
-    generated: bool = False
-    #: Physical-link footprint (sorted pairs) of the *untightened* product
-    #: graph on the *pristine* topology: read off the materialised graph of
-    #: a guaranteed statement, returned by the search of a constrained
-    #: best-effort one, ``None`` while neither has happened (an
-    #: unconstrained best-effort statement).  Because the product
-    #: construction is monotone in the topology (a subgraph's product is a
-    #: subgraph of the pristine product), a topology change can only affect
-    #: a statement whose pristine footprint intersects the changed links —
-    #: the exact test the topology-delta path uses to skip rebuilds.
-    footprint: Optional[FrozenSet[Tuple[str, str]]] = None
-    #: A constrained best-effort statement's breadth-first shortest path
-    #: through its product graph (unconstrained ones ride the sink trees
-    #: instead).
-    best_effort: Optional[PathAssignment] = None
-    #: Whether a constrained best-effort statement's path expression admits
-    #: no path on the active topology.
-    infeasible: bool = False
-
-    @property
-    def identifier(self) -> str:
-        return self.statement.identifier
-
-    # What the finalize reads off an entry is derived from it once, on
-    # first use, and lives on the entry: a mutator that changes the rates
-    # makes a new entry, and a rollback puts the old one back with its own.
-
-    @cached_property
-    def allocation(self) -> RateAllocation:
-        """The statement's rates as the result reports them."""
-        return RateAllocation.from_local_rates(self.rates)
-
-    @cached_property
-    def clauses(self) -> Tuple:
-        """The statement's clauses of the localized formula."""
-        return local_clauses(self.rates)
-
-
 @dataclass
 class _CompilerSession:
     """The live state of the compiled policy: what every compile fills and
     every recompile edits.
 
+    The statements themselves live in the engine, one
+    :class:`~repro.incremental.solve.StatementRecord` each
+    (``engine.records``); the session holds what is shared by all of them.
     Transactions are undo-journal based (see
     ``repro.incremental.journal``): every mutation the pipeline performs on
     the session flows through :attr:`journal` — the engine's own — so one
     mark covers both, taking it is O(1), and a rollback replays only the
     entries the transaction touched, the session's and the engine's in the
-    order they happened.  Two things are deliberately not rolled back.
-    The ``logical_cache`` of path-expression walks is a pure
-    content-addressed memo (key determines value), so stale-free by
-    construction; the topology-delta path *rebinds* it (journaled), it is
-    never required to match a never-failed session entry-for-entry.  And :attr:`stamps`, like the engine's record
-    tokens, is never rewound: only the relative order of stamps is ever
-    read, and a stamp spent inside a failed transaction leaves that order
-    among the surviving entries untouched.
+    order they happened.  The ``logical_cache`` of path-expression walks is
+    deliberately not rolled back: it is a pure content-addressed memo (key
+    determines value), so stale-free by construction; the topology-delta
+    path *rebinds* it (journaled), it is never required to match a
+    never-failed session entry-for-entry.
     """
 
-    #: The provisioning engine holding the guaranteed statements; created
+    #: The provisioning engine holding every statement's record; created
     #: with the session, before the first statement enters.
     engine: IncrementalProvisioner
     #: The topology the session currently compiles against: the compiler's
@@ -163,10 +108,6 @@ class _CompilerSession:
     #: uses this, so session results stay identical to a from-scratch
     #: compile on the degraded network.
     active_topology: Topology
-    #: The per-statement state, all of it, by statement identifier.
-    entries: Dict[str, _StatementEntry] = field(default_factory=dict)
-    #: Source of the entries' insertion stamps (see the class docstring).
-    stamps: Iterator[int] = field(default_factory=itertools.count)
     #: The unpinned :class:`~repro.core.logical.ProductWalk` of each path
     #: expression a constrained best-effort statement has searched on the
     #: active topology; every such statement with that expression
@@ -184,23 +125,19 @@ class _CompilerSession:
     def journal(self) -> UndoJournal:
         return self.engine.journal
 
-    def ordered(self) -> List[_StatementEntry]:
-        """The entries in insertion order (rollback-stable)."""
-        return sorted(self.entries.values(), key=attrgetter("stamp"))
+    def ordered(self) -> List[StatementRecord]:
+        """The engine's records in insertion order (rollback-stable)."""
+        return sorted(self.engine.records.values(), key=attrgetter("stamp"))
 
-    def user_entry(self, identifier: str) -> Optional[_StatementEntry]:
-        """The entry of a statement a delta may name.
+    def user_record(self, identifier: str) -> Optional[StatementRecord]:
+        """The record of a statement a delta may name.
 
         The generated catch-all is not one: removing it would silently
         no-op (the refresh recreates it) and its rates are not the
         user's to set, so it is as unknown as any other absent identifier.
         """
-        entry = self.entries.get(identifier)
-        return None if entry is None or entry.generated else entry
-
-    def put(self, entry: _StatementEntry) -> None:
-        """Install (or replace) a statement's entry (journaled)."""
-        self.journal.set_item(self.entries, entry.identifier, entry)
+        record = self.engine.records.get(identifier)
+        return None if record is None or record.generated else record
 
 
 @dataclass
@@ -582,33 +519,34 @@ class MerlinCompiler:
         cost-bounded path ever used) is skipped entirely, keeping cached
         component solutions valid.  A guaranteed statement with *no*
         surviving path raises (and rolls the transaction back) — the
-        network can no longer carry its guarantee at all.  Best-effort
-        statements are entered anew: constrained ones search their
-        product graph again and may move between feasible and infeasible,
-        unconstrained ones (a demoted statement keeps the footprint its
-        guarantee recorded) follow the sink trees as before.
+        network can no longer carry its guarantee at all.  Constrained
+        best-effort statements search their product graph again (a new
+        record through the same ``replace_logical``) and may move between
+        feasible and infeasible; unconstrained ones (a demoted statement
+        keeps the footprint its guarantee recorded) keep their record and
+        follow the sink trees as before.
         """
-        for entry in session.ordered():
-            if entry.footprint is None or not (entry.footprint & changed):
+        engine = session.engine
+        for record in session.ordered():
+            if record.footprint is None or not (record.footprint & changed):
                 continue
-            if not entry.rates.is_guaranteed:
-                session.put(self._enter_best_effort(session, entry))
+            identifier = record.identifier
+            if not record.rates.is_guaranteed:
+                fields = self._fields(
+                    session, record.statement, False, record.endpoints, record.footprint
+                )
+                if fields:
+                    engine.replace_logical(identifier, **fields)
                 continue
-            identifier = entry.identifier
-            source, destination = entry.endpoints
-            logical = self._logical_for(
-                session, entry.statement, source, destination
-            )
+            logical = self._logical_for(session, record.statement, *record.endpoints)
             if logical.num_edges() == 0:
                 raise ProvisioningError(
                     f"statement {identifier!r} has no feasible path "
                     "satisfying its path expression on the degraded "
                     "topology"
                 )
-            previous = session.engine.untightened_for(identifier)
-            if set(previous.pairs) == set(logical.pairs):
-                continue
-            session.engine.replace_logical(identifier, logical)
+            if set(record.logical.pairs) != set(logical.pairs):
+                engine.replace_logical(identifier, logical)
 
     def _finalize(
         self,
@@ -630,24 +568,24 @@ class MerlinCompiler:
         active = session.active_topology
         provisioning = session.engine.resolve()
 
-        # Everything below reads the entries in stamp order, not raw dict
+        # Everything below reads the records in stamp order, not raw dict
         # order: journaled rollback restores dict contents but can
         # re-insert undeleted keys at the end, and statement order is
         # byte-visible downstream (codegen allocates VLANs/queues in
         # policy order).
-        entries = session.ordered()
+        records = session.ordered()
         paths: Dict[str, PathAssignment] = dict(provisioning.paths)
         paths.update(
-            (entry.identifier, entry.best_effort)
-            for entry in entries
-            if entry.best_effort is not None
+            (record.identifier, record.best_effort)
+            for record in records
+            if record.best_effort is not None
         )
-        rates = {entry.identifier: entry.allocation for entry in entries}
+        rates = {record.identifier: record.allocation for record in records}
         if policy is None:
             policy = Policy(
-                statements=tuple(entry.statement for entry in entries),
+                statements=tuple(record.statement for record in records),
                 formula=localized_formula(
-                    {entry.identifier: entry.clauses for entry in entries}
+                    {record.identifier: record.clauses for record in records}
                 ),
             )
 
@@ -661,10 +599,10 @@ class MerlinCompiler:
                     rates,
                     session.sink_trees,
                     endpoints={
-                        entry.identifier: entry.endpoints for entry in entries
+                        record.identifier: record.endpoints for record in records
                     },
                     infeasible_statements=tuple(
-                        entry.identifier for entry in entries if entry.infeasible
+                        record.identifier for record in records if record.infeasible
                     ),
                     # The last committed bundle: its fragments are reused
                     # where their content matches, and a rollback restores
@@ -687,9 +625,9 @@ class MerlinCompiler:
             # Span-derived: the callers overwrite this with their root
             # ``compile`` / ``recompile`` span's duration once it closes.
             total_seconds=0.0,
-            num_statements=len(entries),
+            num_statements=len(records),
             num_guaranteed_statements=sum(
-                entry.rates.is_guaranteed for entry in entries
+                record.rates.is_guaranteed for record in records
             ),
             num_mip_variables=provisioning.num_variables,
             num_mip_constraints=provisioning.num_constraints,
@@ -733,31 +671,18 @@ class MerlinCompiler:
             )
         return ProvisioningSession(self)
 
-    def session_statement(self, identifier: str) -> Optional[Statement]:
-        """The active session's current statement for ``identifier``.
+    def session_record(self, identifier: str) -> Optional[StatementRecord]:
+        """The active session's record of ``identifier`` (its current
+        statement and localized rates among the rest), or ``None``.
 
-        Returns ``None`` when no session is active or the identifier is
-        unknown.  Delegated negotiators use this to rewrite their
-        scope-narrowed deltas against the global statement set before
-        re-provisioning.
+        Delegated negotiators rewrite their scope-narrowed deltas against
+        it: the global predicate, and the global guarantee and cap where
+        the statement's rate clauses did not survive delegation (a dropped
+        ``min(a, b)`` clause must not demote the statement).
         """
         if self._session is None:
             return None
-        entry = self._session.entries.get(identifier)
-        return None if entry is None else entry.statement
-
-    def session_rates(self, identifier: str) -> Optional[LocalRates]:
-        """The active session's current localized rates for ``identifier``.
-
-        ``None`` when no session is active or the identifier is unknown.
-        The delegated-delta rewrite uses this to keep the global guarantee
-        and cap on statements whose rate clauses did not survive delegation
-        (a dropped ``min(a, b)`` clause must not demote the statement).
-        """
-        if self._session is None:
-            return None
-        entry = self._session.entries.get(identifier)
-        return None if entry is None else entry.rates
+        return self._session.engine.records.get(identifier)
 
     def prepare_incremental(self) -> None:
         """A checked no-op: ``compile()`` returns with the engine populated."""
@@ -776,13 +701,11 @@ class MerlinCompiler:
                 "removed predicates from later statements; run a full "
                 "compile() of the updated policy instead"
             )
-        if session.user_entry(identifier) is None:
+        if session.user_record(identifier) is None:
             raise ProvisioningError(
                 f"cannot remove unknown statement {identifier!r}"
             )
-        if session.engine.has_statement(identifier):
-            session.engine.remove_statement(identifier)
-        session.journal.del_item(session.entries, identifier)
+        session.engine.remove_statement(identifier)
 
     def _add_statement(
         self, session, statement, local: LocalRates, generated: bool = False
@@ -791,122 +714,105 @@ class MerlinCompiler:
         per policy statement, whose identifiers :class:`Policy` keeps
         unique) and a delta's ``add`` (admitted by
         :meth:`_preprocess_added`) are made of."""
-        entry = _StatementEntry(
-            statement=statement,
-            rates=local,
-            endpoints=infer_endpoints(statement, session.active_topology),
-            stamp=next(session.stamps),
+        endpoints = infer_endpoints(statement, session.active_topology)
+        session.engine.add_statement(
+            statement,
+            local.guarantee,
+            local.cap,
+            endpoints=endpoints,
             generated=generated,
+            **self._fields(session, statement, local.is_guaranteed, endpoints),
         )
-        if local.is_guaranteed:
-            entry = self._enter_guaranteed(session, entry)
-        else:
-            entry = self._enter_best_effort(session, entry)
-        session.put(entry)
 
     def _update_rates(self, session, update) -> None:
         identifier = update.identifier
-        entry = session.user_entry(identifier)
-        if entry is None:
+        record = session.user_record(identifier)
+        if record is None:
             raise ProvisioningError(
                 f"cannot update rates of unknown statement {identifier!r}"
             )
         local = LocalRates(
             identifier=identifier, guarantee=update.guarantee, cap=update.cap
         )
-        entry = dataclasses.replace(entry, rates=local)
-        engine = session.engine
-        was_guaranteed = engine.has_statement(identifier)
-        if local.is_guaranteed and was_guaranteed:
-            engine.update_rates(identifier, local.guarantee, cap=local.cap)
-        elif local.is_guaranteed and not was_guaranteed:
-            # Promoted from best-effort: enters the MIP.
-            entry = self._enter_guaranteed(session, entry)
-        elif not local.is_guaranteed and was_guaranteed:
-            # Demoted to best-effort: leaves the MIP.
-            engine.remove_statement(identifier)
-            entry = self._enter_best_effort(session, entry)
-        session.put(entry)
-
-    def _enter_guaranteed(self, session, entry: _StatementEntry) -> _StatementEntry:
-        """Put a guarantee-bearing statement into the MIP and return its
-        entry as a guaranteed one.
-
-        Shared by adds and promotions, and where both learn whether the
-        statement can be provisioned at all: endpoints here, an empty
-        product graph in ``engine.add_statement``.
-        """
-        source, destination = entry.endpoints
-        if source is None or destination is None:
-            raise ProvisioningError(
-                f"statement {entry.identifier!r} requests a bandwidth guarantee "
-                "but its source/destination hosts cannot be determined "
-                "from its predicate or path expression"
+        fields = {}
+        if local.is_guaranteed != record.rates.is_guaranteed:
+            # Promoted from best-effort (enters the MIP) or demoted to it
+            # (leaves the MIP).
+            fields = self._fields(
+                session,
+                record.statement,
+                local.is_guaranteed,
+                record.endpoints,
+                record.footprint,
             )
-        logical = self._logical_for(session, entry.statement, source, destination)
-        footprint = self._pristine_footprint(session, entry, logical.footprint)
-        session.engine.add_statement(
-            entry.statement, entry.rates.guarantee, cap=entry.rates.cap, logical=logical
-        )
-        return dataclasses.replace(
-            entry, footprint=footprint, best_effort=None, infeasible=False
-        )
+        session.engine.update_rates(identifier, local.guarantee, local.cap, **fields)
 
-    def _enter_best_effort(self, session, entry: _StatementEntry) -> _StatementEntry:
-        """Return a best-effort statement's entry with its path assignment,
-        if any.
+    def _fields(
+        self,
+        session,
+        statement: Statement,
+        guaranteed: bool,
+        endpoints: Tuple[Optional[str], Optional[str]],
+        footprint: Optional[FrozenSet[Tuple[str, str]]] = None,
+    ) -> Dict[str, object]:
+        """The record fields that place a statement on the active topology.
 
-        Unconstrained paths are served by sink trees (refreshed centrally
-        once the statements are in); constrained ones take the
-        breadth-first shortest path of their product graph, restricted
-        from their path expression's shared walk — no graph is built for
-        them — or are marked infeasible.
+        A guarantee-bearing statement (an add or a promotion) gets its
+        product graph, and this is where both learn whether it can be
+        provisioned at all: endpoints here, an empty product graph in the
+        engine's mutator.  An unconstrained best-effort statement rides the
+        sink trees (refreshed centrally once the statements are in) and
+        changes no field; a constrained one takes the breadth-first
+        shortest path of its product graph, restricted from its path
+        expression's shared walk — no graph is built for it — or is marked
+        infeasible.
+
+        Either way the record keeps one untightened footprint on the
+        *pristine* topology: ``footprint``, the one it recorded, if any.
+        The topology-delta path tests affectedness against it: the product
+        construction is monotone in the topology, so any active product is
+        a subgraph of the pristine one, and a recovered link can only
+        matter to statements whose pristine product could use it.  During
+        failures the active product is not the pristine one, which is then
+        searched uncached.
         """
-        if _is_unconstrained_path(entry.statement.path):
-            return entry
-        source, destination = entry.endpoints
-        path, footprint = self._search_for(
-            session, entry.statement, source, destination
-        )
-        assignment = self._best_effort_assignment(
-            entry.statement, path, session.engine.locations
-        )
-        return dataclasses.replace(
-            entry,
-            footprint=self._pristine_footprint(session, entry, footprint),
-            best_effort=assignment,
-            infeasible=assignment is None,
-        )
-
-    def _pristine_footprint(
-        self, session, entry, footprint: FrozenSet[Tuple[str, str]]
-    ) -> FrozenSet[Tuple[str, str]]:
-        """The statement's untightened product footprint on the *pristine*
-        topology, computed once per statement (a promotion or demotion
-        keeps the one its add recorded; unconstrained best-effort
-        statements get theirs when first promoted into the MIP).
-
-        The topology-delta path tests affectedness against pristine
-        footprints: the product construction is monotone in the topology,
-        so any active product is a subgraph of the pristine one, and a
-        recovered link can only matter to statements whose pristine product
-        could use it.  ``footprint`` is the one of the statement's product
-        on the active topology, already in the caller's hand; during
-        failures that is not the pristine product, which is then searched
-        uncached.
-        """
-        if entry.footprint is not None:
-            return entry.footprint
-        if session.active_topology is not self.topology:
-            source, destination = infer_endpoints(entry.statement, self.topology)
-            _, footprint = search_logical_topology(
-                entry.statement,
+        if guaranteed:
+            source, destination = endpoints
+            if source is None or destination is None:
+                raise ProvisioningError(
+                    f"statement {statement.identifier!r} requests a bandwidth "
+                    "guarantee but its source/destination hosts cannot be "
+                    "determined from its predicate or path expression"
+                )
+            logical = self._logical_for(session, statement, source, destination)
+            fields = {"logical": logical, "best_effort": None, "infeasible": False}
+            found = logical.footprint
+        elif _is_unconstrained_path(statement.path):
+            return {}
+        else:
+            path, found = self._search_for(session, statement, *endpoints)
+            fields = {"best_effort": None, "infeasible": path is None}
+            if path is not None:
+                fields["best_effort"] = PathAssignment(
+                    statement_id=statement.identifier,
+                    path=path,
+                    # The same greedy placement rule the MIP's paths get.
+                    function_placements=_assign_functions(
+                        statement.path, path, self.placements, session.engine.locations
+                    ),
+                    guaranteed_rate=None,
+                )
+        if footprint is None and session.active_topology is not self.topology:
+            source, destination = infer_endpoints(statement, self.topology)
+            _, found = search_logical_topology(
+                statement,
                 self.topology,
                 self.placements,
                 source=source,
                 destination=destination,
             )
-        return footprint
+        fields["footprint"] = found if footprint is None else footprint
+        return fields
 
     def _real_statements(self, session) -> List[Statement]:
         """The session's statements minus the preprocessor's *generated*
@@ -915,10 +821,10 @@ class MerlinCompiler:
         Stamp order, not raw dict order: the order feeds priority-mode
         predicate narrowing and the catch-all's remainder predicate, both
         byte-visible in the compiled policy, and dict order is not
-        rollback-stable (see ``_StatementEntry.stamp``).
+        rollback-stable (see ``StatementRecord.stamp``).
         """
         return [
-            entry.statement for entry in session.ordered() if not entry.generated
+            record.statement for record in session.ordered() if not record.generated
         ]
 
     def _preprocess_added(self, session, statement: Statement) -> Statement:
@@ -935,7 +841,7 @@ class MerlinCompiler:
         passes it through unchanged, as both other modes do when nothing
         overlaps.
         """
-        if statement.identifier in session.entries:
+        if statement.identifier in session.engine.records:
             raise ProvisioningError(
                 f"statement {statement.identifier!r} already exists; remove it "
                 "first (a changed statement appears in both remove and add)"
@@ -991,12 +897,13 @@ class MerlinCompiler:
         if not self.add_catch_all:
             return
         others = self._real_statements(session)
-        current = session.entries.get(DEFAULT_STATEMENT_ID)
+        records = session.engine.records
+        current = records.get(DEFAULT_STATEMENT_ID)
         if current is not None and current.generated:
-            session.journal.del_item(session.entries, DEFAULT_STATEMENT_ID)
+            session.engine.remove_statement(DEFAULT_STATEMENT_ID)
         if any(isinstance(statement.predicate, PTrue) for statement in others):
             return
-        if DEFAULT_STATEMENT_ID in session.entries:
+        if DEFAULT_STATEMENT_ID in records:
             raise PolicyError(
                 f"cannot add catch-all: identifier {DEFAULT_STATEMENT_ID!r} "
                 "already used"
@@ -1025,9 +932,9 @@ class MerlinCompiler:
         instructions a from-scratch compile would not produce.
         """
         needed = any(
-            not entry.rates.is_guaranteed
-            and _is_unconstrained_path(entry.statement.path)
-            for entry in session.entries.values()
+            not record.rates.is_guaranteed
+            and _is_unconstrained_path(record.statement.path)
+            for record in session.engine.records.values()
         )
         if not needed:
             if session.sink_trees:
@@ -1085,24 +992,6 @@ class MerlinCompiler:
         path-expression references (they match nothing)."""
         active = session.active_topology
         return None if active is self.topology else self.topology.locations()
-
-    def _best_effort_assignment(
-        self,
-        statement: Statement,
-        path: Optional[Tuple[str, ...]],
-        locations: FrozenSet[str],
-    ) -> Optional[PathAssignment]:
-        if path is None:
-            return None
-        return PathAssignment(
-            statement_id=statement.identifier,
-            path=path,
-            # The same greedy placement rule the MIP's paths get.
-            function_placements=_assign_functions(
-                statement.path, path, self.placements, locations
-            ),
-            guaranteed_rate=None,
-        )
 
 
 def compile_policy(

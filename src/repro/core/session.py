@@ -126,7 +126,7 @@ class ProvisioningSession:
     def statement_ids(self) -> tuple:
         """Identifiers of the statements currently in the session, in
         policy order (the order of ``result.policy.statements``)."""
-        return tuple(entry.identifier for entry in self._session().ordered())
+        return tuple(record.identifier for record in self._session().ordered())
 
     def _session(self):
         inner = self._compiler._session

@@ -38,9 +38,9 @@ from ..core.ast import (
 from ..core.allocation import CompilationResult
 from ..core.compiler import MerlinCompiler
 from ..incremental.delta import DeltaStatement, PolicyDelta
-from ..predicates.ast import FieldTest, pred_and
 from ..regex.ast import Regex, Symbol, any_path, star, union
 from ..scenarios.driver import allocations_match
+from ..scenarios.generator import _pair_predicate
 from ..topology.generators import fat_tree
 from ..topology.graph import Topology
 from ..units import Bandwidth
@@ -80,18 +80,6 @@ def _pod_path(pod: Dict[str, List[str]], source: str, destination: str) -> Regex
     pods), which is what keeps the tenants' MIP components link-disjoint."""
     locations = sorted({source, destination, *pod["edge"], *pod["aggregation"]})
     return star(union(*[Symbol(location) for location in locations]))
-
-
-def _pair_predicate(
-    topology: Topology, source: str, destination: str, port: int
-):
-    return pred_and(
-        FieldTest("eth.src", topology.node(source).mac),
-        pred_and(
-            FieldTest("eth.dst", topology.node(destination).mac),
-            FieldTest("tcp.dst", port),
-        ),
-    )
 
 
 def _pod_statement(

@@ -2,18 +2,26 @@
 
 :class:`IncrementalProvisioner` owns the *session state* of a changing
 statement population — one :class:`~repro.incremental.solve.StatementRecord`
-per statement, never a live MIP:
+per statement of the compiled policy, best-effort and guaranteed alike, in
+one dict (:attr:`IncrementalProvisioner.records`), never a live MIP.  The
+compiler keeps no per-statement state of its own: it hands each mutator
+the record fields it derives (endpoints, footprint, best-effort path) and
+reads the records back in stamp order.
 
-* :meth:`add_statement` records a statement's product graph and rates
-  under a fresh token,
+* :meth:`add_statement` enters a statement; a guaranteed one brings its
+  product graph and gets a fresh token,
 * :meth:`remove_statement` drops the record,
 * :meth:`update_rates` swaps in a record with the new rates — under a new
-  token when the guarantee changed.
+  token when the guarantee changed; a promotion brings a product graph, a
+  demotion drops it,
+* :meth:`replace_logical` swaps in a statement's product graph (or
+  best-effort path) on a new topology.
 
-All three are pure bookkeeping: one dictionary entry, no model splicing,
-no pass over live constraint rows.  No model outlives a solve: the only
-models ever built are the component models of a :meth:`resolve`, each
-from the records of its members through the one canonical constructor
+Each is pure bookkeeping: one journaled write to the dict, no model
+splicing, no pass over live constraint rows.  No model outlives a solve:
+the only models ever built are the component models of a
+:meth:`resolve`, each from the records of its members — the records that
+carry a token — through the one canonical constructor
 (:func:`~repro.core.provisioning.build_model_for_links`).
 
 :meth:`resolve` re-provisions: the active statements are partitioned into
@@ -49,11 +57,11 @@ transaction property tests capture the same fields by copying them
 journal restores state byte-identical to the copies.
 
 The solution memo needs no rollback.  Its keys are made of record tokens,
-and the token counter is the one piece of engine state a rollback does not
-rewind: a token is never issued twice, so an entry written inside a failed
-transaction describes records that no longer exist and can simply never
-be asked for again, while every entry about the reinstated records is
-still true.  The tightened views need none either — they hang off the
+and the counter they come from is the one piece of engine state a rollback
+does not rewind: a token is never issued twice, so an entry written inside
+a failed transaction describes records that no longer exist and can simply
+never be asked for again, while every entry about the reinstated records
+is still true.  The tightened views need none either — they hang off the
 record, so the journal puts them back with it.
 
 :meth:`MerlinCompiler.recompile` wraps every delta in one transaction, so
@@ -66,16 +74,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from .. import telemetry
 from ..core.ast import Statement
 from ..core.localization import LocalRates
-from ..core.logical import (
-    LogicalTopology,
-    build_logical_topology,
-    infer_endpoints,
-)
+from ..core.logical import LogicalTopology
 from ..core.options import ProvisionOptions
 from ..core.provisioning import (
     _MBPS,
@@ -91,6 +95,7 @@ from .solve import (
     MemoKey,
     PartitionSolution,
     StatementRecord,
+    View,
     merge_partition_solutions,
     solve_components_with_widening,
     topology_capacities_mbps,
@@ -133,12 +138,16 @@ class IncrementalProvisioner:
         self.footprint_slack = options.footprint_slack if options.partition else None
 
         self._capacity_mbps = topology_capacities_mbps(topology)
-        #: The per-statement state, all of it: mutators swap whole records
-        #: through the journal and nothing else is kept per statement.
-        self._records: Dict[str, StatementRecord] = {}
-        #: Record tokens.  Never rewound, not even by a rollback: that is
-        #: what lets the memo below outlive any transaction unharmed.
-        self._tokens = itertools.count(1)
+        #: The per-statement state of the session, all of it: one
+        #: :class:`StatementRecord` per statement, best-effort ones
+        #: included, keyed by identifier and swapped whole through the
+        #: journal by the mutators below.
+        self.records: Dict[str, StatementRecord] = {}
+        #: Insertion stamps and record tokens, drawn from one counter.
+        #: Never rewound, not even by a rollback: that is what lets the
+        #: memo below outlive any transaction unharmed, and a stamp spent
+        #: inside a failed transaction leaves the surviving order as it was.
+        self._serials = itertools.count(1)
         #: Component solutions (and proven-infeasible rungs) by member
         #: tokens; read, written and bounded by the solve loop.
         self._memo: Dict[MemoKey, object] = {}
@@ -151,108 +160,143 @@ class IncrementalProvisioner:
         #: inverse operations here whenever a transaction is open.
         self.journal = UndoJournal()
 
-    # -- introspection -----------------------------------------------------------
-
-    def statement_ids(self) -> List[str]:
-        return list(self._records)
-
-    def has_statement(self, identifier: str) -> bool:
-        return identifier in self._records
-
-    def untightened_for(self, identifier: str) -> LogicalTopology:
-        """The statement's whole product graph, as it was entered."""
-        return self._records[identifier].logical
-
     # -- delta operations ---------------------------------------------------------
+    #
+    # Each mutator is one journaled write to ``records`` (bookkeeping only:
+    # no model is built or spliced).  ``fields`` are the record fields the
+    # compiler derives (endpoints, generated, footprint, best_effort,
+    # infeasible), stored as given.
+
+    def _record(self, identifier: str) -> StatementRecord:
+        record = self.records.get(identifier)
+        if record is None:
+            raise ProvisioningError(f"unknown statement {identifier!r}")
+        return record
+
+    def _put(self, record: StatementRecord) -> None:
+        self.journal.set_item(self.records, record.identifier, record)
+
+    def _token(
+        self, rates: LocalRates, logical: Optional[LogicalTopology]
+    ) -> Optional[int]:
+        """A fresh token for a record entering the MIP with ``logical``
+        (``None`` for a best-effort record), once the engine has checked
+        that it can: a guarantee needs a product graph with a path, and a
+        product graph needs a positive guarantee."""
+        identifier = rates.identifier
+        if logical is None and not rates.is_guaranteed:
+            return None
+        if logical is None:
+            problem = "needs its product graph to enter the provisioning MIP"
+        elif not rates.is_guaranteed:
+            problem = (
+                "needs a positive bandwidth guarantee to enter the "
+                "provisioning MIP"
+            )
+        elif logical.num_edges() == 0:
+            problem = "has no feasible path satisfying its path expression"
+        else:
+            return next(self._serials)
+        raise ProvisioningError(f"statement {identifier!r} {problem}")
 
     def add_statement(
         self,
         statement: Statement,
-        guarantee: Bandwidth,
+        guarantee: Optional[Bandwidth],
         cap: Optional[Bandwidth] = None,
         logical: Optional[LogicalTopology] = None,
+        **fields,
     ) -> None:
-        """Enter a guaranteed statement into the session (bookkeeping only).
-
-        ``logical`` may be supplied when the caller already built the
-        statement's product graph (the compiler always does);
-        otherwise it is constructed here from the statement's inferred
-        endpoints.  No model is built or spliced, and the graph is cut to
-        its cost-bounded view when a resolve first asks for it.
-        """
+        """Enter a statement: a guaranteed one with the product graph its
+        caller built (cut to its cost-bounded views when a resolve first
+        asks for them), a best-effort one with none."""
         identifier = statement.identifier
-        if identifier in self._records:
+        if identifier in self.records:
             raise ProvisioningError(
-                f"statement {identifier!r} is already provisioned; remove it "
-                "first or use update_rates"
+                f"statement {identifier!r} is already in the session; remove "
+                "it first or use update_rates"
             )
-        if guarantee is None or guarantee.bps_value <= 0:
-            raise ProvisioningError(
-                f"statement {identifier!r} needs a positive bandwidth "
-                "guarantee to enter the provisioning MIP"
-            )
-        if logical is None:
-            source, destination = infer_endpoints(statement, self.topology)
-            if source is None or destination is None:
-                raise ProvisioningError(
-                    f"statement {identifier!r} requests a bandwidth guarantee "
-                    "but its source/destination hosts cannot be determined"
-                )
-            logical = build_logical_topology(
-                statement,
-                self.topology,
-                self.placements,
-                source=source,
-                destination=destination,
-            )
-        if logical.num_edges() == 0:
-            raise ProvisioningError(
-                f"statement {identifier!r} has no feasible path satisfying "
-                "its path expression"
-            )
-        self.journal.set_item(
-            self._records,
-            identifier,
+        rates = LocalRates(identifier=identifier, guarantee=guarantee, cap=cap)
+        self._put(
             StatementRecord(
-                statement=statement,
+                statement,
+                rates,
+                next(self._serials),
                 logical=logical,
-                rates=LocalRates(identifier=identifier, guarantee=guarantee, cap=cap),
-                token=next(self._tokens),
-            ),
+                token=self._token(rates, logical),
+                **fields,
+            )
         )
 
     def remove_statement(self, identifier: str) -> None:
-        """Forget a statement (bookkeeping only — no rows to splice out)."""
-        if identifier not in self._records:
-            raise ProvisioningError(f"unknown statement {identifier!r}")
-        self.journal.del_item(self._records, identifier)
+        """Forget a statement."""
+        self._record(identifier)
+        self.journal.del_item(self.records, identifier)
 
-    def replace_logical(self, identifier: str, logical: LogicalTopology) -> None:
-        """Swap a statement's (untightened) product graph for a new one.
+    def update_rates(
+        self,
+        identifier: str,
+        guarantee: Optional[Bandwidth],
+        cap: Optional[Bandwidth] = None,
+        logical: Optional[LogicalTopology] = None,
+        **fields,
+    ) -> None:
+        """Rewrite a statement's rates.
 
-        The compiler's topology-delta path calls this for every statement
-        whose product graph changed on the new active topology: the new
-        record starts without views and under a fresh token (no memoized
-        component solution, which could route over vanished links, names
-        it).
+        A guaranteed statement keeps its product graph and views, and its
+        token unless the guarantee changed: the cap never enters the
+        provisioning MIP, so a cap-only change leaves its component clean.
+        A promoted statement hands over its product graph in ``logical``
+        and starts without views; a demoted one leaves the MIP, dropping
+        its graph, token and views.
         """
-        if identifier not in self._records:
-            raise ProvisioningError(f"unknown statement {identifier!r}")
-        if logical.num_edges() == 0:
-            raise ProvisioningError(
-                f"statement {identifier!r} has no feasible path satisfying "
-                "its path expression"
+        previous = self._record(identifier)
+        rates = LocalRates(identifier=identifier, guarantee=guarantee, cap=cap)
+        views: Dict[Optional[int], View] = {}
+        if previous.token is None or not rates.is_guaranteed:
+            token = self._token(rates, logical)
+        else:
+            logical, views = previous.logical, previous.views
+            token = (
+                previous.token
+                if previous.rates.guarantee.bps_value == guarantee.bps_value
+                else next(self._serials)
             )
-        previous = self._records[identifier]
-        self.journal.set_item(
-            self._records,
-            identifier,
-            StatementRecord(
-                statement=previous.statement,
+        self._put(
+            dataclasses.replace(
+                previous,
+                rates=rates,
                 logical=logical,
-                rates=previous.rates,
-                token=next(self._tokens),
-            ),
+                token=token,
+                views=views,
+                **fields,
+            )
+        )
+
+    def replace_logical(
+        self,
+        identifier: str,
+        logical: Optional[LogicalTopology] = None,
+        **fields,
+    ) -> None:
+        """Swap a statement's product graph for one on a new topology.
+
+        The compiler's topology-delta path calls this for every guaranteed
+        statement whose product graph changed on the new active topology,
+        and for every best-effort statement it searched again (``fields``
+        then hold the new path).  A guaranteed record starts without views
+        and under a fresh token (no memoized component solution, which
+        could route over vanished links, names it).
+        """
+        previous = self._record(identifier)
+        self._put(
+            dataclasses.replace(
+                previous,
+                logical=logical,
+                token=self._token(previous.rates, logical),
+                views={},
+                **fields,
+            )
         )
 
     def set_topology(
@@ -292,39 +336,11 @@ class IncrementalProvisioner:
             journal.set_attr(self, "_memo", {})
         journal.set_attr(self, "topology", topology)
 
-    def update_rates(
-        self,
-        identifier: str,
-        guarantee: Bandwidth,
-        cap: Optional[Bandwidth] = None,
-    ) -> None:
-        """Rewrite a statement's rates (bookkeeping only)."""
-        if identifier not in self._records:
-            raise ProvisioningError(f"unknown statement {identifier!r}")
-        if guarantee is None or guarantee.bps_value <= 0:
-            raise ProvisioningError(
-                f"statement {identifier!r} needs a positive guarantee; remove "
-                "it instead to make it best-effort"
-            )
-        previous = self._records[identifier]
-        rates = LocalRates(identifier=identifier, guarantee=guarantee, cap=cap)
-        # A cap-only change keeps the token: the cap never enters the
-        # provisioning MIP, so the statement's partition stays clean.
-        token = (
-            previous.token
-            if previous.rates.guarantee.bps_value == guarantee.bps_value
-            else next(self._tokens)
-        )
-        self.journal.set_item(
-            self._records,
-            identifier,
-            dataclasses.replace(previous, rates=rates, token=token),
-        )
-
     # -- solving -------------------------------------------------------------------
 
     def resolve(self) -> ProvisioningResult:
-        """Re-provision the active statements, re-solving only dirty components.
+        """Re-provision the guaranteed statements — the records that carry
+        a token — re-solving only dirty components.
 
         The returned :class:`ProvisioningResult` is identical to what a
         fresh engine holding the same statements would produce;
@@ -332,7 +348,11 @@ class IncrementalProvisioner:
         ``partitions_reused``.  With ``options.partition`` off the
         population is one untightened component.
         """
-        records = self._records
+        records = {
+            identifier: record
+            for identifier, record in self.records.items()
+            if record.token is not None
+        }
         if not records:
             return ProvisioningResult(
                 paths={},

@@ -33,8 +33,9 @@ of the dict, so journaled rollback preserves dict *contents* but not
 insertion order.  State whose iteration order is behaviorally visible
 (e.g. the statement order that drives VLAN/queue allocation in codegen)
 must carry explicit insertion stamps and sort on use — see
-``_StatementEntry.stamp`` in ``core/compiler.py``.  The engine's record
-dict is order-insensitive (partitioning canonicalizes by sorted ids).
+``StatementRecord.stamp`` in ``incremental/solve.py``.  The solve loop
+reads the engine's record dict in any order (partitioning canonicalizes
+by sorted ids).
 """
 from __future__ import annotations
 

@@ -35,6 +35,7 @@ sharing it solve once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import (
     Callable,
     Dict,
@@ -51,7 +52,7 @@ from typing import (
 import numpy as np
 
 from .. import telemetry
-from ..core.localization import LocalRates
+from ..core.localization import LocalRates, local_clauses
 from ..core.logical import LogicalTopology, prune_to_cost_bound
 from ..core.options import DEFAULT_FOOTPRINT_SLACK, widen_slack
 from ..core.provisioning import (
@@ -65,7 +66,7 @@ from ..core.provisioning import (
     build_model_for_links,
     flow_block,
 )
-from ..core.allocation import PathAssignment
+from ..core.allocation import PathAssignment, RateAllocation
 from ..core.ast import Statement
 from ..errors import ProvisioningError
 from ..fabric.signature import CanonicalComponent, canonicalize_component
@@ -121,27 +122,77 @@ class View:
 
 @dataclass(frozen=True)
 class StatementRecord:
-    """Everything the engine holds about one guaranteed statement.
+    """Everything the session holds about one statement, best-effort or not.
 
+    The engine keeps one per statement in ``IncrementalProvisioner.records``.
     Records are immutable and swapped whole: a mutator journals one dict
     entry, and a rollback puts the previous record back with everything
-    that hangs off it.  ``token`` names one (statement, product graph,
-    guarantee) content for the life of the session — the engine never
-    re-issues one — and is what the solution memo keys on.  ``views``
-    memoizes the :class:`View` per slack rung, Equation-1 block included;
-    it depends on ``logical`` alone, so it lives and dies with the record:
-    a rate change carries the dict over to the new record, a new product
-    graph starts an empty one.
+    that hangs off it — the derived ``allocation`` and ``clauses`` and the
+    ``views``.  Only a guaranteed statement's record carries a product
+    graph (``logical``), a ``token`` and ``views``, and the engine's
+    resolve reads only the records that hold a token.  ``token`` names one
+    (statement, product graph, guarantee) content for the life of the
+    session — the engine never re-issues one — and is what the solution
+    memo keys on.  ``views`` memoizes the :class:`View` per slack rung,
+    Equation-1 block included; it depends on ``logical`` alone, so a rate
+    change carries the dict over to the new record and a new product graph
+    starts an empty one.
     """
 
     statement: Statement
-    #: The *untightened* product graph: every view is cut from it.
-    logical: LogicalTopology
     rates: LocalRates
-    token: int
+    #: Insertion-order stamp.  Statement *order* is behaviorally visible
+    #: (codegen allocates VLANs/queues in policy order), but a journaled
+    #: rollback restores dict *contents*, not insertion order (undoing a
+    #: deletion re-inserts at the end), so the order is recorded here and
+    #: everything order-sensitive sorts on it.
+    stamp: int = 0
+    endpoints: Tuple[Optional[str], Optional[str]] = (None, None)
+    #: Whether this is the preprocessor's generated catch-all (as opposed
+    #: to a user-authored statement that happens to be named "default").
+    generated: bool = False
+    #: Physical-link footprint (sorted pairs) of the *untightened* product
+    #: graph on the *pristine* topology: read off the materialised graph of
+    #: a guaranteed statement, returned by the search of a constrained
+    #: best-effort one, ``None`` while neither has happened (an
+    #: unconstrained best-effort statement).  Because the product
+    #: construction is monotone in the topology (a subgraph's product is a
+    #: subgraph of the pristine product), a topology change can only affect
+    #: a statement whose pristine footprint intersects the changed links —
+    #: the exact test the topology-delta path uses to skip rebuilds.
+    footprint: Optional[FrozenSet[LinkKey]] = None
+    #: A constrained best-effort statement's breadth-first shortest path
+    #: through its product graph (unconstrained ones ride the sink trees
+    #: instead).
+    best_effort: Optional[PathAssignment] = None
+    #: Whether a constrained best-effort statement's path expression admits
+    #: no path on the active topology.
+    infeasible: bool = False
+    #: A guaranteed statement's *untightened* product graph on the active
+    #: topology: every view is cut from it.
+    logical: Optional[LogicalTopology] = None
+    token: Optional[int] = None
     views: Dict[Optional[int], View] = field(
         default_factory=dict, compare=False, repr=False
     )
+
+    @property
+    def identifier(self) -> str:
+        return self.statement.identifier
+
+    # What the finalize reads off a record is derived from it once, on
+    # first use, and lives on the record: a mutator that changes the rates
+    # makes a new record, and a rollback puts the old one back with its own.
+
+    @cached_property
+    def allocation(self) -> RateAllocation:
+        """The statement's rates as the result reports them."""
+        return RateAllocation.from_local_rates(self.rates)
+
+    @cached_property
+    def clauses(self) -> Tuple:
+        """The statement's clauses of the localized formula."""
+        return local_clauses(self.rates)
 
     def view(self, slack: Optional[int]) -> View:
         """The view at ``slack`` extra hops (``None`` = untightened),

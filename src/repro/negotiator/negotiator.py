@@ -166,22 +166,22 @@ class Negotiator:
             lost clauses delegation dropped; a field the tenant changed is
             a genuine rate refinement and passes through.
             """
-            session_rates = compiler.session_rates(identifier)
-            if session_rates is None:
+            record = compiler.session_record(identifier)
+            if record is None:
                 return guarantee, cap
             before_rates = previous_rates[identifier]
             if same_rate(guarantee, before_rates.guarantee):
-                guarantee = session_rates.guarantee
+                guarantee = record.rates.guarantee
             if same_rate(cap, before_rates.cap):
-                cap = session_rates.cap
+                cap = record.rates.cap
             return guarantee, cap
 
         add = []
         for entry in delta.add:
             statement = entry.statement
             identifier = statement.identifier
-            current = compiler.session_statement(identifier)
-            if current is None:
+            record = compiler.session_record(identifier)
+            if record is None:
                 # Genuinely new inside this scope: the tenant's predicate is
                 # the statement's only definition, so it enters unchanged.
                 add.append(entry)
@@ -202,7 +202,7 @@ class Negotiator:
                     entry,
                     statement=Statement(
                         identifier=identifier,
-                        predicate=current.predicate,
+                        predicate=record.statement.predicate,
                         path=statement.path,
                     ),
                     guarantee=guarantee,
@@ -213,11 +213,11 @@ class Negotiator:
         for identifier in delta.remove:
             if identifier in re_added:
                 continue
-            current = compiler.session_statement(identifier)
+            record = compiler.session_record(identifier)
             before = previous_by_id.get(identifier)
-            if current is not None and (
+            if record is not None and (
                 before is None
-                or not equivalent(current.predicate, before.predicate)
+                or not equivalent(record.statement.predicate, before.predicate)
             ):
                 raise DelegationError(
                     f"cannot incrementally remove statement {identifier!r}: "

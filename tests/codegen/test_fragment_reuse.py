@@ -156,7 +156,7 @@ def test_instructions_equal_a_fresh_generate_after_an_infeasible_delta():
     )
     removed = sorted(
         entry.identifier
-        for entry in compiler._session.entries.values()
+        for entry in compiler._session.engine.records.values()
         if entry.rates.is_guaranteed
     )[0]
     with pytest.raises(ProvisioningError):
@@ -180,7 +180,7 @@ def test_instructions_equal_a_fresh_generate_after_a_backend_raises():
     session = compiler.session()
     for event in scenario.events[:20]:
         result = session.apply(event)
-    live = compiler._session.entries
+    live = compiler._session.engine.records
     first, second = (
         next(
             identifier

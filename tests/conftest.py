@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.logical import build_logical_topology, infer_endpoints
 from repro.core.parser import parse_policy
 from repro.topology.generators import (
     dumbbell,
@@ -44,6 +45,21 @@ DELEGATION_REFINED_SOURCE = """
        !(tcp.dst = 22 or tcp.dst = 80)) -> .* dpi .* ],
 max(x, 50MB/s) and max(y, 25MB/s) and max(z, 25MB/s)
 """
+
+
+def add_guaranteed(engine, statement, guarantee, cap=None):
+    """``engine.add_statement`` with the product graph the compiler would
+    hand it: built on the engine's topology between the statement's
+    inferred endpoints."""
+    source, destination = infer_endpoints(statement, engine.topology)
+    logical = build_logical_topology(
+        statement,
+        engine.topology,
+        engine.placements,
+        source=source,
+        destination=destination,
+    )
+    engine.add_statement(statement, guarantee, cap, logical)
 
 
 class FlakyBackend:

@@ -369,7 +369,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", [FAnd, FOr], ids=["and", "or"])
     def test_a_5000_clause_chain_parses_and_reads_back(self, kind):
-        """Parsing and printing walk a chain's spine: no recursion per clause."""
+        """Parsing, printing, comparing and hashing walk a chain's spine: no
+        recursion per clause."""
         clauses = [
             FMax(BandwidthTerm(identifiers=("x",)), Bandwidth.mbps(n + 1)) for n in range(5000)
         ]
@@ -380,6 +381,8 @@ class TestRoundTrip:
         assert _left_spine(policy.formula, kind) == clauses
         assert _left_spine(reparsed.formula, kind) == clauses
         assert reparsed.to_source() == policy.to_source()
+        assert reparsed == policy
+        assert hash(reparsed.formula) == hash(policy.formula)
 
 
 class TestOneGrammar:

@@ -166,18 +166,22 @@ def test_no_edge_objects_on_the_compile_path_and_distances_once_per_graph(
     )
     result = compiler.compile(policy)
     engine = compiler._session.engine
-    guaranteed = engine.statement_ids()
+    guaranteed = [
+        identifier
+        for identifier, record in engine.records.items()
+        if record.token is not None
+    ]
     views = [
         view
         for identifier in guaranteed
-        for view in engine._records[identifier].views.values()
+        for view in engine.records[identifier].views.values()
     ]
     assert len(measured) == 2 * len(guaranteed) > 0
     assert edges_built == []
     # The compile did cut and solve: the views hold fewer pairs than the
     # graphs they were cut from, and every guaranteed path came back.
     assert sum(view.logical.num_edges() for view in views) < sum(
-        engine.untightened_for(identifier).num_edges() for identifier in guaranteed
+        engine.records[identifier].logical.num_edges() for identifier in guaranteed
     )
     assert all(result.paths[identifier].path for identifier in guaranteed)
 
@@ -193,7 +197,10 @@ def test_no_edge_objects_on_the_compile_path_and_distances_once_per_graph(
         PolicyDelta(add=(DeltaStatement(twin, guarantee=Bandwidth.mbps(1)),))
     )
     assert len(measured) == 2
-    first, second = engine.untightened_for(twin_of), engine.untightened_for("twin")
+    first, second = (
+        engine.records[twin_of].logical,
+        engine.records["twin"].logical,
+    )
     assert second.statement_id == "twin"
     assert second.pairs is not first.pairs
     assert second.pairs == first.pairs

@@ -98,7 +98,7 @@ class TestSessionLifecycle:
         assert session.statement_ids == in_policy_order
 
         oversized = DeltaStatement(
-            compiler.session_statement("p0s0"), guarantee=Bandwidth.gbps(1000)
+            compiler.session_record("p0s0").statement, guarantee=Bandwidth.gbps(1000)
         )
         with pytest.raises(ProvisioningError, match="infeasible"):
             session.apply(PolicyDelta(remove=("p0s0",), add=(oversized,)))

@@ -23,7 +23,7 @@ from repro.telemetry import Telemetry
 from repro.topology.generators import figure2_example
 from repro.topology.graph import Topology
 from repro.units import Bandwidth
-from tests.conftest import FlakyBackend
+from tests.conftest import FlakyBackend, add_guaranteed
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def _resolve(scenario, cache, policy):
     )
     rates = localize(policy)
     for statement in policy.statements:
-        engine.add_statement(statement, rates[statement.identifier].guarantee)
+        add_guaranteed(engine, statement, rates[statement.identifier].guarantee)
     return engine.resolve()
 
 

@@ -63,7 +63,11 @@ not imported under ``src/``: a topology is its own adjacency dict; nor is
 ``scipy.sparse``: a standard form is the column-wise arrays HiGHS reads.
 And the cyclic garbage collector is switched in one place,
 ``repro/collector.py``, which pauses it for one compile, recompile or
-verdict and neither collects nor retunes it.
+verdict and neither collects nor retunes it.  A statement is stored once:
+one ``StatementRecord`` in the engine's ``records``, best-effort or
+guaranteed, so the compiler session's entry class, the engine's second
+record dict and the accessors that read only the guaranteed half stay
+deleted.
 
 ``make lint-pipeline`` runs this file.
 """
@@ -117,6 +121,19 @@ def test_no_keyword_shim_or_copying_checkpoint():
         "deleted machinery is back (options travel as ProvisionOptions: memo "
         "bound = SOLUTION_MEMO_LIMIT; a transaction is "
         "one JournalMark; tightened views live on StatementRecord): %s"
+        % ", ".join(offenders)
+    )
+
+
+def test_one_statement_store():
+    banned = re.compile(
+        r"\b(?:_StatementEntry|untightened_for|has_statement|_records)\b"
+    )
+    offenders = _files_mentioning(banned) + _files_mentioning(banned, glob="*.md")
+    assert not offenders, (
+        "a second per-statement store is back (every statement is one "
+        "StatementRecord in IncrementalProvisioner.records; a guaranteed one "
+        "carries its product graph and token, and resolve() reads those): %s"
         % ", ".join(offenders)
     )
 

@@ -17,7 +17,7 @@ from repro.telemetry import Telemetry
 from repro.topology.generators import figure2_example
 from repro.topology.graph import Topology
 from repro.units import Bandwidth
-from tests.conftest import FlakyBackend
+from tests.conftest import FlakyBackend, add_guaranteed
 
 SOURCE = """
 [ x : (eth.src = 00:00:00:00:00:01 and
@@ -136,8 +136,10 @@ class TestDeltaOperations:
     def test_non_positive_guarantee_rejected(self):
         topology, policy, rates, logical = _figure2_inputs()
         engine = IncrementalProvisioner(topology, PLACEMENTS)
-        with pytest.raises(ProvisioningError):
-            engine.add_statement(policy.statements[0], Bandwidth(0.0))
+        with pytest.raises(ProvisioningError, match="positive bandwidth guarantee"):
+            engine.add_statement(
+                policy.statements[0], Bandwidth(0.0), logical=logical["x"]
+            )
 
 
 class TestLazyLiveModel:
@@ -148,16 +150,16 @@ class TestLazyLiveModel:
         topology, policy, rates, logical = _figure2_inputs()
         engine = _engine(topology, policy.statements, rates, logical)
         resolved = engine.resolve()
-        identifiers = engine.statement_ids()
+        identifiers = list(engine.records)
         whole = build_model_for_links(
             [statement.identifier for statement in policy.statements],
             {
                 identifier: flow_block(
-                    engine._records[identifier].view(engine.footprint_slack).logical
+                    engine.records[identifier].view(engine.footprint_slack).logical
                 )
                 for identifier in identifiers
             },
-            {identifier: engine._records[identifier].rates for identifier in identifiers},
+            {identifier: engine.records[identifier].rates for identifier in identifiers},
             sorted(topology_capacities_mbps(topology).items()),
         )
         live = ScipySolver().solve(whole.model)
@@ -173,7 +175,7 @@ class TestCachingAndPartitions:
         engine = IncrementalProvisioner(scenario.topology)
         rates = localize(scenario.policy)
         for statement in scenario.policy.statements:
-            engine.add_statement(statement, rates[statement.identifier].guarantee)
+            add_guaranteed(engine, statement, rates[statement.identifier].guarantee)
         first = engine.resolve()
         assert first.num_partitions == 4
         assert first.solve_statistics["partitions_dirty"] == 4.0
@@ -187,7 +189,7 @@ class TestCachingAndPartitions:
         engine = IncrementalProvisioner(scenario.topology)
         rates = localize(scenario.policy)
         for statement in scenario.policy.statements:
-            engine.add_statement(statement, rates[statement.identifier].guarantee)
+            add_guaranteed(engine, statement, rates[statement.identifier].guarantee)
         engine.resolve()
         engine.update_rates("p0s0", Bandwidth.mbps(25))
         result = engine.resolve()
@@ -218,8 +220,8 @@ class TestCachingAndPartitions:
             scenario.topology, options=ProvisionOptions(solver=solver)
         )
         for statement in scenario.policy.statements:
-            recorded.add_statement(statement, rates[statement.identifier].guarantee)
-            named.add_statement(statement, rates[statement.identifier].guarantee)
+            add_guaranteed(recorded, statement, rates[statement.identifier].guarantee)
+            add_guaranteed(named, statement, rates[statement.identifier].guarantee)
         recorded_result = recorded.resolve()
         named_result = named.resolve()
         solutions = recorded_result.partition_solutions
@@ -241,8 +243,8 @@ class TestCachingAndPartitions:
         def seeded(topology):
             engine = IncrementalProvisioner(topology)
             for statement in scenario.policy.statements:
-                engine.add_statement(
-                    statement, rates[statement.identifier].guarantee
+                add_guaranteed(
+                    engine, statement, rates[statement.identifier].guarantee
                 )
             return engine
 

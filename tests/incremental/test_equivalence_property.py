@@ -29,6 +29,7 @@ from repro.incremental import (
     RateUpdate,
 )
 from repro.units import Bandwidth
+from tests.conftest import add_guaranteed
 
 
 def _paths(result):
@@ -122,11 +123,11 @@ def test_engine_delta_sequences_match_from_scratch_compile(seed, solver):
     options = ProvisionOptions(solver=solver)
     engine = IncrementalProvisioner(churn.scenario.topology, options=options)
     for statement, guarantee in churn.active.values():
-        engine.add_statement(statement, guarantee)
+        add_guaranteed(engine, statement, guarantee)
     for step in range(8):
         op = churn.next_op()
         if op[0] == "add":
-            engine.add_statement(op[1], op[2])
+            add_guaranteed(engine, op[1], op[2])
         elif op[0] == "remove":
             engine.remove_statement(op[1])
         else:

@@ -40,13 +40,13 @@ def test_a_best_effort_statement_on_a_failed_endpoint_is_infeasible():
     assert initial.paths["a"].path == ("s1", "s2", "s3")
     failed = compiler.recompile(TopologyDelta(fail_nodes=("s1",)))
     assert "a" not in failed.paths
-    assert compiler._session.entries["a"].infeasible
+    assert compiler._session.engine.records["a"].infeasible
 
 
 def test_recovering_the_endpoint_restores_the_path():
     compiler, initial = _compiled("max")
     compiler.recompile(TopologyDelta(fail_nodes=("s1",)))
     recovered = compiler.recompile(TopologyDelta(recover_nodes=("s1",)))
-    assert not compiler._session.entries["a"].infeasible
+    assert not compiler._session.engine.records["a"].infeasible
     assert recovered.paths["a"].path == initial.paths["a"].path
     assert allocations_match(recovered, initial)

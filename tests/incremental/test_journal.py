@@ -31,6 +31,7 @@ from repro.incremental import (
     UndoJournal,
 )
 from repro.units import Bandwidth
+from tests.conftest import add_guaranteed
 
 from test_equivalence_property import _RandomPolicyChurn
 
@@ -121,7 +122,7 @@ def _engine_state(engine):
     buys.
     """
     return {
-        "records": dict(engine._records),
+        "records": dict(engine.records),
         "topology": engine.topology,
         "capacities": dict(engine._capacity_mbps),
     }
@@ -130,7 +131,7 @@ def _engine_state(engine):
 def _apply_engine_op(engine, op):
     kind = op[0]
     if kind == "add":
-        engine.add_statement(op[1], op[2])
+        add_guaranteed(engine, op[1], op[2])
     elif kind == "remove":
         engine.remove_statement(op[1])
     else:
@@ -149,7 +150,7 @@ def test_journal_rollback_matches_legacy_snapshot(seed):
     rates = localize(scenario.policy)
     engine = IncrementalProvisioner(scenario.topology)
     for statement in scenario.policy.statements:
-        engine.add_statement(statement, rates[statement.identifier].guarantee)
+        add_guaranteed(engine, statement, rates[statement.identifier].guarantee)
     engine.resolve()
 
     for _ in range(5):
@@ -177,7 +178,7 @@ def test_nested_engine_transactions():
     rates = localize(scenario.policy)
     engine = IncrementalProvisioner(scenario.topology)
     for statement in scenario.policy.statements:
-        engine.add_statement(statement, rates[statement.identifier].guarantee)
+        add_guaranteed(engine, statement, rates[statement.identifier].guarantee)
 
     base = _engine_state(engine)
     outer = engine.journal.mark()
@@ -195,7 +196,7 @@ def test_nested_engine_transactions():
     inner2 = engine.journal.mark()
     engine.update_rates("p0s0", Bandwidth.mbps(50))
     engine.journal.release(inner2)
-    assert engine._records["p0s0"].rates.guarantee.bps_value == Bandwidth.mbps(50).bps_value
+    assert engine.records["p0s0"].rates.guarantee.bps_value == Bandwidth.mbps(50).bps_value
 
     engine.journal.rollback(outer)
     engine.journal.release(outer)

@@ -281,7 +281,7 @@ def test_partition_false_does_not_depend_on_rollback_history():
     rolled = compiled_session()
     for identifier in ("p0s0", "p0s1"):
         oversized = DeltaStatement(
-            rolled.session_statement(identifier), guarantee=Bandwidth.gbps(1000)
+            rolled.session_record(identifier).statement, guarantee=Bandwidth.gbps(1000)
         )
         with pytest.raises(ProvisioningError, match="infeasible"):
             rolled.recompile(PolicyDelta(remove=(identifier,), add=(oversized,)))
@@ -318,11 +318,11 @@ def test_partition_false_solves_the_reference_model_through_the_component_path(
     assert len(built) == 1
 
     engine = compiler._session.engine
-    identifiers = sorted(engine.statement_ids())
+    identifiers = sorted(engine.records)
     reference = build_model_for_links(
-        [compiler.session_statement(identifier) for identifier in identifiers],
-        {identifier: engine.untightened_for(identifier) for identifier in identifiers},
-        {identifier: engine._records[identifier].rates for identifier in identifiers},
+        [engine.records[identifier].statement for identifier in identifiers],
+        {identifier: engine.records[identifier].logical for identifier in identifiers},
+        {identifier: engine.records[identifier].rates for identifier in identifiers},
         sorted(topology_capacities_mbps(scenario.topology).items()),
     )
     assert_forms_identical(built[0].model, reference.model.to_standard_form())

@@ -637,7 +637,7 @@ class TestSinkTreeMaintenance:
         assert not compiler._session.sink_trees
         # Removing it brings the catch-all (and its sink trees) back.
         compiler.recompile(PolicyDelta(remove=("w",)))
-        assert compiler._session.entries["default"].generated
+        assert compiler._session.engine.records["default"].generated
         assert compiler._session.sink_trees
 
 
@@ -734,7 +734,7 @@ class TestNegotiatorTrigger:
         scope-narrowed predicate into the global session."""
         topology = figure2_example(capacity=Bandwidth.gbps(2))
         root = self._root(topology)
-        global_z = root.compiler.session_statement("z").predicate
+        global_z = root.compiler.session_record("z").statement.predicate
         # The scope keeps z (tcp.dst = 80) and drops x (tcp.dst = 20).
         child = root.delegate_to("tenant", FieldTest("tcp.dst", 80))
         assert {s.identifier for s in child.policy.statements} == {"z"}
@@ -754,7 +754,7 @@ class TestNegotiatorTrigger:
         assert "m1" in child.last_reprovision.paths["z"].path
         # ...but the session's predicate is still the root's full one, not
         # the tenant's (z AND tcp.dst=80) projection.
-        assert root.compiler.session_statement("z").predicate == global_z
+        assert root.compiler.session_record("z").statement.predicate == global_z
 
     def test_child_path_refinement_keeps_global_guarantee(self):
         """Delegation drops bandwidth clauses that reference out-of-scope
@@ -836,7 +836,7 @@ class TestNegotiatorTrigger:
 
         topology = figure2_example(capacity=Bandwidth.gbps(2))
         root = self._root(topology)
-        global_z = root.compiler.session_statement("z").predicate
+        global_z = root.compiler.session_record("z").statement.predicate
         # A strictly narrowing scope: the child's z covers only tcp.src=7777.
         child = root.delegate_to("tenant", FieldTest("tcp.src", 7777))
         by_id = {s.identifier: s for s in child.policy.statements}
@@ -865,7 +865,7 @@ class TestNegotiatorTrigger:
         # Withdrawn, and the global session is untouched and still active.
         assert child.policy is original
         assert root.compiler.has_session
-        assert root.compiler.session_statement("z").predicate == global_z
+        assert root.compiler.session_record("z").statement.predicate == global_z
 
     def test_failed_reprovision_withdraws_refinement(self, monkeypatch):
         topology = figure2_example(capacity=Bandwidth.gbps(2))

@@ -88,7 +88,7 @@ def test_promotion_materialises_the_searched_shape_and_keeps_its_footprint():
     with bundle.use():
         compiler.compile(_policy([G, B, B2], ["g"]))
         compiled = bundle.snapshot()
-        searched = compiler._session.entries["b"]
+        searched = compiler._session.engine.records["b"]
         promoted = compiler.recompile(
             PolicyDelta(update_rates=(RateUpdate("b", guarantee=RATE),))
         )
@@ -96,14 +96,14 @@ def test_promotion_materialises_the_searched_shape_and_keeps_its_footprint():
     assert compiled.counter_total("logical_builds") == 1
     assert compiled.counter_total("logical_searches") == 1
     assert searched.best_effort is not None and searched.footprint
-    assert compiler._session.entries["b2"].best_effort is not None
+    assert compiler._session.engine.records["b2"].best_effort is not None
     # The promotion builds b's graph then, for the first time.
     assert bundle.snapshot().counter_total("logical_builds") == 2
     assert bundle.snapshot().counter_total("logical_searches") == 1
-    entry = compiler._session.entries["b"]
+    entry = compiler._session.engine.records["b"]
     assert entry.best_effort is None
     assert entry.footprint == searched.footprint
-    assert entry.footprint == compiler._session.engine.untightened_for("b").footprint
+    assert entry.footprint == compiler._session.engine.records["b"].logical.footprint
     _assert_equals_scratch(promoted, [G, B, B2], ["g", "b"])
 
 
@@ -111,7 +111,7 @@ def test_failure_on_a_searched_footprint_moves_the_path_and_recovery_returns_it(
     compiler = _compiler()
     before = compiler.compile(_policy([G, B], ["g"]))
     link = _fabric_link_on(before.paths["b"].path)
-    assert tuple(sorted(link)) in compiler._session.entries["b"].footprint
+    assert tuple(sorted(link)) in compiler._session.engine.records["b"].footprint
 
     failed = compiler.recompile(TopologyDelta(fail_links=(link,)))
     _assert_equals_scratch(failed, [G, B], ["g"], failed_links=(link,))
@@ -126,7 +126,7 @@ def test_a_failure_answers_from_one_degraded_walk_and_a_rollback_reinstates_it()
     compiler = _compiler()
     before = compiler.compile(_policy([G, B, B2], ["g"]))
     session = compiler._session
-    expression = session.entries["b"].statement.path
+    expression = session.engine.records["b"].statement.path
     pristine = session.logical_cache[expression]
     link = _fabric_link_on(before.paths["b"].path)
     degraded = TOPOLOGY.without(links=(link,))
@@ -142,7 +142,7 @@ def test_a_failure_answers_from_one_degraded_walk_and_a_rollback_reinstates_it()
     scratch = _compiler(degraded)
     scratch.compile(_policy([G, B, B2], ["g"]))
     for identifier in ("b", "b2"):
-        entry = session.entries[identifier]
+        entry = session.engine.records[identifier]
         reference = reference_build_logical_topology(
             entry.statement, degraded, {}, *entry.endpoints, TOPOLOGY.locations()
         )
@@ -185,7 +185,7 @@ def test_statement_added_during_a_failure_records_its_pristine_footprint():
     _assert_equals_scratch(added, [G, B], ["g"], failed_links=(link,))
     # The failed link is not in the degraded product, only in the pristine
     # one — and that is the footprint the entry carries.
-    assert tuple(sorted(link)) in compiler._session.entries["b"].footprint
+    assert tuple(sorted(link)) in compiler._session.engine.records["b"].footprint
 
     recovered = compiler.recompile(TopologyDelta(recover_links=(link,)))
     _assert_equals_scratch(recovered, [G, B], ["g"])

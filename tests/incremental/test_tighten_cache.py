@@ -17,7 +17,13 @@ from repro.experiments.reprovisioning import (
     pod_tenant_scenario,
     unconstrained_statement,
 )
-from repro.incremental import DeltaStatement, PolicyDelta, RateUpdate
+from repro.incremental import (
+    DeltaStatement,
+    IncrementalProvisioner,
+    PolicyDelta,
+    RateUpdate,
+    TopologyDelta,
+)
 from repro.incremental import solve as solve_module
 from repro.units import Bandwidth
 
@@ -67,7 +73,7 @@ def test_tighten_entries_survive_recompiles_and_purge_on_removal(tightened):
     # Neither recompile re-tightened a surviving statement, and the removed
     # statement's views went with its record.
     assert tightened[len(population):] == ["wild"]
-    assert not engine.has_statement("wild")
+    assert "wild" not in engine.records
 
     # And the reuse is sound: reverting restored the base allocations.
     assert _reservations(reverted) == _reservations(base)
@@ -86,7 +92,7 @@ def test_mutating_a_statement_drops_only_its_entries(tightened):
     engine = compiler._session.engine
     del tightened[:]
 
-    engine.replace_logical("wild", engine.untightened_for("wild"))
+    engine.replace_logical("wild", engine.records["wild"].logical)
     engine.resolve()
     assert tightened == ["wild"]
 
@@ -112,3 +118,117 @@ def test_rollback_reinstates_views_with_their_records(tightened):
         PolicyDelta(update_rates=(RateUpdate("p0s0", guarantee=Bandwidth.mbps(10)),))
     )
     assert tightened == []
+
+
+@pytest.fixture
+def written(monkeypatch):
+    """``name -> [(record before, record after, its views right after)]``
+    for every call of the engine mutators ``update_rates`` and
+    ``replace_logical``, taken before a resolve can fill the views."""
+    calls = {"update_rates": [], "replace_logical": []}
+    for name, seen in calls.items():
+        mutator = getattr(IncrementalProvisioner, name)
+
+        def spy(self, identifier, *args, _mutator=mutator, _seen=seen, **kwargs):
+            before = self.records[identifier]
+            _mutator(self, identifier, *args, **kwargs)
+            after = self.records[identifier]
+            _seen.append((before, after, dict(after.views)))
+
+        monkeypatch.setattr(IncrementalProvisioner, name, spy)
+    return calls
+
+
+def test_a_rate_update_keeps_the_views_object():
+    scenario = pod_tenant_scenario(arity=4, pairs_per_pod=2)
+    compiler = _compiler(scenario)
+    compiler.compile(scenario.policy)
+    records = compiler._session.engine.records
+    record = records["p0s0"]
+    assert record.views
+
+    compiler.recompile(
+        PolicyDelta(update_rates=(RateUpdate("p0s0", guarantee=Bandwidth.mbps(10)),))
+    )
+    assert records["p0s0"] is not record
+    assert records["p0s0"].views is record.views
+
+
+def test_a_promotion_starts_with_empty_views(written):
+    scenario = pod_tenant_scenario(arity=4, pairs_per_pod=2)
+    compiler = _compiler(scenario)
+    compiler.compile(scenario.policy)
+    records = compiler._session.engine.records
+    guaranteed = records["p0s0"]
+    compiler.recompile(PolicyDelta(update_rates=(RateUpdate("p0s0"),)))
+    demoted = records["p0s0"]
+    assert demoted.token is None and demoted.logical is None
+    assert demoted.views == {} and demoted.views is not guaranteed.views
+
+    compiler.recompile(
+        PolicyDelta(
+            update_rates=(RateUpdate("p0s0", guarantee=scenario.guarantee),)
+        )
+    )
+    before, after, views = written["update_rates"][-1]
+    assert before is demoted and after is records["p0s0"]
+    assert views == {}
+    assert after.views is not demoted.views
+    assert after.views is not guaranteed.views
+    assert after.views  # the resolve cut the new graph afresh
+
+
+def test_a_rebuild_after_a_link_failure_starts_with_empty_views(written):
+    scenario = pod_tenant_scenario(arity=4, pairs_per_pod=2)
+    compiler = _compiler(scenario)
+    compiler.compile(scenario.policy)
+    # p0s0's product graph reaches the aggregation layer of its pod (its
+    # path expression admits a0_0), so losing an edge-to-aggregation link
+    # rebuilds it.
+    compiler.recompile(TopologyDelta(fail_links=(("e0_0", "a0_0"),)))
+
+    rebuilt = written["replace_logical"]
+    assert "p0s0" in [after.identifier for _, after, _ in rebuilt]
+    for before, after, views in rebuilt:
+        assert after.logical is not before.logical
+        assert views == {}
+        assert after.views is not before.views
+
+
+def test_a_rolled_back_promotion_puts_the_record_back():
+    scenario = pod_tenant_scenario(arity=4, pairs_per_pod=2)
+    compiler = _compiler(scenario)
+    compiler.compile(scenario.policy)
+    compiler.recompile(PolicyDelta(update_rates=(RateUpdate("p0s0"),)))
+    records = compiler._session.engine.records
+    demoted = records["p0s0"]
+
+    # A guarantee no link can carry: the promotion is applied, the solve
+    # fails and the transaction rolls back.
+    with pytest.raises(ProvisioningError):
+        compiler.recompile(
+            PolicyDelta(
+                update_rates=(RateUpdate("p0s0", guarantee=Bandwidth.gbps(50)),)
+            )
+        )
+    assert records["p0s0"] is demoted
+
+
+def test_a_rolled_back_demotion_puts_the_record_back():
+    scenario = pod_tenant_scenario(arity=4, pairs_per_pod=2)
+    compiler = _compiler(scenario)
+    compiler.compile(scenario.policy)
+    records = compiler._session.engine.records
+    guaranteed = records["p0s0"]
+
+    # The demotion is applied, then the delta's second update is refused.
+    with pytest.raises(ProvisioningError, match="unknown statement 'ghost'"):
+        compiler.recompile(
+            PolicyDelta(
+                update_rates=(
+                    RateUpdate("p0s0"),
+                    RateUpdate("ghost", guarantee=Bandwidth.mbps(1)),
+                )
+            )
+        )
+    assert records["p0s0"] is guaranteed

@@ -38,6 +38,7 @@ from repro.regex.ast import any_path
 from repro.regex.parser import parse_path_expression
 from repro.telemetry import Telemetry
 from repro.units import Bandwidth
+from tests.conftest import add_guaranteed
 
 from test_equivalence_property import _RandomPolicyChurn
 
@@ -446,18 +447,18 @@ class TestEngineCheckpoint:
         rates = localize(scenario.policy)
         engine = IncrementalProvisioner(scenario.topology)
         for statement in scenario.policy.statements:
-            engine.add_statement(statement, rates[statement.identifier].guarantee)
+            add_guaranteed(engine, statement, rates[statement.identifier].guarantee)
         before = engine.resolve()
 
         saved = engine.journal.mark()
         wild = unconstrained_statement(scenario)
-        engine.add_statement(wild, Bandwidth.mbps(25))
+        add_guaranteed(engine, wild, Bandwidth.mbps(25))
         engine.update_rates("p0s0", Bandwidth.mbps(10))
         engine.remove_statement("p1s0")
         engine.resolve()
 
         engine.journal.rollback(saved)
-        assert set(engine.statement_ids()) == {
+        assert set(engine.records) == {
             s.identifier for s in scenario.policy.statements
         }
         after = engine.resolve()
@@ -476,7 +477,7 @@ class TestEngineCheckpoint:
         rates = localize(scenario.policy)
         engine = IncrementalProvisioner(scenario.topology)
         for statement in scenario.policy.statements:
-            engine.add_statement(statement, rates[statement.identifier].guarantee)
+            add_guaranteed(engine, statement, rates[statement.identifier].guarantee)
         engine.resolve()
 
         saved = engine.journal.mark()
@@ -489,7 +490,7 @@ class TestEngineCheckpoint:
         # Every feasible path crosses the source host's access link, which
         # must therefore carry exactly the current guarantee.
         source_host = scenario.pods[0]["hosts"][0]
-        view = engine._records["p0s0"].view(engine.footprint_slack)
+        view = engine.records["p0s0"].view(engine.footprint_slack)
         (host_link,) = [link for link in view.logical.footprint if source_host in link]
         resolved = engine.resolve()
         assert resolved.solve_statistics["partitions_dirty"] == 1.0
@@ -505,7 +506,7 @@ class TestEngineCheckpoint:
         rates = localize(scenario.policy)
         engine = IncrementalProvisioner(scenario.topology)
         for statement in scenario.policy.statements:
-            engine.add_statement(statement, rates[statement.identifier].guarantee)
+            add_guaranteed(engine, statement, rates[statement.identifier].guarantee)
         for mbps in (10, 20, 30, 40):
             engine.update_rates("p0s0", Bandwidth.mbps(mbps))
             engine.resolve()
@@ -563,7 +564,7 @@ class TestNegotiatorRollback:
             root.propose(pinched)
         assert root.policy is original
         assert compiler.has_session  # rolled back, not invalidated
-        assert compiler.session_statement("a").path == policy.statements[0].path
+        assert compiler.session_record("a").statement.path == policy.statements[0].path
 
         # The session keeps serving refinements without a re-seed: the
         # fat-path pin is feasible and lands incrementally.
