@@ -75,9 +75,6 @@ class Formula:
     def children(self) -> Tuple["Formula", ...]:
         return ()
 
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children())
-
 
 @dataclass(frozen=True)
 class FTrue(Formula):

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..collector import collector_paused
-from ..predicates.ast import pred_or
-from ..predicates.sat import covers, find_overlapping_between, implies
+from ..predicates.sat import covers, find_overlapping_between
 from ..regex.ast import Regex
 from ..regex.operations import counterexample
 from ..units import Bandwidth
@@ -131,9 +130,9 @@ def verify_refinement(original: Policy, refined: Policy) -> VerificationReport:
             )
 
     if changed_refined:
-        original_union = pred_or(*[s.predicate for s in original.statements])
+        original_predicates = [s.predicate for s in original.statements]
         for candidate in changed_refined:
-            if not implies(candidate.predicate, original_union):
+            if not covers(candidate.predicate, original_predicates):
                 violations.append(
                     Violation(
                         kind="scope",

@@ -11,7 +11,7 @@ package provides:
 * a satisfiability/disjointness/implication decision procedure
   (:mod:`repro.predicates.sat`) used by the pre-processor and the negotiator
   verification machinery (the paper uses Z3 for this), and
-* negation normal form and the other transforms
+* the field tests a device match can express
   (:mod:`repro.predicates.transform`).
 """
 
@@ -38,7 +38,6 @@ from .sat import (
     is_satisfiable,
     pairwise_disjoint,
 )
-from .transform import intersect, to_nnf
 
 __all__ = [
     "And",
@@ -62,6 +61,4 @@ __all__ = [
     "is_partition",
     "is_satisfiable",
     "pairwise_disjoint",
-    "intersect",
-    "to_nnf",
 ]

@@ -12,7 +12,7 @@ or the negotiator matches statements between parent and child policies).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Tuple
+from typing import Any, Tuple
 
 from .fields import normalize_value
 
@@ -20,17 +20,9 @@ from .fields import normalize_value
 class Predicate:
     """Base class for all predicate AST nodes."""
 
-    def fields(self) -> FrozenSet[str]:
-        """Return the set of header field names tested by this predicate."""
-        raise NotImplementedError
-
     def children(self) -> Tuple["Predicate", ...]:
         """Return immediate sub-predicates (empty for atoms)."""
         return ()
-
-    def size(self) -> int:
-        """Number of AST nodes, used for complexity metrics in benchmarks."""
-        return 1 + sum(child.size() for child in self.children())
 
     # Operator sugar so that tests and examples can write ``p & q``.
     def __and__(self, other: "Predicate") -> "Predicate":
@@ -47,9 +39,6 @@ class Predicate:
 class PTrue(Predicate):
     """The predicate matching every packet."""
 
-    def fields(self) -> FrozenSet[str]:
-        return frozenset()
-
     def __str__(self) -> str:
         return "true"
 
@@ -57,9 +46,6 @@ class PTrue(Predicate):
 @dataclass(frozen=True)
 class PFalse(Predicate):
     """The predicate matching no packet."""
-
-    def fields(self) -> FrozenSet[str]:
-        return frozenset()
 
     def __str__(self) -> str:
         return "false"
@@ -75,9 +61,6 @@ class FieldTest(Predicate):
     def __post_init__(self) -> None:
         object.__setattr__(self, "value", normalize_value(self.field, self.value))
 
-    def fields(self) -> FrozenSet[str]:
-        return frozenset({self.field})
-
     def __str__(self) -> str:
         return f"{self.field} = {self.value}"
 
@@ -88,9 +71,6 @@ class And(Predicate):
 
     left: Predicate
     right: Predicate
-
-    def fields(self) -> FrozenSet[str]:
-        return self.left.fields() | self.right.fields()
 
     def children(self) -> Tuple[Predicate, ...]:
         return (self.left, self.right)
@@ -106,9 +86,6 @@ class Or(Predicate):
     left: Predicate
     right: Predicate
 
-    def fields(self) -> FrozenSet[str]:
-        return self.left.fields() | self.right.fields()
-
     def children(self) -> Tuple[Predicate, ...]:
         return (self.left, self.right)
 
@@ -121,9 +98,6 @@ class Not(Predicate):
     """Negation of a predicate."""
 
     operand: Predicate
-
-    def fields(self) -> FrozenSet[str]:
-        return self.operand.fields()
 
     def children(self) -> Tuple[Predicate, ...]:
         return (self.operand,)
@@ -141,9 +115,9 @@ def _balanced(operands, node_type: type) -> Predicate:
     """Build a balanced binary tree of ``node_type`` over ``operands``.
 
     Balancing keeps the AST depth logarithmic in the number of operands, so
-    the recursive transforms (NNF, DNF, satisfiability search) never hit
-    Python's recursion limit even for the thousands-of-statements unions the
-    negotiator verification of Figure 9 constructs.
+    the recursive walks (evaluation, printing, the dataclass equality and
+    hash) never hit Python's recursion limit even for the
+    thousands-of-operand conjunctions and unions a policy may hold.
     """
     if len(operands) == 1:
         return operands[0]

@@ -6,18 +6,23 @@ propositional formulas over equality tests on packet header fields, so full
 SMT machinery is unnecessary; this module implements a small backtracking
 decision procedure specialised to that theory:
 
-* the predicate is put in negation normal form,
-* a depth-first search maintains a per-field environment (either "must equal
-  v" or "must differ from {v1, ..., vk}"),
-* conjunctions push obligations, disjunctions branch with backtracking, and
+* a depth-first search walks the predicate as given, carrying each goal's
+  polarity (so ``!`` costs a flag flip, not a negation-normal-form copy),
+* it maintains a per-field environment (either "must equal v" or "must
+  differ from {v1, ..., vk}"),
+* conjunctions push obligations, disjunctions branch with backtracking (a
+  negated conjunction is a disjunction, a negated disjunction a
+  conjunction), and
 * a finite-domain check catches fields whose every value has been excluded
   (e.g. the 8-value ``vlan.pcp``).
 
 Unlike the obvious DNF expansion, the search handles the conjunctions of
-negated conjunctions produced by totality/coverage checks (``p0 and !p1 and
+negated conjunctions posed by totality/coverage checks (``p0 and !p1 and
 ... and !pn``) in linear time on the policies Merlin actually generates,
 which is what lets negotiator verification scale to tens of thousands of
-statements (Figure 9).
+statements (Figure 9).  Those questions are never built as predicates:
+:func:`implies`, :func:`is_disjoint` and :func:`covers` start the search
+from one signed goal per operand.
 
 Questions about *many* predicates at once (which statements of a policy
 overlap, which refined statements touch which original ones) do not run
@@ -40,22 +45,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PolicyError
-from .ast import (
-    And,
-    FieldTest,
-    Not,
-    Or,
-    PFalse,
-    Predicate,
-    PTrue,
-    pred_and,
-    pred_not,
-    pred_or,
-)
+from .ast import And, FieldTest, Not, Or, PFalse, Predicate, PTrue
 from .fields import domain_size
-from .transform import to_nnf
 
-#: Safety valve: the number of branch decisions after which the search gives
+#: Safety valve: the number of goals the search may take up before it gives
 #: up and raises (never hit by realistic policies; prevents silent hangs on
 #: adversarial inputs).
 MAX_BRANCH_STEPS = 5_000_000
@@ -111,90 +104,87 @@ class _Environment:
         return True
 
 
-class _Budget:
-    __slots__ = ("steps",)
+#: Pending goals, a persistent cons-list ``(node, positive, rest)``: ``node``
+#: must match when ``positive`` and must not match otherwise.
+_Goals = Optional[Tuple[Predicate, bool, object]]
 
-    def __init__(self) -> None:
-        self.steps = 0
 
-    def spend(self) -> None:
-        self.steps += 1
-        if self.steps > MAX_BRANCH_STEPS:
+def _search(goals: _Goals) -> bool:
+    """Decide whether some packet meets every signed goal, by iterative backtracking.
+
+    The polarity travels with the goal instead of a negation-normal-form
+    copy being built first: ``Not`` flips it, a positive ``And`` or a
+    negative ``Or`` pushes both operands, a negative ``And`` or a positive
+    ``Or`` is a choice point, a field test asserts its equality (positive)
+    or its exclusion (negative), and a constant holds when its truth equals
+    the polarity.  Each popped goal is one step against
+    :data:`MAX_BRANCH_STEPS`.  The goals form a cons-list so that a choice
+    point resumes the exact remaining work in O(1) without copying; the
+    environment records a trail for undo.
+
+    A top-level goal that is a failing constant (``implies(p, true)``, a
+    ``true`` part of :func:`covers`) fails on every branch, so it is read
+    before the walk rather than after it has tried every branch of the
+    goals ahead of it.
+    """
+    rest = goals
+    while rest is not None:
+        node, positive, rest = rest
+        if isinstance(node, (PTrue, PFalse)) and isinstance(node, PTrue) != positive:
+            return False
+    env = _Environment()
+    budget = MAX_BRANCH_STEPS
+    steps = 0
+    # Each choice point: (the goals resumed with the untried operand first,
+    # the environment mark).
+    choice_points: List[Tuple[_Goals, int]] = []
+    while goals is not None:
+        node, positive, goals = goals
+        steps += 1
+        if steps > budget:
             raise PolicyError(
                 "predicate satisfiability search exceeded its branch budget"
             )
-
-
-def _search(root: Predicate) -> bool:
-    """Decide satisfiability of an NNF predicate by iterative backtracking.
-
-    The pending obligations form a persistent cons-list ``(goal, rest)`` so
-    that disjunction choice points can resume the exact remaining work in
-    O(1) without copying; the environment records a trail for undo.
-    """
-    env = _Environment()
-    budget = _Budget()
-    goals: Optional[Tuple[Predicate, object]] = (root, None)
-    # Each choice point: (untried branch, goals after resuming, environment mark).
-    choice_points: List[Tuple[Predicate, object, int]] = []
-
-    def backtrack() -> bool:
-        nonlocal goals
-        while choice_points:
-            branch, rest, mark = choice_points.pop()
-            env.undo_to(mark)
-            goals = (branch, rest)
-            return True
-        return False
-
-    while True:
-        if goals is None:
-            return True
-        goal, rest = goals
-        goals = rest
-        budget.spend()
-        if isinstance(goal, PTrue):
+        if isinstance(node, FieldTest):
+            if positive:
+                holds = env.assert_equal(node.field, node.value)
+            else:
+                holds = env.assert_not_equal(node.field, node.value)
+        elif isinstance(node, (And, Or)):
+            if isinstance(node, And) != positive:
+                choice_points.append(((node.right, positive, goals), env.mark()))
+                goals = (node.left, positive, goals)
+            else:
+                goals = (node.left, positive, (node.right, positive, goals))
             continue
-        if isinstance(goal, PFalse):
-            if not backtrack():
+        elif isinstance(node, Not):
+            goals = (node.operand, not positive, goals)
+            continue
+        elif isinstance(node, (PTrue, PFalse)):
+            holds = isinstance(node, PTrue) == positive
+        else:
+            raise PolicyError(f"unknown predicate node: {node!r}")
+        if not holds:
+            if not choice_points:
                 return False
-            continue
-        if isinstance(goal, FieldTest):
-            if not env.assert_equal(goal.field, goal.value):
-                if not backtrack():
-                    return False
-            continue
-        if isinstance(goal, Not):
-            operand = goal.operand
-            if not isinstance(operand, FieldTest):
-                raise PolicyError("satisfiability input is not in negation normal form")
-            if not env.assert_not_equal(operand.field, operand.value):
-                if not backtrack():
-                    return False
-            continue
-        if isinstance(goal, And):
-            goals = (goal.left, (goal.right, goals))
-            continue
-        if isinstance(goal, Or):
-            choice_points.append((goal.right, goals, env.mark()))
-            goals = (goal.left, goals)
-            continue
-        raise PolicyError(f"unknown predicate node: {goal!r}")
+            goals, mark = choice_points.pop()
+            env.undo_to(mark)
+    return True
 
 
 def is_satisfiable(predicate: Predicate) -> bool:
     """Return ``True`` if some packet satisfies ``predicate``."""
-    return _search(to_nnf(predicate))
+    return _search((predicate, True, None))
 
 
 def is_disjoint(left: Predicate, right: Predicate) -> bool:
     """Return ``True`` when no packet matches both predicates."""
-    return not is_satisfiable(pred_and(left, right))
+    return not _search((left, True, (right, True, None)))
 
 
 def implies(antecedent: Predicate, consequent: Predicate) -> bool:
     """Return ``True`` when every packet matching ``antecedent`` matches ``consequent``."""
-    return not is_satisfiable(pred_and(antecedent, pred_not(consequent)))
+    return not _search((antecedent, True, (consequent, False, None)))
 
 
 def equivalent(left: Predicate, right: Predicate) -> bool:
@@ -440,8 +430,10 @@ def covers(original: Predicate, parts: Iterable[Predicate]) -> bool:
     packets identified by the original policy must be identified by the set
     of new policies."
     """
-    union = pred_or(*list(parts))
-    return implies(original, union)
+    goals: _Goals = None
+    for part in reversed(list(parts)):
+        goals = (part, False, goals)
+    return not _search((original, True, goals))
 
 
 def is_partition(original: Predicate, parts: Sequence[Predicate]) -> bool:

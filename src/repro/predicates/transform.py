@@ -1,59 +1,13 @@
-"""Predicate transforms.
+"""The field tests every packet matching a predicate satisfies.
 
-Negation normal form (:func:`to_nnf`), which the satisfiability search of
-:mod:`repro.predicates.sat` starts from; the packet-set intersection; and
-the field tests every matching packet satisfies, which each code generator
-turns into a device match.
+Each code generator turns them into a device match.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .ast import (
-    FALSE,
-    TRUE,
-    And,
-    FieldTest,
-    Not,
-    Or,
-    PFalse,
-    Predicate,
-    PTrue,
-    pred_and,
-    pred_not,
-    pred_or,
-)
-
-
-def to_nnf(predicate: Predicate) -> Predicate:
-    """Push negations down to the atoms (negation normal form)."""
-    if isinstance(predicate, (PTrue, PFalse, FieldTest)):
-        return predicate
-    if isinstance(predicate, And):
-        return pred_and(to_nnf(predicate.left), to_nnf(predicate.right))
-    if isinstance(predicate, Or):
-        return pred_or(to_nnf(predicate.left), to_nnf(predicate.right))
-    if isinstance(predicate, Not):
-        inner = predicate.operand
-        if isinstance(inner, PTrue):
-            return FALSE
-        if isinstance(inner, PFalse):
-            return TRUE
-        if isinstance(inner, FieldTest):
-            return Not(inner)
-        if isinstance(inner, Not):
-            return to_nnf(inner.operand)
-        if isinstance(inner, And):
-            return pred_or(to_nnf(pred_not(inner.left)), to_nnf(pred_not(inner.right)))
-        if isinstance(inner, Or):
-            return pred_and(to_nnf(pred_not(inner.left)), to_nnf(pred_not(inner.right)))
-    raise TypeError(f"unknown predicate node: {predicate!r}")
-
-
-def intersect(left: Predicate, right: Predicate) -> Predicate:
-    """The conjunction of two predicates (the packet set intersection)."""
-    return pred_and(left, right)
+from .ast import And, FieldTest, Predicate
 
 
 def positive_field_tests(predicate: Predicate) -> Iterator[FieldTest]:

@@ -229,13 +229,14 @@ def test_what_no_caller_reached_stays_deleted():
         r"|summarize_trace|read_trace|format_histogram|propose_or_raise"
         r"|VerificationError|statement_state|serialize_events|source_line_count"
         r"|with_statements|with_headers|parse_rate|gbps_value|mb_per_sec_value"
-        r"|link_utilisation|switch_subgraph)\b"
+        r"|link_utilisation|switch_subgraph|to_nnf|_Budget|original_union)\b"
     )
     offenders = _files_mentioning(banned) + _files_mentioning(banned, glob="*.md")
     assert not offenders, (
         "an unreached knob, memo or API is back (localize splits equally; "
         "each guaranteed statement builds its own product graph, counted on "
-        "logical_builds; predicates are searched in NNF; the content cache "
+        "logical_builds; the satisfiability search carries each goal's "
+        "polarity and builds no negated copy; the content cache "
         "holds solved components in memory and writes no file; spans and "
         "metrics are read from the recorder and the snapshot, not exported): %s"
         % ", ".join(offenders)

@@ -109,6 +109,27 @@ class TestVerification:
         assert not report.valid
         assert any(v.kind == "scope" for v in report.violations)
 
+    def test_scope_is_the_union_of_the_original_statements(self):
+        # Each refined statement lies in neither original alone, only in
+        # their union.
+        original = parse_policy(
+            "[ a : ip.src = 10.0.0.1 -> .* ; b : ip.src = 10.0.0.2 -> .* ]"
+        )
+        both = "(ip.src = 10.0.0.1 or ip.src = {})"
+        refined = (
+            "[ w : {both} and tcp.dst = 80 -> .* ; r : {both} and tcp.dst != 80 -> .* ]"
+        )
+        assert verify_refinement(
+            original, parse_policy(refined.format(both=both.format("10.0.0.2")))
+        ).valid
+        report = verify_refinement(
+            original, parse_policy(refined.format(both=both.format("10.0.0.3")))
+        )
+        assert {v.refined_statement for v in report.violations if v.kind == "scope"} == {
+            "w",
+            "r",
+        }
+
     def test_guarantee_sum_checked(self):
         original = parse_policy(
             "[ x : ip.src = 10.0.0.1 -> .* ], min(x, 100Mbps)"
@@ -421,10 +442,10 @@ class TestVerificationAutomata:
     def test_untouched_policy_builds_no_union_of_the_original_predicates(self, monkeypatch):
         from repro.negotiator import verification
 
-        def refuse(*predicates):
-            raise AssertionError("pred_or over the original predicates was built")
+        def refuse(*arguments):
+            raise AssertionError("a coverage or scope search ran")
 
-        monkeypatch.setattr(verification, "pred_or", refuse)
+        monkeypatch.setattr(verification, "covers", refuse)
         source = "[ a : tcp.dst = 80 -> .* ; b : tcp.dst = 22 -> .* ], max(a, {0}Mbps) and max(b, {0}Mbps)"
         report = verify_refinement(parse_policy(source.format(100)), parse_policy(source.format(50)))
         assert report.valid and report.checked_pairs == 0 and report.checked_clauses == 2

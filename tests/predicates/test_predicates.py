@@ -116,14 +116,6 @@ class TestConstructors:
         assert isinstance(p | q, Or)
         assert isinstance(~p, Not)
 
-    def test_fields_collected(self):
-        p = pred_and(FieldTest("tcp.dst", 80), FieldTest("eth.src", "00:00:00:00:00:01"))
-        assert p.fields() == {"tcp.dst", "eth.src"}
-
-    def test_size_counts_nodes(self):
-        p = pred_and(FieldTest("tcp.dst", 80), pred_not(FieldTest("tcp.src", 22)))
-        assert p.size() == 4
-
     def test_value_normalised_in_field_test(self):
         assert FieldTest("tcp.dst", "80").value == 80
 

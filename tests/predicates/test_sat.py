@@ -1,9 +1,12 @@
 """Tests for predicate satisfiability, disjointness, implication, and partitions."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import itertools
 
-from repro.packet import make_packet
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.errors import PolicyError
+from repro.packet import Packet, make_packet
 from repro.predicates import (
     FieldTest,
     equivalent,
@@ -17,9 +20,10 @@ from repro.predicates import (
     pred_and,
     pred_not,
     pred_or,
-    to_nnf,
 )
+from repro.predicates import sat
 from repro.predicates.ast import FALSE, TRUE, And, Not, Or
+from repro.predicates.fields import domain_size
 from repro.predicates.sat import covers, find_overlapping_pairs, overlaps
 
 
@@ -107,6 +111,25 @@ class TestDisjointnessAndImplication:
         assert pairwise_disjoint(predicates)
         assert find_overlapping_pairs(predicates) == []
 
+    def test_the_questions_build_no_predicate(self, monkeypatch):
+        # Each operand is one signed goal of the search: no conjunction,
+        # negation or union of the operands is constructed.
+        tcp = parse_predicate("ip.proto = tcp")
+        parts = [
+            parse_predicate("ip.proto = tcp and tcp.dst = 80"),
+            parse_predicate("ip.proto = tcp and tcp.dst != 80"),
+        ]
+
+        def refuse(node, *operands):
+            raise AssertionError(f"an {type(node).__name__} node was built")
+
+        for node_type in (And, Or, Not):
+            monkeypatch.setattr(node_type, "__init__", refuse)
+        assert covers(tcp, parts)
+        assert all(implies(part, tcp) for part in parts)
+        assert is_disjoint(*parts)
+        assert is_partition(tcp, parts)
+
     def test_overlapping_pairs_reported(self):
         predicates = [
             parse_predicate("ip.proto = tcp"),
@@ -153,18 +176,6 @@ class TestPartition:
 
 
 class TestTransforms:
-    def test_nnf_pushes_negation(self):
-        p = pred_not(pred_and(FieldTest("tcp.dst", 80), FieldTest("tcp.src", 22)))
-        nnf = to_nnf(p)
-        assert equivalent(p, nnf)
-
-    def test_nnf_of_negated_constants_and_double_negation(self):
-        http = FieldTest("tcp.dst", 80)
-        assert to_nnf(pred_not(TRUE)) == FALSE
-        assert to_nnf(pred_not(FALSE)) == TRUE
-        assert to_nnf(Not(Not(http))) == http
-        assert to_nnf(Not(http)) == Not(http)
-
     def test_difference_is_disjoint_and_covers(self):
         tcp = parse_predicate("ip.proto = tcp")
         http = parse_predicate("ip.proto = tcp and tcp.dst = 80")
@@ -232,22 +243,157 @@ class TestSatProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(p=_predicates(), packet=_PACKETS)
-    def test_nnf_matches_same_packets(self, p, packet):
-        assert matches(to_nnf(p), packet) == matches(p, packet)
-
-    @settings(max_examples=100, deadline=None)
-    @given(p=_predicates())
-    def test_nnf_negates_only_field_tests(self, p):
-        stack = [to_nnf(p)]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Not):
-                assert isinstance(node.operand, FieldTest)
-            elif isinstance(node, (And, Or)):
-                stack.extend(node.children())
-        assert _field_tests(to_nnf(p)) <= _field_tests(p)
-
-    @settings(max_examples=100, deadline=None)
-    @given(p=_predicates(), packet=_PACKETS)
     def test_negation_flips_matching(self, p, packet):
         assert matches(pred_not(p), packet) == (not matches(p, packet))
+
+
+# ---------------------------------------------------------------------------
+# Exact verdicts: on trees built with the raw constructors (constants, double
+# negations and negated compounds kept), every answer equals an enumeration
+# of the packets that can tell the predicates apart.
+# ---------------------------------------------------------------------------
+
+
+def _pcp_in(values):
+    """``vlan.pcp`` in ``values``: a right-nested disjunction of its tests."""
+    values = sorted(values)
+    tree = FieldTest("vlan.pcp", values[-1])
+    for value in reversed(values[:-1]):
+        tree = Or(FieldTest("vlan.pcp", value), tree)
+    return tree
+
+
+# Every vlan.pcp value is an atom, and a leaf may test a set of them, so
+# negated parts exclude all eight values often enough to reach the
+# finite-domain check.
+_RAW_LEAVES = (
+    st.sampled_from(
+        [FieldTest("vlan.pcp", value) for value in range(8)]
+        + [FieldTest("tcp.dst", port) for port in _PORTS[:3]]
+        + [FieldTest("ip.proto", proto) for proto in (6, 17)]
+        + [TRUE, FALSE]
+    )
+    | st.sets(st.integers(0, 7), min_size=2).map(_pcp_in)
+)
+
+_RAW_PREDICATES = st.recursive(
+    _RAW_LEAVES,
+    lambda children: st.one_of(
+        st.builds(And, children, children),
+        st.builds(Or, children, children),
+        st.builds(Not, children),
+    ),
+    max_leaves=10,
+)
+
+
+def _enumerated_packets(*predicates):
+    """Every combination of the tested values, each field also taking one
+    value none of the predicates tests when its domain has room."""
+    tested = {}
+    for predicate in predicates:
+        for test in _field_tests(predicate):
+            tested.setdefault(test.field, set()).add(test.value)
+    names = sorted(tested)
+    choices = []
+    for name in names:
+        values = sorted(tested[name])
+        if len(values) < domain_size(name):
+            values.append(next(v for v in itertools.count() if v not in tested[name]))
+        choices.append(values)
+    return [
+        Packet(headers=dict(zip(names, combination)))
+        for combination in itertools.product(*choices)
+    ]
+
+
+class TestExactVerdicts:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=_RAW_PREDICATES,
+        q=_RAW_PREDICATES,
+        parts=st.lists(_RAW_PREDICATES, max_size=4),
+    )
+    @example(
+        p=FieldTest("ip.proto", 6),
+        q=Not(Not(TRUE)),
+        parts=[_pcp_in(range(4)), _pcp_in(range(4, 8))],
+    )
+    def test_verdicts_equal_an_enumeration(self, p, q, parts):
+        packets = _enumerated_packets(p, q, *parts)
+        in_p = [matches(p, packet) for packet in packets]
+        in_q = [matches(q, packet) for packet in packets]
+        in_parts = [
+            any(matches(part, packet) for part in parts) for packet in packets
+        ]
+        assert is_satisfiable(p) == any(in_p)
+        assert is_disjoint(p, q) == (not any(a and b for a, b in zip(in_p, in_q)))
+        assert implies(p, q) == all(b for a, b in zip(in_p, in_q) if a)
+        assert covers(p, parts) == all(b for a, b in zip(in_p, in_parts) if a)
+
+
+# ---------------------------------------------------------------------------
+# Depth and budget: the search is a loop over signed goals.
+# ---------------------------------------------------------------------------
+
+
+def _alternating_chain(levels):
+    """``levels`` alternating ``Or`` / ``And`` levels over ``tcp.dst = 0``:
+    odd levels add ``or tcp.dst = level``, even ones ``and ip.proto = 6``."""
+    chain = FieldTest("tcp.dst", 0)
+    for level in range(1, levels + 1):
+        if level % 2:
+            chain = Or(chain, FieldTest("tcp.dst", level))
+        else:
+            chain = And(chain, FieldTest("ip.proto", 6))
+    return chain
+
+
+def _negations(depth, operand):
+    for _ in range(depth):
+        operand = Not(operand)
+    return operand
+
+
+class TestDepthAndBudget:
+    def test_an_alternating_chain_deeper_than_the_recursion_limit(self):
+        chain = _alternating_chain(3_000)
+        tcp_to_0 = And(FieldTest("tcp.dst", 0), FieldTest("ip.proto", 6))
+        assert is_satisfiable(chain)
+        assert implies(tcp_to_0, chain)
+        assert not implies(chain, FieldTest("tcp.src", 1))
+        assert is_disjoint(FieldTest("ip.proto", 17), chain)
+
+    def test_a_negation_chain_deeper_than_the_recursion_limit(self):
+        not_http = _negations(3_001, FieldTest("tcp.dst", 80))
+        assert is_satisfiable(not_http)
+        assert implies(FieldTest("tcp.dst", 22), not_http)
+        assert not implies(not_http, FieldTest("tcp.dst", 22))
+        assert is_disjoint(FieldTest("tcp.dst", 80), not_http)
+        assert not is_satisfiable(And(FieldTest("tcp.dst", 80), not_http))
+
+    def test_the_budget_counts_every_goal_taken_up(self, monkeypatch):
+        # And, tcp.dst = 80, Not, tcp.src = 22: four steps.
+        p = And(FieldTest("tcp.dst", 80), Not(FieldTest("tcp.src", 22)))
+        monkeypatch.setattr(sat, "MAX_BRANCH_STEPS", 4)
+        assert is_satisfiable(p)
+        monkeypatch.setattr(sat, "MAX_BRANCH_STEPS", 3)
+        with pytest.raises(
+            PolicyError,
+            match="^predicate satisfiability search exceeded its branch budget$",
+        ):
+            is_satisfiable(p)
+
+    def test_a_failing_top_level_constant_is_read_before_the_walk(self, monkeypatch):
+        # 2**20 branches, each failing only at the trailing constant, were
+        # the walk to reach it first.
+        wide = pred_and(
+            *[
+                Or(FieldTest("tcp.dst", port), FieldTest("tcp.src", port))
+                for port in range(20)
+            ]
+        )
+        monkeypatch.setattr(sat, "MAX_BRANCH_STEPS", 0)
+        assert implies(wide, TRUE)
+        assert is_disjoint(wide, FALSE)
+        assert covers(wide, [FieldTest("tcp.dst", 1), TRUE])
